@@ -2,8 +2,8 @@
 
 Pipeline: generate synthetic point/line sequences with ground truth, track
 camera poses (frame-to-frame or map-to-frame), build co-visibility factor
-graphs, optimize them with point-only or point-plus-line bundle adjustment,
-and score trajectories with ATE/RPE.
+graphs and evaluate their point and line re-projection cost, and score
+trajectories with ATE/RPE.
 """
 
 __version__ = "0.1.0"

@@ -380,6 +380,8 @@ def write_stats_csv(stats: list[FrameStats], path) -> None:
 
 
 def write_graph(graph: FactorGraph, path) -> None:
+    """Write vertices, the gauge and factor measurements. Factor weights
+    are not stored; ``read_graph`` rebuilds them from ``sigma_s``."""
     rows = [
         "# VERTEX_POSE id tx ty tz qx qy qz qw (world-to-camera)",
         "# VERTEX_POINT id X Y Z | VERTEX_LINE id nx ny nz dx dy dz",
@@ -415,8 +417,9 @@ def write_graph(graph: FactorGraph, path) -> None:
 
 
 def read_graph(path, intrinsics: CameraIntrinsics, sigma_s: float = 1.0) -> FactorGraph:
-    """Graph files carry no calibration; the caller supplies it. Factor
-    weights default to 1/sigma_s^2."""
+    """Graph files carry no calibration and no factor weights; the caller
+    supplies the calibration, and every factor gets the weight
+    1/sigma_s^2, whatever weights the written graph had."""
     graph = FactorGraph(intrinsics=intrinsics)
     weight = 1.0 / (sigma_s * sigma_s)
     for lineno, tokens in _iter_records(path):

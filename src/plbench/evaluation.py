@@ -60,16 +60,12 @@ def align_se3(est: list[Pose], gt: list[Pose]) -> Pose:
 
 
 def ate(est: list[Pose], gt: list[Pose]) -> MetricSummary:
-    """Absolute trajectory error: per-frame center distance after alignment."""
-    G = align_se3(est, gt)
-    P = np.array([p.center() for p in est])
-    Q = np.array([p.center() for p in gt])
-    aligned = P @ G.rotation().T + G.t
-    errors = np.linalg.norm(aligned - Q, axis=1)
-    return MetricSummary(translation=ErrorStats.from_errors(errors))
+    """Absolute trajectory error: statistics of ``ate_per_frame``."""
+    return MetricSummary(translation=ErrorStats.from_errors(ate_per_frame(est, gt)))
 
 
 def ate_per_frame(est: list[Pose], gt: list[Pose]) -> np.ndarray:
+    """Per-frame camera-center distance after SE(3) alignment, in meters."""
     G = align_se3(est, gt)
     P = np.array([p.center() for p in est])
     Q = np.array([p.center() for p in gt])
@@ -98,17 +94,3 @@ def rpe(est: list[Pose], gt: list[Pose], delta: int = 1) -> MetricSummary:
         translation=ErrorStats.from_errors(np.array(trans_err)),
         rotation=ErrorStats.from_errors(np.array(rot_err)),
     )
-
-
-def rpe_per_frame(est: list[Pose], gt: list[Pose], delta: int = 1):
-    """(frame index, translation error m, rotation error deg) triples."""
-    _check_matched(est, gt)
-    if delta < 1 or delta >= len(est):
-        raise ValueError(f"delta must be in [1, {len(est) - 1}]")
-    rows = []
-    for i in range(len(est) - delta):
-        rel_est = est[i].compose(est[i + delta].inverse())
-        rel_gt = gt[i].compose(gt[i + delta].inverse())
-        E = rel_gt.inverse().compose(rel_est)
-        rows.append((i, float(np.linalg.norm(E.t)), float(np.degrees(rotation_angle(E.rotation())))))
-    return rows

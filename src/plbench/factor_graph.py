@@ -21,8 +21,6 @@ from .geometry import (
     Pose,
     orthonormal_from_plucker,
     plucker_from_endpoints,
-    plucker_from_orthonormal,
-    skew,
 )
 from .simulator import Sequence
 
@@ -53,8 +51,8 @@ class LineFactor:
 
 @dataclass
 class LineVertex:
-    """Plucker state of one line landmark; the orthonormal frame is derived
-    on demand and cached by the optimizer between updates."""
+    """Plucker state of one line landmark; ``orthonormal()`` derives the
+    orthonormal frame anew on each call."""
 
     n: np.ndarray
     d: np.ndarray
@@ -93,23 +91,64 @@ class FactorGraph:
                 raise GraphConstructionError("dangling line factor reference")
 
     def total_cost(self) -> float:
-        """Weighted squared residual sum over all valid factors."""
+        """Weighted squared residual sum over all valid factors.
+
+        One ``point_terms`` and one ``line_terms`` call evaluate every
+        factor; a factor the kernels mark invalid (point behind its camera,
+        degenerate line projection) adds 0.
+        """
+        pose_index = {pid: i for i, pid in enumerate(self.poses)}
+        R = np.array([T.rotation() for T in self.poses.values()])
+        t = np.array([T.t for T in self.poses.values()])
         cost = 0.0
-        for f in self.point_factors:
-            r = point_residual(f.u, self.points[f.point], self.poses[f.frame], self.intrinsics)
-            cost += f.weight * float(r @ r)
-        for f in self.line_factors:
-            v = self.lines[f.line]
-            r = line_residual(
-                f.u_start, f.u_end, (v.n, v.d), self.poses[f.frame], self.intrinsics
+        if self.point_factors:
+            fs = self.point_factors
+            k = [pose_index[f.frame] for f in fs]
+            res, _, _, _ = point_terms(
+                R[k], t[k], [self.points[f.point] for f in fs], [f.u for f in fs],
+                self.intrinsics,
             )
-            cost += f.weight * float(r @ r)
+            cost += _weighted_sum_of_squares(fs, res)
+        if self.line_factors:
+            fs = self.line_factors
+            line_index = {lid: i for i, lid in enumerate(self.lines)}
+            ortho = [v.orthonormal() for v in self.lines.values()]
+            U = np.array([o.U for o in ortho])
+            W = np.array([o.W for o in ortho])
+            k = [pose_index[f.frame] for f in fs]
+            m = [line_index[f.line] for f in fs]
+            res, _, _, _ = line_terms(
+                R[k], t[k], U[m], W[m], [f.u_start for f in fs], [f.u_end for f in fs],
+                self.intrinsics,
+            )
+            cost += _weighted_sum_of_squares(fs, res)
         return cost
 
 
+def _weighted_sum_of_squares(factors, res) -> float:
+    return float(np.array([f.weight for f in factors]) @ np.sum(res * res, axis=1))
+
+
 # ---------------------------------------------------------------------------
-# vectorized evaluation core (shared by the spec-level single-factor ops and
-# the optimizer's bulk path)
+# vectorized evaluation core: every residual and projection in this module
+# and in tracking goes through these functions
+
+
+def _project_points(R, t, P_w, intr: CameraIntrinsics):
+    """Pinhole projection of world points, batched over axis 0.
+
+    Returns (P_c (F,3), valid (F,), zs (F,), proj (F,2)). Points at or
+    behind the camera are invalid; their depth in ``zs`` is replaced by 1
+    so that ``proj`` stays finite.
+    """
+    P_c = np.einsum("fij,fj->fi", R, np.asarray(P_w, dtype=float)) + t
+    z = P_c[:, 2]
+    valid = z > _DEPTH_EPS
+    zs = np.where(valid, z, 1.0)
+    proj = np.stack(
+        [intr.fx * P_c[:, 0] / zs + intr.cx, intr.fy * P_c[:, 1] / zs + intr.cy], axis=1
+    )
+    return P_c, valid, zs, proj
 
 
 def point_terms(R, t, P_w, u, intr: CameraIntrinsics):
@@ -121,17 +160,8 @@ def point_terms(R, t, P_w, u, intr: CameraIntrinsics):
     """
     R = np.asarray(R, dtype=float)
     t = np.asarray(t, dtype=float)
-    P_w = np.asarray(P_w, dtype=float)
-    u = np.asarray(u, dtype=float)
-    P_c = np.einsum("fij,fj->fi", R, P_w) + t
-    z = P_c[:, 2]
-    valid = z > _DEPTH_EPS
-    zs = np.where(valid, z, 1.0)
-
-    proj = np.empty_like(u)
-    proj[:, 0] = intr.fx * P_c[:, 0] / zs + intr.cx
-    proj[:, 1] = intr.fy * P_c[:, 1] / zs + intr.cy
-    res = u - proj
+    P_c, valid, zs, proj = _project_points(R, t, P_w, intr)
+    res = np.asarray(u, dtype=float) - proj
 
     F = len(P_c)
     A = np.zeros((F, 2, 3))
@@ -250,19 +280,36 @@ def line_terms(R, t, U, W, u_s, u_e, intr: CameraIntrinsics):
 
 
 # ---------------------------------------------------------------------------
-# single-factor operations
+# single-factor operations: thin wrappers over a batch of one
+
+
+def _one_point(u, P_w, T: Pose, intr: CameraIntrinsics):
+    """point_terms on one factor: (res, J_pose, J_point); raises
+    GeometryError when the point is not in front of the camera."""
+    res, J_pose, J_point, valid = point_terms(
+        T.rotation()[None], T.t[None], np.asarray(P_w, float)[None],
+        np.asarray(u, float)[None], intr,
+    )
+    if not valid[0]:
+        raise GeometryError("point behind the camera")
+    return res[0], J_pose[0], J_point[0]
+
+
+def _one_line(u_s, u_e, o: OrthonormalLine, T: Pose, intr: CameraIntrinsics):
+    """line_terms on one factor: (res, J_pose, J_line); raises
+    GeometryError on a degenerate line projection."""
+    res, J_pose, J_line, valid = line_terms(
+        T.rotation()[None], T.t[None], o.U[None], o.W[None],
+        np.asarray(u_s, float)[None], np.asarray(u_e, float)[None], intr,
+    )
+    if not valid[0]:
+        raise GeometryError("degenerate line projection")
+    return res[0], J_pose[0], J_line[0]
 
 
 def point_residual(u, P_w, T: Pose, intr: CameraIntrinsics) -> np.ndarray:
     """Eq.-style 2D re-projection residual u - pi(P_w, T)."""
-    P_c = T.transform(P_w)
-    if P_c[2] <= _DEPTH_EPS:
-        raise GeometryError("point behind the camera")
-    res, _, _, _ = point_terms(
-        T.rotation()[None], T.t[None], np.asarray(P_w, float)[None],
-        np.asarray(u, float)[None], intr,
-    )
-    return res[0]
+    return _one_point(u, P_w, T, intr)[0]
 
 
 def project_line(L, T: Pose, intr: CameraIntrinsics) -> np.ndarray:
@@ -300,34 +347,19 @@ def project_line_by_endpoints(L, T: Pose, intr: CameraIntrinsics) -> np.ndarray:
 
 
 def line_residual(u_s, u_e, L, T: Pose, intr: CameraIntrinsics) -> np.ndarray:
-    """Signed distances of both measured endpoints from the re-projected line."""
-    l = project_line(L, T, intr)
-    denom = np.sqrt(l[0] ** 2 + l[1] ** 2)
-    ub_s = np.array([u_s[0], u_s[1], 1.0])
-    ub_e = np.array([u_e[0], u_e[1], 1.0])
-    return np.array([ub_s @ l / denom, ub_e @ l / denom])
+    """Signed distances of both measured endpoints from the re-projected
+    Plucker line L = (n, d)."""
+    return _one_line(u_s, u_e, orthonormal_from_plucker(*L), T, intr)[0]
 
 
 def point_jacobians(u, P_w, T: Pose, intr: CameraIntrinsics):
     """(d res / d pose increment (2x6), d res / d point (2x3))."""
-    _, J_pose, J_point, valid = point_terms(
-        T.rotation()[None], T.t[None], np.asarray(P_w, float)[None],
-        np.asarray(u, float)[None], intr,
-    )
-    if not valid[0]:
-        raise GeometryError("point behind the camera")
-    return J_pose[0], J_point[0]
+    return _one_point(u, P_w, T, intr)[1:]
 
 
 def line_jacobians(u_s, u_e, o: OrthonormalLine, T: Pose, intr: CameraIntrinsics):
     """(d res / d pose increment (2x6), d res / d orthonormal delta (2x4))."""
-    _, J_pose, J_line, valid = line_terms(
-        T.rotation()[None], T.t[None], o.U[None], o.W[None],
-        np.asarray(u_s, float)[None], np.asarray(u_e, float)[None], intr,
-    )
-    if not valid[0]:
-        raise GeometryError("degenerate line projection")
-    return J_pose[0], J_line[0]
+    return _one_line(u_s, u_e, o, T, intr)[1:]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ All values are immutable after construction and every function is pure.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -225,8 +225,10 @@ class Pose:
         if norm == 0.0 or not np.isfinite(norm):
             raise GeometryError("quaternion must be nonzero and finite")
         # only touch the stored values when actually off the manifold, so
-        # that already-unit quaternions survive round-trips bit-exactly
-        if abs(norm - 1.0) > 1e-12:
+        # that already-unit quaternions survive round-trips bit-exactly; the
+        # bound is a few ulps, since quat_to_matrix is only orthogonal to
+        # about |q|^2 - 1 and that error scales every composed translation
+        if abs(norm - 1.0) > 4 * np.finfo(float).eps:
             q = q / norm
         q.flags.writeable = False
         t.flags.writeable = False
@@ -395,12 +397,6 @@ def transform_plucker(T: Pose, n, d) -> tuple[np.ndarray, np.ndarray]:
     R = T.rotation()
     Rd = R @ np.asarray(d, dtype=float)
     return R @ np.asarray(n, dtype=float) + np.cross(T.t, Rd), Rd
-
-
-def plucker_closest_point(n, d) -> np.ndarray:
-    """Point of the line closest to the origin: (d x n) / |d|^2."""
-    d = np.asarray(d, dtype=float)
-    return np.cross(d, n) / float(d @ d)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Baseline front-end: EPnP pose estimation (frame-to-frame and
-map-to-frame) with incremental landmark fusion and parallel-line grouping.
+map-to-frame) with incremental landmark fusion.
 
 Data association uses the ground-truth landmark ids carried by the
 measurements; the geometric gates (radius/angle/distance thresholds) then
 decide whether an observation also updates the fused landmark estimate.
 Lines never enter the pose solver; they matter only for map building and
-the later bundle adjustment.
+the factor graph.
 """
 from __future__ import annotations
 
@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .factor_graph import point_terms
+from .factor_graph import _project_points, point_terms
 from .geometry import (
     CameraIntrinsics,
-    LineLandmark,
     Pose,
     backproject,
     line_angle,
@@ -41,14 +40,6 @@ class TrackingLostError(RuntimeError):
         super().__init__(f"tracking lost at frame {frame_id}: {message}")
 
 
-@dataclass(frozen=True)
-class Correspondence3D2D:
-    """A world point paired with its observed pixel in one frame."""
-
-    point_w: np.ndarray
-    pixel: np.ndarray
-
-
 # ---------------------------------------------------------------------------
 # EPnP
 
@@ -59,23 +50,21 @@ class PnPResult:
     mean_error: float  # mean reprojection error over all correspondences, px
 
 
-def _reprojection_errors(R, t, P_w, u, intr) -> np.ndarray:
-    P_c = P_w @ R.T + t
-    z = P_c[:, 2]
-    bad = z <= 1e-9
-    zs = np.where(bad, 1.0, z)
-    proj = np.stack(
-        [intr.fx * P_c[:, 0] / zs + intr.cx, intr.fy * P_c[:, 1] / zs + intr.cy], axis=1
+def _reprojection_errors(T: Pose, P_w, u, intr) -> np.ndarray:
+    """Pixel distance per correspondence; 1e9 for a point behind the camera."""
+    n = len(P_w)
+    _, valid, _, proj = _project_points(
+        np.broadcast_to(T.rotation(), (n, 3, 3)), T.t, P_w, intr
     )
     err = np.linalg.norm(proj - u, axis=1)
-    err[bad] = 1e9
+    err[~valid] = 1e9
     return err
 
 
 def _refine_pose(R, t, P_w, u, intr, iterations=10):
     """Gauss-Newton on the reprojection error, left-multiplicative updates."""
     T = Pose.from_rt(R, t)
-    err = float(np.mean(_reprojection_errors(T.rotation(), T.t, P_w, u, intr)))
+    err = float(np.mean(_reprojection_errors(T, P_w, u, intr)))
     n = len(P_w)
     for _ in range(iterations):
         R_all = np.broadcast_to(T.rotation(), (n, 3, 3))
@@ -97,9 +86,7 @@ def _refine_pose(R, t, P_w, u, intr, iterations=10):
         step = 1.0
         for _try in range(6):
             T_new = se3_exp_update(T, step * delta)
-            err_new = float(
-                np.mean(_reprojection_errors(T_new.rotation(), T_new.t, P_w, u, intr))
-            )
+            err_new = float(np.mean(_reprojection_errors(T_new, P_w, u, intr)))
             if err_new <= err:
                 T, err = T_new, err_new
                 break
@@ -379,109 +366,6 @@ def _refit_line(samples: np.ndarray) -> np.ndarray:
     d_hat = Vt[0]
     t = centered @ d_hat
     return np.array([center + t.min() * d_hat, center + t.max() * d_hat])
-
-
-# ---------------------------------------------------------------------------
-# RANSAC line fitting
-
-
-@dataclass(frozen=True)
-class RansacLineFit:
-    start: np.ndarray
-    end: np.ndarray
-    inliers: np.ndarray  # boolean mask over the input points
-
-
-def fit_line_ransac(points, iterations: int = 100, inlier_thresh: float = 0.01,
-                    rng=None) -> RansacLineFit:
-    """Best two-point hypothesis by inlier count, refined by a principal
-    axis fit over the inliers; endpoints are their extreme projections."""
-    points = np.asarray(points, dtype=float).reshape(-1, 3)
-    n = len(points)
-    if n < 2:
-        raise InsufficientDataError("need at least 2 points to fit a line")
-    span = points.max(axis=0) - points.min(axis=0)
-    if np.linalg.norm(span) < 1e-12:
-        raise DegenerateGeometryError("all points coincide")
-    if rng is None:
-        rng = np.random.default_rng(0)
-
-    best_mask = None
-    best_count = -1
-    for _ in range(iterations):
-        i, j = rng.choice(n, size=2, replace=False)
-        d = points[j] - points[i]
-        norm = np.linalg.norm(d)
-        if norm < 1e-12:
-            continue
-        d_hat = d / norm
-        rel = points - points[i]
-        dist = np.linalg.norm(rel - np.outer(rel @ d_hat, d_hat), axis=1)
-        mask = dist <= inlier_thresh
-        if mask.sum() > best_count:
-            best_count = int(mask.sum())
-            best_mask = mask
-    if best_mask is None or best_count < 2:
-        raise DegenerateGeometryError("no line hypothesis found")
-
-    fitted = _refit_line(points[best_mask])
-    return RansacLineFit(start=fitted[0], end=fitted[1], inliers=best_mask)
-
-
-# ---------------------------------------------------------------------------
-# parallel-line grouping
-
-
-@dataclass
-class ParallelGroup:
-    group_id: int
-    direction: np.ndarray  # unit vector shared by every member
-    members: list[LineLandmark]
-
-
-def group_parallel_lines(lines, angle_thresh_deg: float = 5.0) -> list[ParallelGroup]:
-    """Greedy clustering by direction angle, then exact rectification.
-
-    Per group the signs are unified, the average unit direction becomes
-    the group direction, and every member's endpoints are re-projected
-    onto the axis through its own midpoint. Afterwards all members of a
-    group are exactly parallel, and re-running the operation reproduces
-    the same groups and endpoints.
-    """
-    groups: list[list[LineLandmark]] = []
-    refs: list[np.ndarray] = []
-    for line in lines:
-        d = line.direction()
-        for gi, ref in enumerate(refs):
-            if np.degrees(line_angle(ref, d)) <= angle_thresh_deg:
-                groups[gi].append(line)
-                break
-        else:
-            groups.append([line])
-            refs.append(d)
-
-    out = []
-    for gid, (members, ref) in enumerate(zip(groups, refs)):
-        dirs = []
-        for line in members:
-            d = line.direction()
-            dirs.append(-d if float(d @ ref) < 0 else d)
-        if all(np.array_equal(d, dirs[0]) for d in dirs[1:]):
-            d_hat = dirs[0]
-        else:
-            mean = np.mean(dirs, axis=0)
-            d_hat = mean / np.linalg.norm(mean)
-        rectified = []
-        for line in members:
-            mid = line.midpoint()
-            a = float((line.endpoints[0] - mid) @ d_hat)
-            b = float((line.endpoints[1] - mid) @ d_hat)
-            rectified.append(
-                LineLandmark(line.id, np.array([mid + a * d_hat, mid + b * d_hat]),
-                             group_id=gid)
-            )
-        out.append(ParallelGroup(group_id=gid, direction=d_hat, members=rectified))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from plbench.geometry import (
 from plbench.factor_graph import (
     FactorGraph,
     GraphConstructionError,
+    LineFactor,
     LineVertex,
     PointFactor,
     build_covisibility_graph,
@@ -368,43 +369,83 @@ def test_build_graph_trajectory_length_mismatch():
                                  ToyMap(points={0: np.array([0.2, -0.1, 3.0])}))
 
 
-def test_noiseless_graph_cost_is_zero_at_ground_truth():
-    cfg = load_preset("box")
+def preset_graph(preset, frames, noise=None):
+    """Graph over the first ``frames`` ground-truth poses of a preset, with
+    ground-truth landmarks; ``noise`` defaults to the preset's."""
+    cfg = load_preset(preset)
     scene = build_scene(cfg.scene)
-    traj = build_trajectory(cfg.trajectory)[:10]
-    seq = generate_sequence(scene, traj, NoiseParams(enabled=False), cfg.intrinsics, cfg.render)
+    traj = build_trajectory(cfg.trajectory)[:frames]
+    noise = cfg.noise if noise is None else noise
+    seq = generate_sequence(scene, traj, noise, cfg.intrinsics, cfg.render)
     gt_map = ToyMap(
         points={p.id: p.position for p in scene.points},
         lines={l.id: l.endpoints for l in scene.lines},
     )
-    graph = build_covisibility_graph(seq, traj, gt_map)
+    return build_covisibility_graph(seq, traj, gt_map, cfg.noise.sigma_s)
+
+
+def residuals(g: FactorGraph):
+    """Every factor's residual through the single-factor operations."""
+    out = []
+    for f in g.point_factors:
+        out.append(point_residual(f.u, g.points[f.point], g.poses[f.frame], g.intrinsics))
+    for f in g.line_factors:
+        v = g.lines[f.line]
+        out.append(line_residual(f.u_start, f.u_end, (v.n, v.d), g.poses[f.frame], g.intrinsics))
+    return np.array(out)
+
+
+def test_noiseless_graph_cost_is_zero_at_ground_truth():
+    graph = preset_graph("box", 10, NoiseParams(enabled=False))
     assert len(graph.point_factors) > 500
     assert len(graph.line_factors) > 30
     assert graph.total_cost() <= 1e-18
 
 
-def test_graph_gauge_invariance():
-    cfg = load_preset("box")
-    scene = build_scene(cfg.scene)
-    traj = build_trajectory(cfg.trajectory)[:5]
-    seq = generate_sequence(scene, traj, NoiseParams(enabled=False), cfg.intrinsics, cfg.render)
-    gt_map = ToyMap(
-        points={p.id: p.position for p in scene.points},
-        lines={l.id: l.endpoints for l in scene.lines},
+def single_factor_cost(g: FactorGraph) -> float:
+    weights = np.array([f.weight for f in g.point_factors + g.line_factors])
+    return float(weights @ np.sum(residuals(g) ** 2, axis=1))
+
+
+@pytest.mark.parametrize("preset", ["sphere", "box", "corridor"])
+def test_total_cost_matches_single_factor_sum(preset):
+    graph = preset_graph(preset, 10)
+    assert len(graph.point_factors) > 100 and len(graph.line_factors) > 10
+    expected = single_factor_cost(graph)
+    assert expected > 0.0
+    np.testing.assert_allclose(graph.total_cost(), expected, rtol=1e-12)
+
+
+def test_total_cost_adds_zero_for_point_behind_its_camera():
+    T1 = Pose(np.array([0.0, 0.0, 0.0, 1.0]), np.array([0.0, 0.0, -4.0]))
+    graph = FactorGraph(
+        intrinsics=K,
+        poses={0: Pose.identity(), 1: T1},
+        fixed={0},
+        points={0: np.array([0.2, -0.1, 8.0]), 1: np.array([0.1, 0.3, 2.0])},
+        lines={0: LineVertex(*plucker_from_endpoints([0.0, 0.0, 6.0], [1.0, 0.0, 6.0]))},
+        point_factors=[
+            PointFactor(0, 0, np.array([322.0, 239.0]), 0.5),
+            PointFactor(1, 0, np.array([321.0, 233.0]), 0.5),
+            PointFactor(0, 1, np.array([330.0, 250.0]), 0.5),
+        ],
+        line_factors=[LineFactor(1, 0, np.array([100.0, 243.0]), np.array([500.0, 238.0]), 2.0)],
     )
-    graph = build_covisibility_graph(seq, traj, gt_map)
+    expected = single_factor_cost(graph)
+    assert expected > 0.0
+    behind = PointFactor(1, 1, np.array([300.0, 200.0]), 0.5)  # z = -2 in camera 1
+    with pytest.raises(GeometryError):
+        point_residual(behind.u, graph.points[1], T1, K)
+    graph.point_factors.append(behind)
+    graph.check()
+    np.testing.assert_allclose(graph.total_cost(), expected, rtol=1e-12)
+
+
+def test_graph_gauge_invariance():
+    graph = preset_graph("box", 5, NoiseParams(enabled=False))
     rng = np.random.default_rng(6)
     G = random_pose(rng)
     Ginv = G.inverse()
-
-    def residuals(g: FactorGraph):
-        out = []
-        for f in g.point_factors:
-            out.append(point_residual(f.u, g.points[f.point], g.poses[f.frame], g.intrinsics))
-        for f in g.line_factors:
-            v = g.lines[f.line]
-            out.append(line_residual(f.u_start, f.u_end, (v.n, v.d), g.poses[f.frame], g.intrinsics))
-        return np.concatenate(out)
 
     base = residuals(graph)
     moved = FactorGraph(

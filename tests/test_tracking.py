@@ -1,0 +1,200 @@
+import numpy as np
+import pytest
+
+from plbench.geometry import CameraIntrinsics, Pose, project, so3_exp
+from plbench.simulator import NoiseParams, build_scene, build_trajectory, generate_sequence, load_preset
+from plbench.tracking import (
+    DegenerateGeometryError,
+    InsufficientDataError,
+    SparseMap,
+    TrackingLostError,
+    _epnp_control_points,
+    solve_pnp,
+    track_frame_to_frame,
+    track_map_to_frame,
+)
+
+K = CameraIntrinsics(500.0, 500.0, 320.0, 240.0, 640, 480)
+
+
+def random_pose(rng) -> Pose:
+    return Pose.from_rt(so3_exp(rng.normal(scale=0.3, size=3)), rng.normal(scale=0.3, size=3))
+
+
+def observe(T: Pose, P_w):
+    return project(T.transform(P_w), K)
+
+
+def assert_same_pose(T, T_ref, atol):
+    np.testing.assert_allclose(T.rotation(), T_ref.rotation(), atol=atol)
+    np.testing.assert_allclose(T.t, T_ref.t, atol=atol)
+
+
+# ---------------------------------------------------------------------------
+# EPnP
+
+
+def general_points(rng, n=12):
+    return rng.uniform(-1.0, 1.0, size=(n, 3)) + np.array([0.0, 0.0, 5.0])
+
+
+def planar_points(rng, n=12):
+    P = np.zeros((n, 3))
+    P[:, :2] = rng.uniform(-1.5, 1.5, size=(n, 2))
+    P[:, 2] = 5.0
+    return P
+
+
+@pytest.mark.parametrize(
+    "make_points, control_points", [(general_points, 4), (planar_points, 3)],
+    ids=["general", "planar"],
+)
+def test_epnp_is_exact_on_noiseless_input(make_points, control_points):
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        T = random_pose(rng)
+        P_w = make_points(rng)
+        assert len(_epnp_control_points(P_w)) == control_points
+        # no Gauss-Newton: the closed-form EPnP step alone must be exact
+        result = solve_pnp(P_w, observe(T, P_w), K, refine_iters=0)
+        assert_same_pose(result.pose, T, atol=1e-7)
+        assert result.mean_error <= 1e-6
+
+
+def test_collinear_points_raise_degenerate_geometry():
+    P_w = np.outer(np.linspace(-1.0, 1.0, 6), [1.0, 0.5, 0.2]) + np.array([0.0, 0.0, 5.0])
+    with pytest.raises(DegenerateGeometryError):
+        solve_pnp(P_w, observe(Pose.identity(), P_w), K)
+
+
+def test_coincident_points_raise_degenerate_geometry():
+    P_w = np.tile([0.1, 0.2, 5.0], (5, 1))
+    with pytest.raises(DegenerateGeometryError):
+        solve_pnp(P_w, observe(Pose.identity(), P_w), K)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_fewer_than_four_correspondences_raise(n):
+    P_w = general_points(np.random.default_rng(2), n)
+    with pytest.raises(InsufficientDataError):
+        solve_pnp(P_w, observe(Pose.identity(), P_w), K)
+
+
+def test_mismatched_lengths_raise():
+    P_w = general_points(np.random.default_rng(3), 6)
+    with pytest.raises(InsufficientDataError):
+        solve_pnp(P_w, observe(Pose.identity(), P_w)[:5], K)
+
+
+# ---------------------------------------------------------------------------
+# trackers
+
+
+def noiseless_sequence(frames=8):
+    cfg = load_preset("box")
+    traj = build_trajectory(cfg.trajectory)[:frames]
+    return generate_sequence(
+        build_scene(cfg.scene), traj, NoiseParams(enabled=False), cfg.intrinsics, cfg.render
+    )
+
+
+def test_trackers_reproduce_ground_truth_on_noiseless_input():
+    seq = noiseless_sequence()
+    m2f, smap = track_map_to_frame(seq)
+    f2f = track_frame_to_frame(seq)
+    for T, T_gt in zip(m2f, seq.gt_trajectory):
+        assert_same_pose(T, T_gt, atol=1e-8)
+    for T, T_gt in zip(f2f, seq.gt_trajectory):
+        assert_same_pose(T, T_gt, atol=1e-8)
+    for pid, mp in smap.points.items():
+        np.testing.assert_allclose(mp.position, seq.gt_points[pid].position, atol=1e-8)
+
+
+@pytest.mark.parametrize("tracker", [track_frame_to_frame, track_map_to_frame])
+def test_tracking_lost_names_the_failing_frame(tracker):
+    seq = noiseless_sequence(6)
+    seq.frames[4].points[3:] = []
+    with pytest.raises(TrackingLostError) as info:
+        tracker(seq)
+    assert info.value.frame_id == 4
+    assert "frame 4" in str(info.value)
+
+
+# ---------------------------------------------------------------------------
+# map fusion gates
+
+
+def test_fuse_point_known_id_inserts_then_averages_inside_the_gate():
+    m = SparseMap()
+    assert m.fuse_point([0.0, 0.0, 1.0], landmark_id=7, radius_thresh=0.1) == 7
+    assert m.fuse_point([0.06, 0.0, 1.0], landmark_id=7, radius_thresh=0.1) == 7
+    np.testing.assert_allclose(m.points[7].position, [0.03, 0.0, 1.0])
+    assert m.points[7].count == 2
+
+
+def test_fuse_point_known_id_keeps_estimate_outside_the_gate():
+    m = SparseMap()
+    m.fuse_point([0.0, 0.0, 1.0], landmark_id=7, radius_thresh=0.1)
+    assert m.fuse_point([0.5, 0.0, 1.0], landmark_id=7, radius_thresh=0.1) == 7
+    np.testing.assert_array_equal(m.points[7].position, [0.0, 0.0, 1.0])
+    assert m.points[7].count == 1
+    assert list(m.points) == [7]
+
+
+def test_fuse_point_without_id_merges_into_nearest_or_inserts():
+    m = SparseMap()
+    m.fuse_point([0.0, 0.0, 1.0], landmark_id=3)
+    m.fuse_point([1.0, 0.0, 1.0], landmark_id=5)
+    assert m.fuse_point([0.98, 0.0, 1.0], radius_thresh=0.05) == 5
+    np.testing.assert_allclose(m.points[5].position, [0.99, 0.0, 1.0])
+    # the KD-tree sees the merged position, not the stale one
+    assert m.nearest_point([0.99, 0.0, 1.0]) == (5, 0.0)
+    assert m.fuse_point([0.5, 0.0, 1.0], radius_thresh=0.05) == 6
+    np.testing.assert_array_equal(m.points[6].position, [0.5, 0.0, 1.0])
+    assert m.points[3].count == 1
+
+
+SEGMENT = np.array([[0.0, 0.0, 2.0], [1.0, 0.0, 2.0]])
+
+
+def test_fuse_line_known_id_merges_and_refits_over_all_samples():
+    m = SparseMap()
+    assert m.fuse_line(SEGMENT, landmark_id=4) == 4
+    assert m.fuse_line(SEGMENT + [0.5, 0.0, 0.0], landmark_id=4) == 4
+    ml = m.lines[4]
+    assert ml.count == 2
+    assert len(ml.samples) == 2
+    # collinear samples: the refit spans the union of both segments
+    ends = ml.endpoints[np.argsort(ml.endpoints[:, 0])]
+    np.testing.assert_allclose(ends, [[0.0, 0.0, 2.0], [1.5, 0.0, 2.0]], atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "candidate",
+    [
+        # direction 20 degrees off, beyond the 5 degree gate
+        np.array([[0.0, 0.0, 2.0], [np.cos(0.35), np.sin(0.35), 2.0]]),
+        # parallel but 0.2 m away, beyond the 0.05 m gate
+        SEGMENT + [0.0, 0.2, 0.0],
+    ],
+    ids=["angle", "distance"],
+)
+def test_fuse_line_gates_reject(candidate):
+    m = SparseMap()
+    m.fuse_line(SEGMENT, landmark_id=4)
+    # with a known id the landmark keeps its estimate
+    assert m.fuse_line(candidate, landmark_id=4) == 4
+    assert m.lines[4].count == 1
+    np.testing.assert_array_equal(m.lines[4].endpoints, SEGMENT)
+    # without an id a fresh landmark is inserted
+    assert m.fuse_line(candidate) == 5
+    np.testing.assert_array_equal(m.lines[5].endpoints, candidate)
+
+
+def test_fuse_line_without_id_merges_into_first_passing_line():
+    m = SparseMap()
+    m.fuse_line(SEGMENT, landmark_id=2)
+    m.fuse_line(SEGMENT + [0.0, 1.0, 0.0], landmark_id=9)
+    assert m.fuse_line(SEGMENT + [0.0, 1.01, 0.0]) == 9
+    assert m.lines[9].count == 2
+    assert m.lines[2].count == 1
