@@ -93,9 +93,9 @@ class FactorGraph:
     def total_cost(self) -> float:
         """Weighted squared residual sum over all valid factors.
 
-        One ``point_terms`` and one ``line_terms`` call evaluate every
-        factor; a factor the kernels mark invalid (point behind its camera,
-        degenerate line projection) adds 0.
+        The residual halves of ``point_terms`` and ``line_terms`` evaluate
+        every factor, without Jacobians; a factor the kernels mark invalid
+        (point behind its camera, degenerate line projection) adds 0.
         """
         pose_index = {pid: i for i, pid in enumerate(self.poses)}
         R = np.array([T.rotation() for T in self.poses.values()])
@@ -104,7 +104,7 @@ class FactorGraph:
         if self.point_factors:
             fs = self.point_factors
             k = [pose_index[f.frame] for f in fs]
-            res, _, _, _ = point_terms(
+            res, _, _ = _point_residuals(
                 R[k], t[k], [self.points[f.point] for f in fs], [f.u for f in fs],
                 self.intrinsics,
             )
@@ -117,7 +117,7 @@ class FactorGraph:
             W = np.array([o.W for o in ortho])
             k = [pose_index[f.frame] for f in fs]
             m = [line_index[f.line] for f in fs]
-            res, _, _, _ = line_terms(
+            res, _, _ = _line_residuals(
                 R[k], t[k], U[m], W[m], [f.u_start for f in fs], [f.u_end for f in fs],
                 self.intrinsics,
             )
@@ -151,6 +151,17 @@ def _project_points(R, t, P_w, intr: CameraIntrinsics):
     return P_c, valid, zs, proj
 
 
+def _point_residuals(R, t, P_w, u, intr: CameraIntrinsics):
+    """Residual half of ``point_terms``: (res (F,2), valid (F,), aux),
+    invalid rows zeroed; ``aux`` = (P_c, zs) feeds the Jacobians."""
+    P_c, valid, zs, proj = _project_points(
+        np.asarray(R, dtype=float), np.asarray(t, dtype=float), P_w, intr
+    )
+    res = np.asarray(u, dtype=float) - proj
+    res[~valid] = 0.0
+    return res, valid, (P_c, zs)
+
+
 def point_terms(R, t, P_w, u, intr: CameraIntrinsics):
     """Residuals and Jacobians for point factors, batched over axis 0.
 
@@ -159,9 +170,7 @@ def point_terms(R, t, P_w, u, intr: CameraIntrinsics):
     are zeroed.
     """
     R = np.asarray(R, dtype=float)
-    t = np.asarray(t, dtype=float)
-    P_c, valid, zs, proj = _project_points(R, t, P_w, intr)
-    res = np.asarray(u, dtype=float) - proj
+    res, valid, (P_c, zs) = _point_residuals(R, t, P_w, u, intr)
 
     F = len(P_c)
     A = np.zeros((F, 2, 3))
@@ -183,7 +192,6 @@ def point_terms(R, t, P_w, u, intr: CameraIntrinsics):
     J_pose[:, :, 3:] = -A
     J_point = -np.einsum("fij,fjk->fik", A, R)
 
-    res[~valid] = 0.0
     J_pose[~valid] = 0.0
     J_point[~valid] = 0.0
     return res, J_pose, J_point, valid
@@ -200,6 +208,39 @@ def _batch_skew(v):
     return out
 
 
+def _line_residuals(R, t, U, W, u_s, u_e, intr: CameraIntrinsics):
+    """Residual half of ``line_terms``: (res (F,2), valid (F,), aux),
+    invalid rows zeroed; ``aux`` holds the intermediates the Jacobians
+    reuse."""
+    R = np.asarray(R, dtype=float)
+    t = np.asarray(t, dtype=float)
+    U = np.asarray(U, dtype=float)
+    W = np.asarray(W, dtype=float)
+    u_s = np.asarray(u_s, dtype=float)
+    u_e = np.asarray(u_e, dtype=float)
+    F = len(R)
+
+    n_w = W[:, 0, 0][:, None] * U[:, :, 0]
+    d_w = W[:, 1, 0][:, None] * U[:, :, 1]
+
+    Rn = np.einsum("fij,fj->fi", R, n_w)
+    Rd = np.einsum("fij,fj->fi", R, d_w)
+    n_c = Rn + np.cross(t, Rd)
+
+    l = n_c @ intr.line_matrix().T  # (F, 3) homogeneous image line, unnormalized
+    denom2 = l[:, 0] ** 2 + l[:, 1] ** 2
+    valid = denom2 > _LINE_EPS
+    denom = np.sqrt(np.where(valid, denom2, 1.0))
+
+    ub_s = np.concatenate([u_s, np.ones((F, 1))], axis=1)
+    ub_e = np.concatenate([u_e, np.ones((F, 1))], axis=1)
+    res = np.stack(
+        [np.sum(ub_s * l, axis=1) / denom, np.sum(ub_e * l, axis=1) / denom], axis=1
+    )
+    res[~valid] = 0.0
+    return res, valid, (Rn, Rd, l, denom2, denom, ub_s, ub_e)
+
+
 def line_terms(R, t, U, W, u_s, u_e, intr: CameraIntrinsics):
     """Residuals and Jacobians for line factors, batched over axis 0.
 
@@ -213,33 +254,15 @@ def line_terms(R, t, U, W, u_s, u_e, intr: CameraIntrinsics):
     t = np.asarray(t, dtype=float)
     U = np.asarray(U, dtype=float)
     W = np.asarray(W, dtype=float)
-    u_s = np.asarray(u_s, dtype=float)
-    u_e = np.asarray(u_e, dtype=float)
+    res, valid, (Rn, Rd, l, denom2, denom, ub_s, ub_e) = _line_residuals(
+        R, t, U, W, u_s, u_e, intr
+    )
     F = len(R)
-
     w1 = W[:, 0, 0]
     w2 = W[:, 1, 0]
     u1 = U[:, :, 0]
     u2 = U[:, :, 1]
     u3 = U[:, :, 2]
-    n_w = w1[:, None] * u1
-    d_w = w2[:, None] * u2
-
-    Rn = np.einsum("fij,fj->fi", R, n_w)
-    Rd = np.einsum("fij,fj->fi", R, d_w)
-    n_c = Rn + np.cross(t, Rd)
-
-    KL = intr.line_matrix()
-    l = n_c @ KL.T  # (F, 3) homogeneous image line, unnormalized
-    denom2 = l[:, 0] ** 2 + l[:, 1] ** 2
-    valid = denom2 > _LINE_EPS
-    denom = np.sqrt(np.where(valid, denom2, 1.0))
-
-    ub_s = np.concatenate([u_s, np.ones((F, 1))], axis=1)
-    ub_e = np.concatenate([u_e, np.ones((F, 1))], axis=1)
-    res = np.stack(
-        [np.sum(ub_s * l, axis=1) / denom, np.sum(ub_e * l, axis=1) / denom], axis=1
-    )
 
     # d res_i / d l = ub_i / denom - (ub_i . l) (l0, l1, 0) / denom^3
     #               = ub_i / denom - res_i (l0, l1, 0) / denom^2
@@ -249,7 +272,7 @@ def line_terms(R, t, U, W, u_s, u_e, intr: CameraIntrinsics):
     dres_dl[:, 0] = ub_s / denom[:, None] - (res[:, 0] / denom2)[:, None] * lxy
     dres_dl[:, 1] = ub_e / denom[:, None] - (res[:, 1] / denom2)[:, None] * lxy
 
-    G = np.einsum("fij,jk->fik", dres_dl, KL)  # d res / d n_c, (F, 2, 3)
+    G = np.einsum("fij,jk->fik", dres_dl, intr.line_matrix())  # d res / d n_c, (F, 2, 3)
 
     # pose: d n_c / d omega = -[R n_w]x + [(R d_w) x t]x ; d n_c / d rho = -[R d_w]x
     dnc_domega = -_batch_skew(Rn) + _batch_skew(np.cross(Rd, t))
@@ -273,7 +296,6 @@ def line_terms(R, t, U, W, u_s, u_e, intr: CameraIntrinsics):
     )
     J_line = np.einsum("fij,fjk->fik", G, dnc_ddelta)
 
-    res[~valid] = 0.0
     J_pose[~valid] = 0.0
     J_line[~valid] = 0.0
     return res, J_pose, J_line, valid

@@ -9,10 +9,14 @@ observations corrupted by pixel noise and a disparity-based depth noise.
 
 Determinism: all sampling comes from a counter-based 64-bit Philox stream
 (Gaussians via numpy's ziggurat). Within one build, identical specs and
-seeds give byte-identical sequences. Noise draws are consumed frame-major,
-then points before lines, each ordered by ascending landmark id, with
-(x, y, depth) per point record and (start, end) per line record. Draws are
-consumed even when the resulting measurement is dropped.
+seeds give byte-identical sequences. Each frame with noise enabled takes
+one ``standard_normal`` block of 3 P + 6 L draws for its P rendered points
+and L rendered lines, laid out point-major as (x, y, depth) per point,
+then line-major as (sx, sy, sd, ex, ey, ed) per line, each group in
+ascending landmark id; pixel slots are scaled by sigma_s and depth slots
+by sigma_d. The draws are the ones one ``rng.normal`` call per slot in
+that order would give. They are consumed even when the resulting
+measurement is dropped.
 """
 from __future__ import annotations
 
@@ -391,17 +395,19 @@ def build_trajectory(spec: TrajectorySpec) -> list[Pose]:
 # visibility
 
 
-def _ray_box_chord(center, targets, box: Box):
-    """Interior chord length, in units of the segment center->target,
-    that the rays cover strictly before reaching their targets.
+def occluded(center, targets, boxes) -> np.ndarray:
+    """True where the open segment camera->target crosses any box interior.
 
-    Slab method; a zero direction component means the ray lies inside or
-    outside that slab for its whole length.
+    One slab test over (boxes, targets, axes): a target is occluded when
+    the interior chord its ray covers strictly before reaching it, in
+    units of the segment center->target, exceeds 1e-9 for some box. A
+    zero direction component means the ray lies inside or outside that
+    slab for its whole length.
     """
     C = np.asarray(center, dtype=float)
-    D = np.asarray(targets, dtype=float) - C  # (N, 3)
-    lo = box.min - C
-    hi = box.max - C
+    D = np.atleast_2d(np.asarray(targets, dtype=float)) - C  # (N, 3)
+    lo = np.array([box.min for box in boxes]).reshape(-1, 1, 3) - C  # (B, 1, 3)
+    hi = np.array([box.max for box in boxes]).reshape(-1, 1, 3) - C
     with np.errstate(divide="ignore", invalid="ignore"):
         t1 = lo / D
         t2 = hi / D
@@ -409,20 +415,9 @@ def _ray_box_chord(center, targets, box: Box):
     inside = (lo <= 0.0) & (hi >= 0.0)
     t1 = np.where(zero, np.where(inside, -np.inf, np.inf), t1)
     t2 = np.where(zero, np.where(inside, np.inf, -np.inf), t2)
-    t_enter = np.max(np.minimum(t1, t2), axis=-1)
-    t_exit = np.min(np.maximum(t1, t2), axis=-1)
-    a = np.maximum(t_enter, 0.0)
-    b = np.minimum(t_exit, 1.0 - 1e-9)
-    return np.maximum(b - a, 0.0)
-
-
-def occluded(center, targets, boxes) -> np.ndarray:
-    """True where the open segment camera->target crosses any box interior."""
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    mask = np.zeros(len(targets), dtype=bool)
-    for box in boxes:
-        mask |= _ray_box_chord(center, targets, box) > 1e-9
-    return mask
+    t_enter = np.maximum(np.max(np.minimum(t1, t2), axis=-1), 0.0)  # (B, N)
+    t_exit = np.minimum(np.min(np.maximum(t1, t2), axis=-1), 1.0 - 1e-9)
+    return np.any(t_exit - t_enter > 1e-9, axis=0)
 
 
 @dataclass
@@ -433,35 +428,82 @@ class FrameObservations:
     lines: list[LineMeasurement]
 
 
-def _clip_segment_2d(u1, u2, xmin, ymin, xmax, ymax):
-    """Liang-Barsky clip of [u1, u2] against [xmin, xmax] x [ymin, ymax].
+def _stacked_matvec(M, V) -> np.ndarray:
+    """M @ v for every row v of V (n, 3); bit-identical to one ``M @ v``
+    per row, which ``V @ M.T`` is not."""
+    return (np.broadcast_to(M, (len(V), 3, 3)) @ V[:, :, None])[:, :, 0]
 
-    Returns (tau0, tau1) parameters along the 2D segment or None.
+
+def _lengths(V) -> np.ndarray:
+    """Euclidean norm of every row of V (n, 2); bit-identical to
+    ``np.linalg.norm`` per row, which the elementwise formula is not."""
+    return np.sqrt((V[:, None, :] @ V[:, :, None])[:, 0, 0])
+
+
+def _line_pixels(P_c, intr: CameraIntrinsics) -> np.ndarray:
+    """``geometry.project`` without its depth check: rows behind the
+    camera belong to segments the clip rejects, and are masked out."""
+    z = P_c[:, 2]
+    return np.stack(
+        [intr.fx * P_c[:, 0] / z + intr.cx, intr.fy * P_c[:, 1] / z + intr.cy], axis=1
+    )
+
+
+def _clip_lines(A_c, B_c, intr: CameraIntrinsics, cfg: RenderConfig):
+    """Clip camera-frame segments [A_c, B_c] (n, 3) against the z_near
+    plane and the image rectangle, all at once.
+
+    Returns (ok (n,), pixels (n, 2, 2), depths (n, 2), camera points
+    (n, 2, 3)) for the clipped start and end; rows where ``ok`` is False
+    hold no meaningful values.
     """
-    d = u2 - u1
-    t0, t1 = 0.0, 1.0
+    near_A = A_c[:, 2] < cfg.z_near
+    near_B = B_c[:, 2] < cfg.z_near
+    ok = ~(near_A & near_B)
+    s = (cfg.z_near - A_c[:, 2]) / (B_c[:, 2] - A_c[:, 2])
+    P_near = A_c + s[:, None] * (B_c - A_c)
+    A_c = np.where(near_A[:, None], P_near, A_c)
+    B_c = np.where(near_B[:, None], P_near, B_c)
+    zA, zB = A_c[:, 2], B_c[:, 2]
+    u1 = _line_pixels(A_c, intr)
+    d = _line_pixels(B_c, intr) - u1
+
+    # Liang-Barsky on every segment; the clip box is shrunk by a margin on
+    # every side because endpoint pixels are re-projected from the 3D clip
+    # points and drift by ~1e-13 px. Taking the running max/min below and
+    # testing t0 < t1 once at the end rejects exactly the segments the
+    # sequential algorithm rejects early.
+    xmin = ymin = 1e-6
+    xmax = intr.width - 1e-6
+    ymax = intr.height - 1e-6
+    t0 = np.zeros(len(u1))
+    t1 = np.ones(len(u1))
     for p, q in (
-        (-d[0], u1[0] - xmin),
-        (d[0], xmax - u1[0]),
-        (-d[1], u1[1] - ymin),
-        (d[1], ymax - u1[1]),
+        (-d[:, 0], u1[:, 0] - xmin),
+        (d[:, 0], xmax - u1[:, 0]),
+        (-d[:, 1], u1[:, 1] - ymin),
+        (d[:, 1], ymax - u1[:, 1]),
     ):
-        if p == 0.0:
-            if q < 0.0:
-                return None
-            continue
+        ok &= ~((p == 0.0) & (q < 0.0))
         r = q / p
-        if p < 0.0:
-            if r > t1:
-                return None
-            t0 = max(t0, r)
-        else:
-            if r < t0:
-                return None
-            t1 = min(t1, r)
-    if t0 >= t1:
-        return None
-    return t0, t1
+        t0 = np.where((p < 0.0) & (r > t0), r, t0)
+        t1 = np.where((p > 0.0) & (r < t1), r, t1)
+    ok &= t0 < t1
+
+    # endpoints at both clip parameters: the depth-corrected point on the
+    # 3D segment and its pixel
+    pixels, depths, ends = [], [], []
+    for tau in (t0, t1):
+        denom = zB + tau * (zA - zB)
+        ok &= ~(denom <= 0)
+        s = tau * zA / denom
+        P_cs = A_c + s[:, None] * (B_c - A_c)
+        zs = P_cs[:, 2]
+        ok &= (cfg.z_near - 1e-9 <= zs) & (zs <= cfg.z_far)
+        pixels.append(_line_pixels(P_cs, intr))
+        depths.append(zs)
+        ends.append(P_cs)
+    return ok, np.stack(pixels, 1), np.stack(depths, 1), np.stack(ends, 1)
 
 
 def render_frame(
@@ -477,7 +519,8 @@ def render_frame(
     Line segments are clipped against the z_near plane and the image
     rectangle (depths recomputed at clip points); both clipped endpoints
     must pass the point test and the clipped 2D length must reach
-    min_line_len.
+    min_line_len. Every test runs on all landmarks at once, with one
+    ``occluded`` call for the points and one for the line endpoints.
     """
     R = pose.rotation()
     cam_center = pose.center()
@@ -498,68 +541,29 @@ def render_frame(
         if np.any(ok):
             idx = np.nonzero(ok)[0]
             occ = occluded(cam_center, P_w[idx], scene.boxes)
-            for j, i in enumerate(idx):
-                if not occ[j]:
-                    obs_points.append(
-                        PointMeasurement(scene.points[i].id, u[i], float(z[i]))
-                    )
+            for i in idx[~occ]:
+                obs_points.append(PointMeasurement(scene.points[i].id, u[i], float(z[i])))
 
-    # clip box shrunk by a margin on every side: endpoint pixels are
-    # re-projected from the 3D clip points and drift by ~1e-13 px
-    xmin = ymin = 1e-6
-    xmax = intr.width - 1e-6
-    ymax = intr.height - 1e-6
-    R_inv = R.T
-    for line in scene.lines:
-        A_c = R @ line.endpoints[0] + pose.t
-        B_c = R @ line.endpoints[1] + pose.t
-        zA, zB = A_c[2], B_c[2]
-        if zA < cfg.z_near and zB < cfg.z_near:
-            continue
-        if zA < cfg.z_near or zB < cfg.z_near:
-            s = (cfg.z_near - zA) / (zB - zA)
-            Pn = A_c + s * (B_c - A_c)
-            if zA < cfg.z_near:
-                A_c = Pn
-            else:
-                B_c = Pn
-            zA, zB = A_c[2], B_c[2]
-        u1 = np.array([intr.fx * A_c[0] / zA + intr.cx, intr.fy * A_c[1] / zA + intr.cy])
-        u2 = np.array([intr.fx * B_c[0] / zB + intr.cx, intr.fy * B_c[1] / zB + intr.cy])
-        clip = _clip_segment_2d(u1, u2, xmin, ymin, xmax, ymax)
-        if clip is None:
-            continue
-        ends = []
-        valid = True
-        for tau in clip:
-            denom = zB + tau * (zA - zB)
-            if denom <= 0:
-                valid = False
-                break
-            s = tau * zA / denom
-            P_cs = A_c + s * (B_c - A_c)
-            zs = P_cs[2]
-            if not (cfg.z_near - 1e-9 <= zs <= cfg.z_far):
-                valid = False
-                break
-            us = np.array(
-                [intr.fx * P_cs[0] / zs + intr.cx, intr.fy * P_cs[1] / zs + intr.cy]
-            )
-            P_ws = R_inv @ (P_cs - pose.t)
-            ends.append((us, float(zs), P_ws))
-        if not valid or len(ends) != 2:
-            continue
-        if np.linalg.norm(ends[1][0] - ends[0][0]) < cfg.min_line_len:
-            continue
-        if np.any(occluded(cam_center, np.array([ends[0][2], ends[1][2]]), scene.boxes)):
-            continue
-        obs_lines.append(
-            LineMeasurement(
-                line.id,
-                PointMeasurement(line.id, ends[0][0], ends[0][1]),
-                PointMeasurement(line.id, ends[1][0], ends[1][1]),
-            )
-        )
+    if scene.lines:
+        E = np.array([line.endpoints for line in scene.lines])  # (L, 2, 3)
+        A_c = _stacked_matvec(R, E[:, 0]) + pose.t
+        B_c = _stacked_matvec(R, E[:, 1]) + pose.t
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ok, pixels, depths, ends = _clip_lines(A_c, B_c, intr, cfg)
+            ok &= ~(_lengths(pixels[:, 1] - pixels[:, 0]) < cfg.min_line_len)
+        idx = np.nonzero(ok)[0]
+        if len(idx):
+            ends_w = _stacked_matvec(R.T, ends[idx].reshape(-1, 3) - pose.t)
+            occ = occluded(cam_center, ends_w, scene.boxes)
+            for i in idx[~occ.reshape(-1, 2).any(axis=1)]:
+                lid = scene.lines[i].id
+                obs_lines.append(
+                    LineMeasurement(
+                        lid,
+                        PointMeasurement(lid, pixels[i, 0], depths[i, 0]),
+                        PointMeasurement(lid, pixels[i, 1], depths[i, 1]),
+                    )
+                )
 
     return FrameObservations(obs_points, obs_lines)
 
@@ -568,13 +572,32 @@ def render_frame(
 # noise model
 
 
+def gaussian_noise(rng, scales) -> np.ndarray:
+    """One N(0, scale^2) draw per entry of ``scales``, in order.
+
+    ``0.0 + z * scale`` over one ``standard_normal`` block equals one
+    ``rng.normal(0.0, scale)`` call per entry, bit for bit.
+    """
+    scales = np.asarray(scales, dtype=float)
+    if np.any(scales < 0):
+        raise ConfigError("noise scales must be nonnegative")
+    return 0.0 + rng.standard_normal(scales.shape) * scales
+
+
+def _disparity_depth(shifted, m_const: float) -> np.ndarray:
+    """d = m / (m / shifted + 0.5) for shifted = d_hat + a; NaN where
+    shifted or the result is not a positive finite depth."""
+    shifted = np.asarray(shifted, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        denom = m_const / shifted + 0.5
+        d = m_const / denom
+    ok = (shifted > 0) & (denom > 0) & np.isfinite(d) & (d > 0)
+    return np.where(ok, d, np.nan)
+
+
 def perturb_pixel(u, sigma_s: float, rng) -> np.ndarray:
     """u + alpha with alpha ~ N(0, sigma_s^2 I); draws x then y."""
-    if sigma_s < 0:
-        raise ConfigError("sigma_s must be nonnegative")
-    ax = rng.normal(0.0, sigma_s)
-    ay = rng.normal(0.0, sigma_s)
-    return np.asarray(u, dtype=float) + np.array([ax, ay])
+    return np.asarray(u, dtype=float) + gaussian_noise(rng, (sigma_s, sigma_s))
 
 
 def perturb_depth(d_hat: float, sigma_d: float, m_const: float, rng) -> float | None:
@@ -585,17 +608,8 @@ def perturb_depth(d_hat: float, sigma_d: float, m_const: float, rng) -> float | 
     """
     if d_hat <= 0:
         raise GeometryError("depth must be positive")
-    a = rng.normal(0.0, sigma_d)
-    shifted = d_hat + a
-    if shifted <= 0:
-        return None
-    denom = m_const / shifted + 0.5
-    if denom <= 0:
-        return None
-    d = m_const / denom
-    if not np.isfinite(d) or d <= 0:
-        return None
-    return float(d)
+    d = _disparity_depth(d_hat + gaussian_noise(rng, (sigma_d,))[0], m_const)
+    return None if np.isnan(d) else float(d)
 
 
 # ---------------------------------------------------------------------------
@@ -674,6 +688,49 @@ class Sequence:
         return tracks
 
 
+def _add_noise(pts, lns, noise: NoiseParams, intr, cfg: RenderConfig, rng, report):
+    """Noisy copies of one frame's exact observations, from one block of
+    draws: (x, y, depth) per point, then (sx, sy, sd, ex, ey, ed) per line.
+    Measurements the noise moves out of the image, out of positive depth
+    or below min_line_len are dropped and counted in ``report``."""
+    s, sd = noise.sigma_s, noise.sigma_d
+    a = gaussian_noise(
+        rng, np.concatenate([np.tile([s, s, sd], len(pts)), np.tile([s, s, sd] * 2, len(lns))])
+    )
+    P = np.array([[*pm.u, pm.d] for pm in pts]).reshape(-1, 3) + a[: 3 * len(pts)].reshape(-1, 3)
+    L = np.array([[*lm.start.u, lm.start.d, *lm.end.u, lm.end.d] for lm in lns]).reshape(-1, 6)
+    L += a[3 * len(pts):].reshape(-1, 6)
+
+    d = _disparity_depth(P[:, 2], noise.m)
+    keep = ~np.isnan(d) & intr.contains(P[:, :2])
+    report.dropped_points += int(np.count_nonzero(~keep))
+    noisy_pts = [
+        PointMeasurement(pts[i].landmark_id, P[i, :2], d[i]) for i in np.nonzero(keep)[0]
+    ]
+
+    d_s = _disparity_depth(L[:, 2], noise.m)
+    d_e = _disparity_depth(L[:, 5], noise.m)
+    keep = (
+        ~np.isnan(d_s)
+        & ~np.isnan(d_e)
+        & intr.contains(L[:, 0:2])
+        & intr.contains(L[:, 3:5])
+        & ~(_lengths(L[:, 3:5] - L[:, 0:2]) < cfg.min_line_len)
+    )
+    report.dropped_lines += int(np.count_nonzero(~keep))
+    noisy_lns = []
+    for i in np.nonzero(keep)[0]:
+        lid = lns[i].landmark_id
+        noisy_lns.append(
+            LineMeasurement(
+                lid,
+                PointMeasurement(lid, L[i, 0:2], d_s[i]),
+                PointMeasurement(lid, L[i, 3:5], d_e[i]),
+            )
+        )
+    return noisy_pts, noisy_lns
+
+
 def generate_sequence(
     scene: Scene,
     trajectory: list[Pose],
@@ -699,40 +756,10 @@ def generate_sequence(
     frames: list[FrameData] = []
     for frame_id, pose in enumerate(trajectory):
         obs = render_frame(scene, pose, intr, cfg)
-        pts: list[PointMeasurement] = []
-        lns: list[LineMeasurement] = []
-        if not noise.enabled:
-            pts = sorted(obs.points, key=lambda p: p.landmark_id)
-            lns = sorted(obs.lines, key=lambda l: l.landmark_id)
-        else:
-            for pm in sorted(obs.points, key=lambda p: p.landmark_id):
-                u = perturb_pixel(pm.u, noise.sigma_s, rng)
-                d = perturb_depth(pm.d, noise.sigma_d, noise.m, rng)
-                if d is None or not intr.contains(u):
-                    report.dropped_points += 1
-                    continue
-                pts.append(PointMeasurement(pm.landmark_id, u, d))
-            for lm in sorted(obs.lines, key=lambda l: l.landmark_id):
-                u_s = perturb_pixel(lm.start.u, noise.sigma_s, rng)
-                d_s = perturb_depth(lm.start.d, noise.sigma_d, noise.m, rng)
-                u_e = perturb_pixel(lm.end.u, noise.sigma_s, rng)
-                d_e = perturb_depth(lm.end.d, noise.sigma_d, noise.m, rng)
-                if (
-                    d_s is None
-                    or d_e is None
-                    or not intr.contains(u_s)
-                    or not intr.contains(u_e)
-                    or np.linalg.norm(u_e - u_s) < cfg.min_line_len
-                ):
-                    report.dropped_lines += 1
-                    continue
-                lns.append(
-                    LineMeasurement(
-                        lm.landmark_id,
-                        PointMeasurement(lm.landmark_id, u_s, d_s),
-                        PointMeasurement(lm.landmark_id, u_e, d_e),
-                    )
-                )
+        pts = sorted(obs.points, key=lambda p: p.landmark_id)
+        lns = sorted(obs.lines, key=lambda l: l.landmark_id)
+        if noise.enabled:
+            pts, lns = _add_noise(pts, lns, noise, intr, cfg, rng, report)
         if not pts and not lns:
             report.empty_frames.append(frame_id)
         frames.append(FrameData(frame_id, pts, lns))

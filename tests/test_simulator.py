@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from plbench.geometry import CameraIntrinsics, PointLandmark, Pose
+from plbench.dataset_io import write_sequence
+from plbench.geometry import CameraIntrinsics, LineLandmark, PointLandmark, Pose
 from plbench.simulator import (
     Box,
     ConfigError,
@@ -15,6 +18,7 @@ from plbench.simulator import (
     build_trajectory,
     generate_sequence,
     load_preset,
+    occluded,
     parse_config,
     perturb_depth,
     perturb_pixel,
@@ -160,6 +164,19 @@ def scene_with_points(points, boxes):
     )
 
 
+def scene_with_lines(segments, boxes):
+    return Scene(
+        boxes=tuple(boxes),
+        points=[],
+        lines=[LineLandmark(i, np.array(seg, dtype=float)) for i, seg in enumerate(segments)],
+        parallel_groups={},
+    )
+
+
+# a box well away from every test segment below, so nothing is occluded
+FAR_BOX = Box(np.array([0.0, 8.0, 10.0]), np.array([0.5, 0.5, 0.5]))
+
+
 def test_point_behind_camera_not_observed():
     box = Box(np.array([0.0, 0.3, 2.5]), np.array([0.4, 0.4, 0.5]))
     scene = scene_with_points([[0.0, 0.0, -2.0]], [box])
@@ -184,6 +201,161 @@ def test_point_outside_depth_window_not_observed():
     scene = scene_with_points([[0.0, 0.0, 29.5]], [box])
     obs = render_frame(scene, Pose.identity(), K, RenderConfig(z_far=20.0))
     assert obs.points == []
+
+
+def test_line_behind_near_plane_dropped():
+    # both endpoints at z < z_near: nothing of the segment is in view
+    scene = scene_with_lines([[[0.1, 0.0, -1.0], [0.1, 0.0, 0.05]]], [FAR_BOX])
+    assert render_frame(scene, Pose.identity(), K, RenderConfig(z_near=0.1)).lines == []
+
+
+def test_line_crossing_near_plane_clipped_at_plane():
+    # x = 0.1, y = 0 for z in [-1, 3]; the part in front of z_near = 0.5
+    # projects from u = 100 * 0.1 / 0.5 + 320 = 340 to 100 * 0.1 / 3 + 320
+    scene = scene_with_lines([[[0.1, 0.0, -1.0], [0.1, 0.0, 3.0]]], [FAR_BOX])
+    obs = render_frame(scene, Pose.identity(), K, RenderConfig(z_near=0.5))
+    assert len(obs.lines) == 1
+    lm = obs.lines[0]
+    assert lm.start.d == pytest.approx(0.5, abs=1e-12)
+    np.testing.assert_allclose(lm.start.u, [340.0, 240.0], atol=1e-9)
+    assert lm.end.d == pytest.approx(3.0, abs=1e-12)
+    np.testing.assert_allclose(lm.end.u, [320.0 + 10.0 / 3.0, 240.0], atol=1e-9)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_segment_parallel_to_image_edge(axis):
+    # at depth 2 a segment along world axis `axis` keeps the other pixel
+    # coordinate fixed, so two of its four clip constraints have p == 0;
+    # offset 0.2 m puts it 10 px off the principal point (inside), offset
+    # -10 m puts it 500 px off (outside the image on that side only)
+    along, across = axis, 1 - axis
+    cfg = RenderConfig(z_near=0.1, min_line_len=15.0)
+
+    def segment(offset):
+        a, b = np.zeros(3), np.zeros(3)
+        a[2] = b[2] = 2.0
+        a[along], b[along] = -1.0, 1.0
+        a[across] = b[across] = offset
+        return [a, b]
+
+    outside = scene_with_lines([segment(-10.0)], [FAR_BOX])
+    assert render_frame(outside, Pose.identity(), K, cfg).lines == []
+    obs = render_frame(scene_with_lines([segment(0.2)], [FAR_BOX]), Pose.identity(), K, cfg)
+    assert len(obs.lines) == 1
+    c = np.array([320.0, 240.0])
+    start, end = c.copy(), c.copy()
+    start[along], end[along] = c[along] - 50.0, c[along] + 50.0
+    start[across] = end[across] = c[across] + 10.0
+    np.testing.assert_allclose(obs.lines[0].start.u, start, atol=1e-9)
+    np.testing.assert_allclose(obs.lines[0].end.u, end, atol=1e-9)
+    assert obs.lines[0].start.d == obs.lines[0].end.d == pytest.approx(2.0, abs=1e-12)
+
+
+def reference_liang_barsky(u1, u2, lo, hi):
+    d, t0, t1 = u2 - u1, 0.0, 1.0
+    for p, q in ((-d[0], u1[0] - lo[0]), (d[0], hi[0] - u1[0]),
+                 (-d[1], u1[1] - lo[1]), (d[1], hi[1] - u1[1])):
+        if p == 0.0:
+            if q < 0.0:
+                return None
+            continue
+        r = q / p
+        if p < 0.0:
+            if r > t1:
+                return None
+            t0 = max(t0, r)
+        else:
+            if r < t0:
+                return None
+            t1 = min(t1, r)
+    return None if t0 >= t1 else (t0, t1)
+
+
+def reference_render_lines(scene, pose, intr, cfg):
+    """The per-line loop the batched renderer replaced: z_near clip,
+    sequential Liang-Barsky with early exits, endpoint recompute, length
+    gate, then one occlusion call per line. Returns (id, u_s, d_s, u_e,
+    d_e) per observed line."""
+    R, out = pose.rotation(), []
+    lo, hi = np.array([1e-6, 1e-6]), np.array([intr.width - 1e-6, intr.height - 1e-6])
+    for line in scene.lines:
+        A, B = R @ line.endpoints[0] + pose.t, R @ line.endpoints[1] + pose.t
+        if A[2] < cfg.z_near and B[2] < cfg.z_near:
+            continue
+        if A[2] < cfg.z_near or B[2] < cfg.z_near:
+            P = A + (cfg.z_near - A[2]) / (B[2] - A[2]) * (B - A)
+            A, B = (P, B) if A[2] < cfg.z_near else (A, P)
+        u1 = np.array([intr.fx * A[0] / A[2] + intr.cx, intr.fy * A[1] / A[2] + intr.cy])
+        u2 = np.array([intr.fx * B[0] / B[2] + intr.cx, intr.fy * B[1] / B[2] + intr.cy])
+        clip = reference_liang_barsky(u1, u2, lo, hi)
+        if clip is None:
+            continue
+        t0, t1 = clip
+        ends = []
+        for tau in (t0, t1):
+            denom = B[2] + tau * (A[2] - B[2])
+            if denom <= 0:
+                break
+            P = A + tau * A[2] / denom * (B - A)
+            if not (cfg.z_near - 1e-9 <= P[2] <= cfg.z_far):
+                break
+            u = np.array([intr.fx * P[0] / P[2] + intr.cx, intr.fy * P[1] / P[2] + intr.cy])
+            ends.append((u, P[2], R.T @ (P - pose.t)))
+        if len(ends) < 2 or np.linalg.norm(ends[1][0] - ends[0][0]) < cfg.min_line_len:
+            continue
+        if np.any(occluded(pose.center(), np.array([ends[0][2], ends[1][2]]), scene.boxes)):
+            continue
+        out.append((line.id, ends[0][0], ends[0][1], ends[1][0], ends[1][1]))
+    return out
+
+
+@pytest.mark.parametrize("z_near", [1.0, 2.5])
+def test_batched_lines_equal_per_line_reference_bit_for_bit(z_near):
+    # random poses in and around the box preset: lines cross the near
+    # plane, leave the image on every side and hide behind boxes
+    cfg = load_preset("box")
+    render = RenderConfig(z_near=z_near, z_far=cfg.render.z_far, min_line_len=5.0)
+    scene = build_scene(cfg.scene)
+    rng = new_rng(4)
+    poses = build_trajectory(cfg.trajectory)[::25]
+    for _ in range(30):
+        q = rng.normal(size=4)
+        T = Pose(q / np.linalg.norm(q), np.zeros(3))
+        poses.append(Pose(T.q, -T.rotation() @ rng.uniform(-6.0, 6.0, size=3)))
+    observed = near_clipped = 0
+    for pose in poses:
+        got = [
+            (lm.landmark_id, lm.start.u, lm.start.d, lm.end.u, lm.end.d)
+            for lm in render_frame(scene, pose, cfg.intrinsics, render).lines
+        ]
+        expected = reference_render_lines(scene, pose, cfg.intrinsics, render)
+        assert len(got) == len(expected)
+        for g, e in zip(got, expected):
+            assert g[0] == e[0] and g[2] == e[2] and g[4] == e[4]
+            assert np.array_equal(g[1], e[1]) and np.array_equal(g[3], e[3])
+            near_clipped += g[2] == pytest.approx(z_near) or g[4] == pytest.approx(z_near)
+        observed += len(got)
+    assert observed > 100 and near_clipped > 0
+
+
+def test_occluded_over_several_boxes_is_or_of_single_boxes():
+    boxes = [
+        Box(np.array([0.0, 0.0, 3.0]), np.array([0.5, 0.5, 0.5])),
+        Box(np.array([2.0, 0.0, 3.0]), np.array([0.5, 0.5, 0.5])),
+        Box(np.array([0.0, 2.0, 5.0]), np.array([0.3, 0.3, 0.3])),
+    ]
+    cam = np.zeros(3)
+    # behind box 0, behind box 1, in front of box 0, clear of every box
+    targets = np.array([[0.0, 0.0, 6.0], [4.0, 0.0, 6.0], [0.0, 0.0, 2.0], [-3.0, -3.0, 6.0]])
+    np.testing.assert_array_equal(occluded(cam, targets, boxes), [True, True, False, False])
+
+    rng = new_rng(3)
+    targets = rng.uniform([-1.5, -1.0, 2.0], [3.0, 3.0, 7.0], size=(500, 3))
+    single = [occluded(cam, targets, [box]) for box in boxes]
+    expected = single[0] | single[1] | single[2]
+    assert 50 < expected.sum() < 450
+    np.testing.assert_array_equal(occluded(cam, targets, boxes), expected)
+    assert occluded(cam, np.empty((0, 3)), boxes).shape == (0,)
 
 
 def first_face_hit(center, target, boxes, margin=1e-9):
@@ -354,6 +526,35 @@ def test_generation_is_deterministic():
             assert la.landmark_id == lb.landmark_id
             assert np.array_equal(la.start.u, lb.start.u) and la.start.d == lb.start.d
             assert np.array_equal(la.end.u, lb.end.u) and la.end.d == lb.end.d
+
+
+def files_sha256(directory):
+    h = hashlib.sha256()
+    for path in sorted(directory.rglob("*")):
+        if path.is_file():
+            data = path.read_bytes()
+            h.update(f"{path.relative_to(directory).as_posix()}\0{len(data)}\0".encode())
+            h.update(data)
+    return h.hexdigest()
+
+
+# sha256 over the files write_sequence writes for each shipped preset at its
+# shipped seed, recorded with the per-measurement renderer and noise draws
+# that the batched code replaced; any moved draw or changed bit fails here
+GOLDEN_SHA256 = {
+    "sphere": "2ea13e0c427bfa952f2e4c0b984e87e7df8eddc3a632cd7ec021e5fba14b5f7c",
+    "box": "fa51aecf7ba4d836cbc5af4831fb55ad216fb1166ff0b53008e21aeacf992789",
+    "corridor": "41c0676f301abc02b945cd04b6268f8e1094680afaa50c4173e82881693a34f8",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(GOLDEN_SHA256))
+def test_written_presets_match_golden_hash(preset, tmp_path):
+    cfg = load_preset(preset)
+    seq = generate_sequence(build_scene(cfg.scene), build_trajectory(cfg.trajectory),
+                            cfg.noise, cfg.intrinsics, cfg.render)
+    write_sequence(seq, tmp_path)
+    assert files_sha256(tmp_path) == GOLDEN_SHA256[preset]
 
 
 def test_empty_frame_recorded_as_warning():

@@ -1,6 +1,10 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from plbench.evaluation import ate
 from plbench.geometry import CameraIntrinsics, Pose, project, so3_exp
 from plbench.simulator import NoiseParams, build_scene, build_trajectory, generate_sequence, load_preset
 from plbench.tracking import (
@@ -108,6 +112,21 @@ def test_trackers_reproduce_ground_truth_on_noiseless_input():
         assert_same_pose(T, T_gt, atol=1e-8)
     for pid, mp in smap.points.items():
         np.testing.assert_allclose(mp.position, seq.gt_points[pid].position, atol=1e-8)
+
+
+# map-to-frame ATE recorded per preset at its shipped seed by the benchmark
+REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+
+
+@pytest.mark.parametrize("preset", ["sphere", "box", "corridor"])
+def test_map_to_frame_ate_within_recorded_bound(preset):
+    cfg = load_preset(preset)
+    recorded = json.loads(REFERENCE.read_text())["sequences"][preset]
+    bound = recorded[f"{cfg.scene.seed}:{cfg.trajectory.frame_count}"]["ate_m2f_rmse_m"]
+    seq = generate_sequence(build_scene(cfg.scene), build_trajectory(cfg.trajectory),
+                            cfg.noise, cfg.intrinsics, cfg.render)
+    m2f, _ = track_map_to_frame(seq)
+    assert ate(m2f, seq.gt_trajectory).translation.rmse <= bound * (1.0 + 1e-9)
 
 
 @pytest.mark.parametrize("tracker", [track_frame_to_frame, track_map_to_frame])
