@@ -98,6 +98,11 @@ def _parse_int(tok: str, path, lineno, what: str, minimum: int = 0) -> int:
     return v
 
 
+def _in_image(intr: CameraIntrinsics, x: float, y: float) -> bool:
+    """``intr.contains`` for one parsed pixel, without building an array."""
+    return 0.0 <= x < intr.width and 0.0 <= y < intr.height
+
+
 def _expect(tokens, n, path, lineno):
     if len(tokens) != n:
         raise ParseError(path, lineno, f"expected {n} fields, got {len(tokens)}")
@@ -276,6 +281,8 @@ def read_sequence(directory, min_line_len: float = 15.0) -> Sequence:
             raise ParseError(fpath, None, f"missing frame file for frame {frame_id}")
         points: list[PointMeasurement] = []
         lines: list[LineMeasurement] = []
+        point_ids: set[int] = set()
+        line_ids: set[int] = set()
         for lineno, tokens in _iter_records(fpath):
             tag = tokens[0]
             if tag == "P":
@@ -283,19 +290,24 @@ def read_sequence(directory, min_line_len: float = 15.0) -> Sequence:
                 pid = _parse_int(tokens[1], fpath, lineno, "landmark id")
                 if pid not in gt_points:
                     raise ParseError(fpath, lineno, f"dangling landmark_id {pid}")
+                if pid in point_ids:
+                    raise ParseError(fpath, lineno, f"point landmark_id {pid} repeats in the frame")
                 vals = [_parse_float(t, fpath, lineno, "measurement value") for t in tokens[2:]]
                 try:
                     pm = PointMeasurement(pid, np.array(vals[:2]), vals[2])
                 except GeometryError as exc:
                     raise ParseError(fpath, lineno, str(exc)) from exc
-                if not intr.contains(pm.u):
+                if not _in_image(intr, vals[0], vals[1]):
                     raise ParseError(fpath, lineno, "pixel outside the image")
+                point_ids.add(pid)
                 points.append(pm)
             elif tag == "L":
                 _expect(tokens, 8, fpath, lineno)
                 lid = _parse_int(tokens[1], fpath, lineno, "landmark id")
                 if lid not in gt_lines:
                     raise ParseError(fpath, lineno, f"dangling landmark_id {lid}")
+                if lid in line_ids:
+                    raise ParseError(fpath, lineno, f"line landmark_id {lid} repeats in the frame")
                 vals = [_parse_float(t, fpath, lineno, "measurement value") for t in tokens[2:]]
                 try:
                     lm = LineMeasurement(
@@ -305,12 +317,13 @@ def read_sequence(directory, min_line_len: float = 15.0) -> Sequence:
                     )
                 except GeometryError as exc:
                     raise ParseError(fpath, lineno, str(exc)) from exc
-                if not (intr.contains(lm.start.u) and intr.contains(lm.end.u)):
+                if not (_in_image(intr, vals[0], vals[1]) and _in_image(intr, vals[3], vals[4])):
                     raise ParseError(fpath, lineno, "endpoint pixel outside the image")
                 if lm.length() < min_line_len:
                     raise ParseError(
                         fpath, lineno, f"line shorter than min_line_len={min_line_len}"
                     )
+                line_ids.add(lid)
                 lines.append(lm)
             else:
                 raise ParseError(fpath, lineno, f"unknown record tag {tag!r}")

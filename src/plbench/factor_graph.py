@@ -171,7 +171,16 @@ def point_terms(R, t, P_w, u, intr: CameraIntrinsics):
     """
     R = np.asarray(R, dtype=float)
     res, valid, (P_c, zs) = _point_residuals(R, t, P_w, u, intr)
+    J_pose, A = _pose_jacobian(P_c, zs, valid, intr)
+    J_point = -np.einsum("fij,fjk->fik", A, R)
+    J_point[~valid] = 0.0
+    return res, J_pose, J_point, valid
 
+
+def _pose_jacobian(P_c, zs, valid, intr: CameraIntrinsics):
+    """Pose half of the point Jacobians, from the ``aux`` and ``valid`` of
+    ``_point_residuals``: (J_pose (F,2,6), A (F,2,3)) with invalid rows of
+    J_pose zeroed; A = d proj / d P_c is what ``J_point`` is built from."""
     F = len(P_c)
     A = np.zeros((F, 2, 3))
     A[:, 0, 0] = intr.fx / zs
@@ -190,11 +199,8 @@ def point_terms(R, t, P_w, u, intr: CameraIntrinsics):
     J_pose = np.empty((F, 2, 6))
     J_pose[:, :, :3] = np.einsum("fij,fjk->fik", A, Pc_hat)  # -A @ (-[P_c]x)
     J_pose[:, :, 3:] = -A
-    J_point = -np.einsum("fij,fjk->fik", A, R)
-
     J_pose[~valid] = 0.0
-    J_point[~valid] = 0.0
-    return res, J_pose, J_point, valid
+    return J_pose, A
 
 
 def _batch_skew(v):

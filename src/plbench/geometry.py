@@ -13,6 +13,7 @@ All values are immutable after construction and every function is pure.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -316,7 +317,7 @@ class PointMeasurement:
         u.flags.writeable = False
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "d", float(self.d))
-        if not np.all(np.isfinite(u)) or not np.isfinite(self.d):
+        if not (math.isfinite(u[0]) and math.isfinite(u[1]) and math.isfinite(self.d)):
             raise GeometryError("measurement must be finite")
         if self.d <= 0:
             raise GeometryError("nonpositive depth")

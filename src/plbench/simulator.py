@@ -648,17 +648,30 @@ class Sequence:
         if len(self.frames) != len(self.gt_trajectory):
             raise ValueError("frame count does not match trajectory length")
         for f in self.frames:
-            for pm in f.points:
+            # a landmark is observed at most once per frame
+            seen = set()
+            inside = self.intrinsics.contains(np.array([pm.u for pm in f.points]).reshape(-1, 2))
+            for pm, ok in zip(f.points, inside):
                 if pm.landmark_id not in self.gt_points:
                     raise ValueError(f"dangling point landmark id {pm.landmark_id}")
-                if not self.intrinsics.contains(pm.u):
+                if pm.landmark_id in seen:
+                    raise ValueError(
+                        f"point landmark id {pm.landmark_id} repeats in frame {f.frame_id}"
+                    )
+                seen.add(pm.landmark_id)
+                if not ok:
                     raise ValueError("point measurement outside the image")
-            for lm in f.lines:
+            seen = set()
+            ends = np.array([(lm.start.u, lm.end.u) for lm in f.lines]).reshape(-1, 2, 2)
+            for lm, ok in zip(f.lines, self.intrinsics.contains(ends).all(axis=1)):
                 if lm.landmark_id not in self.gt_lines:
                     raise ValueError(f"dangling line landmark id {lm.landmark_id}")
-                if not (
-                    self.intrinsics.contains(lm.start.u) and self.intrinsics.contains(lm.end.u)
-                ):
+                if lm.landmark_id in seen:
+                    raise ValueError(
+                        f"line landmark id {lm.landmark_id} repeats in frame {f.frame_id}"
+                    )
+                seen.add(lm.landmark_id)
+                if not ok:
                     raise ValueError("line measurement outside the image")
                 if lm.length() < min_line_len:
                     raise ValueError("line measurement shorter than min_line_len")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .factor_graph import _project_points, point_terms
+from .factor_graph import _point_residuals, _pose_jacobian, _project_points
 from .geometry import (
     CameraIntrinsics,
     Pose,
@@ -69,9 +69,10 @@ def _refine_pose(R, t, P_w, u, intr, iterations=10):
     for _ in range(iterations):
         R_all = np.broadcast_to(T.rotation(), (n, 3, 3))
         t_all = np.broadcast_to(T.t, (n, 3))
-        res, J_pose, _, valid = point_terms(R_all, t_all, P_w, u, intr)
+        res, valid, (P_c, zs) = _point_residuals(R_all, t_all, P_w, u, intr)
         if valid.sum() < 4:
             break
+        J_pose, _ = _pose_jacobian(P_c, zs, valid, intr)
         J = J_pose.reshape(-1, 6)
         r = res.reshape(-1)
         H = J.T @ J
@@ -303,16 +304,41 @@ class SparseMap:
                 landmark_id = hit[0]
             else:
                 landmark_id = max(self.points, default=-1) + 1
-        if landmark_id in self.points:
-            mp = self.points[landmark_id]
-            if np.linalg.norm(position - mp.position) <= radius_thresh:
-                mp.position = mp.position + (position - mp.position) / (mp.count + 1)
-                mp.count += 1
-                self._invalidate()
-        else:
-            self.points[landmark_id] = MapPoint(landmark_id, position.copy())
-            self._invalidate()
+        self.fuse_points(position.reshape(1, 3), [landmark_id], radius_thresh)
         return landmark_id
+
+    def fuse_points(self, positions, landmark_ids, radius_thresh: float = 0.05) -> None:
+        """``fuse_point`` with a known id for each row of ``positions``
+        (n, 3), in one pass; the result equals n sequential calls bit for
+        bit. The ids must be distinct: a landmark is observed at most once
+        per frame.
+        """
+        positions = np.asarray(positions, dtype=float).reshape(-1, 3)
+        ids = list(landmark_ids)
+        if len(ids) != len(positions):
+            raise ValueError("positions and landmark ids differ in length")
+        if len(set(ids)) != len(ids):
+            raise ValueError("landmark ids repeat within one batch")
+        known = [i for i, lid in enumerate(ids) if lid in self.points]
+        new = [i for i, lid in enumerate(ids) if lid not in self.points]
+        if known:
+            mps = [self.points[ids[i]] for i in known]
+            old = np.array([mp.position for mp in mps])
+            diff = positions[known] - old
+            # sqrt(v @ v) per row, as np.linalg.norm does on one vector
+            inside = np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0]) <= radius_thresh
+            counts = np.array([mp.count for mp in mps])
+            merged = old + diff / (counts + 1)[:, None]
+            for mp, ok, position in zip(mps, inside, merged):
+                if ok:
+                    mp.position = position
+                    mp.count += 1
+            if inside.any():
+                self._invalidate()
+        for i in new:
+            self.points[ids[i]] = MapPoint(ids[i], positions[i].copy())
+        if new:
+            self._invalidate()
 
     def _line_gates(self, line: MapLine, endpoints, angle_thresh_deg, dist_thresh):
         d_existing = line.endpoints[1] - line.endpoints[0]
@@ -372,13 +398,21 @@ def _refit_line(samples: np.ndarray) -> np.ndarray:
 # trackers
 
 
-def _shared_point_ids(frame_a, frame_b):
-    ids_a = {pm.landmark_id: pm for pm in frame_a.points}
-    shared = []
-    for pm in frame_b.points:
-        if pm.landmark_id in ids_a:
-            shared.append((ids_a[pm.landmark_id], pm))
-    return shared
+def _point_arrays(frame):
+    """A frame's point measurements as (landmark ids, pixels (n, 2),
+    depths (n,))."""
+    ids = [pm.landmark_id for pm in frame.points]
+    u = np.array([pm.u for pm in frame.points]).reshape(-1, 2)
+    d = np.array([pm.d for pm in frame.points], dtype=float)
+    return ids, u, d
+
+
+def _transform_blocks(T: Pose, V) -> np.ndarray:
+    """``T.transform`` of every block V[i] (k, 3) of V (n, k, 3) in one
+    stacked product, bit-identical to one ``T.transform(V[i])`` per block.
+    For single points (k = 1) the flat ``V.reshape(-1, 3) @ R.T`` is not:
+    it rounds about half of the rows differently."""
+    return V @ np.broadcast_to(T.rotation().T, (len(V), 3, 3)) + T.t
 
 
 def track_frame_to_frame(seq: Sequence) -> list[Pose]:
@@ -388,16 +422,18 @@ def track_frame_to_frame(seq: Sequence) -> list[Pose]:
     The first pose is anchored to ground truth (gauge fixing).
     """
     traj = [seq.gt_trajectory[0]]
+    ids_prev, u_prev, d_prev = _point_arrays(seq.frames[0])
     for j in range(1, len(seq.frames)):
-        shared = _shared_point_ids(seq.frames[j - 1], seq.frames[j])
+        ids, u, d = _point_arrays(seq.frames[j])
+        index = {lid: i for i, lid in enumerate(ids_prev)}
+        shared = [(index[lid], i) for i, lid in enumerate(ids) if lid in index]
         if len(shared) < 4:
             raise TrackingLostError(j, f"only {len(shared)} shared landmarks")
-        P_prev = np.array(
-            [backproject(pm_prev.u, pm_prev.d, seq.intrinsics) for pm_prev, _ in shared]
-        )
-        pixels = np.array([pm_curr.u for _, pm_curr in shared])
-        rel = solve_pnp(P_prev, pixels, seq.intrinsics).pose
+        a, b = np.array(shared).T
+        P_prev = backproject(u_prev[a], d_prev[a], seq.intrinsics)
+        rel = solve_pnp(P_prev, u[b], seq.intrinsics).pose
         traj.append(rel.compose(traj[j - 1]))
+        ids_prev, u_prev, d_prev = ids, u, d
     return traj
 
 
@@ -418,43 +454,33 @@ def track_map_to_frame(
     the disparity noise at working depths): narrower gates starve the
     running means and the map never averages its noise away.
     """
+    intr = seq.intrinsics
     sparse_map = SparseMap()
     traj: list[Pose] = []
+    for j, frame in enumerate(seq.frames):
+        ids, u, d = _point_arrays(frame)
+        if j == 0:
+            T = seq.gt_trajectory[0]
+        else:
+            known = [i for i, lid in enumerate(ids) if lid in sparse_map.points]
+            if len(known) < 4:
+                raise TrackingLostError(j, f"only {len(known)} mapped landmarks visible")
+            P_w = np.array([sparse_map.points[ids[i]].position for i in known])
+            T = solve_pnp(P_w, u[known], intr, initial=traj[j - 1]).pose
+        traj.append(T)
 
-    def fuse_frame(frame, T: Pose):
+        # fuse the frame: every point and every line endpoint back-projected
+        # and moved to the world in one batch each
         T_inv = T.inverse()
-        for pm in frame.points:
-            P_w = T_inv.transform(backproject(pm.u, pm.d, seq.intrinsics))
-            sparse_map.fuse_point(P_w, landmark_id=pm.landmark_id,
-                                  radius_thresh=radius_thresh)
-        for lm in frame.lines:
-            ends_c = np.array(
-                [
-                    backproject(lm.start.u, lm.start.d, seq.intrinsics),
-                    backproject(lm.end.u, lm.end.d, seq.intrinsics),
-                ]
-            )
-            sparse_map.fuse_line(T_inv.transform(ends_c), landmark_id=lm.landmark_id,
+        P_c = backproject(u, d, intr)
+        sparse_map.fuse_points(_transform_blocks(T_inv, P_c[:, None, :])[:, 0, :], ids,
+                               radius_thresh=radius_thresh)
+        ends_u = np.array([(lm.start.u, lm.end.u) for lm in frame.lines]).reshape(-1, 2)
+        ends_d = np.array([(lm.start.d, lm.end.d) for lm in frame.lines], dtype=float)
+        ends_c = backproject(ends_u, ends_d.reshape(-1), intr).reshape(-1, 2, 3)
+        for lm, ends_w in zip(frame.lines, _transform_blocks(T_inv, ends_c)):
+            sparse_map.fuse_line(ends_w, landmark_id=lm.landmark_id,
                                  angle_thresh_deg=angle_thresh_deg,
                                  dist_thresh=dist_thresh)
-
-    T0 = seq.gt_trajectory[0]
-    traj.append(T0)
-    fuse_frame(seq.frames[0], T0)
-
-    for j in range(1, len(seq.frames)):
-        frame = seq.frames[j]
-        corrs = [
-            (sparse_map.points[pm.landmark_id].position, pm.u)
-            for pm in frame.points
-            if pm.landmark_id in sparse_map.points
-        ]
-        if len(corrs) < 4:
-            raise TrackingLostError(j, f"only {len(corrs)} mapped landmarks visible")
-        P_w = np.array([c[0] for c in corrs])
-        pixels = np.array([c[1] for c in corrs])
-        T = solve_pnp(P_w, pixels, seq.intrinsics, initial=traj[j - 1]).pose
-        traj.append(T)
-        fuse_frame(frame, T)
 
     return traj, sparse_map

@@ -116,6 +116,21 @@ def test_parse_error_dangling_landmark(tmp_path):
         read_sequence(d)
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        "P 7 10.0 20.0 1.0\nP 7 30.0 20.0 1.0\n",
+        "L 3 10.0 20.0 1.0 40.0 20.0 1.0\nL 3 10.0 30.0 1.0 40.0 30.0 1.0\n",
+    ],
+    ids=["point", "line"],
+)
+def test_parse_error_landmark_repeated_in_frame(tmp_path, rows):
+    d = write_toy_sequence_dir(tmp_path, rows)
+    with pytest.raises(ParseError, match="000000.txt:2: .* repeats in the frame") as info:
+        read_sequence(d)
+    assert info.value.line == 2
+
+
 def test_parse_error_pixel_outside_image(tmp_path):
     d = write_toy_sequence_dir(tmp_path, "P 7 990.0 20.0 1.0\n")
     with pytest.raises(ParseError, match="outside"):

@@ -19,11 +19,14 @@ from plbench.factor_graph import (
     LineFactor,
     LineVertex,
     PointFactor,
+    _point_residuals,
+    _pose_jacobian,
     build_covisibility_graph,
     line_jacobians,
     line_residual,
     point_jacobians,
     point_residual,
+    point_terms,
     project_line,
     project_line_by_endpoints,
 )
@@ -233,6 +236,26 @@ def test_zero_residual_does_not_zero_jacobian():
     J_pose, J_point = point_jacobians(u, P_w, Pose.identity(), K)
     assert np.max(np.abs(J_pose)) > 1.0
     assert np.max(np.abs(J_point)) > 1.0
+
+
+def test_pose_jacobian_equals_point_terms_bit_for_bit():
+    # the Gauss-Newton refinement in tracking takes J_pose from
+    # _pose_jacobian alone; it must be exactly point_terms's J_pose
+    rng = np.random.default_rng(5)
+    F = 60
+    poses = [random_pose(rng) for _ in range(F)]
+    R = np.array([T.rotation() for T in poses])
+    t = np.array([T.t for T in poses])
+    P_w = rng.uniform(-2.0, 2.0, size=(F, 3)) + np.array([0.0, 0.0, 1.5])
+    u = rng.uniform(0.0, 640.0, size=(F, 2))
+    res, J_pose, _, valid = point_terms(R, t, P_w, u, K)
+    assert valid.any() and not valid.all()
+    res_only, valid_only, (P_c, zs) = _point_residuals(R, t, P_w, u, K)
+    J, _ = _pose_jacobian(P_c, zs, valid_only, K)
+    assert np.array_equal(valid_only, valid)
+    assert res_only.tobytes() == res.tobytes()
+    assert J.tobytes() == J_pose.tobytes()
+    assert not J[~valid].any()
 
 
 def test_line_jacobians_match_finite_differences():

@@ -509,6 +509,18 @@ def test_tracks_reference_distinct_existing_frames():
             assert set(fid_list) <= frame_ids
 
 
+@pytest.mark.parametrize("kind", ["points", "lines"])
+def test_validate_rejects_landmark_repeated_in_a_frame(kind):
+    cfg = load_preset("box")
+    traj = build_trajectory(cfg.trajectory)[:2]
+    seq = generate_sequence(build_scene(cfg.scene), traj, cfg.noise, cfg.intrinsics, cfg.render)
+    seq.validate(cfg.render.min_line_len)
+    records = getattr(seq.frames[1], kind)
+    records.append(records[0])
+    with pytest.raises(ValueError, match="repeats in frame 1"):
+        seq.validate(cfg.render.min_line_len)
+
+
 def test_generation_is_deterministic():
     cfg = load_preset("box")
     seqs = []

@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import json
 from pathlib import Path
 
@@ -5,6 +7,7 @@ import numpy as np
 import pytest
 
 from plbench.evaluation import ate
+from plbench.factor_graph import build_covisibility_graph
 from plbench.geometry import CameraIntrinsics, Pose, project, so3_exp
 from plbench.simulator import NoiseParams, build_scene, build_trajectory, generate_sequence, load_preset
 from plbench.tracking import (
@@ -114,19 +117,83 @@ def test_trackers_reproduce_ground_truth_on_noiseless_input():
         np.testing.assert_allclose(mp.position, seq.gt_points[pid].position, atol=1e-8)
 
 
+@functools.cache
+def preset_sequence(preset):
+    """The preset's sequence at its shipped seed; shared, do not mutate."""
+    cfg = load_preset(preset)
+    seq = generate_sequence(build_scene(cfg.scene), build_trajectory(cfg.trajectory),
+                            cfg.noise, cfg.intrinsics, cfg.render)
+    return cfg, seq
+
+
 # map-to-frame ATE recorded per preset at its shipped seed by the benchmark
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
 
 
 @pytest.mark.parametrize("preset", ["sphere", "box", "corridor"])
 def test_map_to_frame_ate_within_recorded_bound(preset):
-    cfg = load_preset(preset)
+    cfg, seq = preset_sequence(preset)
     recorded = json.loads(REFERENCE.read_text())["sequences"][preset]
     bound = recorded[f"{cfg.scene.seed}:{cfg.trajectory.frame_count}"]["ate_m2f_rmse_m"]
-    seq = generate_sequence(build_scene(cfg.scene), build_trajectory(cfg.trajectory),
-                            cfg.noise, cfg.intrinsics, cfg.render)
     m2f, _ = track_map_to_frame(seq)
     assert ate(m2f, seq.gt_trajectory).translation.rmse <= bound * (1.0 + 1e-9)
+
+
+def poses_sha256(traj):
+    h = hashlib.sha256()
+    for T in traj:
+        h.update(T.q.tobytes())
+        h.update(T.t.tobytes())
+    return h.hexdigest()
+
+
+def map_sha256(smap: SparseMap):
+    h = hashlib.sha256()
+    for pid in sorted(smap.points):
+        mp = smap.points[pid]
+        h.update(np.int64(pid).tobytes())
+        h.update(mp.position.tobytes())
+        h.update(np.int64(mp.count).tobytes())
+    for lid in sorted(smap.lines):
+        h.update(np.int64(lid).tobytes())
+        h.update(smap.lines[lid].endpoints.tobytes())
+    return h.hexdigest()
+
+
+# per preset at its shipped seed: sha256 of the map-to-frame poses, of the
+# frame-to-frame poses and of the fused map, and the graph cost at the
+# map-to-frame track; recorded with the per-measurement tracker that the
+# per-frame batches replaced, which they must reproduce bit for bit
+GOLDEN_TRACKING = {
+    "sphere": (
+        "21989b694441a86d9a8349bb3f2e7cc1b12049e73a6a4273af41e716689cd461",
+        "be839fbb0932044501db700dc9c0d76ea19cea5bef32d09844fee4ee4232a781",
+        "ad58e1690deffd9a0875e894e7ab9a9a5e5903badeed62b3ea0fa39ae4b54fb4",
+        129834.34061423445,
+    ),
+    "box": (
+        "aed86ab9f2dcd1f4675ca8016788e4bae9330c368cef5ee90d367cc6745d1696",
+        "b1cebfb1f2f2775a5e3ad919f8a1ee4eaf28068ebea9b2f4e6e45ad63760b911",
+        "5e4a9972ce5c60410454cde440aa58d1712be9dd08cdf1898b36294d9bf91cfc",
+        122690.84996911994,
+    ),
+    "corridor": (
+        "3be2df1528c2f68a9f761f331bc5d9de55f33bad590bb66fc5b91f4ecfb752d8",
+        "684a6fc4e4bf55389eba84d6406df9090dbd85c81fb53ac0598d6ce1d547eaa2",
+        "dd635145a07fb74d82d9b2355d6b63ccd51958860c086f341605ea68121892aa",
+        154002.73453758072,
+    ),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(GOLDEN_TRACKING))
+def test_tracks_map_and_cost_match_golden(preset):
+    cfg, seq = preset_sequence(preset)
+    m2f, smap = track_map_to_frame(seq)
+    f2f = track_frame_to_frame(seq)
+    cost = build_covisibility_graph(seq, m2f, smap, cfg.noise.sigma_s).total_cost()
+    assert (poses_sha256(m2f), poses_sha256(f2f), map_sha256(smap), cost) == \
+        GOLDEN_TRACKING[preset]
 
 
 @pytest.mark.parametrize("tracker", [track_frame_to_frame, track_map_to_frame])
@@ -171,6 +238,77 @@ def test_fuse_point_without_id_merges_into_nearest_or_inserts():
     assert m.fuse_point([0.5, 0.0, 1.0], radius_thresh=0.05) == 6
     np.testing.assert_array_equal(m.points[6].position, [0.5, 0.0, 1.0])
     assert m.points[3].count == 1
+
+
+def test_fuse_points_equals_sequential_fuse_point_bit_for_bit():
+    rng = np.random.default_rng(6)
+    radius = 0.3
+    start = rng.uniform(-2.0, 2.0, size=(20, 3))
+
+    def seeded_map():
+        m = SparseMap()
+        for k, p in enumerate(start):
+            m.fuse_point(p, landmark_id=3 * k, radius_thresh=radius)
+        return m
+
+    batched, sequential = seeded_map(), seeded_map()
+    merged = rejected = inserted = 0
+    for _ in range(4):
+        # mapped ids moved inside or outside the gate, and unseen ids,
+        # interleaved in a random order
+        ids = [3 * k for k in range(20)] + [100 + int(i) for i in rng.choice(50, 8, False)]
+        rng.shuffle(ids)
+        positions = np.empty((len(ids), 3))
+        for i, lid in enumerate(ids):
+            if lid in sequential.points:
+                step = rng.normal(size=3)
+                step *= rng.choice([0.4, 1.2]) * radius / np.linalg.norm(step)
+                positions[i] = sequential.points[lid].position + step
+            else:
+                positions[i] = rng.uniform(-2.0, 2.0, size=3)
+        counts = {lid: mp.count for lid, mp in sequential.points.items()}
+        batched.fuse_points(positions, ids, radius_thresh=radius)
+        for lid, p in zip(ids, positions):
+            sequential.fuse_point(p, landmark_id=lid, radius_thresh=radius)
+        for lid in ids:
+            if lid not in counts:
+                inserted += 1
+            elif sequential.points[lid].count > counts[lid]:
+                merged += 1
+            else:
+                rejected += 1
+        assert list(batched.points) == list(sequential.points)
+        for lid, mp in sequential.points.items():
+            assert batched.points[lid].position.tobytes() == mp.position.tobytes()
+            assert batched.points[lid].count == mp.count
+    assert merged and rejected and inserted
+    # the KD-tree sees the batch's positions
+    pid = ids[0]
+    assert batched.nearest_point(sequential.points[pid].position) == (pid, 0.0)
+
+
+def test_fuse_points_gate_is_exact_at_the_radius():
+    # a candidate exactly at the radius fuse_point measures must merge;
+    # np.linalg.norm(axis=1) reads this step as just beyond that radius
+    rng = np.random.default_rng(7)
+    origin = np.array([0.5, -0.25, 2.0])
+    while True:
+        candidate = origin + rng.normal(size=3)
+        step = candidate - origin
+        radius = float(np.linalg.norm(step))
+        if np.linalg.norm(step[None], axis=1)[0] > radius:
+            break
+    m = SparseMap()
+    m.fuse_point(origin, landmark_id=1)
+    m.fuse_points([candidate], [1], radius_thresh=radius)
+    assert m.points[1].count == 2
+
+
+def test_fuse_points_rejects_an_id_repeated_in_the_batch():
+    m = SparseMap()
+    with pytest.raises(ValueError, match="repeat"):
+        m.fuse_points([[0.0, 0.0, 1.0], [0.1, 0.0, 1.0]], [4, 4])
+    assert not m.points
 
 
 SEGMENT = np.array([[0.0, 0.0, 2.0], [1.0, 0.0, 2.0]])
