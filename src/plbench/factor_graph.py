@@ -21,6 +21,7 @@ from .geometry import (
     Pose,
     orthonormal_from_plucker,
     plucker_from_endpoints,
+    skew_batch,
 )
 from .simulator import Sequence
 
@@ -203,17 +204,6 @@ def _pose_jacobian(P_c, zs, valid, intr: CameraIntrinsics):
     return J_pose, A
 
 
-def _batch_skew(v):
-    out = np.zeros(v.shape[:-1] + (3, 3))
-    out[..., 0, 1] = -v[..., 2]
-    out[..., 0, 2] = v[..., 1]
-    out[..., 1, 0] = v[..., 2]
-    out[..., 1, 2] = -v[..., 0]
-    out[..., 2, 0] = -v[..., 1]
-    out[..., 2, 1] = v[..., 0]
-    return out
-
-
 def _line_residuals(R, t, U, W, u_s, u_e, intr: CameraIntrinsics):
     """Residual half of ``line_terms``: (res (F,2), valid (F,), aux),
     invalid rows zeroed; ``aux`` holds the intermediates the Jacobians
@@ -281,8 +271,8 @@ def line_terms(R, t, U, W, u_s, u_e, intr: CameraIntrinsics):
     G = np.einsum("fij,jk->fik", dres_dl, intr.line_matrix())  # d res / d n_c, (F, 2, 3)
 
     # pose: d n_c / d omega = -[R n_w]x + [(R d_w) x t]x ; d n_c / d rho = -[R d_w]x
-    dnc_domega = -_batch_skew(Rn) + _batch_skew(np.cross(Rd, t))
-    dnc_drho = -_batch_skew(Rd)
+    dnc_domega = -skew_batch(Rn) + skew_batch(np.cross(Rd, t))
+    dnc_drho = -skew_batch(Rd)
     J_pose = np.empty((F, 2, 6))
     J_pose[:, :, :3] = np.einsum("fij,fjk->fik", G, dnc_domega)
     J_pose[:, :, 3:] = np.einsum("fij,fjk->fik", G, dnc_drho)
@@ -296,7 +286,7 @@ def line_terms(R, t, U, W, u_s, u_e, intr: CameraIntrinsics):
     dd_w[:, :, 0] = w2[:, None] * u3
     dd_w[:, :, 2] = -w2[:, None] * u1
     dd_w[:, :, 3] = w1[:, None] * u2
-    t_hat = _batch_skew(t)
+    t_hat = skew_batch(t)
     dnc_ddelta = np.einsum("fij,fjk->fik", R, dn_w) + np.einsum(
         "fij,fjk->fik", t_hat, np.einsum("fij,fjk->fik", R, dd_w)
     )

@@ -38,6 +38,30 @@ def skew(v) -> np.ndarray:
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
+def skew_batch(v) -> np.ndarray:
+    """``skew`` of every row of v (..., 3)."""
+    out = np.zeros(v.shape[:-1] + (3, 3))
+    out[..., 0, 1] = -v[..., 2]
+    out[..., 0, 2] = v[..., 1]
+    out[..., 1, 0] = v[..., 2]
+    out[..., 1, 2] = -v[..., 0]
+    out[..., 2, 0] = -v[..., 1]
+    out[..., 2, 1] = v[..., 0]
+    return out
+
+
+def row_dots(a, b) -> np.ndarray:
+    """``a[i] @ b[i]`` for each row of a, b (n, k), bit for bit: a stack of
+    1-D dot products, not a sum over ``a * b``."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def row_norms(v) -> np.ndarray:
+    """``np.linalg.norm`` of each row of v (n, k), bit for bit (it is
+    sqrt(v @ v) on one vector; ``norm(axis=1)`` rounds differently)."""
+    return np.sqrt(row_dots(v, v))
+
+
 def so3_exp(omega) -> np.ndarray:
     """Rodrigues formula, series expansion below 1e-8 rad."""
     omega = np.asarray(omega, dtype=float)
@@ -296,6 +320,83 @@ def se3_exp_update(T: Pose, delta) -> Pose:
     return Pose.from_rt(R, t)
 
 
+def matrix_to_quat_batch(R) -> np.ndarray:
+    """``matrix_to_quat`` of every matrix of R (m, 3, 3), bit for bit."""
+    R = np.asarray(R, dtype=float)
+    q = np.empty((len(R), 4))
+    tr = np.trace(R, axis1=1, axis2=2)
+    pos = tr > 0
+    Rp = R[pos]
+    s = np.sqrt(tr[pos] + 1.0) * 2.0
+    q[pos] = np.stack(
+        [(Rp[:, 2, 1] - Rp[:, 1, 2]) / s, (Rp[:, 0, 2] - Rp[:, 2, 0]) / s,
+         (Rp[:, 1, 0] - Rp[:, 0, 1]) / s, 0.25 * s],
+        axis=1,
+    )
+    r = np.flatnonzero(~pos)
+    k = np.argmax(np.diagonal(R[r], axis1=1, axis2=2), axis=1)
+    i, j = (k + 1) % 3, (k + 2) % 3
+    s = np.sqrt(R[r, k, k] - R[r, i, i] - R[r, j, j] + 1.0) * 2.0
+    q[r, k] = 0.25 * s
+    q[r, i] = (R[r, i, k] + R[r, k, i]) / s
+    q[r, j] = (R[r, j, k] + R[r, k, j]) / s
+    q[r, 3] = (R[r, j, i] - R[r, i, j]) / s
+    q = np.where(q[:, 3:] < 0, -q, q)
+    return q / row_norms(q)[:, None]
+
+
+def quat_to_matrix_batch(q) -> np.ndarray:
+    """``quat_to_matrix`` of every row of q (m, 4), bit for bit."""
+    x, y, z, w = np.asarray(q, dtype=float).T
+    return np.stack(
+        [
+            1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w),
+            2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w),
+            2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y),
+        ],
+        axis=1,
+    ).reshape(-1, 3, 3)
+
+
+def pose_quat_batch(q) -> np.ndarray:
+    """The quaternion ``Pose`` stores for each row of q (m, 4), bit for bit:
+    rows more than 4 ulps off unit norm are normalized. Unlike ``Pose`` it
+    does not reject a zero or non-finite norm."""
+    q = np.asarray(q, dtype=float)
+    norm = row_norms(q)
+    off = np.abs(norm - 1.0) > 4 * np.finfo(float).eps
+    return np.where(off[:, None], q / norm[:, None], q)
+
+
+def se3_exp_update_batch(R, t, deltas):
+    """``se3_exp_update`` of one pose by each row of ``deltas`` (m, 6).
+
+    ``R`` (3, 3) must be the pose's ``rotation()`` and ``t`` its
+    translation. Returns (q (m, 4), R (m, 3, 3), t (m, 3)): per row the
+    ``q`` and ``t`` that the updated ``Pose`` stores and its ``rotation()``,
+    bit for bit, with the branches of ``so3_exp``, ``_so3_left_jacobian``,
+    ``matrix_to_quat`` and ``Pose`` taken row by row.
+    """
+    deltas = np.asarray(deltas, dtype=float).reshape(-1, 6)
+    omega, rho = deltas[:, :3], deltas[:, 3:]
+    angle = row_norms(omega)
+    small = angle < 1e-8
+    a = np.where(small, 1.0, angle)  # keeps the series rows' unused branch finite
+    sin, cos = np.sin(a), np.cos(a)
+    a2 = a * a
+    c1 = ((1.0 - cos) / a2)[:, None, None]
+    K = skew_batch(omega)
+    KK = K @ K
+    eye = np.eye(3)
+    small = small[:, None, None]
+    R_inc = np.where(small, eye + K + 0.5 * KK, eye + (sin / a)[:, None, None] * K + c1 * KK)
+    J = np.where(small, eye + 0.5 * K + KK / 6.0,
+                 eye + c1 * K + ((a - sin) / (a2 * a))[:, None, None] * KK)
+    t_new = (R_inc @ np.asarray(t, dtype=float)[:, None])[:, :, 0] + (J @ rho[:, :, None])[:, :, 0]
+    q = pose_quat_batch(matrix_to_quat_batch(R_inc @ R))
+    return q, quat_to_matrix_batch(q), t_new
+
+
 # ---------------------------------------------------------------------------
 # measurements and landmarks
 
@@ -497,8 +598,11 @@ def line_angle(d1, d2) -> float:
     atan2 of the cross-product norm keeps tiny angles meaningful where the
     arccos form would collapse to ~1e-8.
     """
-    d1 = np.asarray(d1, dtype=float)
-    d2 = np.asarray(d2, dtype=float)
-    c = np.linalg.norm(np.cross(d1, d2))
-    s = abs(float(d1 @ d2))
-    return float(np.arctan2(c, s))
+    d1 = np.asarray(d1, dtype=float).reshape(1, 3)
+    d2 = np.asarray(d2, dtype=float).reshape(1, 3)
+    return float(line_angles(d1, d2)[0])
+
+
+def line_angles(d1, d2) -> np.ndarray:
+    """``line_angle`` of each row pair of d1, d2 (n, 3), bit for bit."""
+    return np.arctan2(row_norms(np.cross(d1, d2)), np.abs(row_dots(d1, d2)))

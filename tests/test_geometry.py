@@ -14,13 +14,16 @@ from plbench.geometry import (
     Pose,
     backproject,
     line_angle,
+    matrix_to_quat,
     orthonormal_from_plucker,
     orthonormal_update,
     plucker_from_endpoints,
     plucker_from_orthonormal,
+    pose_quat_batch,
     project,
     rot2,
     se3_exp_update,
+    se3_exp_update_batch,
     skew,
     so3_exp,
     so3_log,
@@ -145,6 +148,57 @@ def test_se3_exp_update_identity_and_consistency():
     base = T.transform(p)
     predicted = base + np.cross(delta[:3], base) + delta[3:]
     np.testing.assert_allclose(moved, predicted, atol=1e-11)
+
+
+def quat_branch(R):
+    """Which ``matrix_to_quat`` branch R takes: the trace, or the index of
+    the largest diagonal entry."""
+    return "trace" if np.trace(R) > 0 else int(np.argmax(np.diag(R)))
+
+
+def test_se3_exp_update_batch_equals_the_scalar_update():
+    rng = np.random.default_rng(9)
+    poses = [Pose.identity(), random_pose(rng), random_pose(rng)]
+    deltas = [
+        np.array([0.0, 0.0, 0.0, 0.1, -0.2, 0.3]),  # no rotation: series branch
+        np.array([3e-9, -4e-9, 1e-9, 0.5, 0.1, 0.0]),  # angle 5e-9: series branch
+        rng.normal(size=6),
+        rng.normal(scale=1e-3, size=6),
+        # three radians about each axis: from the identity, a negative trace
+        # with the largest diagonal entry on that axis
+        np.array([3.0, 0.0, 0.0, 0.2, 0.0, 0.0]),
+        np.array([0.0, 3.0, 0.0, 0.0, 0.2, 0.0]),
+        np.array([0.0, 0.0, 3.0, 0.0, 0.0, 0.2]),
+    ]
+    steps = 0.5 ** np.arange(6)
+    exp_branches, quat_branches = set(), set()
+    for T in poses:
+        for delta in deltas:
+            q, R, t = se3_exp_update_batch(T.rotation(), T.t, steps[:, None] * delta)
+            for k, step in enumerate(steps):
+                ref = se3_exp_update(T, step * delta)
+                assert q[k].tobytes() == ref.q.tobytes()
+                assert R[k].tobytes() == ref.rotation().tobytes()
+                assert t[k].tobytes() == ref.t.tobytes()
+                exp_branches.add(np.linalg.norm(step * delta[:3]) < 1e-8)
+                quat_branches.add(quat_branch(so3_exp(step * delta[:3]) @ T.rotation()))
+    assert exp_branches == {True, False}
+    assert quat_branches == {"trace", 0, 1, 2}
+
+
+def test_pose_quat_batch_renormalizes_as_pose_does():
+    unit = matrix_to_quat(so3_exp([0.3, -0.2, 0.1]))
+    q = np.array([
+        unit,
+        unit * (1.0 + 2 * np.finfo(float).eps),  # within 4 ulps: kept as is
+        [0.0, 1.0, 0.0, 1e-6],  # norm 1 + 5e-13: normalized
+        [0.5, -1.0, 2.0, 0.25],
+    ])
+    out = pose_quat_batch(q)
+    for row, got in zip(q, out):
+        assert got.tobytes() == Pose(row, np.zeros(3)).q.tobytes()
+    changed = [a.tobytes() != b.tobytes() for a, b in zip(q, out)]
+    assert changed == [False, False, True, True]
 
 
 def test_so3_log_inverts_exp():

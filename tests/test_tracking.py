@@ -6,9 +6,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from plbench import tracking
 from plbench.evaluation import ate
-from plbench.factor_graph import build_covisibility_graph
-from plbench.geometry import CameraIntrinsics, Pose, project, so3_exp
+from plbench.factor_graph import (
+    _point_residuals,
+    _pose_jacobian,
+    _project_points,
+    build_covisibility_graph,
+)
+from plbench.geometry import CameraIntrinsics, Pose, line_angle, project, se3_exp_update, so3_exp
 from plbench.simulator import NoiseParams, build_scene, build_trajectory, generate_sequence, load_preset
 from plbench.tracking import (
     DegenerateGeometryError,
@@ -16,6 +22,7 @@ from plbench.tracking import (
     SparseMap,
     TrackingLostError,
     _epnp_control_points,
+    _refine_pose,
     solve_pnp,
     track_frame_to_frame,
     track_map_to_frame,
@@ -196,6 +203,90 @@ def test_tracks_map_and_cost_match_golden(preset):
         GOLDEN_TRACKING[preset]
 
 
+def mean_error_per_try(T: Pose, P_w, u, intr):
+    n = len(P_w)
+    _, valid, _, proj = _project_points(np.broadcast_to(T.rotation(), (n, 3, 3)), T.t, P_w, intr)
+    err = np.linalg.norm(proj - u, axis=1)
+    err[~valid] = 1e9
+    return float(np.mean(err))
+
+
+def refine_pose_per_try(R, t, P_w, u, intr, iterations=10):
+    """The former ``_refine_pose``: one ``Pose`` and one projection per
+    backtracking try. Returns (pose, mean error, accepted tries)."""
+    T = Pose.from_rt(R, t)
+    err = mean_error_per_try(T, P_w, u, intr)
+    n = len(P_w)
+    accepted = 0
+    for _ in range(iterations):
+        R_all = np.broadcast_to(T.rotation(), (n, 3, 3))
+        t_all = np.broadcast_to(T.t, (n, 3))
+        res, valid, (P_c, zs) = _point_residuals(R_all, t_all, P_w, u, intr)
+        if valid.sum() < 4:
+            break
+        J = _pose_jacobian(P_c, zs, valid, intr)[0].reshape(-1, 6)
+        r = res.reshape(-1)
+        try:
+            delta = np.linalg.solve(J.T @ J + 1e-12 * np.eye(6), J.T @ r)
+        except np.linalg.LinAlgError:
+            break
+        if not np.all(np.isfinite(delta)):
+            break
+        step = 1.0
+        for _try in range(6):
+            T_new = se3_exp_update(T, step * delta)
+            err_new = mean_error_per_try(T_new, P_w, u, intr)
+            if err_new <= err:
+                T, err = T_new, err_new
+                accepted += 1
+                break
+            step *= 0.5
+        else:
+            break
+        if np.linalg.norm(step * delta) < 1e-14:
+            break
+    return T, err, accepted
+
+
+def refine_problems(preset):
+    """(R, t, P_w, u, intrinsics) of every refinement both trackers run on
+    the preset at its shipped seed, then the true pose with exact pixels
+    for every tenth frame."""
+    cfg, seq = preset_sequence(preset)
+    problems = []
+
+    def record(R, t, P_w, u, intr, iterations=10):
+        problems.append((R, t, P_w, u, intr))
+        return _refine_pose(R, t, P_w, u, intr, iterations)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tracking, "_refine_pose", record)
+        track_map_to_frame(seq)
+        track_frame_to_frame(seq)
+    for frame, T in zip(seq.frames[::10], seq.gt_trajectory[::10]):
+        P_w = np.array([seq.gt_points[pm.landmark_id].position for pm in frame.points])
+        problems.append((T.rotation(), T.t, P_w, project(T.transform(P_w), cfg.intrinsics),
+                         cfg.intrinsics))
+    return problems
+
+
+def test_refine_pose_equals_the_per_try_loop():
+    # accepted tries are rare (see _refine_pose): 1, 4 and 4 of the 495
+    # tracker refinements per preset, one with two accepted steps, and the
+    # exact-pixel problems, which move the pose by a few ulps
+    accepted = []
+    for preset in ("sphere", "box", "corridor"):
+        for R, t, P_w, u, intr in refine_problems(preset):
+            T, err = _refine_pose(R, t, P_w, u, intr)
+            T_ref, err_ref, tries = refine_pose_per_try(R, t, P_w, u, intr)
+            assert (T.q.tobytes(), T.t.tobytes(), err) == \
+                (T_ref.q.tobytes(), T_ref.t.tobytes(), err_ref)
+            if tries:
+                accepted.append((tries, np.abs(T.t - Pose.from_rt(R, t).t).max()))
+    assert max(tries for tries, _ in accepted) >= 2
+    assert max(moved for _, moved in accepted) > 1e-3
+
+
 @pytest.mark.parametrize("tracker", [track_frame_to_frame, track_map_to_frame])
 def test_tracking_lost_names_the_failing_frame(tracker):
     seq = noiseless_sequence(6)
@@ -355,3 +446,107 @@ def test_fuse_line_without_id_merges_into_first_passing_line():
     assert m.fuse_line(SEGMENT + [0.0, 1.01, 0.0]) == 9
     assert m.lines[9].count == 2
     assert m.lines[2].count == 1
+    # of several passing lines the lowest id wins, not the first inserted
+    m.fuse_line(SEGMENT + [0.0, 3.0, 0.0], landmark_id=8)
+    m.fuse_line(SEGMENT + [0.0, 3.0, 0.0], landmark_id=5)
+    assert m.fuse_line(SEGMENT + [0.0, 3.01, 0.0]) == 5
+    assert (m.lines[5].count, m.lines[8].count) == (2, 1)
+
+
+def line_candidate(ends, rng, angle_deg, offset):
+    """A segment whose direction is ``angle_deg`` off that of ``ends`` (2, 3)
+    and whose midpoint lies ``offset`` from its line, at a random place
+    along it."""
+    d = ends[1] - ends[0]
+    d_hat = d / np.linalg.norm(d)
+    p_hat = np.cross(d_hat, rng.normal(size=3))
+    p_hat /= np.linalg.norm(p_hat)
+    theta = np.radians(angle_deg)
+    direction = np.cos(theta) * d_hat + np.sin(theta) * p_hat
+    mid = ends.mean(axis=0) + rng.uniform(-0.5, 0.5) * d + offset * np.cross(d_hat, p_hat)
+    return mid + np.outer([-0.5, 0.5], direction) * rng.uniform(0.5, 2.0)
+
+
+def test_fuse_lines_equals_sequential_fuse_line_bit_for_bit():
+    rng = np.random.default_rng(12)
+    gates = {"angle_thresh_deg": 10.0, "dist_thresh": 0.2}
+    start = [line_candidate(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), rng,
+                            rng.uniform(0.0, 180.0), rng.uniform(0.0, 2.0)) for _ in range(15)]
+
+    def seeded_map():
+        m = SparseMap()
+        for k, ends in enumerate(start):
+            m.fuse_line(ends, landmark_id=3 * k, **gates)
+        return m
+
+    # mapped ids moved inside both gates or beyond one of them, and unseen ids
+    kinds = {"inside": (5.0, 0.1), "angle": (20.0, 0.0), "distance": (0.0, 0.4)}
+    batched, sequential = seeded_map(), seeded_map()
+    seen = set()
+    for _ in range(4):
+        ids = [3 * k for k in range(15)] + [100 + int(i) for i in rng.choice(50, 6, False)]
+        rng.shuffle(ids)
+        endpoints, expected = np.empty((len(ids), 2, 3)), []
+        for i, lid in enumerate(ids):
+            if lid in sequential.lines:
+                kind = str(rng.choice(sorted(kinds)))
+                endpoints[i] = line_candidate(sequential.lines[lid].endpoints, rng, *kinds[kind])
+            else:
+                kind = "new"
+                endpoints[i] = line_candidate(start[0], rng, rng.uniform(0.0, 180.0), 1.0)
+            expected.append((lid, kind))
+        counts = {lid: ml.count for lid, ml in sequential.lines.items()}
+        batched.fuse_lines(endpoints, ids, **gates)
+        for lid, ends in zip(ids, endpoints):
+            sequential.fuse_line(ends, landmark_id=lid, **gates)
+        for lid, kind in expected:
+            merged = lid in counts and sequential.lines[lid].count > counts[lid]
+            assert merged == (kind == "inside")
+            seen.add(kind)
+        assert list(batched.lines) == list(sequential.lines)
+        for lid, ml in sequential.lines.items():
+            got = batched.lines[lid]
+            assert got.endpoints.tobytes() == ml.endpoints.tobytes()
+            assert got.count == ml.count
+            assert [x.tobytes() for x in got.samples] == [x.tobytes() for x in ml.samples]
+    assert seen == {"inside", "angle", "distance", "new"}
+
+
+def test_fuse_lines_gates_are_exact_at_their_thresholds():
+    # a candidate exactly at the angle or the distance that fuse_line
+    # measures (np.linalg.norm on one vector) merges, and one ulp inside
+    # either threshold rejects it; np.linalg.norm(axis=1) reads both
+    # candidates as just beyond their threshold
+    rng = np.random.default_rng(13)
+
+    def norm_axis1_reads_more(v):
+        return np.linalg.norm(v[None], axis=1)[0] > np.linalg.norm(v)
+
+    while True:
+        candidate = SEGMENT + rng.normal(scale=0.05, size=(2, 3))
+        d_stored, d_new = SEGMENT[1] - SEGMENT[0], candidate[1] - candidate[0]
+        cross = np.cross(d_stored, d_new)
+        angle = np.degrees(np.arctan2(np.linalg.norm(cross), abs(d_stored @ d_new)))
+        rel = candidate.mean(axis=0) - SEGMENT[0]
+        d_hat = d_stored / np.linalg.norm(d_stored)
+        off = rel - (rel @ d_hat) * d_hat
+        if norm_axis1_reads_more(cross) and norm_axis1_reads_more(off):
+            break
+    assert angle == np.degrees(line_angle(d_stored, d_new))
+    dist = np.linalg.norm(off)
+    for gates, merges in [
+        ((angle, dist), True),
+        ((np.nextafter(angle, 0.0), dist), False),
+        ((angle, np.nextafter(dist, 0.0)), False),
+    ]:
+        m = SparseMap()
+        m.fuse_line(SEGMENT, landmark_id=1)
+        m.fuse_lines([candidate], [1], *gates)
+        assert (m.lines[1].count == 2) == merges
+
+
+def test_fuse_lines_rejects_an_id_repeated_in_the_batch():
+    m = SparseMap()
+    with pytest.raises(ValueError, match="repeat"):
+        m.fuse_lines([SEGMENT, SEGMENT + [0.0, 0.01, 0.0]], [4, 4])
+    assert not m.lines
