@@ -16,8 +16,15 @@ Directory layout of a sequence:
     stats.csv            (optional, via write_stats_csv)
     graph.txt            (optional, via write_graph)
 
+Frame files map row for row onto the arrays of ``simulator.FrameData``:
+``write_sequence`` formats each frame's arrays with ``%r`` over
+``.tolist()``, and ``read_sequence`` parses each frame file into those
+arrays in one pass.
+
 Readers are total: malformed input of any kind raises ParseError naming
-the file and line, never an unhandled exception.
+the file and line, never an unhandled exception. For a frame file the
+error names the first bad line, and on that line the first failing
+check, as a record-by-record parse would.
 """
 from __future__ import annotations
 
@@ -33,12 +40,11 @@ from .geometry import (
     CameraIntrinsics,
     GeometryError,
     LineLandmark,
-    LineMeasurement,
     PointLandmark,
-    PointMeasurement,
     Pose,
+    row_norms,
 )
-from .simulator import FrameData, Sequence
+from .simulator import FrameData, Sequence, _first_fault, _line_faults, _point_faults
 
 
 class ParseError(ValueError):
@@ -96,11 +102,6 @@ def _parse_int(tok: str, path, lineno, what: str, minimum: int = 0) -> int:
     if v < minimum:
         raise ParseError(path, lineno, f"{what} must be >= {minimum}: {v}")
     return v
-
-
-def _in_image(intr: CameraIntrinsics, x: float, y: float) -> bool:
-    """``intr.contains`` for one parsed pixel, without building an array."""
-    return 0.0 <= x < intr.width and 0.0 <= y < intr.height
 
 
 def _expect(tokens, n, path, lineno):
@@ -184,21 +185,12 @@ def write_sequence(seq: Sequence, directory) -> None:
     _atomic_write(directory / "parallel_groups.txt", "\n".join(pg_lines) + "\n")
 
     for f in seq.frames:
+        points = np.column_stack([f.point_pixels, f.point_depths]).tolist()
+        ends, ends_d = f.line_pixels, f.line_depths
+        lines = np.column_stack([ends[:, 0], ends_d[:, 0], ends[:, 1], ends_d[:, 1]]).tolist()
         rows = ["# P id ux uy d | L id sx sy sd ex ey ed"]
-        for pm in f.points:
-            rows.append(
-                "P " + str(pm.landmark_id) + " " + " ".join(_fmt(v) for v in (*pm.u, pm.d))
-            )
-        for lm in f.lines:
-            rows.append(
-                "L "
-                + str(lm.landmark_id)
-                + " "
-                + " ".join(
-                    _fmt(v)
-                    for v in (*lm.start.u, lm.start.d, *lm.end.u, lm.end.d)
-                )
-            )
+        rows += ["P %d %r %r %r" % (i, *v) for i, v in zip(f.point_ids.tolist(), points)]
+        rows += ["L %d %r %r %r %r %r %r" % (i, *v) for i, v in zip(f.line_ids.tolist(), lines)]
         _atomic_write(directory / "frames" / f"{f.frame_id:06d}.txt", "\n".join(rows) + "\n")
 
 
@@ -218,6 +210,103 @@ def _read_calib(path) -> CameraIntrinsics:
         return CameraIntrinsics(fx, fy, cx, cy, width, height)
     except GeometryError as exc:
         raise ParseError(path, lineno, str(exc)) from exc
+
+
+# frame record tag -> (fields per record, landmark kind)
+_FRAME_RECORDS = {"P": (5, "point"), "L": (8, "line")}
+
+
+def _floats(tokens) -> np.ndarray:
+    """``float`` of every token, NaN for a token that is not a number."""
+    try:
+        return np.array(list(map(float, tokens)), dtype=float)
+    except ValueError:
+        values = np.empty(len(tokens))
+        for i, tok in enumerate(tokens):
+            try:
+                values[i] = float(tok)
+            except ValueError:
+                values[i] = np.nan
+        return values
+
+
+def _value_fault(values, tokens, k: int):
+    """The number check of ``_parse_float`` on rows of k values: (failing
+    rows, message naming the row's first bad or nonfinite token)."""
+    bad = ~np.isfinite(values).reshape(-1, k)
+
+    def message(row):
+        tok = tokens[row * k + int(np.argmax(bad[row]))]
+        try:
+            float(tok)
+        except ValueError:
+            return f"bad measurement value: {tok!r}"
+        return f"nonfinite measurement value: {tok!r}"
+
+    return bad.any(axis=1), message
+
+
+def _read_frame(fpath, frame_id, intr, gt_points, gt_lines, min_line_len) -> FrameData:
+    """Parse one frame file into the arrays of a ``FrameData``.
+
+    Tags, field counts, landmark ids (known, not repeated in the frame)
+    are checked line by line up to the first malformed line; the values
+    of the lines before it are then checked as arrays. The ParseError
+    names the first bad line and its first failing check, in the order
+    of a record-by-record parse.
+    """
+    known = {"P": gt_points, "L": gt_lines}
+    records = {tag: ([], [], []) for tag in _FRAME_RECORDS}  # linenos, ids, value tokens
+    seen = {tag: set() for tag in _FRAME_RECORDS}
+    malformed = None
+    try:
+        for lineno, tokens in _iter_records(fpath):
+            tag = tokens[0]
+            if tag not in _FRAME_RECORDS:
+                raise ParseError(fpath, lineno, f"unknown record tag {tag!r}")
+            fields, kind = _FRAME_RECORDS[tag]
+            _expect(tokens, fields, fpath, lineno)
+            lid = _parse_int(tokens[1], fpath, lineno, "landmark id")
+            if lid not in known[tag]:
+                raise ParseError(fpath, lineno, f"dangling landmark_id {lid}")
+            if lid in seen[tag]:
+                raise ParseError(fpath, lineno, f"{kind} landmark_id {lid} repeats in the frame")
+            seen[tag].add(lid)
+            linenos, ids, values = records[tag]
+            linenos.append(lineno)
+            ids.append(lid)
+            values += tokens[2:]
+    except ParseError as exc:
+        malformed = exc
+
+    arrays, faults = {}, []
+    for tag, (linenos, ids, tokens) in records.items():
+        k = _FRAME_RECORDS[tag][0] - 2
+        values = _floats(tokens).reshape(-1, k)
+        if tag == "P":
+            pixels, depths = values[:, :2], values[:, 2]
+            checks = _point_faults(pixels, depths)
+            checks.append((~intr.contains(pixels), "pixel outside the image"))
+        else:
+            pixels = values[:, [0, 1, 3, 4]].reshape(-1, 2, 2)
+            depths = values[:, [2, 5]]
+            checks = _line_faults(pixels, depths)
+            with np.errstate(invalid="ignore", over="ignore"):
+                short = row_norms(pixels[:, 1] - pixels[:, 0]) < min_line_len
+            checks += [(~intr.contains(pixels).all(axis=1), "endpoint pixel outside the image"),
+                       (short, f"line shorter than min_line_len={min_line_len}")]
+        fault = _first_fault([_value_fault(values, tokens, k)] + checks)
+        if fault is not None:
+            faults.append(ParseError(fpath, linenos[fault[0]], fault[1]))
+        arrays[tag] = (ids, pixels, depths)
+    if faults:
+        raise min(faults, key=lambda exc: exc.line)
+    if malformed is not None:
+        raise malformed
+    try:
+        return FrameData(frame_id, *arrays["P"], *arrays["L"])
+    except ValueError as exc:  # a landmark id that int64 cannot hold
+        raise ParseError(fpath, None, str(exc)) from exc
 
 
 def read_sequence(directory, min_line_len: float = 15.0) -> Sequence:
@@ -279,55 +368,7 @@ def read_sequence(directory, min_line_len: float = 15.0) -> Sequence:
         fpath = frames_dir / f"{frame_id:06d}.txt"
         if not fpath.exists():
             raise ParseError(fpath, None, f"missing frame file for frame {frame_id}")
-        points: list[PointMeasurement] = []
-        lines: list[LineMeasurement] = []
-        point_ids: set[int] = set()
-        line_ids: set[int] = set()
-        for lineno, tokens in _iter_records(fpath):
-            tag = tokens[0]
-            if tag == "P":
-                _expect(tokens, 5, fpath, lineno)
-                pid = _parse_int(tokens[1], fpath, lineno, "landmark id")
-                if pid not in gt_points:
-                    raise ParseError(fpath, lineno, f"dangling landmark_id {pid}")
-                if pid in point_ids:
-                    raise ParseError(fpath, lineno, f"point landmark_id {pid} repeats in the frame")
-                vals = [_parse_float(t, fpath, lineno, "measurement value") for t in tokens[2:]]
-                try:
-                    pm = PointMeasurement(pid, np.array(vals[:2]), vals[2])
-                except GeometryError as exc:
-                    raise ParseError(fpath, lineno, str(exc)) from exc
-                if not _in_image(intr, vals[0], vals[1]):
-                    raise ParseError(fpath, lineno, "pixel outside the image")
-                point_ids.add(pid)
-                points.append(pm)
-            elif tag == "L":
-                _expect(tokens, 8, fpath, lineno)
-                lid = _parse_int(tokens[1], fpath, lineno, "landmark id")
-                if lid not in gt_lines:
-                    raise ParseError(fpath, lineno, f"dangling landmark_id {lid}")
-                if lid in line_ids:
-                    raise ParseError(fpath, lineno, f"line landmark_id {lid} repeats in the frame")
-                vals = [_parse_float(t, fpath, lineno, "measurement value") for t in tokens[2:]]
-                try:
-                    lm = LineMeasurement(
-                        lid,
-                        PointMeasurement(lid, np.array(vals[0:2]), vals[2]),
-                        PointMeasurement(lid, np.array(vals[3:5]), vals[5]),
-                    )
-                except GeometryError as exc:
-                    raise ParseError(fpath, lineno, str(exc)) from exc
-                if not (_in_image(intr, vals[0], vals[1]) and _in_image(intr, vals[3], vals[4])):
-                    raise ParseError(fpath, lineno, "endpoint pixel outside the image")
-                if lm.length() < min_line_len:
-                    raise ParseError(
-                        fpath, lineno, f"line shorter than min_line_len={min_line_len}"
-                    )
-                line_ids.add(lid)
-                lines.append(lm)
-            else:
-                raise ParseError(fpath, lineno, f"unknown record tag {tag!r}")
-        frames.append(FrameData(frame_id, points, lines))
+        frames.append(_read_frame(fpath, frame_id, intr, gt_points, gt_lines, min_line_len))
 
     seq = Sequence(
         intrinsics=intr,
@@ -367,17 +408,17 @@ def compute_stats(seq: Sequence) -> list[FrameStats]:
     """Count features and occupied 10x10 px cells per frame.
 
     Only point positions and line endpoints occupy cells; line interiors
-    do not. Cell index is (floor(x/10), floor(y/10)).
+    do not. Cell index is (floor(x/10), floor(y/10)); each cell gets one
+    integer code per frame, and the distinct codes are counted.
     """
     out = []
     for f in seq.frames:
-        cells = set()
-        for pm in f.points:
-            cells.add((int(pm.u[0] // CELL_SIZE), int(pm.u[1] // CELL_SIZE)))
-        for lm in f.lines:
-            for u in (lm.start.u, lm.end.u):
-                cells.add((int(u[0] // CELL_SIZE), int(u[1] // CELL_SIZE)))
-        out.append(FrameStats(f.frame_id, len(f.points), len(f.lines), len(cells)))
+        cells = (np.concatenate([f.point_pixels, f.line_pixels.reshape(-1, 2)])
+                 // CELL_SIZE).astype(np.int64)
+        rows = cells[:, 1].max(initial=0) - cells[:, 1].min(initial=0) + 1
+        codes = cells[:, 0] * rows + cells[:, 1]
+        out.append(FrameStats(f.frame_id, len(f.point_ids), len(f.line_ids),
+                              len(np.unique(codes))))
     return out
 
 

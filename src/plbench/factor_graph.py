@@ -429,17 +429,13 @@ def build_covisibility_graph(
         graph.lines[lid] = LineVertex(n / s, d / s)
 
     for f in seq.frames:
-        for pm in f.points:
-            if pm.landmark_id in graph.points:
-                graph.point_factors.append(
-                    PointFactor(f.frame_id, pm.landmark_id, pm.u.copy(), weight)
-                )
-        for lm in f.lines:
-            if lm.landmark_id in graph.lines:
+        for pid, u in zip(f.point_ids.tolist(), f.point_pixels):
+            if pid in graph.points:
+                graph.point_factors.append(PointFactor(f.frame_id, pid, u.copy(), weight))
+        for lid, (u_s, u_e) in zip(f.line_ids.tolist(), f.line_pixels):
+            if lid in graph.lines:
                 graph.line_factors.append(
-                    LineFactor(
-                        f.frame_id, lm.landmark_id, lm.start.u.copy(), lm.end.u.copy(), weight
-                    )
+                    LineFactor(f.frame_id, lid, u_s.copy(), u_e.copy(), weight)
                 )
     graph.check()
     return graph

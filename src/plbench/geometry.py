@@ -437,7 +437,7 @@ class LineMeasurement:
             raise GeometryError("line measurement endpoints coincide")
 
     def length(self) -> float:
-        return float(np.linalg.norm(self.end.u - self.start.u))
+        return float(row_norms((self.end.u - self.start.u)[None])[0])
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,14 @@ per world axis). Observations are exact re-projections filtered by a
 depth window, the image bounds and ray/box occlusion; measurements are
 observations corrupted by pixel noise and a disparity-based depth noise.
 
+Frames are arrays, not measurement objects: a ``FrameData`` holds its point
+ids, pixels and depths and its line ids, endpoint pixels and endpoint
+depths as read-only arrays, one row per measurement in ascending landmark
+id. The renderer, the noise model, the writer and reader in
+``dataset_io``, the trackers and the graph builder all work on these
+arrays; ``FrameData.points``/``.lines`` build measurement records from
+them for callers that want one object per measurement.
+
 Determinism: all sampling comes from a counter-based 64-bit Philox stream
 (Gaussians via numpy's ziggurat). Within one build, identical specs and
 seeds give byte-identical sequences. Each frame with noise enabled takes
@@ -34,6 +42,7 @@ from .geometry import (
     PointLandmark,
     PointMeasurement,
     Pose,
+    row_norms,
 )
 
 
@@ -420,24 +429,10 @@ def occluded(center, targets, boxes) -> np.ndarray:
     return np.any(t_exit - t_enter > 1e-9, axis=0)
 
 
-@dataclass
-class FrameObservations:
-    """Exact (noise-free) visible observations of one frame."""
-
-    points: list[PointMeasurement]
-    lines: list[LineMeasurement]
-
-
 def _stacked_matvec(M, V) -> np.ndarray:
     """M @ v for every row v of V (n, 3); bit-identical to one ``M @ v``
     per row, which ``V @ M.T`` is not."""
     return (np.broadcast_to(M, (len(V), 3, 3)) @ V[:, :, None])[:, :, 0]
-
-
-def _lengths(V) -> np.ndarray:
-    """Euclidean norm of every row of V (n, 2); bit-identical to
-    ``np.linalg.norm`` per row, which the elementwise formula is not."""
-    return np.sqrt((V[:, None, :] @ V[:, :, None])[:, 0, 0])
 
 
 def _line_pixels(P_c, intr: CameraIntrinsics) -> np.ndarray:
@@ -511,8 +506,10 @@ def render_frame(
     pose: Pose,
     intr: CameraIntrinsics,
     cfg: RenderConfig = RenderConfig(),
-) -> FrameObservations:
-    """Exact observations of the scene from one pose.
+    frame_id: int = 0,
+) -> FrameData:
+    """Exact observations of the scene from one pose, as frame ``frame_id``
+    with its rows in ascending landmark id.
 
     A point is observed when its depth lies in [z_near, z_far], its
     projection falls inside the image and no box interior blocks the ray.
@@ -524,8 +521,11 @@ def render_frame(
     """
     R = pose.rotation()
     cam_center = pose.center()
-    obs_points: list[PointMeasurement] = []
-    obs_lines: list[LineMeasurement] = []
+    point_ids = np.array([p.id for p in scene.points], dtype=np.int64)
+    line_ids = np.array([line.id for line in scene.lines], dtype=np.int64)
+    seen_points = seen_lines = np.empty(0, dtype=np.intp)
+    u, z = np.empty((0, 2)), np.empty(0)
+    pixels, depths = np.empty((0, 2, 2)), np.empty((0, 2))
 
     if scene.points:
         P_w = np.array([p.position for p in scene.points])
@@ -540,9 +540,7 @@ def render_frame(
         ok &= intr.contains(u)
         if np.any(ok):
             idx = np.nonzero(ok)[0]
-            occ = occluded(cam_center, P_w[idx], scene.boxes)
-            for i in idx[~occ]:
-                obs_points.append(PointMeasurement(scene.points[i].id, u[i], float(z[i])))
+            seen_points = idx[~occluded(cam_center, P_w[idx], scene.boxes)]
 
     if scene.lines:
         E = np.array([line.endpoints for line in scene.lines])  # (L, 2, 3)
@@ -550,22 +548,16 @@ def render_frame(
         B_c = _stacked_matvec(R, E[:, 1]) + pose.t
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             ok, pixels, depths, ends = _clip_lines(A_c, B_c, intr, cfg)
-            ok &= ~(_lengths(pixels[:, 1] - pixels[:, 0]) < cfg.min_line_len)
+            ok &= ~(row_norms(pixels[:, 1] - pixels[:, 0]) < cfg.min_line_len)
         idx = np.nonzero(ok)[0]
         if len(idx):
             ends_w = _stacked_matvec(R.T, ends[idx].reshape(-1, 3) - pose.t)
             occ = occluded(cam_center, ends_w, scene.boxes)
-            for i in idx[~occ.reshape(-1, 2).any(axis=1)]:
-                lid = scene.lines[i].id
-                obs_lines.append(
-                    LineMeasurement(
-                        lid,
-                        PointMeasurement(lid, pixels[i, 0], depths[i, 0]),
-                        PointMeasurement(lid, pixels[i, 1], depths[i, 1]),
-                    )
-                )
+            seen_lines = idx[~occ.reshape(-1, 2).any(axis=1)]
 
-    return FrameObservations(obs_points, obs_lines)
+    p = seen_points[np.argsort(point_ids[seen_points], kind="stable")]
+    q = seen_lines[np.argsort(line_ids[seen_lines], kind="stable")]
+    return FrameData(frame_id, point_ids[p], u[p], z[p], line_ids[q], pixels[q], depths[q])
 
 
 # ---------------------------------------------------------------------------
@@ -616,11 +608,120 @@ def perturb_depth(d_hat: float, sigma_d: float, m_const: float, rng) -> float | 
 # sequences
 
 
-@dataclass
+def _frozen(a, dtype, shape, name: str) -> np.ndarray:
+    """A read-only ``dtype`` copy of ``a``, which must have ``shape`` or be
+    empty, and hold values that ``dtype`` represents exactly."""
+    a = np.asarray(a)
+    if a.size == 0:
+        a = a.reshape(shape)
+    if a.shape != shape or (a.size and not np.can_cast(a.dtype, dtype)):
+        raise ValueError(f"{name} must be {np.dtype(dtype)} of shape {shape}, "
+                         f"got {a.dtype} of shape {a.shape}")
+    a = a.astype(dtype)
+    a.flags.writeable = False
+    return a
+
+
+def _point_faults(pixels, depths):
+    """The checks on point rows (pixels (n, 2), depths (n,)), in the
+    order they apply to a row, as (failing rows, message) pairs."""
+    return [
+        (~np.isfinite(pixels).all(axis=1) | ~np.isfinite(depths), "measurement must be finite"),
+        (~(depths > 0), "nonpositive depth"),
+    ]
+
+
+def _line_faults(pixels, depths):
+    """``_point_faults`` for line rows (pixels (m, 2, 2), depths (m, 2)),
+    then distinct endpoints."""
+    return [
+        (~np.isfinite(pixels).all(axis=(1, 2)) | ~np.isfinite(depths).all(axis=1),
+         "measurement must be finite"),
+        (~(depths > 0).all(axis=1), "nonpositive depth"),
+        ((pixels[:, 0] == pixels[:, 1]).all(axis=1), "line measurement endpoints coincide"),
+    ]
+
+
+def _first_fault(faults) -> tuple[int, str] | None:
+    """(row, message) for the first row failing any of ``faults``, a list
+    of (failing rows (n,), message or row -> message) in the order the
+    checks apply to one row; the message is that of the first check the
+    row fails. None when every row passes."""
+    masks = np.array([mask for mask, _ in faults])
+    bad = masks.any(axis=0)
+    if not bad.any():
+        return None
+    row = int(np.argmax(bad))
+    message = faults[int(np.argmax(masks[:, row]))][1]
+    return row, message(row) if callable(message) else message
+
+
+@dataclass(frozen=True, eq=False)
 class FrameData:
+    """One frame's measurements as read-only arrays, one row per
+    measurement, in ascending landmark id for generated frames:
+
+      point_ids (n,) int64, point_pixels (n, 2) px, point_depths (n,) meters;
+      line_ids (m,) int64, line_pixels (m, 2, 2) start and end pixel,
+      line_depths (m, 2) start and end depth.
+
+    Construction copies the arrays and checks them once: their shapes,
+    finite values, positive depths and distinct line endpoints
+    (GeometryError), and no landmark id twice among the points or among
+    the lines (ValueError). Image bounds, landmark ids and line lengths
+    need the sequence and are checked by ``Sequence.validate``.
+    """
+
     frame_id: int
-    points: list[PointMeasurement]
-    lines: list[LineMeasurement]
+    point_ids: np.ndarray
+    point_pixels: np.ndarray
+    point_depths: np.ndarray
+    line_ids: np.ndarray
+    line_pixels: np.ndarray
+    line_depths: np.ndarray
+
+    def __post_init__(self):
+        n, m = len(self.point_ids), len(self.line_ids)
+        for name, dtype, shape in (
+            ("point_ids", np.int64, (n,)),
+            ("point_pixels", float, (n, 2)),
+            ("point_depths", float, (n,)),
+            ("line_ids", np.int64, (m,)),
+            ("line_pixels", float, (m, 2, 2)),
+            ("line_depths", float, (m, 2)),
+        ):
+            object.__setattr__(self, name, _frozen(getattr(self, name), dtype, shape, name))
+        for kind, ids, faults in (
+            ("point", self.point_ids, _point_faults(self.point_pixels, self.point_depths)),
+            ("line", self.line_ids, _line_faults(self.line_pixels, self.line_depths)),
+        ):
+            fault = _first_fault(faults)
+            if fault is not None:
+                raise GeometryError(fault[1])
+            ids = np.sort(ids)
+            repeats = ids[1:][ids[1:] == ids[:-1]]
+            if len(repeats):
+                raise ValueError(
+                    f"{kind} landmark id {repeats[0]} repeats in frame {self.frame_id}"
+                )
+
+    @property
+    def points(self) -> list[PointMeasurement]:
+        """The point rows as measurement records, built on each access."""
+        return [
+            PointMeasurement(i, u, d)
+            for i, u, d in zip(self.point_ids.tolist(), self.point_pixels,
+                               self.point_depths.tolist())
+        ]
+
+    @property
+    def lines(self) -> list[LineMeasurement]:
+        """The line rows as measurement records, built on each access."""
+        return [
+            LineMeasurement(i, PointMeasurement(i, u[0], d[0]), PointMeasurement(i, u[1], d[1]))
+            for i, u, d in zip(self.line_ids.tolist(), self.line_pixels,
+                               self.line_depths.tolist())
+        ]
 
 
 @dataclass
@@ -645,36 +746,25 @@ class Sequence:
     report: GenerationReport | None = None
 
     def validate(self, min_line_len: float = 0.0) -> None:
+        """Check every frame against the calibration and the landmark
+        tables (each error names the frame), and the parallel groups."""
         if len(self.frames) != len(self.gt_trajectory):
             raise ValueError("frame count does not match trajectory length")
+        known_points = np.array(list(self.gt_points), dtype=np.int64)
+        known_lines = np.array(list(self.gt_lines), dtype=np.int64)
         for f in self.frames:
-            # a landmark is observed at most once per frame
-            seen = set()
-            inside = self.intrinsics.contains(np.array([pm.u for pm in f.points]).reshape(-1, 2))
-            for pm, ok in zip(f.points, inside):
-                if pm.landmark_id not in self.gt_points:
-                    raise ValueError(f"dangling point landmark id {pm.landmark_id}")
-                if pm.landmark_id in seen:
-                    raise ValueError(
-                        f"point landmark id {pm.landmark_id} repeats in frame {f.frame_id}"
-                    )
-                seen.add(pm.landmark_id)
-                if not ok:
-                    raise ValueError("point measurement outside the image")
-            seen = set()
-            ends = np.array([(lm.start.u, lm.end.u) for lm in f.lines]).reshape(-1, 2, 2)
-            for lm, ok in zip(f.lines, self.intrinsics.contains(ends).all(axis=1)):
-                if lm.landmark_id not in self.gt_lines:
-                    raise ValueError(f"dangling line landmark id {lm.landmark_id}")
-                if lm.landmark_id in seen:
-                    raise ValueError(
-                        f"line landmark id {lm.landmark_id} repeats in frame {f.frame_id}"
-                    )
-                seen.add(lm.landmark_id)
-                if not ok:
-                    raise ValueError("line measurement outside the image")
-                if lm.length() < min_line_len:
-                    raise ValueError("line measurement shorter than min_line_len")
+            pid, lid, ends = f.point_ids, f.line_ids, f.line_pixels
+            for faults in (
+                [(~np.isin(pid, known_points), lambda r: f"dangling point landmark id {pid[r]}"),
+                 (~self.intrinsics.contains(f.point_pixels), "point measurement outside the image")],
+                [(~np.isin(lid, known_lines), lambda r: f"dangling line landmark id {lid[r]}"),
+                 (~self.intrinsics.contains(ends).all(axis=1), "line measurement outside the image"),
+                 (row_norms(ends[:, 1] - ends[:, 0]) < min_line_len,
+                  "line measurement shorter than min_line_len")],
+            ):
+                fault = _first_fault(faults)
+                if fault is not None:
+                    raise ValueError(f"{fault[1]} in frame {f.frame_id}")
         for gid, ids in self.parallel_groups.items():
             dirs = []
             for lid in ids:
@@ -687,61 +777,53 @@ class Sequence:
                     raise ValueError(f"parallel group {gid} members disagree in direction")
 
     def point_tracks(self) -> dict[int, list[int]]:
-        tracks: dict[int, list[int]] = {}
-        for f in self.frames:
-            for pm in f.points:
-                tracks.setdefault(pm.landmark_id, []).append(f.frame_id)
-        return tracks
+        return self._tracks("point_ids")
 
     def line_tracks(self) -> dict[int, list[int]]:
+        return self._tracks("line_ids")
+
+    def _tracks(self, ids: str) -> dict[int, list[int]]:
+        """Landmark id -> the frames observing it, in frame order."""
         tracks: dict[int, list[int]] = {}
         for f in self.frames:
-            for lm in f.lines:
-                tracks.setdefault(lm.landmark_id, []).append(f.frame_id)
+            for lid in getattr(f, ids).tolist():
+                tracks.setdefault(lid, []).append(f.frame_id)
         return tracks
 
 
-def _add_noise(pts, lns, noise: NoiseParams, intr, cfg: RenderConfig, rng, report):
-    """Noisy copies of one frame's exact observations, from one block of
+def _add_noise(frame: FrameData, noise: NoiseParams, intr, cfg: RenderConfig, rng, report):
+    """The noisy copy of one frame's exact observations, from one block of
     draws: (x, y, depth) per point, then (sx, sy, sd, ex, ey, ed) per line.
     Measurements the noise moves out of the image, out of positive depth
     or below min_line_len are dropped and counted in ``report``."""
     s, sd = noise.sigma_s, noise.sigma_d
-    a = gaussian_noise(
-        rng, np.concatenate([np.tile([s, s, sd], len(pts)), np.tile([s, s, sd] * 2, len(lns))])
-    )
-    P = np.array([[*pm.u, pm.d] for pm in pts]).reshape(-1, 3) + a[: 3 * len(pts)].reshape(-1, 3)
-    L = np.array([[*lm.start.u, lm.start.d, *lm.end.u, lm.end.d] for lm in lns]).reshape(-1, 6)
-    L += a[3 * len(pts):].reshape(-1, 6)
+    n, m = len(frame.point_ids), len(frame.line_ids)
+    a = gaussian_noise(rng, np.concatenate([np.tile([s, s, sd], n), np.tile([s, s, sd] * 2, m)]))
+    P = np.column_stack([frame.point_pixels, frame.point_depths]) + a[: 3 * n].reshape(-1, 3)
+    ends, ends_d = frame.line_pixels, frame.line_depths
+    L = np.column_stack([ends[:, 0], ends_d[:, 0], ends[:, 1], ends_d[:, 1]])
+    L += a[3 * n:].reshape(-1, 6)
 
     d = _disparity_depth(P[:, 2], noise.m)
-    keep = ~np.isnan(d) & intr.contains(P[:, :2])
-    report.dropped_points += int(np.count_nonzero(~keep))
-    noisy_pts = [
-        PointMeasurement(pts[i].landmark_id, P[i, :2], d[i]) for i in np.nonzero(keep)[0]
-    ]
+    keep_p = ~np.isnan(d) & intr.contains(P[:, :2])
+    report.dropped_points += int(np.count_nonzero(~keep_p))
 
     d_s = _disparity_depth(L[:, 2], noise.m)
     d_e = _disparity_depth(L[:, 5], noise.m)
-    keep = (
+    keep_l = (
         ~np.isnan(d_s)
         & ~np.isnan(d_e)
         & intr.contains(L[:, 0:2])
         & intr.contains(L[:, 3:5])
-        & ~(_lengths(L[:, 3:5] - L[:, 0:2]) < cfg.min_line_len)
+        & ~(row_norms(L[:, 3:5] - L[:, 0:2]) < cfg.min_line_len)
     )
-    report.dropped_lines += int(np.count_nonzero(~keep))
-    noisy_lns = []
-    for i in np.nonzero(keep)[0]:
-        lid = lns[i].landmark_id
-        noisy_lns.append(
-            LineMeasurement(
-                lid,
-                PointMeasurement(lid, L[i, 0:2], d_s[i]),
-                PointMeasurement(lid, L[i, 3:5], d_e[i]),
-            )
-        )
-    return noisy_pts, noisy_lns
+    report.dropped_lines += int(np.count_nonzero(~keep_l))
+    return FrameData(
+        frame.frame_id,
+        frame.point_ids[keep_p], P[keep_p, :2], d[keep_p],
+        frame.line_ids[keep_l], L[keep_l][:, [0, 1, 3, 4]].reshape(-1, 2, 2),
+        np.column_stack([d_s, d_e])[keep_l],
+    )
 
 
 def generate_sequence(
@@ -768,14 +850,12 @@ def generate_sequence(
     report = GenerationReport()
     frames: list[FrameData] = []
     for frame_id, pose in enumerate(trajectory):
-        obs = render_frame(scene, pose, intr, cfg)
-        pts = sorted(obs.points, key=lambda p: p.landmark_id)
-        lns = sorted(obs.lines, key=lambda l: l.landmark_id)
+        frame = render_frame(scene, pose, intr, cfg, frame_id)
         if noise.enabled:
-            pts, lns = _add_noise(pts, lns, noise, intr, cfg, rng, report)
-        if not pts and not lns:
+            frame = _add_noise(frame, noise, intr, cfg, rng, report)
+        if not (len(frame.point_ids) or len(frame.line_ids)):
             report.empty_frames.append(frame_id)
-        frames.append(FrameData(frame_id, pts, lns))
+        frames.append(frame)
 
     return Sequence(
         intrinsics=intr,

@@ -441,15 +441,6 @@ def _refit_line(samples: np.ndarray) -> np.ndarray:
 # trackers
 
 
-def _point_arrays(frame):
-    """A frame's point measurements as (landmark ids, pixels (n, 2),
-    depths (n,))."""
-    ids = [pm.landmark_id for pm in frame.points]
-    u = np.array([pm.u for pm in frame.points]).reshape(-1, 2)
-    d = np.array([pm.d for pm in frame.points], dtype=float)
-    return ids, u, d
-
-
 def _transform_blocks(T: Pose, V) -> np.ndarray:
     """``T.transform`` of every block V[i] (k, 3) of V (n, k, 3) in one
     stacked product, bit-identical to one ``T.transform(V[i])`` per block.
@@ -465,18 +456,16 @@ def track_frame_to_frame(seq: Sequence) -> list[Pose]:
     The first pose is anchored to ground truth (gauge fixing).
     """
     traj = [seq.gt_trajectory[0]]
-    ids_prev, u_prev, d_prev = _point_arrays(seq.frames[0])
     for j in range(1, len(seq.frames)):
-        ids, u, d = _point_arrays(seq.frames[j])
-        index = {lid: i for i, lid in enumerate(ids_prev)}
-        shared = [(index[lid], i) for i, lid in enumerate(ids) if lid in index]
+        prev, frame = seq.frames[j - 1], seq.frames[j]
+        index = {lid: i for i, lid in enumerate(prev.point_ids.tolist())}
+        shared = [(index[lid], i) for i, lid in enumerate(frame.point_ids.tolist()) if lid in index]
         if len(shared) < 4:
             raise TrackingLostError(j, f"only {len(shared)} shared landmarks")
         a, b = np.array(shared).T
-        P_prev = backproject(u_prev[a], d_prev[a], seq.intrinsics)
-        rel = solve_pnp(P_prev, u[b], seq.intrinsics).pose
+        P_prev = backproject(prev.point_pixels[a], prev.point_depths[a], seq.intrinsics)
+        rel = solve_pnp(P_prev, frame.point_pixels[b], seq.intrinsics).pose
         traj.append(rel.compose(traj[j - 1]))
-        ids_prev, u_prev, d_prev = ids, u, d
     return traj
 
 
@@ -501,7 +490,7 @@ def track_map_to_frame(
     sparse_map = SparseMap()
     traj: list[Pose] = []
     for j, frame in enumerate(seq.frames):
-        ids, u, d = _point_arrays(frame)
+        ids, u = frame.point_ids.tolist(), frame.point_pixels
         if j == 0:
             T = seq.gt_trajectory[0]
         else:
@@ -515,14 +504,12 @@ def track_map_to_frame(
         # fuse the frame: every point and every line endpoint back-projected
         # and moved to the world in one batch each
         T_inv = T.inverse()
-        P_c = backproject(u, d, intr)
+        P_c = backproject(u, frame.point_depths, intr)
         sparse_map.fuse_points(_transform_blocks(T_inv, P_c[:, None, :])[:, 0, :], ids,
                                radius_thresh=radius_thresh)
-        ends_u = np.array([(lm.start.u, lm.end.u) for lm in frame.lines]).reshape(-1, 2)
-        ends_d = np.array([(lm.start.d, lm.end.d) for lm in frame.lines], dtype=float)
-        ends_c = backproject(ends_u, ends_d.reshape(-1), intr).reshape(-1, 2, 3)
-        sparse_map.fuse_lines(_transform_blocks(T_inv, ends_c),
-                              [lm.landmark_id for lm in frame.lines],
+        ends_c = backproject(frame.line_pixels.reshape(-1, 2), frame.line_depths.reshape(-1),
+                             intr).reshape(-1, 2, 3)
+        sparse_map.fuse_lines(_transform_blocks(T_inv, ends_c), frame.line_ids.tolist(),
                               angle_thresh_deg=angle_thresh_deg, dist_thresh=dist_thresh)
 
     return traj, sparse_map

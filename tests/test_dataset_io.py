@@ -30,6 +30,7 @@ from plbench.simulator import (
     generate_sequence,
     load_preset,
 )
+from plbench.tracking import track_frame_to_frame, track_map_to_frame
 
 K = CameraIntrinsics(460.0, 460.0, 320.0, 240.0, 640, 480)
 
@@ -98,9 +99,22 @@ def write_toy_sequence_dir(tmp_path, frame_rows):
     return d
 
 
-def test_parse_error_nonpositive_depth(tmp_path):
-    d = write_toy_sequence_dir(tmp_path, "P 7 10.0 20.0 -1.0\n")
-    with pytest.raises(ParseError, match="nonpositive depth"):
+@pytest.mark.parametrize(
+    "rows, match",
+    [
+        pytest.param("P 7 10.0 20.0 -1.0\n", "nonpositive depth", id="depth"),
+        # a bad value on the third line, after a comment and a good record
+        pytest.param("# header\nP 7 10.0 20.0 1.0\nL 3 10.0 20.0 1.0 40.0 20.0 -1.0\n",
+                     "000000.txt:3: nonpositive depth", id="end-depth-line-3"),
+        pytest.param("# header\nP 7 10.0 20.0 1.0\nL 3 10.0 20.0 1.0 4O.0 20.0 1.0\n",
+                     "000000.txt:3: bad measurement value: '4O.0'", id="bad-float-line-3"),
+        pytest.param("# header\nL 3 10.0 20.0 1.0 40.0 20.0 1.0\nP 7 10.0 inf 1.0\n",
+                     "000000.txt:3: nonfinite measurement value: 'inf'", id="nonfinite-line-3"),
+    ],
+)
+def test_parse_error_nonpositive_depth(tmp_path, rows, match):
+    d = write_toy_sequence_dir(tmp_path, rows)
+    with pytest.raises(ParseError, match=match):
         read_sequence(d)
 
 
@@ -288,8 +302,18 @@ def pm(pid, x, y, d=1.0):
     return PointMeasurement(pid, np.array([x, y]), d)
 
 
+def pack(frame_id, points, lines):
+    """FrameData holding the given measurement records as arrays."""
+    return FrameData(
+        frame_id,
+        [p.landmark_id for p in points], [p.u for p in points], [p.d for p in points],
+        [l.landmark_id for l in lines], [(l.start.u, l.end.u) for l in lines],
+        [(l.start.d, l.end.d) for l in lines],
+    )
+
+
 def test_stats_single_point():
-    seq = frame_sequence([FrameData(0, [pm(0, 5.0, 5.0)], [])])
+    seq = frame_sequence([pack(0, [pm(0, 5.0, 5.0)], [])])
     s = compute_stats(seq)[0]
     assert (s.num_points, s.num_lines, s.occupied_cells) == (1, 0, 1)
 
@@ -297,18 +321,18 @@ def test_stats_single_point():
 def test_stats_line_endpoints_only():
     # interior pixels of the segment do not occupy cells
     line = LineMeasurement(0, pm(0, 5.0, 5.0), pm(0, 95.0, 5.0))
-    seq = frame_sequence([FrameData(0, [], [line])])
+    seq = frame_sequence([pack(0, [], [line])])
     s = compute_stats(seq)[0]
     assert (s.num_points, s.num_lines, s.occupied_cells) == (0, 1, 2)
 
 
 def test_stats_shared_cell():
-    seq = frame_sequence([FrameData(0, [pm(0, 3.0, 3.0), pm(1, 9.0, 9.0)], [])])
+    seq = frame_sequence([pack(0, [pm(0, 3.0, 3.0), pm(1, 9.0, 9.0)], [])])
     assert compute_stats(seq)[0].occupied_cells == 1
 
 
 def test_stats_boundary_pixels_belong_to_next_cell():
-    seq = frame_sequence([FrameData(0, [pm(0, 9.999, 5.0), pm(1, 10.0, 5.0)], [])])
+    seq = frame_sequence([pack(0, [pm(0, 9.999, 5.0), pm(1, 10.0, 5.0)], [])])
     assert compute_stats(seq)[0].occupied_cells == 2
 
 
@@ -344,7 +368,7 @@ def test_stats_match_grid_oracle_on_random_frames():
             if np.linalg.norm(a - b) < 1.0:
                 continue
             lns.append(LineMeasurement(j, PointMeasurement(j, a, 1.0), PointMeasurement(j, b, 1.0)))
-        frames.append(FrameData(i, pts, lns))
+        frames.append(pack(i, pts, lns))
     seq = frame_sequence(frames)
     stats = compute_stats(seq)
     for f, s in zip(frames, stats):
@@ -361,6 +385,28 @@ def test_stats_csv(tmp_path, small_sequence):
     first = rows[1].split(",")
     assert int(first[0]) == stats[0].frame_id
     assert int(first[3]) == stats[0].occupied_cells
+
+
+# ---------------------------------------------------------------------------
+# the pipeline works on the frame arrays
+
+
+def test_pipeline_never_builds_measurement_records(tmp_path, monkeypatch):
+    def refuse(frame):
+        raise AssertionError("measurement records built from frame arrays")
+
+    monkeypatch.setattr(FrameData, "points", property(refuse))
+    monkeypatch.setattr(FrameData, "lines", property(refuse))
+    cfg = load_preset("box")
+    seq = generate_sequence(build_scene(cfg.scene), build_trajectory(cfg.trajectory)[:8],
+                            cfg.noise, cfg.intrinsics, cfg.render)
+    write_sequence(seq, tmp_path / "seq")
+    back = read_sequence(tmp_path / "seq", cfg.render.min_line_len)
+    traj, smap = track_map_to_frame(back)
+    track_frame_to_frame(back)
+    graph = build_covisibility_graph(back, traj, smap, cfg.noise.sigma_s)
+    assert graph.point_factors and graph.line_factors
+    assert len(compute_stats(back)) == 8
 
 
 # ---------------------------------------------------------------------------

@@ -327,9 +327,17 @@ class ToyMap:
         return self._lines
 
 
+def pack(frame_id, points):
+    """FrameData holding the given point measurement records as arrays."""
+    from plbench.simulator import FrameData
+
+    return FrameData(frame_id, [p.landmark_id for p in points], [p.u for p in points],
+                     [p.d for p in points], [], [], [])
+
+
 def toy_sequence(n_frames=2):
     from plbench.geometry import PointLandmark, PointMeasurement
-    from plbench.simulator import FrameData, Sequence
+    from plbench.simulator import Sequence
 
     P = np.array([0.2, -0.1, 3.0])
     traj = [Pose.identity()]
@@ -339,7 +347,7 @@ def toy_sequence(n_frames=2):
     for i, T in enumerate(traj):
         P_c = T.transform(P)
         u = np.array([K.fx * P_c[0] / P_c[2] + K.cx, K.fy * P_c[1] / P_c[2] + K.cy])
-        frames.append(FrameData(i, [PointMeasurement(0, u, float(P_c[2]))], []))
+        frames.append(pack(i, [PointMeasurement(0, u, float(P_c[2]))]))
     return Sequence(
         intrinsics=K,
         gt_trajectory=traj,
@@ -364,14 +372,13 @@ def test_build_graph_minimal_counts():
 
 def test_build_graph_excludes_single_observation_landmarks():
     from plbench.geometry import PointLandmark, PointMeasurement
-    from plbench.simulator import FrameData, Sequence
 
     seq = toy_sequence(2)
     # landmark 1 appears only in frame 0
     P1 = np.array([0.5, 0.4, 4.0])
     seq.gt_points[1] = PointLandmark(1, P1)
     u = np.array([K.fx * P1[0] / P1[2] + K.cx, K.fy * P1[1] / P1[2] + K.cy])
-    seq.frames[0].points.append(PointMeasurement(1, u, float(P1[2])))
+    seq.frames[0] = pack(0, seq.frames[0].points + [PointMeasurement(1, u, float(P1[2]))])
     graph = build_covisibility_graph(
         seq, seq.gt_trajectory, ToyMap(points={0: np.array([0.2, -0.1, 3.0]), 1: P1})
     )

@@ -1,13 +1,23 @@
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
 from plbench.dataset_io import write_sequence
-from plbench.geometry import CameraIntrinsics, LineLandmark, PointLandmark, Pose
+from plbench.geometry import (
+    CameraIntrinsics,
+    GeometryError,
+    LineLandmark,
+    LineMeasurement,
+    PointLandmark,
+    PointMeasurement,
+    Pose,
+)
 from plbench.simulator import (
     Box,
     ConfigError,
+    FrameData,
     NoiseParams,
     RenderConfig,
     Scene,
@@ -509,15 +519,74 @@ def test_tracks_reference_distinct_existing_frames():
             assert set(fid_list) <= frame_ids
 
 
-@pytest.mark.parametrize("kind", ["points", "lines"])
-def test_validate_rejects_landmark_repeated_in_a_frame(kind):
+def test_frame_data_holds_checked_read_only_arrays():
+    frame = FrameData(2, [4, 1], [[1.0, 2.0], [3.0, 4.0]], [1.0, 2.0],
+                      [], [], [])
+    assert frame.line_pixels.shape == (0, 2, 2) and frame.line_depths.shape == (0, 2)
+    with pytest.raises(ValueError, match="read-only"):
+        frame.point_pixels[0, 0] = 0.0
+    with pytest.raises(ValueError, match="point_pixels must be float64 of shape"):
+        FrameData(0, [4], [1.0, 2.0], [1.0], [], [], [])
+    with pytest.raises(ValueError, match="point_ids must be int64"):
+        FrameData(0, [4.5], [[1.0, 2.0]], [1.0], [], [], [])
+    with pytest.raises(GeometryError, match="nonpositive depth"):
+        FrameData(0, [], [], [], [3], [[[1.0, 2.0], [5.0, 2.0]]], [[1.0, 0.0]])
+    with pytest.raises(GeometryError, match="endpoints coincide"):
+        FrameData(0, [], [], [], [3], [[[1.0, 2.0], [1.0, 2.0]]], [[1.0, 1.0]])
+    with pytest.raises(GeometryError, match="finite"):
+        FrameData(0, [4], [[np.nan, 2.0]], [1.0], [], [], [])
+
+
+def pack(frame_id, points, lines):
+    """FrameData holding the given measurement records as arrays."""
+    return FrameData(
+        frame_id,
+        [p.landmark_id for p in points], [p.u for p in points], [p.d for p in points],
+        [l.landmark_id for l in lines], [(l.start.u, l.end.u) for l in lines],
+        [(l.start.d, l.end.d) for l in lines],
+    )
+
+
+def with_fault(record, fault):
+    """The records that replace ``record`` to give it ``fault``."""
+    if fault == "repeat":
+        return [record, record]
+    if fault == "dangling":
+        return [dataclasses.replace(record, landmark_id=999999)]
+    if isinstance(record, PointMeasurement):  # outside
+        return [PointMeasurement(record.landmark_id, [-1.0, record.u[1]], record.d)]
+    u = [-1.0, record.end.u[1]] if fault == "outside" else record.start.u + 1.0
+    end = PointMeasurement(record.landmark_id, u, record.end.d)
+    return [LineMeasurement(record.landmark_id, record.start, end)]
+
+
+@pytest.mark.parametrize(
+    "kind, fault, match",
+    [
+        pytest.param("points", "repeat", "repeats in frame 1", id="points"),
+        pytest.param("lines", "repeat", "repeats in frame 1", id="lines"),
+        pytest.param("points", "dangling", "dangling point landmark id 999999 in frame 1",
+                     id="points-dangling"),
+        pytest.param("lines", "dangling", "dangling line landmark id 999999 in frame 1",
+                     id="lines-dangling"),
+        pytest.param("points", "outside", "point measurement outside the image in frame 1",
+                     id="points-outside"),
+        pytest.param("lines", "outside", "line measurement outside the image in frame 1",
+                     id="lines-outside"),
+        pytest.param("lines", "short", "shorter than min_line_len in frame 1", id="lines-short"),
+    ],
+)
+def test_validate_rejects_landmark_repeated_in_a_frame(kind, fault, match):
+    # a repeated id is rejected as the frame is built, the other faults
+    # by validate; every message names the frame
     cfg = load_preset("box")
     traj = build_trajectory(cfg.trajectory)[:2]
     seq = generate_sequence(build_scene(cfg.scene), traj, cfg.noise, cfg.intrinsics, cfg.render)
     seq.validate(cfg.render.min_line_len)
-    records = getattr(seq.frames[1], kind)
-    records.append(records[0])
-    with pytest.raises(ValueError, match="repeats in frame 1"):
+    records = {"points": seq.frames[1].points, "lines": seq.frames[1].lines}
+    records[kind][0:1] = with_fault(records[kind][0], fault)
+    with pytest.raises(ValueError, match=match):
+        seq.frames[1] = pack(1, records["points"], records["lines"])
         seq.validate(cfg.render.min_line_len)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import json
@@ -290,7 +291,10 @@ def test_refine_pose_equals_the_per_try_loop():
 @pytest.mark.parametrize("tracker", [track_frame_to_frame, track_map_to_frame])
 def test_tracking_lost_names_the_failing_frame(tracker):
     seq = noiseless_sequence(6)
-    seq.frames[4].points[3:] = []
+    frame = seq.frames[4]
+    seq.frames[4] = dataclasses.replace(frame, point_ids=frame.point_ids[:3],
+                                        point_pixels=frame.point_pixels[:3],
+                                        point_depths=frame.point_depths[:3])
     with pytest.raises(TrackingLostError) as info:
         tracker(seq)
     assert info.value.frame_id == 4
