@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .factor_graph import FactorGraph, LineFactor, LineVertex, PointFactor
+from .factor_graph import FactorGraph, Factors, LineVertex
 from .geometry import (
     CameraIntrinsics,
     GeometryError,
@@ -94,6 +94,9 @@ def _parse_float(tok: str, path, lineno, what: str) -> float:
     return v
 
 
+_INT64_MAX = 2**63 - 1
+
+
 def _parse_int(tok: str, path, lineno, what: str, minimum: int = 0) -> int:
     try:
         v = int(tok)
@@ -101,6 +104,8 @@ def _parse_int(tok: str, path, lineno, what: str, minimum: int = 0) -> int:
         raise ParseError(path, lineno, f"bad {what}: {tok!r}") from exc
     if v < minimum:
         raise ParseError(path, lineno, f"{what} must be >= {minimum}: {v}")
+    if v > _INT64_MAX:  # ids are held in int64 arrays
+        raise ParseError(path, lineno, f"{what} does not fit in int64: {v}")
     return v
 
 
@@ -303,14 +308,11 @@ def _read_frame(fpath, frame_id, intr, gt_points, gt_lines, min_line_len) -> Fra
         raise min(faults, key=lambda exc: exc.line)
     if malformed is not None:
         raise malformed
-    try:
-        return FrameData(frame_id, *arrays["P"], *arrays["L"])
-    except ValueError as exc:  # a landmark id that int64 cannot hold
-        raise ParseError(fpath, None, str(exc)) from exc
+    return FrameData(frame_id, *arrays["P"], *arrays["L"])
 
 
 def read_sequence(directory, min_line_len: float = 15.0) -> Sequence:
-    """Read a sequence directory, validating every invariant on the way."""
+    """Read a sequence directory, making each check of ``validate`` once."""
     directory = Path(directory)
     intr = _read_calib(directory / "calib.txt")
     traj = read_trajectory(directory / "groundtruth.txt")
@@ -378,8 +380,9 @@ def read_sequence(directory, min_line_len: float = 15.0) -> Sequence:
         gt_lines=gt_lines,
         parallel_groups=parallel_groups,
     )
+    # _read_frame checked the frames and the loop above the group ids
     try:
-        seq.validate(min_line_len=min_line_len)
+        seq.check_parallel_groups()
     except ValueError as exc:
         raise ParseError(directory, None, str(exc)) from exc
     return seq
@@ -441,33 +444,31 @@ def write_graph(graph: FactorGraph, path) -> None:
         "# VERTEX_POINT id X Y Z | VERTEX_LINE id nx ny nz dx dy dz",
         "# EDGE_POINT frame point px py | EDGE_LINE frame line sx sy ex ey | FIX id",
     ]
-    for pid in sorted(graph.poses):
-        T = graph.poses[pid]
-        rows.append(
-            "VERTEX_POSE " + str(pid) + " " + " ".join(_fmt(v) for v in (*T.t, *T.q))
-        )
-    for pid in sorted(graph.points):
-        rows.append(
-            "VERTEX_POINT " + str(pid) + " " + " ".join(_fmt(v) for v in graph.points[pid])
-        )
-    for lid in sorted(graph.lines):
-        v = graph.lines[lid]
-        rows.append(
-            "VERTEX_LINE " + str(lid) + " " + " ".join(_fmt(x) for x in (*v.n, *v.d))
-        )
-    for pid in sorted(graph.fixed):
-        rows.append("FIX " + str(pid))
-    for f in graph.point_factors:
-        rows.append(
-            "EDGE_POINT " + f"{f.frame} {f.point} " + " ".join(_fmt(v) for v in f.u)
-        )
-    for f in graph.line_factors:
-        rows.append(
-            "EDGE_LINE "
-            + f"{f.frame} {f.line} "
-            + " ".join(_fmt(v) for v in (*f.u_start, *f.u_end))
-        )
-    _atomic_write(path, "\n".join(rows) + "\n")
+    rows += ["VERTEX_POSE %d %r %r %r %r %r %r %r" % (i, *T.t.tolist(), *T.q.tolist())
+             for i, T in sorted(graph.poses.items())]
+    rows += ["VERTEX_POINT %d %r %r %r" % (i, *P.tolist()) for i, P in sorted(graph.points.items())]
+    rows += ["VERTEX_LINE %d %r %r %r %r %r %r" % (i, *v.n.tolist(), *v.d.tolist())
+             for i, v in sorted(graph.lines.items())]
+    rows += ["FIX %d" % i for i in sorted(graph.fixed)]
+    text = "\n".join(rows) + "\n"
+    text += _edge_rows("EDGE_POINT", graph.point_factors)
+    text += _edge_rows("EDGE_LINE", graph.line_factors)
+    _atomic_write(path, text)
+
+
+def _edge_rows(tag: str, factors: Factors) -> str:
+    """One ``tag frame landmark pixels...`` line per factor, formatted by a
+    single ``%`` over the columns' Python values: ``%d`` ids, ``%r`` pixels."""
+    n, u = len(factors), factors.u
+    table = np.concatenate([factors.frame[:, None], factors.landmark[:, None],
+                            u.reshape(n, math.prod(u.shape[1:]))], axis=1, dtype=object)
+    row = tag + " %d %d" + " %r" * (table.shape[1] - 2) + "\n"
+    return (row * n) % tuple(table.ravel().tolist())
+
+
+# graph edge tag -> (FactorGraph field, landmark kind, pixel shape per factor)
+_EDGES = {"EDGE_POINT": ("point_factors", "point id", (2,)),
+          "EDGE_LINE": ("line_factors", "line id", (2, 2))}
 
 
 def read_graph(path, intrinsics: CameraIntrinsics, sigma_s: float = 1.0) -> FactorGraph:
@@ -476,6 +477,7 @@ def read_graph(path, intrinsics: CameraIntrinsics, sigma_s: float = 1.0) -> Fact
     1/sigma_s^2, whatever weights the written graph had."""
     graph = FactorGraph(intrinsics=intrinsics)
     weight = 1.0 / (sigma_s * sigma_s)
+    edges = {tag: ([], [], []) for tag in _EDGES}  # frame ids, landmark ids, pixel rows
     for lineno, tokens in _iter_records(path):
         tag = tokens[0]
         if tag == "VERTEX_POSE":
@@ -511,22 +513,19 @@ def read_graph(path, intrinsics: CameraIntrinsics, sigma_s: float = 1.0) -> Fact
         elif tag == "FIX":
             _expect(tokens, 2, path, lineno)
             graph.fixed.add(_parse_int(tokens[1], path, lineno, "pose id"))
-        elif tag == "EDGE_POINT":
-            _expect(tokens, 5, path, lineno)
-            frame = _parse_int(tokens[1], path, lineno, "frame id")
-            point = _parse_int(tokens[2], path, lineno, "point id")
-            vals = [_parse_float(t, path, lineno, "pixel") for t in tokens[3:]]
-            graph.point_factors.append(PointFactor(frame, point, np.array(vals), weight))
-        elif tag == "EDGE_LINE":
-            _expect(tokens, 7, path, lineno)
-            frame = _parse_int(tokens[1], path, lineno, "frame id")
-            line = _parse_int(tokens[2], path, lineno, "line id")
-            vals = [_parse_float(t, path, lineno, "pixel") for t in tokens[3:]]
-            graph.line_factors.append(
-                LineFactor(frame, line, np.array(vals[:2]), np.array(vals[2:]), weight)
-            )
+        elif tag in _EDGES:
+            _, what, shape = _EDGES[tag]
+            _expect(tokens, 3 + math.prod(shape), path, lineno)
+            frames, landmarks, pixels = edges[tag]
+            frames.append(_parse_int(tokens[1], path, lineno, "frame id"))
+            landmarks.append(_parse_int(tokens[2], path, lineno, what))
+            pixels.append([_parse_float(t, path, lineno, "pixel") for t in tokens[3:]])
         else:
             raise ParseError(path, lineno, f"unknown record tag {tag!r}")
+    for tag, (frames, landmarks, pixels) in edges.items():
+        name, _, shape = _EDGES[tag]
+        u = np.array(pixels, dtype=float).reshape(-1, *shape)
+        setattr(graph, name, Factors(frames, landmarks, u, np.full(len(u), weight)))
     if graph.poses:
         try:
             graph.check()

@@ -5,6 +5,12 @@ the re-projected landmark; a line factor stacks the signed distances of
 the two measured endpoints from the re-projected infinite line. Measured
 depths never appear here; they only seed initial landmark values.
 
+Vertices are dicts keyed by id. Factors are columns: ``point_factors``
+and ``line_factors`` each hold one ``Factors`` record, one row per
+measurement: ``frame`` (F,) int64 pose ids, ``landmark`` (F,) int64
+landmark ids, ``u`` the measured pixels, (F, 2) for points and (F, 2, 2)
+start/end endpoint pixels for lines, and ``weight`` (F,) 1/sigma^2.
+
 Pose increments are left-multiplicative with delta = (rotation 3-vector,
 translation 3-vector). Line increments are the 4-DOF orthonormal update.
 """
@@ -33,21 +39,25 @@ class GraphConstructionError(ValueError):
     pass
 
 
-@dataclass
-class PointFactor:
-    frame: int
-    point: int
-    u: np.ndarray  # (2,) measured pixel
-    weight: float = 1.0  # information per axis, 1/sigma^2
+@dataclass(frozen=True)
+class Factors:
+    """Factors of one kind as columns, one row per factor (see the module
+    docstring for the column layout)."""
 
+    frame: np.ndarray
+    landmark: np.ndarray
+    u: np.ndarray
+    weight: np.ndarray
 
-@dataclass
-class LineFactor:
-    frame: int
-    line: int
-    u_start: np.ndarray  # (2,) measured endpoint pixels
-    u_end: np.ndarray
-    weight: float = 1.0
+    def __post_init__(self):
+        for name, dtype in (("frame", np.int64), ("landmark", np.int64),
+                            ("u", float), ("weight", float)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        if not len(self.frame) == len(self.landmark) == len(self.u) == len(self.weight):
+            raise GraphConstructionError("factor columns differ in length")
+
+    def __len__(self) -> int:
+        return len(self.frame)
 
 
 @dataclass
@@ -76,20 +86,18 @@ class FactorGraph:
     fixed: set[int] = field(default_factory=set)
     points: dict[int, np.ndarray] = field(default_factory=dict)
     lines: dict[int, LineVertex] = field(default_factory=dict)
-    point_factors: list[PointFactor] = field(default_factory=list)
-    line_factors: list[LineFactor] = field(default_factory=list)
+    point_factors: Factors = field(default_factory=lambda: Factors([], [], np.empty((0, 2)), []))
+    line_factors: Factors = field(default_factory=lambda: Factors([], [], np.empty((0, 2, 2)), []))
 
     def check(self) -> None:
         if not self.fixed:
             raise GraphConstructionError("graph needs at least one fixed pose (gauge)")
         if not self.fixed <= set(self.poses):
             raise GraphConstructionError("fixed flag on unknown pose vertex")
-        for f in self.point_factors:
-            if f.frame not in self.poses or f.point not in self.points:
-                raise GraphConstructionError("dangling point factor reference")
-        for f in self.line_factors:
-            if f.frame not in self.poses or f.line not in self.lines:
-                raise GraphConstructionError("dangling line factor reference")
+        for kind, factors, landmarks in (("point", self.point_factors, self.points),
+                                         ("line", self.line_factors, self.lines)):
+            _rows(factors.frame, self.poses, "pose")
+            _rows(factors.landmark, landmarks, kind)
 
     def total_cost(self) -> float:
         """Weighted squared residual sum over all valid factors.
@@ -98,36 +106,40 @@ class FactorGraph:
         every factor, without Jacobians; a factor the kernels mark invalid
         (point behind its camera, degenerate line projection) adds 0.
         """
-        pose_index = {pid: i for i, pid in enumerate(self.poses)}
         R = np.array([T.rotation() for T in self.poses.values()])
         t = np.array([T.t for T in self.poses.values()])
         cost = 0.0
-        if self.point_factors:
-            fs = self.point_factors
-            k = [pose_index[f.frame] for f in fs]
+        fs = self.point_factors
+        if len(fs):
+            k = _rows(fs.frame, self.poses, "pose")
+            P = np.array(list(self.points.values()))
             res, _, _ = _point_residuals(
-                R[k], t[k], [self.points[f.point] for f in fs], [f.u for f in fs],
-                self.intrinsics,
+                R[k], t[k], P[_rows(fs.landmark, self.points, "point")], fs.u, self.intrinsics
             )
-            cost += _weighted_sum_of_squares(fs, res)
-        if self.line_factors:
-            fs = self.line_factors
-            line_index = {lid: i for i, lid in enumerate(self.lines)}
+            cost += float(fs.weight @ np.sum(res * res, axis=1))
+        fs = self.line_factors
+        if len(fs):
             ortho = [v.orthonormal() for v in self.lines.values()]
             U = np.array([o.U for o in ortho])
             W = np.array([o.W for o in ortho])
-            k = [pose_index[f.frame] for f in fs]
-            m = [line_index[f.line] for f in fs]
+            k = _rows(fs.frame, self.poses, "pose")
+            m = _rows(fs.landmark, self.lines, "line")
             res, _, _ = _line_residuals(
-                R[k], t[k], U[m], W[m], [f.u_start for f in fs], [f.u_end for f in fs],
-                self.intrinsics,
+                R[k], t[k], U[m], W[m], fs.u[:, 0], fs.u[:, 1], self.intrinsics
             )
-            cost += _weighted_sum_of_squares(fs, res)
+            cost += float(fs.weight @ np.sum(res * res, axis=1))
         return cost
 
 
-def _weighted_sum_of_squares(factors, res) -> float:
-    return float(np.array([f.weight for f in factors]) @ np.sum(res * res, axis=1))
+def _rows(ids: np.ndarray, vertices: dict, kind: str) -> np.ndarray:
+    """Row of each id in the order of ``vertices``; raises
+    GraphConstructionError for an id with no vertex."""
+    keys = np.fromiter(vertices, np.int64, len(vertices))
+    unknown = ~np.isin(ids, keys)
+    if unknown.any():
+        raise GraphConstructionError(f"dangling factor reference to {kind} {ids[unknown][0]}")
+    order = np.argsort(keys)
+    return order[np.searchsorted(keys, ids, sorter=order)]
 
 
 # ---------------------------------------------------------------------------
@@ -400,42 +412,40 @@ def build_covisibility_graph(
     """
     if len(trajectory) != len(seq.frames):
         raise GraphConstructionError("trajectory length does not match frame count")
+    if not seq.frames:
+        raise GraphConstructionError("sequence has no frames")
     weight = 1.0 / (sigma_s * sigma_s)
     point_positions = initial_map.point_positions()
     line_endpoints = initial_map.line_endpoints()
 
-    point_obs = {i: len(f) for i, f in seq.point_tracks().items()}
-    line_obs = {i: len(f) for i, f in seq.line_tracks().items()}
+    point_ids, point_factors = _covisible(seq.frames, "point_ids", "point_pixels", weight)
+    line_ids, line_factors = _covisible(seq.frames, "line_ids", "line_pixels", weight)
 
-    graph = FactorGraph(intrinsics=seq.intrinsics)
-    for frame_id, pose in enumerate(trajectory):
-        graph.poses[frame_id] = pose
-    graph.fixed.add(0)
-
-    for pid, count in sorted(point_obs.items()):
-        if count < 2:
-            continue
+    graph = FactorGraph(intrinsics=seq.intrinsics, poses=dict(enumerate(trajectory)),
+                        fixed={0}, point_factors=point_factors, line_factors=line_factors)
+    for pid in point_ids.tolist():
         if pid not in point_positions:
             raise GraphConstructionError(f"point {pid} observed but missing from the map")
         graph.points[pid] = np.asarray(point_positions[pid], dtype=float).copy()
-    for lid, count in sorted(line_obs.items()):
-        if count < 2:
-            continue
+    for lid in line_ids.tolist():
         if lid not in line_endpoints:
             raise GraphConstructionError(f"line {lid} observed but missing from the map")
         ends = np.asarray(line_endpoints[lid], dtype=float)
         n, d = plucker_from_endpoints(ends[0], ends[1])
         s = np.sqrt(n @ n + d @ d)
         graph.lines[lid] = LineVertex(n / s, d / s)
-
-    for f in seq.frames:
-        for pid, u in zip(f.point_ids.tolist(), f.point_pixels):
-            if pid in graph.points:
-                graph.point_factors.append(PointFactor(f.frame_id, pid, u.copy(), weight))
-        for lid, (u_s, u_e) in zip(f.line_ids.tolist(), f.line_pixels):
-            if lid in graph.lines:
-                graph.line_factors.append(
-                    LineFactor(f.frame_id, lid, u_s.copy(), u_e.copy(), weight)
-                )
     graph.check()
     return graph
+
+
+def _covisible(frames, ids: str, pixels: str, weight: float):
+    """(sorted ids of the landmarks two or more frames observe, the
+    factors of their measurements in frame order), from the ``FrameData``
+    columns named ``ids`` and ``pixels``."""
+    landmark = np.concatenate([getattr(f, ids) for f in frames])
+    frame = np.repeat([f.frame_id for f in frames], [len(getattr(f, ids)) for f in frames])
+    seen, counts = np.unique(landmark, return_counts=True)
+    covisible = seen[counts >= 2]
+    keep = np.isin(landmark, covisible)
+    u = np.concatenate([getattr(f, pixels) for f in frames])[keep]
+    return covisible, Factors(frame[keep], landmark[keep], u, np.full(len(u), weight))

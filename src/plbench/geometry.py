@@ -268,11 +268,6 @@ class Pose:
     def from_rt(R, t) -> "Pose":
         return Pose(matrix_to_quat(R), np.asarray(t, dtype=float))
 
-    @staticmethod
-    def from_matrix(T) -> "Pose":
-        T = np.asarray(T, dtype=float)
-        return Pose.from_rt(T[:3, :3], T[:3, 3])
-
     def rotation(self) -> np.ndarray:
         return quat_to_matrix(self.q)
 

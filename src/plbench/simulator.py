@@ -765,6 +765,10 @@ class Sequence:
                 fault = _first_fault(faults)
                 if fault is not None:
                     raise ValueError(f"{fault[1]} in frame {f.frame_id}")
+        self.check_parallel_groups()
+
+    def check_parallel_groups(self) -> None:
+        """Every parallel group names known lines of one direction."""
         for gid, ids in self.parallel_groups.items():
             dirs = []
             for lid in ids:
@@ -775,20 +779,6 @@ class Sequence:
                 c = np.linalg.norm(np.cross(dirs[0], d))
                 if abs(np.arctan2(c, abs(dirs[0] @ d))) > 1e-9:
                     raise ValueError(f"parallel group {gid} members disagree in direction")
-
-    def point_tracks(self) -> dict[int, list[int]]:
-        return self._tracks("point_ids")
-
-    def line_tracks(self) -> dict[int, list[int]]:
-        return self._tracks("line_ids")
-
-    def _tracks(self, ids: str) -> dict[int, list[int]]:
-        """Landmark id -> the frames observing it, in frame order."""
-        tracks: dict[int, list[int]] = {}
-        for f in self.frames:
-            for lid in getattr(f, ids).tolist():
-                tracks.setdefault(lid, []).append(f.frame_id)
-        return tracks
 
 
 def _add_noise(frame: FrameData, noise: NoiseParams, intr, cfg: RenderConfig, rng, report):

@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -13,7 +16,7 @@ from plbench.dataset_io import (
     write_stats_csv,
     write_trajectory,
 )
-from plbench.factor_graph import FactorGraph, LineVertex, PointFactor, build_covisibility_graph
+from plbench.factor_graph import FactorGraph, Factors, LineVertex, build_covisibility_graph
 from plbench.geometry import (
     CameraIntrinsics,
     LineMeasurement,
@@ -145,6 +148,16 @@ def test_parse_error_landmark_repeated_in_frame(tmp_path, rows):
     assert info.value.line == 2
 
 
+def test_parallel_group_of_two_directions_is_rejected(small_sequence, tmp_path):
+    groups = sorted(small_sequence.parallel_groups.values())
+    seq = dataclasses.replace(small_sequence, parallel_groups={0: [groups[0][0], groups[1][0]]})
+    with pytest.raises(ValueError, match="parallel group 0 members disagree in direction"):
+        seq.validate()
+    write_sequence(seq, tmp_path / "seq")
+    with pytest.raises(ParseError, match="parallel group 0 members disagree in direction"):
+        read_sequence(tmp_path / "seq")
+
+
 def test_parse_error_pixel_outside_image(tmp_path):
     d = write_toy_sequence_dir(tmp_path, "P 7 990.0 20.0 1.0\n")
     with pytest.raises(ParseError, match="outside"):
@@ -218,11 +231,8 @@ def test_toy_graph_roundtrip(tmp_path):
     g.fixed.add(0)
     g.points[5] = np.array([0.3, -0.2, 4.0])
     g.lines[2] = LineVertex(np.array([0.0, 0.0, 0.5]), np.array([0.0, 0.5, 0.0]))
-    g.point_factors.append(PointFactor(0, 5, np.array([312.5, 248.25]), 1.0))
-    g.point_factors.append(PointFactor(1, 5, np.array([300.0, 251.0]), 1.0))
-    from plbench.factor_graph import LineFactor
-
-    g.line_factors.append(LineFactor(0, 2, np.array([10.0, 20.0]), np.array([90.0, 20.0]), 1.0))
+    g.point_factors = Factors([0, 1], [5, 5], [[312.5, 248.25], [300.0, 251.0]], [1.0, 1.0])
+    g.line_factors = Factors([0], [2], [[[10.0, 20.0], [90.0, 20.0]]], [1.0])
     write_graph(g, tmp_path / "g.txt")
     back = read_graph(tmp_path / "g.txt", K)
 
@@ -235,8 +245,9 @@ def test_toy_graph_roundtrip(tmp_path):
     assert np.array_equal(back.lines[2].n, g.lines[2].n)
     assert np.array_equal(back.lines[2].d, g.lines[2].d)
     assert len(back.point_factors) == 2 and len(back.line_factors) == 1
-    assert np.array_equal(back.point_factors[0].u, g.point_factors[0].u)
-    assert np.array_equal(back.line_factors[0].u_end, g.line_factors[0].u_end)
+    for fa, fb in ((g.point_factors, back.point_factors), (g.line_factors, back.line_factors)):
+        assert np.array_equal(fa.frame, fb.frame) and np.array_equal(fa.landmark, fb.landmark)
+        assert np.array_equal(fa.u, fb.u) and np.array_equal(fa.weight, fb.weight)
 
 
 def test_graph_plucker_violation(tmp_path):
@@ -255,6 +266,52 @@ def test_graph_dangling_edge(tmp_path):
     )
     with pytest.raises(ParseError, match="dangling"):
         read_graph(tmp_path / "g.txt", K)
+
+
+GRAPH_HEAD = ("VERTEX_POSE 0 0.0 0.0 0.0 0.0 0.0 0.0 1.0\nFIX 0\n"
+              "VERTEX_LINE 1 0.0 0.0 0.5 0.0 0.5 0.0\n")
+
+
+@pytest.mark.parametrize(
+    "edge, match",
+    [
+        pytest.param("EDGE_LINE 0 1 10.0 2O.0 90.0 20.0", "g.txt:4: bad pixel: '2O.0'",
+                     id="bad-pixel"),
+        pytest.param("EDGE_LINE 0 1 10.0 20.0 90.0", "g.txt:4: expected 7 fields, got 6",
+                     id="field-count"),
+        pytest.param("EDGE_LINE 0 9223372036854775808 10.0 20.0 90.0 20.0",
+                     "g.txt:4: line id does not fit in int64", id="id-past-int64"),
+    ],
+)
+def test_graph_edge_errors_name_file_and_line(tmp_path, edge, match):
+    (tmp_path / "g.txt").write_text(GRAPH_HEAD + edge + "\n")
+    with pytest.raises(ParseError, match=match):
+        read_graph(tmp_path / "g.txt", K)
+
+
+# sha256 of write_graph over the map-to-frame graph of each preset's full
+# sequence at its shipped seed
+GOLDEN_GRAPH_SHA256 = {
+    "sphere": "0bbb8a58e151e089b39ade5c9fb562b157692eab0cbe3acf97f263b599cca74f",
+    "box": "1df7314140bacd5f8cbd3af94a164b745e1504a5c4d10f9d9d7906d3f4b87393",
+    "corridor": "c5f8c0827e473f6fdde82de3c18237ecf824326bdf0fc3cc5ab14f25991f6258",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(GOLDEN_GRAPH_SHA256))
+def test_graph_file_matches_golden_and_rewrites_byte_identical(preset, tmp_path):
+    cfg = load_preset(preset)
+    seq = generate_sequence(build_scene(cfg.scene), build_trajectory(cfg.trajectory),
+                            cfg.noise, cfg.intrinsics, cfg.render)
+    m2f, smap = track_map_to_frame(seq)
+    graph = build_covisibility_graph(seq, m2f, smap, cfg.noise.sigma_s)
+    write_graph(graph, tmp_path / "a.txt")
+    data = (tmp_path / "a.txt").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == GOLDEN_GRAPH_SHA256[preset]
+    back = read_graph(tmp_path / "a.txt", seq.intrinsics, cfg.noise.sigma_s)
+    write_graph(back, tmp_path / "b.txt")
+    assert (tmp_path / "b.txt").read_bytes() == data
+    assert back.total_cost() == graph.total_cost()
 
 
 def test_graph_roundtrip_from_pipeline(small_sequence, tmp_path):
@@ -278,8 +335,8 @@ def test_graph_roundtrip_from_pipeline(small_sequence, tmp_path):
     assert back.lines.keys() == g.lines.keys()
     assert len(back.point_factors) == len(g.point_factors)
     assert len(back.line_factors) == len(g.line_factors)
-    for fa, fb in zip(g.point_factors, back.point_factors):
-        assert (fa.frame, fa.point) == (fb.frame, fb.point)
+    for fa, fb in ((g.point_factors, back.point_factors), (g.line_factors, back.line_factors)):
+        assert np.array_equal(fa.frame, fb.frame) and np.array_equal(fa.landmark, fb.landmark)
         assert np.array_equal(fa.u, fb.u)
 
 

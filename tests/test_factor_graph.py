@@ -15,10 +15,9 @@ from plbench.geometry import (
 )
 from plbench.factor_graph import (
     FactorGraph,
+    Factors,
     GraphConstructionError,
-    LineFactor,
     LineVertex,
-    PointFactor,
     _point_residuals,
     _pose_jacobian,
     build_covisibility_graph,
@@ -417,11 +416,12 @@ def preset_graph(preset, frames, noise=None):
 def residuals(g: FactorGraph):
     """Every factor's residual through the single-factor operations."""
     out = []
-    for f in g.point_factors:
-        out.append(point_residual(f.u, g.points[f.point], g.poses[f.frame], g.intrinsics))
-    for f in g.line_factors:
-        v = g.lines[f.line]
-        out.append(line_residual(f.u_start, f.u_end, (v.n, v.d), g.poses[f.frame], g.intrinsics))
+    pf, lf = g.point_factors, g.line_factors
+    for frame, point, u in zip(pf.frame.tolist(), pf.landmark.tolist(), pf.u):
+        out.append(point_residual(u, g.points[point], g.poses[frame], g.intrinsics))
+    for frame, line, (u_s, u_e) in zip(lf.frame.tolist(), lf.landmark.tolist(), lf.u):
+        v = g.lines[line]
+        out.append(line_residual(u_s, u_e, (v.n, v.d), g.poses[frame], g.intrinsics))
     return np.array(out)
 
 
@@ -433,7 +433,7 @@ def test_noiseless_graph_cost_is_zero_at_ground_truth():
 
 
 def single_factor_cost(g: FactorGraph) -> float:
-    weights = np.array([f.weight for f in g.point_factors + g.line_factors])
+    weights = np.concatenate([g.point_factors.weight, g.line_factors.weight])
     return float(weights @ np.sum(residuals(g) ** 2, axis=1))
 
 
@@ -454,19 +454,18 @@ def test_total_cost_adds_zero_for_point_behind_its_camera():
         fixed={0},
         points={0: np.array([0.2, -0.1, 8.0]), 1: np.array([0.1, 0.3, 2.0])},
         lines={0: LineVertex(*plucker_from_endpoints([0.0, 0.0, 6.0], [1.0, 0.0, 6.0]))},
-        point_factors=[
-            PointFactor(0, 0, np.array([322.0, 239.0]), 0.5),
-            PointFactor(1, 0, np.array([321.0, 233.0]), 0.5),
-            PointFactor(0, 1, np.array([330.0, 250.0]), 0.5),
-        ],
-        line_factors=[LineFactor(1, 0, np.array([100.0, 243.0]), np.array([500.0, 238.0]), 2.0)],
+        point_factors=Factors([0, 1, 0], [0, 0, 1],
+                              [[322.0, 239.0], [321.0, 233.0], [330.0, 250.0]], [0.5] * 3),
+        line_factors=Factors([1], [0], [[[100.0, 243.0], [500.0, 238.0]]], [2.0]),
     )
     expected = single_factor_cost(graph)
     assert expected > 0.0
-    behind = PointFactor(1, 1, np.array([300.0, 200.0]), 0.5)  # z = -2 in camera 1
+    behind = np.array([300.0, 200.0])  # landmark 1 is at z = -2 in camera 1
     with pytest.raises(GeometryError):
-        point_residual(behind.u, graph.points[1], T1, K)
-    graph.point_factors.append(behind)
+        point_residual(behind, graph.points[1], T1, K)
+    pf = graph.point_factors
+    graph.point_factors = Factors([*pf.frame, 1], [*pf.landmark, 1], [*pf.u, behind],
+                                  [*pf.weight, 0.5])
     graph.check()
     np.testing.assert_allclose(graph.total_cost(), expected, rtol=1e-12)
 
@@ -503,8 +502,84 @@ def test_graph_check_requires_gauge():
         g.check()
 
 
-def test_graph_check_dangling_factor():
-    g = FactorGraph(intrinsics=K, poses={0: Pose.identity()}, fixed={0})
-    g.point_factors.append(PointFactor(0, 99, np.zeros(2)))
-    with pytest.raises(GraphConstructionError):
-        g.check()
+def dangling_graph(kind, unknown):
+    """Two vertices of each kind and one factor of ``kind`` whose pose id
+    (``unknown="pose"``) or landmark id is unknown."""
+    frame, landmark = (7, 0) if unknown == "pose" else (0, 99)
+    line = LineVertex(*plucker_from_endpoints([0.0, 0.0, 6.0], [1.0, 0.0, 6.0]))
+    g = FactorGraph(intrinsics=K, poses={10: Pose.identity(), 0: Pose.identity()}, fixed={0},
+                    points={100: np.array([0.1, 0.3, 2.0]), 0: np.array([0.2, -0.1, 3.0])},
+                    lines={100: line, 0: line})
+    if kind == "point":
+        g.point_factors = Factors([frame], [landmark], [[322.0, 239.0]], [1.0])
+    else:
+        g.line_factors = Factors([frame], [landmark], [[[100.0, 240.0], [500.0, 240.0]]], [1.0])
+    return g
+
+
+@pytest.mark.parametrize("unknown", ["pose", "landmark"])
+@pytest.mark.parametrize("kind", ["point", "line"])
+def test_graph_check_dangling_factor(kind, unknown):
+    what = "pose 7" if unknown == "pose" else f"{kind} 99"
+    with pytest.raises(GraphConstructionError, match=f"dangling factor reference to {what}"):
+        dangling_graph(kind, unknown).check()
+
+
+@pytest.mark.parametrize("unknown", ["pose", "landmark"])
+@pytest.mark.parametrize("kind", ["point", "line"])
+def test_total_cost_of_unchecked_graph_rejects_dangling_id(kind, unknown):
+    # the unknown ids 7 and 99 sort between the vertex ids 0 and 10 or 100,
+    # where the search position is a neighbouring vertex's row
+    what = "pose 7" if unknown == "pose" else f"{kind} 99"
+    with pytest.raises(GraphConstructionError, match=f"dangling factor reference to {what}"):
+        dangling_graph(kind, unknown).total_cost()
+
+
+def test_factors_rejects_columns_of_different_length():
+    with pytest.raises(GraphConstructionError, match="length"):
+        Factors([0, 1], [0], [[1.0, 2.0]], [1.0])
+
+
+def reference_factors(seq, weight):
+    """The per-measurement builder loop the columns replaced: landmark
+    tracks, then one factor per measurement of a landmark seen twice or
+    more, as (frame, landmark, pixels, weight) per kind."""
+    out = []
+    for ids, pixels in (("point_ids", "point_pixels"), ("line_ids", "line_pixels")):
+        tracks = {}
+        for f in seq.frames:
+            for lid in getattr(f, ids).tolist():
+                tracks.setdefault(lid, []).append(f.frame_id)
+        kept = {lid for lid, frames in tracks.items() if len(frames) >= 2}
+        rows = []
+        for f in seq.frames:
+            for lid, u in zip(getattr(f, ids).tolist(), getattr(f, pixels)):
+                if lid in kept:
+                    rows.append((f.frame_id, lid, u.copy(), weight))
+        out.append((sorted(kept), rows))
+    return out
+
+
+@pytest.mark.parametrize("preset", ["sphere", "box", "corridor"])
+def test_build_graph_columns_equal_reference_loop(preset):
+    cfg = load_preset(preset)
+    scene = build_scene(cfg.scene)
+    traj = build_trajectory(cfg.trajectory)
+    seq = generate_sequence(scene, traj, cfg.noise, cfg.intrinsics, cfg.render)
+    gt_map = ToyMap(
+        points={p.id: p.position for p in scene.points},
+        lines={l.id: l.endpoints for l in scene.lines},
+    )
+    graph = build_covisibility_graph(seq, traj, gt_map, cfg.noise.sigma_s)
+    weight = 1.0 / (cfg.noise.sigma_s * cfg.noise.sigma_s)
+    (points, point_rows), (lines, line_rows) = reference_factors(seq, weight)
+    assert list(graph.points) == points and list(graph.lines) == lines
+    for factors, rows, shape in ((graph.point_factors, point_rows, (2,)),
+                                 (graph.line_factors, line_rows, (2, 2))):
+        assert len(factors) == len(rows) > 0
+        assert factors.frame.dtype == factors.landmark.dtype == np.int64
+        assert factors.u.shape == (len(rows), *shape)
+        assert factors.frame.tolist() == [r[0] for r in rows]
+        assert factors.landmark.tolist() == [r[1] for r in rows]
+        assert factors.u.tobytes() == np.array([r[2] for r in rows]).tobytes()
+        assert factors.weight.tobytes() == np.array([r[3] for r in rows]).tobytes()

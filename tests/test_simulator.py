@@ -507,18 +507,6 @@ def test_noise_disabled_measurements_are_exact():
             assert pm.d == pytest.approx(P_c[2], abs=1e-12)
 
 
-def test_tracks_reference_distinct_existing_frames():
-    cfg = load_preset("box")
-    scene = build_scene(cfg.scene)
-    traj = build_trajectory(cfg.trajectory)[:20]
-    seq = generate_sequence(scene, traj, cfg.noise, cfg.intrinsics, cfg.render)
-    frame_ids = {f.frame_id for f in seq.frames}
-    for tracks in (seq.point_tracks(), seq.line_tracks()):
-        for fid_list in tracks.values():
-            assert len(set(fid_list)) == len(fid_list)
-            assert set(fid_list) <= frame_ids
-
-
 def test_frame_data_holds_checked_read_only_arrays():
     frame = FrameData(2, [4, 1], [[1.0, 2.0], [3.0, 4.0]], [1.0, 2.0],
                       [], [], [])
