@@ -76,12 +76,14 @@ def _iter_records(path):
         data = Path(path).read_bytes()
     except OSError as exc:
         raise ParseError(path, None, f"cannot read: {exc}") from exc
-    text = data.decode("utf-8", errors="replace")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        yield lineno, line.split()
+    lines = data.decode("utf-8", errors="replace").splitlines()
+    del data  # only the lines stay alive while the caller parses them
+    for lineno, raw in enumerate(lines, start=1):
+        if "#" in raw:
+            raw = raw.split("#", 1)[0]
+        tokens = raw.split()
+        if tokens:
+            yield lineno, tokens
 
 
 def _parse_float(tok: str, path, lineno, what: str) -> float:
@@ -474,13 +476,38 @@ _EDGES = {"EDGE_POINT": ("point_factors", "point id", (2,)),
 def read_graph(path, intrinsics: CameraIntrinsics, sigma_s: float = 1.0) -> FactorGraph:
     """Graph files carry no calibration and no factor weights; the caller
     supplies the calibration, and every factor gets the weight
-    1/sigma_s^2, whatever weights the written graph had."""
+    1/sigma_s^2, whatever weights the written graph had.
+
+    An edge line is converted with one ``int`` per id and one ``map(float)``
+    over its pixels, and passes when its ids fit in int64 and the sum of its
+    pixels is finite. Only a line that fails this goes through the checks of
+    ``_parse_int`` and ``_parse_float``, which raise its ParseError or, for
+    finite pixels whose sum overflows, accept it. The values are packed into
+    columns once, after the last line.
+    """
     graph = FactorGraph(intrinsics=intrinsics)
     weight = 1.0 / (sigma_s * sigma_s)
-    edges = {tag: ([], [], []) for tag in _EDGES}  # frame ids, landmark ids, pixel rows
+    edges = {tag: ([], []) for tag in _EDGES}  # frame and landmark ids, pixel values
+    fields = {tag: 3 + math.prod(shape) for tag, (_, _, shape) in _EDGES.items()}
     for lineno, tokens in _iter_records(path):
         tag = tokens[0]
-        if tag == "VERTEX_POSE":
+        if tag in _EDGES:
+            _expect(tokens, fields[tag], path, lineno)
+            try:
+                frame, landmark = int(tokens[1]), int(tokens[2])
+                pixels = list(map(float, tokens[3:]))
+                valid = (0 <= frame <= _INT64_MAX and 0 <= landmark <= _INT64_MAX
+                         and math.isfinite(sum(pixels)))
+            except ValueError:
+                valid = False
+            if not valid:
+                frame = _parse_int(tokens[1], path, lineno, "frame id")
+                landmark = _parse_int(tokens[2], path, lineno, _EDGES[tag][1])
+                pixels = [_parse_float(t, path, lineno, "pixel") for t in tokens[3:]]
+            ids, values = edges[tag]
+            ids += (frame, landmark)
+            values += pixels
+        elif tag == "VERTEX_POSE":
             _expect(tokens, 9, path, lineno)
             pid = _parse_int(tokens[1], path, lineno, "pose id")
             if pid in graph.poses:
@@ -513,19 +540,12 @@ def read_graph(path, intrinsics: CameraIntrinsics, sigma_s: float = 1.0) -> Fact
         elif tag == "FIX":
             _expect(tokens, 2, path, lineno)
             graph.fixed.add(_parse_int(tokens[1], path, lineno, "pose id"))
-        elif tag in _EDGES:
-            _, what, shape = _EDGES[tag]
-            _expect(tokens, 3 + math.prod(shape), path, lineno)
-            frames, landmarks, pixels = edges[tag]
-            frames.append(_parse_int(tokens[1], path, lineno, "frame id"))
-            landmarks.append(_parse_int(tokens[2], path, lineno, what))
-            pixels.append([_parse_float(t, path, lineno, "pixel") for t in tokens[3:]])
         else:
             raise ParseError(path, lineno, f"unknown record tag {tag!r}")
-    for tag, (frames, landmarks, pixels) in edges.items():
+    for tag, (ids, values) in edges.items():
         name, _, shape = _EDGES[tag]
-        u = np.array(pixels, dtype=float).reshape(-1, *shape)
-        setattr(graph, name, Factors(frames, landmarks, u, np.full(len(u), weight)))
+        u = np.array(values, dtype=float).reshape(-1, *shape)
+        setattr(graph, name, Factors(ids[0::2], ids[1::2], u, np.full(len(u), weight)))
     if graph.poses:
         try:
             graph.check()

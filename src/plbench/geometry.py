@@ -364,13 +364,14 @@ def pose_quat_batch(q) -> np.ndarray:
 
 
 def se3_exp_update_batch(R, t, deltas):
-    """``se3_exp_update`` of one pose by each row of ``deltas`` (m, 6).
+    """``se3_exp_update`` of a pose by each row of ``deltas`` (m, 6).
 
-    ``R`` (3, 3) must be the pose's ``rotation()`` and ``t`` its
-    translation. Returns (q (m, 4), R (m, 3, 3), t (m, 3)): per row the
-    ``q`` and ``t`` that the updated ``Pose`` stores and its ``rotation()``,
-    bit for bit, with the branches of ``so3_exp``, ``_so3_left_jacobian``,
-    ``matrix_to_quat`` and ``Pose`` taken row by row.
+    ``R`` must be the pose's ``rotation()`` and ``t`` its translation:
+    either one pose, (3, 3) and (3,), for every row, or one pose per row,
+    (m, 3, 3) and (m, 3). Returns (q (m, 4), R (m, 3, 3), t (m, 3)): per
+    row the ``q`` and ``t`` that the updated ``Pose`` stores and its
+    ``rotation()``, bit for bit, with the branches of ``so3_exp``,
+    ``_so3_left_jacobian``, ``matrix_to_quat`` and ``Pose`` taken row by row.
     """
     deltas = np.asarray(deltas, dtype=float).reshape(-1, 6)
     omega, rho = deltas[:, :3], deltas[:, 3:]
@@ -387,7 +388,8 @@ def se3_exp_update_batch(R, t, deltas):
     R_inc = np.where(small, eye + K + 0.5 * KK, eye + (sin / a)[:, None, None] * K + c1 * KK)
     J = np.where(small, eye + 0.5 * K + KK / 6.0,
                  eye + c1 * K + ((a - sin) / (a2 * a))[:, None, None] * KK)
-    t_new = (R_inc @ np.asarray(t, dtype=float)[:, None])[:, :, 0] + (J @ rho[:, :, None])[:, :, 0]
+    t = np.asarray(t, dtype=float)[..., None]
+    t_new = (R_inc @ t)[:, :, 0] + (J @ rho[:, :, None])[:, :, 0]
     q = pose_quat_batch(matrix_to_quat_batch(R_inc @ R))
     return q, quat_to_matrix_batch(q), t_new
 

@@ -56,64 +56,91 @@ class PnPResult:
 _STEPS = 0.5 ** np.arange(6)
 
 
-def _mean_errors(proj, valid, u, tries):
-    """Mean pixel distance of each of ``tries`` stacked projections (rows
-    try-major, n per try); 1e9 for a point behind the camera."""
-    err = np.linalg.norm(proj - u, axis=1)
+def _mean_errors(proj, valid, u):
+    """Mean pixel distance to u (n, 2) of each of the stacked projections
+    proj (tries, n, 2); 1e9 for a point behind the camera."""
+    err = np.linalg.norm(proj - u, axis=-1)
     err[~valid] = 1e9
-    return err.reshape(tries, -1).mean(axis=1)
+    return err.mean(axis=-1)
 
 
-def _refine_pose(R, t, P_w, u, intr, iterations=10):
-    """Reprojection-error refinement with left-multiplicative updates and a
-    backtracking line search; returns the pose and its mean error (px).
+def _per_start(arrays, k):
+    """Split each array of row-stacked per-start blocks into (k, n, ...)."""
+    return [x.reshape(k, -1, *x.shape[1:]) for x in arrays]
 
-    Each iteration solves (JᵀJ) delta = Jᵀr with r = u - proj and J = ∂r/∂δ,
-    and tries the steps 0.5**k · delta, k = 0..5, as one batch: the first
-    try whose mean error is no higher than the current one is accepted and
-    its projection becomes the next residual. The loop stops when no try
-    is accepted. That delta is an ascent direction of |r|², so on the
-    shipped presets almost every run returns its starting pose (1, 4 and 4
-    of 495 runs move on sphere, box and corridor); the result still equals
-    the former one-try-at-a-time loop bit for bit.
+
+def _refine_poses(R, t, P_w, u, intr, iterations=10):
+    """Reprojection-error refinement of k starting poses, R (k, 3, 3) and
+    t (k, 3), against the same correspondences, with left-multiplicative
+    updates and a backtracking line search. Returns the k refined poses and
+    their mean errors (k,), px.
+
+    Each start is first stored as ``Pose.from_rt(R[s], t[s])``. Each
+    iteration solves, per start, (JᵀJ) delta = Jᵀr with r = u - proj and
+    J = ∂r/∂δ, and tries the steps 0.5**i · delta, i = 0..5: the first try
+    whose mean error is no higher than the current one is accepted and its
+    projection becomes the next residual. A start leaves the batch where a
+    refinement of it alone would stop: fewer than 4 points in front of the
+    camera, a singular or non-finite solve, no accepted try, or a step
+    below 1e-14. That delta is an ascent direction of |r|², so on the
+    shipped presets almost every start returns unmoved (1, 4 and 4 of 495
+    refinements move on sphere, box and corridor).
+
+    The starts still in the batch share one ``_pose_jacobian`` call over
+    their rows, one ``se3_exp_update_batch`` and one ``_project_points``
+    call over all their tries; only the 6×6 normal equations are solved
+    start by start. Every kernel works row by row and each solve sees the
+    same arrays as a refinement of its start alone, so each result equals
+    that of the former one-start, one-try-at-a-time loop bit for bit.
     """
-    n = len(P_w)
-    T = Pose.from_rt(R, t)
-    R, t = T.rotation(), T.t
-    P_c, valid, zs, proj = _project_points(np.broadcast_to(R, (n, 3, 3)), t, P_w, intr)
-    err = float(_mean_errors(proj, valid, u, 1)[0])
-    m = len(_STEPS)
-    P_tries, u_tries = np.tile(P_w, (m, 1)), np.tile(u, (m, 1))
+    k, n, m = len(R), len(P_w), len(_STEPS)
+    poses = [Pose.from_rt(R_s, t_s) for R_s, t_s in zip(R, t)]
+    R = np.array([T.rotation() for T in poses])
+    t = np.array([T.t for T in poses])
+    P_c, valid, zs, proj = _per_start(_project_points(
+        np.repeat(R, n, axis=0), np.repeat(t, n, axis=0), np.tile(P_w, (k, 1)), intr), k)
+    err = _mean_errors(proj, valid, u)
+    active = list(range(k))
     for _ in range(iterations):
-        if valid.sum() < 4:
+        active = [s for s in active if valid[s].sum() >= 4]
+        if not active:
             break
-        res = u - proj
-        res[~valid] = 0.0
-        J_pose, _ = _pose_jacobian(P_c, zs, valid, intr)
-        J = J_pose.reshape(-1, 6)
-        r = res.reshape(-1)
-        H = J.T @ J
-        b = J.T @ r
-        try:
-            delta = np.linalg.solve(H + 1e-12 * np.eye(6), b)
-        except np.linalg.LinAlgError:
+        res = u - proj[active]
+        res[~valid[active]] = 0.0
+        J_pose, _ = _pose_jacobian(P_c[active].reshape(-1, 3), zs[active].ravel(),
+                                   valid[active].ravel(), intr)
+        J_pose = J_pose.reshape(len(active), -1, 6)
+        moving, deltas = [], []
+        for i, s in enumerate(active):
+            J, r = J_pose[i], res[i].reshape(-1)
+            try:
+                delta = np.linalg.solve(J.T @ J + 1e-12 * np.eye(6), J.T @ r)
+            except np.linalg.LinAlgError:
+                continue
+            if np.all(np.isfinite(delta)):
+                moving.append(s)
+                deltas.append(delta)
+        if not moving:
             break
-        if not np.all(np.isfinite(delta)):
-            break
-        q_k, R_k, t_k = se3_exp_update_batch(R, t, _STEPS[:, None] * delta)
-        P_c_k, valid_k, zs_k, proj_k = _project_points(
-            np.repeat(R_k, n, axis=0), np.repeat(t_k, n, axis=0), P_tries, intr)
-        errs = _mean_errors(proj_k, valid_k, u_tries, m)
-        accepted = np.flatnonzero(errs <= err)
-        if not len(accepted):
-            break
-        k = accepted[0]
-        T, R, t, err = Pose(q_k[k], t_k[k]), R_k[k], t_k[k], float(errs[k])
-        rows = slice(k * n, (k + 1) * n)
-        P_c, valid, zs, proj = P_c_k[rows], valid_k[rows], zs_k[rows], proj_k[rows]
-        if np.linalg.norm(_STEPS[k] * delta) < 1e-14:
-            break
-    return T, err
+        tries = len(moving) * m
+        steps = (_STEPS[:, None] * np.array(deltas)[:, None, :]).reshape(tries, 6)
+        q_k, R_k, t_k = se3_exp_update_batch(np.repeat(R[moving], m, axis=0),
+                                             np.repeat(t[moving], m, axis=0), steps)
+        P_c_k, valid_k, zs_k, proj_k = _per_start(_project_points(
+            np.repeat(R_k, n, axis=0), np.repeat(t_k, n, axis=0), np.tile(P_w, (tries, 1)),
+            intr), tries)
+        errs = _mean_errors(proj_k, valid_k, u)
+        active = []
+        for i, s in enumerate(moving):
+            accepted = np.flatnonzero(errs[i * m:(i + 1) * m] <= err[s])
+            if not len(accepted):
+                continue
+            j = i * m + accepted[0]
+            poses[s], R[s], t[s], err[s] = Pose(q_k[j], t_k[j]), R_k[j], t_k[j], errs[j]
+            P_c[s], valid[s], zs[s], proj[s] = P_c_k[j], valid_k[j], zs_k[j], proj_k[j]
+            if np.linalg.norm(steps[j]) >= 1e-14:
+                active.append(s)
+    return poses, err
 
 
 def _epnp_control_points(P_w):
@@ -220,8 +247,12 @@ def solve_pnp(
     formulation followed by Gauss-Newton refinement.
 
     ``initial``, when given, competes with the EPnP candidates (useful as
-    a motion prior); the refined pose with the lowest mean reprojection
-    error wins.
+    a motion prior). All starts, the EPnP candidates then ``initial``, are
+    refined as one batch by ``_refine_poses``, which gives each start the
+    result of refining it alone; the refined pose with the lowest mean
+    reprojection error wins, the earlier start on a tie. Raises
+    ``InsufficientDataError`` for fewer than 4 correspondences and
+    ``DegenerateGeometryError`` when EPnP yields no start.
     """
     P_w = np.asarray(world_points, dtype=float).reshape(-1, 3)
     u = np.asarray(pixels, dtype=float).reshape(-1, 2)
@@ -239,13 +270,14 @@ def solve_pnp(
         poses.append(Pose.from_rt(R, t))
     if initial is not None:
         poses.append(initial)
+    if not poses:
+        raise DegenerateGeometryError("EPnP found no candidate pose")
 
-    best = None
-    for T0 in poses:
-        T, err = _refine_pose(T0.rotation(), T0.t, P_w, u, intr, iterations=refine_iters)
-        if best is None or err < best[1]:
-            best = (T, err)
-    return PnPResult(pose=best[0], mean_error=best[1])
+    refined, errs = _refine_poses(np.array([T.rotation() for T in poses]),
+                                  np.array([T.t for T in poses]), P_w, u, intr,
+                                  iterations=refine_iters)
+    best = min(range(len(poses)), key=errs.__getitem__)
+    return PnPResult(pose=refined[best], mean_error=float(errs[best]))
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +420,11 @@ class SparseMap:
     ) -> None:
         """``fuse_line`` with a known id for each segment of ``endpoints``
         (n, 2, 3): the gates are tested in one pass and only merged lines
-        are refit; the result equals n sequential calls bit for bit. The
-        ids must be distinct: a landmark is observed at most once per frame.
+        are refit, one ``_refit_lines`` call per group of merged lines with
+        the same sample count, so their samples stack into one array. A
+        line's refit reads only its own samples, so the result equals n
+        sequential calls bit for bit. The ids must be distinct: a landmark
+        is observed at most once per frame.
         """
         endpoints = np.asarray(endpoints, dtype=float).reshape(-1, 2, 3)
         ids = list(landmark_ids)
@@ -403,11 +438,16 @@ class SparseMap:
             mls = [self.lines[ids[i]] for i in known]
             stored = np.array([ml.endpoints for ml in mls])
             inside = _line_gates(stored, endpoints[known], angle_thresh_deg, dist_thresh)
+            groups: dict[int, list[MapLine]] = {}  # merged lines by sample count
             for ml, ok, i in zip(mls, inside, known):
                 if ok:
                     ml.samples.append(endpoints[i].copy())
                     ml.count += 1
-                    ml.endpoints = _refit_line(np.concatenate(ml.samples, axis=0))
+                    groups.setdefault(len(ml.samples), []).append(ml)
+            for count, group in groups.items():
+                samples = np.array([ml.samples for ml in group]).reshape(len(group), 2 * count, 3)
+                for ml, ends in zip(group, _refit_lines(samples)):
+                    ml.endpoints = ends
         for i in new:
             self.lines[ids[i]] = MapLine(ids[i], endpoints[i].copy(),
                                          samples=[endpoints[i].copy()])
@@ -426,15 +466,23 @@ def _line_gates(stored, candidates, angle_thresh_deg, dist_thresh) -> np.ndarray
     return (angle <= angle_thresh_deg) & (dist <= dist_thresh)
 
 
-def _refit_line(samples: np.ndarray) -> np.ndarray:
-    """Principal-axis fit through endpoint samples; extreme projections
-    become the new endpoints."""
-    center = samples.mean(axis=0)
-    centered = samples - center
+def _refit_lines(samples: np.ndarray) -> np.ndarray:
+    """Principal-axis fit through each stack of endpoint samples, samples
+    (g, N, 3); the extreme projections onto each axis become that line's
+    new endpoints, (g, 2, 3).
+
+    The g fits share one stacked mean, one stacked ``np.linalg.svd`` and one
+    stacked projection. Each of these runs the same kernel on each stack as
+    on that stack alone (a mean down the rows, one LAPACK call, one
+    matrix-vector product), so each fit equals a fit of its samples alone
+    bit for bit."""
+    center = samples.mean(axis=1)
+    centered = samples - center[:, None]
     _, _, Vt = np.linalg.svd(centered, full_matrices=False)
-    d_hat = Vt[0]
-    t = centered @ d_hat
-    return np.array([center + t.min() * d_hat, center + t.max() * d_hat])
+    d_hat = Vt[:, 0]
+    t = (centered @ d_hat[:, :, None])[:, :, 0]
+    extremes = np.stack([t.min(axis=1), t.max(axis=1)], axis=1)
+    return center[:, None] + extremes[:, :, None] * d_hat[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +495,15 @@ def _transform_blocks(T: Pose, V) -> np.ndarray:
     For single points (k = 1) the flat ``V.reshape(-1, 3) @ R.T`` is not:
     it rounds about half of the rows differently."""
     return V @ np.broadcast_to(T.rotation().T, (len(V), 3, 3)) + T.t
+
+
+def _solve_frame(frame_id: int, P_w, u, intr, initial=None) -> PnPResult:
+    """``solve_pnp`` for one frame of a tracker: a PnP failure becomes
+    ``TrackingLostError`` naming the frame, raised from the original."""
+    try:
+        return solve_pnp(P_w, u, intr, initial=initial)
+    except (DegenerateGeometryError, InsufficientDataError) as exc:
+        raise TrackingLostError(frame_id, str(exc)) from exc
 
 
 def track_frame_to_frame(seq: Sequence) -> list[Pose]:
@@ -464,7 +521,7 @@ def track_frame_to_frame(seq: Sequence) -> list[Pose]:
             raise TrackingLostError(j, f"only {len(shared)} shared landmarks")
         a, b = np.array(shared).T
         P_prev = backproject(prev.point_pixels[a], prev.point_depths[a], seq.intrinsics)
-        rel = solve_pnp(P_prev, frame.point_pixels[b], seq.intrinsics).pose
+        rel = _solve_frame(j, P_prev, frame.point_pixels[b], seq.intrinsics).pose
         traj.append(rel.compose(traj[j - 1]))
     return traj
 
@@ -498,7 +555,7 @@ def track_map_to_frame(
             if len(known) < 4:
                 raise TrackingLostError(j, f"only {len(known)} mapped landmarks visible")
             P_w = np.array([sparse_map.points[ids[i]].position for i in known])
-            T = solve_pnp(P_w, u[known], intr, initial=traj[j - 1]).pose
+            T = _solve_frame(j, P_w, u[known], intr, initial=traj[j - 1]).pose
         traj.append(T)
 
         # fuse the frame: every point and every line endpoint back-projected

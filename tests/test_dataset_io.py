@@ -281,12 +281,37 @@ GRAPH_HEAD = ("VERTEX_POSE 0 0.0 0.0 0.0 0.0 0.0 0.0 1.0\nFIX 0\n"
                      id="field-count"),
         pytest.param("EDGE_LINE 0 9223372036854775808 10.0 20.0 90.0 20.0",
                      "g.txt:4: line id does not fit in int64", id="id-past-int64"),
+        # the first bad line in the file, and the first bad field on it,
+        # whichever record kinds the lines hold
+        pytest.param("EDGE_LINE 0 1 10.0 20.0 nan 20.0\nBOGUS 1",
+                     "g.txt:4: nonfinite pixel: 'nan'", id="edge-before-unknown-tag"),
+        pytest.param("EDGE_POINT 0 -1 1.0 2.0\nVERTEX_POINT 2 x 0.0 1.0",
+                     "g.txt:4: point id must be >= 0: -1", id="edge-before-vertex"),
+        pytest.param("VERTEX_POINT 2 x 0.0 1.0\nEDGE_POINT 0 2 1.0 nan",
+                     "g.txt:4: bad coordinate: 'x'", id="vertex-before-edge"),
+        pytest.param("EDGE_LINE 0 1 10.0 20.0 90.0 20.0\nEDGE_POINT x 2 inf 2.0\n"
+                     "EDGE_LINE 0 1 1.0 2.0 3.0 x",
+                     "g.txt:5: bad frame id: 'x'", id="point-before-line"),
+        pytest.param("EDGE_POINT 0 2 1.0 2.0\nEDGE_LINE 0 99999999999999999999 x 1.0 2.0 3.0\n"
+                     "EDGE_POINT 0 2 1.0 x",
+                     "g.txt:5: line id does not fit in int64: 99999999999999999999",
+                     id="line-before-point"),
+        pytest.param("EDGE_POINT 0 2 1.0 1e400\nEDGE_LINE 0 1 1.0",
+                     "g.txt:4: nonfinite pixel: '1e400'", id="value-before-field-count"),
     ],
 )
 def test_graph_edge_errors_name_file_and_line(tmp_path, edge, match):
     (tmp_path / "g.txt").write_text(GRAPH_HEAD + edge + "\n")
     with pytest.raises(ParseError, match=match):
         read_graph(tmp_path / "g.txt", K)
+
+
+def test_graph_edge_pixels_whose_sum_overflows_are_read(tmp_path):
+    # each pixel is finite, only their sum is not
+    (tmp_path / "g.txt").write_text(GRAPH_HEAD + "VERTEX_POINT 2 0.0 0.0 1.0\n"
+                                    "EDGE_POINT 0 2 1.7e308 1.7e308\n")
+    back = read_graph(tmp_path / "g.txt", K)
+    assert back.point_factors.u.tolist() == [[1.7e308, 1.7e308]]
 
 
 # sha256 of write_graph over the map-to-frame graph of each preset's full

@@ -185,6 +185,16 @@ def test_se3_exp_update_batch_equals_the_scalar_update():
     assert exp_branches == {True, False}
     assert quat_branches == {"trace", 0, 1, 2}
 
+    # one base pose per row: every pose and step above in one call
+    rows = [(T, step * delta) for T in poses for delta in deltas for step in steps]
+    q, R, t = se3_exp_update_batch(np.array([T.rotation() for T, _ in rows]),
+                                   np.array([T.t for T, _ in rows]),
+                                   np.array([d for _, d in rows]))
+    for k, (T, d) in enumerate(rows):
+        ref = se3_exp_update(T, d)
+        assert (q[k].tobytes(), R[k].tobytes(), t[k].tobytes()) == \
+            (ref.q.tobytes(), ref.rotation().tobytes(), ref.t.tobytes())
+
 
 def test_pose_quat_batch_renormalizes_as_pose_does():
     unit = matrix_to_quat(so3_exp([0.3, -0.2, 0.1]))

@@ -23,7 +23,7 @@ from plbench.tracking import (
     SparseMap,
     TrackingLostError,
     _epnp_control_points,
-    _refine_pose,
+    _refine_poses,
     solve_pnp,
     track_frame_to_frame,
     track_map_to_frame,
@@ -99,6 +99,33 @@ def test_mismatched_lengths_raise():
     P_w = general_points(np.random.default_rng(3), 6)
     with pytest.raises(InsufficientDataError):
         solve_pnp(P_w, observe(Pose.identity(), P_w)[:5], K)
+
+
+def test_solve_pnp_without_a_start_raises_degenerate_geometry(monkeypatch):
+    P_w = general_points(np.random.default_rng(4))
+    u = observe(Pose.identity(), P_w)
+    epnp = tracking._epnp_candidates
+    monkeypatch.setattr(tracking, "_epnp_candidates", lambda *args: (*epnp(*args)[:2], []))
+    with pytest.raises(DegenerateGeometryError, match="no candidate"):
+        solve_pnp(P_w, u, K)
+    # a motion prior alone is still a start
+    assert solve_pnp(P_w, u, K, initial=Pose.identity()).mean_error <= 1e-6
+
+
+def test_solve_pnp_keeps_the_first_of_tied_starts(monkeypatch):
+    rng = np.random.default_rng(5)
+    P_w = general_points(rng)
+    refined = [random_pose(rng) for _ in range(3)]
+
+    def tied(R, t, *args, **kwargs):
+        errs = np.ones(len(R))
+        errs[0] = 3.0
+        return refined[:len(R)], errs
+
+    monkeypatch.setattr(tracking, "_refine_poses", tied)
+    result = solve_pnp(P_w, observe(Pose.identity(), P_w), K, initial=Pose.identity())
+    assert result.pose is refined[1]
+    assert result.mean_error == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -250,42 +277,73 @@ def refine_pose_per_try(R, t, P_w, u, intr, iterations=10):
 
 
 def refine_problems(preset):
-    """(R, t, P_w, u, intrinsics) of every refinement both trackers run on
-    the preset at its shipped seed, then the true pose with exact pixels
-    for every tenth frame."""
+    """(R (k, 3, 3), t (k, 3), P_w, u, intrinsics) of every batch of starts
+    both trackers refine on the preset at its shipped seed, then the true
+    pose with exact pixels, as a batch of one, for every tenth frame."""
     cfg, seq = preset_sequence(preset)
     problems = []
 
     def record(R, t, P_w, u, intr, iterations=10):
         problems.append((R, t, P_w, u, intr))
-        return _refine_pose(R, t, P_w, u, intr, iterations)
+        return _refine_poses(R, t, P_w, u, intr, iterations)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tracking, "_refine_pose", record)
+        mp.setattr(tracking, "_refine_poses", record)
         track_map_to_frame(seq)
         track_frame_to_frame(seq)
     for frame, T in zip(seq.frames[::10], seq.gt_trajectory[::10]):
         P_w = np.array([seq.gt_points[pm.landmark_id].position for pm in frame.points])
-        problems.append((T.rotation(), T.t, P_w, project(T.transform(P_w), cfg.intrinsics),
-                         cfg.intrinsics))
+        problems.append((T.rotation()[None], T.t[None], P_w,
+                         project(T.transform(P_w), cfg.intrinsics), cfg.intrinsics))
     return problems
 
 
 def test_refine_pose_equals_the_per_try_loop():
-    # accepted tries are rare (see _refine_pose): 1, 4 and 4 of the 495
+    # accepted tries are rare (see _refine_poses): 1, 4 and 4 of the 495
     # tracker refinements per preset, one with two accepted steps, and the
     # exact-pixel problems, which move the pose by a few ulps
-    accepted = []
+    accepted, widths = [], set()
     for preset in ("sphere", "box", "corridor"):
         for R, t, P_w, u, intr in refine_problems(preset):
-            T, err = _refine_pose(R, t, P_w, u, intr)
-            T_ref, err_ref, tries = refine_pose_per_try(R, t, P_w, u, intr)
-            assert (T.q.tobytes(), T.t.tobytes(), err) == \
-                (T_ref.q.tobytes(), T_ref.t.tobytes(), err_ref)
-            if tries:
-                accepted.append((tries, np.abs(T.t - Pose.from_rt(R, t).t).max()))
+            poses, errs = _refine_poses(R, t, P_w, u, intr)
+            assert len(poses) == len(errs) == len(R)
+            for T, err, R_s, t_s in zip(poses, errs, R, t):
+                T_ref, err_ref, tries = refine_pose_per_try(R_s, t_s, P_w, u, intr)
+                assert (T.q.tobytes(), T.t.tobytes(), err) == \
+                    (T_ref.q.tobytes(), T_ref.t.tobytes(), err_ref)
+                if tries:
+                    accepted.append((tries, np.abs(T.t - Pose.from_rt(R_s, t_s).t).max()))
+            widths.add(len(R))
+    # map-to-frame refines both EPnP candidates and the motion prior at once
+    assert max(widths) == 3
     assert max(tries for tries, _ in accepted) >= 2
     assert max(moved for _, moved in accepted) > 1e-3
+
+
+def test_refine_poses_gives_each_start_its_result_alone():
+    # one batch: a start with every point behind the camera (it leaves at
+    # once), the true pose with exact pixels (it accepts a step), an offset
+    # start (it accepts none) and a duplicate of the true pose
+    rng = np.random.default_rng(1)
+    T = random_pose(rng)
+    P_w = T.inverse().transform(general_points(rng, 20))
+    u = observe(T, P_w)
+    flip = np.diag([1.0, -1.0, -1.0])
+    starts = [Pose.from_rt(flip @ T.rotation(), flip @ T.t), T,
+              se3_exp_update(T, rng.normal(scale=0.05, size=6)), T]
+    R, t = np.array([S.rotation() for S in starts]), np.array([S.t for S in starts])
+    poses, errs = _refine_poses(R, t, P_w, u, K)
+    accepted = []
+    for s in range(len(starts)):
+        got = (poses[s].q.tobytes(), poses[s].t.tobytes(), errs[s])
+        alone, err_alone = _refine_poses(R[s:s + 1], t[s:s + 1], P_w, u, K)
+        assert got == (alone[0].q.tobytes(), alone[0].t.tobytes(), err_alone[0])
+        T_ref, err_ref, tries = refine_pose_per_try(R[s], t[s], P_w, u, K)
+        assert got == (T_ref.q.tobytes(), T_ref.t.tobytes(), err_ref)
+        accepted.append(tries)
+    assert errs[0] == 1e9
+    assert poses[0].q.tobytes() == starts[0].q.tobytes()
+    assert accepted == [0, 1, 0, 1]
 
 
 @pytest.mark.parametrize("tracker", [track_frame_to_frame, track_map_to_frame])
@@ -299,6 +357,24 @@ def test_tracking_lost_names_the_failing_frame(tracker):
         tracker(seq)
     assert info.value.frame_id == 4
     assert "frame 4" in str(info.value)
+
+    # a PnP failure at frame 3 (the third solve) names frame 3 as well
+    for error in (DegenerateGeometryError, InsufficientDataError):
+        solves = []
+
+        def failing(*args, **kwargs):
+            solves.append(args)
+            if len(solves) == 3:
+                raise error("injected")
+            return solve_pnp(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tracking, "solve_pnp", failing)
+            with pytest.raises(TrackingLostError) as info:
+                tracker(seq)
+        assert info.value.frame_id == 3
+        assert str(info.value) == "tracking lost at frame 3: injected"
+        assert isinstance(info.value.__cause__, error)
 
 
 # ---------------------------------------------------------------------------
@@ -486,8 +562,8 @@ def test_fuse_lines_equals_sequential_fuse_line_bit_for_bit():
     # mapped ids moved inside both gates or beyond one of them, and unseen ids
     kinds = {"inside": (5.0, 0.1), "angle": (20.0, 0.0), "distance": (0.0, 0.4)}
     batched, sequential = seeded_map(), seeded_map()
-    seen = set()
-    for _ in range(4):
+    seen, mixed_batches = set(), 0
+    for _ in range(6):
         ids = [3 * k for k in range(15)] + [100 + int(i) for i in rng.choice(50, 6, False)]
         rng.shuffle(ids)
         endpoints, expected = np.empty((len(ids), 2, 3)), []
@@ -503,10 +579,17 @@ def test_fuse_lines_equals_sequential_fuse_line_bit_for_bit():
         batched.fuse_lines(endpoints, ids, **gates)
         for lid, ends in zip(ids, endpoints):
             sequential.fuse_line(ends, landmark_id=lid, **gates)
+        merged_counts = []
         for lid, kind in expected:
             merged = lid in counts and sequential.lines[lid].count > counts[lid]
             assert merged == (kind == "inside")
             seen.add(kind)
+            if merged:
+                merged_counts.append(sequential.lines[lid].count)
+        # the batch refits several lines of one sample count in one stack,
+        # next to lines of other counts
+        sizes = np.unique(merged_counts, return_counts=True)[1]
+        mixed_batches += len(sizes) >= 2 and sizes.max() >= 2
         assert list(batched.lines) == list(sequential.lines)
         for lid, ml in sequential.lines.items():
             got = batched.lines[lid]
@@ -514,6 +597,7 @@ def test_fuse_lines_equals_sequential_fuse_line_bit_for_bit():
             assert got.count == ml.count
             assert [x.tobytes() for x in got.samples] == [x.tobytes() for x in ml.samples]
     assert seen == {"inside", "angle", "distance", "new"}
+    assert mixed_batches >= 2
 
 
 def test_fuse_lines_gates_are_exact_at_their_thresholds():
