@@ -483,7 +483,9 @@ def read_graph(path, intrinsics: CameraIntrinsics, sigma_s: float = 1.0) -> Fact
     pixels is finite. Only a line that fails this goes through the checks of
     ``_parse_int`` and ``_parse_float``, which raise its ParseError or, for
     finite pixels whose sum overflows, accept it. The values are packed into
-    columns once, after the last line.
+    columns once, after the last line. A file with a pose, a FIX or an edge
+    must then pass ``FactorGraph.check``; one with none of them (the empty
+    graph) has nothing to check.
     """
     graph = FactorGraph(intrinsics=intrinsics)
     weight = 1.0 / (sigma_s * sigma_s)
@@ -546,7 +548,7 @@ def read_graph(path, intrinsics: CameraIntrinsics, sigma_s: float = 1.0) -> Fact
         name, _, shape = _EDGES[tag]
         u = np.array(values, dtype=float).reshape(-1, *shape)
         setattr(graph, name, Factors(ids[0::2], ids[1::2], u, np.full(len(u), weight)))
-    if graph.poses:
+    if graph.poses or graph.fixed or len(graph.point_factors) or len(graph.line_factors):
         try:
             graph.check()
         except ValueError as exc:

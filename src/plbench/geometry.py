@@ -18,8 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-PLUCKER_TOL = 1e-10
-
 
 class GeometryError(ValueError):
     """Invalid geometric input (nonpositive depth, degenerate line, ...)."""
@@ -297,10 +295,6 @@ class Pose:
         return -(self.rotation().T @ self.t)
 
 
-def transform_point(T: Pose, p) -> np.ndarray:
-    return T.transform(p)
-
-
 def se3_exp_update(T: Pose, delta) -> Pose:
     """Left-multiplicative on-manifold update T <- Exp(delta) o T.
 
@@ -452,7 +446,7 @@ class PointLandmark:
 
 @dataclass(frozen=True)
 class LineLandmark:
-    """World-frame 3D segment; the Plucker view is derived from the endpoints."""
+    """World-frame 3D segment between two distinct endpoints."""
 
     id: int
     endpoints: np.ndarray  # (2, 3), start/end
@@ -467,15 +461,9 @@ class LineLandmark:
         e.flags.writeable = False
         object.__setattr__(self, "endpoints", e)
 
-    def plucker(self) -> tuple[np.ndarray, np.ndarray]:
-        return plucker_from_endpoints(self.endpoints[0], self.endpoints[1])
-
     def direction(self) -> np.ndarray:
         d = self.endpoints[1] - self.endpoints[0]
         return d / np.linalg.norm(d)
-
-    def midpoint(self) -> np.ndarray:
-        return 0.5 * (self.endpoints[0] + self.endpoints[1])
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,8 @@ class Box:
         e = np.asarray(self.extents, dtype=float).reshape(3).copy()
         if not np.all(e > 0):
             raise SceneError("box extents must be positive")
+        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(e))):
+            raise SceneError("box center and extents must be finite")
         c.flags.writeable = False
         e.flags.writeable = False
         object.__setattr__(self, "center", c)
@@ -83,9 +85,9 @@ class Box:
     def max(self) -> np.ndarray:
         return self.center + self.extents
 
-    def contains(self, p, margin: float = 0.0) -> bool:
+    def contains(self, p) -> bool:
         p = np.asarray(p, dtype=float)
-        return bool(np.all(np.abs(p - self.center) <= self.extents + margin))
+        return bool(np.all(np.abs(p - self.center) <= self.extents))
 
 
 @dataclass(frozen=True)
@@ -152,6 +154,8 @@ class TrajectorySpec:
             raise ConfigError("frame_count must be >= 2")
         if self.lookat not in ("center", "forward"):
             raise ConfigError(f"unknown look-at policy {self.lookat!r}")
+        if self.kind == "wave" and not self.wavelength > 0:
+            raise ConfigError(f"wave wavelength must be positive, got {self.wavelength}")
 
 
 @dataclass(frozen=True)
@@ -822,19 +826,15 @@ def generate_sequence(
     noise: NoiseParams,
     intr: CameraIntrinsics,
     cfg: RenderConfig = RenderConfig(),
-    noise_seed: int | None = None,
 ) -> Sequence:
     """Render every frame and corrupt surviving observations with noise.
 
-    The noise stream defaults to a child of the scene seed so that one
-    top-level seed reproduces the whole sequence. Noisy measurements that
-    leave the image, lose positive depth or shrink below min_line_len are
-    dropped and counted in the report.
+    The noise stream is a child of the scene seed, so one top-level seed
+    reproduces the whole sequence. Noisy measurements that leave the image,
+    lose positive depth or shrink below min_line_len are dropped and counted
+    in the report.
     """
-    if noise_seed is None:
-        seed_seq = np.random.SeedSequence(entropy=scene.seed, spawn_key=(1,))
-    else:
-        seed_seq = np.random.SeedSequence(noise_seed)
+    seed_seq = np.random.SeedSequence(entropy=scene.seed, spawn_key=(1,))
     rng = np.random.Generator(np.random.Philox(seed_seq))
 
     report = GenerationReport()
@@ -892,8 +892,11 @@ def parse_config(text: str) -> BenchmarkConfig:
             parts = value.split()
             if len(parts) != 6:
                 raise ConfigError(f"line {lineno}: box needs 6 numbers")
-            nums = [float(p) for p in parts]
-            boxes.append(Box(np.array(nums[:3]), np.array(nums[3:])))
+            try:
+                nums = [float(p) for p in parts]
+                boxes.append(Box(np.array(nums[:3]), np.array(nums[3:])))
+            except ValueError as exc:  # a bad number, or a SceneError from Box
+                raise ConfigError(f"line {lineno}: bad box {value!r}: {exc}") from exc
         else:
             values[key] = value
 
@@ -913,7 +916,10 @@ def parse_config(text: str) -> BenchmarkConfig:
         parts = values[key].split()
         if len(parts) != 3:
             raise ConfigError(f"{key!r} needs 3 numbers")
-        return tuple(float(p) for p in parts)
+        try:
+            return tuple(float(p) for p in parts)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key!r}: {values[key]!r}") from exc
 
     def get_bool(key, default):
         if key not in values:

@@ -2,8 +2,10 @@
 map-to-frame) with incremental landmark fusion.
 
 Data association uses the ground-truth landmark ids carried by the
-measurements; the geometric gates (radius/angle/distance thresholds) then
-decide whether an observation also updates the fused landmark estimate.
+measurements, so there is one fusion path, by known id, and no
+nearest-neighbour search; the geometric gates (radius/angle/distance
+thresholds) then decide whether an observation also updates the fused
+landmark estimate.
 Lines never enter the pose solver; they matter only for map building and
 the factor graph.
 """
@@ -12,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .factor_graph import _pose_jacobian, _project_points
 from .geometry import (
@@ -177,11 +178,10 @@ def _epnp_candidates(P_w, u, intr):
     alphas[:, 0] = 1.0 - alphas[:, 1:].sum(axis=1)
 
     M = np.zeros((2 * n, 3 * m))
-    for j in range(m):
-        M[0::2, 3 * j + 0] = alphas[:, j] * intr.fx
-        M[0::2, 3 * j + 2] = alphas[:, j] * (intr.cx - u[:, 0])
-        M[1::2, 3 * j + 1] = alphas[:, j] * intr.fy
-        M[1::2, 3 * j + 2] = alphas[:, j] * (intr.cy - u[:, 1])
+    M[0::2, 0::3] = alphas * intr.fx
+    M[0::2, 2::3] = alphas * (intr.cx - u[:, :1])
+    M[1::2, 1::3] = alphas * intr.fy
+    M[1::2, 2::3] = alphas * (intr.cy - u[:, 1:])
     _, vecs = np.linalg.eigh(M.T @ M)
     v1 = vecs[:, 0].reshape(m, 3)
     v2 = vecs[:, 1].reshape(m, 3)
@@ -300,34 +300,20 @@ class MapLine:
 
 
 class SparseMap:
-    """Point/line landmark store with a KD-tree over point positions.
+    """Point/line landmark store, fused by known landmark id.
 
-    The tree is rebuilt lazily: queries always reflect the current table.
+    Every measurement carries the id of its landmark, so fusion needs no
+    search: a candidate for a mapped landmark merges into it when it passes
+    the geometric gates and otherwise leaves its estimate alone; a candidate
+    for an unmapped id inserts that landmark. The default gates are sized to
+    the depth-noise model (about 3 sigma of the disparity noise at working
+    depths): narrower gates starve the running means and the map never
+    averages its noise away.
     """
 
     def __init__(self):
         self.points: dict[int, MapPoint] = {}
         self.lines: dict[int, MapLine] = {}
-        self._tree = None
-        self._tree_ids: list[int] = []
-
-    def _invalidate(self):
-        self._tree = None
-
-    def _kdtree(self):
-        if self._tree is None and self.points:
-            self._tree_ids = sorted(self.points)
-            data = np.array([self.points[i].position for i in self._tree_ids])
-            self._tree = cKDTree(data)
-        return self._tree
-
-    def nearest_point(self, position):
-        """(landmark id, distance) of the nearest map point, or None."""
-        tree = self._kdtree()
-        if tree is None:
-            return None
-        dist, idx = tree.query(np.asarray(position, dtype=float))
-        return self._tree_ids[int(idx)], float(dist)
 
     def point_positions(self) -> dict[int, np.ndarray]:
         return {i: p.position for i, p in self.points.items()}
@@ -337,30 +323,17 @@ class SparseMap:
 
     # -- fusion ------------------------------------------------------------
 
-    def fuse_point(self, position, landmark_id=None, radius_thresh: float = 0.05) -> int:
-        """Merge the candidate into the map or insert it.
-
-        With a known id the candidate merges into that landmark when it
-        falls inside the radius gate (incremental mean); otherwise the
-        landmark keeps its estimate. Without an id the nearest neighbor
-        inside the gate absorbs the candidate, else a fresh landmark is
-        created.
-        """
-        position = np.asarray(position, dtype=float)
-        if landmark_id is None:
-            hit = self.nearest_point(position)
-            if hit is not None and hit[1] <= radius_thresh:
-                landmark_id = hit[0]
-            else:
-                landmark_id = max(self.points, default=-1) + 1
-        self.fuse_points(position.reshape(1, 3), [landmark_id], radius_thresh)
+    def fuse_point(self, position, landmark_id: int, **gates) -> int:
+        """``fuse_points`` of one candidate; returns its landmark id."""
+        self.fuse_points(np.asarray(position, dtype=float).reshape(1, 3), [landmark_id], **gates)
         return landmark_id
 
-    def fuse_points(self, positions, landmark_ids, radius_thresh: float = 0.05) -> None:
-        """``fuse_point`` with a known id for each row of ``positions``
-        (n, 3), in one pass; the result equals n sequential calls bit for
-        bit. The ids must be distinct: a landmark is observed at most once
-        per frame.
+    def fuse_points(self, positions, landmark_ids, radius_thresh: float = 0.5) -> None:
+        """Fuse each row of ``positions`` (n, 3) into the landmark of its id,
+        in one pass. A candidate within ``radius_thresh`` of its mapped
+        landmark moves it to the running mean of its samples; the result
+        equals n sequential ``fuse_point`` calls bit for bit. The ids must be
+        distinct: a landmark is observed at most once per frame.
         """
         positions = np.asarray(positions, dtype=float).reshape(-1, 3)
         ids = list(landmark_ids)
@@ -381,46 +354,26 @@ class SparseMap:
                 if ok:
                     mp.position = position
                     mp.count += 1
-            if inside.any():
-                self._invalidate()
         for i in new:
             self.points[ids[i]] = MapPoint(ids[i], positions[i].copy())
-        if new:
-            self._invalidate()
 
-    def fuse_line(
-        self,
-        endpoints,
-        landmark_id=None,
-        angle_thresh_deg: float = 5.0,
-        dist_thresh: float = 0.05,
-    ) -> int:
-        """Merge when direction angle and midpoint-to-line distance pass
-        their gates; merged lines are refit over all accumulated endpoint
-        samples. Otherwise insert (or, with a known id, keep the estimate).
-        Without an id the candidate merges into the first stored line, in
-        id order, whose gates it passes.
-        """
-        endpoints = np.asarray(endpoints, dtype=float).reshape(2, 3)
-        if landmark_id is None:
-            ids = sorted(self.lines)
-            stored = np.array([self.lines[i].endpoints for i in ids]).reshape(-1, 2, 3)
-            passed = np.flatnonzero(_line_gates(
-                stored, np.broadcast_to(endpoints, stored.shape), angle_thresh_deg, dist_thresh))
-            landmark_id = ids[passed[0]] if len(passed) else max(self.lines, default=-1) + 1
-        self.fuse_lines(endpoints[None], [landmark_id], angle_thresh_deg, dist_thresh)
+    def fuse_line(self, endpoints, landmark_id: int, **gates) -> int:
+        """``fuse_lines`` of one segment; returns its landmark id."""
+        self.fuse_lines(np.asarray(endpoints, dtype=float).reshape(1, 2, 3), [landmark_id], **gates)
         return landmark_id
 
     def fuse_lines(
         self,
         endpoints,
         landmark_ids,
-        angle_thresh_deg: float = 5.0,
-        dist_thresh: float = 0.05,
+        angle_thresh_deg: float = 15.0,
+        dist_thresh: float = 0.5,
     ) -> None:
-        """``fuse_line`` with a known id for each segment of ``endpoints``
-        (n, 2, 3): the gates are tested in one pass and only merged lines
-        are refit, one ``_refit_lines`` call per group of merged lines with
+        """Fuse each segment of ``endpoints`` (n, 2, 3) into the landmark of
+        its id. A candidate merges when its direction angle and its
+        midpoint-to-line distance pass their gates; a merged line is refit
+        over all its accumulated endpoint samples. The gates are tested in
+        one pass and only merged lines are refit, one ``_refit_lines`` call per group of merged lines with
         the same sample count, so their samples stack into one array. A
         line's refit reads only its own samples, so the result equals n
         sequential calls bit for bit. The ids must be distinct: a landmark
@@ -526,22 +479,14 @@ def track_frame_to_frame(seq: Sequence) -> list[Pose]:
     return traj
 
 
-def track_map_to_frame(
-    seq: Sequence,
-    radius_thresh: float = 0.5,
-    angle_thresh_deg: float = 15.0,
-    dist_thresh: float = 0.5,
-) -> tuple[list[Pose], SparseMap]:
+def track_map_to_frame(seq: Sequence) -> tuple[list[Pose], SparseMap]:
     """Track against an incrementally fused map.
 
     The map starts from frame 0 at the ground-truth pose; each new frame
     is solved against the mapped points seen in it, then its measurements
-    are back-projected and fused (co-visible ones update landmarks inside
-    the gates, new ids are inserted).
-
-    The default gates are sized to the depth-noise model (about 3 sigma of
-    the disparity noise at working depths): narrower gates starve the
-    running means and the map never averages its noise away.
+    are back-projected and fused with ``SparseMap``'s default gates
+    (co-visible ones update landmarks inside the gates, new ids are
+    inserted).
     """
     intr = seq.intrinsics
     sparse_map = SparseMap()
@@ -562,11 +507,9 @@ def track_map_to_frame(
         # and moved to the world in one batch each
         T_inv = T.inverse()
         P_c = backproject(u, frame.point_depths, intr)
-        sparse_map.fuse_points(_transform_blocks(T_inv, P_c[:, None, :])[:, 0, :], ids,
-                               radius_thresh=radius_thresh)
+        sparse_map.fuse_points(_transform_blocks(T_inv, P_c[:, None, :])[:, 0, :], ids)
         ends_c = backproject(frame.line_pixels.reshape(-1, 2), frame.line_depths.reshape(-1),
                              intr).reshape(-1, 2, 3)
-        sparse_map.fuse_lines(_transform_blocks(T_inv, ends_c), frame.line_ids.tolist(),
-                              angle_thresh_deg=angle_thresh_deg, dist_thresh=dist_thresh)
+        sparse_map.fuse_lines(_transform_blocks(T_inv, ends_c), frame.line_ids.tolist())
 
     return traj, sparse_map

@@ -268,6 +268,20 @@ def test_graph_dangling_edge(tmp_path):
         read_graph(tmp_path / "g.txt", K)
 
 
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        pytest.param("VERTEX_POINT 2 0.0 0.0 1.0\nEDGE_POINT 5 2 1.0 2.0\n",
+                     "g.txt: graph needs at least one fixed pose", id="edge-without-pose"),
+        pytest.param("FIX 3\n", "g.txt: fixed flag on unknown pose vertex", id="fix-without-pose"),
+    ],
+)
+def test_graph_without_pose_vertex_is_checked(tmp_path, text, match):
+    (tmp_path / "g.txt").write_text(text)
+    with pytest.raises(ParseError, match=match):
+        read_graph(tmp_path / "g.txt", K)
+
+
 GRAPH_HEAD = ("VERTEX_POSE 0 0.0 0.0 0.0 0.0 0.0 0.0 1.0\nFIX 0\n"
               "VERTEX_LINE 1 0.0 0.0 0.5 0.0 0.5 0.0\n")
 

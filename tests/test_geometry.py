@@ -28,7 +28,6 @@ from plbench.geometry import (
     so3_exp,
     so3_log,
     transform_plucker,
-    transform_point,
 )
 
 K_VGA = CameraIntrinsics(100.0, 100.0, 320.0, 240.0, 640, 480)
@@ -101,14 +100,14 @@ def test_intrinsics_invariants():
 
 def test_transform_point_examples():
     np.testing.assert_allclose(
-        transform_point(Pose.identity(), np.array([1.0, 2.0, 3.0])), [1, 2, 3]
+        Pose.identity().transform(np.array([1.0, 2.0, 3.0])), [1, 2, 3]
     )
     quarter_turn_z = Pose.from_rt(so3_exp([0, 0, np.pi / 2]), np.zeros(3))
     np.testing.assert_allclose(
-        transform_point(quarter_turn_z, np.array([1.0, 0.0, 0.0])), [0, 1, 0], atol=1e-12
+        quarter_turn_z.transform(np.array([1.0, 0.0, 0.0])), [0, 1, 0], atol=1e-12
     )
     shift = Pose(np.array([0.0, 0.0, 0.0, 1.0]), np.array([0.0, 0.0, 5.0]))
-    np.testing.assert_allclose(transform_point(shift, np.array([1.0, 2.0, 3.0])), [1, 2, 8])
+    np.testing.assert_allclose(shift.transform(np.array([1.0, 2.0, 3.0])), [1, 2, 8])
 
 
 @given(q=quat, t=vec3)
@@ -372,7 +371,7 @@ def test_line_measurement_rejects_coincident_endpoints():
 
 def test_line_landmark_plucker_consistency():
     lm = LineLandmark(0, np.array([[1.0, 0, 0], [1.0, 1, 0]]))
-    n, d = lm.plucker()
+    n, d = plucker_from_endpoints(*lm.endpoints)
     np.testing.assert_allclose(n, [0, 0, 1])
     np.testing.assert_allclose(d, [0, 1, 0])
     assert abs(n @ d) <= 1e-10

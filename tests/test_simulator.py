@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -685,6 +686,40 @@ def test_parse_config_errors():
         parse_config("box = 1 2 3\n")  # box needs 6 numbers
     with pytest.raises(ConfigError):
         parse_config("")  # missing required keys
+
+
+BOX_TEXT = resources.files("plbench").joinpath("presets/box.cfg").read_text()
+BOX_END = len(BOX_TEXT.splitlines()) + 1  # the number of a line appended to it
+
+
+def box_with(line):
+    return lambda: parse_config(BOX_TEXT + line + "\n")
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        pytest.param(box_with("box = 1 2 x 1 1 1"),
+                     f"line {BOX_END}: bad box '1 2 x 1 1 1': could not convert", id="box-number"),
+        pytest.param(box_with("box = 4 4 4 1 0 1"),
+                     f"line {BOX_END}: bad box '4 4 4 1 0 1': box extents must be positive",
+                     id="box-extent"),
+        pytest.param(box_with("box = nan 4 4 1 1 1"),
+                     f"line {BOX_END}: bad box 'nan 4 4 1 1 1': box center and extents must be finite",
+                     id="box-nonfinite"),
+        pytest.param(box_with("trajectory.target = 0 0 x"),
+                     "bad value for 'trajectory.target': '0 0 x'", id="vec3-number"),
+        pytest.param(box_with("trajectory.wavelength = 0"),
+                     "wave wavelength must be positive, got 0.0", id="config-wavelength"),
+        pytest.param(lambda: TrajectorySpec("wave", 5, wavelength=0.0),
+                     "wave wavelength must be positive", id="spec-wavelength"),
+        pytest.param(lambda: TrajectorySpec("wave", 5, wavelength=-1.0),
+                     "wave wavelength must be positive", id="spec-negative-wavelength"),
+    ],
+)
+def test_config_mistakes_raise_config_error(build, match):
+    with pytest.raises(ConfigError, match=match):
+        build()
 
 
 def test_config_comments_and_overrides():

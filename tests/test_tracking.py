@@ -398,19 +398,6 @@ def test_fuse_point_known_id_keeps_estimate_outside_the_gate():
     assert list(m.points) == [7]
 
 
-def test_fuse_point_without_id_merges_into_nearest_or_inserts():
-    m = SparseMap()
-    m.fuse_point([0.0, 0.0, 1.0], landmark_id=3)
-    m.fuse_point([1.0, 0.0, 1.0], landmark_id=5)
-    assert m.fuse_point([0.98, 0.0, 1.0], radius_thresh=0.05) == 5
-    np.testing.assert_allclose(m.points[5].position, [0.99, 0.0, 1.0])
-    # the KD-tree sees the merged position, not the stale one
-    assert m.nearest_point([0.99, 0.0, 1.0]) == (5, 0.0)
-    assert m.fuse_point([0.5, 0.0, 1.0], radius_thresh=0.05) == 6
-    np.testing.assert_array_equal(m.points[6].position, [0.5, 0.0, 1.0])
-    assert m.points[3].count == 1
-
-
 def test_fuse_points_equals_sequential_fuse_point_bit_for_bit():
     rng = np.random.default_rng(6)
     radius = 0.3
@@ -453,9 +440,6 @@ def test_fuse_points_equals_sequential_fuse_point_bit_for_bit():
             assert batched.points[lid].position.tobytes() == mp.position.tobytes()
             assert batched.points[lid].count == mp.count
     assert merged and rejected and inserted
-    # the KD-tree sees the batch's positions
-    pid = ids[0]
-    assert batched.nearest_point(sequential.points[pid].position) == (pid, 0.0)
 
 
 def test_fuse_points_gate_is_exact_at_the_radius():
@@ -483,12 +467,13 @@ def test_fuse_points_rejects_an_id_repeated_in_the_batch():
 
 
 SEGMENT = np.array([[0.0, 0.0, 2.0], [1.0, 0.0, 2.0]])
+NARROW = {"angle_thresh_deg": 5.0, "dist_thresh": 0.05}
 
 
 def test_fuse_line_known_id_merges_and_refits_over_all_samples():
     m = SparseMap()
-    assert m.fuse_line(SEGMENT, landmark_id=4) == 4
-    assert m.fuse_line(SEGMENT + [0.5, 0.0, 0.0], landmark_id=4) == 4
+    assert m.fuse_line(SEGMENT, landmark_id=4, **NARROW) == 4
+    assert m.fuse_line(SEGMENT + [0.5, 0.0, 0.0], landmark_id=4, **NARROW) == 4
     ml = m.lines[4]
     assert ml.count == 2
     assert len(ml.samples) == 2
@@ -509,28 +494,11 @@ def test_fuse_line_known_id_merges_and_refits_over_all_samples():
 )
 def test_fuse_line_gates_reject(candidate):
     m = SparseMap()
-    m.fuse_line(SEGMENT, landmark_id=4)
-    # with a known id the landmark keeps its estimate
-    assert m.fuse_line(candidate, landmark_id=4) == 4
+    m.fuse_line(SEGMENT, landmark_id=4, **NARROW)
+    # the landmark keeps its estimate
+    assert m.fuse_line(candidate, landmark_id=4, **NARROW) == 4
     assert m.lines[4].count == 1
     np.testing.assert_array_equal(m.lines[4].endpoints, SEGMENT)
-    # without an id a fresh landmark is inserted
-    assert m.fuse_line(candidate) == 5
-    np.testing.assert_array_equal(m.lines[5].endpoints, candidate)
-
-
-def test_fuse_line_without_id_merges_into_first_passing_line():
-    m = SparseMap()
-    m.fuse_line(SEGMENT, landmark_id=2)
-    m.fuse_line(SEGMENT + [0.0, 1.0, 0.0], landmark_id=9)
-    assert m.fuse_line(SEGMENT + [0.0, 1.01, 0.0]) == 9
-    assert m.lines[9].count == 2
-    assert m.lines[2].count == 1
-    # of several passing lines the lowest id wins, not the first inserted
-    m.fuse_line(SEGMENT + [0.0, 3.0, 0.0], landmark_id=8)
-    m.fuse_line(SEGMENT + [0.0, 3.0, 0.0], landmark_id=5)
-    assert m.fuse_line(SEGMENT + [0.0, 3.01, 0.0]) == 5
-    assert (m.lines[5].count, m.lines[8].count) == (2, 1)
 
 
 def line_candidate(ends, rng, angle_deg, offset):
