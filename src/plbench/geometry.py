@@ -312,36 +312,43 @@ def se3_exp_update(T: Pose, delta) -> Pose:
 def matrix_to_quat_batch(R) -> np.ndarray:
     """``matrix_to_quat`` of every matrix of R (m, 3, 3), bit for bit."""
     R = np.asarray(R, dtype=float)
-    q = np.empty((len(R), 4))
     tr = np.trace(R, axis1=1, axis2=2)
     pos = tr > 0
-    Rp = R[pos]
-    s = np.sqrt(tr[pos] + 1.0) * 2.0
-    q[pos] = np.stack(
+    r = np.flatnonzero(~pos)
+    Rp, s = (R[pos], tr[pos]) if len(r) else (R, tr)
+    s = np.sqrt(s + 1.0) * 2.0
+    q = np.stack(
         [(Rp[:, 2, 1] - Rp[:, 1, 2]) / s, (Rp[:, 0, 2] - Rp[:, 2, 0]) / s,
          (Rp[:, 1, 0] - Rp[:, 0, 1]) / s, 0.25 * s],
         axis=1,
     )
-    r = np.flatnonzero(~pos)
-    k = np.argmax(np.diagonal(R[r], axis1=1, axis2=2), axis=1)
-    i, j = (k + 1) % 3, (k + 2) % 3
-    s = np.sqrt(R[r, k, k] - R[r, i, i] - R[r, j, j] + 1.0) * 2.0
-    q[r, k] = 0.25 * s
-    q[r, i] = (R[r, i, k] + R[r, k, i]) / s
-    q[r, j] = (R[r, j, k] + R[r, k, j]) / s
-    q[r, 3] = (R[r, j, i] - R[r, i, j]) / s
+    if len(r):  # Shepperd's other branch, on the rows with trace <= 0
+        q_pos, q = q, np.empty((len(R), 4))
+        q[pos] = q_pos
+        k = np.argmax(np.diagonal(R[r], axis1=1, axis2=2), axis=1)
+        i, j = (k + 1) % 3, (k + 2) % 3
+        s = np.sqrt(R[r, k, k] - R[r, i, i] - R[r, j, j] + 1.0) * 2.0
+        q[r, k] = 0.25 * s
+        q[r, i] = (R[r, i, k] + R[r, k, i]) / s
+        q[r, j] = (R[r, j, k] + R[r, k, j]) / s
+        q[r, 3] = (R[r, j, i] - R[r, i, j]) / s
     q = np.where(q[:, 3:] < 0, -q, q)
     return q / row_norms(q)[:, None]
 
 
 def quat_to_matrix_batch(q) -> np.ndarray:
-    """``quat_to_matrix`` of every row of q (m, 4), bit for bit."""
+    """``quat_to_matrix`` of every row of q (m, 4), bit for bit: each
+    product of two components is formed once, as ``quat_to_matrix`` forms
+    the same product."""
     x, y, z, w = np.asarray(q, dtype=float).T
+    xx, yy, zz = x * x, y * y, z * z
+    xy, xz, yz = x * y, x * z, y * z
+    xw, yw, zw = x * w, y * w, z * w
     return np.stack(
         [
-            1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w),
-            2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w),
-            2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y),
+            1 - 2 * (yy + zz), 2 * (xy - zw), 2 * (xz + yw),
+            2 * (xy + zw), 1 - 2 * (xx + zz), 2 * (yz - xw),
+            2 * (xz - yw), 2 * (yz + xw), 1 - 2 * (xx + yy),
         ],
         axis=1,
     ).reshape(-1, 3, 3)
@@ -559,22 +566,32 @@ def orthonormal_update(o: OrthonormalLine, delta) -> OrthonormalLine:
 
 
 def rigid_fit(src, dst) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares rotation/translation with dst ~ R @ src + t (no scale).
+    """Least-squares rotation/translation with dst ~ R @ src + t (no scale):
+    ``rigid_fit_batch`` of one pair of point sets (n, 3)."""
+    R, t = rigid_fit_batch(np.asarray(src, dtype=float)[None], np.asarray(dst, dtype=float)[None])
+    return R[0], t[0]
+
+
+def rigid_fit_batch(src, dst) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares rotation/translation with dst[i] ~ R[i] @ src[i] + t[i]
+    for each pair of point sets src[i], dst[i] (..., n, 3); the leading
+    axes broadcast. Returns R (..., 3, 3) and t (..., 3).
 
     Horn's closed form via SVD with a determinant guard against
-    reflections.
+    reflections. Every step is a mean down the rows or one BLAS or LAPACK
+    call per pair, so each fit equals a fit of its pair alone bit for bit.
     """
     src = np.asarray(src, dtype=float)
     dst = np.asarray(dst, dtype=float)
-    mu_s = src.mean(axis=0)
-    mu_d = dst.mean(axis=0)
-    H = (dst - mu_d).T @ (src - mu_s)
+    mu_s = src.mean(axis=-2)
+    mu_d = dst.mean(axis=-2)
+    H = (dst - mu_d[..., None, :]).swapaxes(-1, -2) @ (src - mu_s[..., None, :])
     U, _, Vt = np.linalg.svd(H)
-    S = np.eye(3)
-    if np.linalg.det(U @ Vt) < 0:
-        S[2, 2] = -1.0
+    S = np.zeros(H.shape)
+    S[..., 0, 0] = S[..., 1, 1] = 1.0
+    S[..., 2, 2] = np.where(np.linalg.det(U @ Vt) < 0, -1.0, 1.0)
     R = U @ S @ Vt
-    return R, mu_d - R @ mu_s
+    return R, mu_d - (R @ mu_s[..., None])[..., 0]
 
 
 def line_angle(d1, d2) -> float:

@@ -156,6 +156,10 @@ class TrajectorySpec:
             raise ConfigError(f"unknown look-at policy {self.lookat!r}")
         if self.kind == "wave" and not self.wavelength > 0:
             raise ConfigError(f"wave wavelength must be positive, got {self.wavelength}")
+        if self.kind == "orbit" and not self.radius > 0:
+            raise ConfigError(f"orbit radius must be positive, got {self.radius}")
+        if self.kind == "corridor" and not (self.leg_x > 0 and self.leg_y > 0):
+            raise ConfigError(f"corridor legs must be positive, got {self.leg_x} x {self.leg_y}")
 
 
 @dataclass(frozen=True)
@@ -188,11 +192,30 @@ _FACES = [(0, -1.0), (0, 1.0), (1, -1.0), (1, 1.0), (2, -1.0), (2, 1.0)]
 
 @dataclass
 class Scene:
+    """Boxes and landmarks of one scene. The landmark arrays the renderer
+    reads (ids, point positions, line endpoints) are built once from
+    ``points`` and ``lines`` when the scene is made, so the landmark lists
+    must not change afterwards."""
+
     boxes: tuple[Box, ...]
     points: list[PointLandmark]
     lines: list[LineLandmark]
     parallel_groups: dict[int, list[int]]  # group id -> line landmark ids
     seed: int = 0
+    point_ids: np.ndarray = field(init=False, repr=False, compare=False)
+    point_positions: np.ndarray = field(init=False, repr=False, compare=False)  # (P, 3)
+    line_ids: np.ndarray = field(init=False, repr=False, compare=False)
+    line_endpoints: np.ndarray = field(init=False, repr=False, compare=False)  # (L, 2, 3)
+
+    def __post_init__(self):
+        self.point_ids = _frozen([p.id for p in self.points], np.int64,
+                                 (len(self.points),), "point ids")
+        self.point_positions = _frozen([p.position for p in self.points], float,
+                                       (len(self.points), 3), "point positions")
+        self.line_ids = _frozen([line.id for line in self.lines], np.int64,
+                                (len(self.lines),), "line ids")
+        self.line_endpoints = _frozen([line.endpoints for line in self.lines], float,
+                                      (len(self.lines), 2, 3), "line endpoints")
 
 
 def _box_edges(box: Box):
@@ -525,14 +548,13 @@ def render_frame(
     """
     R = pose.rotation()
     cam_center = pose.center()
-    point_ids = np.array([p.id for p in scene.points], dtype=np.int64)
-    line_ids = np.array([line.id for line in scene.lines], dtype=np.int64)
+    point_ids, line_ids = scene.point_ids, scene.line_ids
     seen_points = seen_lines = np.empty(0, dtype=np.intp)
     u, z = np.empty((0, 2)), np.empty(0)
     pixels, depths = np.empty((0, 2, 2)), np.empty((0, 2))
 
-    if scene.points:
-        P_w = np.array([p.position for p in scene.points])
+    if len(point_ids):
+        P_w = scene.point_positions
         P_c = P_w @ R.T + pose.t
         z = P_c[:, 2]
         ok = (z >= cfg.z_near) & (z <= cfg.z_far)
@@ -546,8 +568,8 @@ def render_frame(
             idx = np.nonzero(ok)[0]
             seen_points = idx[~occluded(cam_center, P_w[idx], scene.boxes)]
 
-    if scene.lines:
-        E = np.array([line.endpoints for line in scene.lines])  # (L, 2, 3)
+    if len(line_ids):
+        E = scene.line_endpoints
         A_c = _stacked_matvec(R, E[:, 0]) + pose.t
         B_c = _stacked_matvec(R, E[:, 1]) + pose.t
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

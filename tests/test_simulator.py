@@ -715,6 +715,16 @@ def box_with(line):
                      "wave wavelength must be positive", id="spec-wavelength"),
         pytest.param(lambda: TrajectorySpec("wave", 5, wavelength=-1.0),
                      "wave wavelength must be positive", id="spec-negative-wavelength"),
+        pytest.param(lambda: TrajectorySpec("orbit", 5, radius=0.0),
+                     "orbit radius must be positive, got 0.0", id="spec-orbit-radius"),
+        pytest.param(lambda: TrajectorySpec("orbit", 5, radius=-6.0),
+                     "orbit radius must be positive, got -6.0", id="spec-negative-orbit-radius"),
+        pytest.param(lambda: TrajectorySpec("orbit", 5, radius=float("nan")),
+                     "orbit radius must be positive, got nan", id="spec-nan-orbit-radius"),
+        pytest.param(lambda: TrajectorySpec("corridor", 5, leg_x=0.0),
+                     "corridor legs must be positive, got 0.0 x 6.0", id="spec-corridor-leg-x"),
+        pytest.param(lambda: TrajectorySpec("corridor", 5, leg_y=-2.0),
+                     "corridor legs must be positive, got 8.0 x -2.0", id="spec-corridor-leg-y"),
     ],
 )
 def test_config_mistakes_raise_config_error(build, match):

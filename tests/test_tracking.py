@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,16 +16,27 @@ from plbench.factor_graph import (
     _project_points,
     build_covisibility_graph,
 )
-from plbench.geometry import CameraIntrinsics, Pose, line_angle, project, se3_exp_update, so3_exp
+from plbench.geometry import (
+    CameraIntrinsics,
+    Pose,
+    backproject,
+    line_angle,
+    project,
+    row_norms,
+    se3_exp_update,
+    so3_exp,
+)
 from plbench.simulator import NoiseParams, build_scene, build_trajectory, generate_sequence, load_preset
 from plbench.tracking import (
     DegenerateGeometryError,
     InsufficientDataError,
+    PnPResult,
     SparseMap,
     TrackingLostError,
     _epnp_control_points,
     _refine_poses,
     solve_pnp,
+    solve_pnp_batch,
     track_frame_to_frame,
     track_map_to_frame,
 )
@@ -43,6 +55,201 @@ def observe(T: Pose, P_w):
 def assert_same_pose(T, T_ref, atol):
     np.testing.assert_allclose(T.rotation(), T_ref.rotation(), atol=atol)
     np.testing.assert_allclose(T.t, T_ref.t, atol=atol)
+
+
+def result_bytes(result: PnPResult):
+    return result.pose.q.tobytes(), result.pose.t.tobytes(), result.mean_error
+
+
+# ---------------------------------------------------------------------------
+# references: the one-problem solver and the frame-by-frame tracker that
+# the batches replaced, kept to hold the batches to their results bit for bit
+
+
+def mean_error_per_try(T: Pose, P_w, u, intr):
+    n = len(P_w)
+    _, valid, _, proj = _project_points(np.broadcast_to(T.rotation(), (n, 3, 3)), T.t, P_w, intr)
+    err = np.linalg.norm(proj - u, axis=1)
+    err[~valid] = 1e9
+    return float(np.mean(err))
+
+
+def refine_pose_per_try(R, t, P_w, u, intr, iterations=10):
+    """The former ``_refine_pose``: one ``Pose`` and one projection per
+    backtracking try. Returns (pose, mean error, accepted tries)."""
+    T = Pose.from_rt(R, t)
+    err = mean_error_per_try(T, P_w, u, intr)
+    n = len(P_w)
+    accepted = 0
+    for _ in range(iterations):
+        R_all = np.broadcast_to(T.rotation(), (n, 3, 3))
+        t_all = np.broadcast_to(T.t, (n, 3))
+        res, valid, (P_c, zs) = _point_residuals(R_all, t_all, P_w, u, intr)
+        if valid.sum() < 4:
+            break
+        J = _pose_jacobian(P_c, zs, valid, intr)[0].reshape(-1, 6)
+        r = res.reshape(-1)
+        try:
+            delta = np.linalg.solve(J.T @ J + 1e-12 * np.eye(6), J.T @ r)
+        except np.linalg.LinAlgError:
+            break
+        if not np.all(np.isfinite(delta)):
+            break
+        step = 1.0
+        for _try in range(6):
+            T_new = se3_exp_update(T, step * delta)
+            err_new = mean_error_per_try(T_new, P_w, u, intr)
+            if err_new <= err:
+                T, err = T_new, err_new
+                accepted += 1
+                break
+            step *= 0.5
+        else:
+            break
+        if np.linalg.norm(step * delta) < 1e-14:
+            break
+    return T, err, accepted
+
+
+def reference_control_points(P_w):
+    c0 = P_w.mean(axis=0)
+    centered = P_w - c0
+    cov = centered.T @ centered / len(P_w)
+    evals, evecs = np.linalg.eigh(cov)
+    evals = evals[::-1]
+    evecs = evecs[:, ::-1]
+    if evals[0] <= 0 or evals[1] < 1e-12 * evals[0]:
+        raise DegenerateGeometryError("points are collinear or coincident")
+    planar = evals[2] < 1e-8 * evals[0]
+    k = 2 if planar else 3
+    ctrl = [c0]
+    for i in range(k):
+        ctrl.append(c0 + np.sqrt(evals[i]) * evecs[:, i])
+    return np.array(ctrl)
+
+
+def reference_candidates(P_w, u, intr):
+    n = len(P_w)
+    ctrl_w = reference_control_points(P_w)
+    m = len(ctrl_w)
+
+    B = (ctrl_w[1:] - ctrl_w[0]).T  # 3 x (m-1)
+    rel = (P_w - ctrl_w[0]).T
+    if m == 4:
+        alpha_rest = np.linalg.solve(B, rel)
+    else:
+        alpha_rest = np.linalg.lstsq(B, rel, rcond=None)[0]
+    alphas = np.empty((n, m))
+    alphas[:, 1:] = alpha_rest.T
+    alphas[:, 0] = 1.0 - alphas[:, 1:].sum(axis=1)
+
+    M = np.zeros((2 * n, 3 * m))
+    M[0::2, 0::3] = alphas * intr.fx
+    M[0::2, 2::3] = alphas * (intr.cx - u[:, :1])
+    M[1::2, 1::3] = alphas * intr.fy
+    M[1::2, 2::3] = alphas * (intr.cy - u[:, 1:])
+    _, vecs = np.linalg.eigh(M.T @ M)
+    v1 = vecs[:, 0].reshape(m, 3)
+    v2 = vecs[:, 1].reshape(m, 3)
+
+    i, j = np.triu_indices(m, 1)
+    dc = row_norms(ctrl_w[i] - ctrl_w[j])
+    dv1 = v1[i] - v1[j]
+    dv2 = v2[i] - v2[j]
+
+    candidates = []
+    norm1 = np.linalg.norm(dv1, axis=1)
+    denom = float(norm1 @ norm1)
+    if denom > 1e-18:
+        beta = float(norm1 @ dc) / denom
+        candidates.append(beta * v1)
+
+    A = np.stack(
+        [np.sum(dv1 * dv1, axis=1), 2.0 * np.sum(dv1 * dv2, axis=1), np.sum(dv2 * dv2, axis=1)],
+        axis=1,
+    )
+    sol, *_ = np.linalg.lstsq(A, dc**2, rcond=None)
+    b11, b12, b22 = sol
+    b1 = np.sqrt(max(b11, 0.0))
+    b2 = np.sqrt(max(b22, 0.0)) * (1.0 if b12 >= 0 else -1.0)
+    if b1 > 1e-12:
+        betas = np.array([b1, b2])
+        for _ in range(5):
+            dvc = betas[0] * dv1 + betas[1] * dv2
+            r = np.sum(dvc * dvc, axis=1) - dc**2
+            J = np.stack([2 * np.sum(dvc * dv1, axis=1), 2 * np.sum(dvc * dv2, axis=1)], axis=1)
+            try:
+                step = np.linalg.solve(J.T @ J + 1e-12 * np.eye(2), J.T @ r)
+            except np.linalg.LinAlgError:
+                break
+            betas = betas - step
+        candidates.append(betas[0] * v1 + betas[1] * v2)
+    return alphas, [-x if np.mean(x[:, 2]) < 0 else x for x in candidates]
+
+
+def reference_rigid_fit(src, dst):
+    mu_s = src.mean(axis=0)
+    mu_d = dst.mean(axis=0)
+    H = (dst - mu_d).T @ (src - mu_s)
+    U, _, Vt = np.linalg.svd(H)
+    S = np.eye(3)
+    if np.linalg.det(U @ Vt) < 0:
+        S[2, 2] = -1.0
+    R = U @ S @ Vt
+    return R, mu_d - R @ mu_s
+
+
+def reference_solve_pnp(world_points, pixels, intr, refine_iters=10, initial=None):
+    """The one-problem ``solve_pnp``, with each start refined alone by the
+    per-try loop."""
+    P_w = np.asarray(world_points, dtype=float).reshape(-1, 3)
+    u = np.asarray(pixels, dtype=float).reshape(-1, 2)
+    if len(P_w) != len(u):
+        raise InsufficientDataError("points and pixels differ in length")
+    if len(P_w) < 4:
+        raise InsufficientDataError(f"need at least 4 correspondences, got {len(P_w)}")
+    alphas, candidates = reference_candidates(P_w, u, intr)
+    starts = [Pose.from_rt(*reference_rigid_fit(P_w, alphas @ x)) for x in candidates]
+    if initial is not None:
+        starts.append(initial)
+    if not starts:
+        raise DegenerateGeometryError("EPnP found no candidate pose")
+    refined = [refine_pose_per_try(T.rotation(), T.t, P_w, u, intr, refine_iters)[:2]
+               for T in starts]
+    best = min(range(len(refined)), key=lambda s: refined[s][1])
+    return PnPResult(*refined[best])
+
+
+def frame_to_frame_problems(seq):
+    """The frame-to-frame problems (P_prev, u) of frames 1, 2, ... up to the
+    first frame sharing fewer than 4 landmarks, built frame by frame; the
+    last entry is that frame's ``TrackingLostError``, or None."""
+    problems = []
+    for j in range(1, len(seq.frames)):
+        prev, frame = seq.frames[j - 1], seq.frames[j]
+        index = {lid: i for i, lid in enumerate(prev.point_ids.tolist())}
+        shared = [(index[lid], i) for i, lid in enumerate(frame.point_ids.tolist()) if lid in index]
+        if len(shared) < 4:
+            return problems, TrackingLostError(j, f"only {len(shared)} shared landmarks")
+        a, b = np.array(shared).T
+        problems.append((backproject(prev.point_pixels[a], prev.point_depths[a], seq.intrinsics),
+                         frame.point_pixels[b]))
+    return problems, None
+
+
+def reference_track_frame_to_frame(seq):
+    """The frame-by-frame tracker: one one-problem solve per frame."""
+    traj = [seq.gt_trajectory[0]]
+    problems, lost = frame_to_frame_problems(seq)
+    for j, (P_prev, u) in enumerate(problems, start=1):
+        try:
+            rel = reference_solve_pnp(P_prev, u, seq.intrinsics).pose
+        except (DegenerateGeometryError, InsufficientDataError) as exc:
+            raise TrackingLostError(j, str(exc)) from exc
+        traj.append(rel.compose(traj[j - 1]))
+    if lost is not None:
+        raise lost
+    return traj
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +276,9 @@ def test_epnp_is_exact_on_noiseless_input(make_points, control_points):
     for _ in range(20):
         T = random_pose(rng)
         P_w = make_points(rng)
-        assert len(_epnp_control_points(P_w)) == control_points
+        _, planar, degenerate = _epnp_control_points(P_w, [len(P_w)])
+        assert 4 - int(planar[0]) == len(reference_control_points(P_w)) == control_points
+        assert not degenerate[0]
         # no Gauss-Newton: the closed-form EPnP step alone must be exact
         result = solve_pnp(P_w, observe(T, P_w), K, refine_iters=0)
         assert_same_pose(result.pose, T, atol=1e-7)
@@ -105,27 +314,129 @@ def test_solve_pnp_without_a_start_raises_degenerate_geometry(monkeypatch):
     P_w = general_points(np.random.default_rng(4))
     u = observe(Pose.identity(), P_w)
     epnp = tracking._epnp_candidates
-    monkeypatch.setattr(tracking, "_epnp_candidates", lambda *args: (*epnp(*args)[:2], []))
-    with pytest.raises(DegenerateGeometryError, match="no candidate"):
-        solve_pnp(P_w, u, K)
+
+    def no_candidates(*args):
+        alphas, candidates, exists = epnp(*args)
+        return alphas, candidates, np.zeros_like(exists)
+
+    monkeypatch.setattr(tracking, "_epnp_candidates", no_candidates)
+    with pytest.raises(DegenerateGeometryError, match="no candidate") as info:
+        solve_pnp_batch([(P_w, u, Pose.identity()), (P_w, u, None)], K)
+    assert info.value.problem == 1
     # a motion prior alone is still a start
-    assert solve_pnp(P_w, u, K, initial=Pose.identity()).mean_error <= 1e-6
+    assert solve_pnp_batch([(P_w, u, Pose.identity())], K)[0].mean_error <= 1e-6
 
 
 def test_solve_pnp_keeps_the_first_of_tied_starts(monkeypatch):
     rng = np.random.default_rng(5)
     P_w = general_points(rng)
-    refined = [random_pose(rng) for _ in range(3)]
+    refined = [random_pose(rng) for _ in range(6)]
 
     def tied(R, t, *args, **kwargs):
-        errs = np.ones(len(R))
-        errs[0] = 3.0
-        return refined[:len(R)], errs
+        # three starts per problem: errors 3, 1, 1 and then 2, 2, 5
+        assert len(R) == 6
+        errs = np.array([3.0, 1.0, 1.0, 2.0, 2.0, 5.0])
+        return np.array([T.q for T in refined]), np.array([T.t for T in refined]), errs
 
     monkeypatch.setattr(tracking, "_refine_poses", tied)
-    result = solve_pnp(P_w, observe(Pose.identity(), P_w), K, initial=Pose.identity())
-    assert result.pose is refined[1]
-    assert result.mean_error == 1.0
+    u = observe(Pose.identity(), P_w)
+    first, second = solve_pnp_batch([(P_w, u, Pose.identity())] * 2, K)
+    assert first.pose.q.tobytes() == refined[1].q.tobytes()
+    assert first.pose.t.tobytes() == refined[1].t.tobytes()
+    assert first.mean_error == 1.0
+    assert second.pose.q.tobytes() == refined[3].q.tobytes()
+    assert second.mean_error == 2.0
+
+
+@pytest.mark.parametrize(
+    "kinds, error, problem",
+    [
+        (["good", "collinear", "good"], DegenerateGeometryError, 1),
+        (["good", "three", "collinear"], InsufficientDataError, 1),
+        (["collinear", "three"], DegenerateGeometryError, 0),
+        (["good", "good", "mismatched", "three"], InsufficientDataError, 2),
+    ],
+)
+def test_solve_pnp_batch_raises_the_error_of_its_first_failing_problem(kinds, error, problem):
+    rng = np.random.default_rng(9)
+    problems = []
+    for kind in kinds:
+        if kind == "collinear":
+            P_w = np.outer(np.linspace(-1.0, 1.0, 6), [1.0, 0.5, 0.2]) + np.array([0.0, 0.0, 5.0])
+        else:
+            P_w = general_points(rng, 3 if kind == "three" else 8)
+        u = observe(Pose.identity(), P_w)
+        problems.append((P_w, u[:-1] if kind == "mismatched" else u, None))
+    with pytest.raises(error) as info:
+        solve_pnp_batch(problems, K)
+    assert info.value.problem == problem
+    with pytest.raises(error) as alone:
+        reference_solve_pnp(*problems[problem][:2], K)
+    assert str(info.value) == str(alone.value)
+
+
+def test_solve_each_solves_the_others_when_one_system_is_singular():
+    rng = np.random.default_rng(10)
+    A = rng.normal(size=(4, 6, 6))
+    A[2] = 0.0
+    b = rng.normal(size=(4, 6, 1))
+    x, ok = tracking._solve_each(A, b)
+    assert ok.tolist() == [True, True, False, True]
+    assert np.isnan(x[2]).all()
+    for i in (0, 1, 3):
+        assert x[i].tobytes() == np.linalg.solve(A[i], b[i, :, 0]).tobytes()
+
+
+def mixed_problems(rng):
+    """General and planar problems of several sizes, some of one size, with
+    exact or noisy pixels, with and without a motion prior."""
+    problems = []
+    for k in range(24):
+        T = random_pose(rng)
+        n = [6, 9, 9, 30, 55][k % 5]
+        P_w = T.inverse().transform((planar_points if k % 3 == 0 else general_points)(rng, n))
+        u = observe(T, P_w) + (k % 2) * rng.normal(scale=1.0, size=(n, 2))
+        prior = se3_exp_update(T, rng.normal(scale=0.02, size=6)) if k % 4 == 1 else None
+        problems.append((P_w, u, prior))
+    return problems
+
+
+@pytest.mark.parametrize("budget", [None, 40], ids=["one-batch", "split"])
+def test_solve_pnp_batch_equals_the_one_problem_solver(budget, monkeypatch):
+    if budget is not None:
+        monkeypatch.setattr(tracking, "_BATCH_ROWS", budget)
+    problems = mixed_problems(np.random.default_rng(8))
+    P_w = [P for P, _, _ in problems]
+    _, planar, _ = _epnp_control_points(np.concatenate(P_w), [len(P) for P in P_w])
+    assert planar.any() and not planar.all()
+    for refine_iters in (10, 0):
+        results = solve_pnp_batch(iter(problems), K, refine_iters)
+        assert len(results) == len(problems)
+        for result, (P, x, prior) in zip(results, problems):
+            assert result_bytes(result) == \
+                result_bytes(reference_solve_pnp(P, x, K, refine_iters, prior))
+
+
+def shifted_sequence(preset, offset):
+    cfg = load_preset(preset)
+    scene = dataclasses.replace(cfg.scene, seed=cfg.scene.seed + offset)
+    return generate_sequence(build_scene(scene), build_trajectory(cfg.trajectory),
+                             cfg.noise, cfg.intrinsics, cfg.render)
+
+
+@pytest.mark.parametrize("offset", [0, 1000])
+@pytest.mark.parametrize("preset", ["sphere", "box", "corridor"])
+def test_frame_to_frame_batches_equal_the_per_frame_tracker(preset, offset):
+    seq = preset_sequence(preset)[1] if offset == 0 else shifted_sequence(preset, offset)
+    problems, lost = frame_to_frame_problems(seq)
+    assert lost is None
+    results = solve_pnp_batch([(P_prev, u, None) for P_prev, u in problems], seq.intrinsics)
+    traj = [seq.gt_trajectory[0]]
+    for result, (P_prev, u) in zip(results, problems):
+        reference = reference_solve_pnp(P_prev, u, seq.intrinsics)
+        assert result_bytes(result) == result_bytes(reference)
+        traj.append(reference.pose.compose(traj[-1]))
+    assert poses_sha256(track_frame_to_frame(seq)) == poses_sha256(traj)
 
 
 # ---------------------------------------------------------------------------
@@ -231,91 +542,57 @@ def test_tracks_map_and_cost_match_golden(preset):
         GOLDEN_TRACKING[preset]
 
 
-def mean_error_per_try(T: Pose, P_w, u, intr):
-    n = len(P_w)
-    _, valid, _, proj = _project_points(np.broadcast_to(T.rotation(), (n, 3, 3)), T.t, P_w, intr)
-    err = np.linalg.norm(proj - u, axis=1)
-    err[~valid] = 1e9
-    return float(np.mean(err))
-
-
-def refine_pose_per_try(R, t, P_w, u, intr, iterations=10):
-    """The former ``_refine_pose``: one ``Pose`` and one projection per
-    backtracking try. Returns (pose, mean error, accepted tries)."""
-    T = Pose.from_rt(R, t)
-    err = mean_error_per_try(T, P_w, u, intr)
-    n = len(P_w)
-    accepted = 0
-    for _ in range(iterations):
-        R_all = np.broadcast_to(T.rotation(), (n, 3, 3))
-        t_all = np.broadcast_to(T.t, (n, 3))
-        res, valid, (P_c, zs) = _point_residuals(R_all, t_all, P_w, u, intr)
-        if valid.sum() < 4:
-            break
-        J = _pose_jacobian(P_c, zs, valid, intr)[0].reshape(-1, 6)
-        r = res.reshape(-1)
-        try:
-            delta = np.linalg.solve(J.T @ J + 1e-12 * np.eye(6), J.T @ r)
-        except np.linalg.LinAlgError:
-            break
-        if not np.all(np.isfinite(delta)):
-            break
-        step = 1.0
-        for _try in range(6):
-            T_new = se3_exp_update(T, step * delta)
-            err_new = mean_error_per_try(T_new, P_w, u, intr)
-            if err_new <= err:
-                T, err = T_new, err_new
-                accepted += 1
-                break
-            step *= 0.5
-        else:
-            break
-        if np.linalg.norm(step * delta) < 1e-14:
-            break
-    return T, err, accepted
-
-
 def refine_problems(preset):
-    """(R (k, 3, 3), t (k, 3), P_w, u, intrinsics) of every batch of starts
-    both trackers refine on the preset at its shipped seed, then the true
-    pose with exact pixels, as a batch of one, for every tenth frame."""
+    """(tracker, R (k, 3, 3), t (k, 3), P_w, u, counts, intrinsics) of every
+    batch of starts both trackers refine on the preset at its shipped seed,
+    then the true pose with exact pixels, as a batch of one, for every tenth
+    frame."""
     cfg, seq = preset_sequence(preset)
     problems = []
 
-    def record(R, t, P_w, u, intr, iterations=10):
-        problems.append((R, t, P_w, u, intr))
-        return _refine_poses(R, t, P_w, u, intr, iterations)
+    def record(R, t, P_w, u, counts, intr, iterations=10):
+        problems.append((tracker, R, t, P_w, u, counts, intr))
+        return _refine_poses(R, t, P_w, u, counts, intr, iterations)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tracking, "_refine_poses", record)
+        tracker = "map-to-frame"
         track_map_to_frame(seq)
+        tracker = "frame-to-frame"
         track_frame_to_frame(seq)
     for frame, T in zip(seq.frames[::10], seq.gt_trajectory[::10]):
         P_w = np.array([seq.gt_points[pm.landmark_id].position for pm in frame.points])
-        problems.append((T.rotation()[None], T.t[None], P_w,
-                         project(T.transform(P_w), cfg.intrinsics), cfg.intrinsics))
+        problems.append(("exact", T.rotation()[None], T.t[None], P_w,
+                         project(T.transform(P_w), cfg.intrinsics), [len(P_w)], cfg.intrinsics))
     return problems
+
+
+def segments(counts):
+    """The row slice of each segment of counts[s] consecutive rows."""
+    ends = np.cumsum(counts)
+    return [slice(end - n, end) for end, n in zip(ends.tolist(), counts)]
 
 
 def test_refine_pose_equals_the_per_try_loop():
     # accepted tries are rare (see _refine_poses): 1, 4 and 4 of the 495
     # tracker refinements per preset, one with two accepted steps, and the
     # exact-pixel problems, which move the pose by a few ulps
-    accepted, widths = [], set()
+    accepted, widths = [], {}
     for preset in ("sphere", "box", "corridor"):
-        for R, t, P_w, u, intr in refine_problems(preset):
-            poses, errs = _refine_poses(R, t, P_w, u, intr)
-            assert len(poses) == len(errs) == len(R)
-            for T, err, R_s, t_s in zip(poses, errs, R, t):
-                T_ref, err_ref, tries = refine_pose_per_try(R_s, t_s, P_w, u, intr)
-                assert (T.q.tobytes(), T.t.tobytes(), err) == \
+        for tracker, R, t, P_w, u, counts, intr in refine_problems(preset):
+            q, t_ref, errs = _refine_poses(R, t, P_w, u, counts, intr)
+            assert len(q) == len(t_ref) == len(errs) == len(R) == len(counts)
+            for s, rows in enumerate(segments(counts)):
+                T_ref, err_ref, tries = refine_pose_per_try(R[s], t[s], P_w[rows], u[rows], intr)
+                assert (q[s].tobytes(), t_ref[s].tobytes(), errs[s]) == \
                     (T_ref.q.tobytes(), T_ref.t.tobytes(), err_ref)
                 if tries:
-                    accepted.append((tries, np.abs(T.t - Pose.from_rt(R_s, t_s).t).max()))
-            widths.add(len(R))
-    # map-to-frame refines both EPnP candidates and the motion prior at once
-    assert max(widths) == 3
+                    accepted.append((tries, np.abs(t_ref[s] - Pose.from_rt(R[s], t[s]).t).max()))
+            widths.setdefault(tracker, set()).add(len(R))
+    # map-to-frame refines both EPnP candidates and the motion prior at once;
+    # frame-to-frame refines the starts of many frames at once
+    assert max(widths["map-to-frame"]) == 3
+    assert min(widths["frame-to-frame"]) > 3
     assert max(tries for tries, _ in accepted) >= 2
     assert max(moved for _, moved in accepted) > 1e-3
 
@@ -323,27 +600,31 @@ def test_refine_pose_equals_the_per_try_loop():
 def test_refine_poses_gives_each_start_its_result_alone():
     # one batch: a start with every point behind the camera (it leaves at
     # once), the true pose with exact pixels (it accepts a step), an offset
-    # start (it accepts none) and a duplicate of the true pose
+    # start (it accepts none) and a duplicate of the true pose, each against
+    # the same points, then the true pose against a shorter segment
     rng = np.random.default_rng(1)
     T = random_pose(rng)
     P_w = T.inverse().transform(general_points(rng, 20))
     u = observe(T, P_w)
     flip = np.diag([1.0, -1.0, -1.0])
     starts = [Pose.from_rt(flip @ T.rotation(), flip @ T.t), T,
-              se3_exp_update(T, rng.normal(scale=0.05, size=6)), T]
+              se3_exp_update(T, rng.normal(scale=0.05, size=6)), T, T]
     R, t = np.array([S.rotation() for S in starts]), np.array([S.t for S in starts])
-    poses, errs = _refine_poses(R, t, P_w, u, K)
+    counts = [20, 20, 20, 20, 12]
+    P_rows = np.concatenate([P_w[:n] for n in counts])
+    u_rows = np.concatenate([u[:n] for n in counts])
+    q, t_out, errs = _refine_poses(R, t, P_rows, u_rows, counts, K)
     accepted = []
-    for s in range(len(starts)):
-        got = (poses[s].q.tobytes(), poses[s].t.tobytes(), errs[s])
-        alone, err_alone = _refine_poses(R[s:s + 1], t[s:s + 1], P_w, u, K)
-        assert got == (alone[0].q.tobytes(), alone[0].t.tobytes(), err_alone[0])
-        T_ref, err_ref, tries = refine_pose_per_try(R[s], t[s], P_w, u, K)
+    for s, rows in enumerate(segments(counts)):
+        got = (q[s].tobytes(), t_out[s].tobytes(), errs[s])
+        alone = _refine_poses(R[s:s + 1], t[s:s + 1], P_rows[rows], u_rows[rows], [counts[s]], K)
+        assert got == (alone[0][0].tobytes(), alone[1][0].tobytes(), alone[2][0])
+        T_ref, err_ref, tries = refine_pose_per_try(R[s], t[s], P_rows[rows], u_rows[rows], K)
         assert got == (T_ref.q.tobytes(), T_ref.t.tobytes(), err_ref)
         accepted.append(tries)
     assert errs[0] == 1e9
-    assert poses[0].q.tobytes() == starts[0].q.tobytes()
-    assert accepted == [0, 1, 0, 1]
+    assert q[0].tobytes() == starts[0].q.tobytes()
+    assert accepted[:4] == [0, 1, 0, 1]
 
 
 @pytest.mark.parametrize("tracker", [track_frame_to_frame, track_map_to_frame])
@@ -358,23 +639,82 @@ def test_tracking_lost_names_the_failing_frame(tracker):
     assert info.value.frame_id == 4
     assert "frame 4" in str(info.value)
 
-    # a PnP failure at frame 3 (the third solve) names frame 3 as well
+    # a PnP failure of the third problem (frame 3) names frame 3 as well;
+    # map-to-frame solves one problem per batch, frame-to-frame all of
+    # frames 1 to 3 in one
     for error in (DegenerateGeometryError, InsufficientDataError):
-        solves = []
+        solved = []
 
-        def failing(*args, **kwargs):
-            solves.append(args)
-            if len(solves) == 3:
-                raise error("injected")
-            return solve_pnp(*args, **kwargs)
+        def failing(problems, *args, **kwargs):
+            problems = list(problems)
+            before = len(solved)
+            solved.extend(problems)
+            if before < 3 <= len(solved):
+                raise error("injected", problem=2 - before)
+            return solve_pnp_batch(problems, *args, **kwargs)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(tracking, "solve_pnp", failing)
+            mp.setattr(tracking, "solve_pnp_batch", failing)
             with pytest.raises(TrackingLostError) as info:
                 tracker(seq)
         assert info.value.frame_id == 3
         assert str(info.value) == "tracking lost at frame 3: injected"
         assert isinstance(info.value.__cause__, error)
+
+
+def with_coincident_points(seq, j):
+    """Frame j with every point at frame j's first pixel and depth, so the
+    points it hands to the next frame-to-frame problem coincide."""
+    frame = seq.frames[j]
+    n = len(frame.point_ids)
+    seq.frames[j] = dataclasses.replace(
+        frame, point_pixels=np.repeat(frame.point_pixels[:1], n, axis=0),
+        point_depths=np.repeat(frame.point_depths[:1], n))
+
+
+def with_three_points(seq, j):
+    frame = seq.frames[j]
+    seq.frames[j] = dataclasses.replace(frame, point_ids=frame.point_ids[:3],
+                                        point_pixels=frame.point_pixels[:3],
+                                        point_depths=frame.point_depths[:3])
+
+
+@pytest.mark.parametrize(
+    "coincident, short, frame_id, message, cause",
+    [
+        (2, 4, 3, "points are collinear or coincident", DegenerateGeometryError),
+        (3, 2, 2, "only 3 shared landmarks", type(None)),
+    ],
+    ids=["degenerate-first", "short-first"],
+)
+def test_frame_to_frame_loses_tracking_at_the_earliest_failure(coincident, short, frame_id,
+                                                                message, cause):
+    seq = noiseless_sequence(7)
+    with_coincident_points(seq, coincident)
+    with_three_points(seq, short)
+    outcomes = []
+    for tracker in (track_frame_to_frame, reference_track_frame_to_frame):
+        with pytest.raises(TrackingLostError) as info:
+            tracker(seq)
+        outcomes.append((info.value.frame_id, str(info.value), type(info.value.__cause__)))
+    assert outcomes[0] == outcomes[1] == \
+        (frame_id, f"tracking lost at frame {frame_id}: {message}", cause)
+
+
+def test_frame_to_frame_batches_bound_their_memory():
+    # the whole corridor sequence in one batch peaks at about 5 MB (17 MB
+    # with all line-search tries projected at once); the row budgets keep
+    # the batches within 2 MB of solving frame by frame
+    seq = preset_sequence("corridor")[1]
+    peaks = []
+    for tracker in (reference_track_frame_to_frame, track_frame_to_frame):
+        tracemalloc.start()
+        try:
+            tracker(seq)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 2e6
 
 
 # ---------------------------------------------------------------------------
