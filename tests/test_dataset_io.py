@@ -320,6 +320,48 @@ def test_graph_edge_errors_name_file_and_line(tmp_path, edge, match):
         read_graph(tmp_path / "g.txt", K)
 
 
+@pytest.mark.parametrize(
+    "vertices, match",
+    [
+        pytest.param("VERTEX_POSE 0 0.0 0.0 0.0 0.0 0.0 0.0 1.0",
+                     "g.txt:4: duplicate pose id 0", id="duplicate-pose"),
+        pytest.param("VERTEX_POINT 2 0.0 0.0 1.0\nVERTEX_POINT 2 0.0 0.0 1.0",
+                     "g.txt:5: duplicate point id 2", id="duplicate-point"),
+        pytest.param("VERTEX_LINE 1 0.0 0.0 0.5 0.0 0.5 0.0",
+                     "g.txt:4: duplicate line id 1", id="duplicate-line"),
+        pytest.param("VERTEX_POSE 3 0.0 0.0 0.0 0.0 0.0 0.0 1.1",
+                     "g.txt:4: quaternion is not unit norm", id="non-unit-quaternion"),
+        pytest.param("VERTEX_LINE 2 0.0 0.0 0.5 0.0 0.0 0.0",
+                     "g.txt:4: line direction must be nonzero", id="zero-direction"),
+        pytest.param("VERTEX_LINE 2 1.0 0.0 0.0 0.5 0.0 0.0",
+                     "g.txt:4: Plucker constraint violated", id="plucker-violation"),
+        pytest.param("VERTEX_POINT 2 0.0 inf 1.0",
+                     "g.txt:4: nonfinite coordinate: 'inf'", id="nonfinite-coordinate"),
+        pytest.param("VERTEX_POSE 3 nan 0.0 0.0 0.0 0.0 0.0 1.0",
+                     "g.txt:4: nonfinite pose component: 'nan'", id="nonfinite-pose"),
+        # the first bad line in the file, and the first failing check on it
+        pytest.param("VERTEX_POINT 2 0.0 0.0 1.0\nVERTEX_POINT 2 x 0.0 1.0",
+                     "g.txt:5: duplicate point id 2", id="duplicate-before-bad-value"),
+        pytest.param("VERTEX_POSE 0 0.0 0.0 0.0 0.0 0.0 0.0 1.1",
+                     "g.txt:4: duplicate pose id 0", id="duplicate-before-quaternion"),
+        pytest.param("VERTEX_POSE 3 0.0 0.0 0.0 0.0 0.0 0.0 1.1\nEDGE_POINT 0 x 1.0 2.0",
+                     "g.txt:4: quaternion is not unit norm", id="vertex-before-malformed-edge"),
+        pytest.param("EDGE_POINT 0 2 1.0 nan\nVERTEX_LINE 1 0.0 0.0 0.5 0.0 0.5 0.0",
+                     "g.txt:4: nonfinite pixel: 'nan'", id="malformed-edge-before-vertex"),
+        pytest.param("VERTEX_LINE 2 1.0 0.0 0.0 0.5 0.0 0.0\n"
+                     "VERTEX_POSE 0 0.0 0.0 0.0 0.0 0.0 0.0 1.0",
+                     "g.txt:4: Plucker constraint violated", id="line-before-pose"),
+        pytest.param("VERTEX_POSE 0 0.0 0.0 0.0 0.0 0.0 0.0 1.0\n"
+                     "VERTEX_LINE 2 1.0 0.0 0.0 0.5 0.0 0.0",
+                     "g.txt:4: duplicate pose id 0", id="pose-before-line"),
+    ],
+)
+def test_graph_vertex_errors_name_file_and_line(tmp_path, vertices, match):
+    (tmp_path / "g.txt").write_text(GRAPH_HEAD + vertices + "\n")
+    with pytest.raises(ParseError, match=match):
+        read_graph(tmp_path / "g.txt", K)
+
+
 def test_graph_edge_pixels_whose_sum_overflows_are_read(tmp_path):
     # each pixel is finite, only their sum is not
     (tmp_path / "g.txt").write_text(GRAPH_HEAD + "VERTEX_POINT 2 0.0 0.0 1.0\n"
@@ -334,6 +376,12 @@ GOLDEN_GRAPH_SHA256 = {
     "sphere": "0bbb8a58e151e089b39ade5c9fb562b157692eab0cbe3acf97f263b599cca74f",
     "box": "1df7314140bacd5f8cbd3af94a164b745e1504a5c4d10f9d9d7906d3f4b87393",
     "corridor": "c5f8c0827e473f6fdde82de3c18237ecf824326bdf0fc3cc5ab14f25991f6258",
+}
+# total_cost() of those graphs, bit for bit
+GOLDEN_GRAPH_COST = {
+    "sphere": 129834.34061423445,
+    "box": 122690.84996911994,
+    "corridor": 154002.73453758072,
 }
 
 
@@ -350,7 +398,8 @@ def test_graph_file_matches_golden_and_rewrites_byte_identical(preset, tmp_path)
     back = read_graph(tmp_path / "a.txt", seq.intrinsics, cfg.noise.sigma_s)
     write_graph(back, tmp_path / "b.txt")
     assert (tmp_path / "b.txt").read_bytes() == data
-    assert back.total_cost() == graph.total_cost()
+    assert graph.total_cost() == GOLDEN_GRAPH_COST[preset]
+    assert back.total_cost() == GOLDEN_GRAPH_COST[preset]
 
 
 def test_graph_roundtrip_from_pipeline(small_sequence, tmp_path):
