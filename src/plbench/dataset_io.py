@@ -35,13 +35,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .factor_graph import FactorGraph, Factors, LineVertex
+from .factor_graph import FactorGraph, Factors, Lines, Points, Poses, _plucker_violations
 from .geometry import (
     CameraIntrinsics,
     GeometryError,
     LineLandmark,
     PointLandmark,
     Pose,
+    pose_quat_batch,
     row_norms,
 )
 from .simulator import FrameData, Sequence, _first_fault, _line_faults, _point_faults
@@ -441,36 +442,46 @@ def write_stats_csv(stats: list[FrameStats], path) -> None:
 def write_graph(graph: FactorGraph, path) -> None:
     """Write vertices, the gauge and factor measurements. Factor weights
     are not stored; ``read_graph`` rebuilds them from ``sigma_s``."""
-    rows = [
-        "# VERTEX_POSE id tx ty tz qx qy qz qw (world-to-camera)",
-        "# VERTEX_POINT id X Y Z | VERTEX_LINE id nx ny nz dx dy dz",
-        "# EDGE_POINT frame point px py | EDGE_LINE frame line sx sy ex ey | FIX id",
-    ]
-    rows += ["VERTEX_POSE %d %r %r %r %r %r %r %r" % (i, *T.t.tolist(), *T.q.tolist())
-             for i, T in sorted(graph.poses.items())]
-    rows += ["VERTEX_POINT %d %r %r %r" % (i, *P.tolist()) for i, P in sorted(graph.points.items())]
-    rows += ["VERTEX_LINE %d %r %r %r %r %r %r" % (i, *v.n.tolist(), *v.d.tolist())
-             for i, v in sorted(graph.lines.items())]
-    rows += ["FIX %d" % i for i in sorted(graph.fixed)]
-    text = "\n".join(rows) + "\n"
-    text += _edge_rows("EDGE_POINT", graph.point_factors)
-    text += _edge_rows("EDGE_LINE", graph.line_factors)
-    _atomic_write(path, text)
+    poses, points, lines = graph.poses, graph.points, graph.lines
+    pf, lf = graph.point_factors, graph.line_factors
+    _atomic_write(path, "".join([
+        "# VERTEX_POSE id tx ty tz qx qy qz qw (world-to-camera)\n"
+        "# VERTEX_POINT id X Y Z | VERTEX_LINE id nx ny nz dx dy dz\n"
+        "# EDGE_POINT frame point px py | EDGE_LINE frame line sx sy ex ey | FIX id\n",
+        _records("VERTEX_POSE", poses.id, poses.t, poses.q),
+        _records("VERTEX_POINT", points.id, points.xyz),
+        _records("VERTEX_LINE", lines.id, lines.n, lines.d),
+        _records("FIX", graph.fixed),
+        _records("EDGE_POINT", pf.frame, pf.landmark, pf.u),
+        _records("EDGE_LINE", lf.frame, lf.landmark, lf.u),
+    ]))
 
 
-def _edge_rows(tag: str, factors: Factors) -> str:
-    """One ``tag frame landmark pixels...`` line per factor, formatted by a
-    single ``%`` over the columns' Python values: ``%d`` ids, ``%r`` pixels."""
-    n, u = len(factors), factors.u
-    table = np.concatenate([factors.frame[:, None], factors.landmark[:, None],
-                            u.reshape(n, math.prod(u.shape[1:]))], axis=1, dtype=object)
-    row = tag + " %d %d" + " %r" * (table.shape[1] - 2) + "\n"
+def _records(tag: str, *columns) -> str:
+    """One ``tag value...`` line per row of the columns, formatted by a
+    single ``%`` over their Python values: ``%d`` for the values of int
+    columns, ``%r`` for those of float columns."""
+    n = len(columns[0])
+    columns = [c.reshape(n, math.prod(c.shape[1:])) for c in columns]
+    row = tag + "".join((" %d" if c.dtype.kind == "i" else " %r") * c.shape[1]
+                        for c in columns) + "\n"
+    table = np.concatenate(columns, axis=1, dtype=object)
     return (row * n) % tuple(table.ravel().tolist())
 
 
-# graph edge tag -> (FactorGraph field, landmark kind, pixel shape per factor)
-_EDGES = {"EDGE_POINT": ("point_factors", "point id", (2,)),
-          "EDGE_LINE": ("line_factors", "line id", (2, 2))}
+# graph record tag -> (names of its ids, number of values, name of a value,
+# a vertex's checks on its values (n, k) after the repeated id check)
+_GRAPH_RECORDS = {
+    "VERTEX_POSE": (("pose id",), 7, "pose component", lambda v: [
+        (np.abs(row_norms(v[:, 3:]) - 1.0) > 1e-6, "quaternion is not unit norm")]),
+    "VERTEX_POINT": (("point id",), 3, "coordinate", lambda v: []),
+    "VERTEX_LINE": (("line id",), 6, "coordinate", lambda v: [
+        (row_norms(v[:, 3:]) == 0.0, "line direction must be nonzero"),
+        (_plucker_violations(v[:, :3], v[:, 3:]), "Plucker constraint violated")]),
+    "FIX": (("pose id",), 0, None, None),
+    "EDGE_POINT": (("frame id", "point id"), 2, "pixel", None),
+    "EDGE_LINE": (("frame id", "line id"), 4, "pixel", None),
+}
 
 
 def read_graph(path, intrinsics: CameraIntrinsics, sigma_s: float = 1.0) -> FactorGraph:
@@ -478,77 +489,80 @@ def read_graph(path, intrinsics: CameraIntrinsics, sigma_s: float = 1.0) -> Fact
     supplies the calibration, and every factor gets the weight
     1/sigma_s^2, whatever weights the written graph had.
 
-    An edge line is converted with one ``int`` per id and one ``map(float)``
-    over its pixels, and passes when its ids fit in int64 and the sum of its
-    pixels is finite. Only a line that fails this goes through the checks of
-    ``_parse_int`` and ``_parse_float``, which raise its ParseError or, for
-    finite pixels whose sum overflows, accept it. The values are packed into
-    columns once, after the last line. A file with a pose, a FIX or an edge
-    must then pass ``FactorGraph.check``; one with none of them (the empty
-    graph) has nothing to check.
+    A line is converted with one ``int`` per id and one ``map(float)`` over
+    its values, and passes when its ids fit in int64 and the sum of its
+    values is finite. Only a line that fails this goes through the checks
+    of ``_parse_int``, the repeated vertex id check and ``_parse_float``,
+    which raise its ParseError or, for finite values whose sum overflows,
+    accept it; reading stops at the first line that raises. The records
+    are packed into columns once, and the vertex columns are checked as
+    arrays. Of several faults, the first line's is raised, and of a line's
+    faults the one a record-by-record parse meets first. A file with a
+    pose, a FIX or an edge must then pass ``FactorGraph.check``.
     """
-    graph = FactorGraph(intrinsics=intrinsics)
-    weight = 1.0 / (sigma_s * sigma_s)
-    edges = {tag: ([], []) for tag in _EDGES}  # frame and landmark ids, pixel values
-    fields = {tag: 3 + math.prod(shape) for tag, (_, _, shape) in _EDGES.items()}
-    for lineno, tokens in _iter_records(path):
-        tag = tokens[0]
-        if tag in _EDGES:
-            _expect(tokens, fields[tag], path, lineno)
-            try:
-                frame, landmark = int(tokens[1]), int(tokens[2])
-                pixels = list(map(float, tokens[3:]))
-                valid = (0 <= frame <= _INT64_MAX and 0 <= landmark <= _INT64_MAX
-                         and math.isfinite(sum(pixels)))
+    records = {tag: ([], [], []) for tag in _GRAPH_RECORDS}  # line numbers, ids, values
+    errors = []
+    try:
+        for lineno, tokens in _iter_records(path):
+            tag = tokens[0]
+            if tag not in records:
+                raise ParseError(path, lineno, f"unknown record tag {tag!r}")
+            names, k, what, checks = _GRAPH_RECORDS[tag]
+            m = 1 + len(names)
+            _expect(tokens, m + k, path, lineno)
+            linenos, ids, values = records[tag]
+            try:  # a record with one id converts it twice
+                first, last = int(tokens[1]), int(tokens[m - 1])
+                new_values = list(map(float, tokens[m:]))
+                valid = (0 <= first <= _INT64_MAX and 0 <= last <= _INT64_MAX
+                         and math.isfinite(sum(new_values)))
             except ValueError:
                 valid = False
             if not valid:
-                frame = _parse_int(tokens[1], path, lineno, "frame id")
-                landmark = _parse_int(tokens[2], path, lineno, _EDGES[tag][1])
-                pixels = [_parse_float(t, path, lineno, "pixel") for t in tokens[3:]]
-            ids, values = edges[tag]
-            ids += (frame, landmark)
-            values += pixels
-        elif tag == "VERTEX_POSE":
-            _expect(tokens, 9, path, lineno)
-            pid = _parse_int(tokens[1], path, lineno, "pose id")
-            if pid in graph.poses:
-                raise ParseError(path, lineno, f"duplicate pose id {pid}")
-            vals = [_parse_float(t, path, lineno, "pose component") for t in tokens[2:]]
-            q = np.array(vals[3:])
-            if abs(np.linalg.norm(q) - 1.0) > 1e-6:
-                raise ParseError(path, lineno, "quaternion is not unit norm")
-            graph.poses[pid] = Pose(q, np.array(vals[:3]))
-        elif tag == "VERTEX_POINT":
-            _expect(tokens, 5, path, lineno)
-            pid = _parse_int(tokens[1], path, lineno, "point id")
-            if pid in graph.points:
-                raise ParseError(path, lineno, f"duplicate point id {pid}")
-            vals = [_parse_float(t, path, lineno, "coordinate") for t in tokens[2:]]
-            graph.points[pid] = np.array(vals)
-        elif tag == "VERTEX_LINE":
-            _expect(tokens, 8, path, lineno)
-            lid = _parse_int(tokens[1], path, lineno, "line id")
-            if lid in graph.lines:
-                raise ParseError(path, lineno, f"duplicate line id {lid}")
-            vals = [_parse_float(t, path, lineno, "coordinate") for t in tokens[2:]]
-            n, d = np.array(vals[:3]), np.array(vals[3:])
-            if np.linalg.norm(d) == 0.0:
-                raise ParseError(path, lineno, "line direction must be nonzero")
-            try:
-                graph.lines[lid] = LineVertex(n, d)
-            except ValueError as exc:
-                raise ParseError(path, lineno, "Plucker constraint violated") from exc
-        elif tag == "FIX":
-            _expect(tokens, 2, path, lineno)
-            graph.fixed.add(_parse_int(tokens[1], path, lineno, "pose id"))
-        else:
-            raise ParseError(path, lineno, f"unknown record tag {tag!r}")
-    for tag, (ids, values) in edges.items():
-        name, _, shape = _EDGES[tag]
-        u = np.array(values, dtype=float).reshape(-1, *shape)
-        setattr(graph, name, Factors(ids[0::2], ids[1::2], u, np.full(len(u), weight)))
-    if graph.poses or graph.fixed or len(graph.point_factors) or len(graph.line_factors):
+                new_ids = [_parse_int(t, path, lineno, name)
+                           for t, name in zip(tokens[1:m], names)]
+                first, last = new_ids[0], new_ids[-1]
+                if checks is not None and first in ids[::2]:
+                    raise ParseError(path, lineno, f"duplicate {names[0]} {first}")
+                new_values = [_parse_float(t, path, lineno, what) for t in tokens[m:]]
+            linenos.append(lineno)
+            ids += (first, last)
+            values += new_values
+    except ParseError as exc:
+        errors.append(exc)
+
+    columns = {}
+    for tag, (linenos, ids, values) in records.items():
+        names, k, _, checks = _GRAPH_RECORDS[tag]
+        ids = np.array(ids, dtype=np.int64).reshape(-1, 2)[:, :len(names)]
+        values = np.array(values, dtype=float).reshape(len(linenos), k)
+        columns[tag] = ids, values
+        if checks is not None:
+            repeat = np.ones(len(ids), dtype=bool)
+            repeat[np.unique(ids, return_index=True)[1]] = False
+            message = lambda row: f"duplicate {names[0]} {ids[row, 0]}"
+            fault = _first_fault([(repeat, message)] + checks(values))
+            if fault is not None:
+                errors.append(ParseError(path, linenos[fault[0]], fault[1]))
+    if errors:
+        raise min(errors, key=lambda exc: exc.line)
+
+    weight = 1.0 / (sigma_s * sigma_s)
+    pose_ids, pose = columns["VERTEX_POSE"]
+    line_ids, line = columns["VERTEX_LINE"]
+    point_edges, point_u = columns["EDGE_POINT"]
+    line_edges, line_u = columns["EDGE_LINE"]
+    graph = FactorGraph(
+        intrinsics=intrinsics,
+        poses=Poses(pose_ids, pose[:, :3], pose_quat_batch(pose[:, 3:])),
+        fixed=columns["FIX"][0],
+        points=Points(*columns["VERTEX_POINT"]),
+        lines=Lines(line_ids, line[:, :3], line[:, 3:]),
+        point_factors=Factors(*point_edges.T, point_u, np.full(len(point_u), weight)),
+        line_factors=Factors(*line_edges.T, line_u.reshape(-1, 2, 2),
+                             np.full(len(line_u), weight)),
+    )
+    if len(graph.poses) or len(graph.fixed) or len(point_u) or len(line_u):
         try:
             graph.check()
         except ValueError as exc:

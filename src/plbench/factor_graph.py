@@ -5,11 +5,13 @@ the re-projected landmark; a line factor stacks the signed distances of
 the two measured endpoints from the re-projected infinite line. Measured
 depths never appear here; they only seed initial landmark values.
 
-Vertices are dicts keyed by id. Factors are columns: ``point_factors``
-and ``line_factors`` each hold one ``Factors`` record, one row per
-measurement: ``frame`` (F,) int64 pose ids, ``landmark`` (F,) int64
-landmark ids, ``u`` the measured pixels, (F, 2) for points and (F, 2, 2)
-start/end endpoint pixels for lines, and ``weight`` (F,) 1/sigma^2.
+Vertices and factors are columns. ``Poses``, ``Points`` and ``Lines``
+hold one row per vertex, sorted by int64 ``id``; ``fixed`` is the sorted
+array of gauge pose ids. ``point_factors`` and ``line_factors`` each hold
+one ``Factors`` record, one row per measurement: ``frame`` (F,) int64
+pose ids, ``landmark`` (F,) int64 landmark ids, ``u`` the measured pixels,
+(F, 2) for points and (F, 2, 2) start/end endpoint pixels for lines, and
+``weight`` (F,) 1/sigma^2.
 
 Pose increments are left-multiplicative with delta = (rotation 3-vector,
 translation 3-vector). Line increments are the 4-DOF orthonormal update.
@@ -23,10 +25,13 @@ import numpy as np
 from .geometry import (
     CameraIntrinsics,
     GeometryError,
-    OrthonormalLine,
     Pose,
     orthonormal_from_plucker,
+    orthonormal_from_plucker_batch,
     plucker_from_endpoints,
+    quat_to_matrix_batch,
+    row_dots,
+    row_norms,
     skew_batch,
 )
 from .simulator import Sequence
@@ -60,44 +65,88 @@ class Factors:
         return len(self.frame)
 
 
-@dataclass
-class LineVertex:
-    """Plucker state of one line landmark; ``orthonormal()`` derives the
-    orthonormal frame anew on each call."""
-
-    n: np.ndarray
-    d: np.ndarray
+class _Vertices:
+    """Builds a vertex record: int64 ``id`` and the float columns of
+    ``_COLUMNS`` (name, row width), rows sorted by id. A repeated id or a
+    column of another length raises GraphConstructionError."""
 
     def __post_init__(self):
-        self.n = np.asarray(self.n, dtype=float).reshape(3)
-        self.d = np.asarray(self.d, dtype=float).reshape(3)
-        nd = abs(float(self.n @ self.d))
-        if nd > 1e-10 * (np.linalg.norm(self.n) * np.linalg.norm(self.d) + 1.0):
-            raise GraphConstructionError("line vertex violates the Plucker constraint")
+        ids = np.asarray(self.id, dtype=np.int64).reshape(-1)
+        order = np.argsort(ids, kind="stable")
+        ids = ids[order]
+        repeats = ids[1:][ids[1:] == ids[:-1]]
+        if len(repeats):
+            raise GraphConstructionError(f"duplicate {self.kind} id {repeats[0]}")
+        object.__setattr__(self, "id", ids)
+        for name, width in self._COLUMNS:
+            column = np.asarray(getattr(self, name), dtype=float).reshape(-1, width)
+            if len(column) != len(ids):
+                raise GraphConstructionError(f"{self.kind} vertex columns differ in length")
+            object.__setattr__(self, name, column[order])
 
-    def orthonormal(self) -> OrthonormalLine:
-        return orthonormal_from_plucker(self.n, self.d)
+    def __len__(self) -> int:
+        return len(self.id)
+
+
+@dataclass(frozen=True)
+class Poses(_Vertices):
+    """Pose vertices T_cw: translation ``t`` (N, 3), quaternion ``q`` (N, 4)."""
+
+    id: np.ndarray
+    t: np.ndarray
+    q: np.ndarray
+    kind, _COLUMNS = "pose", (("t", 3), ("q", 4))
+
+
+@dataclass(frozen=True)
+class Points(_Vertices):
+    """Point landmark vertices: world position ``xyz`` (N, 3)."""
+
+    id: np.ndarray
+    xyz: np.ndarray
+    kind, _COLUMNS = "point", (("xyz", 3),)
+
+
+@dataclass(frozen=True)
+class Lines(_Vertices):
+    """Line landmark vertices: Plucker moment ``n`` and direction ``d`` (N, 3)."""
+
+    id: np.ndarray
+    n: np.ndarray
+    d: np.ndarray
+    kind, _COLUMNS = "line", (("n", 3), ("d", 3))
+
+
+def _plucker_violations(n, d) -> np.ndarray:
+    """Rows of Plucker pairs n, d (m, 3) whose |n . d| exceeds
+    1e-10 (|n| |d| + 1)."""
+    return np.abs(row_dots(n, d)) > 1e-10 * (row_norms(n) * row_norms(d) + 1.0)
 
 
 @dataclass
 class FactorGraph:
     intrinsics: CameraIntrinsics
-    poses: dict[int, Pose] = field(default_factory=dict)
-    fixed: set[int] = field(default_factory=set)
-    points: dict[int, np.ndarray] = field(default_factory=dict)
-    lines: dict[int, LineVertex] = field(default_factory=dict)
+    poses: Poses = field(default_factory=lambda: Poses([], [], []))
+    fixed: np.ndarray = ()
+    points: Points = field(default_factory=lambda: Points([], []))
+    lines: Lines = field(default_factory=lambda: Lines([], [], []))
     point_factors: Factors = field(default_factory=lambda: Factors([], [], np.empty((0, 2)), []))
     line_factors: Factors = field(default_factory=lambda: Factors([], [], np.empty((0, 2, 2)), []))
 
+    def __post_init__(self):
+        self.fixed = np.unique(np.asarray(self.fixed, dtype=np.int64))
+
     def check(self) -> None:
-        if not self.fixed:
+        if not len(self.fixed):
             raise GraphConstructionError("graph needs at least one fixed pose (gauge)")
-        if not self.fixed <= set(self.poses):
+        if not np.isin(self.fixed, self.poses.id).all():
             raise GraphConstructionError("fixed flag on unknown pose vertex")
-        for kind, factors, landmarks in (("point", self.point_factors, self.points),
-                                         ("line", self.line_factors, self.lines)):
-            _rows(factors.frame, self.poses, "pose")
-            _rows(factors.landmark, landmarks, kind)
+        if _plucker_violations(self.lines.n, self.lines.d).any():
+            raise GraphConstructionError("line vertex violates the Plucker constraint")
+        for factors, landmarks in ((self.point_factors, self.points),
+                                   (self.line_factors, self.lines)):
+            _rows(factors.frame, self.poses)
+            _rows(factors.landmark, landmarks)
 
     def total_cost(self) -> float:
         """Weighted squared residual sum over all valid factors.
@@ -106,24 +155,20 @@ class FactorGraph:
         every factor, without Jacobians; a factor the kernels mark invalid
         (point behind its camera, degenerate line projection) adds 0.
         """
-        R = np.array([T.rotation() for T in self.poses.values()])
-        t = np.array([T.t for T in self.poses.values()])
+        R = quat_to_matrix_batch(self.poses.q)
+        t = self.poses.t
         cost = 0.0
         fs = self.point_factors
         if len(fs):
-            k = _rows(fs.frame, self.poses, "pose")
-            P = np.array(list(self.points.values()))
-            res, _, _ = _point_residuals(
-                R[k], t[k], P[_rows(fs.landmark, self.points, "point")], fs.u, self.intrinsics
-            )
+            k = _rows(fs.frame, self.poses)
+            P = self.points.xyz[_rows(fs.landmark, self.points)]
+            res, _, _ = _point_residuals(R[k], t[k], P, fs.u, self.intrinsics)
             cost += float(fs.weight @ np.sum(res * res, axis=1))
         fs = self.line_factors
         if len(fs):
-            ortho = [v.orthonormal() for v in self.lines.values()]
-            U = np.array([o.U for o in ortho])
-            W = np.array([o.W for o in ortho])
-            k = _rows(fs.frame, self.poses, "pose")
-            m = _rows(fs.landmark, self.lines, "line")
+            U, W, _ = orthonormal_from_plucker_batch(self.lines.n, self.lines.d)
+            k = _rows(fs.frame, self.poses)
+            m = _rows(fs.landmark, self.lines)
             res, _, _ = _line_residuals(
                 R[k], t[k], U[m], W[m], fs.u[:, 0], fs.u[:, 1], self.intrinsics
             )
@@ -131,15 +176,17 @@ class FactorGraph:
         return cost
 
 
-def _rows(ids: np.ndarray, vertices: dict, kind: str) -> np.ndarray:
-    """Row of each id in the order of ``vertices``; raises
-    GraphConstructionError for an id with no vertex."""
-    keys = np.fromiter(vertices, np.int64, len(vertices))
-    unknown = ~np.isin(ids, keys)
-    if unknown.any():
-        raise GraphConstructionError(f"dangling factor reference to {kind} {ids[unknown][0]}")
-    order = np.argsort(keys)
-    return order[np.searchsorted(keys, ids, sorter=order)]
+def _rows(ids: np.ndarray, vertices: _Vertices) -> np.ndarray:
+    """Row of each id in ``vertices``; raises GraphConstructionError for an
+    id with no vertex."""
+    rows = np.searchsorted(vertices.id, ids)
+    found = rows < len(vertices)
+    found[found] = vertices.id[rows[found]] == ids[found]
+    if not found.all():
+        raise GraphConstructionError(
+            f"dangling factor reference to {vertices.kind} {ids[~found][0]}"
+        )
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -313,33 +360,16 @@ def line_terms(R, t, U, W, u_s, u_e, intr: CameraIntrinsics):
 # single-factor operations: thin wrappers over a batch of one
 
 
-def _one_point(u, P_w, T: Pose, intr: CameraIntrinsics):
-    """point_terms on one factor: (res, J_pose, J_point); raises
+def point_residual(u, P_w, T: Pose, intr: CameraIntrinsics) -> np.ndarray:
+    """Eq.-style 2D re-projection residual u - pi(P_w, T); raises
     GeometryError when the point is not in front of the camera."""
-    res, J_pose, J_point, valid = point_terms(
+    res, valid, _ = _point_residuals(
         T.rotation()[None], T.t[None], np.asarray(P_w, float)[None],
         np.asarray(u, float)[None], intr,
     )
     if not valid[0]:
         raise GeometryError("point behind the camera")
-    return res[0], J_pose[0], J_point[0]
-
-
-def _one_line(u_s, u_e, o: OrthonormalLine, T: Pose, intr: CameraIntrinsics):
-    """line_terms on one factor: (res, J_pose, J_line); raises
-    GeometryError on a degenerate line projection."""
-    res, J_pose, J_line, valid = line_terms(
-        T.rotation()[None], T.t[None], o.U[None], o.W[None],
-        np.asarray(u_s, float)[None], np.asarray(u_e, float)[None], intr,
-    )
-    if not valid[0]:
-        raise GeometryError("degenerate line projection")
-    return res[0], J_pose[0], J_line[0]
-
-
-def point_residual(u, P_w, T: Pose, intr: CameraIntrinsics) -> np.ndarray:
-    """Eq.-style 2D re-projection residual u - pi(P_w, T)."""
-    return _one_point(u, P_w, T, intr)[0]
+    return res[0]
 
 
 def project_line(L, T: Pose, intr: CameraIntrinsics) -> np.ndarray:
@@ -378,18 +408,16 @@ def project_line_by_endpoints(L, T: Pose, intr: CameraIntrinsics) -> np.ndarray:
 
 def line_residual(u_s, u_e, L, T: Pose, intr: CameraIntrinsics) -> np.ndarray:
     """Signed distances of both measured endpoints from the re-projected
-    Plucker line L = (n, d)."""
-    return _one_line(u_s, u_e, orthonormal_from_plucker(*L), T, intr)[0]
-
-
-def point_jacobians(u, P_w, T: Pose, intr: CameraIntrinsics):
-    """(d res / d pose increment (2x6), d res / d point (2x3))."""
-    return _one_point(u, P_w, T, intr)[1:]
-
-
-def line_jacobians(u_s, u_e, o: OrthonormalLine, T: Pose, intr: CameraIntrinsics):
-    """(d res / d pose increment (2x6), d res / d orthonormal delta (2x4))."""
-    return _one_line(u_s, u_e, o, T, intr)[1:]
+    Plucker line L = (n, d); raises GeometryError on a degenerate line
+    projection."""
+    o = orthonormal_from_plucker(*L)
+    res, valid, _ = _line_residuals(
+        T.rotation()[None], T.t[None], o.U[None], o.W[None],
+        np.asarray(u_s, float)[None], np.asarray(u_e, float)[None], intr,
+    )
+    if not valid[0]:
+        raise GeometryError("degenerate line projection")
+    return res[0]
 
 
 # ---------------------------------------------------------------------------
@@ -421,19 +449,22 @@ def build_covisibility_graph(
     point_ids, point_factors = _covisible(seq.frames, "point_ids", "point_pixels", weight)
     line_ids, line_factors = _covisible(seq.frames, "line_ids", "line_pixels", weight)
 
-    graph = FactorGraph(intrinsics=seq.intrinsics, poses=dict(enumerate(trajectory)),
-                        fixed={0}, point_factors=point_factors, line_factors=line_factors)
-    for pid in point_ids.tolist():
-        if pid not in point_positions:
-            raise GraphConstructionError(f"point {pid} observed but missing from the map")
-        graph.points[pid] = np.asarray(point_positions[pid], dtype=float).copy()
-    for lid in line_ids.tolist():
-        if lid not in line_endpoints:
-            raise GraphConstructionError(f"line {lid} observed but missing from the map")
-        ends = np.asarray(line_endpoints[lid], dtype=float)
-        n, d = plucker_from_endpoints(ends[0], ends[1])
-        s = np.sqrt(n @ n + d @ d)
-        graph.lines[lid] = LineVertex(n / s, d / s)
+    for kind, ids, values in (("point", point_ids, point_positions),
+                              ("line", line_ids, line_endpoints)):
+        missing = [i for i in ids.tolist() if i not in values]
+        if missing:
+            raise GraphConstructionError(f"{kind} {missing[0]} observed but missing from the map")
+    xyz = np.array([point_positions[pid] for pid in point_ids.tolist()], dtype=float)
+    ends = np.array([line_endpoints[lid] for lid in line_ids.tolist()], dtype=float)
+    n, d = plucker_from_endpoints(*ends.reshape(-1, 2, 3).swapaxes(0, 1))
+    s = np.sqrt(row_dots(n, n) + row_dots(d, d))[:, None]
+    graph = FactorGraph(
+        intrinsics=seq.intrinsics,
+        poses=Poses(np.arange(len(trajectory)), [T.t for T in trajectory],
+                    [T.q for T in trajectory]),
+        fixed=[0], points=Points(point_ids, xyz), lines=Lines(line_ids, n / s, d / s),
+        point_factors=point_factors, line_factors=line_factors,
+    )
     graph.check()
     return graph
 

@@ -478,10 +478,11 @@ class LineLandmark:
 
 
 def plucker_from_endpoints(ps, pe) -> tuple[np.ndarray, np.ndarray]:
-    """Moment n = Ps x Pe and direction d = Pe - Ps."""
+    """Moment n = Ps x Pe and direction d = Pe - Ps, of one line or of
+    each row of ps, pe (m, 3)."""
     ps = np.asarray(ps, dtype=float)
     pe = np.asarray(pe, dtype=float)
-    if np.array_equal(ps, pe):
+    if (ps == pe).all(axis=-1).any():
         raise DegenerateLineError("coincident endpoints define no line")
     return np.cross(ps, pe), pe - ps
 
@@ -518,40 +519,39 @@ class OrthonormalLine:
         object.__setattr__(self, "W", W)
 
 
-def _unit_normal_orthogonal_to(d_hat: np.ndarray) -> np.ndarray:
-    # deterministic: cross with the coordinate axis least aligned with d
-    k = int(np.argmin(np.abs(d_hat)))
-    e = np.zeros(3)
-    e[k] = 1.0
-    n = np.cross(d_hat, e)
-    return n / np.linalg.norm(n)
-
-
 def orthonormal_from_plucker(n, d) -> OrthonormalLine:
-    """(U, W) with U columns [n/|n|, d/|d|, (n x d)/(|n||d|)].
+    """(U, W) with U columns [n/|n|, d/|d|, (n x d)/(|n||d|)]:
+    ``orthonormal_from_plucker_batch`` of one line.
 
     A zero moment (line through the origin) yields a flagged degenerate
     frame with a deterministic substitute normal.
     """
+    U, W, degenerate = orthonormal_from_plucker_batch(
+        np.asarray(n, dtype=float).reshape(1, 3), np.asarray(d, dtype=float).reshape(1, 3)
+    )
+    return OrthonormalLine(U[0], W[0], bool(degenerate[0]))
+
+
+def orthonormal_from_plucker_batch(n, d):
+    """``orthonormal_from_plucker`` of each pair n[i], d[i] (m, 3): U
+    (m, 3, 3), W (m, 2, 2) and the degenerate flags (m,). A degenerate
+    row's normal is d/|d| crossed with the axis least aligned with d."""
     n = np.asarray(n, dtype=float)
     d = np.asarray(d, dtype=float)
-    nn = float(np.linalg.norm(n))
-    nd = float(np.linalg.norm(d))
-    if nd == 0.0:
+    nn, nd = row_norms(n), row_norms(d)
+    if (nd == 0.0).any():
         raise DegenerateLineError("line direction must be nonzero")
-    d_hat = d / nd
-    degenerate = nn < 1e-12 * max(nd, 1.0)
-    if degenerate:
-        u1 = _unit_normal_orthogonal_to(d_hat)
-        nn = 0.0
-    else:
-        u1 = n / nn
+    d_hat = d / nd[:, None]
+    degenerate = nn < 1e-12 * np.maximum(nd, 1.0)
+    normal = np.cross(d_hat, np.eye(3)[np.argmin(np.abs(d_hat), axis=1)])
+    u1 = np.where(degenerate[:, None], normal / row_norms(normal)[:, None],
+                  n / np.where(degenerate, 1.0, nn)[:, None])
+    nn = np.where(degenerate, 0.0, nn)
     u3 = np.cross(u1, d_hat)
-    u3 = u3 / np.linalg.norm(u3)
-    U = np.column_stack([u1, d_hat, u3])
+    u3 = u3 / row_norms(u3)[:, None]
     s = np.hypot(nn, nd)
-    W = np.array([[nn / s, -nd / s], [nd / s, nn / s]])
-    return OrthonormalLine(U, W, degenerate)
+    W = np.stack([nn / s, -nd / s, nd / s, nn / s], axis=1).reshape(-1, 2, 2)
+    return np.stack([u1, d_hat, u3], axis=2), W, degenerate
 
 
 def plucker_from_orthonormal(o: OrthonormalLine) -> tuple[np.ndarray, np.ndarray]:

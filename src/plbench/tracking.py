@@ -178,8 +178,9 @@ def _refine_poses(R, t, P_w, u, counts, intr, iterations=10):
     try is projected once more at its new pose. Only the segment reductions
     (the normal equations and the mean errors) run once per run of
     equal-length segments. Every kernel works row by row or sees the same
-    arrays as a refinement of its start alone, so each result equals that
-    of the former one-start, one-try-at-a-time loop bit for bit.
+    arrays as a refinement of its start alone, so each start's result
+    equals refining that start alone, bit for bit, whatever else the
+    batch holds.
     """
     counts = np.asarray(counts)
     offsets = np.cumsum(counts) - counts
@@ -573,11 +574,11 @@ class SparseMap:
         its id. A candidate merges when its direction angle and its
         midpoint-to-line distance pass their gates; a merged line is refit
         over all its accumulated endpoint samples. The gates are tested in
-        one pass and only merged lines are refit, one ``_refit_lines`` call per group of merged lines with
-        the same sample count, so their samples stack into one array. A
-        line's refit reads only its own samples, so the result equals n
-        sequential calls bit for bit. The ids must be distinct: a landmark
-        is observed at most once per frame.
+        one pass and only merged lines are refit, one ``_refit_lines`` call
+        per group of merged lines with the same sample count, so their
+        samples stack into one array. A line's refit reads only its own
+        samples, so the result equals n sequential calls bit for bit. The
+        ids must be distinct: a landmark is observed at most once per frame.
         """
         endpoints = np.asarray(endpoints, dtype=float).reshape(-1, 2, 3)
         ids = list(landmark_ids)

@@ -16,7 +16,14 @@ from plbench.dataset_io import (
     write_stats_csv,
     write_trajectory,
 )
-from plbench.factor_graph import FactorGraph, Factors, LineVertex, build_covisibility_graph
+from plbench.factor_graph import (
+    FactorGraph,
+    Factors,
+    Lines,
+    Points,
+    Poses,
+    build_covisibility_graph,
+)
 from plbench.geometry import (
     CameraIntrinsics,
     LineMeasurement,
@@ -225,25 +232,23 @@ def test_empty_graph_roundtrip(tmp_path):
 
 
 def test_toy_graph_roundtrip(tmp_path):
-    g = FactorGraph(intrinsics=K)
-    g.poses[0] = Pose.identity()
-    g.poses[1] = Pose.from_rt(so3_exp([0.01, 0.02, -0.01]), np.array([0.1, 0.0, 0.02]))
-    g.fixed.add(0)
-    g.points[5] = np.array([0.3, -0.2, 4.0])
-    g.lines[2] = LineVertex(np.array([0.0, 0.0, 0.5]), np.array([0.0, 0.5, 0.0]))
-    g.point_factors = Factors([0, 1], [5, 5], [[312.5, 248.25], [300.0, 251.0]], [1.0, 1.0])
-    g.line_factors = Factors([0], [2], [[[10.0, 20.0], [90.0, 20.0]]], [1.0])
+    T = [Pose.identity(), Pose.from_rt(so3_exp([0.01, 0.02, -0.01]), np.array([0.1, 0.0, 0.02]))]
+    g = FactorGraph(
+        intrinsics=K,
+        poses=Poses([0, 1], [T_i.t for T_i in T], [T_i.q for T_i in T]),
+        fixed=[0],
+        points=Points([5], [[0.3, -0.2, 4.0]]),
+        lines=Lines([2], [[0.0, 0.0, 0.5]], [[0.0, 0.5, 0.0]]),
+        point_factors=Factors([0, 1], [5, 5], [[312.5, 248.25], [300.0, 251.0]], [1.0, 1.0]),
+        line_factors=Factors([0], [2], [[[10.0, 20.0], [90.0, 20.0]]], [1.0]),
+    )
     write_graph(g, tmp_path / "g.txt")
     back = read_graph(tmp_path / "g.txt", K)
 
-    assert back.poses.keys() == g.poses.keys()
-    for pid in g.poses:
-        assert np.array_equal(back.poses[pid].q, g.poses[pid].q)
-        assert np.array_equal(back.poses[pid].t, g.poses[pid].t)
-    assert back.fixed == g.fixed
-    assert np.array_equal(back.points[5], g.points[5])
-    assert np.array_equal(back.lines[2].n, g.lines[2].n)
-    assert np.array_equal(back.lines[2].d, g.lines[2].d)
+    for a, b in ((g.poses, back.poses), (g.points, back.points), (g.lines, back.lines)):
+        for name in [f.name for f in dataclasses.fields(a)]:
+            assert np.array_equal(getattr(b, name), getattr(a, name))
+    assert np.array_equal(back.fixed, g.fixed)
     assert len(back.point_factors) == 2 and len(back.line_factors) == 1
     for fa, fb in ((g.point_factors, back.point_factors), (g.line_factors, back.line_factors)):
         assert np.array_equal(fa.frame, fb.frame) and np.array_equal(fa.landmark, fb.landmark)
@@ -344,6 +349,11 @@ def test_graph_edge_errors_name_file_and_line(tmp_path, edge, match):
                      "g.txt:5: duplicate point id 2", id="duplicate-before-bad-value"),
         pytest.param("VERTEX_POSE 0 0.0 0.0 0.0 0.0 0.0 0.0 1.1",
                      "g.txt:4: duplicate pose id 0", id="duplicate-before-quaternion"),
+        pytest.param("VERTEX_POSE -3 0.0 0.0 0.0 0.0 0.0 0.0 1.1",
+                     "g.txt:4: pose id must be >= 0: -3", id="id-before-quaternion"),
+        pytest.param("FIX 9223372036854775808\nVERTEX_POINT 2 0.0 0.0 1.0\n"
+                     "VERTEX_POINT 2 0.0 0.0 1.0",
+                     "g.txt:4: pose id does not fit in int64", id="fix-id-before-duplicate"),
         pytest.param("VERTEX_POSE 3 0.0 0.0 0.0 0.0 0.0 0.0 1.1\nEDGE_POINT 0 x 1.0 2.0",
                      "g.txt:4: quaternion is not unit norm", id="vertex-before-malformed-edge"),
         pytest.param("EDGE_POINT 0 2 1.0 nan\nVERTEX_LINE 1 0.0 0.0 0.5 0.0 0.5 0.0",
@@ -418,9 +428,9 @@ def test_graph_roundtrip_from_pipeline(small_sequence, tmp_path):
     )
     write_graph(g, tmp_path / "g.txt")
     back = read_graph(tmp_path / "g.txt", small_sequence.intrinsics)
-    assert back.poses.keys() == g.poses.keys()
-    assert back.points.keys() == g.points.keys()
-    assert back.lines.keys() == g.lines.keys()
+    assert np.array_equal(back.poses.id, g.poses.id)
+    assert np.array_equal(back.points.id, g.points.id)
+    assert np.array_equal(back.lines.id, g.lines.id)
     assert len(back.point_factors) == len(g.point_factors)
     assert len(back.line_factors) == len(g.line_factors)
     for fa, fb in ((g.point_factors, back.point_factors), (g.line_factors, back.line_factors)):

@@ -17,13 +17,14 @@ from plbench.factor_graph import (
     FactorGraph,
     Factors,
     GraphConstructionError,
-    LineVertex,
+    Lines,
+    Points,
+    Poses,
     _point_residuals,
     _pose_jacobian,
     build_covisibility_graph,
-    line_jacobians,
     line_residual,
-    point_jacobians,
+    line_terms,
     point_residual,
     point_terms,
     project_line,
@@ -69,6 +70,30 @@ def random_line_config(rng):
         ub = np.array([K.fx * B_c[0] / B_c[2] + K.cx, K.fy * B_c[1] / B_c[2] + K.cy])
         o = orthonormal_from_plucker(n, d)
         return T, o, ua + rng.normal(scale=2.0, size=2), ub + rng.normal(scale=2.0, size=2)
+
+
+def stack_poses(poses):
+    """(R, t) of each pose, stacked for the batched kernels."""
+    return np.array([T.rotation() for T in poses]), np.array([T.t for T in poses])
+
+
+def batch_point_jacobians(configs):
+    """(J_pose, J_point) of each (T, P_w, u) through one ``point_terms`` call."""
+    T, P_w, u = zip(*configs)
+    _, J_pose, J_point, valid = point_terms(*stack_poses(T), np.array(P_w), np.array(u), K)
+    assert valid.all()
+    return J_pose, J_point
+
+
+def batch_line_jacobians(configs):
+    """(J_pose, J_line) of each (T, o, u_s, u_e) through one ``line_terms`` call."""
+    T, o, u_s, u_e = zip(*configs)
+    _, J_pose, J_line, valid = line_terms(
+        *stack_poses(T), np.array([x.U for x in o]), np.array([x.W for x in o]),
+        np.array(u_s), np.array(u_e), K,
+    )
+    assert valid.all()
+    return J_pose, J_line
 
 
 def rel_err(J_analytic, J_fd):
@@ -213,9 +238,8 @@ def fd_line_jacobians(u_s, u_e, o, T, h=1e-6):
 
 def test_point_jacobians_match_finite_differences():
     rng = np.random.default_rng(2)
-    for _ in range(300):
-        T, P_w, u = random_point_config(rng)
-        J_pose, J_point = point_jacobians(u, P_w, T, K)
+    configs = [random_point_config(rng) for _ in range(300)]
+    for (T, P_w, u), J_pose, J_point in zip(configs, *batch_point_jacobians(configs)):
         F_pose, F_point = fd_point_jacobians(u, P_w, T)
         assert rel_err(J_pose, F_pose) <= 1e-5
         assert rel_err(J_point, F_point) <= 1e-5
@@ -224,15 +248,15 @@ def test_point_jacobians_match_finite_differences():
 def test_point_jacobian_hand_value_on_axis():
     # fronto-parallel point on the optical axis: d res / d t_x = (-fx/Z, 0)
     Z = 2.5
-    J_pose, _ = point_jacobians([K.cx, K.cy], np.array([0.0, 0.0, Z]), Pose.identity(), K)
-    np.testing.assert_allclose(J_pose[:, 3], [-K.fx / Z, 0.0], atol=1e-12)
+    J_pose, _ = batch_point_jacobians([(Pose.identity(), [0.0, 0.0, Z], [K.cx, K.cy])])
+    np.testing.assert_allclose(J_pose[0, :, 3], [-K.fx / Z, 0.0], atol=1e-12)
 
 
 def test_zero_residual_does_not_zero_jacobian():
     P_w = np.array([1.0, 2.0, 2.0])
     u = np.array([370.0, 340.0])
     assert np.allclose(point_residual(u, P_w, Pose.identity(), K), 0, atol=1e-12)
-    J_pose, J_point = point_jacobians(u, P_w, Pose.identity(), K)
+    J_pose, J_point = batch_point_jacobians([(Pose.identity(), P_w, u)])
     assert np.max(np.abs(J_pose)) > 1.0
     assert np.max(np.abs(J_point)) > 1.0
 
@@ -259,9 +283,8 @@ def test_pose_jacobian_equals_point_terms_bit_for_bit():
 
 def test_line_jacobians_match_finite_differences():
     rng = np.random.default_rng(3)
-    for _ in range(300):
-        T, o, u_s, u_e = random_line_config(rng)
-        J_pose, J_line = line_jacobians(u_s, u_e, o, T, K)
+    configs = [random_line_config(rng) for _ in range(300)]
+    for (T, o, u_s, u_e), J_pose, J_line in zip(configs, *batch_line_jacobians(configs)):
         F_pose, F_line = fd_line_jacobians(u_s, u_e, o, T)
         assert rel_err(J_pose, F_pose) <= 1e-5
         assert rel_err(J_line, F_line) <= 1e-5
@@ -269,9 +292,7 @@ def test_line_jacobians_match_finite_differences():
 
 def test_line_jacobian_rank_bound():
     rng = np.random.default_rng(4)
-    for _ in range(20):
-        T, o, u_s, u_e = random_line_config(rng)
-        _, J_line = line_jacobians(u_s, u_e, o, T, K)
+    for J_line in batch_line_jacobians([random_line_config(rng) for _ in range(20)])[1]:
         assert np.linalg.matrix_rank(J_line) <= 2
 
 
@@ -293,8 +314,8 @@ def test_line_jacobian_null_space_probe():
         r0 = line_residual(u_s, u_e, L, T, K)
         if np.max(np.abs(r0)) > 1e-9:
             continue
-        _, J_line = line_jacobians(u_s, u_e, o, T, K)
-        _, _, Vt = np.linalg.svd(J_line)
+        _, J_line = batch_line_jacobians([(T, o, u_s, u_e)])
+        _, _, Vt = np.linalg.svd(J_line[0])
         null_dir = Vt[-1]
         range_dir = Vt[0]
 
@@ -363,7 +384,7 @@ def test_build_graph_minimal_counts():
         seq, seq.gt_trajectory, ToyMap(points={0: np.array([0.2, -0.1, 3.0])})
     )
     assert len(graph.poses) == 2
-    assert graph.fixed == {0}
+    assert graph.fixed.tolist() == [0]
     assert len(graph.points) == 1
     assert len(graph.point_factors) == 2
     assert len(graph.line_factors) == 0
@@ -381,7 +402,7 @@ def test_build_graph_excludes_single_observation_landmarks():
     graph = build_covisibility_graph(
         seq, seq.gt_trajectory, ToyMap(points={0: np.array([0.2, -0.1, 3.0]), 1: P1})
     )
-    assert set(graph.points) == {0}
+    assert graph.points.id.tolist() == [0]
     assert len(graph.point_factors) == 2
 
 
@@ -415,14 +436,24 @@ def preset_graph(preset, frames, noise=None):
 
 def residuals(g: FactorGraph):
     """Every factor's residual through the single-factor operations."""
+    poses = {i: Pose(q, t) for i, t, q in zip(g.poses.id.tolist(), g.poses.t, g.poses.q)}
+    points = dict(zip(g.points.id.tolist(), g.points.xyz))
+    lines = {i: (n, d) for i, n, d in zip(g.lines.id.tolist(), g.lines.n, g.lines.d)}
     out = []
     pf, lf = g.point_factors, g.line_factors
     for frame, point, u in zip(pf.frame.tolist(), pf.landmark.tolist(), pf.u):
-        out.append(point_residual(u, g.points[point], g.poses[frame], g.intrinsics))
+        out.append(point_residual(u, points[point], poses[frame], g.intrinsics))
     for frame, line, (u_s, u_e) in zip(lf.frame.tolist(), lf.landmark.tolist(), lf.u):
-        v = g.lines[line]
-        out.append(line_residual(u_s, u_e, (v.n, v.d), g.poses[frame], g.intrinsics))
+        out.append(line_residual(u_s, u_e, lines[line], poses[frame], g.intrinsics))
     return np.array(out)
+
+
+def poses_of(ids, poses):
+    return Poses(ids, [T.t for T in poses], [T.q for T in poses])
+
+
+def lines_of(ids, pluckers):
+    return Lines(ids, [n for n, _ in pluckers], [d for _, d in pluckers])
 
 
 def test_noiseless_graph_cost_is_zero_at_ground_truth():
@@ -450,10 +481,10 @@ def test_total_cost_adds_zero_for_point_behind_its_camera():
     T1 = Pose(np.array([0.0, 0.0, 0.0, 1.0]), np.array([0.0, 0.0, -4.0]))
     graph = FactorGraph(
         intrinsics=K,
-        poses={0: Pose.identity(), 1: T1},
-        fixed={0},
-        points={0: np.array([0.2, -0.1, 8.0]), 1: np.array([0.1, 0.3, 2.0])},
-        lines={0: LineVertex(*plucker_from_endpoints([0.0, 0.0, 6.0], [1.0, 0.0, 6.0]))},
+        poses=poses_of([0, 1], [Pose.identity(), T1]),
+        fixed=[0],
+        points=Points([0, 1], [[0.2, -0.1, 8.0], [0.1, 0.3, 2.0]]),
+        lines=lines_of([0], [plucker_from_endpoints([0.0, 0.0, 6.0], [1.0, 0.0, 6.0])]),
         point_factors=Factors([0, 1, 0], [0, 0, 1],
                               [[322.0, 239.0], [321.0, 233.0], [330.0, 250.0]], [0.5] * 3),
         line_factors=Factors([1], [0], [[[100.0, 243.0], [500.0, 238.0]]], [2.0]),
@@ -462,7 +493,7 @@ def test_total_cost_adds_zero_for_point_behind_its_camera():
     assert expected > 0.0
     behind = np.array([300.0, 200.0])  # landmark 1 is at z = -2 in camera 1
     with pytest.raises(GeometryError):
-        point_residual(behind, graph.points[1], T1, K)
+        point_residual(behind, graph.points.xyz[1], T1, K)
     pf = graph.point_factors
     graph.point_factors = Factors([*pf.frame, 1], [*pf.landmark, 1], [*pf.u, behind],
                                   [*pf.weight, 0.5])
@@ -479,25 +510,39 @@ def test_graph_gauge_invariance():
     base = residuals(graph)
     moved = FactorGraph(
         intrinsics=graph.intrinsics,
-        poses={i: T.compose(G) for i, T in graph.poses.items()},
-        fixed=set(graph.fixed),
-        points={i: Ginv.transform(p) for i, p in graph.points.items()},
-        lines={
-            i: LineVertex(*transform_plucker(Ginv, v.n, v.d)) for i, v in graph.lines.items()
-        },
+        poses=poses_of(graph.poses.id,
+                       [Pose(q, t).compose(G) for t, q in zip(graph.poses.t, graph.poses.q)]),
+        fixed=graph.fixed,
+        points=Points(graph.points.id, Ginv.transform(graph.points.xyz)),
+        lines=lines_of(graph.lines.id, [transform_plucker(Ginv, n, d)
+                                        for n, d in zip(graph.lines.n, graph.lines.d)]),
         point_factors=graph.point_factors,
         line_factors=graph.line_factors,
     )
+    moved.check()
     np.testing.assert_allclose(residuals(moved), base, atol=1e-9)
 
 
 def test_line_vertex_rejects_plucker_violation():
-    with pytest.raises(GraphConstructionError):
-        LineVertex(np.array([1.0, 0.0, 0.0]), np.array([0.5, 0.0, 0.0]))
+    g = FactorGraph(intrinsics=K, poses=poses_of([0], [Pose.identity()]), fixed=[0],
+                    lines=Lines([0, 1], [[0.0, 0.0, 0.5], [1.0, 0.0, 0.0]],
+                                [[0.0, 0.5, 0.0], [0.5, 0.0, 0.0]]))
+    with pytest.raises(GraphConstructionError, match="Plucker"):
+        g.check()
+
+
+def test_vertex_records_sort_by_id_and_reject_repeats():
+    points = Points([7, 2, 5], [[7.0, 0.0, 0.0], [2.0, 0.0, 0.0], [5.0, 0.0, 0.0]])
+    assert points.id.dtype == np.int64 and points.id.tolist() == [2, 5, 7]
+    assert points.xyz[:, 0].tolist() == [2.0, 5.0, 7.0]
+    with pytest.raises(GraphConstructionError, match="duplicate line id 3"):
+        Lines([3, 1, 3], np.ones((3, 3)), np.ones((3, 3)))
+    with pytest.raises(GraphConstructionError, match="pose vertex columns differ in length"):
+        Poses([0, 1], np.zeros((2, 3)), [[0.0, 0.0, 0.0, 1.0]])
 
 
 def test_graph_check_requires_gauge():
-    g = FactorGraph(intrinsics=K, poses={0: Pose.identity()})
+    g = FactorGraph(intrinsics=K, poses=poses_of([0], [Pose.identity()]))
     with pytest.raises(GraphConstructionError):
         g.check()
 
@@ -506,10 +551,10 @@ def dangling_graph(kind, unknown):
     """Two vertices of each kind and one factor of ``kind`` whose pose id
     (``unknown="pose"``) or landmark id is unknown."""
     frame, landmark = (7, 0) if unknown == "pose" else (0, 99)
-    line = LineVertex(*plucker_from_endpoints([0.0, 0.0, 6.0], [1.0, 0.0, 6.0]))
-    g = FactorGraph(intrinsics=K, poses={10: Pose.identity(), 0: Pose.identity()}, fixed={0},
-                    points={100: np.array([0.1, 0.3, 2.0]), 0: np.array([0.2, -0.1, 3.0])},
-                    lines={100: line, 0: line})
+    line = plucker_from_endpoints([0.0, 0.0, 6.0], [1.0, 0.0, 6.0])
+    g = FactorGraph(intrinsics=K, poses=poses_of([10, 0], [Pose.identity()] * 2), fixed=[0],
+                    points=Points([100, 0], [[0.1, 0.3, 2.0], [0.2, -0.1, 3.0]]),
+                    lines=lines_of([100, 0], [line, line]))
     if kind == "point":
         g.point_factors = Factors([frame], [landmark], [[322.0, 239.0]], [1.0])
     else:
@@ -573,7 +618,7 @@ def test_build_graph_columns_equal_reference_loop(preset):
     graph = build_covisibility_graph(seq, traj, gt_map, cfg.noise.sigma_s)
     weight = 1.0 / (cfg.noise.sigma_s * cfg.noise.sigma_s)
     (points, point_rows), (lines, line_rows) = reference_factors(seq, weight)
-    assert list(graph.points) == points and list(graph.lines) == lines
+    assert graph.points.id.tolist() == points and graph.lines.id.tolist() == lines
     for factors, rows, shape in ((graph.point_factors, point_rows, (2,)),
                                  (graph.line_factors, line_rows, (2, 2))):
         assert len(factors) == len(rows) > 0

@@ -16,6 +16,7 @@ from plbench.geometry import (
     line_angle,
     matrix_to_quat,
     orthonormal_from_plucker,
+    orthonormal_from_plucker_batch,
     orthonormal_update,
     plucker_from_endpoints,
     plucker_from_orthonormal,
@@ -323,6 +324,52 @@ def test_orthonormal_degenerate_line_through_origin():
     n, d = plucker_from_orthonormal(o)
     np.testing.assert_allclose(n, 0, atol=1e-15)
     np.testing.assert_allclose(d / np.linalg.norm(d), [0, 0, 1])
+
+
+def reference_orthonormal_from_plucker(n, d):
+    """The former one-line conversion: (U, W, degenerate)."""
+    nn, nd = float(np.linalg.norm(n)), float(np.linalg.norm(d))
+    d_hat = d / nd
+    degenerate = nn < 1e-12 * max(nd, 1.0)
+    if degenerate:
+        e = np.zeros(3)
+        e[int(np.argmin(np.abs(d_hat)))] = 1.0
+        u1 = np.cross(d_hat, e)
+        u1 = u1 / np.linalg.norm(u1)
+        nn = 0.0
+    else:
+        u1 = n / nn
+    u3 = np.cross(u1, d_hat)
+    u3 = u3 / np.linalg.norm(u3)
+    s = np.hypot(nn, nd)
+    return (np.column_stack([u1, d_hat, u3]),
+            np.array([[nn / s, -nd / s], [nd / s, nn / s]]), degenerate)
+
+
+def test_orthonormal_batch_equals_the_one_line_reference():
+    rng = np.random.default_rng(10)
+    ps, pe = rng.normal(scale=3.0, size=(2, 300, 3))
+    n, d = np.cross(ps, pe), pe - ps
+    # lines through the origin, one with a tied least-aligned axis, and
+    # moments just above and below the degenerate threshold
+    n[:40] *= 1e-14
+    n[40:60] *= 1e-9
+    n[60] = 0.0
+    d[60] = [1.0, 0.0, 0.0]
+    # short directions: the threshold scales with max(|d|, 1)
+    d[61:70] *= 0.1 / np.linalg.norm(d[61:70], axis=1, keepdims=True)
+    n[61:70] *= 5e-13 / np.linalg.norm(n[61:70], axis=1, keepdims=True)
+    U, W, degenerate = orthonormal_from_plucker_batch(n, d)
+    assert degenerate[:40].all() and not degenerate[40:60].any() and degenerate[60:70].all()
+    for i in range(len(n)):
+        U_i, W_i, degenerate_i = reference_orthonormal_from_plucker(n[i], d[i])
+        assert U[i].tobytes() == U_i.tobytes() and W[i].tobytes() == W_i.tobytes()
+        assert degenerate[i] == degenerate_i
+        o = orthonormal_from_plucker(n[i], d[i])
+        assert o.U.tobytes() == U_i.tobytes() and o.W.tobytes() == W_i.tobytes()
+        assert o.degenerate == degenerate_i
+    with pytest.raises(DegenerateLineError, match="direction must be nonzero"):
+        orthonormal_from_plucker_batch(n[:2], np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
 
 
 def test_orthonormal_update_identity_and_so2_composition():
