@@ -500,7 +500,7 @@ def read_graph(path, intrinsics: CameraIntrinsics, sigma_s: float = 1.0) -> Fact
     faults the one a record-by-record parse meets first. A file with a
     pose, a FIX or an edge must then pass ``FactorGraph.check``.
     """
-    records = {tag: ([], [], []) for tag in _GRAPH_RECORDS}  # line numbers, ids, values
+    records = {tag: ([], [], []) for tag in _GRAPH_RECORDS}  # vertex line numbers, ids, values
     errors = []
     try:
         for lineno, tokens in _iter_records(path):
@@ -525,7 +525,8 @@ def read_graph(path, intrinsics: CameraIntrinsics, sigma_s: float = 1.0) -> Fact
                 if checks is not None and first in ids[::2]:
                     raise ParseError(path, lineno, f"duplicate {names[0]} {first}")
                 new_values = [_parse_float(t, path, lineno, what) for t in tokens[m:]]
-            linenos.append(lineno)
+            if checks is not None:
+                linenos.append(lineno)
             ids += (first, last)
             values += new_values
     except ParseError as exc:
@@ -535,7 +536,7 @@ def read_graph(path, intrinsics: CameraIntrinsics, sigma_s: float = 1.0) -> Fact
     for tag, (linenos, ids, values) in records.items():
         names, k, _, checks = _GRAPH_RECORDS[tag]
         ids = np.array(ids, dtype=np.int64).reshape(-1, 2)[:, :len(names)]
-        values = np.array(values, dtype=float).reshape(len(linenos), k)
+        values = np.array(values, dtype=float).reshape(len(ids), k)
         columns[tag] = ids, values
         if checks is not None:
             repeat = np.ones(len(ids), dtype=bool)
