@@ -556,7 +556,7 @@ def read_graph(path, intrinsics: CameraIntrinsics, sigma_s: float = 1.0) -> Fact
     graph = FactorGraph(
         intrinsics=intrinsics,
         poses=Poses(pose_ids, pose[:, :3], pose_quat_batch(pose[:, 3:])),
-        fixed=columns["FIX"][0],
+        fixed=columns["FIX"][0][:, 0],
         points=Points(*columns["VERTEX_POINT"]),
         lines=Lines(line_ids, line[:, :3], line[:, 3:]),
         point_factors=Factors(*point_edges.T, point_u, np.full(len(point_u), weight)),

@@ -123,7 +123,7 @@ def _plucker_violations(n, d) -> np.ndarray:
     return np.abs(row_dots(n, d)) > 1e-10 * (row_norms(n) * row_norms(d) + 1.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FactorGraph:
     intrinsics: CameraIntrinsics
     poses: Poses = field(default_factory=lambda: Poses([], [], []))
@@ -134,7 +134,7 @@ class FactorGraph:
     line_factors: Factors = field(default_factory=lambda: Factors([], [], np.empty((0, 2, 2)), []))
 
     def __post_init__(self):
-        self.fixed = np.unique(np.asarray(self.fixed, dtype=np.int64))
+        object.__setattr__(self, "fixed", np.unique(np.fromiter(self.fixed, np.int64)))
 
     def check(self) -> None:
         if not len(self.fixed):

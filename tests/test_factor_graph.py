@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -495,8 +497,8 @@ def test_total_cost_adds_zero_for_point_behind_its_camera():
     with pytest.raises(GeometryError):
         point_residual(behind, graph.points.xyz[1], T1, K)
     pf = graph.point_factors
-    graph.point_factors = Factors([*pf.frame, 1], [*pf.landmark, 1], [*pf.u, behind],
-                                  [*pf.weight, 0.5])
+    graph = dataclasses.replace(graph, point_factors=Factors(
+        [*pf.frame, 1], [*pf.landmark, 1], [*pf.u, behind], [*pf.weight, 0.5]))
     graph.check()
     np.testing.assert_allclose(graph.total_cost(), expected, rtol=1e-12)
 
@@ -541,6 +543,13 @@ def test_vertex_records_sort_by_id_and_reject_repeats():
         Poses([0, 1], np.zeros((2, 3)), [[0.0, 0.0, 0.0, 1.0]])
 
 
+def test_graph_is_frozen_and_holds_fixed_as_sorted_ids():
+    g = FactorGraph(intrinsics=K, fixed={3, 0, 3})
+    assert g.fixed.dtype == np.int64 and g.fixed.tolist() == [0, 3]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.fixed = {1}
+
+
 def test_graph_check_requires_gauge():
     g = FactorGraph(intrinsics=K, poses=poses_of([0], [Pose.identity()]))
     with pytest.raises(GraphConstructionError):
@@ -552,14 +561,14 @@ def dangling_graph(kind, unknown):
     (``unknown="pose"``) or landmark id is unknown."""
     frame, landmark = (7, 0) if unknown == "pose" else (0, 99)
     line = plucker_from_endpoints([0.0, 0.0, 6.0], [1.0, 0.0, 6.0])
-    g = FactorGraph(intrinsics=K, poses=poses_of([10, 0], [Pose.identity()] * 2), fixed=[0],
-                    points=Points([100, 0], [[0.1, 0.3, 2.0], [0.2, -0.1, 3.0]]),
-                    lines=lines_of([100, 0], [line, line]))
     if kind == "point":
-        g.point_factors = Factors([frame], [landmark], [[322.0, 239.0]], [1.0])
+        factors = {"point_factors": Factors([frame], [landmark], [[322.0, 239.0]], [1.0])}
     else:
-        g.line_factors = Factors([frame], [landmark], [[[100.0, 240.0], [500.0, 240.0]]], [1.0])
-    return g
+        factors = {"line_factors": Factors([frame], [landmark],
+                                           [[[100.0, 240.0], [500.0, 240.0]]], [1.0])}
+    return FactorGraph(intrinsics=K, poses=poses_of([10, 0], [Pose.identity()] * 2), fixed=[0],
+                       points=Points([100, 0], [[0.1, 0.3, 2.0], [0.2, -0.1, 3.0]]),
+                       lines=lines_of([100, 0], [line, line]), **factors)
 
 
 @pytest.mark.parametrize("unknown", ["pose", "landmark"])
