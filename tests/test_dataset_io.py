@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -177,6 +178,44 @@ def test_parse_error_short_line(tmp_path):
     )
     with pytest.raises(ParseError, match="min_line_len"):
         read_sequence(d, min_line_len=15.0)
+
+
+POSE_RECORD = " 0.0 0.0 0.0 0.0 0.0 0.0 1.0\n"
+
+
+@pytest.mark.parametrize(
+    "files, message",
+    [
+        # the first bad line of the first bad file in frame order, and the
+        # first failing check on that line
+        pytest.param({"frames/000000.txt": "P 99 10.0 x 1.0\n"},
+                     "000000.txt:1: dangling landmark_id 99", id="dangling-before-bad-value"),
+        pytest.param({"frames/000000.txt": "P 7 10.0 20.0 1.0\nP 7 10.0 nan 1.0\n"},
+                     "000000.txt:2: point landmark_id 7 repeats in the frame",
+                     id="repeat-before-nonfinite"),
+        pytest.param({"frames/000000.txt": "P -1 10.0 20.0 1.0\n"},
+                     "000000.txt:1: landmark id must be >= 0: -1", id="negative-before-dangling"),
+        pytest.param({"frames/000000.txt": "P 7 10.0 20.0 -1.0\nQ 1\n"},
+                     "000000.txt:1: nonpositive depth", id="depth-before-unknown-tag"),
+        pytest.param({"frames/000000.txt": "L 3 10.0 20.0 1.0 10.0 20.0 1.0\n"},
+                     "000000.txt:1: line measurement endpoints coincide", id="coincident-ends"),
+        pytest.param({"landmarks.txt": "MP 7 1.0 2.0 3.0\nMP 7 x 0.0 0.0\n"},
+                     "landmarks.txt:2: duplicate point landmark id 7",
+                     id="landmark-duplicate-before-bad-value"),
+        pytest.param({"landmarks.txt": "ML 3 0.0 0.0 2.0 0.0 0.0 2.0\nMP 7 1.0 x 3.0\n"},
+                     "landmarks.txt:1: line endpoints coincide",
+                     id="landmark-coincident-before-bad-value"),
+        pytest.param({"groundtruth.txt": "0" + POSE_RECORD + "1" + POSE_RECORD,
+                      "frames/000000.txt": "P 7 10.0 20.0 -1.0\n"},
+                     "000000.txt:1: nonpositive depth", id="frame-before-missing-frame"),
+    ],
+)
+def test_frame_and_landmark_errors_name_file_and_line(tmp_path, files, message):
+    d = write_toy_sequence_dir(tmp_path, "")
+    for name, text in files.items():
+        (d / name).write_text(text)
+    with pytest.raises(ParseError, match=re.escape(message) + "$"):
+        read_sequence(d)
 
 
 # ---------------------------------------------------------------------------
