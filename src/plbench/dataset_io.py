@@ -19,15 +19,18 @@ Directory layout of a sequence:
 Frame files map row for row onto the arrays of ``simulator.FrameData``:
 ``write_sequence`` formats each frame's arrays with ``%r`` over
 ``.tolist()``, and ``read_sequence`` parses each frame file into those
-arrays in one pass.
+arrays.
 
 Readers are total: malformed input of any kind raises ParseError naming
-the file and line, never an unhandled exception. For a frame file the
-error names the first bad line, and on that line the first failing
-check, as a record-by-record parse would.
+the file and line, never an unhandled exception. The tagged record files
+(frame files, ``landmarks.txt`` and graph files) share one error
+contract: the error names the first bad file, in frame order for a
+sequence's frame files, then the first bad line in it, then the first
+failing check on that line, as a record-by-record parse would.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -77,8 +80,10 @@ def _iter_records(path):
         data = Path(path).read_bytes()
     except OSError as exc:
         raise ParseError(path, None, f"cannot read: {exc}") from exc
-    lines = data.decode("utf-8", errors="replace").splitlines()
+    text = data.decode("utf-8", errors="replace")
     del data  # only the lines stay alive while the caller parses them
+    lines = text.splitlines()
+    del text
     for lineno, raw in enumerate(lines, start=1):
         if "#" in raw:
             raw = raw.split("#", 1)[0]
@@ -117,6 +122,105 @@ def _expect(tokens, n, path, lineno):
         raise ParseError(path, lineno, f"expected {n} fields, got {len(tokens)}")
 
 
+def _parse_record(tokens, path, lineno, spec, seen) -> None:
+    """Raise the ParseError of a record-by-record parse of one record of a
+    known tag and field count: the first id that is not an int64 >= 0, an
+    unknown first id or one in ``seen``, or the first value that is not a
+    finite float (see ``_read_records`` for ``spec``)."""
+    names, _, what, known, repeat, _ = spec
+    ids = [_parse_int(tok, path, lineno, name) for tok, name in zip(tokens[1:], names)]
+    if known is not None and ids[0] not in known:
+        raise ParseError(path, lineno, f"dangling landmark_id {ids[0]}")
+    if ids[0] in seen:
+        raise ParseError(path, lineno, repeat.format(ids[0]))
+    for tok in tokens[1 + len(names):]:
+        _parse_float(tok, path, lineno, what)
+
+
+def _read_records(paths, table) -> list[dict[str, tuple[np.ndarray, np.ndarray]]]:
+    """Parse tagged record files, read as one stream in the order of
+    ``paths``, into one {tag: (ids (n, len(names)) int64, values (n, k))}
+    per file.
+
+    ``table`` maps each tag to (names of its ids, value count k, name of a
+    value in errors, the known first ids or None, the message for a first
+    id repeated in one file or None, and None or the checks on its values
+    (n, k) as (failing rows, message) pairs in the order they apply).
+
+    Each line is checked for its tag and field count, converted with
+    ``int`` and ``float``, and its first id tested against the known ids
+    and the file's repeated ids; the stream stops at the first line that
+    fails. Each file's rows become arrays when the file ends. The rows
+    read are then checked as columns: ids >= 0 and within int64, finite
+    values, then the table's checks. The first fault in the stream is
+    raised, with the text of a record-by-record parse: ``_parse_record``
+    runs ``_parse_int`` and ``_parse_float`` over the failing line, for a
+    column fault after finding the row's line again in its file.
+    """
+    if not paths:
+        return []
+    files, stop = [], None
+    for path in paths:
+        rows = {tag: ([], [], set()) for tag in table}  # ids, values, first ids seen
+        try:
+            for lineno, tokens in _iter_records(path):
+                if tokens[0] not in table:
+                    raise ParseError(path, lineno, f"unknown record tag {tokens[0]!r}")
+                names, k, _, known, repeat, _ = spec = table[tokens[0]]
+                m = 1 + len(names)
+                _expect(tokens, m + k, path, lineno)
+                ids, values, seen = rows[tokens[0]]
+                try:  # a record with one id converts it twice
+                    first, last = int(tokens[1]), int(tokens[m - 1])
+                    new_values = list(map(float, tokens[m:]))
+                    valid = first not in seen and (known is None or first in known)
+                except ValueError:
+                    valid = False
+                if not valid:  # a record-by-record parse of the line raises its error
+                    _parse_record(tokens, path, lineno, spec, seen)
+                if repeat is not None:
+                    seen.add(first)
+                ids += (first, last)
+                values += new_values
+        except ParseError as exc:
+            stop = exc
+        files.append({})
+        for tag, (ids, values, _) in rows.items():
+            names, k = table[tag][:2]
+            try:
+                ids = np.array(ids, dtype=np.int64)
+            except OverflowError:  # an id outside int64 fails the id check as -1
+                ids = np.array([i if 0 <= i <= _INT64_MAX else -1 for i in ids], dtype=np.int64)
+            ids = ids.reshape(-1, 2)[:, :len(names)]
+            files[-1][tag] = ids, np.array(values, dtype=float).reshape(len(ids), k)
+        if stop is not None:
+            break
+
+    faults = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for tag, spec in table.items():
+            ids = np.concatenate([f[tag][0] for f in files])
+            values = np.concatenate([f[tag][1] for f in files])
+            checks = spec[5](values) if spec[5] else []
+            fault = _first_fault([((ids < 0).any(axis=1), None),
+                                  (~np.isfinite(values).all(axis=1), None)] + checks)
+            if fault is not None:
+                row, message = fault
+                i = 0
+                while row >= len(files[i][tag][0]):
+                    row -= len(files[i][tag][0])
+                    i += 1
+                lineno, tokens = [r for r in _iter_records(paths[i]) if r[1][0] == tag][row]
+                faults.append((i, lineno, tokens, spec, message))
+    if faults:
+        i, lineno, tokens, spec, message = min(faults, key=lambda fault: fault[:2])
+        _parse_record(tokens, paths[i], lineno, spec, ())
+        raise ParseError(paths[i], lineno, message)
+    if stop is not None:
+        raise stop
+    return files
+
+
 # ---------------------------------------------------------------------------
 # trajectories
 
@@ -141,7 +245,9 @@ def read_trajectory(path) -> list[Pose]:
         expected += 1
         vals = [_parse_float(t, path, lineno, "pose component") for t in tokens[1:]]
         q = np.array(vals[3:])
-        if abs(np.linalg.norm(q) - 1.0) > 1e-6:
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(q)
+        if abs(norm - 1.0) > 1e-6:
             raise ParseError(path, lineno, "quaternion is not unit norm")
         try:
             traj.append(Pose(q, np.array(vals[:3])))
@@ -220,133 +326,21 @@ def _read_calib(path) -> CameraIntrinsics:
         raise ParseError(path, lineno, str(exc)) from exc
 
 
-# frame record tag -> (fields per record, landmark kind)
-_FRAME_RECORDS = {"P": (5, "point"), "L": (8, "line")}
-
-
-def _floats(tokens) -> np.ndarray:
-    """``float`` of every token, NaN for a token that is not a number."""
-    try:
-        return np.array(list(map(float, tokens)), dtype=float)
-    except ValueError:
-        values = np.empty(len(tokens))
-        for i, tok in enumerate(tokens):
-            try:
-                values[i] = float(tok)
-            except ValueError:
-                values[i] = np.nan
-        return values
-
-
-def _value_fault(values, tokens, k: int):
-    """The number check of ``_parse_float`` on rows of k values: (failing
-    rows, message naming the row's first bad or nonfinite token)."""
-    bad = ~np.isfinite(values).reshape(-1, k)
-
-    def message(row):
-        tok = tokens[row * k + int(np.argmax(bad[row]))]
-        try:
-            float(tok)
-        except ValueError:
-            return f"bad measurement value: {tok!r}"
-        return f"nonfinite measurement value: {tok!r}"
-
-    return bad.any(axis=1), message
-
-
-def _read_frame(fpath, frame_id, intr, gt_points, gt_lines, min_line_len) -> FrameData:
-    """Parse one frame file into the arrays of a ``FrameData``.
-
-    Tags, field counts, landmark ids (known, not repeated in the frame)
-    are checked line by line up to the first malformed line; the values
-    of the lines before it are then checked as arrays. The ParseError
-    names the first bad line and its first failing check, in the order
-    of a record-by-record parse.
-    """
-    known = {"P": gt_points, "L": gt_lines}
-    records = {tag: ([], [], []) for tag in _FRAME_RECORDS}  # linenos, ids, value tokens
-    seen = {tag: set() for tag in _FRAME_RECORDS}
-    malformed = None
-    try:
-        for lineno, tokens in _iter_records(fpath):
-            tag = tokens[0]
-            if tag not in _FRAME_RECORDS:
-                raise ParseError(fpath, lineno, f"unknown record tag {tag!r}")
-            fields, kind = _FRAME_RECORDS[tag]
-            _expect(tokens, fields, fpath, lineno)
-            lid = _parse_int(tokens[1], fpath, lineno, "landmark id")
-            if lid not in known[tag]:
-                raise ParseError(fpath, lineno, f"dangling landmark_id {lid}")
-            if lid in seen[tag]:
-                raise ParseError(fpath, lineno, f"{kind} landmark_id {lid} repeats in the frame")
-            seen[tag].add(lid)
-            linenos, ids, values = records[tag]
-            linenos.append(lineno)
-            ids.append(lid)
-            values += tokens[2:]
-    except ParseError as exc:
-        malformed = exc
-
-    arrays, faults = {}, []
-    for tag, (linenos, ids, tokens) in records.items():
-        k = _FRAME_RECORDS[tag][0] - 2
-        values = _floats(tokens).reshape(-1, k)
-        if tag == "P":
-            pixels, depths = values[:, :2], values[:, 2]
-            checks = _point_faults(pixels, depths)
-            checks.append((~intr.contains(pixels), "pixel outside the image"))
-        else:
-            pixels = values[:, [0, 1, 3, 4]].reshape(-1, 2, 2)
-            depths = values[:, [2, 5]]
-            checks = _line_faults(pixels, depths)
-            with np.errstate(invalid="ignore", over="ignore"):
-                short = row_norms(pixels[:, 1] - pixels[:, 0]) < min_line_len
-            checks += [(~intr.contains(pixels).all(axis=1), "endpoint pixel outside the image"),
-                       (short, f"line shorter than min_line_len={min_line_len}")]
-        fault = _first_fault([_value_fault(values, tokens, k)] + checks)
-        if fault is not None:
-            faults.append(ParseError(fpath, linenos[fault[0]], fault[1]))
-        arrays[tag] = (ids, pixels, depths)
-    if faults:
-        raise min(faults, key=lambda exc: exc.line)
-    if malformed is not None:
-        raise malformed
-    return FrameData(frame_id, *arrays["P"], *arrays["L"])
-
-
 def read_sequence(directory, min_line_len: float = 15.0) -> Sequence:
     """Read a sequence directory, making each check of ``validate`` once."""
     directory = Path(directory)
     intr = _read_calib(directory / "calib.txt")
     traj = read_trajectory(directory / "groundtruth.txt")
 
-    lm_path = directory / "landmarks.txt"
-    gt_points: dict[int, PointLandmark] = {}
-    gt_lines: dict[int, LineLandmark] = {}
-    for lineno, tokens in _iter_records(lm_path):
-        tag = tokens[0]
-        if tag == "MP":
-            _expect(tokens, 5, lm_path, lineno)
-            pid = _parse_int(tokens[1], lm_path, lineno, "landmark id")
-            if pid in gt_points:
-                raise ParseError(lm_path, lineno, f"duplicate point landmark id {pid}")
-            vals = [_parse_float(t, lm_path, lineno, "coordinate") for t in tokens[2:]]
-            try:
-                gt_points[pid] = PointLandmark(pid, np.array(vals))
-            except GeometryError as exc:
-                raise ParseError(lm_path, lineno, str(exc)) from exc
-        elif tag == "ML":
-            _expect(tokens, 8, lm_path, lineno)
-            lid = _parse_int(tokens[1], lm_path, lineno, "landmark id")
-            if lid in gt_lines:
-                raise ParseError(lm_path, lineno, f"duplicate line landmark id {lid}")
-            vals = [_parse_float(t, lm_path, lineno, "coordinate") for t in tokens[2:]]
-            try:
-                gt_lines[lid] = LineLandmark(lid, np.array(vals).reshape(2, 3))
-            except GeometryError as exc:
-                raise ParseError(lm_path, lineno, str(exc)) from exc
-        else:
-            raise ParseError(lm_path, lineno, f"unknown record tag {tag!r}")
+    (landmarks,) = _read_records([directory / "landmarks.txt"], {
+        "MP": (("landmark id",), 3, "coordinate", None, "duplicate point landmark id {}", None),
+        "ML": (("landmark id",), 6, "coordinate", None, "duplicate line landmark id {}",
+               lambda v: [((v[:, :3] == v[:, 3:]).all(axis=1), "line endpoints coincide")]),
+    })
+    ids, xyz = landmarks["MP"]
+    gt_points = {i: PointLandmark(i, p) for i, p in zip(ids[:, 0].tolist(), xyz)}
+    ids, ends = landmarks["ML"]
+    gt_lines = {i: LineLandmark(i, e.reshape(2, 3)) for i, e in zip(ids[:, 0].tolist(), ends)}
 
     pg_path = directory / "parallel_groups.txt"
     parallel_groups: dict[int, list[int]] = {}
@@ -368,12 +362,37 @@ def read_sequence(directory, min_line_len: float = 15.0) -> Sequence:
     frames_dir = directory / "frames"
     if not frames_dir.is_dir():
         raise ParseError(frames_dir, None, "missing frames directory")
-    frames: list[FrameData] = []
-    for frame_id in range(len(traj)):
-        fpath = frames_dir / f"{frame_id:06d}.txt"
-        if not fpath.exists():
-            raise ParseError(fpath, None, f"missing frame file for frame {frame_id}")
-        frames.append(_read_frame(fpath, frame_id, intr, gt_points, gt_lines, min_line_len))
+    paths = [frames_dir / f"{frame_id:06d}.txt" for frame_id in range(len(traj))]
+    present = list(itertools.takewhile(Path.exists, paths))
+
+    def points(v):
+        return v[:, :2], v[:, 2]
+
+    def lines(v):
+        return v[:, [0, 1, 3, 4]].reshape(-1, 2, 2), v[:, [2, 5]]
+
+    def point_checks(v):
+        return _point_faults(*points(v)) + [(~intr.contains(v[:, :2]), "pixel outside the image")]
+
+    def line_checks(v):
+        pixels, depths = lines(v)
+        return _line_faults(pixels, depths) + [
+            (~intr.contains(pixels).all(axis=1), "endpoint pixel outside the image"),
+            (row_norms(pixels[:, 1] - pixels[:, 0]) < min_line_len,
+             f"line shorter than min_line_len={min_line_len}")]
+
+    records = _read_records(present, {
+        "P": (("landmark id",), 3, "measurement value", gt_points,
+              "point landmark_id {} repeats in the frame", point_checks),
+        "L": (("landmark id",), 6, "measurement value", gt_lines,
+              "line landmark_id {} repeats in the frame", line_checks),
+    })
+    if len(present) < len(paths):
+        raise ParseError(paths[len(present)], None,
+                         f"missing frame file for frame {len(present)}")
+    frames = [FrameData(frame_id, f["P"][0][:, 0], *points(f["P"][1]),
+                        f["L"][0][:, 0], *lines(f["L"][1]))
+              for frame_id, f in enumerate(records)]
 
     seq = Sequence(
         intrinsics=intr,
@@ -383,7 +402,7 @@ def read_sequence(directory, min_line_len: float = 15.0) -> Sequence:
         gt_lines=gt_lines,
         parallel_groups=parallel_groups,
     )
-    # _read_frame checked the frames and the loop above the group ids
+    # the frame records and the loop above checked all but the group directions
     try:
         seq.check_parallel_groups()
     except ValueError as exc:
@@ -469,85 +488,25 @@ def _records(tag: str, *columns) -> str:
     return (row * n) % tuple(table.ravel().tolist())
 
 
-# graph record tag -> (names of its ids, number of values, name of a value,
-# a vertex's checks on its values (n, k) after the repeated id check)
+# graph record tag -> the entry of _read_records' table
 _GRAPH_RECORDS = {
-    "VERTEX_POSE": (("pose id",), 7, "pose component", lambda v: [
+    "VERTEX_POSE": (("pose id",), 7, "pose component", None, "duplicate pose id {}", lambda v: [
         (np.abs(row_norms(v[:, 3:]) - 1.0) > 1e-6, "quaternion is not unit norm")]),
-    "VERTEX_POINT": (("point id",), 3, "coordinate", lambda v: []),
-    "VERTEX_LINE": (("line id",), 6, "coordinate", lambda v: [
+    "VERTEX_POINT": (("point id",), 3, "coordinate", None, "duplicate point id {}", None),
+    "VERTEX_LINE": (("line id",), 6, "coordinate", None, "duplicate line id {}", lambda v: [
         (row_norms(v[:, 3:]) == 0.0, "line direction must be nonzero"),
         (_plucker_violations(v[:, :3], v[:, 3:]), "Plucker constraint violated")]),
-    "FIX": (("pose id",), 0, None, None),
-    "EDGE_POINT": (("frame id", "point id"), 2, "pixel", None),
-    "EDGE_LINE": (("frame id", "line id"), 4, "pixel", None),
+    "FIX": (("pose id",), 0, None, None, None, None),
+    "EDGE_POINT": (("frame id", "point id"), 2, "pixel", None, None, None),
+    "EDGE_LINE": (("frame id", "line id"), 4, "pixel", None, None, None),
 }
 
 
 def read_graph(path, intrinsics: CameraIntrinsics, sigma_s: float = 1.0) -> FactorGraph:
     """Graph files carry no calibration and no factor weights; the caller
     supplies the calibration, and every factor gets the weight
-    1/sigma_s^2, whatever weights the written graph had.
-
-    A line is converted with one ``int`` per id and one ``map(float)`` over
-    its values, and passes when its ids fit in int64 and the sum of its
-    values is finite. Only a line that fails this goes through the checks
-    of ``_parse_int``, the repeated vertex id check and ``_parse_float``,
-    which raise its ParseError or, for finite values whose sum overflows,
-    accept it; reading stops at the first line that raises. The records
-    are packed into columns once, and the vertex columns are checked as
-    arrays. Of several faults, the first line's is raised, and of a line's
-    faults the one a record-by-record parse meets first. A file with a
-    pose, a FIX or an edge must then pass ``FactorGraph.check``.
-    """
-    records = {tag: ([], [], []) for tag in _GRAPH_RECORDS}  # vertex line numbers, ids, values
-    errors = []
-    try:
-        for lineno, tokens in _iter_records(path):
-            tag = tokens[0]
-            if tag not in records:
-                raise ParseError(path, lineno, f"unknown record tag {tag!r}")
-            names, k, what, checks = _GRAPH_RECORDS[tag]
-            m = 1 + len(names)
-            _expect(tokens, m + k, path, lineno)
-            linenos, ids, values = records[tag]
-            try:  # a record with one id converts it twice
-                first, last = int(tokens[1]), int(tokens[m - 1])
-                new_values = list(map(float, tokens[m:]))
-                valid = (0 <= first <= _INT64_MAX and 0 <= last <= _INT64_MAX
-                         and math.isfinite(sum(new_values)))
-            except ValueError:
-                valid = False
-            if not valid:
-                new_ids = [_parse_int(t, path, lineno, name)
-                           for t, name in zip(tokens[1:m], names)]
-                first, last = new_ids[0], new_ids[-1]
-                if checks is not None and first in ids[::2]:
-                    raise ParseError(path, lineno, f"duplicate {names[0]} {first}")
-                new_values = [_parse_float(t, path, lineno, what) for t in tokens[m:]]
-            if checks is not None:
-                linenos.append(lineno)
-            ids += (first, last)
-            values += new_values
-    except ParseError as exc:
-        errors.append(exc)
-
-    columns = {}
-    for tag, (linenos, ids, values) in records.items():
-        names, k, _, checks = _GRAPH_RECORDS[tag]
-        ids = np.array(ids, dtype=np.int64).reshape(-1, 2)[:, :len(names)]
-        values = np.array(values, dtype=float).reshape(len(ids), k)
-        columns[tag] = ids, values
-        if checks is not None:
-            repeat = np.ones(len(ids), dtype=bool)
-            repeat[np.unique(ids, return_index=True)[1]] = False
-            message = lambda row: f"duplicate {names[0]} {ids[row, 0]}"
-            fault = _first_fault([(repeat, message)] + checks(values))
-            if fault is not None:
-                errors.append(ParseError(path, linenos[fault[0]], fault[1]))
-    if errors:
-        raise min(errors, key=lambda exc: exc.line)
-
+    1/sigma_s^2, whatever weights the written graph had."""
+    (columns,) = _read_records([path], _GRAPH_RECORDS)
     weight = 1.0 / (sigma_s * sigma_s)
     pose_ids, pose = columns["VERTEX_POSE"]
     line_ids, line = columns["VERTEX_LINE"]

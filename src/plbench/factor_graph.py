@@ -119,8 +119,11 @@ class Lines(_Vertices):
 
 def _plucker_violations(n, d) -> np.ndarray:
     """Rows of Plucker pairs n, d (m, 3) whose |n . d| exceeds
-    1e-10 (|n| |d| + 1)."""
-    return np.abs(row_dots(n, d)) > 1e-10 * (row_norms(n) * row_norms(d) + 1.0)
+    1e-10 (|n| |d| + 1), or where either side overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        dots = np.abs(row_dots(n, d))
+        bounds = 1e-10 * (row_norms(n) * row_norms(d) + 1.0)
+    return ~(dots <= bounds) | np.isinf(bounds)
 
 
 @dataclass(frozen=True)

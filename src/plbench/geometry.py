@@ -594,17 +594,12 @@ def rigid_fit_batch(src, dst) -> tuple[np.ndarray, np.ndarray]:
     return R, mu_d - (R @ mu_s[..., None])[..., 0]
 
 
-def line_angle(d1, d2) -> float:
-    """Undirected angle between two direction vectors, exact at zero.
+def line_angles(d1, d2) -> np.ndarray:
+    """Undirected angle between the directions of each row pair of d1, d2
+    (n, 3), exact at zero: ``row_norms`` and ``row_dots`` equal
+    ``np.linalg.norm`` and ``@`` on one pair, bit for bit.
 
     atan2 of the cross-product norm keeps tiny angles meaningful where the
     arccos form would collapse to ~1e-8.
     """
-    d1 = np.asarray(d1, dtype=float).reshape(1, 3)
-    d2 = np.asarray(d2, dtype=float).reshape(1, 3)
-    return float(line_angles(d1, d2)[0])
-
-
-def line_angles(d1, d2) -> np.ndarray:
-    """``line_angle`` of each row pair of d1, d2 (n, 3), bit for bit."""
     return np.arctan2(row_norms(np.cross(d1, d2)), np.abs(row_dots(d1, d2)))

@@ -42,6 +42,7 @@ from .geometry import (
     PointLandmark,
     PointMeasurement,
     Pose,
+    line_angles,
     row_norms,
 )
 
@@ -796,14 +797,12 @@ class Sequence:
     def check_parallel_groups(self) -> None:
         """Every parallel group names known lines of one direction."""
         for gid, ids in self.parallel_groups.items():
-            dirs = []
             for lid in ids:
                 if lid not in self.gt_lines:
                     raise ValueError(f"dangling line id {lid} in parallel group {gid}")
-                dirs.append(self.gt_lines[lid].direction())
-            for d in dirs[1:]:
-                c = np.linalg.norm(np.cross(dirs[0], d))
-                if abs(np.arctan2(c, abs(dirs[0] @ d))) > 1e-9:
+            with np.errstate(over="ignore", invalid="ignore"):
+                dirs = np.array([self.gt_lines[lid].direction() for lid in ids])
+                if (line_angles(dirs[:1], dirs[1:]) > 1e-9).any():
                     raise ValueError(f"parallel group {gid} members disagree in direction")
 
 

@@ -379,6 +379,8 @@ def test_graph_edge_errors_name_file_and_line(tmp_path, edge, match):
                      "g.txt:4: line direction must be nonzero", id="zero-direction"),
         pytest.param("VERTEX_LINE 2 1.0 0.0 0.0 0.5 0.0 0.0",
                      "g.txt:4: Plucker constraint violated", id="plucker-violation"),
+        pytest.param("VERTEX_LINE 2 1e160 1e160 0.0 1e160 0.0 0.0",
+                     "g.txt:4: Plucker constraint violated", id="plucker-bound-overflows"),
         pytest.param("VERTEX_POINT 2 0.0 inf 1.0",
                      "g.txt:4: nonfinite coordinate: 'inf'", id="nonfinite-coordinate"),
         pytest.param("VERTEX_POSE 3 nan 0.0 0.0 0.0 0.0 0.0 1.0",
@@ -409,6 +411,36 @@ def test_graph_vertex_errors_name_file_and_line(tmp_path, vertices, match):
     (tmp_path / "g.txt").write_text(GRAPH_HEAD + vertices + "\n")
     with pytest.raises(ParseError, match=match):
         read_graph(tmp_path / "g.txt", K)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        pytest.param("g.txt", "VERTEX_POSE 0 0.0 0.0 0.0 1e200 0.0 0.0 1.0",
+                     "g.txt:1: quaternion is not unit norm", id="graph-pose"),
+        pytest.param("g.txt", "VERTEX_LINE 1 1e200 0.0 0.5 0.0 1e200 0.0",
+                     "g.txt:1: Plucker constraint violated", id="graph-line"),
+        pytest.param("groundtruth.txt", "0 0.0 0.0 0.0 1e200 0.0 0.0 1.0",
+                     "groundtruth.txt:1: quaternion is not unit norm", id="trajectory"),
+    ],
+)
+def test_huge_values_raise_parse_error_not_overflow_warnings(tmp_path, name, text, message):
+    path = tmp_path / name
+    path.write_text(text + "\n")
+    with pytest.raises(ParseError, match=re.escape(message) + "$"):
+        read_graph(path, K) if name == "g.txt" else read_trajectory(path)
+
+
+@pytest.mark.filterwarnings("error")
+def test_parallel_group_of_huge_lines_raises_parse_error_not_overflow_warnings(tmp_path):
+    d = write_toy_sequence_dir(tmp_path, "")
+    (d / "landmarks.txt").write_text("ML 3 0.0 0.0 2.0 1.0 0.0 2.0\n"
+                                     "ML 4 0.0 0.0 2.0 1e200 0.0 2.0\n"
+                                     "ML 5 0.0 0.0 2.0 0.0 1.0 2.0\n")
+    (d / "parallel_groups.txt").write_text("PG 0 3 4 5\n")
+    with pytest.raises(ParseError, match="parallel group 0 members disagree in direction"):
+        read_sequence(d)
 
 
 def test_graph_edge_pixels_whose_sum_overflows_are_read(tmp_path):

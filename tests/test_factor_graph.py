@@ -526,11 +526,13 @@ def test_graph_gauge_invariance():
 
 
 def test_line_vertex_rejects_plucker_violation():
-    g = FactorGraph(intrinsics=K, poses=poses_of([0], [Pose.identity()]), fixed=[0],
-                    lines=Lines([0, 1], [[0.0, 0.0, 0.5], [1.0, 0.0, 0.0]],
-                                [[0.0, 0.5, 0.0], [0.5, 0.0, 0.0]]))
-    with pytest.raises(GraphConstructionError, match="Plucker"):
-        g.check()
+    # also at a scale where the bound of the test overflows
+    for scale in (1.0, 1e160):
+        g = FactorGraph(intrinsics=K, poses=poses_of([0], [Pose.identity()]), fixed=[0],
+                        lines=Lines([0, 1], [[0.0, 0.0, 0.5], [scale, scale, 0.0]],
+                                    [[0.0, 0.5, 0.0], [scale, 0.0, 0.0]]))
+        with pytest.raises(GraphConstructionError, match="Plucker"):
+            g.check()
 
 
 def test_vertex_records_sort_by_id_and_reject_repeats():

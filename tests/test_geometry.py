@@ -13,7 +13,7 @@ from plbench.geometry import (
     PointMeasurement,
     Pose,
     backproject,
-    line_angle,
+    line_angles,
     matrix_to_quat,
     orthonormal_from_plucker,
     orthonormal_from_plucker_batch,
@@ -425,11 +425,12 @@ def test_line_landmark_plucker_consistency():
 
 
 def test_line_angle_exact_at_zero():
-    d = np.array([0.3, -1.2, 0.7])
-    assert line_angle(d, d) == 0.0
-    assert line_angle(d, -d) == 0.0  # undirected
-    assert line_angle(d, 2.5 * d) <= 1e-15  # rounding of the scaled copy
-    assert line_angle([1, 0, 0], [0, 1, 0]) == pytest.approx(np.pi / 2)
+    d = np.array([[0.3, -1.2, 0.7]])
+    assert line_angles(d, d)[0] == 0.0
+    assert line_angles(d, -d)[0] == 0.0  # undirected
+    assert line_angles(d, 2.5 * d)[0] <= 1e-15  # rounding of the scaled copy
+    e = np.eye(3)
+    assert line_angles(e[:1], e[1:2])[0] == pytest.approx(np.pi / 2)
 
 
 def test_skew_and_rot2():

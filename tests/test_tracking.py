@@ -20,7 +20,7 @@ from plbench.geometry import (
     CameraIntrinsics,
     Pose,
     backproject,
-    line_angle,
+    line_angles,
     project,
     row_norms,
     se3_exp_update,
@@ -928,7 +928,7 @@ def test_fuse_lines_gates_are_exact_at_their_thresholds():
         off = rel - (rel @ d_hat) * d_hat
         if norm_axis1_reads_more(cross) and norm_axis1_reads_more(off):
             break
-    assert angle == np.degrees(line_angle(d_stored, d_new))
+    assert angle == np.degrees(line_angles(d_stored[None], d_new[None])[0])
     dist = np.linalg.norm(off)
     for gates, merges in [
         ((angle, dist), True),
