@@ -168,7 +168,8 @@ def _read_records(paths, table) -> list[dict[str, tuple[np.ndarray, np.ndarray]]
                     raise ParseError(path, lineno, f"unknown record tag {tokens[0]!r}")
                 names, k, _, known, repeat, _ = spec = table[tokens[0]]
                 m = 1 + len(names)
-                _expect(tokens, m + k, path, lineno)
+                if len(tokens) != m + k:
+                    _expect(tokens, m + k, path, lineno)
                 ids, values, seen = rows[tokens[0]]
                 try:  # a record with one id converts it twice
                     first, last = int(tokens[1]), int(tokens[m - 1])
@@ -191,7 +192,7 @@ def _read_records(paths, table) -> list[dict[str, tuple[np.ndarray, np.ndarray]]
                 ids = np.array(ids, dtype=np.int64)
             except OverflowError:  # an id outside int64 fails the id check as -1
                 ids = np.array([i if 0 <= i <= _INT64_MAX else -1 for i in ids], dtype=np.int64)
-            ids = ids.reshape(-1, 2)[:, :len(names)]
+            ids = ids.reshape(-1, 2)[:, :len(names)].copy()  # one id per record, not the pair
             files[-1][tag] = ids, np.array(values, dtype=float).reshape(len(ids), k)
         if stop is not None:
             break
