@@ -26,13 +26,18 @@ the file and line, never an unhandled exception. The tagged record files
 (frame files, ``landmarks.txt`` and graph files) share one error
 contract: the error names the first bad file, in frame order for a
 sequence's frame files, then the first bad line in it, then the first
-failing check on that line, as a record-by-record parse would.
+failing check on that line, as a record-by-record parse would. numpy's C
+reader (``np.loadtxt``) parses the clean ones; every other file, and the
+text of every error, goes through the record-by-record parse, so which
+of the two read a file never shows in the result.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import os
+import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,6 +50,7 @@ from .geometry import (
     LineLandmark,
     PointLandmark,
     Pose,
+    normalizable,
     pose_quat_batch,
     row_norms,
 )
@@ -122,104 +128,177 @@ def _expect(tokens, n, path, lineno):
         raise ParseError(path, lineno, f"expected {n} fields, got {len(tokens)}")
 
 
-def _parse_record(tokens, path, lineno, spec, seen) -> None:
-    """Raise the ParseError of a record-by-record parse of one record of a
-    known tag and field count: the first id that is not an int64 >= 0, an
-    unknown first id or one in ``seen``, or the first value that is not a
-    finite float (see ``_read_records`` for ``spec``)."""
+def _parse_record(tokens, path, lineno, spec, seen) -> tuple[list[int], list[float]]:
+    """Parse one record of a known tag and field count into its ids and
+    values, record by record: raise the ParseError of the first id that is
+    not an int64 >= 0, an unknown first id or one in ``seen``, or the
+    first value that is not a finite float (see ``_read_records`` for
+    ``spec``)."""
     names, _, what, known, repeat, _ = spec
     ids = [_parse_int(tok, path, lineno, name) for tok, name in zip(tokens[1:], names)]
     if known is not None and ids[0] not in known:
         raise ParseError(path, lineno, f"dangling landmark_id {ids[0]}")
     if ids[0] in seen:
         raise ParseError(path, lineno, repeat.format(ids[0]))
-    for tok in tokens[1 + len(names):]:
-        _parse_float(tok, path, lineno, what)
+    return ids, [_parse_float(tok, path, lineno, what) for tok in tokens[1 + len(names):]]
 
 
-def _read_records(paths, table) -> list[dict[str, tuple[np.ndarray, np.ndarray]]]:
-    """Parse tagged record files, read as one stream in the order of
-    ``paths``, into one {tag: (ids (n, len(names)) int64, values (n, k))}
-    per file.
+def _read_records(paths, table) -> Iterator[dict[str, tuple[np.ndarray, np.ndarray]]]:
+    """Parse tagged record files in the order of ``paths``, and yield each
+    file's {tag: (ids (n, len(names)) int64, values (n, k))} once it
+    passes every check.
 
     ``table`` maps each tag to (names of its ids, value count k, name of a
     value in errors, the known first ids or None, the message for a first
     id repeated in one file or None, and None or the checks on its values
     (n, k) as (failing rows, message) pairs in the order they apply).
 
-    Each line is checked for its tag and field count, converted with
-    ``int`` and ``float``, and its first id tested against the known ids
-    and the file's repeated ids; the stream stops at the first line that
-    fails. Each file's rows become arrays when the file ends. The rows
-    read are then checked as columns: ids >= 0 and within int64, finite
-    values, then the table's checks. The first fault in the stream is
+    numpy's C reader parses a clean file (``_load_columns``). Every other
+    file goes through the record-by-record parse (``_parse_records``),
+    which alone raises a ParseError for a line: an unknown tag, a wrong
+    field count, a bad id, an unknown or repeated first id, or a bad or
+    nonfinite value. The rows read are then checked as columns, a batch
+    of consecutive files at a time (``_check_columns``): ids >= 0, finite
+    values, then the table's checks. The first fault in file order is
     raised, with the text of a record-by-record parse: ``_parse_record``
-    runs ``_parse_int`` and ``_parse_float`` over the failing line, for a
-    column fault after finding the row's line again in its file.
+    runs over the faulty row's line, found again in its file, before the
+    check's message is raised. A batch's files are yielded once it passes,
+    so a caller that keeps only what it builds from each file holds the
+    arrays of one batch at a time.
     """
-    if not paths:
-        return []
-    files, stop = [], None
-    for path in paths:
-        rows = {tag: ([], [], set()) for tag in table}  # ids, values, first ids seen
-        try:
-            for lineno, tokens in _iter_records(path):
-                if tokens[0] not in table:
-                    raise ParseError(path, lineno, f"unknown record tag {tokens[0]!r}")
-                names, k, _, known, repeat, _ = spec = table[tokens[0]]
-                m = 1 + len(names)
-                if len(tokens) != m + k:
-                    _expect(tokens, m + k, path, lineno)
-                ids, values, seen = rows[tokens[0]]
-                try:  # a record with one id converts it twice
-                    first, last = int(tokens[1]), int(tokens[m - 1])
-                    new_values = list(map(float, tokens[m:]))
-                    valid = first not in seen and (known is None or first in known)
-                except ValueError:
-                    valid = False
-                if not valid:  # a record-by-record parse of the line raises its error
-                    _parse_record(tokens, path, lineno, spec, seen)
-                if repeat is not None:
-                    seen.add(first)
-                ids += (first, last)
-                values += new_values
-        except ParseError as exc:
-            stop = exc
-        files.append({})
-        for tag, (ids, values, _) in rows.items():
-            names, k = table[tag][:2]
-            try:
-                ids = np.array(ids, dtype=np.int64)
-            except OverflowError:  # an id outside int64 fails the id check as -1
-                ids = np.array([i if 0 <= i <= _INT64_MAX else -1 for i in ids], dtype=np.int64)
-            ids = ids.reshape(-1, 2)[:, :len(names)].copy()  # one id per record, not the pair
-            files[-1][tag] = ids, np.array(values, dtype=float).reshape(len(ids), k)
-        if stop is not None:
-            break
+    known = {tag: frozenset(spec[3]) for tag, spec in table.items() if spec[3] is not None}
+    batch, rows = [], 0  # the files read since the last check, and their rows
+    for i, path in enumerate(paths):
+        stop = None
+        columns = _load_columns(path, table, known)
+        if columns is None:
+            columns, stop = _parse_records(path, table)
+        batch.append((path, columns))
+        rows += sum(len(ids) for ids, _ in columns.values())
+        if stop is not None or rows >= _CHECK_ROWS or i == len(paths) - 1:
+            _check_columns(batch, table)
+            if stop is not None:
+                raise stop
+            for _, columns in batch:
+                yield columns
+            batch, rows = [], 0
 
+
+# rows of consecutive files checked as one batch: few numpy calls per row,
+# and a sequence's frame arrays are freed batch by batch as frames are built
+_CHECK_ROWS = 4096
+
+
+_PRINTABLE = bytes(range(0x20, 0x7F)) + b"\n"
+
+
+def _load_columns(path, table, known):
+    """The columns of a clean file, parsed by numpy's C reader, or None
+    for any other file.
+
+    A clean file holds printable ASCII lines only, each a comment or a
+    record of a tag in ``table`` whose first ids are all in ``known`` and,
+    where the table gives a repeat message, distinct. Its lines are grouped
+    by their exact text before the first space, each tag's in file order,
+    and each tag's fields go through one ``np.loadtxt`` call whose
+    structured dtype takes exactly the record's fields, split at single
+    spaces. A call that raises or warns refuses the file: numpy below 2
+    reads ``5.0`` as an int with a DeprecationWarning. The values it
+    accepts are those ``float`` gives: both go through Python's own
+    string-to-double conversion.
+    """
+    try:
+        data = Path(path).read_bytes()
+    except OSError:
+        return None  # the record-by-record parse raises its ParseError
+    if data.translate(None, _PRINTABLE):
+        return None
+    text = data.decode("ascii")
+    del data  # the file is held once at a time: bytes, text, lines, fields
+    lines = text.splitlines()
+    del text
+    blocks = {}  # tag -> the fields after it on each of its lines
+    for line in lines:
+        tag, _, fields = line.partition(" ")
+        blocks.setdefault(tag, []).append(fields)
+    del lines
+    if any(tag not in table and not tag.startswith("#") for tag in blocks):
+        return None
+    columns = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a block of blank fields warns too
+        for tag, (names, k, _, _, repeat, _) in table.items():
+            block = blocks.pop(tag, [])
+            dtype = [("ids", np.int64, (len(names),)), ("values", float, (k,))]
+            try:
+                rows = np.loadtxt(block, dtype, comments=None, delimiter=" ", ndmin=1) \
+                    if block else np.empty(0, dtype)
+            except (ValueError, Warning):
+                return None
+            if len(rows) != len(block):  # a tag alone on its line reads as no row
+                return None
+            ids, values = rows["ids"].copy(), rows["values"].copy()
+            first = ids[:, 0].tolist()
+            if tag in known and not known[tag].issuperset(first):
+                return None
+            if repeat is not None and len(set(first)) < len(first):
+                return None
+            columns[tag] = ids, values
+    return columns
+
+
+def _parse_records(path, table):
+    """The record-by-record parse of one file: its rows up to the first
+    bad line as columns (see ``_read_records``), and that line's
+    ParseError or None."""
+    rows = {tag: ([], [], set()) for tag in table}  # ids, values, first ids seen
+    stop = None
+    try:
+        for lineno, tokens in _iter_records(path):
+            if tokens[0] not in table:
+                raise ParseError(path, lineno, f"unknown record tag {tokens[0]!r}")
+            names, k, _, _, repeat, _ = spec = table[tokens[0]]
+            _expect(tokens, 1 + len(names) + k, path, lineno)
+            ids, values, seen = rows[tokens[0]]
+            record_ids, record_values = _parse_record(tokens, path, lineno, spec, seen)
+            if repeat is not None:
+                seen.add(record_ids[0])
+            ids.append(record_ids)
+            values.append(record_values)
+    except ParseError as exc:
+        stop = exc
+    columns = {}
+    for tag, (ids, values, _) in rows.items():
+        names, k = table[tag][:2]
+        columns[tag] = (np.array(ids, dtype=np.int64).reshape(len(ids), len(names)),
+                        np.array(values, dtype=float).reshape(len(values), k))
+    return columns, stop
+
+
+def _check_columns(batch, table) -> None:
+    """Raise the first fault among the rows of a batch of (path, columns)
+    of consecutive files, in file order: ids >= 0, finite values, then the
+    table's checks (see ``_read_records``)."""
     faults = []
     with np.errstate(over="ignore", invalid="ignore"):
         for tag, spec in table.items():
-            ids = np.concatenate([f[tag][0] for f in files])
-            values = np.concatenate([f[tag][1] for f in files])
+            ids = np.concatenate([c[tag][0] for _, c in batch])
+            values = np.concatenate([c[tag][1] for _, c in batch])
             checks = spec[5](values) if spec[5] else []
             fault = _first_fault([((ids < 0).any(axis=1), None),
                                   (~np.isfinite(values).all(axis=1), None)] + checks)
             if fault is not None:
                 row, message = fault
                 i = 0
-                while row >= len(files[i][tag][0]):
-                    row -= len(files[i][tag][0])
+                while row >= len(batch[i][1][tag][0]):
+                    row -= len(batch[i][1][tag][0])
                     i += 1
-                lineno, tokens = [r for r in _iter_records(paths[i]) if r[1][0] == tag][row]
+                lineno, tokens = [r for r in _iter_records(batch[i][0]) if r[1][0] == tag][row]
                 faults.append((i, lineno, tokens, spec, message))
     if faults:
         i, lineno, tokens, spec, message = min(faults, key=lambda fault: fault[:2])
-        _parse_record(tokens, paths[i], lineno, spec, ())
-        raise ParseError(paths[i], lineno, message)
-    if stop is not None:
-        raise stop
-    return files
+        _parse_record(tokens, batch[i][0], lineno, spec, ())
+        raise ParseError(batch[i][0], lineno, message)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +415,9 @@ def read_sequence(directory, min_line_len: float = 15.0) -> Sequence:
     (landmarks,) = _read_records([directory / "landmarks.txt"], {
         "MP": (("landmark id",), 3, "coordinate", None, "duplicate point landmark id {}", None),
         "ML": (("landmark id",), 6, "coordinate", None, "duplicate line landmark id {}",
-               lambda v: [((v[:, :3] == v[:, 3:]).all(axis=1), "line endpoints coincide")]),
+               lambda v: [((v[:, :3] == v[:, 3:]).all(axis=1), "line endpoints coincide"),
+                          (~normalizable(v[:, 3:] - v[:, :3]),
+                           "line direction cannot be normalized")]),
     })
     ids, xyz = landmarks["MP"]
     gt_points = {i: PointLandmark(i, p) for i, p in zip(ids[:, 0].tolist(), xyz)}
@@ -388,12 +469,14 @@ def read_sequence(directory, min_line_len: float = 15.0) -> Sequence:
         "L": (("landmark id",), 6, "measurement value", gt_lines,
               "line landmark_id {} repeats in the frame", line_checks),
     })
-    if len(present) < len(paths):
-        raise ParseError(paths[len(present)], None,
-                         f"missing frame file for frame {len(present)}")
+    # the reader yields the files of one checked batch at a time, and each
+    # file's arrays are freed once its frame is built
     frames = [FrameData(frame_id, f["P"][0][:, 0], *points(f["P"][1]),
                         f["L"][0][:, 0], *lines(f["L"][1]))
               for frame_id, f in enumerate(records)]
+    if len(present) < len(paths):
+        raise ParseError(paths[len(present)], None,
+                         f"missing frame file for frame {len(present)}")
 
     seq = Sequence(
         intrinsics=intr,

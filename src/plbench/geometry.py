@@ -60,6 +60,14 @@ def row_norms(v) -> np.ndarray:
     return np.sqrt(row_dots(v, v))
 
 
+def normalizable(v) -> np.ndarray:
+    """Whether each row of v (n, k) has a finite nonzero ``row_norms``, so
+    that the row over its norm is a unit vector. The norm overflows once a
+    component passes about 1e154 and underflows below about 1e-154."""
+    norms = row_norms(v)
+    return np.isfinite(norms) & (norms > 0)
+
+
 def so3_exp(omega) -> np.ndarray:
     """Rodrigues formula, series expansion below 1e-8 rad."""
     omega = np.asarray(omega, dtype=float)

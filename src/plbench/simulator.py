@@ -43,6 +43,7 @@ from .geometry import (
     PointMeasurement,
     Pose,
     line_angles,
+    normalizable,
     row_norms,
 )
 
@@ -795,12 +796,18 @@ class Sequence:
         self.check_parallel_groups()
 
     def check_parallel_groups(self) -> None:
-        """Every parallel group names known lines of one direction."""
+        """Every parallel group names known lines of one direction, each
+        with a direction that can be normalized."""
         for gid, ids in self.parallel_groups.items():
             for lid in ids:
                 if lid not in self.gt_lines:
                     raise ValueError(f"dangling line id {lid} in parallel group {gid}")
             with np.errstate(over="ignore", invalid="ignore"):
+                ends = np.array([self.gt_lines[lid].endpoints for lid in ids])
+                bad = ~normalizable(ends[:, 1] - ends[:, 0])
+                if bad.any():
+                    raise ValueError(f"line {ids[int(np.argmax(bad))]} in parallel group {gid} "
+                                     "has no finite direction")
                 dirs = np.array([self.gt_lines[lid].direction() for lid in ids])
                 if (line_angles(dirs[:1], dirs[1:]) > 1e-9).any():
                     raise ValueError(f"parallel group {gid} members disagree in direction")

@@ -1,10 +1,12 @@
 import dataclasses
 import hashlib
 import re
+import warnings
 
 import numpy as np
 import pytest
 
+from plbench import dataset_io
 from plbench.dataset_io import (
     FrameStats,
     ParseError,
@@ -27,6 +29,7 @@ from plbench.factor_graph import (
 )
 from plbench.geometry import (
     CameraIntrinsics,
+    LineLandmark,
     LineMeasurement,
     PointMeasurement,
     Pose,
@@ -434,13 +437,37 @@ def test_huge_values_raise_parse_error_not_overflow_warnings(tmp_path, name, tex
 
 @pytest.mark.filterwarnings("error")
 def test_parallel_group_of_huge_lines_raises_parse_error_not_overflow_warnings(tmp_path):
+    # line 4's direction norm overflows, so its direction would be the zero
+    # vector, and a group led by it would take lines of any direction
     d = write_toy_sequence_dir(tmp_path, "")
     (d / "landmarks.txt").write_text("ML 3 0.0 0.0 2.0 1.0 0.0 2.0\n"
                                      "ML 4 0.0 0.0 2.0 1e200 0.0 2.0\n"
                                      "ML 5 0.0 0.0 2.0 0.0 1.0 2.0\n")
-    (d / "parallel_groups.txt").write_text("PG 0 3 4 5\n")
-    with pytest.raises(ParseError, match="parallel group 0 members disagree in direction"):
-        read_sequence(d)
+    for group in ("PG 0 3 4 5\n", "PG 0 4 3 5\n"):
+        (d / "parallel_groups.txt").write_text(group)
+        with pytest.raises(ParseError, match=re.escape(
+                "landmarks.txt:2: line direction cannot be normalized") + "$"):
+            read_sequence(d)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "group, bad",
+    [
+        pytest.param([9002, 9001, 9003], 9002, id="overflow-leads"),
+        pytest.param([9001, 9002, 9003], 9002, id="overflow-second"),
+        pytest.param([9004, 9001], 9004, id="underflow-leads"),
+    ],
+)
+def test_parallel_group_member_without_finite_direction_is_rejected(small_sequence, group, bad):
+    # along x, along x to 1e200 (the norm overflows), along y, and along x
+    # by 1e-200 (the norm underflows to zero)
+    ends = {9001: [[0.0, 0.0, 2.0], [1.0, 0.0, 2.0]], 9002: [[0.0, 0.0, 2.0], [1e200, 0.0, 2.0]],
+            9003: [[0.0, 0.0, 2.0], [0.0, 1.0, 2.0]], 9004: [[0.0, 0.0, 2.0], [1e-200, 0.0, 2.0]]}
+    gt_lines = {**small_sequence.gt_lines, **{i: LineLandmark(i, e) for i, e in ends.items()}}
+    seq = dataclasses.replace(small_sequence, gt_lines=gt_lines, parallel_groups={0: group})
+    with pytest.raises(ValueError, match=f"^line {bad} in parallel group 0 has no finite direction$"):
+        seq.validate()
 
 
 def test_graph_edge_pixels_whose_sum_overflows_are_read(tmp_path):
@@ -636,20 +663,100 @@ def test_pipeline_never_builds_measurement_records(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# fuzzing: mutated bytes never crash a reader
+# numpy's C reader and the record-by-record parse read every file alike
 
 
-def test_fuzz_readers_never_crash(small_sequence, tmp_path):
-    write_sequence(small_sequence, tmp_path / "seq")
+def outcome(read):
+    """The ParseError text of ``read()``, or a digest of every array of the
+    sequence or graph it returns, with their dtypes and shapes."""
+    try:
+        x = read()
+    except ParseError as exc:
+        return str(exc)
+    h = hashlib.sha256()
+    if isinstance(x, Sequence):
+        arrays = [a for f in x.frames for a in (f.point_ids, f.point_pixels, f.point_depths,
+                                                f.line_ids, f.line_pixels, f.line_depths)]
+        arrays += [np.array(list(x.gt_points)), np.array(list(x.gt_lines))]
+        arrays += [p.position for p in x.gt_points.values()]
+        arrays += [l.endpoints for l in x.gt_lines.values()]
+        h.update(repr(sorted(x.parallel_groups.items())).encode())
+    else:
+        arrays = [x.fixed] + [getattr(part, f.name)
+                              for part in (x.poses, x.points, x.lines, x.point_factors, x.line_factors)
+                              for f in dataclasses.fields(part)]
+    for a in arrays:
+        h.update(f"{a.dtype}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+# tokens and separators that Python's int and float and numpy's loadtxt
+# may read differently, or that only one of them accepts
+SWAP_TOKENS = ["PX", "+5", "-0", "01", "1_0", "\u0661", "\uff11", "5.0", "5e0", "0x1p3", "1e400",
+               "nan", "infinity", str(2**63), "-1"]
+SWAP_SEPARATORS = ["\xa0", "\u3000", "\x1c", "\t"]
+
+
+def swap_token(text, rng):
+    """``text`` with one record line changed by a token or separator swap."""
+    lines = text.split("\n")
+    rows = [i for i, line in enumerate(lines) if line and not line.startswith("#")]
+    i = rows[int(rng.integers(len(rows)))]
+    tokens = lines[i].split(" ")
+    j = 1 if rng.random() < 0.4 else int(rng.integers(len(tokens)))  # often the first id
+    kind = max(int(rng.integers(-6, 8)), 0)  # half of them token swaps
+    if kind == 0:
+        tokens[j] = SWAP_TOKENS[int(rng.integers(len(SWAP_TOKENS)))]
+    elif kind == 1:
+        k = int(rng.integers(1, len(tokens)))
+        sep = SWAP_SEPARATORS[int(rng.integers(len(SWAP_SEPARATORS)))]
+        tokens[k - 1:k + 1] = [tokens[k - 1] + sep + tokens[k]]
+    elif kind == 2:
+        tokens[0] = " " + tokens[0]  # a leading blank
+    elif kind == 3:
+        tokens[-1] += "\r"
+    elif kind == 4:
+        tokens[j] += "#glued"
+    elif kind == 5:
+        tokens = tokens[:1]  # the tag alone
+    elif kind == 6:
+        return "# nothing but a comment\n"
+    else:
+        tokens[:2] = [tokens[0] + "\t" + tokens[1]]  # a tab after the tag
+    lines[i] = " ".join(tokens)
+    return "\n".join(lines)
+
+
+def test_fuzz_readers_never_crash(small_sequence, tmp_path, monkeypatch):
+    # each mutated file is read by numpy's C reader where it takes the file,
+    # and again by the record-by-record parse alone: same error, same arrays.
+    # Two frames cut to 20 points and 8 lines keep each read short.
+    points = small_sequence.frames[0].point_ids[:20]
+    lines = small_sequence.frames[0].line_ids[:8]
+
+    def cut(f):
+        p, l = np.isin(f.point_ids, points), np.isin(f.line_ids, lines)
+        return FrameData(f.frame_id, f.point_ids[p], f.point_pixels[p], f.point_depths[p],
+                         f.line_ids[l], f.line_pixels[l], f.line_depths[l])
+
+    groups = {g: [i for i in ids if i in lines] for g, ids in small_sequence.parallel_groups.items()}
+    seq = dataclasses.replace(
+        small_sequence, gt_trajectory=small_sequence.gt_trajectory[:2],
+        frames=[cut(f) for f in small_sequence.frames[:2]],
+        gt_points={i: small_sequence.gt_points[i] for i in points.tolist()},
+        gt_lines={i: small_sequence.gt_lines[i] for i in lines.tolist()},
+        parallel_groups={g: ids for g, ids in groups.items() if ids})
+    write_sequence(seq, tmp_path / "seq")
 
     class GtMap:
         def point_positions(self):
-            return {p.id: p.position for p in small_sequence.gt_points.values()}
+            return {p.id: p.position for p in seq.gt_points.values()}
 
         def line_endpoints(self):
-            return {l.id: l.endpoints for l in small_sequence.gt_lines.values()}
+            return {l.id: l.endpoints for l in seq.gt_lines.values()}
 
-    g = build_covisibility_graph(small_sequence, small_sequence.gt_trajectory, GtMap())
+    g = build_covisibility_graph(seq, seq.gt_trajectory, GtMap())
     write_graph(g, tmp_path / "seq" / "graph.txt")
 
     targets = [
@@ -660,23 +767,76 @@ def test_fuzz_readers_never_crash(small_sequence, tmp_path):
         tmp_path / "seq" / "frames" / "000000.txt",
         tmp_path / "seq" / "graph.txt",
     ]
+    record_files = [targets[2], targets[4], targets[5]]
     originals = {p: p.read_bytes() for p in targets}
+
+    loaded = []  # the mutated files numpy's C reader took
+    load_columns = dataset_io._load_columns
+
+    def spy(path, *args):
+        columns = load_columns(path, *args)
+        if columns is not None and path == victim:
+            loaded.append(path)
+        return columns
+
+    monkeypatch.setattr(dataset_io, "_load_columns", spy)
     rng = np.random.default_rng(2)
-    for trial in range(1000):
-        victim = targets[int(rng.integers(len(targets)))]
-        data = bytearray(originals[victim])
-        for _ in range(int(rng.integers(1, 4))):
-            pos = int(rng.integers(len(data)))
-            data[pos] = int(rng.integers(256))
+    for trial in range(1200):
+        if trial % 3 == 0:
+            victim = targets[int(rng.integers(len(targets)))]
+            data = bytearray(originals[victim])
+            for _ in range(int(rng.integers(1, 4))):
+                pos = int(rng.integers(len(data)))
+                data[pos] = int(rng.integers(256))
+        else:
+            victim = record_files[int(rng.integers(len(record_files)))]
+            data = swap_token(originals[victim].decode(), rng).encode()
         victim.write_bytes(bytes(data))
+        if victim.name == "graph.txt":
+            def read():
+                return read_graph(victim, seq.intrinsics)
+        else:
+            def read():
+                return read_sequence(tmp_path / "seq")
         try:
-            if victim.name == "graph.txt":
-                read_graph(victim, small_sequence.intrinsics)
-            else:
-                read_sequence(tmp_path / "seq")
-        except ParseError:
-            pass
+            with monkeypatch.context() as m:
+                m.setattr(dataset_io, "_load_columns", lambda *args: None)
+                by_record = outcome(read)
+            assert outcome(read) == by_record, (victim.name, bytes(data))
         finally:
             victim.write_bytes(originals[victim])
+    assert len(loaded) >= 100
     # pristine input still reads fine afterwards
     read_sequence(tmp_path / "seq")
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        pytest.param("P 7 10.0 20.0 1.0\nL 3 10.0 20.0 1.0 40.0 20.0 1.0\n", id="good"),
+        pytest.param("P 7 10.0 20.0 -1.0\n", id="nonpositive-depth"),
+        pytest.param("P 7.0 10.0 20.0 1.0\n", id="float-id"),
+    ],
+)
+def test_loadtxt_warning_refuses_the_file(tmp_path, monkeypatch, rows):
+    # numpy 1.24-1.26 read an int field such as 7.0 as 7 with a
+    # DeprecationWarning; a stand-in that warns and returns wrong values
+    # must leave every file to the record-by-record parse
+    d = write_toy_sequence_dir(tmp_path, rows)
+    with monkeypatch.context() as m:
+        m.setattr(dataset_io, "_load_columns", lambda *args: None)
+        expected = outcome(lambda: read_sequence(d))
+    calls = []
+    loadtxt = np.loadtxt
+
+    def warning_loadtxt(*args, **kwargs):
+        calls.append(args)
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning, stacklevel=2)
+        rows = loadtxt(*args, **kwargs)
+        rows["values"] += 1.0
+        return rows
+
+    monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
+    assert outcome(lambda: read_sequence(d)) == expected
+    assert calls

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from plbench import tracking
+from plbench.dataset_io import read_sequence, write_sequence
 from plbench.evaluation import ate
 from plbench.factor_graph import (
     _point_residuals,
@@ -715,6 +716,23 @@ def test_frame_to_frame_batches_bound_their_memory():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= peaks[0] + 2e6
+
+
+def test_read_sequence_frees_frame_arrays_batch_by_batch(tmp_path):
+    # the reader checks the frame files' columns a few thousand rows at a
+    # time and frees them as their frames are built: reading box peaks
+    # about 0.2 MB above the sequence it returns, against 0.8 MB when every
+    # file's arrays were held until the whole sequence was checked
+    cfg, seq = preset_sequence("box")
+    write_sequence(seq, tmp_path)
+    tracemalloc.start()
+    try:
+        back = read_sequence(tmp_path, cfg.render.min_line_len)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(back.frames) == len(seq.frames)
+    assert peak - held <= 0.4e6
 
 
 # ---------------------------------------------------------------------------
