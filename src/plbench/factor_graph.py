@@ -29,10 +29,10 @@ from .geometry import (
     orthonormal_from_plucker,
     orthonormal_from_plucker_batch,
     plucker_from_endpoints,
-    quat_to_matrix_batch,
+    quat_to_matrix,
     row_dots,
     row_norms,
-    skew_batch,
+    skew,
 )
 from .simulator import Sequence
 
@@ -158,7 +158,7 @@ class FactorGraph:
         every factor, without Jacobians; a factor the kernels mark invalid
         (point behind its camera, degenerate line projection) adds 0.
         """
-        R = quat_to_matrix_batch(self.poses.q)
+        R = quat_to_matrix(self.poses.q)
         t = self.poses.t
         cost = 0.0
         fs = self.point_factors
@@ -251,19 +251,19 @@ def _pose_jacobian(P_c, zs, valid, intr: CameraIntrinsics):
     A[:, 1, 1] = intr.fy / zs
     A[:, 1, 2] = -intr.fy * P_c[:, 1] / zs**2
 
-    Pc_hat = np.zeros((F, 3, 3))
-    Pc_hat[:, 0, 1] = -P_c[:, 2]
-    Pc_hat[:, 0, 2] = P_c[:, 1]
-    Pc_hat[:, 1, 0] = P_c[:, 2]
-    Pc_hat[:, 1, 2] = -P_c[:, 0]
-    Pc_hat[:, 2, 0] = -P_c[:, 1]
-    Pc_hat[:, 2, 1] = P_c[:, 0]
-
     J_pose = np.empty((F, 2, 6))
-    J_pose[:, :, :3] = np.einsum("fij,fjk->fik", A, Pc_hat)  # -A @ (-[P_c]x)
+    J_pose[:, :, :3] = np.einsum("fij,fjk->fik", A, skew(P_c))  # -A @ (-[P_c]x)
     J_pose[:, :, 3:] = -A
     J_pose[~valid] = 0.0
     return J_pose, A
+
+
+def _lines_to_camera(R, t, n_w, d_w):
+    """World Plucker lines n_w, d_w (F, 3) in the camera frames R (F, 3, 3),
+    t (F, 3): (n_c, R n_w, d_c) with d_c = R d_w and n_c = R n_w + t x d_c."""
+    Rn = np.einsum("fij,fj->fi", R, n_w)
+    Rd = np.einsum("fij,fj->fi", R, d_w)
+    return Rn + np.cross(t, Rd), Rn, Rd
 
 
 def _line_residuals(R, t, U, W, u_s, u_e, intr: CameraIntrinsics):
@@ -281,10 +281,7 @@ def _line_residuals(R, t, U, W, u_s, u_e, intr: CameraIntrinsics):
     n_w = W[:, 0, 0][:, None] * U[:, :, 0]
     d_w = W[:, 1, 0][:, None] * U[:, :, 1]
 
-    Rn = np.einsum("fij,fj->fi", R, n_w)
-    Rd = np.einsum("fij,fj->fi", R, d_w)
-    n_c = Rn + np.cross(t, Rd)
-
+    n_c, Rn, Rd = _lines_to_camera(R, t, n_w, d_w)
     l = n_c @ intr.line_matrix().T  # (F, 3) homogeneous image line, unnormalized
     denom2 = l[:, 0] ** 2 + l[:, 1] ** 2
     valid = denom2 > _LINE_EPS
@@ -333,8 +330,8 @@ def line_terms(R, t, U, W, u_s, u_e, intr: CameraIntrinsics):
     G = np.einsum("fij,jk->fik", dres_dl, intr.line_matrix())  # d res / d n_c, (F, 2, 3)
 
     # pose: d n_c / d omega = -[R n_w]x + [(R d_w) x t]x ; d n_c / d rho = -[R d_w]x
-    dnc_domega = -skew_batch(Rn) + skew_batch(np.cross(Rd, t))
-    dnc_drho = -skew_batch(Rd)
+    dnc_domega = -skew(Rn) + skew(np.cross(Rd, t))
+    dnc_drho = -skew(Rd)
     J_pose = np.empty((F, 2, 6))
     J_pose[:, :, :3] = np.einsum("fij,fjk->fik", G, dnc_domega)
     J_pose[:, :, 3:] = np.einsum("fij,fjk->fik", G, dnc_drho)
@@ -348,7 +345,7 @@ def line_terms(R, t, U, W, u_s, u_e, intr: CameraIntrinsics):
     dd_w[:, :, 0] = w2[:, None] * u3
     dd_w[:, :, 2] = -w2[:, None] * u1
     dd_w[:, :, 3] = w1[:, None] * u2
-    t_hat = skew_batch(t)
+    t_hat = skew(t)
     dnc_ddelta = np.einsum("fij,fjk->fik", R, dn_w) + np.einsum(
         "fij,fjk->fik", t_hat, np.einsum("fij,fjk->fik", R, dd_w)
     )
@@ -373,40 +370,6 @@ def point_residual(u, P_w, T: Pose, intr: CameraIntrinsics) -> np.ndarray:
     if not valid[0]:
         raise GeometryError("point behind the camera")
     return res[0]
-
-
-def project_line(L, T: Pose, intr: CameraIntrinsics) -> np.ndarray:
-    """Re-project a world Plucker line to the normalized homogeneous image
-    line (Euclidean norm 1).
-
-    Implemented through the camera-frame moment; equals the normalized
-    cross product of two projected points of the line.
-    """
-    n_w, d_w = (np.asarray(v, dtype=float) for v in L)
-    R = T.rotation()
-    Rd = R @ d_w
-    n_c = R @ n_w + np.cross(T.t, Rd)
-    l = intr.line_matrix() @ n_c
-    norm = np.linalg.norm(l)
-    if l[0] ** 2 + l[1] ** 2 <= _LINE_EPS or norm == 0.0:
-        raise GeometryError("degenerate line projection")
-    return l / norm
-
-
-def project_line_by_endpoints(L, T: Pose, intr: CameraIntrinsics) -> np.ndarray:
-    """Oracle form of project_line: cross product of two projected points."""
-    n_w, d_w = (np.asarray(v, dtype=float) for v in L)
-    R = T.rotation()
-    n_c = R @ n_w + np.cross(T.t, R @ d_w)
-    d_c = R @ d_w
-    p1 = np.cross(d_c, n_c) / float(d_c @ d_c)  # closest point to the camera
-    p2 = p1 + d_c
-    K = intr.matrix()
-    l = np.cross(K @ p1, K @ p2)
-    norm = np.linalg.norm(l)
-    if norm == 0.0:
-        raise GeometryError("degenerate line projection")
-    return l / norm
 
 
 def line_residual(u_s, u_e, L, T: Pose, intr: CameraIntrinsics) -> np.ndarray:

@@ -10,6 +10,12 @@ Conventions:
     minimal updates are 4-vectors (3 for U, 1 for W).
 
 All values are immutable after construction and every function is pure.
+
+Each rotation kernel (``skew``, ``so3_exp``, ``quat_to_matrix``,
+``matrix_to_quat``) takes one item or a stack of them along leading axes,
+and one item's result equals its row of a stack bit for bit, so a caller
+may batch any set of rotations without changing a single output bit.
+``se3_exp_update`` is ``se3_exp_update_batch`` of one delta.
 """
 from __future__ import annotations
 
@@ -32,12 +38,8 @@ class DegenerateLineError(GeometryError):
 
 
 def skew(v) -> np.ndarray:
-    x, y, z = np.asarray(v, dtype=float)
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-
-
-def skew_batch(v) -> np.ndarray:
-    """``skew`` of every row of v (..., 3)."""
+    """Cross-product matrix [v]x of v (3,), or of each row of v (..., 3)."""
+    v = np.asarray(v, dtype=float)
     out = np.zeros(v.shape[:-1] + (3, 3))
     out[..., 0, 1] = -v[..., 2]
     out[..., 0, 2] = v[..., 1]
@@ -68,16 +70,32 @@ def normalizable(v) -> np.ndarray:
     return np.isfinite(norms) & (norms > 0)
 
 
-def so3_exp(omega) -> np.ndarray:
-    """Rodrigues formula, series expansion below 1e-8 rad."""
-    omega = np.asarray(omega, dtype=float)
-    angle = float(np.linalg.norm(omega))
+def _so3_exp_and_jacobian(omega):
+    """Rodrigues exponential and SO(3) left Jacobian of each row of omega
+    (m, 3), as two (m, 3, 3) stacks; a row below 1e-8 rad takes the
+    second-order series of both."""
+    angle = row_norms(omega)
+    small = angle < 1e-8
+    a = np.where(small, 1.0, angle)  # keeps the series rows' unused branch finite
+    sin, cos = np.sin(a), np.cos(a)
+    a2 = a * a
+    c1 = ((1.0 - cos) / a2)[:, None, None]
     K = skew(omega)
-    if angle < 1e-8:
-        return np.eye(3) + K + 0.5 * (K @ K)
-    s = np.sin(angle) / angle
-    c = (1.0 - np.cos(angle)) / (angle * angle)
-    return np.eye(3) + s * K + c * (K @ K)
+    KK = K @ K
+    eye = np.eye(3)
+    small = small[:, None, None]
+    R = np.where(small, eye + K + 0.5 * KK, eye + (sin / a)[:, None, None] * K + c1 * KK)
+    J = np.where(small, eye + 0.5 * K + KK / 6.0,
+                 eye + c1 * K + ((a - sin) / (a2 * a))[:, None, None] * KK)
+    return R, J
+
+
+def so3_exp(omega) -> np.ndarray:
+    """Rotation matrix of the rotation vector omega (3,), or of each row of
+    omega (..., 3): Rodrigues formula, series expansion below 1e-8 rad."""
+    omega = np.asarray(omega, dtype=float)
+    R, _ = _so3_exp_and_jacobian(omega.reshape(-1, 3))
+    return R.reshape(omega.shape + (3,))
 
 
 def so3_log(R) -> np.ndarray:
@@ -100,18 +118,6 @@ def so3_log(R) -> np.ndarray:
     return (angle / np.sin(angle)) * axial
 
 
-def _so3_left_jacobian(omega) -> np.ndarray:
-    omega = np.asarray(omega, dtype=float)
-    angle = float(np.linalg.norm(omega))
-    K = skew(omega)
-    if angle < 1e-8:
-        return np.eye(3) + 0.5 * K + (K @ K) / 6.0
-    a2 = angle * angle
-    c1 = (1.0 - np.cos(angle)) / a2
-    c2 = (angle - np.sin(angle)) / (a2 * angle)
-    return np.eye(3) + c1 * K + c2 * (K @ K)
-
-
 def rot2(theta: float) -> np.ndarray:
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, -s], [s, c]])
@@ -123,37 +129,50 @@ def rotation_angle(R) -> float:
 
 
 def quat_to_matrix(q) -> np.ndarray:
-    x, y, z, w = np.asarray(q, dtype=float)
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
-            [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
-            [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
-        ]
-    )
+    """Rotation matrix of the unit quaternion q (4,), or of each row of q
+    (..., 4). Each product of two components is formed once."""
+    q = np.asarray(q, dtype=float)
+    x, y, z, w = q.T
+    xx, yy, zz = x * x, y * y, z * z
+    xy, xz, yz = x * y, x * z, y * z
+    xw, yw, zw = x * w, y * w, z * w
+    R = np.array([
+        1 - 2 * (yy + zz), 2 * (xy - zw), 2 * (xz + yw),
+        2 * (xy + zw), 1 - 2 * (xx + zz), 2 * (yz - xw),
+        2 * (xz - yw), 2 * (yz + xw), 1 - 2 * (xx + yy),
+    ])
+    return np.ascontiguousarray(R.T).reshape(q.shape[:-1] + (3, 3))
+
+
+# Shepperd's method, per branch k: k = 3 (qw) if the trace is positive,
+# else the axis of the largest diagonal entry. With s = 4 |q_k|, each other
+# component c is (a_c + b_c) / s for the entries a_c, b_c of R whose flat
+# indices row k lists, where index 9 + i stands for -R.flat[i]; for k < 3
+# the last three entries sum to 4 q_k^2 - 1 = R_kk - R_ii - R_jj, where i
+# and j are the axes after k. Slot k and the trace row's sum are unused.
+_SHEPPERD = np.array([
+    #  a_0..a_3      b_0..b_3     diagonal
+    [0, 1, 2, 7, 0, 3, 6, 14, 0, 13, 17],
+    [1, 0, 5, 2, 3, 0, 7, 15, 4, 17, 9],
+    [2, 5, 0, 3, 6, 7, 0, 10, 8, 9, 13],
+    [7, 2, 3, 0, 14, 15, 10, 0, 0, 4, 8],
+])
 
 
 def matrix_to_quat(R) -> np.ndarray:
-    """(qx, qy, qz, qw) with qw >= 0, Shepperd's branch selection."""
+    """(qx, qy, qz, qw) with qw >= 0 of the rotation matrix R (3, 3), or of
+    each matrix of R (..., 3, 3), by Shepperd's branch selection."""
     R = np.asarray(R, dtype=float)
-    tr = np.trace(R)
-    if tr > 0:
-        s = np.sqrt(tr + 1.0) * 2.0
-        q = np.array(
-            [(R[2, 1] - R[1, 2]) / s, (R[0, 2] - R[2, 0]) / s, (R[1, 0] - R[0, 1]) / s, 0.25 * s]
-        )
-    else:
-        k = int(np.argmax(np.diag(R)))
-        i, j = (k + 1) % 3, (k + 2) % 3
-        s = np.sqrt(R[k, k] - R[i, i] - R[j, j] + 1.0) * 2.0
-        q = np.empty(4)
-        q[k] = 0.25 * s
-        q[i] = (R[i, k] + R[k, i]) / s
-        q[j] = (R[j, k] + R[k, j]) / s
-        q[3] = (R[j, i] - R[i, j]) / s
-    if q[3] < 0:
-        q = -q
-    return q / np.linalg.norm(q)
+    r = R.reshape(-1, 9)
+    rows = np.arange(len(r))
+    tr = np.trace(R.reshape(-1, 3, 3), axis1=1, axis2=2)
+    k = np.where(tr > 0, 3, np.argmax(r[:, ::4], axis=1))
+    g = np.concatenate([r, -r], axis=1)[rows[:, None], _SHEPPERD[k]]
+    s = np.sqrt(np.where(k == 3, tr, (g[:, 8] + g[:, 9]) + g[:, 10]) + 1.0) * 2.0
+    q = (g[:, :4] + g[:, 4:8]) / s[:, None]
+    q[rows, k] = 0.25 * s
+    q = np.where(q[:, 3:] < 0, -q, q)
+    return (q / row_norms(q)[:, None]).reshape(R.shape[:-2] + (4,))
 
 
 def quat_multiply(q1, q2) -> np.ndarray:
@@ -185,13 +204,11 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
-        if not (self.fx > 0 and self.fy > 0):
-            raise GeometryError("focal lengths must be positive")
-        if not (0 < self.cx < self.width and 0 < self.cy < self.height):
-            raise GeometryError("principal point must lie inside the image")
-
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.fx, 0, self.cx], [0, self.fy, self.cy], [0, 0, 1.0]])
+        # each message starts with the field at fault
+        for name, v, upper in (("fx", self.fx, math.inf), ("fy", self.fy, math.inf),
+                               ("cx", self.cx, self.width), ("cy", self.cy, self.height)):
+            if not 0 < v < upper:
+                raise GeometryError(f"{name} must lie in (0, {upper}), got {v}")
 
     def line_matrix(self) -> np.ndarray:
         """Maps a camera-frame line moment to the homogeneous image line.
@@ -211,20 +228,6 @@ class CameraIntrinsics:
             & (u[..., 1] >= 0.0)
             & (u[..., 1] < self.height)
         )
-
-
-def project(p_cam, intr: CameraIntrinsics) -> np.ndarray:
-    """Pinhole projection of camera-frame points (..., 3) -> pixels (..., 2).
-
-    Raises GeometryError on nonpositive depth.
-    """
-    p_cam = np.asarray(p_cam, dtype=float)
-    z = p_cam[..., 2]
-    if np.any(z <= 0):
-        raise GeometryError("projection requires positive depth")
-    u = intr.fx * p_cam[..., 0] / z + intr.cx
-    v = intr.fy * p_cam[..., 1] / z + intr.cy
-    return np.stack([u, v], axis=-1)
 
 
 def backproject(u, d, intr: CameraIntrinsics) -> np.ndarray:
@@ -277,12 +280,6 @@ class Pose:
     def rotation(self) -> np.ndarray:
         return quat_to_matrix(self.q)
 
-    def matrix(self) -> np.ndarray:
-        T = np.eye(4)
-        T[:3, :3] = self.rotation()
-        T[:3, 3] = self.t
-        return T
-
     def compose(self, other: "Pose") -> "Pose":
         """self o other: apply ``other`` first, then ``self``."""
         q = quat_multiply(self.q, other.q)
@@ -303,65 +300,6 @@ class Pose:
         return -(self.rotation().T @ self.t)
 
 
-def se3_exp_update(T: Pose, delta) -> Pose:
-    """Left-multiplicative on-manifold update T <- Exp(delta) o T.
-
-    delta is (omega, rho): rotation 3-vector first, translation second.
-    """
-    delta = np.asarray(delta, dtype=float).reshape(6)
-    omega, rho = delta[:3], delta[3:]
-    R_inc = so3_exp(omega)
-    t_inc = _so3_left_jacobian(omega) @ rho
-    R = R_inc @ T.rotation()
-    t = R_inc @ T.t + t_inc
-    return Pose.from_rt(R, t)
-
-
-def matrix_to_quat_batch(R) -> np.ndarray:
-    """``matrix_to_quat`` of every matrix of R (m, 3, 3), bit for bit."""
-    R = np.asarray(R, dtype=float)
-    tr = np.trace(R, axis1=1, axis2=2)
-    pos = tr > 0
-    r = np.flatnonzero(~pos)
-    Rp, s = (R[pos], tr[pos]) if len(r) else (R, tr)
-    s = np.sqrt(s + 1.0) * 2.0
-    q = np.stack(
-        [(Rp[:, 2, 1] - Rp[:, 1, 2]) / s, (Rp[:, 0, 2] - Rp[:, 2, 0]) / s,
-         (Rp[:, 1, 0] - Rp[:, 0, 1]) / s, 0.25 * s],
-        axis=1,
-    )
-    if len(r):  # Shepperd's other branch, on the rows with trace <= 0
-        q_pos, q = q, np.empty((len(R), 4))
-        q[pos] = q_pos
-        k = np.argmax(np.diagonal(R[r], axis1=1, axis2=2), axis=1)
-        i, j = (k + 1) % 3, (k + 2) % 3
-        s = np.sqrt(R[r, k, k] - R[r, i, i] - R[r, j, j] + 1.0) * 2.0
-        q[r, k] = 0.25 * s
-        q[r, i] = (R[r, i, k] + R[r, k, i]) / s
-        q[r, j] = (R[r, j, k] + R[r, k, j]) / s
-        q[r, 3] = (R[r, j, i] - R[r, i, j]) / s
-    q = np.where(q[:, 3:] < 0, -q, q)
-    return q / row_norms(q)[:, None]
-
-
-def quat_to_matrix_batch(q) -> np.ndarray:
-    """``quat_to_matrix`` of every row of q (m, 4), bit for bit: each
-    product of two components is formed once, as ``quat_to_matrix`` forms
-    the same product."""
-    x, y, z, w = np.asarray(q, dtype=float).T
-    xx, yy, zz = x * x, y * y, z * z
-    xy, xz, yz = x * y, x * z, y * z
-    xw, yw, zw = x * w, y * w, z * w
-    return np.stack(
-        [
-            1 - 2 * (yy + zz), 2 * (xy - zw), 2 * (xz + yw),
-            2 * (xy + zw), 1 - 2 * (xx + zz), 2 * (yz - xw),
-            2 * (xz - yw), 2 * (yz + xw), 1 - 2 * (xx + yy),
-        ],
-        axis=1,
-    ).reshape(-1, 3, 3)
-
-
 def pose_quat_batch(q) -> np.ndarray:
     """The quaternion ``Pose`` stores for each row of q (m, 4), bit for bit:
     rows more than 4 ulps off unit norm are normalized. Unlike ``Pose`` it
@@ -373,34 +311,29 @@ def pose_quat_batch(q) -> np.ndarray:
 
 
 def se3_exp_update_batch(R, t, deltas):
-    """``se3_exp_update`` of a pose by each row of ``deltas`` (m, 6).
+    """The left-multiplicative on-manifold update T <- Exp(delta) o T of a
+    pose by each row of ``deltas`` (m, 6), rotation 3-vector first and
+    translation second.
 
     ``R`` must be the pose's ``rotation()`` and ``t`` its translation:
     either one pose, (3, 3) and (3,), for every row, or one pose per row,
     (m, 3, 3) and (m, 3). Returns (q (m, 4), R (m, 3, 3), t (m, 3)): per
-    row the ``q`` and ``t`` that the updated ``Pose`` stores and its
-    ``rotation()``, bit for bit, with the branches of ``so3_exp``,
-    ``_so3_left_jacobian``, ``matrix_to_quat`` and ``Pose`` taken row by row.
+    row the ``q`` and ``t`` that ``Pose`` stores for the updated pose and
+    its ``rotation()``, with the branches of ``so3_exp``,
+    ``matrix_to_quat`` and ``Pose`` taken row by row.
     """
     deltas = np.asarray(deltas, dtype=float).reshape(-1, 6)
-    omega, rho = deltas[:, :3], deltas[:, 3:]
-    angle = row_norms(omega)
-    small = angle < 1e-8
-    a = np.where(small, 1.0, angle)  # keeps the series rows' unused branch finite
-    sin, cos = np.sin(a), np.cos(a)
-    a2 = a * a
-    c1 = ((1.0 - cos) / a2)[:, None, None]
-    K = skew_batch(omega)
-    KK = K @ K
-    eye = np.eye(3)
-    small = small[:, None, None]
-    R_inc = np.where(small, eye + K + 0.5 * KK, eye + (sin / a)[:, None, None] * K + c1 * KK)
-    J = np.where(small, eye + 0.5 * K + KK / 6.0,
-                 eye + c1 * K + ((a - sin) / (a2 * a))[:, None, None] * KK)
+    R_inc, J = _so3_exp_and_jacobian(deltas[:, :3])
     t = np.asarray(t, dtype=float)[..., None]
-    t_new = (R_inc @ t)[:, :, 0] + (J @ rho[:, :, None])[:, :, 0]
-    q = pose_quat_batch(matrix_to_quat_batch(R_inc @ R))
-    return q, quat_to_matrix_batch(q), t_new
+    t_new = (R_inc @ t)[:, :, 0] + (J @ deltas[:, 3:, None])[:, :, 0]
+    q = pose_quat_batch(matrix_to_quat(R_inc @ R))
+    return q, quat_to_matrix(q), t_new
+
+
+def se3_exp_update(T: Pose, delta) -> Pose:
+    """``se3_exp_update_batch`` of T by the one 6-vector delta."""
+    q, _, t = se3_exp_update_batch(T.rotation(), T.t, delta)
+    return Pose(q[0], t[0])
 
 
 # ---------------------------------------------------------------------------
@@ -442,9 +375,6 @@ class LineMeasurement:
         if np.array_equal(self.start.u, self.end.u):
             raise GeometryError("line measurement endpoints coincide")
 
-    def length(self) -> float:
-        return float(row_norms((self.end.u - self.start.u)[None])[0])
-
 
 @dataclass(frozen=True)
 class PointLandmark:
@@ -465,7 +395,6 @@ class LineLandmark:
 
     id: int
     endpoints: np.ndarray  # (2, 3), start/end
-    group_id: int | None = None
 
     def __post_init__(self):
         e = np.asarray(self.endpoints, dtype=float).reshape(2, 3).copy()
@@ -475,10 +404,6 @@ class LineLandmark:
             raise DegenerateLineError("line endpoints coincide")
         e.flags.writeable = False
         object.__setattr__(self, "endpoints", e)
-
-    def direction(self) -> np.ndarray:
-        d = self.endpoints[1] - self.endpoints[0]
-        return d / np.linalg.norm(d)
 
 
 # ---------------------------------------------------------------------------
@@ -493,13 +418,6 @@ def plucker_from_endpoints(ps, pe) -> tuple[np.ndarray, np.ndarray]:
     if (ps == pe).all(axis=-1).any():
         raise DegenerateLineError("coincident endpoints define no line")
     return np.cross(ps, pe), pe - ps
-
-
-def transform_plucker(T: Pose, n, d) -> tuple[np.ndarray, np.ndarray]:
-    """Map a Plucker pair through T: n' = R n + [t]x R d, d' = R d."""
-    R = T.rotation()
-    Rd = R @ np.asarray(d, dtype=float)
-    return R @ np.asarray(n, dtype=float) + np.cross(T.t, Rd), Rd
 
 
 # ---------------------------------------------------------------------------

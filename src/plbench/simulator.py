@@ -43,6 +43,7 @@ from .geometry import (
     PointMeasurement,
     Pose,
     line_angles,
+    matrix_to_quat,
     normalizable,
     row_norms,
 )
@@ -103,8 +104,8 @@ class SceneSpec:
         object.__setattr__(self, "boxes", tuple(self.boxes))
         if not self.boxes:
             raise SceneError("scene needs at least one box")
-        if self.points_per_face < 0 or self.lines_per_face < 0:
-            raise SceneError("densities must be nonnegative")
+        if not (0 <= self.points_per_face < math.inf and self.lines_per_face >= 0):
+            raise SceneError("densities must be nonnegative and finite")
         for box in self.boxes:
             if box.contains(np.zeros(3)):
                 raise SceneError("a box contains the world origin")
@@ -175,7 +176,8 @@ class NoiseParams:
     enabled: bool = True
 
     def __post_init__(self):
-        if self.sigma_s < 0 or self.sigma_d < 0 or self.m <= 0:
+        if not (0 <= self.sigma_s < math.inf and 0 <= self.sigma_d < math.inf
+                and 0 < self.m < math.inf):
             raise ConfigError("invalid noise parameters")
 
 
@@ -269,7 +271,7 @@ def build_scene(spec: SceneSpec) -> Scene:
     for box in spec.boxes:
         for axis, p0, p1 in _box_edges(box):
             lid = len(lines)
-            lines.append(LineLandmark(lid, np.array([p0, p1]), group_id=axis))
+            lines.append(LineLandmark(lid, np.array([p0, p1])))
             groups.setdefault(axis, []).append(lid)
 
     for box in spec.boxes:
@@ -292,7 +294,7 @@ def build_scene(spec: SceneSpec) -> Scene:
                     n = np.cross(p0, p1)
                     if np.linalg.norm(n) > 1e-9 * np.linalg.norm(p1 - p0):
                         lid = len(lines)
-                        lines.append(LineLandmark(lid, np.array([p0, p1]), group_id=dir_axis))
+                        lines.append(LineLandmark(lid, np.array([p0, p1])))
                         groups.setdefault(dir_axis, []).append(lid)
                         break
 
@@ -305,8 +307,9 @@ def build_scene(spec: SceneSpec) -> Scene:
 # trajectories
 
 
-def _lookat_pose(position, target, up=(0.0, 0.0, 1.0)) -> Pose:
-    """World-to-camera pose with the optical axis through ``target``.
+def _lookat(position, target, up=(0.0, 0.0, 1.0)):
+    """World-to-camera rotation R_cw and translation t with the optical
+    axis through ``target``.
 
     Camera axes: x right, y down, z forward.
     """
@@ -324,7 +327,7 @@ def _lookat_pose(position, target, up=(0.0, 0.0, 1.0)) -> Pose:
     y = np.cross(f, x)
     R_wc = np.column_stack([x, y, f])
     R_cw = R_wc.T
-    return Pose.from_rt(R_cw, -R_cw @ position)
+    return R_cw, -R_cw @ position
 
 
 def _corridor_waypoints(spec: TrajectorySpec):
@@ -382,7 +385,7 @@ def _corridor_waypoints(spec: TrajectorySpec):
 def build_trajectory(spec: TrajectorySpec) -> list[Pose]:
     n = spec.frame_count
     target = np.asarray(spec.target, dtype=float)
-    poses: list[Pose] = []
+    views = []  # (R_cw, t) per frame
 
     if spec.kind == "wave":
         start = np.asarray(spec.start, dtype=float)
@@ -403,9 +406,9 @@ def build_trajectory(spec: TrajectorySpec) -> list[Pose]:
                 2.0 * math.pi * arc / spec.wavelength
             ) * lateral
             if spec.lookat == "forward":
-                poses.append(_lookat_pose(p, p + direction))
+                views.append(_lookat(p, p + direction))
             else:
-                poses.append(_lookat_pose(p, target))
+                views.append(_lookat(p, target))
 
     elif spec.kind == "orbit":
         for i in range(n):
@@ -417,16 +420,17 @@ def build_trajectory(spec: TrajectorySpec) -> list[Pose]:
                     spec.height,
                 ]
             )
-            poses.append(_lookat_pose(p, target))
+            views.append(_lookat(p, target))
 
     else:  # corridor
         for p, heading in _corridor_waypoints(spec):
             if spec.lookat == "center":
-                poses.append(_lookat_pose(p, target))
+                views.append(_lookat(p, target))
             else:
-                poses.append(_lookat_pose(p, p + heading))
+                views.append(_lookat(p, p + heading))
 
-    return poses
+    R, t = zip(*views)
+    return [Pose(q, t_i) for q, t_i in zip(matrix_to_quat(np.array(R)), t)]
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +469,9 @@ def _stacked_matvec(M, V) -> np.ndarray:
 
 
 def _line_pixels(P_c, intr: CameraIntrinsics) -> np.ndarray:
-    """``geometry.project`` without its depth check: rows behind the
-    camera belong to segments the clip rejects, and are masked out."""
+    """Pinhole projection of camera points P_c (n, 3) to pixels, without a
+    depth check: rows behind the camera belong to segments the clip
+    rejects, and are masked out."""
     z = P_c[:, 2]
     return np.stack(
         [intr.fx * P_c[:, 0] / z + intr.cx, intr.fy * P_c[:, 1] / z + intr.cy], axis=1
@@ -804,11 +809,12 @@ class Sequence:
                     raise ValueError(f"dangling line id {lid} in parallel group {gid}")
             with np.errstate(over="ignore", invalid="ignore"):
                 ends = np.array([self.gt_lines[lid].endpoints for lid in ids])
-                bad = ~normalizable(ends[:, 1] - ends[:, 0])
+                d = ends[:, 1] - ends[:, 0]
+                bad = ~normalizable(d)
                 if bad.any():
                     raise ValueError(f"line {ids[int(np.argmax(bad))]} in parallel group {gid} "
                                      "has no finite direction")
-                dirs = np.array([self.gt_lines[lid].direction() for lid in ids])
+                dirs = d / row_norms(d)[:, None]
                 if (line_angles(dirs[:1], dirs[1:]) > 1e-9).any():
                     raise ValueError(f"parallel group {gid} members disagree in direction")
 
@@ -899,6 +905,14 @@ class BenchmarkConfig:
     render: RenderConfig
 
 
+def _finite_float(text: str) -> float:
+    """float(text), refusing inf and nan: no config number may be either."""
+    v = float(text)
+    if not math.isfinite(v):
+        raise ValueError(f"{text!r} is not finite")
+    return v
+
+
 def parse_config(text: str) -> BenchmarkConfig:
     """Parse the plain-text ``key = value`` preset format ('#' comments).
 
@@ -928,7 +942,7 @@ def parse_config(text: str) -> BenchmarkConfig:
         else:
             values[key] = value
 
-    def get(key, default=None, cast=float):
+    def get(key, default=None, cast=_finite_float):
         if key not in values:
             if default is None:
                 raise ConfigError(f"missing config key {key!r}")
@@ -945,7 +959,7 @@ def parse_config(text: str) -> BenchmarkConfig:
         if len(parts) != 3:
             raise ConfigError(f"{key!r} needs 3 numbers")
         try:
-            return tuple(float(p) for p in parts)
+            return tuple(_finite_float(p) for p in parts)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {values[key]!r}") from exc
 
@@ -959,14 +973,17 @@ def parse_config(text: str) -> BenchmarkConfig:
             return False
         raise ConfigError(f"bad boolean for {key!r}: {values[key]!r}")
 
-    intr = CameraIntrinsics(
-        fx=get("camera.fx"),
-        fy=get("camera.fy"),
-        cx=get("camera.cx"),
-        cy=get("camera.cy"),
-        width=get("camera.width", cast=int),
-        height=get("camera.height", cast=int),
-    )
+    try:
+        intr = CameraIntrinsics(
+            fx=get("camera.fx"),
+            fy=get("camera.fy"),
+            cx=get("camera.cx"),
+            cy=get("camera.cy"),
+            width=get("camera.width", cast=int),
+            height=get("camera.height", cast=int),
+        )
+    except GeometryError as exc:  # its message starts with the field at fault
+        raise ConfigError(f"camera.{exc}") from exc
     if not boxes:
         raise ConfigError("config declares no boxes")
     scene = SceneSpec(

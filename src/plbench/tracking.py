@@ -21,9 +21,9 @@ from .geometry import (
     Pose,
     backproject,
     line_angles,
-    matrix_to_quat_batch,
+    matrix_to_quat,
     pose_quat_batch,
-    quat_to_matrix_batch,
+    quat_to_matrix,
     rigid_fit_batch,
     row_dots,
     row_norms,
@@ -185,8 +185,8 @@ def _refine_poses(R, t, P_w, u, counts, intr, iterations=10):
     counts = np.asarray(counts)
     offsets = np.cumsum(counts) - counts
     m = len(_STEPS)
-    q = pose_quat_batch(matrix_to_quat_batch(R))
-    R = quat_to_matrix_batch(q)
+    q = pose_quat_batch(matrix_to_quat(R))
+    R = quat_to_matrix(q)
     t = np.array(t, dtype=float)
     P_c, valid, zs, proj = _project_points(np.repeat(R, counts, axis=0),
                                            np.repeat(t, counts, axis=0), P_w, intr)
@@ -454,7 +454,7 @@ def _solve_batch(problems, intr, iterations, first) -> list[PnPResult]:
     has = np.empty((k, 3), dtype=bool)
     has[:, :2] = exists
     start_q, start_t = np.empty((k, 3, 4)), np.empty((k, 3, 3))
-    start_q[:, :2] = pose_quat_batch(matrix_to_quat_batch(fit_R.reshape(-1, 3, 3))).reshape(k, 2, 4)
+    start_q[:, :2] = pose_quat_batch(matrix_to_quat(fit_R.reshape(-1, 3, 3))).reshape(k, 2, 4)
     start_t[:, :2] = fit_t
     for i, p in enumerate(order):
         prior = problems[p][2]
@@ -471,7 +471,7 @@ def _solve_batch(problems, intr, iterations, first) -> list[PnPResult]:
     n_starts = has.sum(axis=1)
     start_counts = np.repeat(counts, n_starts)
     rows = _segment_rows(np.repeat(offsets, n_starts), start_counts)
-    q, t, err = _refine_poses(quat_to_matrix_batch(start_q[has]), start_t[has], _take(P, rows),
+    q, t, err = _refine_poses(quat_to_matrix(start_q[has]), start_t[has], _take(P, rows),
                               _take(U, rows), start_counts, intr, iterations)
     results: list[PnPResult] = [None] * k  # type: ignore[list-item]
     ends = np.cumsum(n_starts)

@@ -13,7 +13,6 @@ from plbench.geometry import (
     plucker_from_orthonormal,
     se3_exp_update,
     so3_exp,
-    transform_plucker,
 )
 from plbench.factor_graph import (
     FactorGraph,
@@ -22,15 +21,16 @@ from plbench.factor_graph import (
     Lines,
     Points,
     Poses,
+    _line_residuals,
+    _lines_to_camera,
     _point_residuals,
     _pose_jacobian,
+    _project_points,
     build_covisibility_graph,
     line_residual,
     line_terms,
     point_residual,
     point_terms,
-    project_line,
-    project_line_by_endpoints,
 )
 from plbench.simulator import NoiseParams, build_scene, build_trajectory, generate_sequence, load_preset
 
@@ -44,14 +44,13 @@ def random_pose(rng, rot_scale=0.4, t_scale=0.6) -> Pose:
 
 def random_point_config(rng):
     """Pose, world point in front of the camera, measured pixel nearby."""
-    from plbench.geometry import project
-
     while True:
         T = random_pose(rng)
         P_w = rng.normal(scale=2.0, size=3) + np.array([0.0, 0.0, 4.0])
         P_c = T.transform(P_w)
         if P_c[2] > 0.5:
-            return T, P_w, project(P_c, K) + rng.normal(scale=3.0, size=2)
+            _, _, _, proj = _project_points(np.eye(3)[None], np.zeros((1, 3)), P_c[None], K)
+            return T, P_w, proj[0] + rng.normal(scale=3.0, size=2)
 
 
 def random_line_config(rng):
@@ -135,6 +134,39 @@ def test_point_residual_gauge_invariance():
 
 # ---------------------------------------------------------------------------
 # line projection and residual
+
+
+def camera_line(L, T: Pose):
+    """The Plucker pair L = (n, d) in the frame of T, by ``_lines_to_camera``."""
+    n_c, _, d_c = _lines_to_camera(T.rotation()[None], T.t[None],
+                                   np.asarray(L[0], dtype=float)[None], np.asarray(L[1], dtype=float)[None])
+    return n_c[0], d_c[0]
+
+
+def project_line(L, T: Pose, intr: CameraIntrinsics) -> np.ndarray:
+    """The image line that ``_line_residuals`` measures the endpoints of a
+    factor of the world line L = (n, d) against, normalized to Euclidean
+    norm 1; raises GeometryError where the kernel marks it degenerate."""
+    o = orthonormal_from_plucker(*L)
+    _, valid, (_, _, l, *_) = _line_residuals(T.rotation()[None], T.t[None], o.U[None], o.W[None],
+                                              np.zeros((1, 2)), np.zeros((1, 2)), intr)
+    if not valid[0]:
+        raise GeometryError("degenerate line projection")
+    return l[0] / np.linalg.norm(l[0])
+
+
+def project_line_by_endpoints(L, T: Pose, intr: CameraIntrinsics) -> np.ndarray:
+    """Oracle for ``project_line``: the cross product of two projected
+    points of the line, normalized."""
+    n_c, d_c = camera_line(L, T)
+    p1 = np.cross(d_c, n_c) / float(d_c @ d_c)  # closest point to the camera
+    p2 = p1 + d_c
+    K_matrix = np.array([[intr.fx, 0, intr.cx], [0, intr.fy, intr.cy], [0, 0, 1.0]])
+    l = np.cross(K_matrix @ p1, K_matrix @ p2)
+    norm = np.linalg.norm(l)
+    if norm == 0.0:
+        raise GeometryError("degenerate line projection")
+    return l / norm
 
 
 def test_project_line_hand_case():
@@ -306,7 +338,7 @@ def test_line_jacobian_null_space_probe():
     while checked < 10:
         T, o, _, _ = random_line_config(rng)
         L = plucker_from_orthonormal(o)
-        n_c, d_c = transform_plucker(T, *L)
+        n_c, d_c = camera_line(L, T)
         p1 = np.cross(d_c, n_c) / (d_c @ d_c)
         p2 = p1 + d_c
         if p1[2] < 0.5 or p2[2] < 0.5:
@@ -508,6 +540,9 @@ def test_graph_gauge_invariance():
     rng = np.random.default_rng(6)
     G = random_pose(rng)
     Ginv = G.inverse()
+    n_c, _, d_c = _lines_to_camera(np.broadcast_to(Ginv.rotation(), (len(graph.lines.n), 3, 3)),
+                                   np.broadcast_to(Ginv.t, (len(graph.lines.n), 3)),
+                                   graph.lines.n, graph.lines.d)
 
     base = residuals(graph)
     moved = FactorGraph(
@@ -516,8 +551,7 @@ def test_graph_gauge_invariance():
                        [Pose(q, t).compose(G) for t, q in zip(graph.poses.t, graph.poses.q)]),
         fixed=graph.fixed,
         points=Points(graph.points.id, Ginv.transform(graph.points.xyz)),
-        lines=lines_of(graph.lines.id, [transform_plucker(Ginv, n, d)
-                                        for n, d in zip(graph.lines.n, graph.lines.d)]),
+        lines=Lines(graph.lines.id, n_c, d_c),
         point_factors=graph.point_factors,
         line_factors=graph.line_factors,
     )

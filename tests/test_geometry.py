@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
+from plbench.factor_graph import _lines_to_camera, _project_points
 from plbench.geometry import (
     CameraIntrinsics,
     DegenerateLineError,
     GeometryError,
     LineLandmark,
     LineMeasurement,
-    OrthonormalLine,
     PointMeasurement,
     Pose,
     backproject,
@@ -21,14 +21,13 @@ from plbench.geometry import (
     plucker_from_endpoints,
     plucker_from_orthonormal,
     pose_quat_batch,
-    project,
+    quat_to_matrix,
     rot2,
     se3_exp_update,
     se3_exp_update_batch,
     skew,
     so3_exp,
     so3_log,
-    transform_plucker,
 )
 
 K_VGA = CameraIntrinsics(100.0, 100.0, 320.0, 240.0, 640, 480)
@@ -49,24 +48,118 @@ quat = (
 
 
 # ---------------------------------------------------------------------------
+# scalar references: the former one-item kernels, which the library's
+# kernels must equal bit for bit on one item and on every row of a stack
+
+
+def reference_skew(v):
+    x, y, z = np.asarray(v, dtype=float)
+    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+
+
+def reference_so3_exp(omega):
+    omega = np.asarray(omega, dtype=float)
+    angle = float(np.linalg.norm(omega))
+    K = reference_skew(omega)
+    if angle < 1e-8:
+        return np.eye(3) + K + 0.5 * (K @ K)
+    s = np.sin(angle) / angle
+    c = (1.0 - np.cos(angle)) / (angle * angle)
+    return np.eye(3) + s * K + c * (K @ K)
+
+
+def reference_so3_left_jacobian(omega):
+    omega = np.asarray(omega, dtype=float)
+    angle = float(np.linalg.norm(omega))
+    K = reference_skew(omega)
+    if angle < 1e-8:
+        return np.eye(3) + 0.5 * K + (K @ K) / 6.0
+    a2 = angle * angle
+    c1 = (1.0 - np.cos(angle)) / a2
+    c2 = (angle - np.sin(angle)) / (a2 * angle)
+    return np.eye(3) + c1 * K + c2 * (K @ K)
+
+
+def reference_quat_to_matrix(q):
+    x, y, z, w = np.asarray(q, dtype=float)
+    return np.array(
+        [
+            [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
+            [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
+            [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
+        ]
+    )
+
+
+def reference_matrix_to_quat(R):
+    R = np.asarray(R, dtype=float)
+    tr = np.trace(R)
+    if tr > 0:
+        s = np.sqrt(tr + 1.0) * 2.0
+        q = np.array(
+            [(R[2, 1] - R[1, 2]) / s, (R[0, 2] - R[2, 0]) / s, (R[1, 0] - R[0, 1]) / s, 0.25 * s]
+        )
+    else:
+        k = int(np.argmax(np.diag(R)))
+        i, j = (k + 1) % 3, (k + 2) % 3
+        s = np.sqrt(R[k, k] - R[i, i] - R[j, j] + 1.0) * 2.0
+        q = np.empty(4)
+        q[k] = 0.25 * s
+        q[i] = (R[i, k] + R[k, i]) / s
+        q[j] = (R[j, k] + R[k, j]) / s
+        q[3] = (R[j, i] - R[i, j]) / s
+    if q[3] < 0:
+        q = -q
+    return q / np.linalg.norm(q)
+
+
+def reference_se3_exp_update(T: Pose, delta) -> Pose:
+    delta = np.asarray(delta, dtype=float).reshape(6)
+    omega, rho = delta[:3], delta[3:]
+    R_inc = reference_so3_exp(omega)
+    t_inc = reference_so3_left_jacobian(omega) @ rho
+    R = R_inc @ reference_quat_to_matrix(T.q)
+    return Pose(reference_matrix_to_quat(R), R_inc @ T.t + t_inc)
+
+
+def assert_rows_match(kernel, reference, items):
+    """kernel(items) equals reference(item) bit for bit in every row, and so
+    does kernel(item), on a stack of an even number of items (m, ...) and
+    on the same stack split along two leading axes."""
+    stack = kernel(items)
+    split = kernel(items.reshape((2, -1) + items.shape[1:])).reshape(stack.shape)
+    for item, row, split_row in zip(items, stack, split):
+        ref = reference(item).tobytes()
+        assert (kernel(item).tobytes(), row.tobytes(), split_row.tobytes()) == (ref, ref, ref)
+
+
+# ---------------------------------------------------------------------------
 # projection
 
 
+def project(p_cam, intr):
+    """``_project_points`` of camera points (..., 3) at the identity pose:
+    (pixels (..., 2), whether each point is in front of the camera)."""
+    p = np.asarray(p_cam, dtype=float).reshape(-1, 3)
+    _, valid, _, proj = _project_points(np.broadcast_to(np.eye(3), (len(p), 3, 3)),
+                                        np.zeros((len(p), 3)), p, intr)
+    shape = np.shape(p_cam)[:-1]
+    return proj.reshape(shape + (2,)), valid.reshape(shape)
+
+
 def test_project_optical_axis_hits_principal_point():
-    np.testing.assert_allclose(project(np.array([0.0, 0.0, 1.0]), K_VGA), [320.0, 240.0])
+    np.testing.assert_allclose(project(np.array([0.0, 0.0, 1.0]), K_VGA)[0], [320.0, 240.0])
 
 
 def test_project_hand_values():
-    np.testing.assert_allclose(project(np.array([1.0, 2.0, 2.0]), K_VGA), [370.0, 340.0])
+    np.testing.assert_allclose(project(np.array([1.0, 2.0, 2.0]), K_VGA)[0], [370.0, 340.0])
     # sign flip in x mirrors about the principal point
-    np.testing.assert_allclose(project(np.array([-1.0, 2.0, 2.0]), K_VGA), [270.0, 340.0])
+    np.testing.assert_allclose(project(np.array([-1.0, 2.0, 2.0]), K_VGA)[0], [270.0, 340.0])
 
 
 def test_project_rejects_nonpositive_depth():
-    with pytest.raises(GeometryError):
-        project(np.array([0.0, 0.0, 0.0]), K_VGA)
-    with pytest.raises(GeometryError):
-        project(np.array([[1.0, 1.0, 1.0], [0.0, 0.0, -2.0]]), K_VGA)
+    assert not project(np.array([0.0, 0.0, 0.0]), K_VGA)[1]
+    assert project(np.array([[1.0, 1.0, 1.0], [0.0, 0.0, -2.0]]), K_VGA)[1].tolist() == [True, False]
 
 
 def test_backproject_hand_values():
@@ -83,7 +176,7 @@ def test_backproject_hand_values():
     d=st.floats(min_value=1e-3, max_value=1e3),
 )
 def test_project_backproject_roundtrip(u, d):
-    np.testing.assert_allclose(project(backproject(u, d, K_VGA), K_VGA), u, atol=1e-9)
+    np.testing.assert_allclose(project(backproject(u, d, K_VGA), K_VGA)[0], u, atol=1e-9)
 
 
 def test_intrinsics_invariants():
@@ -93,6 +186,11 @@ def test_intrinsics_invariants():
         CameraIntrinsics(100.0, 100.0, 0.0, 240.0, 640, 480)
     with pytest.raises(GeometryError):
         CameraIntrinsics(100.0, 100.0, 320.0, 500.0, 640, 480)
+    # non-finite values; the message names the field
+    for field, value in (("fx", np.inf), ("fy", np.nan), ("cx", np.nan), ("cy", np.inf)):
+        with pytest.raises(GeometryError, match=f"^{field} must lie in"):
+            CameraIntrinsics(**{**dict(fx=100.0, fy=100.0, cx=320.0, cy=240.0,
+                                       width=640, height=480), field: value})
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +223,8 @@ def test_pose_composition_associative():
         A, B, C = (random_pose(rng) for _ in range(3))
         left = A.compose(B).compose(C)
         right = A.compose(B.compose(C))
-        np.testing.assert_allclose(left.matrix(), right.matrix(), atol=1e-12)
+        np.testing.assert_allclose(left.rotation(), right.rotation(), atol=1e-12)
+        np.testing.assert_allclose(left.t, right.t, atol=1e-12)
 
 
 def test_pose_quaternion_stays_unit():
@@ -140,7 +239,8 @@ def test_se3_exp_update_identity_and_consistency():
     rng = np.random.default_rng(5)
     T = random_pose(rng)
     same = se3_exp_update(T, np.zeros(6))
-    np.testing.assert_allclose(same.matrix(), T.matrix(), atol=1e-15)
+    np.testing.assert_allclose(same.rotation(), T.rotation(), atol=1e-15)
+    np.testing.assert_allclose(same.t, T.t, atol=1e-15)
     # small update moves points by approximately rho + omega x p
     delta = 1e-6 * rng.normal(size=6)
     p = rng.normal(size=3)
@@ -162,6 +262,9 @@ def test_se3_exp_update_batch_equals_the_scalar_update():
     deltas = [
         np.array([0.0, 0.0, 0.0, 0.1, -0.2, 0.3]),  # no rotation: series branch
         np.array([3e-9, -4e-9, 1e-9, 0.5, 0.1, 0.0]),  # angle 5e-9: series branch
+        np.array([9.9e-9, 0.0, 0.0, 0.0, 0.0, 1.0]),  # just below the series bound
+        np.array([0.0, -1.01e-8, 0.0, 1.0, 0.0, 0.0]),  # just above it, then below
+        np.concatenate([rng.normal(scale=1e-9, size=3), rng.normal(size=3)]),
         rng.normal(size=6),
         rng.normal(scale=1e-3, size=6),
         # three radians about each axis: from the identity, a negative trace
@@ -169,6 +272,8 @@ def test_se3_exp_update_batch_equals_the_scalar_update():
         np.array([3.0, 0.0, 0.0, 0.2, 0.0, 0.0]),
         np.array([0.0, 3.0, 0.0, 0.0, 0.2, 0.0]),
         np.array([0.0, 0.0, 3.0, 0.0, 0.0, 0.2]),
+        # just short of a half turn about the diagonal: a trace near -1
+        np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]) * (np.pi - 1e-6) / np.sqrt(3.0),
     ]
     steps = 0.5 ** np.arange(6)
     exp_branches, quat_branches = set(), set()
@@ -176,10 +281,11 @@ def test_se3_exp_update_batch_equals_the_scalar_update():
         for delta in deltas:
             q, R, t = se3_exp_update_batch(T.rotation(), T.t, steps[:, None] * delta)
             for k, step in enumerate(steps):
-                ref = se3_exp_update(T, step * delta)
-                assert q[k].tobytes() == ref.q.tobytes()
-                assert R[k].tobytes() == ref.rotation().tobytes()
-                assert t[k].tobytes() == ref.t.tobytes()
+                ref = reference_se3_exp_update(T, step * delta)
+                one = se3_exp_update(T, step * delta)
+                assert q[k].tobytes() == one.q.tobytes() == ref.q.tobytes()
+                assert R[k].tobytes() == reference_quat_to_matrix(ref.q).tobytes()
+                assert t[k].tobytes() == one.t.tobytes() == ref.t.tobytes()
                 exp_branches.add(np.linalg.norm(step * delta[:3]) < 1e-8)
                 quat_branches.add(quat_branch(so3_exp(step * delta[:3]) @ T.rotation()))
     assert exp_branches == {True, False}
@@ -191,9 +297,34 @@ def test_se3_exp_update_batch_equals_the_scalar_update():
                                    np.array([T.t for T, _ in rows]),
                                    np.array([d for _, d in rows]))
     for k, (T, d) in enumerate(rows):
-        ref = se3_exp_update(T, d)
+        ref = reference_se3_exp_update(T, d)
         assert (q[k].tobytes(), R[k].tobytes(), t[k].tobytes()) == \
-            (ref.q.tobytes(), ref.rotation().tobytes(), ref.t.tobytes())
+            (ref.q.tobytes(), reference_quat_to_matrix(ref.q).tobytes(), ref.t.tobytes())
+
+    # the kernels the update is made of, on the same rotations
+    omegas = np.array([d[:3] for _, d in rows])
+    rotated = np.array([reference_so3_exp(d[:3]) @ T.rotation() for T, d in rows])
+    assert_rows_match(so3_exp, reference_so3_exp, omegas)
+    assert {quat_branch(R) for R in rotated} == {"trace", 0, 1, 2}
+    assert_rows_match(matrix_to_quat, reference_matrix_to_quat, rotated)
+    assert_rows_match(quat_to_matrix, reference_quat_to_matrix, matrix_to_quat(rotated))
+    # and the pose rotations, one quaternion and a stack
+    assert_rows_match(quat_to_matrix, reference_quat_to_matrix, q)
+
+    # many random rotations, and rotations whose trace 1 + 2 cos(angle)
+    # lies just above or below 0, where Shepperd's branch changes
+    quats = rng.normal(size=(2000, 4))
+    quats /= np.linalg.norm(quats, axis=1, keepdims=True)
+    axes = rng.normal(size=(8, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    traces = np.array([1e-2, 1e-3, 1e-9, 1e-15, -1e-15, -1e-9, -1e-3, -1e-2])
+    angles = np.arccos((traces - 1.0) / 2.0)
+    mats = np.concatenate([[reference_quat_to_matrix(x) for x in quats],
+                           [reference_so3_exp(a * axis) for a, axis in zip(angles, axes)]])
+    tr = np.trace(mats, axis1=1, axis2=2)
+    assert ((0 < tr) & (tr <= 1e-3)).any() and ((-1e-3 <= tr) & (tr <= 0)).any()
+    assert_rows_match(quat_to_matrix, reference_quat_to_matrix, quats)
+    assert_rows_match(matrix_to_quat, reference_matrix_to_quat, mats)
 
 
 def test_pose_quat_batch_renormalizes_as_pose_does():
@@ -243,6 +374,14 @@ def test_plucker_from_endpoints_examples():
 
     with pytest.raises(DegenerateLineError):
         plucker_from_endpoints([1.0, 2, 3], [1.0, 2, 3])
+
+
+def transform_plucker(T: Pose, n, d):
+    """The Plucker pair (n, d) in the frame of T, as ``_lines_to_camera``
+    maps each line of a residual: n' = R n + t x R d, d' = R d."""
+    n_c, _, d_c = _lines_to_camera(T.rotation()[None], T.t[None],
+                                   np.asarray(n, dtype=float)[None], np.asarray(d, dtype=float)[None])
+    return n_c[0], d_c[0]
 
 
 def test_transform_plucker_examples():
@@ -392,7 +531,9 @@ def test_orthonormal_update_stays_orthonormal():
         if np.linalg.norm(pe - ps) < 1e-3:
             continue
         o = orthonormal_from_plucker(*plucker_from_endpoints(ps, pe))
-        o2 = orthonormal_update(o, rng.normal(size=4))
+        delta = rng.normal(size=4)
+        o2 = orthonormal_update(o, delta)
+        assert o2.U.tobytes() == (o.U @ reference_so3_exp(delta[:3])).tobytes()
         np.testing.assert_allclose(o2.U.T @ o2.U, np.eye(3), atol=1e-12)
         np.testing.assert_allclose(o2.W.T @ o2.W, np.eye(2), atol=1e-12)
         n, d = plucker_from_orthonormal(o2)
@@ -437,4 +578,8 @@ def test_skew_and_rot2():
     v = np.array([1.0, 2.0, 3.0])
     w = np.array([-2.0, 0.5, 4.0])
     np.testing.assert_allclose(skew(v) @ w, np.cross(v, w))
+    vs = np.concatenate([np.random.default_rng(11).normal(size=(8, 3)),
+                         [[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0]]])
+    assert_rows_match(skew, reference_skew, vs)
+    np.testing.assert_allclose((skew(vs) @ w[:, None])[:, :, 0], np.cross(vs, w))
     np.testing.assert_allclose(rot2(np.pi / 2), [[0, -1], [1, 0]], atol=1e-15)

@@ -77,8 +77,9 @@ def test_same_seed_reproduces_landmark_tables():
         assert pa.id == pb.id
         assert np.array_equal(pa.position, pb.position)
     for la, lb in zip(a.lines, b.lines):
-        assert la.id == lb.id and la.group_id == lb.group_id
+        assert la.id == lb.id
         assert np.array_equal(la.endpoints, lb.endpoints)
+    assert a.parallel_groups == b.parallel_groups
 
 
 def test_cube_edges_form_three_groups_of_four():
@@ -86,7 +87,8 @@ def test_cube_edges_form_three_groups_of_four():
     assert len(scene.lines) == 12
     assert sorted(len(ids) for ids in scene.parallel_groups.values()) == [4, 4, 4]
     for gid, ids in scene.parallel_groups.items():
-        dirs = [scene.lines[i].direction() for i in ids]
+        ends = np.array([scene.lines[i].endpoints for i in ids])
+        dirs = [d / np.linalg.norm(d) for d in ends[:, 1] - ends[:, 0]]
         for d in dirs[1:]:
             assert np.array_equal(d, dirs[0])  # exact, by construction
 
@@ -434,7 +436,7 @@ def test_rendered_lines_meet_length_and_bounds():
     for pose in traj[::7]:
         obs = render_frame(scene, pose, cfg.intrinsics, cfg.render)
         for lm in obs.lines:
-            assert lm.length() >= cfg.render.min_line_len
+            assert np.linalg.norm(lm.end.u - lm.start.u) >= cfg.render.min_line_len
             assert cfg.intrinsics.contains(lm.start.u) and cfg.intrinsics.contains(lm.end.u)
             assert cfg.render.z_near - 1e-9 <= lm.start.d <= cfg.render.z_far
             seen += 1
@@ -696,6 +698,11 @@ def box_with(line):
     return lambda: parse_config(BOX_TEXT + line + "\n")
 
 
+def corridor_with(line):
+    text = resources.files("plbench").joinpath("presets/corridor.cfg").read_text()
+    return lambda: parse_config(text + line + "\n")
+
+
 @pytest.mark.parametrize(
     "build, match",
     [
@@ -725,6 +732,25 @@ def box_with(line):
                      "corridor legs must be positive, got 0.0 x 6.0", id="spec-corridor-leg-x"),
         pytest.param(lambda: TrajectorySpec("corridor", 5, leg_y=-2.0),
                      "corridor legs must be positive, got 8.0 x -2.0", id="spec-corridor-leg-y"),
+        pytest.param(box_with("camera.fx = inf"), "bad value for 'camera.fx': 'inf'",
+                     id="camera-inf-focal"),
+        pytest.param(box_with("camera.fx = -1"), r"camera.fx must lie in \(0, inf\), got -1.0",
+                     id="camera-negative-focal"),
+        pytest.param(box_with("camera.cx = 700"), r"camera.cx must lie in \(0, 640\), got 700.0",
+                     id="camera-principal-point"),
+        pytest.param(box_with("noise.sigma_s = nan"), "bad value for 'noise.sigma_s': 'nan'",
+                     id="noise-nan-sigma"),
+        pytest.param(box_with("noise.m = inf"), "bad value for 'noise.m': 'inf'", id="noise-inf-m"),
+        pytest.param(corridor_with("noise.sigma_s = nan"),
+                     "bad value for 'noise.sigma_s': 'nan'", id="corridor-noise-nan-sigma"),
+        pytest.param(box_with("scene.points_per_face = nan"),
+                     "bad value for 'scene.points_per_face': 'nan'", id="scene-nan-density"),
+        pytest.param(box_with("trajectory.target = 0 inf 0"),
+                     "bad value for 'trajectory.target': '0 inf 0'", id="vec3-inf"),
+        pytest.param(lambda: NoiseParams(sigma_s=float("nan")), "invalid noise parameters",
+                     id="spec-noise-nan-sigma"),
+        pytest.param(lambda: NoiseParams(m=float("inf")), "invalid noise parameters",
+                     id="spec-noise-inf-m"),
     ],
 )
 def test_config_mistakes_raise_config_error(build, match):

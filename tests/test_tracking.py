@@ -22,7 +22,6 @@ from plbench.geometry import (
     Pose,
     backproject,
     line_angles,
-    project,
     row_norms,
     se3_exp_update,
     so3_exp,
@@ -47,6 +46,17 @@ K = CameraIntrinsics(500.0, 500.0, 320.0, 240.0, 640, 480)
 
 def random_pose(rng) -> Pose:
     return Pose.from_rt(so3_exp(rng.normal(scale=0.3, size=3)), rng.normal(scale=0.3, size=3))
+
+
+def project(P_c, intr):
+    """Pixels of camera points P_c (n, 3) in front of the camera:
+    ``_project_points`` at the identity pose, which is the pinhole formula
+    on P_c bit for bit."""
+    n = len(P_c)
+    _, valid, _, proj = _project_points(np.broadcast_to(np.eye(3), (n, 3, 3)), np.zeros((n, 3)),
+                                        P_c, intr)
+    assert valid.all()
+    return proj
 
 
 def observe(T: Pose, P_w):
