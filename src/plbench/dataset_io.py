@@ -17,9 +17,9 @@ Directory layout of a sequence:
     graph.txt            (optional, via write_graph)
 
 Frame files map row for row onto the arrays of ``simulator.FrameData``:
-``write_sequence`` formats each frame's arrays with ``%r`` over
-``.tolist()``, and ``read_sequence`` parses each frame file into those
-arrays.
+``write_sequence`` formats each frame's arrays, like the landmark and
+graph columns, through ``_records`` (``%d`` for ids, ``%r`` for values),
+and ``read_sequence`` parses each frame file into those arrays.
 
 Readers are total: malformed input of any kind raises ParseError naming
 the file and line, never an unhandled exception. The tagged record files
@@ -343,6 +343,9 @@ def read_trajectory(path) -> list[Pose]:
 
 
 def write_sequence(seq: Sequence, directory) -> None:
+    """Write a sequence directory; a frame whose ``frame_id`` is not its
+    index is refused before any file is written."""
+    seq.check_frame_ids()
     directory = Path(directory)
     (directory / "frames").mkdir(parents=True, exist_ok=True)
 
@@ -358,19 +361,14 @@ def write_sequence(seq: Sequence, directory) -> None:
     )
     write_trajectory(seq.gt_trajectory, directory / "groundtruth.txt")
 
-    lm_lines = ["# MP id X Y Z | ML id sx sy sz ex ey ez"]
-    for pid in sorted(seq.gt_points):
-        p = seq.gt_points[pid]
-        lm_lines.append("MP " + str(pid) + " " + " ".join(_fmt(v) for v in p.position))
-    for lid in sorted(seq.gt_lines):
-        l = seq.gt_lines[lid]
-        lm_lines.append(
-            "ML "
-            + str(lid)
-            + " "
-            + " ".join(_fmt(v) for v in (*l.endpoints[0], *l.endpoints[1]))
-        )
-    _atomic_write(directory / "landmarks.txt", "\n".join(lm_lines) + "\n")
+    point_ids, line_ids = sorted(seq.gt_points), sorted(seq.gt_lines)
+    _atomic_write(directory / "landmarks.txt", "".join([
+        "# MP id X Y Z | ML id sx sy sz ex ey ez\n",
+        _records("MP", np.array(point_ids, dtype=np.int64),
+                 np.array([seq.gt_points[i].position for i in point_ids]).reshape(-1, 3)),
+        _records("ML", np.array(line_ids, dtype=np.int64),
+                 np.array([seq.gt_lines[i].endpoints for i in line_ids]).reshape(-1, 6)),
+    ]))
 
     pg_lines = ["# PG group_id line_id..."]
     for gid in sorted(seq.parallel_groups):
@@ -379,13 +377,12 @@ def write_sequence(seq: Sequence, directory) -> None:
     _atomic_write(directory / "parallel_groups.txt", "\n".join(pg_lines) + "\n")
 
     for f in seq.frames:
-        points = np.column_stack([f.point_pixels, f.point_depths]).tolist()
         ends, ends_d = f.line_pixels, f.line_depths
-        lines = np.column_stack([ends[:, 0], ends_d[:, 0], ends[:, 1], ends_d[:, 1]]).tolist()
-        rows = ["# P id ux uy d | L id sx sy sd ex ey ed"]
-        rows += ["P %d %r %r %r" % (i, *v) for i, v in zip(f.point_ids.tolist(), points)]
-        rows += ["L %d %r %r %r %r %r %r" % (i, *v) for i, v in zip(f.line_ids.tolist(), lines)]
-        _atomic_write(directory / "frames" / f"{f.frame_id:06d}.txt", "\n".join(rows) + "\n")
+        _atomic_write(directory / "frames" / f"{f.frame_id:06d}.txt", "".join([
+            "# P id ux uy d | L id sx sy sd ex ey ed\n",
+            _records("P", f.point_ids, f.point_pixels, f.point_depths),
+            _records("L", f.line_ids, ends[:, 0], ends_d[:, 0], ends[:, 1], ends_d[:, 1]),
+        ]))
 
 
 def _read_calib(path) -> CameraIntrinsics:

@@ -205,6 +205,9 @@ class CameraIntrinsics:
 
     def __post_init__(self):
         # each message starts with the field at fault
+        for name, v in (("width", self.width), ("height", self.height)):
+            if not (isinstance(v, (int, np.integer)) and v >= 1):
+                raise GeometryError(f"{name} must be an integer >= 1, got {v}")
         for name, v, upper in (("fx", self.fx, math.inf), ("fy", self.fy, math.inf),
                                ("cx", self.cx, self.width), ("cy", self.cy, self.height)):
             if not 0 < v < upper:

@@ -29,8 +29,9 @@ measurement is dropped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from importlib import resources
+from typing import get_type_hints
 
 import numpy as np
 
@@ -101,14 +102,18 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
+        # each message starts with the field at fault
         object.__setattr__(self, "boxes", tuple(self.boxes))
         if not self.boxes:
-            raise SceneError("scene needs at least one box")
-        if not (0 <= self.points_per_face < math.inf and self.lines_per_face >= 0):
-            raise SceneError("densities must be nonnegative and finite")
-        for box in self.boxes:
+            raise SceneError("boxes must hold at least one box")
+        for name in ("points_per_face", "lines_per_face", "seed"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise SceneError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        if self.points_per_face == 0 and self.lines_per_face == 0:
+            raise SceneError("points_per_face and lines_per_face are both 0: empty scene")
+        for k, box in enumerate(self.boxes):
             if box.contains(np.zeros(3)):
-                raise SceneError("a box contains the world origin")
+                raise SceneError(f"boxes[{k}] contains the world origin")
             # any box edge whose two transverse face coordinates are both
             # zero spans the world origin and would have a zero Plucker
             # moment; reject such layouts outright
@@ -120,13 +125,14 @@ class SceneSpec:
                         fc = box.center[c] + sc * box.extents[c]
                         if abs(fb) < 1e-9 and abs(fc) < 1e-9:
                             raise SceneError(
-                                "box edge passes through the world origin; offset the box"
+                                f"boxes[{k}] has an edge through the world origin; offset the box"
                             )
 
 
 @dataclass(frozen=True)
 class TrajectorySpec:
-    """Camera path description; fields beyond the chosen kind are ignored.
+    """Camera path description; fields beyond the chosen kind are ignored,
+    but every number must be finite.
 
     kinds:
       wave      sinusoidal lateral offset along the straight start->end path
@@ -154,7 +160,7 @@ class TrajectorySpec:
         if self.kind not in ("wave", "orbit", "corridor"):
             raise ConfigError(f"unknown trajectory kind {self.kind!r}")
         if self.frame_count < 2:
-            raise ConfigError("frame_count must be >= 2")
+            raise ConfigError(f"frame_count must be >= 2, got {self.frame_count}")
         if self.lookat not in ("center", "forward"):
             raise ConfigError(f"unknown look-at policy {self.lookat!r}")
         if self.kind == "wave" and not self.wavelength > 0:
@@ -163,6 +169,10 @@ class TrajectorySpec:
             raise ConfigError(f"orbit radius must be positive, got {self.radius}")
         if self.kind == "corridor" and not (self.leg_x > 0 and self.leg_y > 0):
             raise ConfigError(f"corridor legs must be positive, got {self.leg_x} x {self.leg_y}")
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if not isinstance(v, str) and not np.isfinite(v).all():
+                raise ConfigError(f"{f.name} must be finite, got {v}")
 
 
 @dataclass(frozen=True)
@@ -176,16 +186,30 @@ class NoiseParams:
     enabled: bool = True
 
     def __post_init__(self):
-        if not (0 <= self.sigma_s < math.inf and 0 <= self.sigma_d < math.inf
-                and 0 < self.m < math.inf):
-            raise ConfigError("invalid noise parameters")
+        for name in ("sigma_s", "sigma_d"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"invalid noise parameters: {name} must be finite and >= 0, "
+                                  f"got {getattr(self, name)}")
+        if not 0 < self.m < math.inf:
+            raise ConfigError(f"invalid noise parameters: m must be finite and > 0, got {self.m}")
 
 
 @dataclass(frozen=True)
 class RenderConfig:
+    """Depth window [z_near, z_far] in meters, 0 < z_near < z_far."""
+
     z_near: float = 0.1
     z_far: float = 20.0
     min_line_len: float = 15.0  # px, minimum clipped segment length
+
+    def __post_init__(self):
+        if not 0 < self.z_near < math.inf:
+            raise ConfigError(f"z_near must be finite and > 0, got {self.z_near}")
+        if not self.z_near < self.z_far < math.inf:
+            raise ConfigError(f"z_far must be finite and > z_near = {self.z_near}, "
+                              f"got {self.z_far}")
+        if not 0 <= self.min_line_len < math.inf:
+            raise ConfigError(f"min_line_len must be finite and >= 0, got {self.min_line_len}")
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +270,6 @@ def build_scene(spec: SceneSpec) -> Scene:
     segments sampled on faces; all direction vectors are exact unit axes,
     so the scene's parallel groups are exact by construction.
     """
-    if spec.points_per_face == 0 and spec.lines_per_face == 0:
-        raise SceneError("empty scene: zero point and line densities")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(spec.seed)))
     points: list[PointLandmark] = []
     lines: list[LineLandmark] = []
@@ -298,8 +320,6 @@ def build_scene(spec: SceneSpec) -> Scene:
                         groups.setdefault(dir_axis, []).append(lid)
                         break
 
-    if not points and not lines:
-        raise SceneError("empty scene: zero point and line densities")
     return Scene(spec.boxes, points, lines, groups, seed=spec.seed)
 
 
@@ -783,6 +803,7 @@ class Sequence:
         tables (each error names the frame), and the parallel groups."""
         if len(self.frames) != len(self.gt_trajectory):
             raise ValueError("frame count does not match trajectory length")
+        self.check_frame_ids()
         known_points = np.array(list(self.gt_points), dtype=np.int64)
         known_lines = np.array(list(self.gt_lines), dtype=np.int64)
         for f in self.frames:
@@ -799,6 +820,13 @@ class Sequence:
                 if fault is not None:
                     raise ValueError(f"{fault[1]} in frame {f.frame_id}")
         self.check_parallel_groups()
+
+    def check_frame_ids(self) -> None:
+        """Every frame's ``frame_id`` is its index in ``frames``, which
+        names its file."""
+        for i, f in enumerate(self.frames):
+            if f.frame_id != i:
+                raise ValueError(f"frame {i} has frame_id {f.frame_id}")
 
     def check_parallel_groups(self) -> None:
         """Every parallel group names known lines of one direction, each
@@ -913,13 +941,66 @@ def _finite_float(text: str) -> float:
     return v
 
 
+def _vec3(text: str) -> tuple[float, float, float]:
+    x, y, z = map(_finite_float, text.split())  # a ValueError unless three numbers
+    return x, y, z
+
+
+def _boolean(text: str) -> bool:
+    v = text.lower()
+    if v in ("on", "true", "1", "yes"):
+        return True
+    if v in ("off", "false", "0", "no"):
+        return False
+    raise ValueError(f"{text!r} is not a boolean")
+
+
+# config section -> the spec it builds, in the order of BenchmarkConfig's fields
+_SECTIONS = {"camera": CameraIntrinsics, "scene": SceneSpec, "trajectory": TrajectorySpec,
+             "noise": NoiseParams, "render": RenderConfig}
+# the keys not spelled section.field
+_RENAMED_KEYS = {"trajectory.frames": "trajectory.frame_count",
+                 "trajectory.turn_rate": "trajectory.turn_rate_deg"}
+_CONVERTERS = {float: _finite_float, int: int, str: str, bool: _boolean,
+               tuple[float, float, float]: _vec3}
+
+
+def _config_keys() -> dict:
+    """Config key -> (section, spec field, text-to-value converter), one
+    key per spec field but ``scene.boxes``, which the ``box`` lines fill."""
+    names = {field_name: key for key, field_name in _RENAMED_KEYS.items()}
+    keys = {}
+    for section, spec in _SECTIONS.items():
+        types = get_type_hints(spec)
+        for f in fields(spec):
+            if f.name != "boxes":
+                key = f"{section}.{f.name}"
+                keys[names.get(key, key)] = section, f, _CONVERTERS[types[f.name]]
+    return keys
+
+
+_CONFIG_KEYS = _config_keys()
+
+
 def parse_config(text: str) -> BenchmarkConfig:
     """Parse the plain-text ``key = value`` preset format ('#' comments).
 
-    The ``box`` key may repeat; its value is six floats
-    ``cx cy cz ex ey ez`` (center and half-extents).
+    A key is ``section.field``: the sections ``camera``, ``scene``,
+    ``trajectory``, ``noise`` and ``render`` build ``CameraIntrinsics``,
+    ``SceneSpec``, ``TrajectorySpec``, ``NoiseParams`` and ``RenderConfig``,
+    and each field's annotation gives its value's type. Two keys are
+    named otherwise: ``trajectory.frames`` sets ``frame_count`` and
+    ``trajectory.turn_rate`` sets ``turn_rate_deg``. A missing key takes
+    the field's default; a field without one must be given. A later line
+    overrides an earlier one with the same key. An unknown key is refused.
+    The ``box`` key may repeat; each of its values, six floats
+    ``cx cy cz ex ey ez`` (center and half-extents), adds one box to
+    ``scene.boxes``.
+
+    The parser only converts text; each spec checks its own values, and
+    any error a spec or box raises is a ``ConfigError`` here.
     """
-    values: dict[str, str] = {}
+    values = {section: {} for section in _SECTIONS}
     boxes: list[Box] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -939,86 +1020,28 @@ def parse_config(text: str) -> BenchmarkConfig:
                 boxes.append(Box(np.array(nums[:3]), np.array(nums[3:])))
             except ValueError as exc:  # a bad number, or a SceneError from Box
                 raise ConfigError(f"line {lineno}: bad box {value!r}: {exc}") from exc
-        else:
-            values[key] = value
-
-    def get(key, default=None, cast=_finite_float):
-        if key not in values:
-            if default is None:
-                raise ConfigError(f"missing config key {key!r}")
-            return default
+            continue
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        section, f, convert = _CONFIG_KEYS[key]
         try:
-            return cast(values[key])
+            values[section][f.name] = convert(value)
         except ValueError as exc:
-            raise ConfigError(f"bad value for {key!r}: {values[key]!r}") from exc
+            raise ConfigError(f"line {lineno}: bad value for {key!r}: {value!r}") from exc
+    values["scene"]["boxes"] = tuple(boxes)
 
-    def get_vec3(key, default):
-        if key not in values:
-            return default
-        parts = values[key].split()
-        if len(parts) != 3:
-            raise ConfigError(f"{key!r} needs 3 numbers")
+    for key, (section, f, _) in _CONFIG_KEYS.items():
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in values[section]:
+            raise ConfigError(f"missing config key {key!r}")
+    specs = []
+    for section, spec in _SECTIONS.items():
         try:
-            return tuple(_finite_float(p) for p in parts)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {key!r}: {values[key]!r}") from exc
-
-    def get_bool(key, default):
-        if key not in values:
-            return default
-        v = values[key].lower()
-        if v in ("on", "true", "1", "yes"):
-            return True
-        if v in ("off", "false", "0", "no"):
-            return False
-        raise ConfigError(f"bad boolean for {key!r}: {values[key]!r}")
-
-    try:
-        intr = CameraIntrinsics(
-            fx=get("camera.fx"),
-            fy=get("camera.fy"),
-            cx=get("camera.cx"),
-            cy=get("camera.cy"),
-            width=get("camera.width", cast=int),
-            height=get("camera.height", cast=int),
-        )
-    except GeometryError as exc:  # its message starts with the field at fault
-        raise ConfigError(f"camera.{exc}") from exc
-    if not boxes:
-        raise ConfigError("config declares no boxes")
-    scene = SceneSpec(
-        boxes=tuple(boxes),
-        points_per_face=get("scene.points_per_face", 12.0),
-        lines_per_face=get("scene.lines_per_face", 2, cast=int),
-        seed=get("scene.seed", 0, cast=int),
-    )
-    traj = TrajectorySpec(
-        kind=get("trajectory.kind", cast=str),
-        frame_count=get("trajectory.frames", cast=int),
-        lookat=get("trajectory.lookat", "center", cast=str),
-        target=get_vec3("trajectory.target", (0.0, 0.0, 0.0)),
-        start=get_vec3("trajectory.start", (-5.0, -4.0, 1.3)),
-        end=get_vec3("trajectory.end", (5.0, -4.0, 1.3)),
-        amplitude=get("trajectory.amplitude", 0.0),
-        wavelength=get("trajectory.wavelength", 2.0),
-        radius=get("trajectory.radius", 6.0),
-        height=get("trajectory.height", 1.5),
-        leg_x=get("trajectory.leg_x", 8.0),
-        leg_y=get("trajectory.leg_y", 6.0),
-        turn_rate_deg=get("trajectory.turn_rate", 18.0),
-    )
-    noise = NoiseParams(
-        sigma_s=get("noise.sigma_s", 1.0),
-        sigma_d=get("noise.sigma_d", 1.0 / 6.0),
-        m=get("noise.m", 35130.0),
-        enabled=get_bool("noise.enabled", True),
-    )
-    render = RenderConfig(
-        z_near=get("render.z_near", 0.1),
-        z_far=get("render.z_far", 20.0),
-        min_line_len=get("render.min_line_len", 15.0),
-    )
-    return BenchmarkConfig(intr, scene, traj, noise, render)
+            specs.append(spec(**values[section]))
+        except ConfigError:
+            raise
+        except ValueError as exc:  # a GeometryError or SceneError, which starts with the field
+            raise ConfigError(f"{section}.{exc}") from exc
+    return BenchmarkConfig(*specs)
 
 
 PRESET_NAMES = ("sphere", "box", "corridor")

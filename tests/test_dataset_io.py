@@ -102,6 +102,20 @@ def test_sequence_double_roundtrip_byte_identical(small_sequence, tmp_path):
         assert f.read_bytes() == (tmp_path / "b" / "frames" / f.name).read_bytes()
 
 
+def test_frame_whose_id_is_not_its_index_is_refused(small_sequence, tmp_path):
+    # frame ids [0, 2, 2] would write 000002.txt twice and no file for frame 1
+    f = small_sequence.frames[1]
+    frames = list(small_sequence.frames)
+    frames[1] = FrameData(2, f.point_ids, f.point_pixels, f.point_depths,
+                          f.line_ids, f.line_pixels, f.line_depths)
+    seq = dataclasses.replace(small_sequence, frames=frames)
+    with pytest.raises(ValueError, match="frame 1 has frame_id 2"):
+        seq.validate()
+    with pytest.raises(ValueError, match="frame 1 has frame_id 2"):
+        write_sequence(seq, tmp_path / "seq")
+    assert not (tmp_path / "seq").exists()
+
+
 def write_toy_sequence_dir(tmp_path, frame_rows):
     d = tmp_path / "seq"
     (d / "frames").mkdir(parents=True)

@@ -191,6 +191,11 @@ def test_intrinsics_invariants():
         with pytest.raises(GeometryError, match=f"^{field} must lie in"):
             CameraIntrinsics(**{**dict(fx=100.0, fy=100.0, cx=320.0, cy=240.0,
                                        width=640, height=480), field: value})
+    # the image size is a positive integer
+    for field, value in (("width", np.inf), ("height", 0), ("width", 640.0)):
+        with pytest.raises(GeometryError, match=f"^{field} must be an integer >= 1"):
+            CameraIntrinsics(**{**dict(fx=100.0, fy=100.0, cx=320.0, cy=240.0,
+                                       width=640, height=480), field: value})
 
 
 # ---------------------------------------------------------------------------

@@ -751,11 +751,66 @@ def corridor_with(line):
                      id="spec-noise-nan-sigma"),
         pytest.param(lambda: NoiseParams(m=float("inf")), "invalid noise parameters",
                      id="spec-noise-inf-m"),
+        pytest.param(box_with("noise.sigma = 5"), f"line {BOX_END}: unknown key 'noise.sigma'",
+                     id="unknown-key"),
+        pytest.param(box_with("trajectory.frame = 3"),
+                     f"line {BOX_END}: unknown key 'trajectory.frame'", id="typo-key"),
+        pytest.param(box_with("trajectory.frame_count = 3"),
+                     f"line {BOX_END}: unknown key 'trajectory.frame_count'",
+                     id="renamed-field-as-key"),
+        pytest.param(box_with("box = 0 0 0 1 1 1"), r"scene.boxes\[3\] contains the world origin",
+                     id="box-around-origin"),
+        pytest.param(box_with("scene.lines_per_face = -1"),
+                     "scene.lines_per_face must be finite and >= 0, got -1",
+                     id="scene-negative-lines"),
+        pytest.param(box_with("scene.seed = -1"), "scene.seed must be finite and >= 0, got -1",
+                     id="scene-negative-seed"),
+        pytest.param(box_with("render.z_near = 0"), "z_near must be finite and > 0, got 0.0",
+                     id="render-zero-near"),
+        pytest.param(box_with("render.z_near = -1"), "z_near must be finite and > 0, got -1.0",
+                     id="render-negative-near"),
+        pytest.param(box_with("render.z_near = nan"),
+                     f"line {BOX_END}: bad value for 'render.z_near': 'nan'", id="render-nan-near"),
+        pytest.param(box_with("render.z_far = 0.05"),
+                     "z_far must be finite and > z_near = 0.1, got 0.05", id="render-far-below-near"),
+        pytest.param(box_with("render.z_far = 0.1"),
+                     "z_far must be finite and > z_near = 0.1, got 0.1", id="render-far-at-near"),
+        pytest.param(box_with("render.min_line_len = -3"),
+                     "min_line_len must be finite and >= 0, got -3.0", id="render-negative-length"),
+        pytest.param(box_with("camera.width = inf"),
+                     f"line {BOX_END}: bad value for 'camera.width': 'inf'", id="camera-inf-width"),
+        pytest.param(box_with("camera.width = 0"), "camera.width must be an integer >= 1, got 0",
+                     id="camera-zero-width"),
+        pytest.param(box_with("noise.enabled = maybe"),
+                     f"line {BOX_END}: bad value for 'noise.enabled': 'maybe'", id="noise-boolean"),
+        pytest.param(box_with("trajectory.target = 1 2"),
+                     f"line {BOX_END}: bad value for 'trajectory.target': '1 2'", id="vec3-count"),
+        pytest.param(lambda: TrajectorySpec("orbit", 5, height=float("nan")),
+                     "height must be finite, got nan", id="spec-nan-height"),
+        pytest.param(lambda: TrajectorySpec("corridor", 5, turn_rate_deg=float("nan")),
+                     "turn_rate_deg must be finite, got nan", id="spec-nan-turn-rate"),
+        pytest.param(lambda: RenderConfig(z_near=float("nan")),
+                     "z_near must be finite and > 0, got nan", id="spec-nan-near"),
+        pytest.param(lambda: RenderConfig(z_near=2.0, z_far=1.0),
+                     "z_far must be finite and > z_near = 2.0, got 1.0", id="spec-far-below-near"),
     ],
 )
 def test_config_mistakes_raise_config_error(build, match):
     with pytest.raises(ConfigError, match=match):
         build()
+
+
+def test_required_keys_alone_give_each_specs_defaults():
+    cfg = parse_config("camera.fx = 460\ncamera.fy = 460\ncamera.cx = 320\ncamera.cy = 240\n"
+                       "camera.width = 640\ncamera.height = 480\nbox = 2 2 2 1 1 1\n"
+                       "trajectory.kind = orbit\ntrajectory.frames = 10\n")
+    assert cfg.intrinsics == CameraIntrinsics(460.0, 460.0, 320.0, 240.0, 640, 480)
+    assert len(cfg.scene.boxes) == 1 and cfg.trajectory.frame_count == 10
+    for spec in (cfg.scene, cfg.trajectory, cfg.noise, cfg.render):
+        defaulted = [f for f in dataclasses.fields(spec) if f.default is not dataclasses.MISSING]
+        assert defaulted
+        for f in defaulted:
+            assert getattr(spec, f.name) == f.default, f.name
 
 
 def test_config_comments_and_overrides():
