@@ -20,6 +20,10 @@ Frame files map row for row onto the arrays of ``simulator.FrameData``:
 ``write_sequence`` formats each frame's arrays, like the landmark and
 graph columns, through ``_records`` (``%d`` for ids, ``%r`` for values),
 and ``read_sequence`` parses each frame file into those arrays.
+``landmarks.txt`` maps row for row onto the columns of the ground-truth
+records, ``MP`` lines onto ``geometry.Points`` (id, position) and ``ML``
+lines onto ``geometry.Segments`` (id, endpoints, start then end), in
+ascending id as the records hold them.
 
 Readers are total: malformed input of any kind raises ParseError naming
 the file and line, never an unhandled exception. The tagged record files
@@ -43,13 +47,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .factor_graph import FactorGraph, Factors, Lines, Points, Poses, _plucker_violations
+from .factor_graph import FactorGraph, Factors, Lines, Poses, _plucker_violations
 from .geometry import (
     CameraIntrinsics,
     GeometryError,
-    LineLandmark,
-    PointLandmark,
+    Points,
     Pose,
+    Segments,
     normalizable,
     pose_quat_batch,
     row_norms,
@@ -361,13 +365,11 @@ def write_sequence(seq: Sequence, directory) -> None:
     )
     write_trajectory(seq.gt_trajectory, directory / "groundtruth.txt")
 
-    point_ids, line_ids = sorted(seq.gt_points), sorted(seq.gt_lines)
+    points, lines = seq.gt_points, seq.gt_lines
     _atomic_write(directory / "landmarks.txt", "".join([
         "# MP id X Y Z | ML id sx sy sz ex ey ez\n",
-        _records("MP", np.array(point_ids, dtype=np.int64),
-                 np.array([seq.gt_points[i].position for i in point_ids]).reshape(-1, 3)),
-        _records("ML", np.array(line_ids, dtype=np.int64),
-                 np.array([seq.gt_lines[i].endpoints for i in line_ids]).reshape(-1, 6)),
+        _records("MP", points.id, points.position),
+        _records("ML", lines.id, lines.endpoints),
     ]))
 
     pg_lines = ["# PG group_id line_id..."]
@@ -416,10 +418,7 @@ def read_sequence(directory, min_line_len: float = 15.0) -> Sequence:
                           (~normalizable(v[:, 3:] - v[:, :3]),
                            "line direction cannot be normalized")]),
     })
-    ids, xyz = landmarks["MP"]
-    gt_points = {i: PointLandmark(i, p) for i, p in zip(ids[:, 0].tolist(), xyz)}
-    ids, ends = landmarks["ML"]
-    gt_lines = {i: LineLandmark(i, e.reshape(2, 3)) for i, e in zip(ids[:, 0].tolist(), ends)}
+    gt_points, gt_lines = Points(*landmarks["MP"]), Segments(*landmarks["ML"])
 
     pg_path = directory / "parallel_groups.txt"
     parallel_groups: dict[int, list[int]] = {}
@@ -433,9 +432,9 @@ def read_sequence(directory, min_line_len: float = 15.0) -> Sequence:
             if gid in parallel_groups:
                 raise ParseError(pg_path, lineno, f"duplicate group id {gid}")
             ids = [_parse_int(t, pg_path, lineno, "line id") for t in tokens[2:]]
-            for lid in ids:
-                if lid not in gt_lines:
-                    raise ParseError(pg_path, lineno, f"dangling line id {lid}")
+            _, found = gt_lines.find(ids)
+            if not found.all():
+                raise ParseError(pg_path, lineno, f"dangling line id {ids[int(np.argmin(found))]}")
             parallel_groups[gid] = ids
 
     frames_dir = directory / "frames"
@@ -461,9 +460,9 @@ def read_sequence(directory, min_line_len: float = 15.0) -> Sequence:
              f"line shorter than min_line_len={min_line_len}")]
 
     records = _read_records(present, {
-        "P": (("landmark id",), 3, "measurement value", gt_points,
+        "P": (("landmark id",), 3, "measurement value", gt_points.id.tolist(),
               "point landmark_id {} repeats in the frame", point_checks),
-        "L": (("landmark id",), 6, "measurement value", gt_lines,
+        "L": (("landmark id",), 6, "measurement value", gt_lines.id.tolist(),
               "line landmark_id {} repeats in the frame", line_checks),
     })
     # the reader yields the files of one checked batch at a time, and each
@@ -549,7 +548,7 @@ def write_graph(graph: FactorGraph, path) -> None:
         "# VERTEX_POINT id X Y Z | VERTEX_LINE id nx ny nz dx dy dz\n"
         "# EDGE_POINT frame point px py | EDGE_LINE frame line sx sy ex ey | FIX id\n",
         _records("VERTEX_POSE", poses.id, poses.t, poses.q),
-        _records("VERTEX_POINT", points.id, points.xyz),
+        _records("VERTEX_POINT", points.id, points.position),
         _records("VERTEX_LINE", lines.id, lines.n, lines.d),
         _records("FIX", graph.fixed),
         _records("EDGE_POINT", pf.frame, pf.landmark, pf.u),

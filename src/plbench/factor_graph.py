@@ -5,13 +5,14 @@ the re-projected landmark; a line factor stacks the signed distances of
 the two measured endpoints from the re-projected infinite line. Measured
 depths never appear here; they only seed initial landmark values.
 
-Vertices and factors are columns. ``Poses``, ``Points`` and ``Lines``
-hold one row per vertex, sorted by int64 ``id``; ``fixed`` is the sorted
-array of gauge pose ids. ``point_factors`` and ``line_factors`` each hold
-one ``Factors`` record, one row per measurement: ``frame`` (F,) int64
-pose ids, ``landmark`` (F,) int64 landmark ids, ``u`` the measured pixels,
-(F, 2) for points and (F, 2, 2) start/end endpoint pixels for lines, and
-``weight`` (F,) 1/sigma^2.
+Vertices and factors are columns. ``Poses``, ``Points`` (the landmark
+record of ``geometry``) and ``Lines`` hold one row per vertex, sorted by
+int64 ``id``; ``fixed`` is the sorted array of gauge pose ids.
+``point_factors`` and ``line_factors`` each hold one ``Factors`` record,
+one row per measurement: ``frame`` (F,) int64 pose ids, ``landmark`` (F,)
+int64 landmark ids, ``u`` the measured pixels, (F, 2) for points and
+(F, 2, 2) start/end endpoint pixels for lines, and ``weight`` (F,)
+1/sigma^2.
 
 Pose increments are left-multiplicative with delta = (rotation 3-vector,
 translation 3-vector). Line increments are the 4-DOF orthonormal update.
@@ -25,7 +26,9 @@ import numpy as np
 from .geometry import (
     CameraIntrinsics,
     GeometryError,
+    Points,
     Pose,
+    _Vertices,
     orthonormal_from_plucker,
     orthonormal_from_plucker_batch,
     plucker_from_endpoints,
@@ -65,29 +68,6 @@ class Factors:
         return len(self.frame)
 
 
-class _Vertices:
-    """Builds a vertex record: int64 ``id`` and the float columns of
-    ``_COLUMNS`` (name, row width), rows sorted by id. A repeated id or a
-    column of another length raises GraphConstructionError."""
-
-    def __post_init__(self):
-        ids = np.asarray(self.id, dtype=np.int64).reshape(-1)
-        order = np.argsort(ids, kind="stable")
-        ids = ids[order]
-        repeats = ids[1:][ids[1:] == ids[:-1]]
-        if len(repeats):
-            raise GraphConstructionError(f"duplicate {self.kind} id {repeats[0]}")
-        object.__setattr__(self, "id", ids)
-        for name, width in self._COLUMNS:
-            column = np.asarray(getattr(self, name), dtype=float).reshape(-1, width)
-            if len(column) != len(ids):
-                raise GraphConstructionError(f"{self.kind} vertex columns differ in length")
-            object.__setattr__(self, name, column[order])
-
-    def __len__(self) -> int:
-        return len(self.id)
-
-
 @dataclass(frozen=True)
 class Poses(_Vertices):
     """Pose vertices T_cw: translation ``t`` (N, 3), quaternion ``q`` (N, 4)."""
@@ -95,16 +75,8 @@ class Poses(_Vertices):
     id: np.ndarray
     t: np.ndarray
     q: np.ndarray
-    kind, _COLUMNS = "pose", (("t", 3), ("q", 4))
-
-
-@dataclass(frozen=True)
-class Points(_Vertices):
-    """Point landmark vertices: world position ``xyz`` (N, 3)."""
-
-    id: np.ndarray
-    xyz: np.ndarray
-    kind, _COLUMNS = "point", (("xyz", 3),)
+    kind, _COLUMNS = "pose", (("t", float, (3,)), ("q", float, (4,)))
+    _error = GraphConstructionError
 
 
 @dataclass(frozen=True)
@@ -114,7 +86,8 @@ class Lines(_Vertices):
     id: np.ndarray
     n: np.ndarray
     d: np.ndarray
-    kind, _COLUMNS = "line", (("n", 3), ("d", 3))
+    kind, _COLUMNS = "line", (("n", float, (3,)), ("d", float, (3,)))
+    _error = GraphConstructionError
 
 
 def _plucker_violations(n, d) -> np.ndarray:
@@ -164,7 +137,7 @@ class FactorGraph:
         fs = self.point_factors
         if len(fs):
             k = _rows(fs.frame, self.poses)
-            P = self.points.xyz[_rows(fs.landmark, self.points)]
+            P = self.points.position[_rows(fs.landmark, self.points)]
             res, _, _ = _point_residuals(R[k], t[k], P, fs.u, self.intrinsics)
             cost += float(fs.weight @ np.sum(res * res, axis=1))
         fs = self.line_factors
@@ -182,9 +155,7 @@ class FactorGraph:
 def _rows(ids: np.ndarray, vertices: _Vertices) -> np.ndarray:
     """Row of each id in ``vertices``; raises GraphConstructionError for an
     id with no vertex."""
-    rows = np.searchsorted(vertices.id, ids)
-    found = rows < len(vertices)
-    found[found] = vertices.id[rows[found]] == ids[found]
+    rows, found = vertices.find(ids)
     if not found.all():
         raise GraphConstructionError(
             f"dangling factor reference to {vertices.kind} {ids[~found][0]}"
@@ -399,36 +370,36 @@ def build_covisibility_graph(
     """One pose vertex per frame (first fixed), one vertex per landmark
     observed at least twice, one factor per measurement of those landmarks.
 
-    ``initial_map`` provides initial values through ``point_positions()``
-    (id -> (3,) array) and ``line_endpoints()`` (id -> (2,3) array);
-    tracking.SparseMap satisfies this. Measurements enter as 2D pixels
-    only.
+    ``initial_map`` provides the initial values as two records:
+    ``initial_map.points``, a ``geometry.Points``, and
+    ``initial_map.lines``, a ``geometry.Segments``, each holding every
+    landmark the graph takes. A ``simulator.Scene``, a
+    ``tracking.SparseMap`` or a namespace of a sequence's ``gt_points`` and
+    ``gt_lines`` satisfies this. Measurements enter as 2D pixels only.
     """
     if len(trajectory) != len(seq.frames):
         raise GraphConstructionError("trajectory length does not match frame count")
     if not seq.frames:
         raise GraphConstructionError("sequence has no frames")
     weight = 1.0 / (sigma_s * sigma_s)
-    point_positions = initial_map.point_positions()
-    line_endpoints = initial_map.line_endpoints()
-
     point_ids, point_factors = _covisible(seq.frames, "point_ids", "point_pixels", weight)
     line_ids, line_factors = _covisible(seq.frames, "line_ids", "line_pixels", weight)
 
-    for kind, ids, values in (("point", point_ids, point_positions),
-                              ("line", line_ids, line_endpoints)):
-        missing = [i for i in ids.tolist() if i not in values]
-        if missing:
-            raise GraphConstructionError(f"{kind} {missing[0]} observed but missing from the map")
-    xyz = np.array([point_positions[pid] for pid in point_ids.tolist()], dtype=float)
-    ends = np.array([line_endpoints[lid] for lid in line_ids.tolist()], dtype=float)
-    n, d = plucker_from_endpoints(*ends.reshape(-1, 2, 3).swapaxes(0, 1))
+    rows = []
+    for ids, record in ((point_ids, initial_map.points), (line_ids, initial_map.lines)):
+        r, found = record.find(ids)
+        if not found.all():
+            raise GraphConstructionError(
+                f"{record.kind} {ids[~found][0]} observed but missing from the map")
+        rows.append(r)
+    n, d = plucker_from_endpoints(*initial_map.lines.endpoints[rows[1]].swapaxes(0, 1))
     s = np.sqrt(row_dots(n, n) + row_dots(d, d))[:, None]
     graph = FactorGraph(
         intrinsics=seq.intrinsics,
         poses=Poses(np.arange(len(trajectory)), [T.t for T in trajectory],
                     [T.q for T in trajectory]),
-        fixed=[0], points=Points(point_ids, xyz), lines=Lines(line_ids, n / s, d / s),
+        fixed=[0], points=Points(point_ids, initial_map.points.position[rows[0]]),
+        lines=Lines(line_ids, n / s, d / s),
         point_factors=point_factors, line_factors=line_factors,
     )
     graph.check()

@@ -11,6 +11,11 @@ Conventions:
 
 All values are immutable after construction and every function is pure.
 
+Landmarks are records of columns: ``Points`` (id, position) and
+``Segments`` (id, endpoints) hold one row per landmark, sorted by int64
+id, from the scene through the sequence files and the fused map to the
+factor graph, whose vertex records share their base, ``_Vertices``.
+
 Each rotation kernel (``skew``, ``so3_exp``, ``quat_to_matrix``,
 ``matrix_to_quat``) takes one item or a stack of them along leading axes,
 and one item's result equals its row of a stack bit for bit, so a caller
@@ -20,7 +25,10 @@ may batch any set of rotations without changing a single output bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, fields
+from types import SimpleNamespace
+from typing import get_type_hints
 
 import numpy as np
 
@@ -192,6 +200,18 @@ def quat_multiply(q1, q2) -> np.ndarray:
 # camera
 
 
+def check_integers(spec, error, minimum: int) -> None:
+    """Raise ``error``, starting with the field's name, for the first field
+    of the dataclass ``spec`` annotated ``int`` that does not hold an
+    integer >= ``minimum``. A float or a bool is not an integer."""
+    types = get_type_hints(type(spec))
+    for f in fields(spec):
+        v = getattr(spec, f.name)
+        if types[f.name] is int and (isinstance(v, bool) or not isinstance(v, (int, np.integer))
+                                     or v < minimum):
+            raise error(f"{f.name} must be an integer >= {minimum}, got {v}")
+
+
 @dataclass(frozen=True)
 class CameraIntrinsics:
     """Pinhole intrinsics; focal lengths and principal point in pixels."""
@@ -205,9 +225,7 @@ class CameraIntrinsics:
 
     def __post_init__(self):
         # each message starts with the field at fault
-        for name, v in (("width", self.width), ("height", self.height)):
-            if not (isinstance(v, (int, np.integer)) and v >= 1):
-                raise GeometryError(f"{name} must be an integer >= 1, got {v}")
+        check_integers(self, GeometryError, 1)
         for name, v, upper in (("fx", self.fx, math.inf), ("fy", self.fy, math.inf),
                                ("cx", self.cx, self.width), ("cy", self.cy, self.height)):
             if not 0 < v < upper:
@@ -340,7 +358,7 @@ def se3_exp_update(T: Pose, delta) -> Pose:
 
 
 # ---------------------------------------------------------------------------
-# measurements and landmarks
+# measurements
 
 
 @dataclass(frozen=True)
@@ -379,34 +397,86 @@ class LineMeasurement:
             raise GeometryError("line measurement endpoints coincide")
 
 
+# ---------------------------------------------------------------------------
+# vertex records
+
+
+class _Vertices(Mapping):
+    """A frozen record of one kind of vertex: int64 ``id`` (N,) and the
+    columns of ``_COLUMNS`` (name, dtype, row shape), one row per vertex,
+    sorted by id and read-only. Construction raises ``_error`` for a
+    repeated id, for columns of different lengths and for a non-finite
+    value, and ``DegenerateLineError`` for a row of ``endpoints`` whose two
+    endpoints coincide.
+
+    The record is also a read-only mapping: iterating it gives the ids, and
+    ``record[i]`` gives the row of id i as a namespace of its columns.
+    """
+
+    _error = GeometryError
+
+    def __post_init__(self):
+        ids = np.asarray(self.id, dtype=np.int64).reshape(-1)
+        order = np.argsort(ids, kind="stable")
+        ids = ids[order]
+        repeats = ids[1:][ids[1:] == ids[:-1]]
+        if len(repeats):
+            raise self._error(f"duplicate {self.kind} id {repeats[0]}")
+        ids.flags.writeable = False
+        object.__setattr__(self, "id", ids)
+        for name, dtype, shape in self._COLUMNS:
+            column = np.asarray(getattr(self, name), dtype=dtype).reshape(-1, *shape)
+            if len(column) != len(ids):
+                raise self._error(f"{self.kind} vertex columns differ in length")
+            if not np.isfinite(column).all():
+                raise self._error(f"{self.kind} {name} must be finite")
+            if name == "endpoints" and (column[:, 0] == column[:, 1]).all(axis=1).any():
+                raise DegenerateLineError(f"{self.kind} endpoints coincide")
+            column = column[order]
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    def find(self, ids) -> tuple[np.ndarray, np.ndarray]:
+        """The row of each of ``ids`` and whether the record holds that id;
+        the row of an id it does not hold is meaningless."""
+        ids = np.asarray(ids, dtype=np.int64)
+        rows = np.searchsorted(self.id, ids)
+        found = rows < len(self.id)
+        found[found] = self.id[rows[found]] == ids[found]
+        return rows, found
+
+    def __len__(self) -> int:
+        return len(self.id)
+
+    def __iter__(self):
+        return iter(self.id.tolist())
+
+    def __getitem__(self, key):
+        row = int(np.searchsorted(self.id, key))
+        if row == len(self.id) or self.id[row] != key:
+            raise KeyError(key)
+        names = ["id"] + [name for name, _, _ in self._COLUMNS]
+        values = [getattr(self, name)[row] for name in names]
+        return SimpleNamespace(**{n: v if v.ndim else v.item() for n, v in zip(names, values)})
+
+
 @dataclass(frozen=True)
-class PointLandmark:
-    id: int
+class Points(_Vertices):
+    """Point landmarks: world position ``position`` (N, 3)."""
+
+    id: np.ndarray
     position: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.position, dtype=float).reshape(3).copy()
-        if not np.all(np.isfinite(p)):
-            raise GeometryError("landmark position must be finite")
-        p.flags.writeable = False
-        object.__setattr__(self, "position", p)
+    kind, _COLUMNS = "point", (("position", float, (3,)),)
 
 
 @dataclass(frozen=True)
-class LineLandmark:
-    """World-frame 3D segment between two distinct endpoints."""
+class Segments(_Vertices):
+    """Line landmarks: world-frame segments between two distinct
+    endpoints, ``endpoints`` (L, 2, 3) start and end."""
 
-    id: int
-    endpoints: np.ndarray  # (2, 3), start/end
-
-    def __post_init__(self):
-        e = np.asarray(self.endpoints, dtype=float).reshape(2, 3).copy()
-        if not np.all(np.isfinite(e)):
-            raise GeometryError("line endpoints must be finite")
-        if np.array_equal(e[0], e[1]):
-            raise DegenerateLineError("line endpoints coincide")
-        e.flags.writeable = False
-        object.__setattr__(self, "endpoints", e)
+    id: np.ndarray
+    endpoints: np.ndarray
+    kind, _COLUMNS = "line", (("endpoints", float, (2, 3)),)
 
 
 # ---------------------------------------------------------------------------

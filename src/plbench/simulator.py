@@ -7,6 +7,11 @@ per world axis). Observations are exact re-projections filtered by a
 depth window, the image bounds and ray/box occlusion; measurements are
 observations corrupted by pixel noise and a disparity-based depth noise.
 
+Landmarks are records, not objects: a scene's ``points`` and ``lines``
+are one ``geometry.Points`` (id, position) and one ``geometry.Segments``
+(id, endpoints) record, frozen and sorted by id. The renderer reads their
+columns, and a ``Sequence`` carries the same records as its ground truth.
+
 Frames are arrays, not measurement objects: a ``FrameData`` holds its point
 ids, pixels and depths and its line ids, endpoint pixels and endpoint
 depths as read-only arrays, one row per measurement in ascending landmark
@@ -38,11 +43,12 @@ import numpy as np
 from .geometry import (
     CameraIntrinsics,
     GeometryError,
-    LineLandmark,
     LineMeasurement,
-    PointLandmark,
     PointMeasurement,
+    Points,
     Pose,
+    Segments,
+    check_integers,
     line_angles,
     matrix_to_quat,
     normalizable,
@@ -109,6 +115,7 @@ class SceneSpec:
         for name in ("points_per_face", "lines_per_face", "seed"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise SceneError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        check_integers(self, SceneError, 0)
         if self.points_per_face == 0 and self.lines_per_face == 0:
             raise SceneError("points_per_face and lines_per_face are both 0: empty scene")
         for k, box in enumerate(self.boxes):
@@ -159,8 +166,7 @@ class TrajectorySpec:
     def __post_init__(self):
         if self.kind not in ("wave", "orbit", "corridor"):
             raise ConfigError(f"unknown trajectory kind {self.kind!r}")
-        if self.frame_count < 2:
-            raise ConfigError(f"frame_count must be >= 2, got {self.frame_count}")
+        check_integers(self, ConfigError, 2)
         if self.lookat not in ("center", "forward"):
             raise ConfigError(f"unknown look-at policy {self.lookat!r}")
         if self.kind == "wave" and not self.wavelength > 0:
@@ -220,30 +226,16 @@ _FACES = [(0, -1.0), (0, 1.0), (1, -1.0), (1, 1.0), (2, -1.0), (2, 1.0)]
 
 @dataclass
 class Scene:
-    """Boxes and landmarks of one scene. The landmark arrays the renderer
-    reads (ids, point positions, line endpoints) are built once from
-    ``points`` and ``lines`` when the scene is made, so the landmark lists
-    must not change afterwards."""
+    """Boxes and landmarks of one scene: the frozen, id-sorted records
+    ``points`` and ``lines``, whose columns the renderer reads, and the
+    parallel groups of line ids. A ``Scene`` serves as the initial map of
+    ``factor_graph.build_covisibility_graph``."""
 
     boxes: tuple[Box, ...]
-    points: list[PointLandmark]
-    lines: list[LineLandmark]
+    points: Points
+    lines: Segments
     parallel_groups: dict[int, list[int]]  # group id -> line landmark ids
     seed: int = 0
-    point_ids: np.ndarray = field(init=False, repr=False, compare=False)
-    point_positions: np.ndarray = field(init=False, repr=False, compare=False)  # (P, 3)
-    line_ids: np.ndarray = field(init=False, repr=False, compare=False)
-    line_endpoints: np.ndarray = field(init=False, repr=False, compare=False)  # (L, 2, 3)
-
-    def __post_init__(self):
-        self.point_ids = _frozen([p.id for p in self.points], np.int64,
-                                 (len(self.points),), "point ids")
-        self.point_positions = _frozen([p.position for p in self.points], float,
-                                       (len(self.points), 3), "point positions")
-        self.line_ids = _frozen([line.id for line in self.lines], np.int64,
-                                (len(self.lines),), "line ids")
-        self.line_endpoints = _frozen([line.endpoints for line in self.lines], float,
-                                      (len(self.lines), 2, 3), "line endpoints")
 
 
 def _box_edges(box: Box):
@@ -271,8 +263,8 @@ def build_scene(spec: SceneSpec) -> Scene:
     so the scene's parallel groups are exact by construction.
     """
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(spec.seed)))
-    points: list[PointLandmark] = []
-    lines: list[LineLandmark] = []
+    points = [np.empty((0, 3))]
+    lines: list[tuple[np.ndarray, np.ndarray]] = []
     groups: dict[int, list[int]] = {}
 
     for box in spec.boxes:
@@ -283,18 +275,16 @@ def build_scene(spec: SceneSpec) -> Scene:
             count = int(round(spec.points_per_face * area))
             if count > 0:
                 uv = rng.uniform(size=(count, 2))
-                for k in range(count):
-                    p = np.empty(3)
-                    p[axis] = hi[axis] if side > 0 else lo[axis]
-                    p[b] = lo[b] + uv[k, 0] * (hi[b] - lo[b])
-                    p[c] = lo[c] + uv[k, 1] * (hi[c] - lo[c])
-                    points.append(PointLandmark(len(points), p))
+                p = np.empty((count, 3))
+                p[:, axis] = hi[axis] if side > 0 else lo[axis]
+                p[:, b] = lo[b] + uv[:, 0] * (hi[b] - lo[b])
+                p[:, c] = lo[c] + uv[:, 1] * (hi[c] - lo[c])
+                points.append(p)
 
     for box in spec.boxes:
         for axis, p0, p1 in _box_edges(box):
-            lid = len(lines)
-            lines.append(LineLandmark(lid, np.array([p0, p1])))
-            groups.setdefault(axis, []).append(lid)
+            groups.setdefault(axis, []).append(len(lines))
+            lines.append((p0, p1))
 
     for box in spec.boxes:
         lo, hi = box.min, box.max
@@ -315,12 +305,13 @@ def build_scene(spec: SceneSpec) -> Scene:
                     p1[dir_axis] = mid + half
                     n = np.cross(p0, p1)
                     if np.linalg.norm(n) > 1e-9 * np.linalg.norm(p1 - p0):
-                        lid = len(lines)
-                        lines.append(LineLandmark(lid, np.array([p0, p1])))
-                        groups.setdefault(dir_axis, []).append(lid)
+                        groups.setdefault(dir_axis, []).append(len(lines))
+                        lines.append((p0, p1))
                         break
 
-    return Scene(spec.boxes, points, lines, groups, seed=spec.seed)
+    xyz = np.concatenate(points)
+    return Scene(spec.boxes, Points(np.arange(len(xyz)), xyz),
+                 Segments(np.arange(len(lines)), np.array(lines)), groups, seed=spec.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -575,13 +566,13 @@ def render_frame(
     """
     R = pose.rotation()
     cam_center = pose.center()
-    point_ids, line_ids = scene.point_ids, scene.line_ids
+    points, lines = scene.points, scene.lines
     seen_points = seen_lines = np.empty(0, dtype=np.intp)
     u, z = np.empty((0, 2)), np.empty(0)
     pixels, depths = np.empty((0, 2, 2)), np.empty((0, 2))
 
-    if len(point_ids):
-        P_w = scene.point_positions
+    if len(points):
+        P_w = points.position
         P_c = P_w @ R.T + pose.t
         z = P_c[:, 2]
         ok = (z >= cfg.z_near) & (z <= cfg.z_far)
@@ -595,8 +586,8 @@ def render_frame(
             idx = np.nonzero(ok)[0]
             seen_points = idx[~occluded(cam_center, P_w[idx], scene.boxes)]
 
-    if len(line_ids):
-        E = scene.line_endpoints
+    if len(lines):
+        E = lines.endpoints
         A_c = _stacked_matvec(R, E[:, 0]) + pose.t
         B_c = _stacked_matvec(R, E[:, 1]) + pose.t
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -608,9 +599,9 @@ def render_frame(
             occ = occluded(cam_center, ends_w, scene.boxes)
             seen_lines = idx[~occ.reshape(-1, 2).any(axis=1)]
 
-    p = seen_points[np.argsort(point_ids[seen_points], kind="stable")]
-    q = seen_lines[np.argsort(line_ids[seen_lines], kind="stable")]
-    return FrameData(frame_id, point_ids[p], u[p], z[p], line_ids[q], pixels[q], depths[q])
+    # the records' rows, and so the seen rows, are in ascending landmark id
+    p, q = seen_points, seen_lines
+    return FrameData(frame_id, points.id[p], u[p], z[p], lines.id[q], pixels[q], depths[q])
 
 
 # ---------------------------------------------------------------------------
@@ -787,25 +778,26 @@ class GenerationReport:
 @dataclass(eq=False)
 class Sequence:
     """A generated benchmark sequence: calibration, ground truth and
-    per-frame measurements. ``report`` is generation metadata and is not
-    serialized."""
+    per-frame measurements. The ground-truth landmarks are the records
+    ``gt_points`` (``Points``) and ``gt_lines`` (``Segments``), which
+    ``generate_sequence`` shares with its scene. ``report`` is generation
+    metadata and is not serialized."""
 
     intrinsics: CameraIntrinsics
     gt_trajectory: list[Pose]
     frames: list[FrameData]
-    gt_points: dict[int, PointLandmark]
-    gt_lines: dict[int, LineLandmark]
+    gt_points: Points
+    gt_lines: Segments
     parallel_groups: dict[int, list[int]]
     report: GenerationReport | None = None
 
     def validate(self, min_line_len: float = 0.0) -> None:
         """Check every frame against the calibration and the landmark
-        tables (each error names the frame), and the parallel groups."""
+        records (each error names the frame), and the parallel groups."""
         if len(self.frames) != len(self.gt_trajectory):
             raise ValueError("frame count does not match trajectory length")
         self.check_frame_ids()
-        known_points = np.array(list(self.gt_points), dtype=np.int64)
-        known_lines = np.array(list(self.gt_lines), dtype=np.int64)
+        known_points, known_lines = self.gt_points.id, self.gt_lines.id
         for f in self.frames:
             pid, lid, ends = f.point_ids, f.line_ids, f.line_pixels
             for faults in (
@@ -832,11 +824,12 @@ class Sequence:
         """Every parallel group names known lines of one direction, each
         with a direction that can be normalized."""
         for gid, ids in self.parallel_groups.items():
-            for lid in ids:
-                if lid not in self.gt_lines:
-                    raise ValueError(f"dangling line id {lid} in parallel group {gid}")
+            rows, found = self.gt_lines.find(ids)
+            if not found.all():
+                raise ValueError(f"dangling line id {ids[int(np.argmin(found))]} "
+                                 f"in parallel group {gid}")
             with np.errstate(over="ignore", invalid="ignore"):
-                ends = np.array([self.gt_lines[lid].endpoints for lid in ids])
+                ends = self.gt_lines.endpoints[rows]
                 d = ends[:, 1] - ends[:, 0]
                 bad = ~normalizable(d)
                 if bad.any():
@@ -913,8 +906,8 @@ def generate_sequence(
         intrinsics=intr,
         gt_trajectory=list(trajectory),
         frames=frames,
-        gt_points={p.id: p for p in scene.points},
-        gt_lines={l.id: l for l in scene.lines},
+        gt_points=scene.points,
+        gt_lines=scene.lines,
         parallel_groups={g: list(ids) for g, ids in scene.parallel_groups.items()},
         report=report,
     )

@@ -11,14 +11,16 @@ the factor graph.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .factor_graph import _pose_jacobian, _project_points
 from .geometry import (
     CameraIntrinsics,
+    Points,
     Pose,
+    Segments,
     backproject,
     line_angles,
     matrix_to_quat,
@@ -485,19 +487,22 @@ def _solve_batch(problems, intr, iterations, first) -> list[PnPResult]:
 # sparse map
 
 
-@dataclass
-class MapPoint:
-    id: int
-    position: np.ndarray
-    count: int = 1  # fused samples in the running mean
+@dataclass(frozen=True)
+class MapPoints(Points):
+    """Fused point landmarks: ``Points`` with the number of samples
+    ``count`` (N,) int64 in each running mean."""
+
+    count: np.ndarray
+    _COLUMNS = Points._COLUMNS + (("count", np.int64, ()),)
 
 
-@dataclass
-class MapLine:
-    id: int
-    endpoints: np.ndarray  # (2, 3)
-    samples: list = field(default_factory=list)  # accumulated endpoint pairs
-    count: int = 1
+@dataclass(frozen=True)
+class MapSegments(Segments):
+    """Fused line landmarks: ``Segments`` with the number of segments
+    ``count`` (L,) int64 each line was fit through."""
+
+    count: np.ndarray
+    _COLUMNS = Segments._COLUMNS + (("count", np.int64, ()),)
 
 
 class SparseMap:
@@ -510,17 +515,17 @@ class SparseMap:
     the depth-noise model (about 3 sigma of the disparity noise at working
     depths): narrower gates starve the running means and the map never
     averages its noise away.
+
+    The map is two frozen, id-sorted records, ``points`` (``MapPoints``)
+    and ``lines`` (``MapSegments``), which each fusion replaces, and
+    ``line_samples``: per line id, the list of endpoint pairs (2, 3) its
+    line was fit through, oldest first.
     """
 
     def __init__(self):
-        self.points: dict[int, MapPoint] = {}
-        self.lines: dict[int, MapLine] = {}
-
-    def point_positions(self) -> dict[int, np.ndarray]:
-        return {i: p.position for i, p in self.points.items()}
-
-    def line_endpoints(self) -> dict[int, np.ndarray]:
-        return {i: l.endpoints for i, l in self.lines.items()}
+        self.points = MapPoints([], [], [])
+        self.lines = MapSegments([], [], [])
+        self.line_samples: dict[int, list[np.ndarray]] = {}
 
     # -- fusion ------------------------------------------------------------
 
@@ -537,26 +542,19 @@ class SparseMap:
         distinct: a landmark is observed at most once per frame.
         """
         positions = np.asarray(positions, dtype=float).reshape(-1, 3)
-        ids = list(landmark_ids)
-        if len(ids) != len(positions):
-            raise ValueError("positions and landmark ids differ in length")
-        if len(set(ids)) != len(ids):
-            raise ValueError("landmark ids repeat within one batch")
-        known = [i for i, lid in enumerate(ids) if lid in self.points]
-        new = [i for i, lid in enumerate(ids) if lid not in self.points]
-        if known:
-            mps = [self.points[ids[i]] for i in known]
-            old = np.array([mp.position for mp in mps])
-            diff = positions[known] - old
-            inside = row_norms(diff) <= radius_thresh
-            counts = np.array([mp.count for mp in mps])
-            merged = old + diff / (counts + 1)[:, None]
-            for mp, ok, position in zip(mps, inside, merged):
-                if ok:
-                    mp.position = position
-                    mp.count += 1
-        for i in new:
-            self.points[ids[i]] = MapPoint(ids[i], positions[i].copy())
+        ids = _batch_ids(landmark_ids, len(positions), "positions")
+        rows, known = self.points.find(ids)
+        rows = rows[known]
+        position, count = self.points.position.copy(), self.points.count.copy()
+        diff = positions[known] - position[rows]
+        inside = row_norms(diff) <= radius_thresh
+        merged = position[rows] + diff / (count[rows] + 1)[:, None]
+        position[rows[inside]] = merged[inside]
+        count[rows[inside]] += 1
+        new = ~known
+        self.points = MapPoints(np.concatenate([self.points.id, ids[new]]),
+                                np.concatenate([position, positions[new]]),
+                                np.concatenate([count, np.ones_like(ids[new])]))
 
     def fuse_line(self, endpoints, landmark_id: int, **gates) -> int:
         """``fuse_lines`` of one segment; returns its landmark id."""
@@ -581,30 +579,38 @@ class SparseMap:
         ids must be distinct: a landmark is observed at most once per frame.
         """
         endpoints = np.asarray(endpoints, dtype=float).reshape(-1, 2, 3)
-        ids = list(landmark_ids)
-        if len(ids) != len(endpoints):
-            raise ValueError("endpoints and landmark ids differ in length")
-        if len(set(ids)) != len(ids):
-            raise ValueError("landmark ids repeat within one batch")
-        known = [i for i, lid in enumerate(ids) if lid in self.lines]
-        new = [i for i, lid in enumerate(ids) if lid not in self.lines]
-        if known:
-            mls = [self.lines[ids[i]] for i in known]
-            stored = np.array([ml.endpoints for ml in mls])
-            inside = _line_gates(stored, endpoints[known], angle_thresh_deg, dist_thresh)
-            groups: dict[int, list[MapLine]] = {}  # merged lines by sample count
-            for ml, ok, i in zip(mls, inside, known):
-                if ok:
-                    ml.samples.append(endpoints[i].copy())
-                    ml.count += 1
-                    groups.setdefault(len(ml.samples), []).append(ml)
-            for count, group in groups.items():
-                samples = np.array([ml.samples for ml in group]).reshape(len(group), 2 * count, 3)
-                for ml, ends in zip(group, _refit_lines(samples)):
-                    ml.endpoints = ends
-        for i in new:
-            self.lines[ids[i]] = MapLine(ids[i], endpoints[i].copy(),
-                                         samples=[endpoints[i].copy()])
+        ids = _batch_ids(landmark_ids, len(endpoints), "endpoints")
+        rows, known = self.lines.find(ids)
+        ends, count = self.lines.endpoints.copy(), self.lines.count.copy()
+        inside = _line_gates(ends[rows[known]], endpoints[known], angle_thresh_deg, dist_thresh)
+        merged = known.copy()
+        merged[known] = inside
+        count[rows[merged]] += 1
+        groups: dict[int, list[int]] = {}  # rows of the merged lines by sample count
+        for row, lid, sample in zip(rows[merged].tolist(), ids[merged].tolist(), endpoints[merged]):
+            samples = self.line_samples[lid]
+            samples.append(sample)
+            groups.setdefault(len(samples), []).append(row)
+        for n, group in groups.items():
+            samples = [self.line_samples[lid] for lid in self.lines.id[group].tolist()]
+            ends[group] = _refit_lines(np.array(samples).reshape(len(group), 2 * n, 3))
+        new = ~known
+        for lid, sample in zip(ids[new].tolist(), endpoints[new]):
+            self.line_samples[lid] = [sample]
+        self.lines = MapSegments(np.concatenate([self.lines.id, ids[new]]),
+                                 np.concatenate([ends, endpoints[new]]),
+                                 np.concatenate([count, np.ones_like(ids[new])]))
+
+
+def _batch_ids(landmark_ids, n: int, what: str) -> np.ndarray:
+    """The n landmark ids of one fusion batch as int64; they must be
+    distinct."""
+    ids = np.asarray(landmark_ids, dtype=np.int64).reshape(-1)
+    if len(ids) != n:
+        raise ValueError(f"{what} and landmark ids differ in length")
+    if len(np.unique(ids)) != n:
+        raise ValueError("landmark ids repeat within one batch")
+    return ids
 
 
 def _line_gates(stored, candidates, angle_thresh_deg, dist_thresh) -> np.ndarray:
@@ -714,24 +720,25 @@ def track_map_to_frame(seq: Sequence) -> tuple[list[Pose], SparseMap]:
     sparse_map = SparseMap()
     traj: list[Pose] = []
     for j, frame in enumerate(seq.frames):
-        ids, u = frame.point_ids.tolist(), frame.point_pixels
+        u = frame.point_pixels
         if j == 0:
             T = seq.gt_trajectory[0]
         else:
-            known = [i for i, lid in enumerate(ids) if lid in sparse_map.points]
-            if len(known) < 4:
-                raise TrackingLostError(j, f"only {len(known)} mapped landmarks visible")
-            P_w = np.array([sparse_map.points[ids[i]].position for i in known])
-            T = _solve_frame(j, P_w, u[known], intr, initial=traj[j - 1]).pose
+            rows, known = sparse_map.points.find(frame.point_ids)
+            if known.sum() < 4:
+                raise TrackingLostError(j, f"only {known.sum()} mapped landmarks visible")
+            T = _solve_frame(j, sparse_map.points.position[rows[known]], u[known], intr,
+                             initial=traj[j - 1]).pose
         traj.append(T)
 
         # fuse the frame: every point and every line endpoint back-projected
         # and moved to the world in one batch each
         T_inv = T.inverse()
         P_c = backproject(u, frame.point_depths, intr)
-        sparse_map.fuse_points(_transform_blocks(T_inv, P_c[:, None, :])[:, 0, :], ids)
+        sparse_map.fuse_points(_transform_blocks(T_inv, P_c[:, None, :])[:, 0, :],
+                               frame.point_ids)
         ends_c = backproject(frame.line_pixels.reshape(-1, 2), frame.line_depths.reshape(-1),
                              intr).reshape(-1, 2, 3)
-        sparse_map.fuse_lines(_transform_blocks(T_inv, ends_c), frame.line_ids.tolist())
+        sparse_map.fuse_lines(_transform_blocks(T_inv, ends_c), frame.line_ids)
 
     return traj, sparse_map

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import re
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,10 +30,10 @@ from plbench.factor_graph import (
 )
 from plbench.geometry import (
     CameraIntrinsics,
-    LineLandmark,
     LineMeasurement,
     PointMeasurement,
     Pose,
+    Segments,
     so3_exp,
 )
 from plbench.simulator import (
@@ -62,12 +63,10 @@ def assert_sequences_identical(a: Sequence, b: Sequence):
     assert len(a.gt_trajectory) == len(b.gt_trajectory)
     for Ta, Tb in zip(a.gt_trajectory, b.gt_trajectory):
         assert np.array_equal(Ta.q, Tb.q) and np.array_equal(Ta.t, Tb.t)
-    assert a.gt_points.keys() == b.gt_points.keys()
-    for pid in a.gt_points:
-        assert np.array_equal(a.gt_points[pid].position, b.gt_points[pid].position)
-    assert a.gt_lines.keys() == b.gt_lines.keys()
-    for lid in a.gt_lines:
-        assert np.array_equal(a.gt_lines[lid].endpoints, b.gt_lines[lid].endpoints)
+    assert np.array_equal(a.gt_points.id, b.gt_points.id)
+    assert np.array_equal(a.gt_points.position, b.gt_points.position)
+    assert np.array_equal(a.gt_lines.id, b.gt_lines.id)
+    assert np.array_equal(a.gt_lines.endpoints, b.gt_lines.endpoints)
     assert a.parallel_groups == b.parallel_groups
     assert len(a.frames) == len(b.frames)
     for fa, fb in zip(a.frames, b.frames):
@@ -180,6 +179,17 @@ def test_parallel_group_of_two_directions_is_rejected(small_sequence, tmp_path):
         seq.validate()
     write_sequence(seq, tmp_path / "seq")
     with pytest.raises(ParseError, match="parallel group 0 members disagree in direction"):
+        read_sequence(tmp_path / "seq")
+
+
+def test_parallel_group_with_dangling_line_is_rejected(small_sequence, tmp_path):
+    # neither 9001 nor 9000 is a line id; the error names the first of them
+    lid = int(small_sequence.gt_lines.id[0])
+    seq = dataclasses.replace(small_sequence, parallel_groups={0: [lid, 9001, 9000]})
+    with pytest.raises(ValueError, match="^dangling line id 9001 in parallel group 0$"):
+        seq.validate()
+    write_sequence(seq, tmp_path / "seq")
+    with pytest.raises(ParseError, match="parallel_groups.txt:2: dangling line id 9001$"):
         read_sequence(tmp_path / "seq")
 
 
@@ -478,7 +488,9 @@ def test_parallel_group_member_without_finite_direction_is_rejected(small_sequen
     # by 1e-200 (the norm underflows to zero)
     ends = {9001: [[0.0, 0.0, 2.0], [1.0, 0.0, 2.0]], 9002: [[0.0, 0.0, 2.0], [1e200, 0.0, 2.0]],
             9003: [[0.0, 0.0, 2.0], [0.0, 1.0, 2.0]], 9004: [[0.0, 0.0, 2.0], [1e-200, 0.0, 2.0]]}
-    gt_lines = {**small_sequence.gt_lines, **{i: LineLandmark(i, e) for i, e in ends.items()}}
+    lines = small_sequence.gt_lines
+    gt_lines = Segments(np.concatenate([lines.id, list(ends)]),
+                        np.concatenate([lines.endpoints, list(ends.values())]))
     seq = dataclasses.replace(small_sequence, gt_lines=gt_lines, parallel_groups={0: group})
     with pytest.raises(ValueError, match=f"^line {bad} in parallel group 0 has no finite direction$"):
         seq.validate()
@@ -525,19 +537,8 @@ def test_graph_file_matches_golden_and_rewrites_byte_identical(preset, tmp_path)
 
 
 def test_graph_roundtrip_from_pipeline(small_sequence, tmp_path):
-    class GtMap:
-        def __init__(self, seq):
-            self.seq = seq
-
-        def point_positions(self):
-            return {p.id: p.position for p in self.seq.gt_points.values()}
-
-        def line_endpoints(self):
-            return {l.id: l.endpoints for l in self.seq.gt_lines.values()}
-
-    g = build_covisibility_graph(
-        small_sequence, small_sequence.gt_trajectory, GtMap(small_sequence)
-    )
+    gt_map = SimpleNamespace(points=small_sequence.gt_points, lines=small_sequence.gt_lines)
+    g = build_covisibility_graph(small_sequence, small_sequence.gt_trajectory, gt_map)
     write_graph(g, tmp_path / "g.txt")
     back = read_graph(tmp_path / "g.txt", small_sequence.intrinsics)
     assert np.array_equal(back.poses.id, g.poses.id)
@@ -559,8 +560,8 @@ def frame_sequence(frames):
         intrinsics=K,
         gt_trajectory=[Pose.identity()] * len(frames),
         frames=frames,
-        gt_points={},
-        gt_lines={},
+        gt_points=Points([], []),
+        gt_lines=Segments([], []),
         parallel_groups={},
     )
 
@@ -755,22 +756,17 @@ def test_fuzz_readers_never_crash(small_sequence, tmp_path, monkeypatch):
                          f.line_ids[l], f.line_pixels[l], f.line_depths[l])
 
     groups = {g: [i for i in ids if i in lines] for g, ids in small_sequence.parallel_groups.items()}
+    gt_points, gt_lines = small_sequence.gt_points, small_sequence.gt_lines
     seq = dataclasses.replace(
         small_sequence, gt_trajectory=small_sequence.gt_trajectory[:2],
         frames=[cut(f) for f in small_sequence.frames[:2]],
-        gt_points={i: small_sequence.gt_points[i] for i in points.tolist()},
-        gt_lines={i: small_sequence.gt_lines[i] for i in lines.tolist()},
+        gt_points=Points(points, gt_points.position[gt_points.find(points)[0]]),
+        gt_lines=Segments(lines, gt_lines.endpoints[gt_lines.find(lines)[0]]),
         parallel_groups={g: ids for g, ids in groups.items() if ids})
     write_sequence(seq, tmp_path / "seq")
 
-    class GtMap:
-        def point_positions(self):
-            return {p.id: p.position for p in seq.gt_points.values()}
-
-        def line_endpoints(self):
-            return {l.id: l.endpoints for l in seq.gt_lines.values()}
-
-    g = build_covisibility_graph(seq, seq.gt_trajectory, GtMap())
+    g = build_covisibility_graph(seq, seq.gt_trajectory,
+                                 SimpleNamespace(points=seq.gt_points, lines=seq.gt_lines))
     write_graph(g, tmp_path / "seq" / "graph.txt")
 
     targets = [

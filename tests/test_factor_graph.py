@@ -1,4 +1,5 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from plbench.geometry import (
     CameraIntrinsics,
     GeometryError,
     Pose,
+    Segments,
     orthonormal_from_plucker,
     orthonormal_update,
     plucker_from_endpoints,
@@ -369,16 +371,12 @@ def test_line_jacobian_null_space_probe():
 # graph construction
 
 
-class ToyMap:
-    def __init__(self, points=None, lines=None):
-        self._points = points or {}
-        self._lines = lines or {}
+NO_LINES = Segments([], [])
 
-    def point_positions(self):
-        return self._points
 
-    def line_endpoints(self):
-        return self._lines
+def toy_map(ids, positions):
+    """An initial map of the given point landmarks and no lines."""
+    return SimpleNamespace(points=Points(ids, positions), lines=NO_LINES)
 
 
 def pack(frame_id, points):
@@ -390,7 +388,7 @@ def pack(frame_id, points):
 
 
 def toy_sequence(n_frames=2):
-    from plbench.geometry import PointLandmark, PointMeasurement
+    from plbench.geometry import PointMeasurement
     from plbench.simulator import Sequence
 
     P = np.array([0.2, -0.1, 3.0])
@@ -406,17 +404,15 @@ def toy_sequence(n_frames=2):
         intrinsics=K,
         gt_trajectory=traj,
         frames=frames,
-        gt_points={0: PointLandmark(0, P)},
-        gt_lines={},
+        gt_points=Points([0], [P]),
+        gt_lines=NO_LINES,
         parallel_groups={},
     )
 
 
 def test_build_graph_minimal_counts():
     seq = toy_sequence(2)
-    graph = build_covisibility_graph(
-        seq, seq.gt_trajectory, ToyMap(points={0: np.array([0.2, -0.1, 3.0])})
-    )
+    graph = build_covisibility_graph(seq, seq.gt_trajectory, toy_map([0], [[0.2, -0.1, 3.0]]))
     assert len(graph.poses) == 2
     assert graph.fixed.tolist() == [0]
     assert len(graph.points) == 1
@@ -425,16 +421,16 @@ def test_build_graph_minimal_counts():
 
 
 def test_build_graph_excludes_single_observation_landmarks():
-    from plbench.geometry import PointLandmark, PointMeasurement
+    from plbench.geometry import PointMeasurement
 
     seq = toy_sequence(2)
     # landmark 1 appears only in frame 0
     P1 = np.array([0.5, 0.4, 4.0])
-    seq.gt_points[1] = PointLandmark(1, P1)
+    seq.gt_points = Points([*seq.gt_points.id, 1], [*seq.gt_points.position, P1])
     u = np.array([K.fx * P1[0] / P1[2] + K.cx, K.fy * P1[1] / P1[2] + K.cy])
     seq.frames[0] = pack(0, seq.frames[0].points + [PointMeasurement(1, u, float(P1[2]))])
     graph = build_covisibility_graph(
-        seq, seq.gt_trajectory, ToyMap(points={0: np.array([0.2, -0.1, 3.0]), 1: P1})
+        seq, seq.gt_trajectory, toy_map([0, 1], [[0.2, -0.1, 3.0], P1])
     )
     assert graph.points.id.tolist() == [0]
     assert len(graph.point_factors) == 2
@@ -442,15 +438,28 @@ def test_build_graph_excludes_single_observation_landmarks():
 
 def test_build_graph_missing_map_entry_raises():
     seq = toy_sequence(2)
-    with pytest.raises(GraphConstructionError):
-        build_covisibility_graph(seq, seq.gt_trajectory, ToyMap(points={}))
+    with pytest.raises(GraphConstructionError,
+                       match="^point 0 observed but missing from the map$"):
+        build_covisibility_graph(seq, seq.gt_trajectory, toy_map([], []))
+    # a line two frames observe, left out of an otherwise complete map
+    cfg = load_preset("box")
+    scene = build_scene(cfg.scene)
+    traj = build_trajectory(cfg.trajectory)[:3]
+    seq = generate_sequence(scene, traj, cfg.noise, cfg.intrinsics, cfg.render)
+    ids, counts = np.unique(np.concatenate([f.line_ids for f in seq.frames]), return_counts=True)
+    lid = ids[counts >= 2][0]
+    keep = scene.lines.id != lid
+    initial = SimpleNamespace(points=scene.points,
+                              lines=Segments(scene.lines.id[keep], scene.lines.endpoints[keep]))
+    with pytest.raises(GraphConstructionError,
+                       match=f"^line {lid} observed but missing from the map$"):
+        build_covisibility_graph(seq, traj, initial)
 
 
 def test_build_graph_trajectory_length_mismatch():
     seq = toy_sequence(3)
     with pytest.raises(GraphConstructionError):
-        build_covisibility_graph(seq, seq.gt_trajectory[:2],
-                                 ToyMap(points={0: np.array([0.2, -0.1, 3.0])}))
+        build_covisibility_graph(seq, seq.gt_trajectory[:2], toy_map([0], [[0.2, -0.1, 3.0]]))
 
 
 def preset_graph(preset, frames, noise=None):
@@ -461,17 +470,13 @@ def preset_graph(preset, frames, noise=None):
     traj = build_trajectory(cfg.trajectory)[:frames]
     noise = cfg.noise if noise is None else noise
     seq = generate_sequence(scene, traj, noise, cfg.intrinsics, cfg.render)
-    gt_map = ToyMap(
-        points={p.id: p.position for p in scene.points},
-        lines={l.id: l.endpoints for l in scene.lines},
-    )
-    return build_covisibility_graph(seq, traj, gt_map, cfg.noise.sigma_s)
+    return build_covisibility_graph(seq, traj, scene, cfg.noise.sigma_s)
 
 
 def residuals(g: FactorGraph):
     """Every factor's residual through the single-factor operations."""
     poses = {i: Pose(q, t) for i, t, q in zip(g.poses.id.tolist(), g.poses.t, g.poses.q)}
-    points = dict(zip(g.points.id.tolist(), g.points.xyz))
+    points = dict(zip(g.points.id.tolist(), g.points.position))
     lines = {i: (n, d) for i, n, d in zip(g.lines.id.tolist(), g.lines.n, g.lines.d)}
     out = []
     pf, lf = g.point_factors, g.line_factors
@@ -527,7 +532,7 @@ def test_total_cost_adds_zero_for_point_behind_its_camera():
     assert expected > 0.0
     behind = np.array([300.0, 200.0])  # landmark 1 is at z = -2 in camera 1
     with pytest.raises(GeometryError):
-        point_residual(behind, graph.points.xyz[1], T1, K)
+        point_residual(behind, graph.points.position[1], T1, K)
     pf = graph.point_factors
     graph = dataclasses.replace(graph, point_factors=Factors(
         [*pf.frame, 1], [*pf.landmark, 1], [*pf.u, behind], [*pf.weight, 0.5]))
@@ -550,7 +555,7 @@ def test_graph_gauge_invariance():
         poses=poses_of(graph.poses.id,
                        [Pose(q, t).compose(G) for t, q in zip(graph.poses.t, graph.poses.q)]),
         fixed=graph.fixed,
-        points=Points(graph.points.id, Ginv.transform(graph.points.xyz)),
+        points=Points(graph.points.id, Ginv.transform(graph.points.position)),
         lines=Lines(graph.lines.id, n_c, d_c),
         point_factors=graph.point_factors,
         line_factors=graph.line_factors,
@@ -572,7 +577,7 @@ def test_line_vertex_rejects_plucker_violation():
 def test_vertex_records_sort_by_id_and_reject_repeats():
     points = Points([7, 2, 5], [[7.0, 0.0, 0.0], [2.0, 0.0, 0.0], [5.0, 0.0, 0.0]])
     assert points.id.dtype == np.int64 and points.id.tolist() == [2, 5, 7]
-    assert points.xyz[:, 0].tolist() == [2.0, 5.0, 7.0]
+    assert points.position[:, 0].tolist() == [2.0, 5.0, 7.0]
     with pytest.raises(GraphConstructionError, match="duplicate line id 3"):
         Lines([3, 1, 3], np.ones((3, 3)), np.ones((3, 3)))
     with pytest.raises(GraphConstructionError, match="pose vertex columns differ in length"):
@@ -656,11 +661,7 @@ def test_build_graph_columns_equal_reference_loop(preset):
     scene = build_scene(cfg.scene)
     traj = build_trajectory(cfg.trajectory)
     seq = generate_sequence(scene, traj, cfg.noise, cfg.intrinsics, cfg.render)
-    gt_map = ToyMap(
-        points={p.id: p.position for p in scene.points},
-        lines={l.id: l.endpoints for l in scene.lines},
-    )
-    graph = build_covisibility_graph(seq, traj, gt_map, cfg.noise.sigma_s)
+    graph = build_covisibility_graph(seq, traj, scene, cfg.noise.sigma_s)
     weight = 1.0 / (cfg.noise.sigma_s * cfg.noise.sigma_s)
     (points, point_rows), (lines, line_rows) = reference_factors(seq, weight)
     assert graph.points.id.tolist() == points and graph.lines.id.tolist() == lines

@@ -8,10 +8,11 @@ from plbench.geometry import (
     CameraIntrinsics,
     DegenerateLineError,
     GeometryError,
-    LineLandmark,
     LineMeasurement,
     PointMeasurement,
+    Points,
     Pose,
+    Segments,
     backproject,
     line_angles,
     matrix_to_quat,
@@ -563,11 +564,56 @@ def test_line_measurement_rejects_coincident_endpoints():
 
 
 def test_line_landmark_plucker_consistency():
-    lm = LineLandmark(0, np.array([[1.0, 0, 0], [1.0, 1, 0]]))
-    n, d = plucker_from_endpoints(*lm.endpoints)
+    lines = Segments([0], [[[1.0, 0, 0], [1.0, 1, 0]]])
+    n, d = plucker_from_endpoints(*lines.endpoints[0])
     np.testing.assert_allclose(n, [0, 0, 1])
     np.testing.assert_allclose(d, [0, 1, 0])
     assert abs(n @ d) <= 1e-10
+
+
+SEGMENT_ROW = [[0.0, 0.0, 1.0], [1.0, 0.0, 1.0]]
+
+
+@pytest.mark.parametrize(
+    "record, ids, rows, error, match",
+    [
+        pytest.param(Points, [3, 1, 3], [[0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [2.0, 0.0, 1.0]],
+                     GeometryError, "^duplicate point id 3$", id="point-repeated-id"),
+        pytest.param(Points, [0, 1], [[0.0, 0.0, 1.0], [np.nan, 0.0, 1.0]],
+                     GeometryError, "^point position must be finite$", id="point-nan"),
+        pytest.param(Points, [0], [[0.0, np.inf, 1.0]],
+                     GeometryError, "^point position must be finite$", id="point-inf"),
+        pytest.param(Segments, [4, 4], [SEGMENT_ROW, SEGMENT_ROW],
+                     GeometryError, "^duplicate line id 4$", id="segment-repeated-id"),
+        pytest.param(Segments, [0, 1], [SEGMENT_ROW, [[0.0, 0.0, 1.0], [-np.inf, 0.0, 1.0]]],
+                     GeometryError, "^line endpoints must be finite$", id="segment-inf"),
+        pytest.param(Segments, [0, 1], [SEGMENT_ROW, [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]]],
+                     DegenerateLineError, "^line endpoints coincide$", id="segment-coincident"),
+    ],
+)
+def test_landmark_records_refuse_bad_rows(record, ids, rows, error, match):
+    with pytest.raises(error, match=match):
+        record(ids, rows)
+
+
+def test_landmark_record_is_id_sorted_read_only_mapping():
+    lines = Segments([7, 2], [SEGMENT_ROW, np.add(SEGMENT_ROW, 1.0)])
+    assert lines.id.tolist() == [2, 7]
+    assert lines.endpoints.tobytes() == np.array([np.add(SEGMENT_ROW, 1.0), SEGMENT_ROW]).tobytes()
+    for column in (lines.id, lines.endpoints):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 0
+    # the mapping view: ids in ascending order, one namespace per row
+    assert list(lines) == [2, 7] and len(lines) == 2
+    row = lines[7]
+    assert row.id == 7 and type(row.id) is int
+    assert row.endpoints.tolist() == SEGMENT_ROW
+    assert 2 in lines and 3 not in lines and 8 not in lines
+    with pytest.raises(KeyError):
+        lines[3]
+    rows, found = lines.find([7, 3, 2, 9])
+    assert found.tolist() == [True, False, True, False]
+    assert rows[found].tolist() == [1, 0]
 
 
 def test_line_angle_exact_at_zero():

@@ -9,11 +9,11 @@ from plbench.dataset_io import write_sequence
 from plbench.geometry import (
     CameraIntrinsics,
     GeometryError,
-    LineLandmark,
     LineMeasurement,
-    PointLandmark,
     PointMeasurement,
+    Points,
     Pose,
+    Segments,
 )
 from plbench.simulator import (
     Box,
@@ -59,26 +59,24 @@ def test_points_lie_exactly_on_faces():
     scene = build_scene(unit_cube_spec(points_per_face=20.0))
     box = scene.boxes[0]
     assert len(scene.points) > 0
-    for p in scene.points:
+    for p in scene.points.position:
         # exactly one coordinate sits bit-exactly on a face plane, the
         # others stay inside the box
         on_face = [
-            p.position[k] == box.min[k] or p.position[k] == box.max[k] for k in range(3)
+            p[k] == box.min[k] or p[k] == box.max[k] for k in range(3)
         ]
         assert any(on_face)
-        assert np.all(p.position >= box.min) and np.all(p.position <= box.max)
+        assert np.all(p >= box.min) and np.all(p <= box.max)
 
 
 def test_same_seed_reproduces_landmark_tables():
     a = build_scene(unit_cube_spec(points_per_face=15.0, lines_per_face=3))
     b = build_scene(unit_cube_spec(points_per_face=15.0, lines_per_face=3))
     assert len(a.points) == len(b.points)
-    for pa, pb in zip(a.points, b.points):
-        assert pa.id == pb.id
-        assert np.array_equal(pa.position, pb.position)
-    for la, lb in zip(a.lines, b.lines):
-        assert la.id == lb.id
-        assert np.array_equal(la.endpoints, lb.endpoints)
+    assert np.array_equal(a.points.id, b.points.id)
+    assert np.array_equal(a.points.position, b.points.position)
+    assert np.array_equal(a.lines.id, b.lines.id)
+    assert np.array_equal(a.lines.endpoints, b.lines.endpoints)
     assert a.parallel_groups == b.parallel_groups
 
 
@@ -87,7 +85,7 @@ def test_cube_edges_form_three_groups_of_four():
     assert len(scene.lines) == 12
     assert sorted(len(ids) for ids in scene.parallel_groups.values()) == [4, 4, 4]
     for gid, ids in scene.parallel_groups.items():
-        ends = np.array([scene.lines[i].endpoints for i in ids])
+        ends = scene.lines.endpoints[scene.lines.find(ids)[0]]
         dirs = [d / np.linalg.norm(d) for d in ends[:, 1] - ends[:, 0]]
         for d in dirs[1:]:
             assert np.array_equal(d, dirs[0])  # exact, by construction
@@ -171,8 +169,8 @@ def test_wave_respects_amplitude():
 def scene_with_points(points, boxes):
     return Scene(
         boxes=tuple(boxes),
-        points=[PointLandmark(i, p) for i, p in enumerate(points)],
-        lines=[],
+        points=Points(np.arange(len(points)), points),
+        lines=Segments([], []),
         parallel_groups={},
     )
 
@@ -180,8 +178,8 @@ def scene_with_points(points, boxes):
 def scene_with_lines(segments, boxes):
     return Scene(
         boxes=tuple(boxes),
-        points=[],
-        lines=[LineLandmark(i, np.array(seg, dtype=float)) for i, seg in enumerate(segments)],
+        points=Points([], []),
+        lines=Segments(np.arange(len(segments)), segments),
         parallel_groups={},
     )
 
@@ -291,8 +289,8 @@ def reference_render_lines(scene, pose, intr, cfg):
     d_e) per observed line."""
     R, out = pose.rotation(), []
     lo, hi = np.array([1e-6, 1e-6]), np.array([intr.width - 1e-6, intr.height - 1e-6])
-    for line in scene.lines:
-        A, B = R @ line.endpoints[0] + pose.t, R @ line.endpoints[1] + pose.t
+    for lid, (start, end) in zip(scene.lines.id.tolist(), scene.lines.endpoints):
+        A, B = R @ start + pose.t, R @ end + pose.t
         if A[2] < cfg.z_near and B[2] < cfg.z_near:
             continue
         if A[2] < cfg.z_near or B[2] < cfg.z_near:
@@ -318,7 +316,7 @@ def reference_render_lines(scene, pose, intr, cfg):
             continue
         if np.any(occluded(pose.center(), np.array([ends[0][2], ends[1][2]]), scene.boxes)):
             continue
-        out.append((line.id, ends[0][0], ends[0][1], ends[1][0], ends[1][1]))
+        out.append((lid, ends[0][0], ends[0][1], ends[1][0], ends[1][1]))
     return out
 
 
@@ -798,6 +796,37 @@ def corridor_with(line):
 def test_config_mistakes_raise_config_error(build, match):
     with pytest.raises(ConfigError, match=match):
         build()
+
+
+@pytest.mark.parametrize(
+    "build, error, match",
+    [
+        pytest.param(lambda box: build_scene(dataclasses.replace(box.scene, lines_per_face=2.5)),
+                     SceneError, "^lines_per_face must be an integer >= 0, got 2.5$",
+                     id="scene-float-lines"),
+        pytest.param(lambda box: build_scene(dataclasses.replace(box.scene, lines_per_face=True)),
+                     SceneError, "^lines_per_face must be an integer >= 0, got True$",
+                     id="scene-bool-lines"),
+        pytest.param(lambda box: build_scene(dataclasses.replace(box.scene, seed=1.5)),
+                     SceneError, "^seed must be an integer >= 0, got 1.5$", id="scene-float-seed"),
+        pytest.param(lambda box: build_trajectory(dataclasses.replace(box.trajectory,
+                                                                      frame_count=5.5)),
+                     ConfigError, "^frame_count must be an integer >= 2, got 5.5$",
+                     id="trajectory-float-frames"),
+        pytest.param(lambda box: build_trajectory(dataclasses.replace(box.trajectory,
+                                                                      frame_count=1)),
+                     ConfigError, "^frame_count must be an integer >= 2, got 1$",
+                     id="trajectory-one-frame"),
+        pytest.param(lambda box: dataclasses.replace(box.intrinsics, width=True, height=True),
+                     GeometryError, "^width must be an integer >= 1, got True$",
+                     id="camera-bool-size"),
+    ],
+)
+def test_spec_integer_fields_refuse_floats_and_bools(build, error, match):
+    # built directly, each spec refuses a float or a bool in an int field
+    # with its own error type, and the message starts with the field
+    with pytest.raises(error, match=match):
+        build(load_preset("box"))
 
 
 def test_required_keys_alone_give_each_specs_defaults():

@@ -844,7 +844,7 @@ def test_fuse_line_known_id_merges_and_refits_over_all_samples():
     assert m.fuse_line(SEGMENT + [0.5, 0.0, 0.0], landmark_id=4, **NARROW) == 4
     ml = m.lines[4]
     assert ml.count == 2
-    assert len(ml.samples) == 2
+    assert len(m.line_samples[4]) == 2
     # collinear samples: the refit spans the union of both segments
     ends = ml.endpoints[np.argsort(ml.endpoints[:, 0])]
     np.testing.assert_allclose(ends, [[0.0, 0.0, 2.0], [1.5, 0.0, 2.0]], atol=1e-12)
@@ -931,7 +931,8 @@ def test_fuse_lines_equals_sequential_fuse_line_bit_for_bit():
             got = batched.lines[lid]
             assert got.endpoints.tobytes() == ml.endpoints.tobytes()
             assert got.count == ml.count
-            assert [x.tobytes() for x in got.samples] == [x.tobytes() for x in ml.samples]
+            assert [x.tobytes() for x in batched.line_samples[lid]] == \
+                [x.tobytes() for x in sequential.line_samples[lid]]
     assert seen == {"inside", "angle", "distance", "new"}
     assert mixed_batches >= 2
 
