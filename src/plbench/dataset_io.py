@@ -47,7 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .factor_graph import FactorGraph, Factors, Lines, Poses, _plucker_violations
+from .factor_graph import FactorGraph, Factors, Lines, Poses, _factor_weight, _plucker_violations
 from .geometry import (
     CameraIntrinsics,
     GeometryError,
@@ -418,7 +418,9 @@ def read_sequence(directory, min_line_len: float = 15.0) -> Sequence:
                           (~normalizable(v[:, 3:] - v[:, :3]),
                            "line direction cannot be normalized")]),
     })
-    gt_points, gt_lines = Points(*landmarks["MP"]), Segments(*landmarks["ML"])
+    (point_ids, positions), (line_ids, endpoints) = landmarks["MP"], landmarks["ML"]
+    gt_points = Points(point_ids[:, 0], positions)
+    gt_lines = Segments(line_ids[:, 0], endpoints.reshape(-1, 2, 3))
 
     pg_path = directory / "parallel_groups.txt"
     parallel_groups: dict[int, list[int]] = {}
@@ -585,19 +587,21 @@ _GRAPH_RECORDS = {
 def read_graph(path, intrinsics: CameraIntrinsics, sigma_s: float = 1.0) -> FactorGraph:
     """Graph files carry no calibration and no factor weights; the caller
     supplies the calibration, and every factor gets the weight
-    1/sigma_s^2, whatever weights the written graph had."""
+    1/sigma_s^2, whatever weights the written graph had; ``sigma_s`` must
+    be finite and > 0."""
+    weight = _factor_weight(sigma_s)
     (columns,) = _read_records([path], _GRAPH_RECORDS)
-    weight = 1.0 / (sigma_s * sigma_s)
     pose_ids, pose = columns["VERTEX_POSE"]
+    point_ids, point = columns["VERTEX_POINT"]
     line_ids, line = columns["VERTEX_LINE"]
     point_edges, point_u = columns["EDGE_POINT"]
     line_edges, line_u = columns["EDGE_LINE"]
     graph = FactorGraph(
         intrinsics=intrinsics,
-        poses=Poses(pose_ids, pose[:, :3], pose_quat_batch(pose[:, 3:])),
+        poses=Poses(pose_ids[:, 0], pose[:, :3], pose_quat_batch(pose[:, 3:])),
         fixed=columns["FIX"][0][:, 0],
-        points=Points(*columns["VERTEX_POINT"]),
-        lines=Lines(line_ids, line[:, :3], line[:, 3:]),
+        points=Points(point_ids[:, 0], point),
+        lines=Lines(line_ids[:, 0], line[:, :3], line[:, 3:]),
         point_factors=Factors(*point_edges.T, point_u, np.full(len(point_u), weight)),
         line_factors=Factors(*line_edges.T, line_u.reshape(-1, 2, 2),
                              np.full(len(line_u), weight)),

@@ -12,7 +12,10 @@ int64 ``id``; ``fixed`` is the sorted array of gauge pose ids.
 one row per measurement: ``frame`` (F,) int64 pose ids, ``landmark`` (F,)
 int64 landmark ids, ``u`` the measured pixels, (F, 2) for points and
 (F, 2, 2) start/end endpoint pixels for lines, and ``weight`` (F,)
-1/sigma^2.
+1/sigma^2. Like the vertex columns, the factor columns are read-only
+copies cast by ``geometry._column``, and their pixels and weights are
+finite. ``fixed`` goes through the same cast, and a graph is built or
+read only with a ``sigma_s`` that is finite and > 0.
 
 Pose increments are left-multiplicative with delta = (rotation 3-vector,
 translation 3-vector). Line increments are the 4-DOF orthonormal update.
@@ -28,6 +31,7 @@ from .geometry import (
     GeometryError,
     Points,
     Pose,
+    _column,
     _Vertices,
     orthonormal_from_plucker,
     orthonormal_from_plucker_batch,
@@ -49,8 +53,11 @@ class GraphConstructionError(ValueError):
 
 @dataclass(frozen=True)
 class Factors:
-    """Factors of one kind as columns, one row per factor (see the module
-    docstring for the column layout)."""
+    """Factors of one kind as read-only columns, one row per factor (see
+    the module docstring for the column layout). Construction raises
+    GraphConstructionError for a column of the wrong type or row shape,
+    for columns of different lengths and for a non-finite pixel or
+    weight."""
 
     frame: np.ndarray
     landmark: np.ndarray
@@ -58,11 +65,16 @@ class Factors:
     weight: np.ndarray
 
     def __post_init__(self):
-        for name, dtype in (("frame", np.int64), ("landmark", np.int64),
-                            ("u", float), ("weight", float)):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        pixel = (2, 2) if np.ndim(self.u) == 3 else (2,)
+        for name, dtype, shape in (("frame", np.int64, ()), ("landmark", np.int64, ()),
+                                   ("u", float, pixel), ("weight", float, ())):
+            object.__setattr__(self, name, _column(getattr(self, name), dtype, (None, *shape),
+                                                   f"factor {name}", GraphConstructionError))
         if not len(self.frame) == len(self.landmark) == len(self.u) == len(self.weight):
             raise GraphConstructionError("factor columns differ in length")
+        for name in ("u", "weight"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise GraphConstructionError(f"factor {name} must be finite")
 
     def __len__(self) -> int:
         return len(self.frame)
@@ -110,7 +122,10 @@ class FactorGraph:
     line_factors: Factors = field(default_factory=lambda: Factors([], [], np.empty((0, 2, 2)), []))
 
     def __post_init__(self):
-        object.__setattr__(self, "fixed", np.unique(np.fromiter(self.fixed, np.int64)))
+        fixed = np.unique(_column(list(self.fixed), np.int64, (None,), "fixed",
+                                  GraphConstructionError, copy=False))
+        fixed.flags.writeable = False
+        object.__setattr__(self, "fixed", fixed)
 
     def check(self) -> None:
         if not len(self.fixed):
@@ -361,6 +376,14 @@ def line_residual(u_s, u_e, L, T: Pose, intr: CameraIntrinsics) -> np.ndarray:
 # construction
 
 
+def _factor_weight(sigma_s: float) -> float:
+    """The weight 1/sigma_s^2 of a factor with pixel noise ``sigma_s``,
+    which must be finite and > 0."""
+    if not 0 < sigma_s < np.inf:
+        raise GraphConstructionError(f"sigma_s must be finite and > 0, got {sigma_s}")
+    return 1.0 / (sigma_s * sigma_s)
+
+
 def build_covisibility_graph(
     seq: Sequence,
     trajectory: list[Pose],
@@ -381,7 +404,7 @@ def build_covisibility_graph(
         raise GraphConstructionError("trajectory length does not match frame count")
     if not seq.frames:
         raise GraphConstructionError("sequence has no frames")
-    weight = 1.0 / (sigma_s * sigma_s)
+    weight = _factor_weight(sigma_s)
     point_ids, point_factors = _covisible(seq.frames, "point_ids", "point_pixels", weight)
     line_ids, line_factors = _covisible(seq.frames, "line_ids", "line_pixels", weight)
 

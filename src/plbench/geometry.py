@@ -16,6 +16,14 @@ Landmarks are records of columns: ``Points`` (id, position) and
 id, from the scene through the sequence files and the fused map to the
 factor graph, whose vertex records share their base, ``_Vertices``.
 
+Every id and value column of a record (the landmark and vertex records,
+``simulator.FrameData``, ``factor_graph.Factors`` and the graph's gauge
+ids), and every array that a lookup or a map fusion takes, goes through
+one cast, ``_column``. It refuses a wrong row shape and a value that the
+column's dtype does not hold exactly, such as a float or a string as an
+id, with a ValueError that names the column. It truncates nothing, and
+reshapes only an empty column.
+
 Each rotation kernel (``skew``, ``so3_exp``, ``quat_to_matrix``,
 ``matrix_to_quat``) takes one item or a stack of them along leading axes,
 and one item's result equals its row of a stack bit for bit, so a caller
@@ -358,56 +366,37 @@ def se3_exp_update(T: Pose, delta) -> Pose:
 
 
 # ---------------------------------------------------------------------------
-# measurements
-
-
-@dataclass(frozen=True)
-class PointMeasurement:
-    """One observed point: pixel position (px) and depth (m).
-
-    Image-bounds checks need the calibration and are enforced by the
-    simulator and the sequence reader, not here.
-    """
-
-    landmark_id: int
-    u: np.ndarray
-    d: float
-
-    def __post_init__(self):
-        u = np.asarray(self.u, dtype=float).reshape(2).copy()
-        u.flags.writeable = False
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "d", float(self.d))
-        if not (math.isfinite(u[0]) and math.isfinite(u[1]) and math.isfinite(self.d)):
-            raise GeometryError("measurement must be finite")
-        if self.d <= 0:
-            raise GeometryError("nonpositive depth")
-
-
-@dataclass(frozen=True)
-class LineMeasurement:
-    """One observed segment: start/end endpoint records sharing the line id."""
-
-    landmark_id: int
-    start: PointMeasurement
-    end: PointMeasurement
-
-    def __post_init__(self):
-        if np.array_equal(self.start.u, self.end.u):
-            raise GeometryError("line measurement endpoints coincide")
-
-
-# ---------------------------------------------------------------------------
 # vertex records
+
+
+def _column(a, dtype, shape: tuple, name: str, error=ValueError, copy: bool = True) -> np.ndarray:
+    """``a`` as a ``dtype`` array of ``shape``, where a leading None takes
+    any length and an empty ``a`` any shape: a read-only copy, or with
+    ``copy=False`` a plain cast that may share ``a``'s memory. Raises
+    ``error``, naming the column ``name``, for a wrong shape or for values
+    that ``dtype`` does not hold exactly (a float or a string as an int)."""
+    a = np.asarray(a)
+    if a.size == 0:
+        a = a.reshape((0,) + shape[1:])
+    if (a.ndim != len(shape) or a.shape[1:] != shape[1:] or shape[0] not in (None, len(a))
+            or a.size and not np.can_cast(a.dtype, dtype)):
+        raise error(f"{name} must be {np.dtype(dtype)} of shape {shape}, "
+                    f"got {a.dtype} of shape {a.shape}".replace("None", "n"))
+    if not copy:
+        return a.astype(dtype, copy=False)
+    a = a.astype(dtype)
+    a.flags.writeable = False
+    return a
 
 
 class _Vertices(Mapping):
     """A frozen record of one kind of vertex: int64 ``id`` (N,) and the
     columns of ``_COLUMNS`` (name, dtype, row shape), one row per vertex,
-    sorted by id and read-only. Construction raises ``_error`` for a
-    repeated id, for columns of different lengths and for a non-finite
-    value, and ``DegenerateLineError`` for a row of ``endpoints`` whose two
-    endpoints coincide.
+    sorted by id and read-only. Every column goes through ``_column``.
+    Construction raises ``_error`` for a column of the wrong type or row
+    shape, for a repeated id, for columns of different lengths and for a
+    non-finite value, and ``DegenerateLineError`` for a row of
+    ``endpoints`` whose two endpoints coincide.
 
     The record is also a read-only mapping: iterating it gives the ids, and
     ``record[i]`` gives the row of id i as a namespace of its columns.
@@ -416,7 +405,7 @@ class _Vertices(Mapping):
     _error = GeometryError
 
     def __post_init__(self):
-        ids = np.asarray(self.id, dtype=np.int64).reshape(-1)
+        ids = _column(self.id, np.int64, (None,), f"{self.kind} id", self._error, copy=False)
         order = np.argsort(ids, kind="stable")
         ids = ids[order]
         repeats = ids[1:][ids[1:] == ids[:-1]]
@@ -425,7 +414,8 @@ class _Vertices(Mapping):
         ids.flags.writeable = False
         object.__setattr__(self, "id", ids)
         for name, dtype, shape in self._COLUMNS:
-            column = np.asarray(getattr(self, name), dtype=dtype).reshape(-1, *shape)
+            column = _column(getattr(self, name), dtype, (None, *shape), f"{self.kind} {name}",
+                             self._error, copy=False)
             if len(column) != len(ids):
                 raise self._error(f"{self.kind} vertex columns differ in length")
             if not np.isfinite(column).all():
@@ -437,9 +427,9 @@ class _Vertices(Mapping):
             object.__setattr__(self, name, column)
 
     def find(self, ids) -> tuple[np.ndarray, np.ndarray]:
-        """The row of each of ``ids`` and whether the record holds that id;
-        the row of an id it does not hold is meaningless."""
-        ids = np.asarray(ids, dtype=np.int64)
+        """The row of each of ``ids`` (n,) and whether the record holds that
+        id; the row of an id it does not hold is meaningless."""
+        ids = _column(ids, np.int64, (None,), f"{self.kind} id", self._error, copy=False)
         rows = np.searchsorted(self.id, ids)
         found = rows < len(self.id)
         found[found] = self.id[rows[found]] == ids[found]

@@ -17,8 +17,9 @@ ids, pixels and depths and its line ids, endpoint pixels and endpoint
 depths as read-only arrays, one row per measurement in ascending landmark
 id. The renderer, the noise model, the writer and reader in
 ``dataset_io``, the trackers and the graph builder all work on these
-arrays; ``FrameData.points``/``.lines`` build measurement records from
-them for callers that want one object per measurement.
+arrays. ``FrameData.points``/``.lines`` give the rows as plain
+namespaces only because the benchmark's sequence digest and output checks
+still read rows; ROADMAP item 1 points them at the arrays and deletes both.
 
 Determinism: all sampling comes from a counter-based 64-bit Philox stream
 (Gaussians via numpy's ziggurat). Within one build, identical specs and
@@ -36,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import MISSING, dataclass, field, fields
 from importlib import resources
+from types import SimpleNamespace
 from typing import get_type_hints
 
 import numpy as np
@@ -43,11 +45,10 @@ import numpy as np
 from .geometry import (
     CameraIntrinsics,
     GeometryError,
-    LineMeasurement,
-    PointMeasurement,
     Points,
     Pose,
     Segments,
+    _column,
     check_integers,
     line_angles,
     matrix_to_quat,
@@ -652,20 +653,6 @@ def perturb_depth(d_hat: float, sigma_d: float, m_const: float, rng) -> float | 
 # sequences
 
 
-def _frozen(a, dtype, shape, name: str) -> np.ndarray:
-    """A read-only ``dtype`` copy of ``a``, which must have ``shape`` or be
-    empty, and hold values that ``dtype`` represents exactly."""
-    a = np.asarray(a)
-    if a.size == 0:
-        a = a.reshape(shape)
-    if a.shape != shape or (a.size and not np.can_cast(a.dtype, dtype)):
-        raise ValueError(f"{name} must be {np.dtype(dtype)} of shape {shape}, "
-                         f"got {a.dtype} of shape {a.shape}")
-    a = a.astype(dtype)
-    a.flags.writeable = False
-    return a
-
-
 def _point_faults(pixels, depths):
     """The checks on point rows (pixels (n, 2), depths (n,)), in the
     order they apply to a row, as (failing rows, message) pairs."""
@@ -709,11 +696,16 @@ class FrameData:
       line_ids (m,) int64, line_pixels (m, 2, 2) start and end pixel,
       line_depths (m, 2) start and end depth.
 
-    Construction copies the arrays and checks them once: their shapes,
-    finite values, positive depths and distinct line endpoints
+    Construction copies each array through ``geometry._column``, which
+    refuses a wrong shape and a value its dtype does not hold exactly,
+    such as a float id (ValueError naming the array). It then checks the
+    rows once: finite values, positive depths and distinct line endpoints
     (GeometryError), and no landmark id twice among the points or among
     the lines (ValueError). Image bounds, landmark ids and line lengths
     need the sequence and are checked by ``Sequence.validate``.
+
+    ``points`` and ``lines`` give the rows as namespaces, unchecked since
+    the frame checked them, for the benchmark's readers.
     """
 
     frame_id: int
@@ -734,7 +726,7 @@ class FrameData:
             ("line_pixels", float, (m, 2, 2)),
             ("line_depths", float, (m, 2)),
         ):
-            object.__setattr__(self, name, _frozen(getattr(self, name), dtype, shape, name))
+            object.__setattr__(self, name, _column(getattr(self, name), dtype, shape, name))
         for kind, ids, faults in (
             ("point", self.point_ids, _point_faults(self.point_pixels, self.point_depths)),
             ("line", self.line_ids, _line_faults(self.line_pixels, self.line_depths)),
@@ -750,22 +742,19 @@ class FrameData:
                 )
 
     @property
-    def points(self) -> list[PointMeasurement]:
-        """The point rows as measurement records, built on each access."""
-        return [
-            PointMeasurement(i, u, d)
-            for i, u, d in zip(self.point_ids.tolist(), self.point_pixels,
-                               self.point_depths.tolist())
-        ]
+    def points(self) -> list[SimpleNamespace]:
+        """The point rows as namespaces (landmark_id, u, d), built on each
+        access."""
+        return [SimpleNamespace(landmark_id=i, u=u, d=d) for i, u, d in
+                zip(self.point_ids.tolist(), self.point_pixels, self.point_depths.tolist())]
 
     @property
-    def lines(self) -> list[LineMeasurement]:
-        """The line rows as measurement records, built on each access."""
-        return [
-            LineMeasurement(i, PointMeasurement(i, u[0], d[0]), PointMeasurement(i, u[1], d[1]))
-            for i, u, d in zip(self.line_ids.tolist(), self.line_pixels,
-                               self.line_depths.tolist())
-        ]
+    def lines(self) -> list[SimpleNamespace]:
+        """The line rows as namespaces (landmark_id, start, end), each
+        endpoint a namespace (u, d), built on each access."""
+        return [SimpleNamespace(landmark_id=i, start=SimpleNamespace(u=u[0], d=d[0]),
+                                end=SimpleNamespace(u=u[1], d=d[1])) for i, u, d in
+                zip(self.line_ids.tolist(), self.line_pixels, self.line_depths.tolist())]
 
 
 @dataclass

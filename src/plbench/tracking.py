@@ -21,6 +21,7 @@ from .geometry import (
     Points,
     Pose,
     Segments,
+    _column,
     backproject,
     line_angles,
     matrix_to_quat,
@@ -531,7 +532,7 @@ class SparseMap:
 
     def fuse_point(self, position, landmark_id: int, **gates) -> int:
         """``fuse_points`` of one candidate; returns its landmark id."""
-        self.fuse_points(np.asarray(position, dtype=float).reshape(1, 3), [landmark_id], **gates)
+        self.fuse_points([position], [landmark_id], **gates)
         return landmark_id
 
     def fuse_points(self, positions, landmark_ids, radius_thresh: float = 0.5) -> None:
@@ -541,7 +542,7 @@ class SparseMap:
         equals n sequential ``fuse_point`` calls bit for bit. The ids must be
         distinct: a landmark is observed at most once per frame.
         """
-        positions = np.asarray(positions, dtype=float).reshape(-1, 3)
+        positions = _column(positions, float, (None, 3), "positions", copy=False)
         ids = _batch_ids(landmark_ids, len(positions), "positions")
         rows, known = self.points.find(ids)
         rows = rows[known]
@@ -558,7 +559,7 @@ class SparseMap:
 
     def fuse_line(self, endpoints, landmark_id: int, **gates) -> int:
         """``fuse_lines`` of one segment; returns its landmark id."""
-        self.fuse_lines(np.asarray(endpoints, dtype=float).reshape(1, 2, 3), [landmark_id], **gates)
+        self.fuse_lines([endpoints], [landmark_id], **gates)
         return landmark_id
 
     def fuse_lines(
@@ -578,7 +579,7 @@ class SparseMap:
         samples, so the result equals n sequential calls bit for bit. The
         ids must be distinct: a landmark is observed at most once per frame.
         """
-        endpoints = np.asarray(endpoints, dtype=float).reshape(-1, 2, 3)
+        endpoints = _column(endpoints, float, (None, 2, 3), "endpoints", copy=False)
         ids = _batch_ids(landmark_ids, len(endpoints), "endpoints")
         rows, known = self.lines.find(ids)
         ends, count = self.lines.endpoints.copy(), self.lines.count.copy()
@@ -605,7 +606,7 @@ class SparseMap:
 def _batch_ids(landmark_ids, n: int, what: str) -> np.ndarray:
     """The n landmark ids of one fusion batch as int64; they must be
     distinct."""
-    ids = np.asarray(landmark_ids, dtype=np.int64).reshape(-1)
+    ids = _column(landmark_ids, np.int64, (None,), "landmark_ids", copy=False)
     if len(ids) != n:
         raise ValueError(f"{what} and landmark ids differ in length")
     if len(np.unique(ids)) != n:

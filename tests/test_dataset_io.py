@@ -30,8 +30,6 @@ from plbench.factor_graph import (
 )
 from plbench.geometry import (
     CameraIntrinsics,
-    LineMeasurement,
-    PointMeasurement,
     Pose,
     Segments,
     so3_exp,
@@ -566,41 +564,27 @@ def frame_sequence(frames):
     )
 
 
-def pm(pid, x, y, d=1.0):
-    return PointMeasurement(pid, np.array([x, y]), d)
-
-
-def pack(frame_id, points, lines):
-    """FrameData holding the given measurement records as arrays."""
-    return FrameData(
-        frame_id,
-        [p.landmark_id for p in points], [p.u for p in points], [p.d for p in points],
-        [l.landmark_id for l in lines], [(l.start.u, l.end.u) for l in lines],
-        [(l.start.d, l.end.d) for l in lines],
-    )
-
-
 def test_stats_single_point():
-    seq = frame_sequence([pack(0, [pm(0, 5.0, 5.0)], [])])
+    seq = frame_sequence([FrameData(0, [0], [[5.0, 5.0]], [1.0], [], [], [])])
     s = compute_stats(seq)[0]
     assert (s.num_points, s.num_lines, s.occupied_cells) == (1, 0, 1)
 
 
 def test_stats_line_endpoints_only():
     # interior pixels of the segment do not occupy cells
-    line = LineMeasurement(0, pm(0, 5.0, 5.0), pm(0, 95.0, 5.0))
-    seq = frame_sequence([pack(0, [], [line])])
+    seq = frame_sequence([FrameData(0, [], [], [], [0], [[[5.0, 5.0], [95.0, 5.0]]], [[1.0, 1.0]])])
     s = compute_stats(seq)[0]
     assert (s.num_points, s.num_lines, s.occupied_cells) == (0, 1, 2)
 
 
 def test_stats_shared_cell():
-    seq = frame_sequence([pack(0, [pm(0, 3.0, 3.0), pm(1, 9.0, 9.0)], [])])
+    seq = frame_sequence([FrameData(0, [0, 1], [[3.0, 3.0], [9.0, 9.0]], [1.0, 1.0], [], [], [])])
     assert compute_stats(seq)[0].occupied_cells == 1
 
 
 def test_stats_boundary_pixels_belong_to_next_cell():
-    seq = frame_sequence([pack(0, [pm(0, 9.999, 5.0), pm(1, 10.0, 5.0)], [])])
+    seq = frame_sequence([FrameData(0, [0, 1], [[9.999, 5.0], [10.0, 5.0]], [1.0, 1.0],
+                                    [], [], [])])
     assert compute_stats(seq)[0].occupied_cells == 2
 
 
@@ -626,17 +610,18 @@ def test_stats_match_grid_oracle_on_random_frames():
     rng = np.random.default_rng(1)
     frames = []
     for i in range(300):
-        pts = [
-            pm(j, rng.uniform(0, 639.9), rng.uniform(0, 479.9)) for j in range(rng.integers(0, 40))
-        ]
-        lns = []
+        n = rng.integers(0, 40)
+        pts = [(rng.uniform(0, 639.9), rng.uniform(0, 479.9)) for _ in range(n)]
+        line_ids, lns = [], []
         for j in range(rng.integers(0, 15)):
             a = np.array([rng.uniform(0, 639.9), rng.uniform(0, 479.9)])
             b = np.array([rng.uniform(0, 639.9), rng.uniform(0, 479.9)])
             if np.linalg.norm(a - b) < 1.0:
                 continue
-            lns.append(LineMeasurement(j, PointMeasurement(j, a, 1.0), PointMeasurement(j, b, 1.0)))
-        frames.append(pack(i, pts, lns))
+            line_ids.append(j)
+            lns.append((a, b))
+        frames.append(FrameData(i, np.arange(n), pts, np.ones(n), line_ids, lns,
+                                np.ones((len(lns), 2))))
     seq = frame_sequence(frames)
     stats = compute_stats(seq)
     for f, s in zip(frames, stats):

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from plbench.dataset_io import read_graph, write_graph
 from plbench.geometry import (
     CameraIntrinsics,
     GeometryError,
@@ -379,17 +380,8 @@ def toy_map(ids, positions):
     return SimpleNamespace(points=Points(ids, positions), lines=NO_LINES)
 
 
-def pack(frame_id, points):
-    """FrameData holding the given point measurement records as arrays."""
-    from plbench.simulator import FrameData
-
-    return FrameData(frame_id, [p.landmark_id for p in points], [p.u for p in points],
-                     [p.d for p in points], [], [], [])
-
-
 def toy_sequence(n_frames=2):
-    from plbench.geometry import PointMeasurement
-    from plbench.simulator import Sequence
+    from plbench.simulator import FrameData, Sequence
 
     P = np.array([0.2, -0.1, 3.0])
     traj = [Pose.identity()]
@@ -399,7 +391,7 @@ def toy_sequence(n_frames=2):
     for i, T in enumerate(traj):
         P_c = T.transform(P)
         u = np.array([K.fx * P_c[0] / P_c[2] + K.cx, K.fy * P_c[1] / P_c[2] + K.cy])
-        frames.append(pack(i, [PointMeasurement(0, u, float(P_c[2]))]))
+        frames.append(FrameData(i, [0], [u], [P_c[2]], [], [], []))
     return Sequence(
         intrinsics=K,
         gt_trajectory=traj,
@@ -421,14 +413,16 @@ def test_build_graph_minimal_counts():
 
 
 def test_build_graph_excludes_single_observation_landmarks():
-    from plbench.geometry import PointMeasurement
+    from plbench.simulator import FrameData
 
     seq = toy_sequence(2)
     # landmark 1 appears only in frame 0
     P1 = np.array([0.5, 0.4, 4.0])
     seq.gt_points = Points([*seq.gt_points.id, 1], [*seq.gt_points.position, P1])
     u = np.array([K.fx * P1[0] / P1[2] + K.cx, K.fy * P1[1] / P1[2] + K.cy])
-    seq.frames[0] = pack(0, seq.frames[0].points + [PointMeasurement(1, u, float(P1[2]))])
+    f = seq.frames[0]
+    seq.frames[0] = FrameData(0, [*f.point_ids, 1], [*f.point_pixels, u], [*f.point_depths, P1[2]],
+                              [], [], [])
     graph = build_covisibility_graph(
         seq, seq.gt_trajectory, toy_map([0, 1], [[0.2, -0.1, 3.0], P1])
     )
@@ -460,6 +454,19 @@ def test_build_graph_trajectory_length_mismatch():
     seq = toy_sequence(3)
     with pytest.raises(GraphConstructionError):
         build_covisibility_graph(seq, seq.gt_trajectory[:2], toy_map([0], [[0.2, -0.1, 3.0]]))
+
+
+@pytest.mark.parametrize("sigma_s", [0.0, np.nan, -1.0])
+@pytest.mark.parametrize("function", ["build", "read"])
+def test_graph_refuses_sigma_s_not_finite_and_positive(tmp_path, function, sigma_s):
+    seq = toy_sequence(2)
+    initial = toy_map([0], [[0.2, -0.1, 3.0]])
+    path = tmp_path / "g.txt"
+    write_graph(build_covisibility_graph(seq, seq.gt_trajectory, initial), path)
+    call = {"build": lambda: build_covisibility_graph(seq, seq.gt_trajectory, initial, sigma_s),
+            "read": lambda: read_graph(path, K, sigma_s)}[function]
+    with pytest.raises(GraphConstructionError, match=f"^sigma_s must be finite and > 0, got {sigma_s}$"):
+        call()
 
 
 def preset_graph(preset, frames, noise=None):

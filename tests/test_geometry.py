@@ -3,13 +3,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from plbench.factor_graph import _lines_to_camera, _project_points
+from plbench.factor_graph import (
+    FactorGraph,
+    Factors,
+    Lines,
+    Poses,
+    _lines_to_camera,
+    _project_points,
+)
 from plbench.geometry import (
     CameraIntrinsics,
     DegenerateLineError,
     GeometryError,
-    LineMeasurement,
-    PointMeasurement,
     Points,
     Pose,
     Segments,
@@ -30,6 +35,8 @@ from plbench.geometry import (
     so3_exp,
     so3_log,
 )
+from plbench.simulator import FrameData
+from plbench.tracking import MapPoints, MapSegments, SparseMap
 
 K_VGA = CameraIntrinsics(100.0, 100.0, 320.0, 240.0, 640, 480)
 
@@ -547,20 +554,7 @@ def test_orthonormal_update_stays_orthonormal():
 
 
 # ---------------------------------------------------------------------------
-# measurement/landmark records
-
-
-def test_point_measurement_validation():
-    with pytest.raises(GeometryError):
-        PointMeasurement(0, np.array([1.0, 2.0]), -0.5)
-    with pytest.raises(GeometryError):
-        PointMeasurement(0, np.array([np.nan, 2.0]), 1.0)
-
-
-def test_line_measurement_rejects_coincident_endpoints():
-    a = PointMeasurement(3, np.array([10.0, 10.0]), 1.0)
-    with pytest.raises(GeometryError):
-        LineMeasurement(3, a, a)
+# landmark records
 
 
 def test_line_landmark_plucker_consistency():
@@ -614,6 +608,73 @@ def test_landmark_record_is_id_sorted_read_only_mapping():
     rows, found = lines.find([7, 3, 2, 9])
     assert found.tolist() == [True, False, True, False]
     assert rows[found].tolist() == [1, 0]
+
+
+# Each site that casts an id or value column: a builder taking the ids
+# and whether to give the shaped column a wrong row shape, and the names
+# of its id column and of its shaped column.
+CAST_SITES = {
+    "points": (lambda ids, bad: Points(ids, np.ones((1, 2 if bad else 3))),
+               "point id", "point position"),
+    "segments": (lambda ids, bad: Segments(ids, [SEGMENT_ROW[:1] if bad else SEGMENT_ROW]),
+                 "line id", "line endpoints"),
+    "poses": (lambda ids, bad: Poses(ids, np.zeros((1, 3)), np.ones((1, 3 if bad else 4))),
+              "pose id", "pose q"),
+    "lines": (lambda ids, bad: Lines(ids, np.ones((1, 3)), np.ones((1, 2 if bad else 3))),
+              "line id", "line d"),
+    "map-points": (lambda ids, bad: MapPoints(ids, np.ones((1, 3)), [[1]] if bad else [1]),
+                   "point id", "point count"),
+    "map-segments": (lambda ids, bad: MapSegments(ids, [SEGMENT_ROW], [[1]] if bad else [1]),
+                     "line id", "line count"),
+    "frame": (lambda ids, bad: FrameData(0, ids, np.ones((1, 3 if bad else 2)), [1.0], [], [], []),
+              "point_ids", "point_pixels"),
+    "factors": (lambda ids, bad: Factors(ids, [0], np.ones((1, 3 if bad else 2)), [1.0]),
+                "factor frame", "factor u"),
+    "fixed": (lambda ids, bad: FactorGraph(K_VGA, fixed=[ids] if bad else ids), "fixed", "fixed"),
+    "find": (lambda ids, bad: Points([1], np.ones((1, 3))).find([ids] if bad else ids),
+             "point id", "point id"),
+    "fuse-points": (lambda ids, bad: SparseMap().fuse_points(np.ones((1, 2 if bad else 3)), ids),
+                    "landmark_ids", "positions"),
+    "fuse-lines": (lambda ids, bad: SparseMap().fuse_lines([SEGMENT_ROW[:1] if bad else SEGMENT_ROW],
+                                                           ids),
+                   "landmark_ids", "endpoints"),
+}
+
+
+@pytest.mark.parametrize("site", CAST_SITES)
+def test_columns_refuse_inexact_values_and_wrong_row_shapes(site):
+    build, id_column, shaped_column = CAST_SITES[site]
+    for ids, bad, column in (([4.5], False, id_column), (["3"], False, id_column),
+                             ([1], True, shaped_column)):
+        with pytest.raises(ValueError, match=f"^{column} must be "):
+            build(ids, bad)
+    built = build(np.array([1], dtype=np.int32), False)
+    for value in getattr(built, "__dict__", {}).values():
+        if isinstance(value, np.ndarray):
+            with pytest.raises(ValueError, match="read-only"):
+                value[0] = 0
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        pytest.param(lambda: Points([4.5, 7.9], np.zeros((2, 3))), "point id", id="points-float"),
+        pytest.param(lambda: Points(["3"], np.zeros((1, 3))), "point id", id="points-str"),
+        pytest.param(lambda: Points([4], np.zeros((1, 3))).find([4.5]), "point id", id="find"),
+        pytest.param(lambda: SparseMap().fuse_points(np.zeros((1, 3)), [2.7]), "landmark_ids",
+                     id="fuse-points"),
+        pytest.param(lambda: FactorGraph(K_VGA, fixed=[0.5, 2.9]), "fixed", id="fixed"),
+        pytest.param(lambda: Factors([0.7], [0.2], [[np.nan, 1.0]], [1.0]), "factor frame",
+                     id="factors-float"),
+        pytest.param(lambda: Factors([0], [0], [[np.nan, 1.0]], [1.0]), "factor u must be finite",
+                     id="factors-nan"),
+        pytest.param(lambda: Factors([0], [0], [[1.0, 1.0]], [1.0]).u.__setitem__(0, 0.0),
+                     "read-only", id="factors-write"),
+    ],
+)
+def test_calls_that_lenient_casts_let_through_raise(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 def test_line_angle_exact_at_zero():

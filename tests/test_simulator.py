@@ -9,8 +9,6 @@ from plbench.dataset_io import write_sequence
 from plbench.geometry import (
     CameraIntrinsics,
     GeometryError,
-    LineMeasurement,
-    PointMeasurement,
     Points,
     Pose,
     Segments,
@@ -518,6 +516,10 @@ def test_frame_data_holds_checked_read_only_arrays():
         FrameData(0, [4], [1.0, 2.0], [1.0], [], [], [])
     with pytest.raises(ValueError, match="point_ids must be int64"):
         FrameData(0, [4.5], [[1.0, 2.0]], [1.0], [], [], [])
+    with pytest.raises(ValueError, match=r"point_pixels must be float64 of shape \(2, 2\)"):
+        FrameData(0, [4, 5], [[1.0, 2.0]], [1.0, 2.0], [], [], [])
+    with pytest.raises(GeometryError, match="nonpositive depth"):
+        FrameData(0, [0], [[1.0, 2.0]], [-0.5], [], [], [])
     with pytest.raises(GeometryError, match="nonpositive depth"):
         FrameData(0, [], [], [], [3], [[[1.0, 2.0], [5.0, 2.0]]], [[1.0, 0.0]])
     with pytest.raises(GeometryError, match="endpoints coincide"):
@@ -526,43 +528,39 @@ def test_frame_data_holds_checked_read_only_arrays():
         FrameData(0, [4], [[np.nan, 2.0]], [1.0], [], [], [])
 
 
-def pack(frame_id, points, lines):
-    """FrameData holding the given measurement records as arrays."""
-    return FrameData(
-        frame_id,
-        [p.landmark_id for p in points], [p.u for p in points], [p.d for p in points],
-        [l.landmark_id for l in lines], [(l.start.u, l.end.u) for l in lines],
-        [(l.start.d, l.end.d) for l in lines],
-    )
-
-
-def with_fault(record, fault):
-    """The records that replace ``record`` to give it ``fault``."""
+def with_fault(frame, kind, fault):
+    """A copy of ``frame`` whose first ``kind`` ("point" or "line") row has
+    ``fault``."""
+    columns = {f.name: getattr(frame, f.name).copy()
+               for f in dataclasses.fields(frame) if f.name != "frame_id"}
+    ids, pixels = columns[f"{kind}_ids"], columns[f"{kind}_pixels"]
+    end = pixels[0] if kind == "point" else pixels[0, 1]
     if fault == "repeat":
-        return [record, record]
-    if fault == "dangling":
-        return [dataclasses.replace(record, landmark_id=999999)]
-    if isinstance(record, PointMeasurement):  # outside
-        return [PointMeasurement(record.landmark_id, [-1.0, record.u[1]], record.d)]
-    u = [-1.0, record.end.u[1]] if fault == "outside" else record.start.u + 1.0
-    end = PointMeasurement(record.landmark_id, u, record.end.d)
-    return [LineMeasurement(record.landmark_id, record.start, end)]
+        for name in (f"{kind}_ids", f"{kind}_pixels", f"{kind}_depths"):
+            columns[name] = np.concatenate([columns[name][:1], columns[name]])
+    elif fault == "dangling":
+        ids[0] = 999999
+    elif fault == "outside":
+        end[0] = -1.0
+    else:  # short
+        end[:] = pixels[0, 0] + 1.0
+    return FrameData(frame.frame_id, **columns)
 
 
 @pytest.mark.parametrize(
     "kind, fault, match",
     [
-        pytest.param("points", "repeat", "repeats in frame 1", id="points"),
-        pytest.param("lines", "repeat", "repeats in frame 1", id="lines"),
-        pytest.param("points", "dangling", "dangling point landmark id 999999 in frame 1",
+        pytest.param("point", "repeat", "repeats in frame 1", id="points"),
+        pytest.param("line", "repeat", "repeats in frame 1", id="lines"),
+        pytest.param("point", "dangling", "dangling point landmark id 999999 in frame 1",
                      id="points-dangling"),
-        pytest.param("lines", "dangling", "dangling line landmark id 999999 in frame 1",
+        pytest.param("line", "dangling", "dangling line landmark id 999999 in frame 1",
                      id="lines-dangling"),
-        pytest.param("points", "outside", "point measurement outside the image in frame 1",
+        pytest.param("point", "outside", "point measurement outside the image in frame 1",
                      id="points-outside"),
-        pytest.param("lines", "outside", "line measurement outside the image in frame 1",
+        pytest.param("line", "outside", "line measurement outside the image in frame 1",
                      id="lines-outside"),
-        pytest.param("lines", "short", "shorter than min_line_len in frame 1", id="lines-short"),
+        pytest.param("line", "short", "shorter than min_line_len in frame 1", id="lines-short"),
     ],
 )
 def test_validate_rejects_landmark_repeated_in_a_frame(kind, fault, match):
@@ -572,10 +570,8 @@ def test_validate_rejects_landmark_repeated_in_a_frame(kind, fault, match):
     traj = build_trajectory(cfg.trajectory)[:2]
     seq = generate_sequence(build_scene(cfg.scene), traj, cfg.noise, cfg.intrinsics, cfg.render)
     seq.validate(cfg.render.min_line_len)
-    records = {"points": seq.frames[1].points, "lines": seq.frames[1].lines}
-    records[kind][0:1] = with_fault(records[kind][0], fault)
     with pytest.raises(ValueError, match=match):
-        seq.frames[1] = pack(1, records["points"], records["lines"])
+        seq.frames[1] = with_fault(seq.frames[1], kind, fault)
         seq.validate(cfg.render.min_line_len)
 
 
