@@ -557,6 +557,18 @@ def test_orthonormal_update_stays_orthonormal():
 # landmark records
 
 
+def test_point_measurement_validation():
+    with pytest.raises(GeometryError, match="nonpositive depth"):
+        FrameData(0, [0], [[1.0, 2.0]], [-0.5], [], [], [])
+    with pytest.raises(GeometryError, match="finite"):
+        FrameData(0, [0], [[np.nan, 2.0]], [1.0], [], [], [])
+
+
+def test_line_measurement_rejects_coincident_endpoints():
+    with pytest.raises(GeometryError, match="endpoints coincide"):
+        FrameData(0, [], [], [], [3], [[[10.0, 10.0], [10.0, 10.0]]], [[1.0, 1.0]])
+
+
 def test_line_landmark_plucker_consistency():
     lines = Segments([0], [[[1.0, 0, 0], [1.0, 1, 0]]])
     n, d = plucker_from_endpoints(*lines.endpoints[0])
