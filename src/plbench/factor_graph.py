@@ -56,8 +56,8 @@ class Factors:
     """Factors of one kind as read-only columns, one row per factor (see
     the module docstring for the column layout). Construction raises
     GraphConstructionError for a column of the wrong type or row shape,
-    for columns of different lengths and for a non-finite pixel or
-    weight."""
+    for columns of different lengths, for a non-finite pixel or weight and
+    for a weight <= 0."""
 
     frame: np.ndarray
     landmark: np.ndarray
@@ -75,6 +75,8 @@ class Factors:
         for name in ("u", "weight"):
             if not np.isfinite(getattr(self, name)).all():
                 raise GraphConstructionError(f"factor {name} must be finite")
+        if (self.weight <= 0).any():
+            raise GraphConstructionError("factor weight must be > 0")
 
     def __len__(self) -> int:
         return len(self.frame)

@@ -282,8 +282,8 @@ class Pose:
     t: np.ndarray
 
     def __post_init__(self):
-        q = np.asarray(self.q, dtype=float).reshape(4).copy()
-        t = np.asarray(self.t, dtype=float).reshape(3).copy()
+        q = _column(self.q, float, (4,), "pose q", GeometryError)
+        t = _column(self.t, float, (3,), "pose t", GeometryError)
         norm = float(np.linalg.norm(q))
         if norm == 0.0 or not np.isfinite(norm):
             raise GeometryError("quaternion must be nonzero and finite")
@@ -293,8 +293,7 @@ class Pose:
         # about |q|^2 - 1 and that error scales every composed translation
         if abs(norm - 1.0) > 4 * np.finfo(float).eps:
             q = q / norm
-        q.flags.writeable = False
-        t.flags.writeable = False
+            q.flags.writeable = False
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "t", t)
 
@@ -379,7 +378,7 @@ def _column(a, dtype, shape: tuple, name: str, error=ValueError, copy: bool = Tr
     if a.size == 0:
         a = a.reshape((0,) + shape[1:])
     if (a.ndim != len(shape) or a.shape[1:] != shape[1:] or shape[0] not in (None, len(a))
-            or a.size and not np.can_cast(a.dtype, dtype)):
+            or a.size and a.dtype != dtype and not np.can_cast(a.dtype, dtype)):
         raise error(f"{name} must be {np.dtype(dtype)} of shape {shape}, "
                     f"got {a.dtype} of shape {a.shape}".replace("None", "n"))
     if not copy:
@@ -500,12 +499,8 @@ class OrthonormalLine:
     degenerate: bool = False
 
     def __post_init__(self):
-        U = np.asarray(self.U, dtype=float).reshape(3, 3).copy()
-        W = np.asarray(self.W, dtype=float).reshape(2, 2).copy()
-        U.flags.writeable = False
-        W.flags.writeable = False
-        object.__setattr__(self, "U", U)
-        object.__setattr__(self, "W", W)
+        object.__setattr__(self, "U", _column(self.U, float, (3, 3), "line U", GeometryError))
+        object.__setattr__(self, "W", _column(self.W, float, (2, 2), "line W", GeometryError))
 
 
 def orthonormal_from_plucker(n, d) -> OrthonormalLine:

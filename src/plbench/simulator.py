@@ -77,14 +77,12 @@ class Box:
     extents: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.center, dtype=float).reshape(3).copy()
-        e = np.asarray(self.extents, dtype=float).reshape(3).copy()
+        c = _column(self.center, float, (3,), "box center", SceneError)
+        e = _column(self.extents, float, (3,), "box extents", SceneError)
         if not np.all(e > 0):
             raise SceneError("box extents must be positive")
         if not (np.all(np.isfinite(c)) and np.all(np.isfinite(e))):
             raise SceneError("box center and extents must be finite")
-        c.flags.writeable = False
-        e.flags.writeable = False
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "extents", e)
 

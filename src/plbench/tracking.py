@@ -7,11 +7,15 @@ nearest-neighbour search; the geometric gates (radius/angle/distance
 thresholds) then decide whether an observation also updates the fused
 landmark estimate.
 Lines never enter the pose solver; they matter only for map building and
-the factor graph.
+the factor graph. A merged line is refit through all its samples by the
+principal axis of their 3x3 scatter, every line a frame merges in one
+call, with the axis turned along the stored segment so that start and end
+keep their order.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -520,7 +524,8 @@ class SparseMap:
     The map is two frozen, id-sorted records, ``points`` (``MapPoints``)
     and ``lines`` (``MapSegments``), which each fusion replaces, and
     ``line_samples``: per line id, the list of endpoint pairs (2, 3) its
-    line was fit through, oldest first.
+    line was fit through, oldest first, so that the samples of all lines a
+    frame merges join in one ``np.concatenate``.
     """
 
     def __init__(self):
@@ -572,12 +577,12 @@ class SparseMap:
         """Fuse each segment of ``endpoints`` (n, 2, 3) into the landmark of
         its id. A candidate merges when its direction angle and its
         midpoint-to-line distance pass their gates; a merged line is refit
-        over all its accumulated endpoint samples. The gates are tested in
-        one pass and only merged lines are refit, one ``_refit_lines`` call
-        per group of merged lines with the same sample count, so their
-        samples stack into one array. A line's refit reads only its own
-        samples, so the result equals n sequential calls bit for bit. The
-        ids must be distinct: a landmark is observed at most once per frame.
+        over all its accumulated endpoint samples, its start and end kept in
+        the order of its stored segment. The gates are tested in one pass and
+        all merged lines are refit in one ``_refit_lines`` call over their
+        concatenated samples. A line's refit reads only its own samples, so
+        the result equals n sequential calls bit for bit. The ids must be
+        distinct: a landmark is observed at most once per frame.
         """
         endpoints = _column(endpoints, float, (None, 2, 3), "endpoints", copy=False)
         ids = _batch_ids(landmark_ids, len(endpoints), "endpoints")
@@ -587,14 +592,13 @@ class SparseMap:
         merged = known.copy()
         merged[known] = inside
         count[rows[merged]] += 1
-        groups: dict[int, list[int]] = {}  # rows of the merged lines by sample count
-        for row, lid, sample in zip(rows[merged].tolist(), ids[merged].tolist(), endpoints[merged]):
-            samples = self.line_samples[lid]
-            samples.append(sample)
-            groups.setdefault(len(samples), []).append(row)
-        for n, group in groups.items():
-            samples = [self.line_samples[lid] for lid in self.lines.id[group].tolist()]
-            ends[group] = _refit_lines(np.array(samples).reshape(len(group), 2 * n, 3))
+        stacks = [self.line_samples[lid] for lid in ids[merged].tolist()]
+        for stack, sample in zip(stacks, endpoints[merged]):
+            stack.append(sample)
+        if stacks:
+            samples = np.concatenate(list(chain.from_iterable(stacks)))
+            sizes = np.array([2 * len(stack) for stack in stacks])
+            ends[rows[merged]] = _refit_lines(samples, sizes, ends[rows[merged]])
         new = ~known
         for lid, sample in zip(ids[new].tolist(), endpoints[new]):
             self.line_samples[lid] = [sample]
@@ -627,23 +631,26 @@ def _line_gates(stored, candidates, angle_thresh_deg, dist_thresh) -> np.ndarray
     return (angle <= angle_thresh_deg) & (dist <= dist_thresh)
 
 
-def _refit_lines(samples: np.ndarray) -> np.ndarray:
-    """Principal-axis fit through each stack of endpoint samples, samples
-    (g, N, 3); the extreme projections onto each axis become that line's
-    new endpoints, (g, 2, 3).
+def _refit_lines(samples, sizes, stored) -> np.ndarray:
+    """Principal-axis fit of each line through its endpoint samples, all
+    lines in one pass: line i owns the next sizes[i] rows of samples (N, 3).
+    Its axis is the eigenvector of the largest eigenvalue of the 3x3
+    scatter of its centred samples, turned to point along its stored
+    segment's end - start (``stored`` (g, 2, 3)); the extreme projections
+    onto that axis become its new start and end, (g, 2, 3).
 
-    The g fits share one stacked mean, one stacked ``np.linalg.svd`` and one
-    stacked projection. Each of these runs the same kernel on each stack as
-    on that stack alone (a mean down the rows, one LAPACK call, one
-    matrix-vector product), so each fit equals a fit of its samples alone
+    Sums, minima and maxima run per line (``reduceat``) and ``eigh`` per
+    matrix of its stack, so each fit equals a fit of its samples alone
     bit for bit."""
-    center = samples.mean(axis=1)
-    centered = samples - center[:, None]
-    _, _, Vt = np.linalg.svd(centered, full_matrices=False)
-    d_hat = Vt[:, 0]
-    t = (centered @ d_hat[:, :, None])[:, :, 0]
-    extremes = np.stack([t.min(axis=1), t.max(axis=1)], axis=1)
-    return center[:, None] + extremes[:, :, None] * d_hat[:, None]
+    starts = np.cumsum(sizes) - sizes
+    center = np.add.reduceat(samples, starts) / sizes[:, None]
+    centered = samples - np.repeat(center, sizes, axis=0)
+    scatter = np.add.reduceat(centered[:, :, None] * centered[:, None, :], starts)
+    axis = np.linalg.eigh(scatter)[1][:, :, 2]
+    axis = axis * np.where(row_dots(axis, stored[:, 1] - stored[:, 0]) < 0, -1.0, 1.0)[:, None]
+    t = row_dots(centered, np.repeat(axis, sizes, axis=0))
+    extremes = np.stack([np.minimum.reduceat(t, starts), np.maximum.reduceat(t, starts)], axis=1)
+    return center[:, None] + extremes[:, :, None] * axis[:, None]
 
 
 # ---------------------------------------------------------------------------

@@ -505,15 +505,15 @@ def test_graph_edge_pixels_whose_sum_overflows_are_read(tmp_path):
 # sha256 of write_graph over the map-to-frame graph of each preset's full
 # sequence at its shipped seed
 GOLDEN_GRAPH_SHA256 = {
-    "sphere": "0bbb8a58e151e089b39ade5c9fb562b157692eab0cbe3acf97f263b599cca74f",
-    "box": "1df7314140bacd5f8cbd3af94a164b745e1504a5c4d10f9d9d7906d3f4b87393",
-    "corridor": "c5f8c0827e473f6fdde82de3c18237ecf824326bdf0fc3cc5ab14f25991f6258",
+    "sphere": "9e5003082478cdc2137ee80a76bf13d124a4c74a162584eaaa6de1e7ee4c437c",
+    "box": "d00bf15e980bef62cb160a4f866c9c9fdce3a435b448734c69e5cb4f8cd3fcf5",
+    "corridor": "33f717cde87be6583b0206eb592204a2457dd7fc0f57bb0241225558f7f22a75",
 }
 # total_cost() of those graphs, bit for bit
 GOLDEN_GRAPH_COST = {
-    "sphere": 129834.34061423445,
-    "box": 122690.84996911994,
-    "corridor": 154002.73453758072,
+    "sphere": 129834.34061423449,
+    "box": 122690.84996911992,
+    "corridor": 154002.7345375808,
 }
 
 

@@ -469,6 +469,20 @@ def test_graph_refuses_sigma_s_not_finite_and_positive(tmp_path, function, sigma
         call()
 
 
+@pytest.mark.parametrize("weight", [-1.0, 0.0])
+def test_factors_refuse_a_weight_not_positive(weight):
+    # one pose, one point, one factor 10 px off: with weight -1 the graph
+    # would cost -100
+    def graph(w):
+        return FactorGraph(K, Poses([0], [[0.0, 0.0, 0.0]], [[0.0, 0.0, 0.0, 1.0]]), [0],
+                           Points([0], [[0.0, 0.0, 1.0]]),
+                           point_factors=Factors([0], [0], [[330.0, 240.0]], [w]))
+
+    assert graph(1.0).total_cost() == 100.0
+    with pytest.raises(GraphConstructionError, match="^factor weight must be > 0$"):
+        graph(weight)
+
+
 def preset_graph(preset, frames, noise=None):
     """Graph over the first ``frames`` ground-truth poses of a preset, with
     ground-truth landmarks; ``noise`` defaults to the preset's."""

@@ -15,6 +15,7 @@ from plbench.geometry import (
     CameraIntrinsics,
     DegenerateLineError,
     GeometryError,
+    OrthonormalLine,
     Points,
     Pose,
     Segments,
@@ -35,7 +36,7 @@ from plbench.geometry import (
     so3_exp,
     so3_log,
 )
-from plbench.simulator import FrameData
+from plbench.simulator import Box, FrameData
 from plbench.tracking import MapPoints, MapSegments, SparseMap
 
 K_VGA = CameraIntrinsics(100.0, 100.0, 320.0, 240.0, 640, 480)
@@ -682,6 +683,18 @@ def test_columns_refuse_inexact_values_and_wrong_row_shapes(site):
                      id="factors-nan"),
         pytest.param(lambda: Factors([0], [0], [[1.0, 1.0]], [1.0]).u.__setitem__(0, 0.0),
                      "read-only", id="factors-write"),
+        pytest.param(lambda: Pose([[0.0, 0.0], [0.0, 1.0]], [[1.0, 2.0, 3.0]]), "^pose q must be ",
+                     id="pose-q"),
+        pytest.param(lambda: Pose([0.0, 0.0, 0.0, 1.0], [[1.0, 2.0, 3.0]]), "^pose t must be ",
+                     id="pose-t"),
+        pytest.param(lambda: OrthonormalLine(np.eye(3).ravel(), np.eye(2)), "^line U must be ",
+                     id="line-U"),
+        pytest.param(lambda: OrthonormalLine(np.eye(3), [1.0, 0.0, 0.0, 1.0]), "^line W must be ",
+                     id="line-W"),
+        pytest.param(lambda: Box([[2.0, 0.9, 0.6]], [[[0.5, 0.5, 0.5]]]), "^box center must be ",
+                     id="box-center"),
+        pytest.param(lambda: Box([2.0, 0.9, 0.6], [[[0.5, 0.5, 0.5]]]), "^box extents must be ",
+                     id="box-extents"),
     ],
 )
 def test_calls_that_lenient_casts_let_through_raise(call, match):

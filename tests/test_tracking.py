@@ -519,26 +519,27 @@ def map_sha256(smap: SparseMap):
 
 # per preset at its shipped seed: sha256 of the map-to-frame poses, of the
 # frame-to-frame poses and of the fused map, and the graph cost at the
-# map-to-frame track; recorded with the per-measurement tracker that the
-# per-frame batches replaced, which they must reproduce bit for bit
+# map-to-frame track; the poses recorded with the per-measurement tracker
+# that the per-frame batches replaced, which they must reproduce bit for
+# bit, the map and the cost with the scatter-eigenvector line refit
 GOLDEN_TRACKING = {
     "sphere": (
         "21989b694441a86d9a8349bb3f2e7cc1b12049e73a6a4273af41e716689cd461",
         "be839fbb0932044501db700dc9c0d76ea19cea5bef32d09844fee4ee4232a781",
-        "ad58e1690deffd9a0875e894e7ab9a9a5e5903badeed62b3ea0fa39ae4b54fb4",
-        129834.34061423445,
+        "3696986adaa4aa4cfe32ceaec3e9259898ad68bbdcc211a5e800750517e6d516",
+        129834.34061423449,
     ),
     "box": (
         "aed86ab9f2dcd1f4675ca8016788e4bae9330c368cef5ee90d367cc6745d1696",
         "b1cebfb1f2f2775a5e3ad919f8a1ee4eaf28068ebea9b2f4e6e45ad63760b911",
-        "5e4a9972ce5c60410454cde440aa58d1712be9dd08cdf1898b36294d9bf91cfc",
-        122690.84996911994,
+        "877486628906c5b01b8b2a9c6e11200ba60f3c28b0b1a3c58bc571580e3a7436",
+        122690.84996911992,
     ),
     "corridor": (
         "3be2df1528c2f68a9f761f331bc5d9de55f33bad590bb66fc5b91f4ecfb752d8",
         "684a6fc4e4bf55389eba84d6406df9090dbd85c81fb53ac0598d6ce1d547eaa2",
-        "dd635145a07fb74d82d9b2355d6b63ccd51958860c086f341605ea68121892aa",
-        154002.73453758072,
+        "c30ccc936b203286b89afd2999aae0caff41c0983f9eb28c28850bacf4518692",
+        154002.7345375808,
     ),
 }
 
@@ -922,8 +923,8 @@ def test_fuse_lines_equals_sequential_fuse_line_bit_for_bit():
             seen.add(kind)
             if merged:
                 merged_counts.append(sequential.lines[lid].count)
-        # the batch refits several lines of one sample count in one stack,
-        # next to lines of other counts
+        # the batch refits lines of several sample counts in one call,
+        # several of them with the same count
         sizes = np.unique(merged_counts, return_counts=True)[1]
         mixed_batches += len(sizes) >= 2 and sizes.max() >= 2
         assert list(batched.lines) == list(sequential.lines)
@@ -935,6 +936,62 @@ def test_fuse_lines_equals_sequential_fuse_line_bit_for_bit():
                 [x.tobytes() for x in sequential.line_samples[lid]]
     assert seen == {"inside", "angle", "distance", "new"}
     assert mixed_batches >= 2
+
+
+def svd_line_fit(samples, stored):
+    """The per-line principal-axis fit through samples (N, 3) by SVD, its
+    axis turned along the end - start of the stored segment (2, 3), with
+    the extreme projections onto that axis as start and end."""
+    center = samples.mean(axis=0)
+    centered = samples - center
+    d_hat = np.linalg.svd(centered, full_matrices=False)[2][0]
+    if d_hat @ (stored[1] - stored[0]) < 0:
+        d_hat = -d_hat
+    t = centered @ d_hat
+    return center + np.outer([t.min(), t.max()], d_hat)
+
+
+@pytest.mark.parametrize("preset", ["sphere", "box", "corridor"])
+def test_refit_lines_matches_the_per_line_svd_fit(preset):
+    # every refit of the map-to-frame tracker against the SVD fit of each
+    # line alone: the scatter eigenvector gives the same axis to rounding,
+    # and the fitted segment keeps the direction of the stored one
+    _, seq = preset_sequence(preset)
+    refit, calls = tracking._refit_lines, []
+
+    def record(samples, sizes, stored):
+        fitted = refit(samples, sizes, stored)
+        calls.append((samples, sizes, stored, fitted))
+        return fitted
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tracking, "_refit_lines", record)
+        track_map_to_frame(seq)
+    fits = 0
+    for samples, sizes, stored, fitted in calls:
+        assert sizes.sum() == len(samples)
+        for rows, before, after in zip(segments(sizes), stored, fitted):
+            np.testing.assert_allclose(after, svd_line_fit(samples[rows], before),
+                                       rtol=0.0, atol=1e-13)
+            assert (after[1] - after[0]) @ (before[1] - before[0]) > 0.0
+        fits += len(sizes)
+    assert len(calls) < len(seq.frames) < fits
+
+
+def test_fuse_lines_refits_noiseless_collinear_samples_onto_their_line():
+    rng = np.random.default_rng(14)
+    origin, d_hat = rng.normal(size=3), rng.normal(size=3)
+    d_hat /= np.linalg.norm(d_hat)
+    ts = [np.array([-0.5, 0.5])] + [rng.uniform(-2.0, 2.0, 2) for _ in range(5)]
+    m = SparseMap()
+    for t in ts:
+        m.fuse_line(origin + np.outer(t, d_hat), landmark_id=9)
+    assert m.lines[9].count == len(ts)
+    # start and end stay in the order of the first segment, at the extreme
+    # samples along the line
+    ts = np.concatenate(ts)
+    np.testing.assert_allclose(m.lines[9].endpoints, origin + np.outer([ts.min(), ts.max()], d_hat),
+                               rtol=0.0, atol=1e-12)
 
 
 def test_fuse_lines_gates_are_exact_at_their_thresholds():
