@@ -34,8 +34,8 @@ from .geometry import (
     _column,
     _Vertices,
     orthonormal_from_plucker,
-    orthonormal_from_plucker_batch,
     plucker_from_endpoints,
+    plucker_from_orthonormal,
     quat_to_matrix,
     row_dots,
     row_norms,
@@ -159,7 +159,7 @@ class FactorGraph:
             cost += float(fs.weight @ np.sum(res * res, axis=1))
         fs = self.line_factors
         if len(fs):
-            U, W, _ = orthonormal_from_plucker_batch(self.lines.n, self.lines.d)
+            U, W, _ = orthonormal_from_plucker(self.lines.n, self.lines.d)
             k = _rows(fs.frame, self.poses)
             m = _rows(fs.landmark, self.lines)
             res, _, _ = _line_residuals(
@@ -260,16 +260,11 @@ def _line_residuals(R, t, U, W, u_s, u_e, intr: CameraIntrinsics):
     reuse."""
     R = np.asarray(R, dtype=float)
     t = np.asarray(t, dtype=float)
-    U = np.asarray(U, dtype=float)
-    W = np.asarray(W, dtype=float)
     u_s = np.asarray(u_s, dtype=float)
     u_e = np.asarray(u_e, dtype=float)
     F = len(R)
 
-    n_w = W[:, 0, 0][:, None] * U[:, :, 0]
-    d_w = W[:, 1, 0][:, None] * U[:, :, 1]
-
-    n_c, Rn, Rd = _lines_to_camera(R, t, n_w, d_w)
+    n_c, Rn, Rd = _lines_to_camera(R, t, *plucker_from_orthonormal(U, W))
     l = n_c @ intr.line_matrix().T  # (F, 3) homogeneous image line, unnormalized
     denom2 = l[:, 0] ** 2 + l[:, 1] ** 2
     valid = denom2 > _LINE_EPS
@@ -287,9 +282,10 @@ def _line_residuals(R, t, U, W, u_s, u_e, intr: CameraIntrinsics):
 def line_terms(R, t, U, W, u_s, u_e, intr: CameraIntrinsics):
     """Residuals and Jacobians for line factors, batched over axis 0.
 
-    The Plucker pair is reconstructed from the orthonormal state (U, W),
-    so derivatives w.r.t. the 4-DOF update probe exactly the composition
-    plucker_from_orthonormal(orthonormal_update(...)).
+    The Plucker pair is reconstructed from the orthonormal state (U, W)
+    by ``plucker_from_orthonormal``, so derivatives w.r.t. the 4-DOF
+    update probe exactly the composition
+    ``plucker_from_orthonormal(*orthonormal_update(U[i], W[i], delta))``.
 
     Returns (res (F,2), J_pose (F,2,6), J_line (F,2,4), valid (F,)).
     """
@@ -364,9 +360,9 @@ def line_residual(u_s, u_e, L, T: Pose, intr: CameraIntrinsics) -> np.ndarray:
     """Signed distances of both measured endpoints from the re-projected
     Plucker line L = (n, d); raises GeometryError on a degenerate line
     projection."""
-    o = orthonormal_from_plucker(*L)
+    U, W, _ = orthonormal_from_plucker(np.reshape(L[0], (1, 3)), np.reshape(L[1], (1, 3)))
     res, valid, _ = _line_residuals(
-        T.rotation()[None], T.t[None], o.U[None], o.W[None],
+        T.rotation()[None], T.t[None], U, W,
         np.asarray(u_s, float)[None], np.asarray(u_e, float)[None], intr,
     )
     if not valid[0]:

@@ -24,11 +24,14 @@ column's dtype does not hold exactly, such as a float or a string as an
 id, with a ValueError that names the column. It truncates nothing, and
 reshapes only an empty column.
 
-Each rotation kernel (``skew``, ``so3_exp``, ``quat_to_matrix``,
-``matrix_to_quat``) takes one item or a stack of them along leading axes,
-and one item's result equals its row of a stack bit for bit, so a caller
-may batch any set of rotations without changing a single output bit.
-``se3_exp_update`` is ``se3_exp_update_batch`` of one delta.
+Each piece of math has one kernel. The rotation kernels (``skew``,
+``so3_exp``, ``quat_to_matrix``, ``matrix_to_quat``), ``rigid_fit``,
+``plucker_from_orthonormal`` and ``Pose.transform`` take one item or a
+stack of them along leading axes, and one item's result equals its row of
+a stack bit for bit, so a caller may batch any set of them without
+changing a single output bit. ``se3_exp_update``, ``pose_quat_batch`` and
+``orthonormal_from_plucker`` take a stack; one item is a stack of one.
+The orthonormal line state is the pair of arrays (U, W).
 """
 from __future__ import annotations
 
@@ -298,10 +301,6 @@ class Pose:
         object.__setattr__(self, "t", t)
 
     @staticmethod
-    def identity() -> "Pose":
-        return Pose(np.array([0.0, 0.0, 0.0, 1.0]), np.zeros(3))
-
-    @staticmethod
     def from_rt(R, t) -> "Pose":
         return Pose(matrix_to_quat(R), np.asarray(t, dtype=float))
 
@@ -319,9 +318,13 @@ class Pose:
         return Pose(np.array([-self.q[0], -self.q[1], -self.q[2], self.q[3]]), -Rt @ self.t)
 
     def transform(self, p) -> np.ndarray:
-        """Apply to world points of shape (3,) or (N, 3)."""
+        """Apply to world points of shape (3,) or (N, 3), or to each block
+        (k, 3) of a stack (..., k, 3). ``R.T`` is broadcast over the leading
+        axes, so each block's result equals transforming it alone bit for
+        bit; one product over the stack's rows as a flat (N, 3) array would
+        not be (for k = 1 about half of the rows round differently)."""
         p = np.asarray(p, dtype=float)
-        return p @ self.rotation().T + self.t
+        return p @ np.broadcast_to(self.rotation().T, p.shape[:-2] + (3, 3)) + self.t
 
     def center(self) -> np.ndarray:
         """Camera center in world coordinates, -R^T t."""
@@ -338,7 +341,7 @@ def pose_quat_batch(q) -> np.ndarray:
     return np.where(off[:, None], q / norm[:, None], q)
 
 
-def se3_exp_update_batch(R, t, deltas):
+def se3_exp_update(R, t, deltas):
     """The left-multiplicative on-manifold update T <- Exp(delta) o T of a
     pose by each row of ``deltas`` (m, 6), rotation 3-vector first and
     translation second.
@@ -356,12 +359,6 @@ def se3_exp_update_batch(R, t, deltas):
     t_new = (R_inc @ t)[:, :, 0] + (J @ deltas[:, 3:, None])[:, :, 0]
     q = pose_quat_batch(matrix_to_quat(R_inc @ R))
     return q, quat_to_matrix(q), t_new
-
-
-def se3_exp_update(T: Pose, delta) -> Pose:
-    """``se3_exp_update_batch`` of T by the one 6-vector delta."""
-    q, _, t = se3_exp_update_batch(T.rotation(), T.t, delta)
-    return Pose(q[0], t[0])
 
 
 # ---------------------------------------------------------------------------
@@ -486,40 +483,12 @@ def plucker_from_endpoints(ps, pe) -> tuple[np.ndarray, np.ndarray]:
 # orthonormal line representation
 
 
-@dataclass(frozen=True)
-class OrthonormalLine:
-    """Minimal 4-DOF line state: U in SO(3), W in SO(2).
-
-    ``degenerate`` marks lines through the origin (zero moment), for which
-    the first column of U is an arbitrary but deterministic unit normal.
-    """
-
-    U: np.ndarray
-    W: np.ndarray
-    degenerate: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "U", _column(self.U, float, (3, 3), "line U", GeometryError))
-        object.__setattr__(self, "W", _column(self.W, float, (2, 2), "line W", GeometryError))
-
-
-def orthonormal_from_plucker(n, d) -> OrthonormalLine:
-    """(U, W) with U columns [n/|n|, d/|d|, (n x d)/(|n||d|)]:
-    ``orthonormal_from_plucker_batch`` of one line.
-
-    A zero moment (line through the origin) yields a flagged degenerate
-    frame with a deterministic substitute normal.
-    """
-    U, W, degenerate = orthonormal_from_plucker_batch(
-        np.asarray(n, dtype=float).reshape(1, 3), np.asarray(d, dtype=float).reshape(1, 3)
-    )
-    return OrthonormalLine(U[0], W[0], bool(degenerate[0]))
-
-
-def orthonormal_from_plucker_batch(n, d):
-    """``orthonormal_from_plucker`` of each pair n[i], d[i] (m, 3): U
-    (m, 3, 3), W (m, 2, 2) and the degenerate flags (m,). A degenerate
-    row's normal is d/|d| crossed with the axis least aligned with d."""
+def orthonormal_from_plucker(n, d):
+    """The orthonormal state of each line n[i], d[i] (m, 3): U (m, 3, 3)
+    with columns [n/|n|, d/|d|, (n x d)/(|n||d|)], W (m, 2, 2) and the
+    degenerate flags (m,). A degenerate row is a line through the origin
+    (zero moment); its normal is d/|d| crossed with the axis least aligned
+    with d, an arbitrary but deterministic choice."""
     n = np.asarray(n, dtype=float)
     d = np.asarray(d, dtype=float)
     nn, nd = row_norms(n), row_norms(d)
@@ -538,28 +507,26 @@ def orthonormal_from_plucker_batch(n, d):
     return np.stack([u1, d_hat, u3], axis=2), W, degenerate
 
 
-def plucker_from_orthonormal(o: OrthonormalLine) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse map: n = W00 * U[:,0], d = W10 * U[:,1] (unit joint scale)."""
-    return o.W[0, 0] * o.U[:, 0], o.W[1, 0] * o.U[:, 1]
+def plucker_from_orthonormal(U, W) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse map of one state U (3, 3), W (2, 2) or of a stack (..., 3, 3),
+    (..., 2, 2): n = W00 * U[:, 0], d = W10 * U[:, 1] (unit joint scale)."""
+    U = np.asarray(U, dtype=float)
+    W = np.asarray(W, dtype=float)
+    return W[..., 0, 0, None] * U[..., :, 0], W[..., 1, 0, None] * U[..., :, 1]
 
 
-def orthonormal_update(o: OrthonormalLine, delta) -> OrthonormalLine:
-    """Right-multiplicative update U <- U Exp(delta[:3]), W <- W Rot2(delta[3])."""
+def orthonormal_update(U, W, delta) -> tuple[np.ndarray, np.ndarray]:
+    """Right-multiplicative update of one state U (3, 3), W (2, 2):
+    U <- U Exp(delta[:3]), W <- W Rot2(delta[3])."""
     delta = np.asarray(delta, dtype=float).reshape(4)
-    return OrthonormalLine(o.U @ so3_exp(delta[:3]), o.W @ rot2(delta[3]), o.degenerate)
+    return U @ so3_exp(delta[:3]), W @ rot2(delta[3])
 
 
 def rigid_fit(src, dst) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares rotation/translation with dst ~ R @ src + t (no scale):
-    ``rigid_fit_batch`` of one pair of point sets (n, 3)."""
-    R, t = rigid_fit_batch(np.asarray(src, dtype=float)[None], np.asarray(dst, dtype=float)[None])
-    return R[0], t[0]
-
-
-def rigid_fit_batch(src, dst) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares rotation/translation with dst[i] ~ R[i] @ src[i] + t[i]
-    for each pair of point sets src[i], dst[i] (..., n, 3); the leading
-    axes broadcast. Returns R (..., 3, 3) and t (..., 3).
+    """Least-squares rotation/translation with dst ~ R @ src + t (no scale)
+    of one pair of point sets (n, 3), or of each pair src[i], dst[i]
+    (..., n, 3); the leading axes broadcast. Returns R (..., 3, 3) and
+    t (..., 3).
 
     Horn's closed form via SVD with a determinant guard against
     reflections. Every step is a mean down the rows or one BLAS or LAPACK

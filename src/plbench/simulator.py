@@ -145,7 +145,7 @@ class TrajectorySpec:
       orbit     circle of ``radius`` around ``target`` at absolute ``height``
       corridor  rectangular circuit (legs ``leg_x`` x ``leg_y``), pure
                 translation on legs, in-place corner turns at
-                ``turn_rate_deg`` degrees per frame
+                ``turn_rate_deg`` >= 0 degrees per frame (0: instantaneous)
     """
 
     kind: str
@@ -174,6 +174,8 @@ class TrajectorySpec:
             raise ConfigError(f"orbit radius must be positive, got {self.radius}")
         if self.kind == "corridor" and not (self.leg_x > 0 and self.leg_y > 0):
             raise ConfigError(f"corridor legs must be positive, got {self.leg_x} x {self.leg_y}")
+        if self.kind == "corridor" and self.turn_rate_deg < 0:
+            raise ConfigError(f"turn_rate_deg must be >= 0, got {self.turn_rate_deg}")
         for f in fields(self):
             v = getattr(self, f.name)
             if not isinstance(v, str) and not np.isfinite(v).all():
@@ -197,6 +199,9 @@ class NoiseParams:
                                   f"got {getattr(self, name)}")
         if not 0 < self.m < math.inf:
             raise ConfigError(f"invalid noise parameters: m must be finite and > 0, got {self.m}")
+        if not isinstance(self.enabled, bool):
+            raise ConfigError(f"invalid noise parameters: enabled must be a bool, "
+                              f"got {self.enabled!r}")
 
 
 @dataclass(frozen=True)

@@ -31,10 +31,10 @@ from .geometry import (
     matrix_to_quat,
     pose_quat_batch,
     quat_to_matrix,
-    rigid_fit_batch,
+    rigid_fit,
     row_dots,
     row_norms,
-    se3_exp_update_batch,
+    se3_exp_update,
 )
 from .simulator import Sequence
 
@@ -180,7 +180,7 @@ def _refine_poses(R, t, P_w, u, counts, intr, iterations=10):
 
     The starts still in the batch share one ``_pose_jacobian`` call over
     their rows, one stacked solve of the 6×6 normal equations and one
-    ``se3_exp_update_batch`` call; their tries are projected in spans of
+    ``se3_exp_update`` call; their tries are projected in spans of
     about ``_TRY_ROWS`` rows (``_try_errors``), and a start that accepts a
     try is projected once more at its new pose. Only the segment reductions
     (the normal equations and the mean errors) run once per run of
@@ -217,8 +217,8 @@ def _refine_poses(R, t, P_w, u, counts, intr, iterations=10):
         if not len(moving):
             break
         steps = (_STEPS[:, None] * deltas[:, None, :]).reshape(-1, 6)
-        q_k, R_k, t_k = se3_exp_update_batch(np.repeat(R[moving], m, axis=0),
-                                             np.repeat(t[moving], m, axis=0), steps)
+        q_k, R_k, t_k = se3_exp_update(np.repeat(R[moving], m, axis=0),
+                                       np.repeat(t[moving], m, axis=0), steps)
         errs = _try_errors(R_k, t_k, np.repeat(offsets[moving], m), np.repeat(counts[moving], m),
                            P_w, u, intr)
         accepted = errs.reshape(-1, m) <= err[moving, None]
@@ -364,22 +364,17 @@ def _epnp_candidates(ctrl, P_w, u, counts, intr):
     return alphas, np.where(flip[:, :, None, None], -candidates, candidates), exists
 
 
-def solve_pnp(
-    world_points,
-    pixels,
-    intr: CameraIntrinsics,
-    refine_iters: int = 10,
-    initial: Pose | None = None,
-) -> PnPResult:
+def solve_pnp(world_points, pixels, intr: CameraIntrinsics,
+              initial: Pose | None = None) -> PnPResult:
     """Camera pose from 3D-2D correspondences: EPnP control-point
     formulation followed by Gauss-Newton refinement; ``initial``, when
     given, is a further start (a motion prior). A batch of one of
     ``solve_pnp_batch``, which documents the method and the errors.
     """
-    return solve_pnp_batch([(world_points, pixels, initial)], intr, refine_iters)[0]
+    return solve_pnp_batch([(world_points, pixels, initial)], intr)[0]
 
 
-def solve_pnp_batch(problems, intr: CameraIntrinsics, refine_iters: int = 10) -> list[PnPResult]:
+def solve_pnp_batch(problems, intr: CameraIntrinsics) -> list[PnPResult]:
     """Solve independent PnP problems, each a triple (world_points (n, 3),
     pixels (n, 2), initial) with ``initial`` a ``Pose`` (a motion prior) or
     None; returns their results in order.
@@ -389,7 +384,8 @@ def solve_pnp_batch(problems, intr: CameraIntrinsics, refine_iters: int = 10) ->
     starts; all starts are refined by ``_refine_poses``, and the refined
     pose with the lowest mean reprojection error wins, the earlier start on
     a tie. A problem raises ``InsufficientDataError`` when its points and
-    pixels differ in length or number fewer than 4, and
+    pixels differ in length, number fewer than 4 or hold a value that is
+    not finite, and
     ``DegenerateGeometryError`` when its points are collinear or coincident
     or EPnP yields no start; the call raises the error of the first failing
     problem, with that problem's index as ``problem``.
@@ -405,18 +401,19 @@ def solve_pnp_batch(problems, intr: CameraIntrinsics, refine_iters: int = 10) ->
     for P_w, u, initial in problems:
         P_w = np.asarray(P_w, dtype=float).reshape(-1, 3)
         if batch and rows + len(P_w) > _BATCH_ROWS:
-            results += _solve_batch(batch, intr, refine_iters, len(results))
+            results += _solve_batch(batch, intr, len(results))
             batch, rows = [], 0
         batch.append((P_w, np.asarray(u, dtype=float).reshape(-1, 2), initial))
         rows += len(P_w)
     if batch:
-        results += _solve_batch(batch, intr, refine_iters, len(results))
+        results += _solve_batch(batch, intr, len(results))
     return results
 
 
-def _solve_batch(problems, intr, iterations, first) -> list[PnPResult]:
+def _solve_batch(problems, intr, first, iterations=10) -> list[PnPResult]:
     """``solve_pnp_batch`` of one batch of (P_w, u, initial) triples, whose
-    first problem has index ``first`` in the whole call."""
+    first problem has index ``first`` in the whole call; ``iterations`` is
+    the number of refinement iterations, 0 for EPnP alone."""
     failures: dict[int, PnPError] = {}
     for i, (P, x, _) in enumerate(problems):
         if len(P) != len(x):
@@ -424,6 +421,8 @@ def _solve_batch(problems, intr, iterations, first) -> list[PnPResult]:
         elif len(P) < 4:
             failures[i] = InsufficientDataError(
                 f"need at least 4 correspondences, got {len(P)}", first + i)
+        elif not (np.isfinite(P).all() and np.isfinite(x).all()):
+            failures[i] = InsufficientDataError("points and pixels must be finite", first + i)
         if failures:  # the problems after it cannot fail before it
             break
     k = min(failures, default=len(problems))
@@ -453,7 +452,7 @@ def _solve_batch(problems, intr, iterations, first) -> list[PnPResult]:
         # each candidate's camera-frame points, alphas @ candidate, then the
         # rigid fit of the problem's world points onto them
         fit_R[idx], fit_t[idx] = _by_runs(
-            lambda A, X, C: rigid_fit_batch(X[:, None], A[:, None] @ C),
+            lambda A, X, C: rigid_fit(X[:, None], A[:, None] @ C),
             counts[idx], (alphas, _take(P, rows)), (candidates,))
 
     # the starts of each problem in order: its candidates, each stored as a
@@ -657,23 +656,6 @@ def _refit_lines(samples, sizes, stored) -> np.ndarray:
 # trackers
 
 
-def _transform_blocks(T: Pose, V) -> np.ndarray:
-    """``T.transform`` of every block V[i] (k, 3) of V (n, k, 3) in one
-    stacked product, bit-identical to one ``T.transform(V[i])`` per block.
-    For single points (k = 1) the flat ``V.reshape(-1, 3) @ R.T`` is not:
-    it rounds about half of the rows differently."""
-    return V @ np.broadcast_to(T.rotation().T, (len(V), 3, 3)) + T.t
-
-
-def _solve_frame(frame_id: int, P_w, u, intr, initial=None) -> PnPResult:
-    """``solve_pnp`` for one frame of a tracker: a PnP failure becomes
-    ``TrackingLostError`` naming the frame, raised from the original."""
-    try:
-        return solve_pnp(P_w, u, intr, initial=initial)
-    except PnPError as exc:
-        raise TrackingLostError(frame_id, str(exc)) from exc
-
-
 def track_frame_to_frame(seq: Sequence) -> list[Pose]:
     """Chain relative poses: back-project the previous frame's measured
     depths, match by landmark id, solve PnP in the previous camera frame.
@@ -722,7 +704,8 @@ def track_map_to_frame(seq: Sequence) -> tuple[list[Pose], SparseMap]:
     is solved against the mapped points seen in it, then its measurements
     are back-projected and fused with ``SparseMap``'s default gates
     (co-visible ones update landmarks inside the gates, new ids are
-    inserted).
+    inserted). A PnP failure becomes ``TrackingLostError`` naming the
+    frame, raised from the original.
     """
     intr = seq.intrinsics
     sparse_map = SparseMap()
@@ -735,18 +718,21 @@ def track_map_to_frame(seq: Sequence) -> tuple[list[Pose], SparseMap]:
             rows, known = sparse_map.points.find(frame.point_ids)
             if known.sum() < 4:
                 raise TrackingLostError(j, f"only {known.sum()} mapped landmarks visible")
-            T = _solve_frame(j, sparse_map.points.position[rows[known]], u[known], intr,
-                             initial=traj[j - 1]).pose
+            try:
+                T = solve_pnp(sparse_map.points.position[rows[known]], u[known], intr,
+                              initial=traj[j - 1]).pose
+            except PnPError as exc:
+                raise TrackingLostError(j, str(exc)) from exc
         traj.append(T)
 
         # fuse the frame: every point and every line endpoint back-projected
-        # and moved to the world in one batch each
+        # and moved to the world in one batch each; each point is a block of
+        # one, so that it gets the bits of transforming it alone
         T_inv = T.inverse()
         P_c = backproject(u, frame.point_depths, intr)
-        sparse_map.fuse_points(_transform_blocks(T_inv, P_c[:, None, :])[:, 0, :],
-                               frame.point_ids)
+        sparse_map.fuse_points(T_inv.transform(P_c[:, None, :])[:, 0, :], frame.point_ids)
         ends_c = backproject(frame.line_pixels.reshape(-1, 2), frame.line_depths.reshape(-1),
                              intr).reshape(-1, 2, 3)
-        sparse_map.fuse_lines(_transform_blocks(T_inv, ends_c), frame.line_ids)
+        sparse_map.fuse_lines(T_inv.transform(ends_c), frame.line_ids)
 
     return traj, sparse_map

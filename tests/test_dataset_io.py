@@ -46,6 +46,7 @@ from plbench.simulator import (
 from plbench.tracking import track_frame_to_frame, track_map_to_frame
 
 K = CameraIntrinsics(460.0, 460.0, 320.0, 240.0, 640, 480)
+IDENTITY = Pose(np.array([0.0, 0.0, 0.0, 1.0]), np.zeros(3))
 
 
 @pytest.fixture(scope="module")
@@ -263,7 +264,7 @@ def test_trajectory_roundtrip_exact(tmp_path):
 
 
 def test_trajectory_identity_record(tmp_path):
-    write_trajectory([Pose.identity()], tmp_path / "t.txt")
+    write_trajectory([IDENTITY], tmp_path / "t.txt")
     back = read_trajectory(tmp_path / "t.txt")
     np.testing.assert_array_equal(back[0].t, np.zeros(3))
     np.testing.assert_array_equal(back[0].q, [0.0, 0.0, 0.0, 1.0])
@@ -296,7 +297,7 @@ def test_empty_graph_roundtrip(tmp_path):
 
 
 def test_toy_graph_roundtrip(tmp_path):
-    T = [Pose.identity(), Pose.from_rt(so3_exp([0.01, 0.02, -0.01]), np.array([0.1, 0.0, 0.02]))]
+    T = [IDENTITY, Pose.from_rt(so3_exp([0.01, 0.02, -0.01]), np.array([0.1, 0.0, 0.02]))]
     g = FactorGraph(
         intrinsics=K,
         poses=Poses([0, 1], [T_i.t for T_i in T], [T_i.q for T_i in T]),
@@ -556,7 +557,7 @@ def test_graph_roundtrip_from_pipeline(small_sequence, tmp_path):
 def frame_sequence(frames):
     return Sequence(
         intrinsics=K,
-        gt_trajectory=[Pose.identity()] * len(frames),
+        gt_trajectory=[IDENTITY] * len(frames),
         frames=frames,
         gt_points=Points([], []),
         gt_lines=Segments([], []),

@@ -38,11 +38,18 @@ from plbench.factor_graph import (
 from plbench.simulator import NoiseParams, build_scene, build_trajectory, generate_sequence, load_preset
 
 K = CameraIntrinsics(100.0, 100.0, 320.0, 240.0, 640, 480)
+IDENTITY = Pose(np.array([0.0, 0.0, 0.0, 1.0]), np.zeros(3))
 
 
 def random_pose(rng, rot_scale=0.4, t_scale=0.6) -> Pose:
     return Pose.from_rt(so3_exp(rng.normal(scale=rot_scale, size=3)),
                         rng.normal(scale=t_scale, size=3))
+
+
+def updated(T: Pose, delta) -> Pose:
+    """T updated by the one 6-vector delta: ``se3_exp_update`` of one row."""
+    q, _, t = se3_exp_update(T.rotation(), T.t, delta)
+    return Pose(q[0], t[0])
 
 
 def random_point_config(rng):
@@ -57,7 +64,7 @@ def random_point_config(rng):
 
 
 def random_line_config(rng):
-    """Pose, orthonormal line state, measured endpoint pixels."""
+    """Pose, orthonormal line state (U, W), measured endpoint pixels."""
     while True:
         T = random_pose(rng)
         A = rng.normal(scale=1.5, size=3) + np.array([0.0, 0.0, 5.0])
@@ -72,8 +79,9 @@ def random_line_config(rng):
             continue
         ua = np.array([K.fx * A_c[0] / A_c[2] + K.cx, K.fy * A_c[1] / A_c[2] + K.cy])
         ub = np.array([K.fx * B_c[0] / B_c[2] + K.cx, K.fy * B_c[1] / B_c[2] + K.cy])
-        o = orthonormal_from_plucker(n, d)
-        return T, o, ua + rng.normal(scale=2.0, size=2), ub + rng.normal(scale=2.0, size=2)
+        U, W, _ = orthonormal_from_plucker([n], [d])
+        u_s, u_e = ua + rng.normal(scale=2.0, size=2), ub + rng.normal(scale=2.0, size=2)
+        return T, (U[0], W[0]), u_s, u_e
 
 
 def stack_poses(poses):
@@ -93,7 +101,7 @@ def batch_line_jacobians(configs):
     """(J_pose, J_line) of each (T, o, u_s, u_e) through one ``line_terms`` call."""
     T, o, u_s, u_e = zip(*configs)
     _, J_pose, J_line, valid = line_terms(
-        *stack_poses(T), np.array([x.U for x in o]), np.array([x.W for x in o]),
+        *stack_poses(T), np.array([U for U, _ in o]), np.array([W for _, W in o]),
         np.array(u_s), np.array(u_e), K,
     )
     assert valid.all()
@@ -111,18 +119,18 @@ def rel_err(J_analytic, J_fd):
 def test_point_residual_zero_when_measurement_matches():
     P_w = np.array([1.0, 2.0, 2.0])
     u = np.array([370.0, 340.0])
-    np.testing.assert_allclose(point_residual(u, P_w, Pose.identity(), K), [0, 0], atol=1e-12)
+    np.testing.assert_allclose(point_residual(u, P_w, IDENTITY, K), [0, 0], atol=1e-12)
 
 
 def test_point_residual_hand_value():
     P_w = np.array([1.0, 2.0, 2.0])
     u = np.array([372.0, 340.0])
-    np.testing.assert_allclose(point_residual(u, P_w, Pose.identity(), K), [2, 0], atol=1e-12)
+    np.testing.assert_allclose(point_residual(u, P_w, IDENTITY, K), [2, 0], atol=1e-12)
 
 
 def test_point_residual_behind_camera_raises():
     with pytest.raises(GeometryError):
-        point_residual(np.zeros(2), np.array([0.0, 0.0, -1.0]), Pose.identity(), K)
+        point_residual(np.zeros(2), np.array([0.0, 0.0, -1.0]), IDENTITY, K)
 
 
 def test_point_residual_gauge_invariance():
@@ -150,8 +158,8 @@ def project_line(L, T: Pose, intr: CameraIntrinsics) -> np.ndarray:
     """The image line that ``_line_residuals`` measures the endpoints of a
     factor of the world line L = (n, d) against, normalized to Euclidean
     norm 1; raises GeometryError where the kernel marks it degenerate."""
-    o = orthonormal_from_plucker(*L)
-    _, valid, (_, _, l, *_) = _line_residuals(T.rotation()[None], T.t[None], o.U[None], o.W[None],
+    U, W, _ = orthonormal_from_plucker([L[0]], [L[1]])
+    _, valid, (_, _, l, *_) = _line_residuals(T.rotation()[None], T.t[None], U, W,
                                               np.zeros((1, 2)), np.zeros((1, 2)), intr)
     if not valid[0]:
         raise GeometryError("degenerate line projection")
@@ -176,7 +184,7 @@ def test_project_line_hand_case():
     # the world line {y=0, z=1} seen by the identity camera maps to the
     # horizontal image line v = cy, i.e. (0, 1, -cy) normalized
     L = plucker_from_endpoints([0.0, 0.0, 1.0], [1.0, 0.0, 1.0])
-    l = project_line(L, Pose.identity(), K)
+    l = project_line(L, IDENTITY, K)
     expected = np.array([0.0, 1.0, -K.cy])
     expected = expected / np.linalg.norm(expected)
     # sign may flip jointly; compare as a projective entity
@@ -187,8 +195,8 @@ def test_project_line_hand_case():
 
 def test_project_line_scale_invariant():
     L = plucker_from_endpoints([0.5, -0.2, 2.0], [1.0, 0.8, 3.0])
-    l1 = project_line(L, Pose.identity(), K)
-    l2 = project_line((10.0 * L[0], 10.0 * L[1]), Pose.identity(), K)
+    l1 = project_line(L, IDENTITY, K)
+    l2 = project_line((10.0 * L[0], 10.0 * L[1]), IDENTITY, K)
     np.testing.assert_allclose(l1, l2, atol=1e-12)
 
 
@@ -216,10 +224,10 @@ def test_project_line_dual_formulation_agreement():
 def test_line_residual_zero_on_line_and_hand_distance():
     L = plucker_from_endpoints([0.0, 0.0, 1.0], [1.0, 0.0, 1.0])
     # both endpoints on the projected line v = cy
-    r = line_residual([10.0, K.cy], [600.0, K.cy], L, Pose.identity(), K)
+    r = line_residual([10.0, K.cy], [600.0, K.cy], L, IDENTITY, K)
     np.testing.assert_allclose(r, [0, 0], atol=1e-12)
     # an endpoint 2 px above the line is at signed distance 2
-    r = line_residual([50.0, K.cy + 2.0], [60.0, K.cy], L, Pose.identity(), K)
+    r = line_residual([50.0, K.cy + 2.0], [60.0, K.cy], L, IDENTITY, K)
     assert abs(abs(r[0]) - 2.0) <= 1e-12
     assert abs(r[1]) <= 1e-12
 
@@ -227,8 +235,8 @@ def test_line_residual_zero_on_line_and_hand_distance():
 def test_line_residual_aperture_invariance():
     # sliding measured endpoints along the true line leaves the residual
     L = plucker_from_endpoints([0.0, 0.0, 1.0], [1.0, 0.0, 1.0])
-    r1 = line_residual([50.0, K.cy + 1.0], [100.0, K.cy - 1.0], L, Pose.identity(), K)
-    r2 = line_residual([400.0, K.cy + 1.0], [633.0, K.cy - 1.0], L, Pose.identity(), K)
+    r1 = line_residual([50.0, K.cy + 1.0], [100.0, K.cy - 1.0], L, IDENTITY, K)
+    r2 = line_residual([400.0, K.cy + 1.0], [633.0, K.cy - 1.0], L, IDENTITY, K)
     np.testing.assert_allclose(r1, r2, atol=1e-12)
 
 
@@ -241,8 +249,8 @@ def fd_point_jacobians(u, P_w, T, h=1e-6):
     for i in range(6):
         d = np.zeros(6)
         d[i] = h
-        rp = point_residual(u, P_w, se3_exp_update(T, d), K)
-        rm = point_residual(u, P_w, se3_exp_update(T, -d), K)
+        rp = point_residual(u, P_w, updated(T, d), K)
+        rm = point_residual(u, P_w, updated(T, -d), K)
         J_pose[:, i] = (rp - rm) / (2 * h)
     J_point = np.zeros((2, 3))
     for i in range(3):
@@ -255,20 +263,20 @@ def fd_point_jacobians(u, P_w, T, h=1e-6):
 
 
 def fd_line_jacobians(u_s, u_e, o, T, h=1e-6):
-    L0 = plucker_from_orthonormal(o)
+    L0 = plucker_from_orthonormal(*o)
     J_pose = np.zeros((2, 6))
     for i in range(6):
         d = np.zeros(6)
         d[i] = h
-        rp = line_residual(u_s, u_e, L0, se3_exp_update(T, d), K)
-        rm = line_residual(u_s, u_e, L0, se3_exp_update(T, -d), K)
+        rp = line_residual(u_s, u_e, L0, updated(T, d), K)
+        rm = line_residual(u_s, u_e, L0, updated(T, -d), K)
         J_pose[:, i] = (rp - rm) / (2 * h)
     J_line = np.zeros((2, 4))
     for i in range(4):
         d = np.zeros(4)
         d[i] = h
-        rp = line_residual(u_s, u_e, plucker_from_orthonormal(orthonormal_update(o, d)), T, K)
-        rm = line_residual(u_s, u_e, plucker_from_orthonormal(orthonormal_update(o, -d)), T, K)
+        rp = line_residual(u_s, u_e, plucker_from_orthonormal(*orthonormal_update(*o, d)), T, K)
+        rm = line_residual(u_s, u_e, plucker_from_orthonormal(*orthonormal_update(*o, -d)), T, K)
         J_line[:, i] = (rp - rm) / (2 * h)
     return J_pose, J_line
 
@@ -285,15 +293,15 @@ def test_point_jacobians_match_finite_differences():
 def test_point_jacobian_hand_value_on_axis():
     # fronto-parallel point on the optical axis: d res / d t_x = (-fx/Z, 0)
     Z = 2.5
-    J_pose, _ = batch_point_jacobians([(Pose.identity(), [0.0, 0.0, Z], [K.cx, K.cy])])
+    J_pose, _ = batch_point_jacobians([(IDENTITY, [0.0, 0.0, Z], [K.cx, K.cy])])
     np.testing.assert_allclose(J_pose[0, :, 3], [-K.fx / Z, 0.0], atol=1e-12)
 
 
 def test_zero_residual_does_not_zero_jacobian():
     P_w = np.array([1.0, 2.0, 2.0])
     u = np.array([370.0, 340.0])
-    assert np.allclose(point_residual(u, P_w, Pose.identity(), K), 0, atol=1e-12)
-    J_pose, J_point = batch_point_jacobians([(Pose.identity(), P_w, u)])
+    assert np.allclose(point_residual(u, P_w, IDENTITY, K), 0, atol=1e-12)
+    J_pose, J_point = batch_point_jacobians([(IDENTITY, P_w, u)])
     assert np.max(np.abs(J_pose)) > 1.0
     assert np.max(np.abs(J_point)) > 1.0
 
@@ -340,7 +348,7 @@ def test_line_jacobian_null_space_probe():
     checked = 0
     while checked < 10:
         T, o, _, _ = random_line_config(rng)
-        L = plucker_from_orthonormal(o)
+        L = plucker_from_orthonormal(*o)
         n_c, d_c = camera_line(L, T)
         p1 = np.cross(d_c, n_c) / (d_c @ d_c)
         p2 = p1 + d_c
@@ -357,7 +365,7 @@ def test_line_jacobian_null_space_probe():
         range_dir = Vt[0]
 
         def step_norm(direction, s):
-            L_s = plucker_from_orthonormal(orthonormal_update(o, s * direction))
+            L_s = plucker_from_orthonormal(*orthonormal_update(*o, s * direction))
             return np.linalg.norm(line_residual(u_s, u_e, L_s, T, K))
 
         r_null = step_norm(null_dir, 1e-4)
@@ -384,7 +392,7 @@ def toy_sequence(n_frames=2):
     from plbench.simulator import FrameData, Sequence
 
     P = np.array([0.2, -0.1, 3.0])
-    traj = [Pose.identity()]
+    traj = [IDENTITY]
     for i in range(1, n_frames):
         traj.append(Pose(np.array([0.0, 0, 0, 1]), np.array([0.05 * i, 0.0, 0.0])))
     frames = []
@@ -541,7 +549,7 @@ def test_total_cost_adds_zero_for_point_behind_its_camera():
     T1 = Pose(np.array([0.0, 0.0, 0.0, 1.0]), np.array([0.0, 0.0, -4.0]))
     graph = FactorGraph(
         intrinsics=K,
-        poses=poses_of([0, 1], [Pose.identity(), T1]),
+        poses=poses_of([0, 1], [IDENTITY, T1]),
         fixed=[0],
         points=Points([0, 1], [[0.2, -0.1, 8.0], [0.1, 0.3, 2.0]]),
         lines=lines_of([0], [plucker_from_endpoints([0.0, 0.0, 6.0], [1.0, 0.0, 6.0])]),
@@ -588,7 +596,7 @@ def test_graph_gauge_invariance():
 def test_line_vertex_rejects_plucker_violation():
     # also at a scale where the bound of the test overflows
     for scale in (1.0, 1e160):
-        g = FactorGraph(intrinsics=K, poses=poses_of([0], [Pose.identity()]), fixed=[0],
+        g = FactorGraph(intrinsics=K, poses=poses_of([0], [IDENTITY]), fixed=[0],
                         lines=Lines([0, 1], [[0.0, 0.0, 0.5], [scale, scale, 0.0]],
                                     [[0.0, 0.5, 0.0], [scale, 0.0, 0.0]]))
         with pytest.raises(GraphConstructionError, match="Plucker"):
@@ -613,7 +621,7 @@ def test_graph_is_frozen_and_holds_fixed_as_sorted_ids():
 
 
 def test_graph_check_requires_gauge():
-    g = FactorGraph(intrinsics=K, poses=poses_of([0], [Pose.identity()]))
+    g = FactorGraph(intrinsics=K, poses=poses_of([0], [IDENTITY]))
     with pytest.raises(GraphConstructionError):
         g.check()
 
@@ -628,7 +636,7 @@ def dangling_graph(kind, unknown):
     else:
         factors = {"line_factors": Factors([frame], [landmark],
                                            [[[100.0, 240.0], [500.0, 240.0]]], [1.0])}
-    return FactorGraph(intrinsics=K, poses=poses_of([10, 0], [Pose.identity()] * 2), fixed=[0],
+    return FactorGraph(intrinsics=K, poses=poses_of([10, 0], [IDENTITY] * 2), fixed=[0],
                        points=Points([100, 0], [[0.1, 0.3, 2.0], [0.2, -0.1, 3.0]]),
                        lines=lines_of([100, 0], [line, line]), **factors)
 

@@ -15,7 +15,6 @@ from plbench.geometry import (
     CameraIntrinsics,
     DegenerateLineError,
     GeometryError,
-    OrthonormalLine,
     Points,
     Pose,
     Segments,
@@ -23,7 +22,6 @@ from plbench.geometry import (
     line_angles,
     matrix_to_quat,
     orthonormal_from_plucker,
-    orthonormal_from_plucker_batch,
     orthonormal_update,
     plucker_from_endpoints,
     plucker_from_orthonormal,
@@ -31,7 +29,6 @@ from plbench.geometry import (
     quat_to_matrix,
     rot2,
     se3_exp_update,
-    se3_exp_update_batch,
     skew,
     so3_exp,
     so3_log,
@@ -40,11 +37,25 @@ from plbench.simulator import Box, FrameData
 from plbench.tracking import MapPoints, MapSegments, SparseMap
 
 K_VGA = CameraIntrinsics(100.0, 100.0, 320.0, 240.0, 640, 480)
+IDENTITY = Pose(np.array([0.0, 0.0, 0.0, 1.0]), np.zeros(3))
 
 
 def random_pose(rng) -> Pose:
     q = rng.normal(size=4)
     return Pose(q / np.linalg.norm(q), rng.normal(scale=2.0, size=3))
+
+
+def updated(T: Pose, delta) -> Pose:
+    """T updated by the one 6-vector delta: ``se3_exp_update`` of one row."""
+    q, _, t = se3_exp_update(T.rotation(), T.t, delta)
+    return Pose(q[0], t[0])
+
+
+def line_state(n, d):
+    """(U, W, degenerate) of the one line n, d (3,): ``orthonormal_from_plucker``
+    of a stack of one."""
+    U, W, degenerate = orthonormal_from_plucker([n], [d])
+    return U[0], W[0], bool(degenerate[0])
 
 
 finite_coord = st.floats(min_value=-100, max_value=100, allow_nan=False)
@@ -212,15 +223,33 @@ def test_intrinsics_invariants():
 
 
 def test_transform_point_examples():
-    np.testing.assert_allclose(
-        Pose.identity().transform(np.array([1.0, 2.0, 3.0])), [1, 2, 3]
-    )
+    np.testing.assert_allclose(IDENTITY.transform(np.array([1.0, 2.0, 3.0])), [1, 2, 3])
     quarter_turn_z = Pose.from_rt(so3_exp([0, 0, np.pi / 2]), np.zeros(3))
     np.testing.assert_allclose(
         quarter_turn_z.transform(np.array([1.0, 0.0, 0.0])), [0, 1, 0], atol=1e-12
     )
     shift = Pose(np.array([0.0, 0.0, 0.0, 1.0]), np.array([0.0, 0.0, 5.0]))
     np.testing.assert_allclose(shift.transform(np.array([1.0, 2.0, 3.0])), [1, 2, 8])
+
+
+def test_transform_of_blocks_equals_each_block_alone():
+    # a stack (n, k, 3) transformed in one call equals one call per block
+    # (k, 3), bit for bit, and a flat (N, 3) array is the one product
+    # p @ R.T + t
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        T = random_pose(rng)
+        for k in (1, 2, 5):
+            V = rng.normal(scale=4.0, size=(30, k, 3))
+            stack = T.transform(V)
+            assert stack.shape == V.shape
+            for block, got in zip(V, stack):
+                assert got.tobytes() == T.transform(block).tobytes()
+            split = T.transform(V.reshape(3, 10, k, 3)).reshape(V.shape)
+            assert split.tobytes() == stack.tobytes()
+        P = rng.normal(scale=4.0, size=(40, 3))
+        assert T.transform(P).tobytes() == (P @ T.rotation().T + T.t).tobytes()
+        assert T.transform(P[0]).tobytes() == (P[0] @ T.rotation().T + T.t).tobytes()
 
 
 @given(q=quat, t=vec3)
@@ -252,13 +281,13 @@ def test_pose_quaternion_stays_unit():
 def test_se3_exp_update_identity_and_consistency():
     rng = np.random.default_rng(5)
     T = random_pose(rng)
-    same = se3_exp_update(T, np.zeros(6))
+    same = updated(T, np.zeros(6))
     np.testing.assert_allclose(same.rotation(), T.rotation(), atol=1e-15)
     np.testing.assert_allclose(same.t, T.t, atol=1e-15)
     # small update moves points by approximately rho + omega x p
     delta = 1e-6 * rng.normal(size=6)
     p = rng.normal(size=3)
-    moved = se3_exp_update(T, delta).transform(p)
+    moved = updated(T, delta).transform(p)
     base = T.transform(p)
     predicted = base + np.cross(delta[:3], base) + delta[3:]
     np.testing.assert_allclose(moved, predicted, atol=1e-11)
@@ -270,9 +299,9 @@ def quat_branch(R):
     return "trace" if np.trace(R) > 0 else int(np.argmax(np.diag(R)))
 
 
-def test_se3_exp_update_batch_equals_the_scalar_update():
+def test_se3_exp_update_of_a_stack_equals_the_scalar_update():
     rng = np.random.default_rng(9)
-    poses = [Pose.identity(), random_pose(rng), random_pose(rng)]
+    poses = [IDENTITY, random_pose(rng), random_pose(rng)]
     deltas = [
         np.array([0.0, 0.0, 0.0, 0.1, -0.2, 0.3]),  # no rotation: series branch
         np.array([3e-9, -4e-9, 1e-9, 0.5, 0.1, 0.0]),  # angle 5e-9: series branch
@@ -293,10 +322,10 @@ def test_se3_exp_update_batch_equals_the_scalar_update():
     exp_branches, quat_branches = set(), set()
     for T in poses:
         for delta in deltas:
-            q, R, t = se3_exp_update_batch(T.rotation(), T.t, steps[:, None] * delta)
+            q, R, t = se3_exp_update(T.rotation(), T.t, steps[:, None] * delta)
             for k, step in enumerate(steps):
                 ref = reference_se3_exp_update(T, step * delta)
-                one = se3_exp_update(T, step * delta)
+                one = updated(T, step * delta)
                 assert q[k].tobytes() == one.q.tobytes() == ref.q.tobytes()
                 assert R[k].tobytes() == reference_quat_to_matrix(ref.q).tobytes()
                 assert t[k].tobytes() == one.t.tobytes() == ref.t.tobytes()
@@ -307,9 +336,8 @@ def test_se3_exp_update_batch_equals_the_scalar_update():
 
     # one base pose per row: every pose and step above in one call
     rows = [(T, step * delta) for T in poses for delta in deltas for step in steps]
-    q, R, t = se3_exp_update_batch(np.array([T.rotation() for T, _ in rows]),
-                                   np.array([T.t for T, _ in rows]),
-                                   np.array([d for _, d in rows]))
+    q, R, t = se3_exp_update(np.array([T.rotation() for T, _ in rows]),
+                             np.array([T.t for T, _ in rows]), np.array([d for _, d in rows]))
     for k, (T, d) in enumerate(rows):
         ref = reference_se3_exp_update(T, d)
         assert (q[k].tobytes(), R[k].tobytes(), t[k].tobytes()) == \
@@ -401,7 +429,7 @@ def transform_plucker(T: Pose, n, d):
 def test_transform_plucker_examples():
     n0 = np.array([0.0, 0, 1])
     d0 = np.array([0.0, 1, 0])
-    n, d = transform_plucker(Pose.identity(), n0, d0)
+    n, d = transform_plucker(IDENTITY, n0, d0)
     np.testing.assert_allclose(n, n0)
     np.testing.assert_allclose(d, d0)
 
@@ -437,20 +465,20 @@ def test_transform_plucker_matches_transformed_endpoints():
 
 
 def test_orthonormal_from_plucker_hand_case():
-    o = orthonormal_from_plucker([0.0, 0, 1], [0.0, 1, 0])
-    np.testing.assert_allclose(o.U[:, 0], [0, 0, 1])
-    np.testing.assert_allclose(o.U[:, 1], [0, 1, 0])
-    np.testing.assert_allclose(o.U[:, 2], [-1, 0, 0])
+    U, W, degenerate = line_state([0.0, 0, 1], [0.0, 1, 0])
+    np.testing.assert_allclose(U[:, 0], [0, 0, 1])
+    np.testing.assert_allclose(U[:, 1], [0, 1, 0])
+    np.testing.assert_allclose(U[:, 2], [-1, 0, 0])
     r = 1 / np.sqrt(2)
-    np.testing.assert_allclose(o.W, [[r, -r], [r, r]])
-    assert not o.degenerate
+    np.testing.assert_allclose(W, [[r, -r], [r, r]])
+    assert not degenerate
 
 
 def test_orthonormal_scale_invariance():
-    a = orthonormal_from_plucker([0.0, 0, 1], [0.0, 1, 0])
-    b = orthonormal_from_plucker([0.0, 0, 2], [0.0, 2, 0])
-    np.testing.assert_allclose(a.U, b.U)
-    np.testing.assert_allclose(a.W, b.W)
+    U_a, W_a, _ = line_state([0.0, 0, 1], [0.0, 1, 0])
+    U_b, W_b, _ = line_state([0.0, 0, 2], [0.0, 2, 0])
+    np.testing.assert_allclose(U_a, U_b)
+    np.testing.assert_allclose(W_a, W_b)
 
 
 def test_orthonormal_roundtrip_preserves_projective_line():
@@ -462,7 +490,7 @@ def test_orthonormal_roundtrip_preserves_projective_line():
         n, d = plucker_from_endpoints(ps, pe)
         if np.linalg.norm(n) < 1e-9:
             continue
-        n2, d2 = plucker_from_orthonormal(orthonormal_from_plucker(n, d))
+        n2, d2 = plucker_from_orthonormal(*line_state(n, d)[:2])
         # compare after normalizing |d| = 1
         np.testing.assert_allclose(n / np.linalg.norm(d), n2 / np.linalg.norm(d2), atol=1e-9)
         np.testing.assert_allclose(d / np.linalg.norm(d), d2 / np.linalg.norm(d2), atol=1e-9)
@@ -470,11 +498,11 @@ def test_orthonormal_roundtrip_preserves_projective_line():
 
 
 def test_orthonormal_degenerate_line_through_origin():
-    o = orthonormal_from_plucker([0.0, 0, 0], [0.0, 0, 2])
-    assert o.degenerate
-    np.testing.assert_allclose(o.U.T @ o.U, np.eye(3), atol=1e-12)
-    assert np.linalg.det(o.U) == pytest.approx(1.0)
-    n, d = plucker_from_orthonormal(o)
+    U, W, degenerate = line_state([0.0, 0, 0], [0.0, 0, 2])
+    assert degenerate
+    np.testing.assert_allclose(U.T @ U, np.eye(3), atol=1e-12)
+    assert np.linalg.det(U) == pytest.approx(1.0)
+    n, d = plucker_from_orthonormal(U, W)
     np.testing.assert_allclose(n, 0, atol=1e-15)
     np.testing.assert_allclose(d / np.linalg.norm(d), [0, 0, 1])
 
@@ -512,30 +540,47 @@ def test_orthonormal_batch_equals_the_one_line_reference():
     # short directions: the threshold scales with max(|d|, 1)
     d[61:70] *= 0.1 / np.linalg.norm(d[61:70], axis=1, keepdims=True)
     n[61:70] *= 5e-13 / np.linalg.norm(n[61:70], axis=1, keepdims=True)
-    U, W, degenerate = orthonormal_from_plucker_batch(n, d)
+    U, W, degenerate = orthonormal_from_plucker(n, d)
     assert degenerate[:40].all() and not degenerate[40:60].any() and degenerate[60:70].all()
     for i in range(len(n)):
         U_i, W_i, degenerate_i = reference_orthonormal_from_plucker(n[i], d[i])
         assert U[i].tobytes() == U_i.tobytes() and W[i].tobytes() == W_i.tobytes()
         assert degenerate[i] == degenerate_i
-        o = orthonormal_from_plucker(n[i], d[i])
-        assert o.U.tobytes() == U_i.tobytes() and o.W.tobytes() == W_i.tobytes()
-        assert o.degenerate == degenerate_i
+        U_1, W_1, degenerate_1 = line_state(n[i], d[i])  # a stack of one
+        assert U_1.tobytes() == U_i.tobytes() and W_1.tobytes() == W_i.tobytes()
+        assert degenerate_1 == degenerate_i
     with pytest.raises(DegenerateLineError, match="direction must be nonzero"):
-        orthonormal_from_plucker_batch(n[:2], np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+        orthonormal_from_plucker(n[:2], np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+
+
+def test_plucker_from_orthonormal_of_a_stack_equals_it_line_by_line():
+    rng = np.random.default_rng(12)
+    ps, pe = rng.normal(scale=3.0, size=(2, 50, 3))
+    n, d = np.cross(ps, pe), pe - ps
+    n[:5] = 0.0  # lines through the origin
+    U, W, _ = orthonormal_from_plucker(n, d)
+    stack = plucker_from_orthonormal(U, W)
+    split = plucker_from_orthonormal(U.reshape(2, 25, 3, 3), W.reshape(2, 25, 2, 2))
+    for i in range(len(n)):
+        n_i, d_i = plucker_from_orthonormal(U[i], W[i])
+        alone = (n_i.tobytes(), d_i.tobytes())
+        assert (stack[0][i].tobytes(), stack[1][i].tobytes()) == alone
+        assert (split[0].reshape(-1, 3)[i].tobytes(), split[1].reshape(-1, 3)[i].tobytes()) == alone
+        # the one-line inverse map: n = W00 u1, d = W10 u2
+        assert n_i.tobytes() == (W[i, 0, 0] * U[i, :, 0]).tobytes()
+        assert d_i.tobytes() == (W[i, 1, 0] * U[i, :, 1]).tobytes()
 
 
 def test_orthonormal_update_identity_and_so2_composition():
-    o = orthonormal_from_plucker([0.0, 0, 1], [0.0, 1, 0])
-    same = orthonormal_update(o, np.zeros(4))
-    np.testing.assert_allclose(same.U, o.U)
-    np.testing.assert_allclose(same.W, o.W)
+    U, W, _ = line_state([0.0, 0, 1], [0.0, 1, 0])
+    U_same, W_same = orthonormal_update(U, W, np.zeros(4))
+    np.testing.assert_allclose(U_same, U)
+    np.testing.assert_allclose(W_same, W)
 
-    twice_quarter = orthonormal_update(
-        orthonormal_update(o, [0, 0, 0, np.pi / 2]), [0, 0, 0, np.pi / 2]
-    )
-    once_half = orthonormal_update(o, [0, 0, 0, np.pi])
-    np.testing.assert_allclose(twice_quarter.W, once_half.W, atol=1e-12)
+    _, twice_quarter = orthonormal_update(*orthonormal_update(U, W, [0, 0, 0, np.pi / 2]),
+                                          [0, 0, 0, np.pi / 2])
+    _, once_half = orthonormal_update(U, W, [0, 0, 0, np.pi])
+    np.testing.assert_allclose(twice_quarter, once_half, atol=1e-12)
 
 
 def test_orthonormal_update_stays_orthonormal():
@@ -544,13 +589,13 @@ def test_orthonormal_update_stays_orthonormal():
         ps, pe = rng.normal(scale=2.0, size=(2, 3))
         if np.linalg.norm(pe - ps) < 1e-3:
             continue
-        o = orthonormal_from_plucker(*plucker_from_endpoints(ps, pe))
+        U, W, _ = line_state(*plucker_from_endpoints(ps, pe))
         delta = rng.normal(size=4)
-        o2 = orthonormal_update(o, delta)
-        assert o2.U.tobytes() == (o.U @ reference_so3_exp(delta[:3])).tobytes()
-        np.testing.assert_allclose(o2.U.T @ o2.U, np.eye(3), atol=1e-12)
-        np.testing.assert_allclose(o2.W.T @ o2.W, np.eye(2), atol=1e-12)
-        n, d = plucker_from_orthonormal(o2)
+        U2, W2 = orthonormal_update(U, W, delta)
+        assert U2.tobytes() == (U @ reference_so3_exp(delta[:3])).tobytes()
+        np.testing.assert_allclose(U2.T @ U2, np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(W2.T @ W2, np.eye(2), atol=1e-12)
+        n, d = plucker_from_orthonormal(U2, W2)
         assert abs(n @ d) <= 1e-12
 
 
@@ -687,10 +732,6 @@ def test_columns_refuse_inexact_values_and_wrong_row_shapes(site):
                      id="pose-q"),
         pytest.param(lambda: Pose([0.0, 0.0, 0.0, 1.0], [[1.0, 2.0, 3.0]]), "^pose t must be ",
                      id="pose-t"),
-        pytest.param(lambda: OrthonormalLine(np.eye(3).ravel(), np.eye(2)), "^line U must be ",
-                     id="line-U"),
-        pytest.param(lambda: OrthonormalLine(np.eye(3), [1.0, 0.0, 0.0, 1.0]), "^line W must be ",
-                     id="line-W"),
         pytest.param(lambda: Box([[2.0, 0.9, 0.6]], [[[0.5, 0.5, 0.5]]]), "^box center must be ",
                      id="box-center"),
         pytest.param(lambda: Box([2.0, 0.9, 0.6], [[[0.5, 0.5, 0.5]]]), "^box extents must be ",

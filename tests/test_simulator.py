@@ -35,6 +35,7 @@ from plbench.simulator import (
 )
 
 K = CameraIntrinsics(100.0, 100.0, 320.0, 240.0, 640, 480)
+IDENTITY = Pose(np.array([0.0, 0.0, 0.0, 1.0]), np.zeros(3))
 
 
 def unit_cube_spec(**kw):
@@ -189,7 +190,7 @@ FAR_BOX = Box(np.array([0.0, 8.0, 10.0]), np.array([0.5, 0.5, 0.5]))
 def test_point_behind_camera_not_observed():
     box = Box(np.array([0.0, 0.3, 2.5]), np.array([0.4, 0.4, 0.5]))
     scene = scene_with_points([[0.0, 0.0, -2.0]], [box])
-    obs = render_frame(scene, Pose.identity(), K)
+    obs = render_frame(scene, IDENTITY, K)
     assert obs.points == []
 
 
@@ -198,7 +199,7 @@ def test_point_on_near_face_observed_far_face_occluded():
     near = [0.0, 0.0, 2.0]  # on the z=2 face, facing the camera
     far = [0.0, 0.0, 3.0]  # on the z=3 face, behind the box body
     scene = scene_with_points([near, far], [box])
-    obs = render_frame(scene, Pose.identity(), K)
+    obs = render_frame(scene, IDENTITY, K)
     ids = [p.landmark_id for p in obs.points]
     assert ids == [0]
     np.testing.assert_allclose(obs.points[0].u, [320.0, 240.0], atol=1e-9)
@@ -208,21 +209,21 @@ def test_point_on_near_face_observed_far_face_occluded():
 def test_point_outside_depth_window_not_observed():
     box = Box(np.array([0.0, 0.3, 30.0]), np.array([0.4, 0.4, 0.5]))
     scene = scene_with_points([[0.0, 0.0, 29.5]], [box])
-    obs = render_frame(scene, Pose.identity(), K, RenderConfig(z_far=20.0))
+    obs = render_frame(scene, IDENTITY, K, RenderConfig(z_far=20.0))
     assert obs.points == []
 
 
 def test_line_behind_near_plane_dropped():
     # both endpoints at z < z_near: nothing of the segment is in view
     scene = scene_with_lines([[[0.1, 0.0, -1.0], [0.1, 0.0, 0.05]]], [FAR_BOX])
-    assert render_frame(scene, Pose.identity(), K, RenderConfig(z_near=0.1)).lines == []
+    assert render_frame(scene, IDENTITY, K, RenderConfig(z_near=0.1)).lines == []
 
 
 def test_line_crossing_near_plane_clipped_at_plane():
     # x = 0.1, y = 0 for z in [-1, 3]; the part in front of z_near = 0.5
     # projects from u = 100 * 0.1 / 0.5 + 320 = 340 to 100 * 0.1 / 3 + 320
     scene = scene_with_lines([[[0.1, 0.0, -1.0], [0.1, 0.0, 3.0]]], [FAR_BOX])
-    obs = render_frame(scene, Pose.identity(), K, RenderConfig(z_near=0.5))
+    obs = render_frame(scene, IDENTITY, K, RenderConfig(z_near=0.5))
     assert len(obs.lines) == 1
     lm = obs.lines[0]
     assert lm.start.d == pytest.approx(0.5, abs=1e-12)
@@ -248,8 +249,8 @@ def test_segment_parallel_to_image_edge(axis):
         return [a, b]
 
     outside = scene_with_lines([segment(-10.0)], [FAR_BOX])
-    assert render_frame(outside, Pose.identity(), K, cfg).lines == []
-    obs = render_frame(scene_with_lines([segment(0.2)], [FAR_BOX]), Pose.identity(), K, cfg)
+    assert render_frame(outside, IDENTITY, K, cfg).lines == []
+    obs = render_frame(scene_with_lines([segment(0.2)], [FAR_BOX]), IDENTITY, K, cfg)
     assert len(obs.lines) == 1
     c = np.array([320.0, 240.0])
     start, end = c.copy(), c.copy()
@@ -783,6 +784,16 @@ def corridor_with(line):
                      "height must be finite, got nan", id="spec-nan-height"),
         pytest.param(lambda: TrajectorySpec("corridor", 5, turn_rate_deg=float("nan")),
                      "turn_rate_deg must be finite, got nan", id="spec-nan-turn-rate"),
+        pytest.param(lambda: TrajectorySpec("corridor", 60, turn_rate_deg=-18.0),
+                     "^turn_rate_deg must be >= 0, got -18.0$", id="spec-negative-turn-rate"),
+        pytest.param(corridor_with("trajectory.turn_rate = -18"),
+                     "^turn_rate_deg must be >= 0, got -18.0$", id="corridor-negative-turn-rate"),
+        pytest.param(lambda: NoiseParams(enabled="off"),
+                     "^invalid noise parameters: enabled must be a bool, got 'off'$",
+                     id="spec-noise-string-enabled"),
+        pytest.param(lambda: NoiseParams(enabled=1),
+                     "^invalid noise parameters: enabled must be a bool, got 1$",
+                     id="spec-noise-int-enabled"),
         pytest.param(lambda: RenderConfig(z_near=float("nan")),
                      "z_near must be finite and > 0, got nan", id="spec-nan-near"),
         pytest.param(lambda: RenderConfig(z_near=2.0, z_far=1.0),

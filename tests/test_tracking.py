@@ -22,6 +22,7 @@ from plbench.geometry import (
     Pose,
     backproject,
     line_angles,
+    rigid_fit,
     row_norms,
     se3_exp_update,
     so3_exp,
@@ -35,6 +36,7 @@ from plbench.tracking import (
     TrackingLostError,
     _epnp_control_points,
     _refine_poses,
+    _solve_batch,
     solve_pnp,
     solve_pnp_batch,
     track_frame_to_frame,
@@ -42,10 +44,17 @@ from plbench.tracking import (
 )
 
 K = CameraIntrinsics(500.0, 500.0, 320.0, 240.0, 640, 480)
+IDENTITY = Pose(np.array([0.0, 0.0, 0.0, 1.0]), np.zeros(3))
 
 
 def random_pose(rng) -> Pose:
     return Pose.from_rt(so3_exp(rng.normal(scale=0.3, size=3)), rng.normal(scale=0.3, size=3))
+
+
+def updated(T: Pose, delta) -> Pose:
+    """T updated by the one 6-vector delta: ``se3_exp_update`` of one row."""
+    q, _, t = se3_exp_update(T.rotation(), T.t, delta)
+    return Pose(q[0], t[0])
 
 
 def project(P_c, intr):
@@ -108,7 +117,7 @@ def refine_pose_per_try(R, t, P_w, u, intr, iterations=10):
             break
         step = 1.0
         for _try in range(6):
-            T_new = se3_exp_update(T, step * delta)
+            T_new = updated(T, step * delta)
             err_new = mean_error_per_try(T_new, P_w, u, intr)
             if err_new <= err:
                 T, err = T_new, err_new
@@ -210,7 +219,7 @@ def reference_rigid_fit(src, dst):
     return R, mu_d - R @ mu_s
 
 
-def reference_solve_pnp(world_points, pixels, intr, refine_iters=10, initial=None):
+def reference_solve_pnp(world_points, pixels, intr, iterations=10, initial=None):
     """The one-problem ``solve_pnp``, with each start refined alone by the
     per-try loop."""
     P_w = np.asarray(world_points, dtype=float).reshape(-1, 3)
@@ -219,13 +228,15 @@ def reference_solve_pnp(world_points, pixels, intr, refine_iters=10, initial=Non
         raise InsufficientDataError("points and pixels differ in length")
     if len(P_w) < 4:
         raise InsufficientDataError(f"need at least 4 correspondences, got {len(P_w)}")
+    if not (np.isfinite(P_w).all() and np.isfinite(u).all()):
+        raise InsufficientDataError("points and pixels must be finite")
     alphas, candidates = reference_candidates(P_w, u, intr)
     starts = [Pose.from_rt(*reference_rigid_fit(P_w, alphas @ x)) for x in candidates]
     if initial is not None:
         starts.append(initial)
     if not starts:
         raise DegenerateGeometryError("EPnP found no candidate pose")
-    refined = [refine_pose_per_try(T.rotation(), T.t, P_w, u, intr, refine_iters)[:2]
+    refined = [refine_pose_per_try(T.rotation(), T.t, P_w, u, intr, iterations)[:2]
                for T in starts]
     best = min(range(len(refined)), key=lambda s: refined[s][1])
     return PnPResult(*refined[best])
@@ -291,39 +302,61 @@ def test_epnp_is_exact_on_noiseless_input(make_points, control_points):
         assert 4 - int(planar[0]) == len(reference_control_points(P_w)) == control_points
         assert not degenerate[0]
         # no Gauss-Newton: the closed-form EPnP step alone must be exact
-        result = solve_pnp(P_w, observe(T, P_w), K, refine_iters=0)
+        (result,) = _solve_batch([(P_w, observe(T, P_w), None)], K, 0, iterations=0)
         assert_same_pose(result.pose, T, atol=1e-7)
         assert result.mean_error <= 1e-6
+
+
+def test_rigid_fit_of_a_stack_equals_each_fit_alone():
+    # pairs related by a rigid motion, some mirrored (the determinant guard
+    # keeps R a rotation), with noise of three sizes
+    rng = np.random.default_rng(11)
+    src = rng.normal(size=(40, 7, 3))
+    dst = np.empty_like(src)
+    for i in range(40):
+        mirror = -1.0 if i % 4 == 1 else 1.0
+        dst[i] = mirror * random_pose(rng).transform(src[i]) + \
+            rng.normal(scale=0.01 * (i % 3), size=(7, 3))
+    R, t = rigid_fit(src, dst)
+    R_split, t_split = rigid_fit(src.reshape(4, 10, 7, 3), dst.reshape(4, 10, 7, 3))
+    assert R_split.reshape(R.shape).tobytes() == R.tobytes()
+    assert t_split.reshape(t.shape).tobytes() == t.tobytes()
+    for i in range(40):
+        R_i, t_i = rigid_fit(src[i], dst[i])
+        R_ref, t_ref = reference_rigid_fit(src[i], dst[i])
+        assert R[i].tobytes() == R_i.tobytes() == R_ref.tobytes()
+        assert t[i].tobytes() == t_i.tobytes() == t_ref.tobytes()
+        assert np.linalg.det(R_i) == pytest.approx(1.0)
 
 
 def test_collinear_points_raise_degenerate_geometry():
     P_w = np.outer(np.linspace(-1.0, 1.0, 6), [1.0, 0.5, 0.2]) + np.array([0.0, 0.0, 5.0])
     with pytest.raises(DegenerateGeometryError):
-        solve_pnp(P_w, observe(Pose.identity(), P_w), K)
+        solve_pnp(P_w, observe(IDENTITY, P_w), K)
 
 
 def test_coincident_points_raise_degenerate_geometry():
     P_w = np.tile([0.1, 0.2, 5.0], (5, 1))
     with pytest.raises(DegenerateGeometryError):
-        solve_pnp(P_w, observe(Pose.identity(), P_w), K)
+        solve_pnp(P_w, observe(IDENTITY, P_w), K)
 
 
 @pytest.mark.parametrize("n", [0, 1, 3])
 def test_fewer_than_four_correspondences_raise(n):
     P_w = general_points(np.random.default_rng(2), n)
     with pytest.raises(InsufficientDataError):
-        solve_pnp(P_w, observe(Pose.identity(), P_w), K)
+        solve_pnp(P_w, observe(IDENTITY, P_w), K)
 
 
 def test_mismatched_lengths_raise():
     P_w = general_points(np.random.default_rng(3), 6)
     with pytest.raises(InsufficientDataError):
-        solve_pnp(P_w, observe(Pose.identity(), P_w)[:5], K)
+        solve_pnp(P_w, observe(IDENTITY, P_w)[:5], K)
 
 
 def test_solve_pnp_without_a_start_raises_degenerate_geometry(monkeypatch):
     P_w = general_points(np.random.default_rng(4))
-    u = observe(Pose.identity(), P_w)
+    u = observe(IDENTITY, P_w)
     epnp = tracking._epnp_candidates
 
     def no_candidates(*args):
@@ -332,10 +365,10 @@ def test_solve_pnp_without_a_start_raises_degenerate_geometry(monkeypatch):
 
     monkeypatch.setattr(tracking, "_epnp_candidates", no_candidates)
     with pytest.raises(DegenerateGeometryError, match="no candidate") as info:
-        solve_pnp_batch([(P_w, u, Pose.identity()), (P_w, u, None)], K)
+        solve_pnp_batch([(P_w, u, IDENTITY), (P_w, u, None)], K)
     assert info.value.problem == 1
     # a motion prior alone is still a start
-    assert solve_pnp_batch([(P_w, u, Pose.identity())], K)[0].mean_error <= 1e-6
+    assert solve_pnp_batch([(P_w, u, IDENTITY)], K)[0].mean_error <= 1e-6
 
 
 def test_solve_pnp_keeps_the_first_of_tied_starts(monkeypatch):
@@ -350,8 +383,8 @@ def test_solve_pnp_keeps_the_first_of_tied_starts(monkeypatch):
         return np.array([T.q for T in refined]), np.array([T.t for T in refined]), errs
 
     monkeypatch.setattr(tracking, "_refine_poses", tied)
-    u = observe(Pose.identity(), P_w)
-    first, second = solve_pnp_batch([(P_w, u, Pose.identity())] * 2, K)
+    u = observe(IDENTITY, P_w)
+    first, second = solve_pnp_batch([(P_w, u, IDENTITY)] * 2, K)
     assert first.pose.q.tobytes() == refined[1].q.tobytes()
     assert first.pose.t.tobytes() == refined[1].t.tobytes()
     assert first.mean_error == 1.0
@@ -366,6 +399,11 @@ def test_solve_pnp_keeps_the_first_of_tied_starts(monkeypatch):
         (["good", "three", "collinear"], InsufficientDataError, 1),
         (["collinear", "three"], DegenerateGeometryError, 0),
         (["good", "good", "mismatched", "three"], InsufficientDataError, 2),
+        (["nan-point"], InsufficientDataError, 0),
+        (["nan-pixel"], InsufficientDataError, 0),
+        (["inf-point"], InsufficientDataError, 0),
+        (["good", "good", "nan-pixel", "collinear"], InsufficientDataError, 2),
+        (["good", "collinear", "inf-point"], DegenerateGeometryError, 1),
     ],
 )
 def test_solve_pnp_batch_raises_the_error_of_its_first_failing_problem(kinds, error, problem):
@@ -376,7 +414,11 @@ def test_solve_pnp_batch_raises_the_error_of_its_first_failing_problem(kinds, er
             P_w = np.outer(np.linspace(-1.0, 1.0, 6), [1.0, 0.5, 0.2]) + np.array([0.0, 0.0, 5.0])
         else:
             P_w = general_points(rng, 3 if kind == "three" else 8)
-        u = observe(Pose.identity(), P_w)
+        u = observe(IDENTITY, P_w)
+        if kind == "nan-pixel":
+            u[5, 1] = np.nan
+        elif kind in ("nan-point", "inf-point"):
+            P_w[2, 0] = np.nan if kind == "nan-point" else np.inf
         problems.append((P_w, u[:-1] if kind == "mismatched" else u, None))
     with pytest.raises(error) as info:
         solve_pnp_batch(problems, K)
@@ -384,6 +426,9 @@ def test_solve_pnp_batch_raises_the_error_of_its_first_failing_problem(kinds, er
     with pytest.raises(error) as alone:
         reference_solve_pnp(*problems[problem][:2], K)
     assert str(info.value) == str(alone.value)
+    if len(problems) == 1:
+        with pytest.raises(error, match=f"^{alone.value}$"):
+            solve_pnp(*problems[0][:2], K)
 
 
 def test_solve_each_solves_the_others_when_one_system_is_singular():
@@ -407,7 +452,7 @@ def mixed_problems(rng):
         n = [6, 9, 9, 30, 55][k % 5]
         P_w = T.inverse().transform((planar_points if k % 3 == 0 else general_points)(rng, n))
         u = observe(T, P_w) + (k % 2) * rng.normal(scale=1.0, size=(n, 2))
-        prior = se3_exp_update(T, rng.normal(scale=0.02, size=6)) if k % 4 == 1 else None
+        prior = updated(T, rng.normal(scale=0.02, size=6)) if k % 4 == 1 else None
         problems.append((P_w, u, prior))
     return problems
 
@@ -420,12 +465,13 @@ def test_solve_pnp_batch_equals_the_one_problem_solver(budget, monkeypatch):
     P_w = [P for P, _, _ in problems]
     _, planar, _ = _epnp_control_points(np.concatenate(P_w), [len(P) for P in P_w])
     assert planar.any() and not planar.all()
-    for refine_iters in (10, 0):
-        results = solve_pnp_batch(iter(problems), K, refine_iters)
-        assert len(results) == len(problems)
-        for result, (P, x, prior) in zip(results, problems):
-            assert result_bytes(result) == \
-                result_bytes(reference_solve_pnp(P, x, K, refine_iters, prior))
+    results = solve_pnp_batch(iter(problems), K)
+    assert len(results) == len(problems)
+    for result, (P, x, prior) in zip(results, problems):
+        assert result_bytes(result) == result_bytes(reference_solve_pnp(P, x, K, 10, prior))
+    # EPnP alone, every problem in one batch
+    for result, (P, x, prior) in zip(_solve_batch(problems, K, 0, iterations=0), problems):
+        assert result_bytes(result) == result_bytes(reference_solve_pnp(P, x, K, 0, prior))
 
 
 def shifted_sequence(preset, offset):
@@ -620,7 +666,7 @@ def test_refine_poses_gives_each_start_its_result_alone():
     u = observe(T, P_w)
     flip = np.diag([1.0, -1.0, -1.0])
     starts = [Pose.from_rt(flip @ T.rotation(), flip @ T.t), T,
-              se3_exp_update(T, rng.normal(scale=0.05, size=6)), T, T]
+              updated(T, rng.normal(scale=0.05, size=6)), T, T]
     R, t = np.array([S.rotation() for S in starts]), np.array([S.t for S in starts])
     counts = [20, 20, 20, 20, 12]
     P_rows = np.concatenate([P_w[:n] for n in counts])
