@@ -16,10 +16,14 @@ Directory layout of a sequence:
     stats.csv            (optional, via write_stats_csv)
     graph.txt            (optional, via write_graph)
 
-Frame files map row for row onto the arrays of ``simulator.FrameData``:
-``write_sequence`` formats each frame's arrays, like the landmark and
-graph columns, through ``_records`` (``%d`` for ids, ``%r`` for values),
-and ``read_sequence`` parses each frame file into those arrays.
+Every file but ``parallel_groups.txt`` and ``stats.csv`` is written by
+one formatter, ``_records`` (``%d`` for ids and image sizes, ``%r`` for
+values): ``calib.txt`` and ``groundtruth.txt`` as untagged lines, and the
+frame, landmark and graph columns as tagged ones.
+Frame files map row for row onto the arrays of ``simulator.FrameData``,
+and ``read_sequence`` parses each frame file into those arrays, checking
+its rows with ``simulator._row_faults``, the checks and texts of
+``Sequence.validate``.
 ``landmarks.txt`` maps row for row onto the columns of the ground-truth
 records, ``MP`` lines onto ``geometry.Points`` (id, position) and ``ML``
 lines onto ``geometry.Segments`` (id, endpoints, start then end), in
@@ -58,7 +62,7 @@ from .geometry import (
     pose_quat_batch,
     row_norms,
 )
-from .simulator import FrameData, Sequence, _first_fault, _line_faults, _point_faults
+from .simulator import FrameData, Sequence, _first_fault, _row_faults
 
 
 class ParseError(ValueError):
@@ -67,10 +71,6 @@ class ParseError(ValueError):
         self.line = line
         where = f"{self.path}:{line}" if line is not None else self.path
         super().__init__(f"{where}: {message}")
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def _atomic_write(path, text: str) -> None:
@@ -311,11 +311,8 @@ def _check_columns(batch, table) -> None:
 
 def write_trajectory(traj: list[Pose], path) -> None:
     """One line per frame: ``frame_id tx ty tz qx qy qz qw`` (T_cw)."""
-    lines = ["# frame_id tx ty tz qx qy qz qw (world-to-camera)"]
-    for i, T in enumerate(traj):
-        fields = [str(i)] + [_fmt(v) for v in (*T.t, *T.q)]
-        lines.append(" ".join(fields))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, "# frame_id tx ty tz qx qy qz qw (world-to-camera)\n" + _records(
+        None, np.arange(len(traj)), np.array([T.t for T in traj]), np.array([T.q for T in traj])))
 
 
 def read_trajectory(path) -> list[Pose]:
@@ -354,15 +351,9 @@ def write_sequence(seq: Sequence, directory) -> None:
     (directory / "frames").mkdir(parents=True, exist_ok=True)
 
     intr = seq.intrinsics
-    _atomic_write(
-        directory / "calib.txt",
-        "# fx fy cx cy width height\n"
-        + " ".join(
-            [_fmt(intr.fx), _fmt(intr.fy), _fmt(intr.cx), _fmt(intr.cy),
-             str(intr.width), str(intr.height)]
-        )
-        + "\n",
-    )
+    _atomic_write(directory / "calib.txt", "# fx fy cx cy width height\n" + _records(
+        None, np.array([[intr.fx, intr.fy, intr.cx, intr.cy]], dtype=float),
+        np.array([[intr.width, intr.height]])))
     write_trajectory(seq.gt_trajectory, directory / "groundtruth.txt")
 
     points, lines = seq.gt_points, seq.gt_lines
@@ -451,21 +442,13 @@ def read_sequence(directory, min_line_len: float = 15.0) -> Sequence:
     def lines(v):
         return v[:, [0, 1, 3, 4]].reshape(-1, 2, 2), v[:, [2, 5]]
 
-    def point_checks(v):
-        return _point_faults(*points(v)) + [(~intr.contains(v[:, :2]), "pixel outside the image")]
-
-    def line_checks(v):
-        pixels, depths = lines(v)
-        return _line_faults(pixels, depths) + [
-            (~intr.contains(pixels).all(axis=1), "endpoint pixel outside the image"),
-            (row_norms(pixels[:, 1] - pixels[:, 0]) < min_line_len,
-             f"line shorter than min_line_len={min_line_len}")]
-
     records = _read_records(present, {
         "P": (("landmark id",), 3, "measurement value", gt_points.id.tolist(),
-              "point landmark_id {} repeats in the frame", point_checks),
+              "point landmark_id {} repeats in the frame",
+              lambda v: _row_faults(*points(v), intr, min_line_len)),
         "L": (("landmark id",), 6, "measurement value", gt_lines.id.tolist(),
-              "line landmark_id {} repeats in the frame", line_checks),
+              "line landmark_id {} repeats in the frame",
+              lambda v: _row_faults(*lines(v), intr, min_line_len)),
     })
     # the reader yields the files of one checked batch at a time, and each
     # file's arrays are freed once its frame is built
@@ -558,14 +541,15 @@ def write_graph(graph: FactorGraph, path) -> None:
     ]))
 
 
-def _records(tag: str, *columns) -> str:
-    """One ``tag value...`` line per row of the columns, formatted by a
-    single ``%`` over their Python values: ``%d`` for the values of int
-    columns, ``%r`` for those of float columns."""
+def _records(tag: str | None, *columns) -> str:
+    """One ``tag value...`` line per row of the columns (``value...`` for
+    ``tag=None``), formatted by a single ``%`` over their Python values:
+    ``%d`` for the values of int columns, ``%r`` for those of float
+    columns."""
     n = len(columns[0])
     columns = [c.reshape(n, math.prod(c.shape[1:])) for c in columns]
-    row = tag + "".join((" %d" if c.dtype.kind == "i" else " %r") * c.shape[1]
-                        for c in columns) + "\n"
+    fields = ["%d" if c.dtype.kind == "i" else "%r" for c in columns for _ in range(c.shape[1])]
+    row = " ".join(([] if tag is None else [tag]) + fields) + "\n"
     table = np.concatenate(columns, axis=1, dtype=object)
     return (row * n) % tuple(table.ravel().tolist())
 

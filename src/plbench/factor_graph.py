@@ -36,6 +36,7 @@ from .geometry import (
     orthonormal_from_plucker,
     plucker_from_endpoints,
     plucker_from_orthonormal,
+    project,
     quat_to_matrix,
     row_dots,
     row_norms,
@@ -196,10 +197,7 @@ def _project_points(R, t, P_w, intr: CameraIntrinsics):
     z = P_c[:, 2]
     valid = z > _DEPTH_EPS
     zs = np.where(valid, z, 1.0)
-    proj = np.stack(
-        [intr.fx * P_c[:, 0] / zs + intr.cx, intr.fy * P_c[:, 1] / zs + intr.cy], axis=1
-    )
-    return P_c, valid, zs, proj
+    return P_c, valid, zs, project(P_c, zs, intr)
 
 
 def _point_residuals(R, t, P_w, u, intr: CameraIntrinsics):

@@ -262,6 +262,13 @@ class CameraIntrinsics:
         )
 
 
+def project(P_c, z, intr: CameraIntrinsics) -> np.ndarray:
+    """Pixels (n, 2) of camera points P_c (n, 3) at depths z (n,):
+    fx x / z + cx, fy y / z + cy, with no depth check."""
+    return np.stack([intr.fx * P_c[:, 0] / z + intr.cx, intr.fy * P_c[:, 1] / z + intr.cy],
+                    axis=1)
+
+
 def backproject(u, d, intr: CameraIntrinsics) -> np.ndarray:
     """Pixel (..., 2) plus depth (...) -> camera-frame point (..., 3)."""
     u = np.asarray(u, dtype=float)
@@ -290,6 +297,8 @@ class Pose:
         norm = float(np.linalg.norm(q))
         if norm == 0.0 or not np.isfinite(norm):
             raise GeometryError("quaternion must be nonzero and finite")
+        if not all(map(math.isfinite, t.tolist())):  # cheaper than np.isfinite on 3 values
+            raise GeometryError("pose t must be finite")
         # only touch the stored values when actually off the manifold, so
         # that already-unit quaternions survive round-trips bit-exactly; the
         # bound is a few ulps, since quat_to_matrix is only orthogonal to

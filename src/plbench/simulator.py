@@ -53,6 +53,7 @@ from .geometry import (
     line_angles,
     matrix_to_quat,
     normalizable,
+    project,
     row_norms,
 )
 
@@ -483,16 +484,6 @@ def _stacked_matvec(M, V) -> np.ndarray:
     return (np.broadcast_to(M, (len(V), 3, 3)) @ V[:, :, None])[:, :, 0]
 
 
-def _line_pixels(P_c, intr: CameraIntrinsics) -> np.ndarray:
-    """Pinhole projection of camera points P_c (n, 3) to pixels, without a
-    depth check: rows behind the camera belong to segments the clip
-    rejects, and are masked out."""
-    z = P_c[:, 2]
-    return np.stack(
-        [intr.fx * P_c[:, 0] / z + intr.cx, intr.fy * P_c[:, 1] / z + intr.cy], axis=1
-    )
-
-
 def _clip_lines(A_c, B_c, intr: CameraIntrinsics, cfg: RenderConfig):
     """Clip camera-frame segments [A_c, B_c] (n, 3) against the z_near
     plane and the image rectangle, all at once.
@@ -509,8 +500,9 @@ def _clip_lines(A_c, B_c, intr: CameraIntrinsics, cfg: RenderConfig):
     A_c = np.where(near_A[:, None], P_near, A_c)
     B_c = np.where(near_B[:, None], P_near, B_c)
     zA, zB = A_c[:, 2], B_c[:, 2]
-    u1 = _line_pixels(A_c, intr)
-    d = _line_pixels(B_c, intr) - u1
+    # rows behind the camera belong to segments the clip rejects
+    u1 = project(A_c, zA, intr)
+    d = project(B_c, zB, intr) - u1
 
     # Liang-Barsky on every segment; the clip box is shrunk by a margin on
     # every side because endpoint pixels are re-projected from the 3D clip
@@ -544,7 +536,7 @@ def _clip_lines(A_c, B_c, intr: CameraIntrinsics, cfg: RenderConfig):
         P_cs = A_c + s[:, None] * (B_c - A_c)
         zs = P_cs[:, 2]
         ok &= (cfg.z_near - 1e-9 <= zs) & (zs <= cfg.z_far)
-        pixels.append(_line_pixels(P_cs, intr))
+        pixels.append(project(P_cs, zs, intr))
         depths.append(zs)
         ends.append(P_cs)
     return ok, np.stack(pixels, 1), np.stack(depths, 1), np.stack(ends, 1)
@@ -656,24 +648,29 @@ def perturb_depth(d_hat: float, sigma_d: float, m_const: float, rng) -> float | 
 # sequences
 
 
-def _point_faults(pixels, depths):
-    """The checks on point rows (pixels (n, 2), depths (n,)), in the
-    order they apply to a row, as (failing rows, message) pairs."""
-    return [
-        (~np.isfinite(pixels).all(axis=1) | ~np.isfinite(depths), "measurement must be finite"),
-        (~(depths > 0), "nonpositive depth"),
-    ]
-
-
-def _line_faults(pixels, depths):
-    """``_point_faults`` for line rows (pixels (m, 2, 2), depths (m, 2)),
-    then distinct endpoints."""
-    return [
-        (~np.isfinite(pixels).all(axis=(1, 2)) | ~np.isfinite(depths).all(axis=1),
+def _row_faults(pixels, depths, intr: CameraIntrinsics | None = None, min_line_len: float = 0.0):
+    """The checks on point rows (pixels (n, 2), depths (n,)) or line rows
+    (pixels (m, 2, 2), depths (m, 2)), in the order they apply to a row, as
+    (failing rows, message) pairs: finite values, positive depths and, for
+    lines, distinct endpoints; then, given the calibration ``intr``, inside
+    the image and, for lines, at least ``min_line_len`` long."""
+    lines = pixels.ndim == 3
+    kind = "line" if lines else "point"
+    ends, depths = (pixels, depths) if lines else (pixels[:, None], depths[:, None])
+    faults = [
+        (~np.isfinite(ends).all(axis=(1, 2)) | ~np.isfinite(depths).all(axis=1),
          "measurement must be finite"),
         (~(depths > 0).all(axis=1), "nonpositive depth"),
-        ((pixels[:, 0] == pixels[:, 1]).all(axis=1), "line measurement endpoints coincide"),
     ]
+    if lines:
+        faults.append(((pixels[:, 0] == pixels[:, 1]).all(axis=1),
+                       "line measurement endpoints coincide"))
+    if intr is not None:
+        faults.append((~intr.contains(ends).all(axis=1), f"{kind} measurement outside the image"))
+        if lines:
+            faults.append((row_norms(pixels[:, 1] - pixels[:, 0]) < min_line_len,
+                           "line measurement shorter than min_line_len"))
+    return faults
 
 
 def _first_fault(faults) -> tuple[int, str] | None:
@@ -702,7 +699,8 @@ class FrameData:
     Construction copies each array through ``geometry._column``, which
     refuses a wrong shape and a value its dtype does not hold exactly,
     such as a float id (ValueError naming the array). It then checks the
-    rows once: finite values, positive depths and distinct line endpoints
+    rows once: the checks of ``_row_faults`` that need no calibration,
+    finite values, positive depths and distinct line endpoints
     (GeometryError), and no landmark id twice among the points or among
     the lines (ValueError). Image bounds, landmark ids and line lengths
     need the sequence and are checked by ``Sequence.validate``.
@@ -730,11 +728,11 @@ class FrameData:
             ("line_depths", float, (m, 2)),
         ):
             object.__setattr__(self, name, _column(getattr(self, name), dtype, shape, name))
-        for kind, ids, faults in (
-            ("point", self.point_ids, _point_faults(self.point_pixels, self.point_depths)),
-            ("line", self.line_ids, _line_faults(self.line_pixels, self.line_depths)),
+        for kind, ids, pixels, depths in (
+            ("point", self.point_ids, self.point_pixels, self.point_depths),
+            ("line", self.line_ids, self.line_pixels, self.line_depths),
         ):
-            fault = _first_fault(faults)
+            fault = _first_fault(_row_faults(pixels, depths))
             if fault is not None:
                 raise GeometryError(fault[1])
             ids = np.sort(ids)
@@ -785,22 +783,20 @@ class Sequence:
 
     def validate(self, min_line_len: float = 0.0) -> None:
         """Check every frame against the calibration and the landmark
-        records (each error names the frame), and the parallel groups."""
+        records, and the parallel groups. A frame's rows go through the
+        dangling-id check, then the full ``_row_faults`` list with the
+        calibration and ``min_line_len``; each error names the frame."""
         if len(self.frames) != len(self.gt_trajectory):
             raise ValueError("frame count does not match trajectory length")
         self.check_frame_ids()
-        known_points, known_lines = self.gt_points.id, self.gt_lines.id
         for f in self.frames:
-            pid, lid, ends = f.point_ids, f.line_ids, f.line_pixels
-            for faults in (
-                [(~np.isin(pid, known_points), lambda r: f"dangling point landmark id {pid[r]}"),
-                 (~self.intrinsics.contains(f.point_pixels), "point measurement outside the image")],
-                [(~np.isin(lid, known_lines), lambda r: f"dangling line landmark id {lid[r]}"),
-                 (~self.intrinsics.contains(ends).all(axis=1), "line measurement outside the image"),
-                 (row_norms(ends[:, 1] - ends[:, 0]) < min_line_len,
-                  "line measurement shorter than min_line_len")],
+            for kind, known, ids, pixels, depths in (
+                ("point", self.gt_points.id, f.point_ids, f.point_pixels, f.point_depths),
+                ("line", self.gt_lines.id, f.line_ids, f.line_pixels, f.line_depths),
             ):
-                fault = _first_fault(faults)
+                fault = _first_fault(
+                    [(~np.isin(ids, known), lambda r: f"dangling {kind} landmark id {ids[r]}")]
+                    + _row_faults(pixels, depths, self.intrinsics, min_line_len))
                 if fault is not None:
                     raise ValueError(f"{fault[1]} in frame {f.frame_id}")
         self.check_parallel_groups()

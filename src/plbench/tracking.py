@@ -490,6 +490,12 @@ def _solve_batch(problems, intr, first, iterations=10) -> list[PnPResult]:
 # ---------------------------------------------------------------------------
 # sparse map
 
+# SparseMap's fusion gates: a point's distance to its landmark, and a
+# segment's angle to its line and its midpoint's distance from that line
+_FUSE_RADIUS = 0.5  # m
+_FUSE_ANGLE_DEG = 15.0
+_FUSE_DIST = 0.5  # m
+
 
 @dataclass(frozen=True)
 class MapPoints(Points):
@@ -515,10 +521,10 @@ class SparseMap:
     Every measurement carries the id of its landmark, so fusion needs no
     search: a candidate for a mapped landmark merges into it when it passes
     the geometric gates and otherwise leaves its estimate alone; a candidate
-    for an unmapped id inserts that landmark. The default gates are sized to
-    the depth-noise model (about 3 sigma of the disparity noise at working
-    depths): narrower gates starve the running means and the map never
-    averages its noise away.
+    for an unmapped id inserts that landmark. The gates (``_FUSE_RADIUS``,
+    ``_FUSE_ANGLE_DEG``, ``_FUSE_DIST``) are sized to the depth-noise model
+    (about 3 sigma of the disparity noise at working depths): narrower gates
+    starve the running means and the map never averages its noise away.
 
     The map is two frozen, id-sorted records, ``points`` (``MapPoints``)
     and ``lines`` (``MapSegments``), which each fusion replaces, and
@@ -534,14 +540,14 @@ class SparseMap:
 
     # -- fusion ------------------------------------------------------------
 
-    def fuse_point(self, position, landmark_id: int, **gates) -> int:
+    def fuse_point(self, position, landmark_id: int) -> int:
         """``fuse_points`` of one candidate; returns its landmark id."""
-        self.fuse_points([position], [landmark_id], **gates)
+        self.fuse_points([position], [landmark_id])
         return landmark_id
 
-    def fuse_points(self, positions, landmark_ids, radius_thresh: float = 0.5) -> None:
+    def fuse_points(self, positions, landmark_ids) -> None:
         """Fuse each row of ``positions`` (n, 3) into the landmark of its id,
-        in one pass. A candidate within ``radius_thresh`` of its mapped
+        in one pass. A candidate within ``_FUSE_RADIUS`` of its mapped
         landmark moves it to the running mean of its samples; the result
         equals n sequential ``fuse_point`` calls bit for bit. The ids must be
         distinct: a landmark is observed at most once per frame.
@@ -552,7 +558,7 @@ class SparseMap:
         rows = rows[known]
         position, count = self.points.position.copy(), self.points.count.copy()
         diff = positions[known] - position[rows]
-        inside = row_norms(diff) <= radius_thresh
+        inside = row_norms(diff) <= _FUSE_RADIUS
         merged = position[rows] + diff / (count[rows] + 1)[:, None]
         position[rows[inside]] = merged[inside]
         count[rows[inside]] += 1
@@ -561,18 +567,12 @@ class SparseMap:
                                 np.concatenate([position, positions[new]]),
                                 np.concatenate([count, np.ones_like(ids[new])]))
 
-    def fuse_line(self, endpoints, landmark_id: int, **gates) -> int:
+    def fuse_line(self, endpoints, landmark_id: int) -> int:
         """``fuse_lines`` of one segment; returns its landmark id."""
-        self.fuse_lines([endpoints], [landmark_id], **gates)
+        self.fuse_lines([endpoints], [landmark_id])
         return landmark_id
 
-    def fuse_lines(
-        self,
-        endpoints,
-        landmark_ids,
-        angle_thresh_deg: float = 15.0,
-        dist_thresh: float = 0.5,
-    ) -> None:
+    def fuse_lines(self, endpoints, landmark_ids) -> None:
         """Fuse each segment of ``endpoints`` (n, 2, 3) into the landmark of
         its id. A candidate merges when its direction angle and its
         midpoint-to-line distance pass their gates; a merged line is refit
@@ -587,7 +587,7 @@ class SparseMap:
         ids = _batch_ids(landmark_ids, len(endpoints), "endpoints")
         rows, known = self.lines.find(ids)
         ends, count = self.lines.endpoints.copy(), self.lines.count.copy()
-        inside = _line_gates(ends[rows[known]], endpoints[known], angle_thresh_deg, dist_thresh)
+        inside = _line_gates(ends[rows[known]], endpoints[known])
         merged = known.copy()
         merged[known] = inside
         count[rows[merged]] += 1
@@ -617,17 +617,17 @@ def _batch_ids(landmark_ids, n: int, what: str) -> np.ndarray:
     return ids
 
 
-def _line_gates(stored, candidates, angle_thresh_deg, dist_thresh) -> np.ndarray:
+def _line_gates(stored, candidates) -> np.ndarray:
     """Merge gate of each candidate segment against the stored segment in
     the same row, both (n, 2, 3): the undirected angle between their
     directions and the distance from the candidate's midpoint to the stored
-    line must both be within their thresholds."""
+    line must be within ``_FUSE_ANGLE_DEG`` and ``_FUSE_DIST``."""
     d_stored = stored[:, 1] - stored[:, 0]
     angle = np.degrees(line_angles(d_stored, candidates[:, 1] - candidates[:, 0]))
     rel = 0.5 * (candidates[:, 0] + candidates[:, 1]) - stored[:, 0]
     d_hat = d_stored / row_norms(d_stored)[:, None]
     dist = row_norms(rel - row_dots(rel, d_hat)[:, None] * d_hat)
-    return (angle <= angle_thresh_deg) & (dist <= dist_thresh)
+    return (angle <= _FUSE_ANGLE_DEG) & (dist <= _FUSE_DIST)
 
 
 def _refit_lines(samples, sizes, stored) -> np.ndarray:
@@ -702,7 +702,7 @@ def track_map_to_frame(seq: Sequence) -> tuple[list[Pose], SparseMap]:
 
     The map starts from frame 0 at the ground-truth pose; each new frame
     is solved against the mapped points seen in it, then its measurements
-    are back-projected and fused with ``SparseMap``'s default gates
+    are back-projected and fused with ``SparseMap``'s gates
     (co-visible ones update landmarks inside the gates, new ids are
     inserted). A PnP failure becomes ``TrackingLostError`` naming the
     frame, raised from the original.

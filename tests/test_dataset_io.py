@@ -206,6 +206,33 @@ def test_parse_error_short_line(tmp_path):
         read_sequence(d, min_line_len=15.0)
 
 
+@pytest.mark.parametrize("kind, fault", [("point", "outside"), ("line", "outside"),
+                                         ("line", "short")],
+                         ids=["point-outside", "line-outside", "line-short"])
+def test_frame_file_fault_reads_as_validate_words_it(small_sequence, tmp_path, kind, fault):
+    # the reader and Sequence.validate share one list of frame-row checks:
+    # a frame file's fault reads ``file:line: <text>`` where validate says
+    # ``<text> in frame N`` for the same row
+    f = small_sequence.frames[1]
+    pixels = getattr(f, f"{kind}_pixels").copy()
+    end = pixels[0] if kind == "point" else pixels[0, 1]
+    if fault == "outside":
+        end[0] = -1.0
+    else:
+        end[:] = pixels[0, 0] + 1.0
+    frames = list(small_sequence.frames)
+    frames[1] = dataclasses.replace(f, **{f"{kind}_pixels": pixels})
+    seq = dataclasses.replace(small_sequence, frames=frames)
+    with pytest.raises(ValueError, match=" in frame 1$") as validated:
+        seq.validate(min_line_len=15.0)
+    text = str(validated.value).removesuffix(" in frame 1")
+    write_sequence(seq, tmp_path / "seq")
+    with pytest.raises(ParseError) as read:
+        read_sequence(tmp_path / "seq", min_line_len=15.0)
+    lineno = 2 if kind == "point" else 2 + len(f.point_ids)  # after the header and the P lines
+    assert str(read.value) == f"{tmp_path / 'seq' / 'frames' / '000001.txt'}:{lineno}: {text}"
+
+
 POSE_RECORD = " 0.0 0.0 0.0 0.0 0.0 0.0 1.0\n"
 
 

@@ -278,6 +278,13 @@ def test_pose_quaternion_stays_unit():
         assert abs(np.linalg.norm(T.q) - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize("t", [[np.nan, 0.0, 0.0], [0.0, np.inf, 0.0], [0.0, 0.0, -np.inf]],
+                         ids=["nan", "inf", "-inf"])
+def test_pose_refuses_a_non_finite_translation(t):
+    with pytest.raises(GeometryError, match="^pose t must be finite$"):
+        Pose([0.0, 0.0, 0.0, 1.0], t)
+
+
 def test_se3_exp_update_identity_and_consistency():
     rng = np.random.default_rng(5)
     T = random_pose(rng)

@@ -798,16 +798,16 @@ def test_read_sequence_frees_frame_arrays_batch_by_batch(tmp_path):
 
 def test_fuse_point_known_id_inserts_then_averages_inside_the_gate():
     m = SparseMap()
-    assert m.fuse_point([0.0, 0.0, 1.0], landmark_id=7, radius_thresh=0.1) == 7
-    assert m.fuse_point([0.06, 0.0, 1.0], landmark_id=7, radius_thresh=0.1) == 7
+    assert m.fuse_point([0.0, 0.0, 1.0], landmark_id=7) == 7
+    assert m.fuse_point([0.06, 0.0, 1.0], landmark_id=7) == 7
     np.testing.assert_allclose(m.points[7].position, [0.03, 0.0, 1.0])
     assert m.points[7].count == 2
 
 
 def test_fuse_point_known_id_keeps_estimate_outside_the_gate():
     m = SparseMap()
-    m.fuse_point([0.0, 0.0, 1.0], landmark_id=7, radius_thresh=0.1)
-    assert m.fuse_point([0.5, 0.0, 1.0], landmark_id=7, radius_thresh=0.1) == 7
+    m.fuse_point([0.0, 0.0, 1.0], landmark_id=7)
+    assert m.fuse_point([0.8, 0.0, 1.0], landmark_id=7) == 7
     np.testing.assert_array_equal(m.points[7].position, [0.0, 0.0, 1.0])
     assert m.points[7].count == 1
     assert list(m.points) == [7]
@@ -815,13 +815,13 @@ def test_fuse_point_known_id_keeps_estimate_outside_the_gate():
 
 def test_fuse_points_equals_sequential_fuse_point_bit_for_bit():
     rng = np.random.default_rng(6)
-    radius = 0.3
+    radius = tracking._FUSE_RADIUS
     start = rng.uniform(-2.0, 2.0, size=(20, 3))
 
     def seeded_map():
         m = SparseMap()
         for k, p in enumerate(start):
-            m.fuse_point(p, landmark_id=3 * k, radius_thresh=radius)
+            m.fuse_point(p, landmark_id=3 * k)
         return m
 
     batched, sequential = seeded_map(), seeded_map()
@@ -840,9 +840,9 @@ def test_fuse_points_equals_sequential_fuse_point_bit_for_bit():
             else:
                 positions[i] = rng.uniform(-2.0, 2.0, size=3)
         counts = {lid: mp.count for lid, mp in sequential.points.items()}
-        batched.fuse_points(positions, ids, radius_thresh=radius)
+        batched.fuse_points(positions, ids)
         for lid, p in zip(ids, positions):
-            sequential.fuse_point(p, landmark_id=lid, radius_thresh=radius)
+            sequential.fuse_point(p, landmark_id=lid)
         for lid in ids:
             if lid not in counts:
                 inserted += 1
@@ -857,9 +857,9 @@ def test_fuse_points_equals_sequential_fuse_point_bit_for_bit():
     assert merged and rejected and inserted
 
 
-def test_fuse_points_gate_is_exact_at_the_radius():
-    # a candidate exactly at the radius fuse_point measures must merge;
-    # np.linalg.norm(axis=1) reads this step as just beyond that radius
+def test_fuse_points_gate_is_exact_at_the_radius(monkeypatch):
+    # with the gate set to the radius fuse_point measures, the candidate
+    # merges; np.linalg.norm(axis=1) reads this step as just beyond it
     rng = np.random.default_rng(7)
     origin = np.array([0.5, -0.25, 2.0])
     while True:
@@ -870,7 +870,8 @@ def test_fuse_points_gate_is_exact_at_the_radius():
             break
     m = SparseMap()
     m.fuse_point(origin, landmark_id=1)
-    m.fuse_points([candidate], [1], radius_thresh=radius)
+    monkeypatch.setattr(tracking, "_FUSE_RADIUS", radius)
+    m.fuse_points([candidate], [1])
     assert m.points[1].count == 2
 
 
@@ -882,13 +883,12 @@ def test_fuse_points_rejects_an_id_repeated_in_the_batch():
 
 
 SEGMENT = np.array([[0.0, 0.0, 2.0], [1.0, 0.0, 2.0]])
-NARROW = {"angle_thresh_deg": 5.0, "dist_thresh": 0.05}
 
 
 def test_fuse_line_known_id_merges_and_refits_over_all_samples():
     m = SparseMap()
-    assert m.fuse_line(SEGMENT, landmark_id=4, **NARROW) == 4
-    assert m.fuse_line(SEGMENT + [0.5, 0.0, 0.0], landmark_id=4, **NARROW) == 4
+    assert m.fuse_line(SEGMENT, landmark_id=4) == 4
+    assert m.fuse_line(SEGMENT + [0.5, 0.0, 0.0], landmark_id=4) == 4
     ml = m.lines[4]
     assert ml.count == 2
     assert len(m.line_samples[4]) == 2
@@ -900,18 +900,18 @@ def test_fuse_line_known_id_merges_and_refits_over_all_samples():
 @pytest.mark.parametrize(
     "candidate",
     [
-        # direction 20 degrees off, beyond the 5 degree gate
+        # direction 20 degrees off, beyond the 15 degree gate
         np.array([[0.0, 0.0, 2.0], [np.cos(0.35), np.sin(0.35), 2.0]]),
-        # parallel but 0.2 m away, beyond the 0.05 m gate
-        SEGMENT + [0.0, 0.2, 0.0],
+        # parallel but 0.8 m away, beyond the 0.5 m gate
+        SEGMENT + [0.0, 0.8, 0.0],
     ],
     ids=["angle", "distance"],
 )
 def test_fuse_line_gates_reject(candidate):
     m = SparseMap()
-    m.fuse_line(SEGMENT, landmark_id=4, **NARROW)
+    m.fuse_line(SEGMENT, landmark_id=4)
     # the landmark keeps its estimate
-    assert m.fuse_line(candidate, landmark_id=4, **NARROW) == 4
+    assert m.fuse_line(candidate, landmark_id=4) == 4
     assert m.lines[4].count == 1
     np.testing.assert_array_equal(m.lines[4].endpoints, SEGMENT)
 
@@ -932,18 +932,17 @@ def line_candidate(ends, rng, angle_deg, offset):
 
 def test_fuse_lines_equals_sequential_fuse_line_bit_for_bit():
     rng = np.random.default_rng(12)
-    gates = {"angle_thresh_deg": 10.0, "dist_thresh": 0.2}
     start = [line_candidate(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), rng,
                             rng.uniform(0.0, 180.0), rng.uniform(0.0, 2.0)) for _ in range(15)]
 
     def seeded_map():
         m = SparseMap()
         for k, ends in enumerate(start):
-            m.fuse_line(ends, landmark_id=3 * k, **gates)
+            m.fuse_line(ends, landmark_id=3 * k)
         return m
 
     # mapped ids moved inside both gates or beyond one of them, and unseen ids
-    kinds = {"inside": (5.0, 0.1), "angle": (20.0, 0.0), "distance": (0.0, 0.4)}
+    kinds = {"inside": (5.0, 0.1), "angle": (20.0, 0.0), "distance": (0.0, 0.8)}
     batched, sequential = seeded_map(), seeded_map()
     seen, mixed_batches = set(), 0
     for _ in range(6):
@@ -959,9 +958,9 @@ def test_fuse_lines_equals_sequential_fuse_line_bit_for_bit():
                 endpoints[i] = line_candidate(start[0], rng, rng.uniform(0.0, 180.0), 1.0)
             expected.append((lid, kind))
         counts = {lid: ml.count for lid, ml in sequential.lines.items()}
-        batched.fuse_lines(endpoints, ids, **gates)
+        batched.fuse_lines(endpoints, ids)
         for lid, ends in zip(ids, endpoints):
-            sequential.fuse_line(ends, landmark_id=lid, **gates)
+            sequential.fuse_line(ends, landmark_id=lid)
         merged_counts = []
         for lid, kind in expected:
             merged = lid in counts and sequential.lines[lid].count > counts[lid]
@@ -1040,11 +1039,11 @@ def test_fuse_lines_refits_noiseless_collinear_samples_onto_their_line():
                                rtol=0.0, atol=1e-12)
 
 
-def test_fuse_lines_gates_are_exact_at_their_thresholds():
-    # a candidate exactly at the angle or the distance that fuse_line
-    # measures (np.linalg.norm on one vector) merges, and one ulp inside
-    # either threshold rejects it; np.linalg.norm(axis=1) reads both
-    # candidates as just beyond their threshold
+def test_fuse_lines_gates_are_exact_at_their_thresholds(monkeypatch):
+    # with the gates set to the angle and the distance that fuse_line
+    # measures (np.linalg.norm on one vector) the candidate merges, and one
+    # ulp inside either threshold rejects it; np.linalg.norm(axis=1) reads
+    # both as just beyond their threshold
     rng = np.random.default_rng(13)
 
     def norm_axis1_reads_more(v):
@@ -1069,7 +1068,9 @@ def test_fuse_lines_gates_are_exact_at_their_thresholds():
     ]:
         m = SparseMap()
         m.fuse_line(SEGMENT, landmark_id=1)
-        m.fuse_lines([candidate], [1], *gates)
+        monkeypatch.setattr(tracking, "_FUSE_ANGLE_DEG", gates[0])
+        monkeypatch.setattr(tracking, "_FUSE_DIST", gates[1])
+        m.fuse_lines([candidate], [1])
         assert (m.lines[1].count == 2) == merges
 
 
