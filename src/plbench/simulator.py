@@ -23,12 +23,15 @@ still read rows; ROADMAP item 1 points them at the arrays and deletes both.
 
 Determinism: all sampling comes from a counter-based 64-bit Philox stream
 (Gaussians via numpy's ziggurat). Within one build, identical specs and
-seeds give byte-identical sequences. Each frame with noise enabled takes
-one ``standard_normal`` block of 3 P + 6 L draws for its P rendered points
-and L rendered lines, laid out point-major as (x, y, depth) per point,
-then line-major as (sx, sy, sd, ex, ey, ed) per line, each group in
-ascending landmark id; pixel slots are scaled by sigma_s and depth slots
-by sigma_d. The draws are the ones one ``rng.normal`` call per slot in
+seeds give byte-identical sequences. With noise enabled, each frame takes
+3 P + 6 L draws for its P rendered points and L rendered lines, laid out
+point-major as (x, y, depth) per point, then line-major as (sx, sy, sd,
+ex, ey, ed) per line, each group in ascending landmark id; pixel slots are
+scaled by sigma_s and depth slots by sigma_d. ``generate_sequence`` takes
+one ``standard_normal`` block per chunk of frames, their slots in frame
+order. The stream hands out draws in order, so that block equals one
+block per frame bit for bit, and the sequence does not depend on the
+chunk size. The draws are the ones one ``rng.normal`` call per slot in
 that order would give. They are consumed even when the resulting
 measurement is dropped.
 """
@@ -453,35 +456,58 @@ def build_trajectory(spec: TrajectorySpec) -> list[Pose]:
 # visibility
 
 
-def occluded(center, targets, boxes) -> np.ndarray:
-    """True where the open segment camera->target crosses any box interior.
+# generate_sequence walks a trajectory in chunks of at least one frame and at
+# most about _CHUNK_ROWS landmark x frame rows, and occluded tests at most
+# about _OCCLUSION_PAIRS box x target pairs at a time: one batch over a whole
+# trajectory costs more memory than it saves time
+_CHUNK_ROWS = 8192
+_OCCLUSION_PAIRS = 2048
 
-    One slab test over (boxes, targets, axes): a target is occluded when
-    the interior chord its ray covers strictly before reaching it, in
-    units of the segment center->target, exceeds 1e-9 for some box. A
-    zero direction component means the ray lies inside or outside that
-    slab for its whole length.
+
+def occluded(centers, targets, boxes) -> np.ndarray:
+    """True where the open segment camera->target crosses any box interior,
+    for one camera center (3,) or one center per target row (N, 3).
+
+    One slab test over (boxes, targets, axes), at most about
+    ``_OCCLUSION_PAIRS`` box x target pairs at a time: a target is
+    occluded when the interior chord its ray covers strictly before
+    reaching it, in units of the segment center->target, exceeds 1e-9 for
+    some box. A zero direction component means the ray lies inside or
+    outside that slab for its whole length; outside, it misses the box.
+    Every step is elementwise or per target, so a target's bit does not
+    depend on the other targets of the call.
     """
-    C = np.asarray(center, dtype=float)
-    D = np.atleast_2d(np.asarray(targets, dtype=float)) - C  # (N, 3)
-    lo = np.array([box.min for box in boxes]).reshape(-1, 1, 3) - C  # (B, 1, 3)
-    hi = np.array([box.max for box in boxes]).reshape(-1, 1, 3) - C
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = lo / D
-        t2 = hi / D
-    zero = D == 0.0
-    inside = (lo <= 0.0) & (hi >= 0.0)
-    t1 = np.where(zero, np.where(inside, -np.inf, np.inf), t1)
-    t2 = np.where(zero, np.where(inside, np.inf, -np.inf), t2)
-    t_enter = np.maximum(np.max(np.minimum(t1, t2), axis=-1), 0.0)  # (B, N)
-    t_exit = np.minimum(np.min(np.maximum(t1, t2), axis=-1), 1.0 - 1e-9)
-    return np.any(t_exit - t_enter > 1e-9, axis=0)
+    T = np.atleast_2d(np.asarray(targets, dtype=float))
+    C = np.broadcast_to(np.asarray(centers, dtype=float), T.shape)
+    # axis-major: (axis, box, target), so the reductions over the axes are
+    # elementwise min/max of three contiguous planes
+    boxes_lo = np.array([box.min for box in boxes]).reshape(-1, 3).T[:, :, None]  # (3, B, 1)
+    boxes_hi = np.array([box.max for box in boxes]).reshape(-1, 3).T[:, :, None]
+    out = np.empty(len(T), dtype=bool)
+    step = max(1, _OCCLUSION_PAIRS // max(1, len(boxes)))
+    for s in range(0, len(T), step):
+        c = C[s:s + step].T[:, None]  # (3, 1, n)
+        D = T[s:s + step].T[:, None] - c
+        lo, hi = boxes_lo - c, boxes_hi - c  # (3, B, n)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t1 = lo / D
+            t2 = hi / D
+        zero = D == 0.0
+        inside = (lo <= 0.0) & (hi >= 0.0)
+        t1 = np.where(zero, np.where(inside, -np.inf, np.inf), t1)
+        t2 = np.where(zero, np.inf, t2)
+        near, far = np.minimum(t1, t2), np.maximum(t1, t2)
+        t_enter = np.maximum(np.maximum(np.maximum(near[0], near[1]), near[2]), 0.0)  # (B, n)
+        t_exit = np.minimum(np.minimum(np.minimum(far[0], far[1]), far[2]), 1.0 - 1e-9)
+        out[s:s + step] = (t_exit - t_enter > 1e-9).any(axis=0)
+    return out
 
 
 def _stacked_matvec(M, V) -> np.ndarray:
-    """M @ v for every row v of V (n, 3); bit-identical to one ``M @ v``
-    per row, which ``V @ M.T`` is not."""
-    return (np.broadcast_to(M, (len(V), 3, 3)) @ V[:, :, None])[:, :, 0]
+    """M @ v for every row v of V (..., 3), with M (3, 3) or one matrix
+    per row (..., 3, 3) broadcast against V; bit-identical to one
+    ``M @ v`` per row, which ``V @ M.T`` is not."""
+    return (M @ V[..., None])[..., 0]
 
 
 def _clip_lines(A_c, B_c, intr: CameraIntrinsics, cfg: RenderConfig):
@@ -542,6 +568,76 @@ def _clip_lines(A_c, B_c, intr: CameraIntrinsics, cfg: RenderConfig):
     return ok, np.stack(pixels, 1), np.stack(depths, 1), np.stack(ends, 1)
 
 
+def _render(scene: Scene, poses, intr: CameraIntrinsics, cfg: RenderConfig):
+    """Exact observations of the scene from each of ``poses``, as flat
+    frame-major rows: for the points (frame (n,), landmark id (n,), pixels
+    (n, 2), depths (n,)), for the lines (frame (m,), landmark id (m,),
+    pixels (m, 2, 2), depths (m, 2)) with start and end. A row's frame is
+    the index of its pose; within a frame the rows ascend in landmark id.
+
+    A point is observed when its depth lies in [z_near, z_far], its
+    projection falls inside the image and no box interior blocks the ray.
+    Line segments are clipped against the z_near plane and the image
+    rectangle (depths recomputed at clip points); both clipped endpoints
+    must pass the point test and the clipped 2D length must reach
+    min_line_len. Every test runs on all (pose, landmark) rows at once,
+    with one ``occluded`` call for the points and one for the line
+    endpoints. Each step is elementwise, per row or, for the projection,
+    one matrix product per pose, so a row's values do not depend on the
+    other poses rendered with it.
+    """
+    R = np.array([pose.rotation() for pose in poses])  # (k, 3, 3)
+    t = np.array([pose.t for pose in poses])
+    centers = -_stacked_matvec(R.transpose(0, 2, 1), t)
+    points, lines = scene.points, scene.lines
+
+    P_w = points.position
+    P_c = (P_w @ R.transpose(0, 2, 1) + t[:, None]).reshape(-1, 3)  # frame-major
+    z = P_c[:, 2]
+    ok = (z >= cfg.z_near) & (z <= cfg.z_far)
+    u = np.full((len(z), 2), np.nan)
+    np.divide(P_c[:, 0], z, out=u[:, 0], where=ok)
+    np.divide(P_c[:, 1], z, out=u[:, 1], where=ok)
+    u[:, 0] = intr.fx * u[:, 0] + intr.cx
+    u[:, 1] = intr.fy * u[:, 1] + intr.cy
+    ok &= intr.contains(u)
+    rows = np.flatnonzero(ok)
+    frame, which = np.divmod(rows, len(points))
+    seen = ~occluded(centers[frame], P_w[which], scene.boxes)
+    rows = rows[seen]
+    seen_points = frame[seen], points.id[which[seen]], u[rows], z[rows]
+
+    E = lines.endpoints
+    A_c = (_stacked_matvec(R[:, None], E[:, 0]) + t[:, None]).reshape(-1, 3)
+    B_c = (_stacked_matvec(R[:, None], E[:, 1]) + t[:, None]).reshape(-1, 3)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ok, pixels, depths, ends = _clip_lines(A_c, B_c, intr, cfg)
+        ok &= ~(row_norms(pixels[:, 1] - pixels[:, 0]) < cfg.min_line_len)
+    rows = np.flatnonzero(ok)
+    frame, which = np.divmod(rows, len(lines))
+    # each row's R.T, laid out as the transposed view of its pose's R
+    ends_w = _stacked_matvec(R[frame].transpose(0, 2, 1)[:, None], ends[rows] - t[frame][:, None])
+    occ = occluded(np.repeat(centers[frame], 2, axis=0), ends_w.reshape(-1, 3), scene.boxes)
+    seen = ~occ.reshape(-1, 2).any(axis=1)
+    rows = rows[seen]
+    seen_lines = frame[seen], lines.id[which[seen]], pixels[rows], depths[rows]
+    return seen_points, seen_lines
+
+
+def _frames(frame_ids, points, lines) -> list[FrameData]:
+    """One ``FrameData`` per entry of ``frame_ids`` from flat frame-major
+    point and line rows as ``_render`` gives them, whose frame column
+    indexes ``frame_ids``."""
+    cuts = np.arange(len(frame_ids) + 1)
+    p_cut = np.searchsorted(points[0], cuts).tolist()
+    l_cut = np.searchsorted(lines[0], cuts).tolist()
+    return [
+        FrameData(frame_id, *(c[p_cut[i]:p_cut[i + 1]] for c in points[1:]),
+                  *(c[l_cut[i]:l_cut[i + 1]] for c in lines[1:]))
+        for i, frame_id in enumerate(frame_ids)
+    ]
+
+
 def render_frame(
     scene: Scene,
     pose: Pose,
@@ -550,54 +646,8 @@ def render_frame(
     frame_id: int = 0,
 ) -> FrameData:
     """Exact observations of the scene from one pose, as frame ``frame_id``
-    with its rows in ascending landmark id.
-
-    A point is observed when its depth lies in [z_near, z_far], its
-    projection falls inside the image and no box interior blocks the ray.
-    Line segments are clipped against the z_near plane and the image
-    rectangle (depths recomputed at clip points); both clipped endpoints
-    must pass the point test and the clipped 2D length must reach
-    min_line_len. Every test runs on all landmarks at once, with one
-    ``occluded`` call for the points and one for the line endpoints.
-    """
-    R = pose.rotation()
-    cam_center = pose.center()
-    points, lines = scene.points, scene.lines
-    seen_points = seen_lines = np.empty(0, dtype=np.intp)
-    u, z = np.empty((0, 2)), np.empty(0)
-    pixels, depths = np.empty((0, 2, 2)), np.empty((0, 2))
-
-    if len(points):
-        P_w = points.position
-        P_c = P_w @ R.T + pose.t
-        z = P_c[:, 2]
-        ok = (z >= cfg.z_near) & (z <= cfg.z_far)
-        u = np.full((len(P_w), 2), np.nan)
-        np.divide(P_c[:, 0], z, out=u[:, 0], where=ok)
-        np.divide(P_c[:, 1], z, out=u[:, 1], where=ok)
-        u[:, 0] = intr.fx * u[:, 0] + intr.cx
-        u[:, 1] = intr.fy * u[:, 1] + intr.cy
-        ok &= intr.contains(u)
-        if np.any(ok):
-            idx = np.nonzero(ok)[0]
-            seen_points = idx[~occluded(cam_center, P_w[idx], scene.boxes)]
-
-    if len(lines):
-        E = lines.endpoints
-        A_c = _stacked_matvec(R, E[:, 0]) + pose.t
-        B_c = _stacked_matvec(R, E[:, 1]) + pose.t
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ok, pixels, depths, ends = _clip_lines(A_c, B_c, intr, cfg)
-            ok &= ~(row_norms(pixels[:, 1] - pixels[:, 0]) < cfg.min_line_len)
-        idx = np.nonzero(ok)[0]
-        if len(idx):
-            ends_w = _stacked_matvec(R.T, ends[idx].reshape(-1, 3) - pose.t)
-            occ = occluded(cam_center, ends_w, scene.boxes)
-            seen_lines = idx[~occ.reshape(-1, 2).any(axis=1)]
-
-    # the records' rows, and so the seen rows, are in ascending landmark id
-    p, q = seen_points, seen_lines
-    return FrameData(frame_id, points.id[p], u[p], z[p], lines.id[q], pixels[q], depths[q])
+    with its rows in ascending landmark id: ``_render`` of that one pose."""
+    return _frames([frame_id], *_render(scene, [pose], intr, cfg))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -828,18 +878,23 @@ class Sequence:
                     raise ValueError(f"parallel group {gid} members disagree in direction")
 
 
-def _add_noise(frame: FrameData, noise: NoiseParams, intr, cfg: RenderConfig, rng, report):
-    """The noisy copy of one frame's exact observations, from one block of
-    draws: (x, y, depth) per point, then (sx, sy, sd, ex, ey, ed) per line.
+def _add_noise(points, lines, noise: NoiseParams, intr, cfg: RenderConfig, rng, report):
+    """The noisy copy of exact observation rows, flat and frame-major as
+    ``_render`` gives them, from one block of draws laid out frame by
+    frame: (x, y, depth) per point, then (sx, sy, sd, ex, ey, ed) per line.
     Measurements the noise moves out of the image, out of positive depth
     or below min_line_len are dropped and counted in ``report``."""
-    s, sd = noise.sigma_s, noise.sigma_d
-    n, m = len(frame.point_ids), len(frame.line_ids)
-    a = gaussian_noise(rng, np.concatenate([np.tile([s, s, sd], n), np.tile([s, s, sd] * 2, m)]))
-    P = np.column_stack([frame.point_pixels, frame.point_depths]) + a[: 3 * n].reshape(-1, 3)
-    ends, ends_d = frame.line_pixels, frame.line_depths
+    (p_frame, p_ids, u, z), (l_frame, l_ids, ends, ends_d) = points, lines
+    n, m = len(p_frame), len(l_frame)
+    frames = 1 + max(p_frame.max(initial=-1), l_frame.max(initial=-1))
+    # the block's slots per frame: 3 per point, then 6 per line
+    slots = np.column_stack([3 * np.bincount(p_frame, minlength=frames),
+                             6 * np.bincount(l_frame, minlength=frames)])
+    of_point = np.repeat(np.tile([True, False], frames), slots.ravel())
+    a = gaussian_noise(rng, np.tile([noise.sigma_s, noise.sigma_s, noise.sigma_d], n + 2 * m))
+    P = np.column_stack([u, z]) + a[of_point].reshape(-1, 3)
     L = np.column_stack([ends[:, 0], ends_d[:, 0], ends[:, 1], ends_d[:, 1]])
-    L += a[3 * n:].reshape(-1, 6)
+    L += a[~of_point].reshape(-1, 6)
 
     d = _disparity_depth(P[:, 2], noise.m)
     keep_p = ~np.isnan(d) & intr.contains(P[:, :2])
@@ -855,11 +910,10 @@ def _add_noise(frame: FrameData, noise: NoiseParams, intr, cfg: RenderConfig, rn
         & ~(row_norms(L[:, 3:5] - L[:, 0:2]) < cfg.min_line_len)
     )
     report.dropped_lines += int(np.count_nonzero(~keep_l))
-    return FrameData(
-        frame.frame_id,
-        frame.point_ids[keep_p], P[keep_p, :2], d[keep_p],
-        frame.line_ids[keep_l], L[keep_l][:, [0, 1, 3, 4]].reshape(-1, 2, 2),
-        np.column_stack([d_s, d_e])[keep_l],
+    return (
+        (p_frame[keep_p], p_ids[keep_p], P[keep_p, :2], d[keep_p]),
+        (l_frame[keep_l], l_ids[keep_l], L[keep_l][:, [0, 1, 3, 4]].reshape(-1, 2, 2),
+         np.column_stack([d_s, d_e])[keep_l]),
     )
 
 
@@ -872,27 +926,36 @@ def generate_sequence(
 ) -> Sequence:
     """Render every frame and corrupt surviving observations with noise.
 
-    The noise stream is a child of the scene seed, so one top-level seed
-    reproduces the whole sequence. Noisy measurements that leave the image,
-    lose positive depth or shrink below min_line_len are dropped and counted
-    in the report.
+    The trajectory is walked in chunks of consecutive frames, at most about
+    ``_CHUNK_ROWS`` landmark x frame rows each. A chunk is rendered in one
+    ``_render`` call and its exact frames are built; with noise enabled,
+    one block of draws covers the chunk and its noisy frames are built
+    from the exact rows. The noise stream is a child of the scene seed, so
+    one top-level seed reproduces the whole sequence. Noisy measurements
+    that leave the image, lose positive depth or shrink below min_line_len
+    are dropped and counted in the report.
     """
     seed_seq = np.random.SeedSequence(entropy=scene.seed, spawn_key=(1,))
     rng = np.random.Generator(np.random.Philox(seed_seq))
 
+    trajectory = list(trajectory)
+    step = max(1, _CHUNK_ROWS // max(1, len(scene.points) + len(scene.lines)))
     report = GenerationReport()
     frames: list[FrameData] = []
-    for frame_id, pose in enumerate(trajectory):
-        frame = render_frame(scene, pose, intr, cfg, frame_id)
+    for start in range(0, len(trajectory), step):
+        poses = trajectory[start:start + step]
+        frame_ids = range(start, start + len(poses))
+        points, lines = _render(scene, poses, intr, cfg)
+        chunk = _frames(frame_ids, points, lines)
         if noise.enabled:
-            frame = _add_noise(frame, noise, intr, cfg, rng, report)
-        if not (len(frame.point_ids) or len(frame.line_ids)):
-            report.empty_frames.append(frame_id)
-        frames.append(frame)
+            chunk = _frames(frame_ids, *_add_noise(points, lines, noise, intr, cfg, rng, report))
+        frames += chunk
+    report.empty_frames = [f.frame_id for f in frames
+                           if not (len(f.point_ids) or len(f.line_ids))]
 
     return Sequence(
         intrinsics=intr,
-        gt_trajectory=list(trajectory),
+        gt_trajectory=trajectory,
         frames=frames,
         gt_points=scene.points,
         gt_lines=scene.lines,

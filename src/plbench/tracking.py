@@ -15,7 +15,6 @@ keep their order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -528,15 +527,16 @@ class SparseMap:
 
     The map is two frozen, id-sorted records, ``points`` (``MapPoints``)
     and ``lines`` (``MapSegments``), which each fusion replaces, and
-    ``line_samples``: per line id, the list of endpoint pairs (2, 3) its
-    line was fit through, oldest first, so that the samples of all lines a
-    frame merges join in one ``np.concatenate``.
+    ``line_samples``: per line id, one (2 s, 3) array of the start and end
+    of each of the s segments its line was fit through, oldest first, so
+    that the samples of all lines a frame merges join in one
+    ``np.concatenate`` of one array per line.
     """
 
     def __init__(self):
         self.points = MapPoints([], [], [])
         self.lines = MapSegments([], [], [])
-        self.line_samples: dict[int, list[np.ndarray]] = {}
+        self.line_samples: dict[int, np.ndarray] = {}
 
     # -- fusion ------------------------------------------------------------
 
@@ -591,16 +591,15 @@ class SparseMap:
         merged = known.copy()
         merged[known] = inside
         count[rows[merged]] += 1
-        stacks = [self.line_samples[lid] for lid in ids[merged].tolist()]
-        for stack, sample in zip(stacks, endpoints[merged]):
-            stack.append(sample)
+        stacks = []
+        for lid, sample in zip(ids[merged].tolist(), endpoints[merged]):
+            stacks.append(np.concatenate([self.line_samples[lid], sample]))
+            self.line_samples[lid] = stacks[-1]
         if stacks:
-            samples = np.concatenate(list(chain.from_iterable(stacks)))
-            sizes = np.array([2 * len(stack) for stack in stacks])
-            ends[rows[merged]] = _refit_lines(samples, sizes, ends[rows[merged]])
+            sizes = np.array([len(stack) for stack in stacks])
+            ends[rows[merged]] = _refit_lines(np.concatenate(stacks), sizes, ends[rows[merged]])
         new = ~known
-        for lid, sample in zip(ids[new].tolist(), endpoints[new]):
-            self.line_samples[lid] = [sample]
+        self.line_samples.update(zip(ids[new].tolist(), endpoints[new]))
         self.lines = MapSegments(np.concatenate([self.lines.id, ids[new]]),
                                  np.concatenate([ends, endpoints[new]]),
                                  np.concatenate([count, np.ones_like(ids[new])]))

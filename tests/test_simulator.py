@@ -5,6 +5,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from plbench import simulator
 from plbench.dataset_io import write_sequence
 from plbench.geometry import (
     CameraIntrinsics,
@@ -12,11 +13,13 @@ from plbench.geometry import (
     Points,
     Pose,
     Segments,
+    row_norms,
 )
 from plbench.simulator import (
     Box,
     ConfigError,
     FrameData,
+    GenerationReport,
     NoiseParams,
     RenderConfig,
     Scene,
@@ -25,6 +28,7 @@ from plbench.simulator import (
     TrajectorySpec,
     build_scene,
     build_trajectory,
+    gaussian_noise,
     generate_sequence,
     load_preset,
     occluded,
@@ -368,6 +372,39 @@ def test_occluded_over_several_boxes_is_or_of_single_boxes():
     assert occluded(cam, np.empty((0, 3)), boxes).shape == (0,)
 
 
+def test_occluded_ray_outside_a_slab_misses_the_box():
+    box = Box((5.0, 5.0, 0.0), (1.0, 1.0, 1.0))
+    # y and z components are 0: the ray along x at y = 0 lies outside the
+    # box's y slab [4, 6] for its whole length and passes beside the box
+    assert not occluded(np.zeros(3), [[10.0, 0.0, 0.0]], [box]).any()
+    # inside the y and z slabs for its whole length, it crosses the box
+    assert occluded([0.0, 5.0, 0.0], [[10.0, 5.0, 0.0]], [box]).all()
+    # outside on one axis and inside on the other: beside the box again
+    assert not occluded([0.0, 5.0, 3.0], [[10.0, 5.0, 3.0]], [box]).any()
+
+
+def test_occluded_with_a_center_per_target_equals_one_call_per_center(monkeypatch):
+    boxes = [
+        Box(np.array([0.0, 0.0, 3.0]), np.array([0.5, 0.5, 0.5])),
+        Box(np.array([2.0, 0.0, 3.0]), np.array([0.5, 0.5, 0.5])),
+        Box(np.array([0.0, 2.0, 5.0]), np.array([0.3, 0.3, 0.3])),
+    ]
+    rng = new_rng(12)
+    centers = rng.uniform([-1.0, -1.0, -1.0], [1.0, 1.0, 0.5], size=(300, 3))
+    targets = rng.uniform([-1.5, -1.0, 2.0], [3.0, 3.0, 7.0], size=(300, 3))
+    # axis-parallel rays: some components exactly 0, inside and outside slabs
+    targets[:40, :2] = centers[:40, :2]
+    targets[40:80, 1] = centers[40:80, 1]
+    one_by_one = np.array([occluded(c, t[None], boxes)[0] for c, t in zip(centers, targets)])
+    assert 30 < one_by_one.sum() < 270 and one_by_one[:40].any() and not one_by_one[:40].all()
+    np.testing.assert_array_equal(occluded(centers, targets, boxes), one_by_one)
+    # the pair bound only splits the work: 4 pairs is one target at a time
+    # over three boxes, 20 pairs six targets
+    for pairs in (4, 20):
+        monkeypatch.setattr(simulator, "_OCCLUSION_PAIRS", pairs)
+        np.testing.assert_array_equal(occluded(centers, targets, boxes), one_by_one)
+
+
 def first_face_hit(center, target, boxes, margin=1e-9):
     """Oracle: intersect the ray with every face rectangle directly.
 
@@ -622,6 +659,191 @@ def test_written_presets_match_golden_hash(preset, tmp_path):
                             cfg.noise, cfg.intrinsics, cfg.render)
     write_sequence(seq, tmp_path)
     assert files_sha256(tmp_path) == GOLDEN_SHA256[preset]
+
+
+# ---------------------------------------------------------------------------
+# the batched renderer and noise against the per-frame oracle
+
+
+def reference_render_frame(scene, pose, intr, cfg, frame_id):
+    """The per-frame renderer the batched ``_render`` replaced: one pose's
+    points and lines as arrays, one ``occluded`` call each."""
+    R = pose.rotation()
+    cam_center = pose.center()
+    points, lines = scene.points, scene.lines
+    seen_points = seen_lines = np.empty(0, dtype=np.intp)
+    u, z = np.empty((0, 2)), np.empty(0)
+    pixels, depths = np.empty((0, 2, 2)), np.empty((0, 2))
+
+    if len(points):
+        P_w = points.position
+        P_c = P_w @ R.T + pose.t
+        z = P_c[:, 2]
+        ok = (z >= cfg.z_near) & (z <= cfg.z_far)
+        u = np.full((len(P_w), 2), np.nan)
+        np.divide(P_c[:, 0], z, out=u[:, 0], where=ok)
+        np.divide(P_c[:, 1], z, out=u[:, 1], where=ok)
+        u[:, 0] = intr.fx * u[:, 0] + intr.cx
+        u[:, 1] = intr.fy * u[:, 1] + intr.cy
+        ok &= intr.contains(u)
+        if np.any(ok):
+            idx = np.nonzero(ok)[0]
+            seen_points = idx[~occluded(cam_center, P_w[idx], scene.boxes)]
+
+    def matvec(M, V):  # one M @ v per row
+        return (np.broadcast_to(M, (len(V), 3, 3)) @ V[:, :, None])[:, :, 0]
+
+    if len(lines):
+        E = lines.endpoints
+        A_c = matvec(R, E[:, 0]) + pose.t
+        B_c = matvec(R, E[:, 1]) + pose.t
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ok, pixels, depths, ends = simulator._clip_lines(A_c, B_c, intr, cfg)
+            ok &= ~(row_norms(pixels[:, 1] - pixels[:, 0]) < cfg.min_line_len)
+        idx = np.nonzero(ok)[0]
+        if len(idx):
+            ends_w = matvec(R.T, ends[idx].reshape(-1, 3) - pose.t)
+            occ = occluded(cam_center, ends_w, scene.boxes)
+            seen_lines = idx[~occ.reshape(-1, 2).any(axis=1)]
+
+    p, q = seen_points, seen_lines
+    return FrameData(frame_id, points.id[p], u[p], z[p], lines.id[q], pixels[q], depths[q])
+
+
+def reference_add_noise(frame, noise, intr, cfg, rng, report):
+    """The per-frame noise model the chunked one replaced: one block of
+    draws per frame, (x, y, depth) per point, then (sx, sy, sd, ex, ey, ed)
+    per line."""
+    s, sd = noise.sigma_s, noise.sigma_d
+    n, m = len(frame.point_ids), len(frame.line_ids)
+    a = gaussian_noise(rng, np.concatenate([np.tile([s, s, sd], n), np.tile([s, s, sd] * 2, m)]))
+    P = np.column_stack([frame.point_pixels, frame.point_depths]) + a[: 3 * n].reshape(-1, 3)
+    ends, ends_d = frame.line_pixels, frame.line_depths
+    L = np.column_stack([ends[:, 0], ends_d[:, 0], ends[:, 1], ends_d[:, 1]])
+    L += a[3 * n:].reshape(-1, 6)
+    d = simulator._disparity_depth(P[:, 2], noise.m)
+    keep_p = ~np.isnan(d) & intr.contains(P[:, :2])
+    report.dropped_points += int(np.count_nonzero(~keep_p))
+    d_s = simulator._disparity_depth(L[:, 2], noise.m)
+    d_e = simulator._disparity_depth(L[:, 5], noise.m)
+    keep_l = (~np.isnan(d_s) & ~np.isnan(d_e) & intr.contains(L[:, 0:2])
+              & intr.contains(L[:, 3:5])
+              & ~(row_norms(L[:, 3:5] - L[:, 0:2]) < cfg.min_line_len))
+    report.dropped_lines += int(np.count_nonzero(~keep_l))
+    return FrameData(frame.frame_id, frame.point_ids[keep_p], P[keep_p, :2], d[keep_p],
+                     frame.line_ids[keep_l], L[keep_l][:, [0, 1, 3, 4]].reshape(-1, 2, 2),
+                     np.column_stack([d_s, d_e])[keep_l])
+
+
+def reference_generate_sequence(scene, trajectory, noise, intr, cfg):
+    """(frames, report) of the per-frame generation loop."""
+    rng = np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(entropy=scene.seed, spawn_key=(1,))))
+    report = GenerationReport()
+    frames = []
+    for frame_id, pose in enumerate(trajectory):
+        frame = reference_render_frame(scene, pose, intr, cfg, frame_id)
+        if noise.enabled:
+            frame = reference_add_noise(frame, noise, intr, cfg, rng, report)
+        if not (len(frame.point_ids) or len(frame.line_ids)):
+            report.empty_frames.append(frame_id)
+        frames.append(frame)
+    return frames, report
+
+
+FRAME_ARRAYS = ("point_ids", "point_pixels", "point_depths", "line_ids", "line_pixels",
+                "line_depths")
+
+
+def assert_same_frames(got, expected):
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        assert g.frame_id == e.frame_id
+        for name in FRAME_ARRAYS:
+            a, b = getattr(g, name), getattr(e, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), (g.frame_id, name)
+
+
+def assert_generation_matches_reference(scene, traj, noise, cfg):
+    seq = generate_sequence(scene, traj, noise, cfg.intrinsics, cfg.render)
+    frames, report = reference_generate_sequence(scene, traj, noise, cfg.intrinsics, cfg.render)
+    assert_same_frames(seq.frames, frames)
+    assert seq.report == report
+    return seq
+
+
+@pytest.mark.parametrize("offset", [0, 1000])
+@pytest.mark.parametrize("preset", simulator.PRESET_NAMES)
+def test_chunked_generation_equals_per_frame_reference(preset, offset):
+    cfg = load_preset(preset)
+    scene = build_scene(dataclasses.replace(cfg.scene, seed=cfg.scene.seed + offset))
+    traj = build_trajectory(cfg.trajectory)
+    # more than one chunk, the last one short
+    assert len(traj) % max(1, simulator._CHUNK_ROWS // (len(scene.points) + len(scene.lines)))
+    seq = assert_generation_matches_reference(scene, traj, cfg.noise, cfg)
+    assert seq.report.dropped_points + seq.report.dropped_lines > 0
+    for pose, frame in zip(traj[::9], seq.frames[::9]):
+        exact = reference_render_frame(scene, pose, cfg.intrinsics, cfg.render, frame.frame_id)
+        assert_same_frames([render_frame(scene, pose, cfg.intrinsics, cfg.render,
+                                         frame.frame_id)], [exact])
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("frames, chunk_frames", [(10, 3), (10, 5), (1, 3), (7, 50), (4, 1)])
+def test_chunk_boundaries_keep_the_per_frame_bits(monkeypatch, frames, chunk_frames, enabled):
+    cfg = load_preset("box")
+    scene = build_scene(cfg.scene)
+    traj = build_trajectory(cfg.trajectory)[40:40 + frames]
+    rows = len(scene.points) + len(scene.lines)
+    monkeypatch.setattr(simulator, "_CHUNK_ROWS", chunk_frames * rows + rows // 2)
+    monkeypatch.setattr(simulator, "_OCCLUSION_PAIRS", 50)
+    noise = dataclasses.replace(cfg.noise, enabled=enabled)
+    seq = assert_generation_matches_reference(scene, traj, noise, cfg)
+    assert sum(len(f.point_ids) + len(f.line_ids) for f in seq.frames) > 50 * frames
+
+
+def test_noise_disabled_frames_are_the_rendered_frames():
+    cfg = load_preset("corridor")
+    scene = build_scene(cfg.scene)
+    traj = build_trajectory(cfg.trajectory)
+    noise = dataclasses.replace(cfg.noise, enabled=False)
+    seq = assert_generation_matches_reference(scene, traj, noise, cfg)
+    assert seq.report.dropped_points == seq.report.dropped_lines == 0
+
+
+def scene_without(kind):
+    cfg = load_preset("box")
+    scene = build_scene(cfg.scene)
+    if kind == "points":
+        return dataclasses.replace(scene, points=Points([], np.empty((0, 3)))), cfg
+    return dataclasses.replace(scene, lines=Segments([], np.empty((0, 2, 3))),
+                               parallel_groups={}), cfg
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("kind", ["points", "lines"])
+def test_scene_without_points_or_lines_renders_like_the_reference(kind, enabled):
+    scene, cfg = scene_without(kind)
+    traj = build_trajectory(cfg.trajectory)[::4]
+    noise = dataclasses.replace(cfg.noise, enabled=enabled)
+    seq = assert_generation_matches_reference(scene, traj, noise, cfg)
+    other = "line_ids" if kind == "points" else "point_ids"
+    assert all(len(getattr(f, f"{kind[:-1]}_ids")) == 0 for f in seq.frames)
+    assert sum(len(getattr(f, other)) for f in seq.frames) > 0
+    exact = reference_render_frame(scene, traj[3], cfg.intrinsics, cfg.render, 3)
+    assert_same_frames([render_frame(scene, traj[3], cfg.intrinsics, cfg.render, 3)], [exact])
+
+
+def test_one_draw_block_over_frames_equals_one_block_per_frame():
+    # per frame: 3 slots per point, then 6 per line; some frames empty
+    counts = [(5, 2), (0, 0), (17, 0), (0, 3), (1, 1), (250, 40)]
+    s, sd = 1.5, 0.25
+    rng = new_rng(21)
+    per_frame = [gaussian_noise(rng, np.tile([s, s, sd], n + 2 * m)) for n, m in counts]
+    block = gaussian_noise(new_rng(21), np.tile([s, s, sd], sum(n + 2 * m for n, m in counts)))
+    assert block.tobytes() == np.concatenate(per_frame).tobytes()
+    # and both leave the stream at the same place
+    assert rng.standard_normal() == new_rng(21).standard_normal(len(block) + 1)[-1]
 
 
 def test_empty_frame_recorded_as_warning():

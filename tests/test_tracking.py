@@ -891,7 +891,7 @@ def test_fuse_line_known_id_merges_and_refits_over_all_samples():
     assert m.fuse_line(SEGMENT + [0.5, 0.0, 0.0], landmark_id=4) == 4
     ml = m.lines[4]
     assert ml.count == 2
-    assert len(m.line_samples[4]) == 2
+    assert m.line_samples[4].shape == (4, 3)  # two segments, start and end each
     # collinear samples: the refit spans the union of both segments
     ends = ml.endpoints[np.argsort(ml.endpoints[:, 0])]
     np.testing.assert_allclose(ends, [[0.0, 0.0, 2.0], [1.5, 0.0, 2.0]], atol=1e-12)
@@ -977,8 +977,8 @@ def test_fuse_lines_equals_sequential_fuse_line_bit_for_bit():
             got = batched.lines[lid]
             assert got.endpoints.tobytes() == ml.endpoints.tobytes()
             assert got.count == ml.count
-            assert [x.tobytes() for x in batched.line_samples[lid]] == \
-                [x.tobytes() for x in sequential.line_samples[lid]]
+            assert batched.line_samples[lid].shape == sequential.line_samples[lid].shape
+            assert batched.line_samples[lid].tobytes() == sequential.line_samples[lid].tobytes()
     assert seen == {"inside", "angle", "distance", "new"}
     assert mixed_batches >= 2
 
