@@ -20,10 +20,12 @@ Every file but ``parallel_groups.txt`` and ``stats.csv`` is written by
 one formatter, ``_records`` (``%d`` for ids and image sizes, ``%r`` for
 values): ``calib.txt`` and ``groundtruth.txt`` as untagged lines, and the
 frame, landmark and graph columns as tagged ones.
-Frame files map row for row onto the arrays of ``simulator.FrameData``,
-and ``read_sequence`` parses each frame file into those arrays, checking
-its rows with ``simulator._row_faults``, the checks and texts of
-``Sequence.validate``.
+Frame files map row for row onto the arrays of ``simulator.FrameData``.
+``read_sequence`` is where a read frame row is checked, once: its parse
+refuses unknown and repeated landmark ids, and its checks on the values
+are ``simulator._row_faults``, the checks and texts of
+``Sequence.validate``. The ``FrameData`` built from the checked rows only
+casts them.
 ``landmarks.txt`` maps row for row onto the columns of the ground-truth
 records, ``MP`` lines onto ``geometry.Points`` (id, position) and ``ML``
 lines onto ``geometry.Segments`` (id, endpoints, start then end), in
@@ -396,8 +398,12 @@ def _read_calib(path) -> CameraIntrinsics:
         raise ParseError(path, lineno, str(exc)) from exc
 
 
-def read_sequence(directory, min_line_len: float = 15.0) -> Sequence:
-    """Read a sequence directory, making each check of ``validate`` once."""
+def read_sequence(directory, min_line_len: float = 0.0) -> Sequence:
+    """Read a sequence directory, making each check of ``validate`` once,
+    with the same default ``min_line_len``, so that a written valid
+    sequence reads back whatever length its lines were rendered at. Each
+    frame row is checked as it is read; the frames are then built from the
+    checked rows."""
     directory = Path(directory)
     intr = _read_calib(directory / "calib.txt")
     traj = read_trajectory(directory / "groundtruth.txt")

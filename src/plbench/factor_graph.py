@@ -42,7 +42,7 @@ from .geometry import (
     row_norms,
     skew,
 )
-from .simulator import Sequence
+from .simulator import Sequence, _frame_rows
 
 _DEPTH_EPS = 1e-9
 _LINE_EPS = 1e-12
@@ -401,8 +401,8 @@ def build_covisibility_graph(
     if not seq.frames:
         raise GraphConstructionError("sequence has no frames")
     weight = _factor_weight(sigma_s)
-    point_ids, point_factors = _covisible(seq.frames, "point_ids", "point_pixels", weight)
-    line_ids, line_factors = _covisible(seq.frames, "line_ids", "line_pixels", weight)
+    point_ids, point_factors = _covisible(seq.frames, "point", weight)
+    line_ids, line_factors = _covisible(seq.frames, "line", weight)
 
     rows = []
     for ids, record in ((point_ids, initial_map.points), (line_ids, initial_map.lines)):
@@ -425,14 +425,13 @@ def build_covisibility_graph(
     return graph
 
 
-def _covisible(frames, ids: str, pixels: str, weight: float):
+def _covisible(frames, kind: str, weight: float):
     """(sorted ids of the landmarks two or more frames observe, the
-    factors of their measurements in frame order), from the ``FrameData``
-    columns named ``ids`` and ``pixels``."""
-    landmark = np.concatenate([getattr(f, ids) for f in frames])
-    frame = np.repeat([f.frame_id for f in frames], [len(getattr(f, ids)) for f in frames])
+    factors of their measurements in frame order), from the ``kind``
+    ("point" or "line") rows of ``frames``."""
+    frame, landmark, u, _ = _frame_rows(frames, kind)
     seen, counts = np.unique(landmark, return_counts=True)
     covisible = seen[counts >= 2]
     keep = np.isin(landmark, covisible)
-    u = np.concatenate([getattr(f, pixels) for f in frames])[keep]
-    return covisible, Factors(frame[keep], landmark[keep], u, np.full(len(u), weight))
+    return covisible, Factors(frame[keep], landmark[keep], u[keep],
+                              np.full(np.count_nonzero(keep), weight))

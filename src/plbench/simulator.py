@@ -21,6 +21,13 @@ arrays. ``FrameData.points``/``.lines`` give the rows as plain
 namespaces only because the benchmark's sequence digest and output checks
 still read rows; ROADMAP item 1 points them at the arrays and deletes both.
 
+A ``FrameData`` only casts its columns; each frame row is checked once,
+where it enters the library. ``dataset_io.read_sequence`` checks the rows
+it reads, ``Sequence.validate`` checks hand-built sequences, and generated
+rows are valid by construction: the renderer and the noise model keep only
+finite rows inside the image with positive depths and, for lines, at least
+min_line_len long, one row per landmark in ascending id.
+
 Determinism: all sampling comes from a counter-based 64-bit Philox stream
 (Gaussians via numpy's ziggurat). Within one build, identical specs and
 seeds give byte-identical sequences. With noise enabled, each frame takes
@@ -698,12 +705,12 @@ def perturb_depth(d_hat: float, sigma_d: float, m_const: float, rng) -> float | 
 # sequences
 
 
-def _row_faults(pixels, depths, intr: CameraIntrinsics | None = None, min_line_len: float = 0.0):
+def _row_faults(pixels, depths, intr: CameraIntrinsics, min_line_len: float):
     """The checks on point rows (pixels (n, 2), depths (n,)) or line rows
     (pixels (m, 2, 2), depths (m, 2)), in the order they apply to a row, as
-    (failing rows, message) pairs: finite values, positive depths and, for
-    lines, distinct endpoints; then, given the calibration ``intr``, inside
-    the image and, for lines, at least ``min_line_len`` long."""
+    (failing rows, message) pairs: finite values, positive depths, for
+    lines distinct endpoints, inside the image of ``intr`` and, for lines,
+    at least ``min_line_len`` long."""
     lines = pixels.ndim == 3
     kind = "line" if lines else "point"
     ends, depths = (pixels, depths) if lines else (pixels[:, None], depths[:, None])
@@ -711,15 +718,13 @@ def _row_faults(pixels, depths, intr: CameraIntrinsics | None = None, min_line_l
         (~np.isfinite(ends).all(axis=(1, 2)) | ~np.isfinite(depths).all(axis=1),
          "measurement must be finite"),
         (~(depths > 0).all(axis=1), "nonpositive depth"),
+        (~intr.contains(ends).all(axis=1), f"{kind} measurement outside the image"),
     ]
     if lines:
-        faults.append(((pixels[:, 0] == pixels[:, 1]).all(axis=1),
-                       "line measurement endpoints coincide"))
-    if intr is not None:
-        faults.append((~intr.contains(ends).all(axis=1), f"{kind} measurement outside the image"))
-        if lines:
-            faults.append((row_norms(pixels[:, 1] - pixels[:, 0]) < min_line_len,
-                           "line measurement shorter than min_line_len"))
+        faults.insert(2, ((pixels[:, 0] == pixels[:, 1]).all(axis=1),
+                          "line measurement endpoints coincide"))
+        faults.append((row_norms(pixels[:, 1] - pixels[:, 0]) < min_line_len,
+                       "line measurement shorter than min_line_len"))
     return faults
 
 
@@ -746,17 +751,15 @@ class FrameData:
       line_ids (m,) int64, line_pixels (m, 2, 2) start and end pixel,
       line_depths (m, 2) start and end depth.
 
-    Construction copies each array through ``geometry._column``, which
-    refuses a wrong shape and a value its dtype does not hold exactly,
-    such as a float id (ValueError naming the array). It then checks the
-    rows once: the checks of ``_row_faults`` that need no calibration,
-    finite values, positive depths and distinct line endpoints
-    (GeometryError), and no landmark id twice among the points or among
-    the lines (ValueError). Image bounds, landmark ids and line lengths
-    need the sequence and are checked by ``Sequence.validate``.
+    A plain record: construction copies each array through
+    ``geometry._column``, which refuses a wrong shape and a value its
+    dtype does not hold exactly, such as a float id (ValueError naming the
+    array), and checks nothing else. Row values and ids are checked where
+    the rows enter the library (see the module docstring), for a
+    hand-built sequence by ``Sequence.validate``.
 
-    ``points`` and ``lines`` give the rows as namespaces, unchecked since
-    the frame checked them, for the benchmark's readers.
+    ``points`` and ``lines`` give the rows as namespaces for the
+    benchmark's readers.
     """
 
     frame_id: int
@@ -778,19 +781,6 @@ class FrameData:
             ("line_depths", float, (m, 2)),
         ):
             object.__setattr__(self, name, _column(getattr(self, name), dtype, shape, name))
-        for kind, ids, pixels, depths in (
-            ("point", self.point_ids, self.point_pixels, self.point_depths),
-            ("line", self.line_ids, self.line_pixels, self.line_depths),
-        ):
-            fault = _first_fault(_row_faults(pixels, depths))
-            if fault is not None:
-                raise GeometryError(fault[1])
-            ids = np.sort(ids)
-            repeats = ids[1:][ids[1:] == ids[:-1]]
-            if len(repeats):
-                raise ValueError(
-                    f"{kind} landmark id {repeats[0]} repeats in frame {self.frame_id}"
-                )
 
     @property
     def points(self) -> list[SimpleNamespace]:
@@ -806,6 +796,16 @@ class FrameData:
         return [SimpleNamespace(landmark_id=i, start=SimpleNamespace(u=u[0], d=d[0]),
                                 end=SimpleNamespace(u=u[1], d=d[1])) for i, u, d in
                 zip(self.line_ids.tolist(), self.line_pixels, self.line_depths.tolist())]
+
+
+def _frame_rows(frames, kind: str):
+    """The ``kind`` ("point" or "line") rows of ``frames`` in one
+    frame-major gather: (frame id (n,), then the frames' ``kind`` ids,
+    pixels and depths, joined in the shapes ``FrameData`` holds them)."""
+    columns = [f"{kind}_{c}" for c in ("ids", "pixels", "depths")]
+    frames = frames or [FrameData(0, [], [], [], [], [], [])]  # no frames give no rows
+    frame = np.repeat([f.frame_id for f in frames], [len(getattr(f, columns[0])) for f in frames])
+    return frame, *(np.concatenate([getattr(f, c) for f in frames]) for c in columns)
 
 
 @dataclass
@@ -832,23 +832,32 @@ class Sequence:
     report: GenerationReport | None = None
 
     def validate(self, min_line_len: float = 0.0) -> None:
-        """Check every frame against the calibration and the landmark
-        records, and the parallel groups. A frame's rows go through the
-        dangling-id check, then the full ``_row_faults`` list with the
-        calibration and ``min_line_len``; each error names the frame."""
+        """Check every frame row against the calibration and the landmark
+        records, and the parallel groups, in one pass over all frames.
+
+        A row's checks apply in the reader's order: a known landmark id,
+        no id twice in its frame, then the full ``_row_faults`` list with
+        the calibration and ``min_line_len``. The first faulty row of the
+        earliest frame is reported, a frame's points before its lines,
+        with the first check it fails, in a ValueError naming the frame."""
         if len(self.frames) != len(self.gt_trajectory):
             raise ValueError("frame count does not match trajectory length")
         self.check_frame_ids()
-        for f in self.frames:
-            for kind, known, ids, pixels, depths in (
-                ("point", self.gt_points.id, f.point_ids, f.point_pixels, f.point_depths),
-                ("line", self.gt_lines.id, f.line_ids, f.line_pixels, f.line_depths),
-            ):
-                fault = _first_fault(
-                    [(~np.isin(ids, known), lambda r: f"dangling {kind} landmark id {ids[r]}")]
-                    + _row_faults(pixels, depths, self.intrinsics, min_line_len))
-                if fault is not None:
-                    raise ValueError(f"{fault[1]} in frame {f.frame_id}")
+        faults = []
+        for kind, known in (("point", self.gt_points.id), ("line", self.gt_lines.id)):
+            frame, ids, pixels, depths = _frame_rows(self.frames, kind)
+            order = np.lexsort((ids, frame))
+            repeat = np.zeros(len(ids), dtype=bool)
+            repeat[order[1:]] = (np.diff(frame[order]) == 0) & (np.diff(ids[order]) == 0)
+            fault = _first_fault(
+                [(~np.isin(ids, known), lambda r: f"dangling {kind} landmark id {ids[r]}"),
+                 (repeat, lambda r: f"{kind} landmark id {ids[r]} repeats")]
+                + _row_faults(pixels, depths, self.intrinsics, min_line_len))
+            if fault is not None:
+                faults.append((frame[fault[0]], kind == "line", fault[1]))
+        if faults:
+            frame_id, _, message = min(faults)
+            raise ValueError(f"{message} in frame {frame_id}")
         self.check_parallel_groups()
 
     def check_frame_ids(self) -> None:
@@ -928,9 +937,9 @@ def generate_sequence(
 
     The trajectory is walked in chunks of consecutive frames, at most about
     ``_CHUNK_ROWS`` landmark x frame rows each. A chunk is rendered in one
-    ``_render`` call and its exact frames are built; with noise enabled,
-    one block of draws covers the chunk and its noisy frames are built
-    from the exact rows. The noise stream is a child of the scene seed, so
+    ``_render`` call; with noise enabled, one block of draws covers the
+    chunk's exact rows. Then one ``FrameData`` is built per frame, from the
+    rows it keeps. The noise stream is a child of the scene seed, so
     one top-level seed reproduces the whole sequence. Noisy measurements
     that leave the image, lose positive depth or shrink below min_line_len
     are dropped and counted in the report.
@@ -944,12 +953,10 @@ def generate_sequence(
     frames: list[FrameData] = []
     for start in range(0, len(trajectory), step):
         poses = trajectory[start:start + step]
-        frame_ids = range(start, start + len(poses))
-        points, lines = _render(scene, poses, intr, cfg)
-        chunk = _frames(frame_ids, points, lines)
+        rows = _render(scene, poses, intr, cfg)
         if noise.enabled:
-            chunk = _frames(frame_ids, *_add_noise(points, lines, noise, intr, cfg, rng, report))
-        frames += chunk
+            rows = _add_noise(*rows, noise, intr, cfg, rng, report)
+        frames += _frames(range(start, start + len(poses)), *rows)
     report.empty_frames = [f.frame_id for f in frames
                            if not (len(f.point_ids) or len(f.line_ids))]
 

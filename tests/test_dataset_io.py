@@ -90,6 +90,30 @@ def test_sequence_roundtrip_field_identical(small_sequence, tmp_path):
     assert_sequences_identical(small_sequence, back)
 
 
+def written_with_short_lines(directory):
+    """The box preset rendered with ``min_line_len = 5`` px, written to
+    ``directory``; it holds lines shorter than 15 px."""
+    cfg = load_preset("box")
+    render = dataclasses.replace(cfg.render, min_line_len=5.0)
+    seq = generate_sequence(build_scene(cfg.scene), build_trajectory(cfg.trajectory),
+                            cfg.noise, cfg.intrinsics, render)
+    seq.validate(render.min_line_len)
+    write_sequence(seq, directory)
+    return seq
+
+
+def test_sequence_with_short_lines_round_trips_with_the_defaults(tmp_path):
+    seq = written_with_short_lines(tmp_path / "seq")
+    assert_sequences_identical(seq, read_sequence(tmp_path / "seq"))
+
+
+def test_sequence_with_short_lines_is_refused_at_a_longer_min_line_len(tmp_path):
+    written_with_short_lines(tmp_path / "seq")
+    with pytest.raises(ParseError, match=r"frames/\d{6}\.txt:\d+: "
+                                         "line measurement shorter than min_line_len$"):
+        read_sequence(tmp_path / "seq", min_line_len=15.0)
+
+
 def test_sequence_double_roundtrip_byte_identical(small_sequence, tmp_path):
     write_sequence(small_sequence, tmp_path / "a")
     back = read_sequence(tmp_path / "a")

@@ -33,7 +33,7 @@ from plbench.geometry import (
     so3_exp,
     so3_log,
 )
-from plbench.simulator import Box, FrameData
+from plbench.simulator import Box, FrameData, Sequence
 from plbench.tracking import MapPoints, MapSegments, SparseMap
 
 K_VGA = CameraIntrinsics(100.0, 100.0, 320.0, 240.0, 640, 480)
@@ -610,16 +610,23 @@ def test_orthonormal_update_stays_orthonormal():
 # landmark records
 
 
+def validate_frame(frame):
+    """``Sequence.validate`` of ``frame`` as the one frame of a sequence
+    whose landmark records hold the ids 0-4."""
+    Sequence(K_VGA, [IDENTITY], [frame], Points(range(5), np.ones((5, 3))),
+             Segments(range(5), [SEGMENT_ROW] * 5), {}).validate()
+
+
 def test_point_measurement_validation():
-    with pytest.raises(GeometryError, match="nonpositive depth"):
-        FrameData(0, [0], [[1.0, 2.0]], [-0.5], [], [], [])
-    with pytest.raises(GeometryError, match="finite"):
-        FrameData(0, [0], [[np.nan, 2.0]], [1.0], [], [], [])
+    with pytest.raises(ValueError, match="^nonpositive depth in frame 0$"):
+        validate_frame(FrameData(0, [0], [[1.0, 2.0]], [-0.5], [], [], []))
+    with pytest.raises(ValueError, match="^measurement must be finite in frame 0$"):
+        validate_frame(FrameData(0, [0], [[np.nan, 2.0]], [1.0], [], [], []))
 
 
 def test_line_measurement_rejects_coincident_endpoints():
-    with pytest.raises(GeometryError, match="endpoints coincide"):
-        FrameData(0, [], [], [], [3], [[[10.0, 10.0], [10.0, 10.0]]], [[1.0, 1.0]])
+    with pytest.raises(ValueError, match="^line measurement endpoints coincide in frame 0$"):
+        validate_frame(FrameData(0, [], [], [], [3], [[[10.0, 10.0], [10.0, 10.0]]], [[1.0, 1.0]]))
 
 
 def test_line_landmark_plucker_consistency():

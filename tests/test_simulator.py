@@ -556,14 +556,101 @@ def test_frame_data_holds_checked_read_only_arrays():
         FrameData(0, [4.5], [[1.0, 2.0]], [1.0], [], [], [])
     with pytest.raises(ValueError, match=r"point_pixels must be float64 of shape \(2, 2\)"):
         FrameData(0, [4, 5], [[1.0, 2.0]], [1.0, 2.0], [], [], [])
-    with pytest.raises(GeometryError, match="nonpositive depth"):
-        FrameData(0, [0], [[1.0, 2.0]], [-0.5], [], [], [])
-    with pytest.raises(GeometryError, match="nonpositive depth"):
-        FrameData(0, [], [], [], [3], [[[1.0, 2.0], [5.0, 2.0]]], [[1.0, 0.0]])
-    with pytest.raises(GeometryError, match="endpoints coincide"):
-        FrameData(0, [], [], [], [3], [[[1.0, 2.0], [1.0, 2.0]]], [[1.0, 1.0]])
-    with pytest.raises(GeometryError, match="finite"):
-        FrameData(0, [4], [[np.nan, 2.0]], [1.0], [], [], [])
+    # row values are not the record's to check: validate refuses them
+    frame = FrameData(0, [0, 0], [[np.nan, 2.0], [1.0, 2.0]], [1.0, -0.5], [], [], [])
+    assert frame.point_depths.tolist() == [1.0, -0.5]
+
+
+def good_frame(frame_id):
+    """A frame that passes ``validate``: point 0 and line 3."""
+    return FrameData(frame_id, [0], [[1.0, 2.0]], [1.0],
+                     [3], [[[1.0, 2.0], [5.0, 2.0]]], [[1.0, 1.0]])
+
+
+def hand_built(*frames):
+    """A sequence of ``frames`` on the camera ``K`` whose landmark
+    records hold the ids 0-9."""
+    return simulator.Sequence(K, [IDENTITY] * len(frames), list(frames),
+                              Points(range(10), np.ones((10, 3))),
+                              Segments(range(10), [[[0.0, 0.0, 1.0], [1.0, 0.0, 1.0]]] * 10), {})
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        pytest.param(dict(point_depths=[-0.5]), "nonpositive depth", id="point-depth"),
+        pytest.param(dict(line_depths=[[1.0, 0.0]]), "nonpositive depth", id="line-depth"),
+        pytest.param(dict(line_pixels=[[[1.0, 2.0], [1.0, 2.0]]]),
+                     "line measurement endpoints coincide", id="line-endpoints"),
+        pytest.param(dict(point_pixels=[[np.nan, 2.0]]), "measurement must be finite",
+                     id="point-finite"),
+    ],
+)
+def test_validate_refuses_a_bad_row_and_names_its_frame(rows, message):
+    seq = hand_built(good_frame(0), dataclasses.replace(good_frame(1), **rows), good_frame(2))
+    with pytest.raises(ValueError, match=f"^{message} in frame 1$"):
+        seq.validate()
+
+
+def test_validate_reports_the_first_fault_in_frame_order():
+    point_fault = dict(point_pixels=[[np.nan, 2.0]])
+    line_fault = dict(line_pixels=[[[1.0, 2.0], [1.0, 2.0]]])
+    # an earlier frame wins, whatever the kind
+    seq = hand_built(good_frame(0), dataclasses.replace(good_frame(1), **line_fault),
+                     dataclasses.replace(good_frame(2), **point_fault))
+    with pytest.raises(ValueError, match="^line measurement endpoints coincide in frame 1$"):
+        seq.validate()
+    # within a frame, points come before lines
+    seq.frames[1] = dataclasses.replace(good_frame(1), **point_fault, **line_fault)
+    with pytest.raises(ValueError, match="^measurement must be finite in frame 1$"):
+        seq.validate()
+    # within a kind, the first faulty row wins, with the first check it
+    # fails: a known id, no repeat, then the row checks
+    seq.frames[1] = FrameData(1, [5, 0, 7, 7], [[-1.0, 2.0], [1.0, 2.0], [1.0, 2.0], [1.0, 2.0]],
+                              [1.0, -0.5, 1.0, -0.5], [], [], [])
+    with pytest.raises(ValueError, match="^point measurement outside the image in frame 1$"):
+        seq.validate()
+    seq.frames[1] = FrameData(1, [12, 0], [[1.0, 2.0]] * 2, [-0.5, -0.5], [], [], [])
+    with pytest.raises(ValueError, match="^dangling point landmark id 12 in frame 1$"):
+        seq.validate()
+    seq.frames[1] = FrameData(1, [0, 0], [[1.0, 2.0]] * 2, [1.0, -0.5], [], [], [])
+    with pytest.raises(ValueError, match="^point landmark id 0 repeats in frame 1$"):
+        seq.validate()
+
+
+def test_sequence_without_frames_validates():
+    hand_built().validate(15.0)
+
+
+@pytest.mark.parametrize("offset", [0, 1000])
+@pytest.mark.parametrize("preset", simulator.PRESET_NAMES)
+def test_generated_frames_pass_validate(preset, offset):
+    # generation checks no row: its rows are valid by construction
+    cfg = load_preset(preset)
+    scene = build_scene(dataclasses.replace(cfg.scene, seed=cfg.scene.seed + offset))
+    traj = build_trajectory(cfg.trajectory)
+    for enabled in (True, False):
+        noise = dataclasses.replace(cfg.noise, enabled=enabled)
+        seq = generate_sequence(scene, traj, noise, cfg.intrinsics, cfg.render)
+        seq.validate(cfg.render.min_line_len)
+    rendered = [render_frame(scene, pose, cfg.intrinsics, cfg.render, i)
+                for i, pose in enumerate(traj)]
+    dataclasses.replace(seq, frames=rendered).validate(cfg.render.min_line_len)
+
+
+def test_noisy_generation_builds_one_frame_per_frame(monkeypatch):
+    built = []
+
+    def counting_frame_data(frame_id, *columns):
+        built.append(frame_id)
+        return FrameData(frame_id, *columns)
+
+    monkeypatch.setattr(simulator, "FrameData", counting_frame_data)
+    cfg = load_preset("box")
+    traj = build_trajectory(cfg.trajectory)
+    seq = generate_sequence(build_scene(cfg.scene), traj, cfg.noise, cfg.intrinsics, cfg.render)
+    assert cfg.noise.enabled and seq.report.dropped_lines > 0
+    assert built == list(range(len(traj)))
 
 
 def with_fault(frame, kind, fault):
@@ -588,8 +675,9 @@ def with_fault(frame, kind, fault):
 @pytest.mark.parametrize(
     "kind, fault, match",
     [
-        pytest.param("point", "repeat", "repeats in frame 1", id="points"),
-        pytest.param("line", "repeat", "repeats in frame 1", id="lines"),
+        pytest.param("point", "repeat", r"^point landmark id \d+ repeats in frame 1$",
+                     id="points"),
+        pytest.param("line", "repeat", r"^line landmark id \d+ repeats in frame 1$", id="lines"),
         pytest.param("point", "dangling", "dangling point landmark id 999999 in frame 1",
                      id="points-dangling"),
         pytest.param("line", "dangling", "dangling line landmark id 999999 in frame 1",
@@ -602,14 +690,13 @@ def with_fault(frame, kind, fault):
     ],
 )
 def test_validate_rejects_landmark_repeated_in_a_frame(kind, fault, match):
-    # a repeated id is rejected as the frame is built, the other faults
-    # by validate; every message names the frame
+    # the frame takes any row; validate refuses it and names the frame
     cfg = load_preset("box")
     traj = build_trajectory(cfg.trajectory)[:2]
     seq = generate_sequence(build_scene(cfg.scene), traj, cfg.noise, cfg.intrinsics, cfg.render)
     seq.validate(cfg.render.min_line_len)
+    seq.frames[1] = with_fault(seq.frames[1], kind, fault)
     with pytest.raises(ValueError, match=match):
-        seq.frames[1] = with_fault(seq.frames[1], kind, fault)
         seq.validate(cfg.render.min_line_len)
 
 
