@@ -110,6 +110,20 @@ def test_through_origin_edge_rejected():
         SceneSpec(boxes=(Box(np.array([3.0, 0.5, 0.5]), np.array([0.5, 0.5, 0.5])),))
 
 
+@pytest.mark.parametrize("center", [(1.0, 1.0, 5.0), (-1.0, 1.0, -5.0)])
+def test_edge_through_origin_is_refused_with_its_box(center):
+    # faces at x = 0 and y = 0 meet in a z-edge whose line runs through the
+    # world origin
+    with pytest.raises(SceneError) as info:
+        SceneSpec(boxes=(Box(center, (1.0, 1.0, 1.0)),))
+    assert str(info.value) == "boxes[0] has an edge through the world origin; offset the box"
+
+
+def test_edge_beside_origin_is_accepted():
+    # 1e-8 m off the origin in x: above the 1e-9 bound
+    SceneSpec(boxes=(Box((1.0 + 1e-8, 1.0, 5.0), (1.0, 1.0, 1.0)),))
+
+
 # ---------------------------------------------------------------------------
 # trajectories
 
