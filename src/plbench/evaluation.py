@@ -1,8 +1,11 @@
 """Trajectory metrics: ATE and RPE with closed-form SE(3) alignment.
 
-Trajectories are lists of world-to-camera poses (T_cw); errors are computed
-on camera centers and relative motions. Translation statistics are in
-meters, rotation statistics in degrees.
+Trajectories are lists of world-to-camera poses (T_cw). Each is read once
+as a stack, rotations R (n, 3, 3) from one ``quat_to_matrix`` call and
+translations t (n, 3), and every error is one stacked product over all
+frames or frame pairs: ATE on the camera centers -R^T t, RPE on the
+relative motions. Translation statistics are in meters, rotation
+statistics in degrees.
 """
 from __future__ import annotations
 
@@ -10,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Pose, rigid_fit, rotation_angle
+from .geometry import Pose, quat_to_matrix, rigid_fit, rotation_angles, row_norms
 
 
 @dataclass(frozen=True)
@@ -46,17 +49,31 @@ def _check_matched(est, gt, minimum=2):
         raise ValueError(f"need at least {minimum} matched poses")
 
 
+def _stack(traj: list[Pose]) -> tuple[np.ndarray, np.ndarray]:
+    """R (n, 3, 3) and t (n, 3) of a trajectory."""
+    return quat_to_matrix(np.array([p.q for p in traj])), np.array([p.t for p in traj])
+
+
+def _centers(traj: list[Pose]) -> np.ndarray:
+    """Camera centers (n, 3), each equal to ``Pose.center()`` bit for bit."""
+    R, t = _stack(traj)
+    return -(R.transpose(0, 2, 1) @ t[..., None])[..., 0]
+
+
+def _aligned(est: list[Pose], gt: list[Pose]) -> tuple[np.ndarray, np.ndarray, Pose]:
+    """The camera centers of est and of gt, and ``align_se3(est, gt)``."""
+    _check_matched(est, gt)
+    P, Q = _centers(est), _centers(gt)
+    return P, Q, Pose.from_rt(*rigid_fit(P, Q))
+
+
 def align_se3(est: list[Pose], gt: list[Pose]) -> Pose:
     """Least-squares rigid alignment of estimated camera centers onto
     ground truth (Umeyama without scale; metric depth makes scale observable).
 
     Returns G such that G(center_est) best matches center_gt.
     """
-    _check_matched(est, gt)
-    P = np.array([p.center() for p in est])
-    Q = np.array([p.center() for p in gt])
-    R, t = rigid_fit(P, Q)
-    return Pose.from_rt(R, t)
+    return _aligned(est, gt)[2]
 
 
 def ate(est: list[Pose], gt: list[Pose]) -> MetricSummary:
@@ -66,9 +83,7 @@ def ate(est: list[Pose], gt: list[Pose]) -> MetricSummary:
 
 def ate_per_frame(est: list[Pose], gt: list[Pose]) -> np.ndarray:
     """Per-frame camera-center distance after SE(3) alignment, in meters."""
-    G = align_se3(est, gt)
-    P = np.array([p.center() for p in est])
-    Q = np.array([p.center() for p in gt])
+    P, Q, G = _aligned(est, gt)
     return np.linalg.norm(P @ G.rotation().T + G.t - Q, axis=1)
 
 
@@ -77,20 +92,22 @@ def rpe(est: list[Pose], gt: list[Pose], delta: int = 1) -> MetricSummary:
 
     For each i the error motion is E = rel_gt^-1 o rel_est with
     rel = T_i o T_{i+delta}^-1; translation error is |t(E)| and rotation
-    error the geodesic angle of R(E).
+    error the geodesic angle of R(E). With the trajectories as stacks,
+    rel = (R_i R_{i+delta}^T, t_i - R(rel) t_{i+delta}) and
+    E = (R_g^T R_e, R_g^T (t_e - t_g)) for rel_est = (R_e, t_e) and
+    rel_gt = (R_g, t_g), each one product over all pairs.
     """
     _check_matched(est, gt)
     if delta < 1 or delta >= len(est):
         raise ValueError(f"delta must be in [1, {len(est) - 1}]")
-    trans_err = []
-    rot_err = []
-    for i in range(len(est) - delta):
-        rel_est = est[i].compose(est[i + delta].inverse())
-        rel_gt = gt[i].compose(gt[i + delta].inverse())
-        E = rel_gt.inverse().compose(rel_est)
-        trans_err.append(np.linalg.norm(E.t))
-        rot_err.append(np.degrees(rotation_angle(E.rotation())))
+
+    def relative(R, t):
+        R_rel = R[:-delta] @ R[delta:].transpose(0, 2, 1)
+        return R_rel, t[:-delta] - (R_rel @ t[delta:, :, None])[..., 0]
+
+    (R_e, t_e), (R_g, t_g) = relative(*_stack(est)), relative(*_stack(gt))
+    R_gT = R_g.transpose(0, 2, 1)
     return MetricSummary(
-        translation=ErrorStats.from_errors(np.array(trans_err)),
-        rotation=ErrorStats.from_errors(np.array(rot_err)),
+        translation=ErrorStats.from_errors(row_norms((R_gT @ (t_e - t_g)[..., None])[..., 0])),
+        rotation=ErrorStats.from_errors(np.degrees(rotation_angles(R_gT @ R_e))),
     )

@@ -25,11 +25,11 @@ id, with a ValueError that names the column. It truncates nothing, and
 reshapes only an empty column.
 
 Each piece of math has one kernel. The rotation kernels (``skew``,
-``so3_exp``, ``quat_to_matrix``, ``matrix_to_quat``), ``rigid_fit``,
-``plucker_from_orthonormal`` and ``Pose.transform`` take one item or a
-stack of them along leading axes, and one item's result equals its row of
-a stack bit for bit, so a caller may batch any set of them without
-changing a single output bit. ``se3_exp_update``, ``pose_quat_batch`` and
+``so3_exp``, ``quat_to_matrix``, ``matrix_to_quat``, ``rotation_angles``),
+``rigid_fit``, ``plucker_from_orthonormal`` and ``Pose.transform`` take
+one item or a stack of them along leading axes, and one item's result
+equals its row of a stack bit for bit, so a caller may batch any set of
+them without changing a single output bit. ``se3_exp_update``, ``pose_quat_batch`` and
 ``orthonormal_from_plucker`` take a stack; one item is a stack of one.
 The orthonormal line state is the pair of arrays (U, W).
 """
@@ -117,34 +117,21 @@ def so3_exp(omega) -> np.ndarray:
     return R.reshape(omega.shape + (3,))
 
 
-def so3_log(R) -> np.ndarray:
-    """Rotation vector of R; principal branch, angle in [0, pi]."""
-    R = np.asarray(R, dtype=float)
-    cos_angle = np.clip(0.5 * (np.trace(R) - 1.0), -1.0, 1.0)
-    angle = float(np.arccos(cos_angle))
-    axial = 0.5 * np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
-    if angle < 1e-8:
-        return axial
-    if np.pi - angle < 1e-6:
-        # near pi the axial part vanishes; recover the axis from R + I
-        M = 0.5 * (R + np.eye(3))
-        k = int(np.argmax(np.diag(M)))
-        axis = M[:, k] / np.sqrt(max(M[k, k], 1e-12))
-        axis = axis / np.linalg.norm(axis)
-        if np.dot(axis, axial) < 0:
-            axis = -axis
-        return angle * axis
-    return (angle / np.sin(angle)) * axial
-
-
 def rot2(theta: float) -> np.ndarray:
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, -s], [s, c]])
 
 
-def rotation_angle(R) -> float:
-    """Geodesic angle of a rotation matrix in radians."""
-    return float(np.linalg.norm(so3_log(R)))
+def rotation_angles(R) -> np.ndarray:
+    """Geodesic angle in radians, in [0, pi], of the rotation matrix R
+    (3, 3) or of each matrix of R (..., 3, 3): atan2(|a|, (tr R - 1) / 2)
+    with the axial vector a = (R21 - R12, R02 - R20, R10 - R01) / 2, which
+    is exact near 0 and near pi, where arccos of the trace is not."""
+    R = np.asarray(R, dtype=float)
+    r = R.reshape(-1, 9)
+    axial = 0.5 * (r[:, [7, 2, 3]] - r[:, [5, 6, 1]])
+    cos = 0.5 * ((r[:, 0] + r[:, 4] + r[:, 8]) - 1.0)
+    return np.arctan2(row_norms(axial), cos).reshape(R.shape[:-2])
 
 
 def quat_to_matrix(q) -> np.ndarray:
@@ -270,10 +257,11 @@ def project(P_c, z, intr: CameraIntrinsics) -> np.ndarray:
 
 
 def backproject(u, d, intr: CameraIntrinsics) -> np.ndarray:
-    """Pixel (..., 2) plus depth (...) -> camera-frame point (..., 3)."""
+    """Pixel (..., 2) plus depth (...) -> camera-frame point (..., 3); a
+    depth that is not positive, NaN included, raises GeometryError."""
     u = np.asarray(u, dtype=float)
     d = np.asarray(d, dtype=float)
-    if np.any(d <= 0):
+    if not np.all(d > 0):
         raise GeometryError("backprojection requires positive depth")
     x = (u[..., 0] - intr.cx) / intr.fx * d
     y = (u[..., 1] - intr.cy) / intr.fy * d

@@ -134,16 +134,10 @@ class SceneSpec:
             # any box edge whose two transverse face coordinates are both
             # zero spans the world origin and would have a zero Plucker
             # moment; reject such layouts outright
-            for axis in range(3):
-                b, c = (axis + 1) % 3, (axis + 2) % 3
-                for sb in (-1.0, 1.0):
-                    for sc in (-1.0, 1.0):
-                        fb = box.center[b] + sb * box.extents[b]
-                        fc = box.center[c] + sc * box.extents[c]
-                        if abs(fb) < 1e-9 and abs(fc) < 1e-9:
-                            raise SceneError(
-                                f"boxes[{k}] has an edge through the world origin; offset the box"
-                            )
+            for axis, p0, _ in _box_edges(box):
+                if (np.abs(np.delete(p0, axis)) < 1e-9).all():
+                    raise SceneError(
+                        f"boxes[{k}] has an edge through the world origin; offset the box")
 
 
 @dataclass(frozen=True)

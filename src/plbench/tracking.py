@@ -21,6 +21,7 @@ import numpy as np
 from .factor_graph import _pose_jacobian, _project_points
 from .geometry import (
     CameraIntrinsics,
+    GeometryError,
     Points,
     Pose,
     Segments,
@@ -71,7 +72,9 @@ class PnPResult:
     mean_error: float  # mean reprojection error over all correspondences, px
 
 
-# the backtracking step sizes of one Gauss-Newton step, tried as one batch
+# the Gauss-Newton iterations of a refinement (0: EPnP alone), and the
+# backtracking step sizes of one step, tried as one batch
+_ITERATIONS = 10
 _STEPS = 0.5 ** np.arange(6)
 # the damping of the 6x6 pose and the 2x2 EPnP beta normal equations
 _DAMP_6 = 1e-12 * np.eye(6)
@@ -158,7 +161,7 @@ def _mean_errors(proj, valid, u, counts):
     return _by_runs(lambda e: e.mean(axis=1), counts, (err,))
 
 
-def _refine_poses(R, t, P_w, u, counts, intr, iterations=10):
+def _refine_poses(R, t, P_w, u, counts, intr):
     """Reprojection-error refinement of k starting poses, R (k, 3, 3) and
     t (k, 3). Start s is refined against its own segment of counts[s]
     consecutive rows of P_w (N, 3) and u (N, 2); segments of equal length
@@ -198,7 +201,7 @@ def _refine_poses(R, t, P_w, u, counts, intr, iterations=10):
                                            np.repeat(t, counts, axis=0), P_w, intr)
     err = _mean_errors(proj, valid, u, counts)
     active = np.arange(len(R))
-    for _ in range(iterations):
+    for _ in range(_ITERATIONS):
         n_valid = np.add.reduceat(valid.astype(np.intp), offsets)
         active = active[n_valid[active] >= 4]
         if not len(active):
@@ -409,10 +412,9 @@ def solve_pnp_batch(problems, intr: CameraIntrinsics) -> list[PnPResult]:
     return results
 
 
-def _solve_batch(problems, intr, first, iterations=10) -> list[PnPResult]:
+def _solve_batch(problems, intr, first) -> list[PnPResult]:
     """``solve_pnp_batch`` of one batch of (P_w, u, initial) triples, whose
-    first problem has index ``first`` in the whole call; ``iterations`` is
-    the number of refinement iterations, 0 for EPnP alone."""
+    first problem has index ``first`` in the whole call."""
     failures: dict[int, PnPError] = {}
     for i, (P, x, _) in enumerate(problems):
         if len(P) != len(x):
@@ -477,7 +479,7 @@ def _solve_batch(problems, intr, first, iterations=10) -> list[PnPResult]:
     start_counts = np.repeat(counts, n_starts)
     rows = _segment_rows(np.repeat(offsets, n_starts), start_counts)
     q, t, err = _refine_poses(quat_to_matrix(start_q[has]), start_t[has], _take(P, rows),
-                              _take(U, rows), start_counts, intr, iterations)
+                              _take(U, rows), start_counts, intr)
     results: list[PnPResult] = [None] * k  # type: ignore[list-item]
     ends = np.cumsum(n_starts)
     for p, end, n in zip(order, ends.tolist(), n_starts.tolist()):
@@ -666,7 +668,9 @@ def track_frame_to_frame(seq: Sequence) -> list[Pose]:
     its batches need them; the chain is composed afterwards. The tracks
     equal those of solving frame by frame bit for bit, and tracking is lost
     at the same frame with the same message: at the first failing problem,
-    else at the frame that shares too few landmarks.
+    else at the frame that shares too few landmarks or whose shared points
+    cannot be back-projected (a ``GeometryError``, the cause of the
+    ``TrackingLostError`` naming that frame).
     """
     intr = seq.intrinsics
     short: list[TrackingLostError] = []
@@ -681,8 +685,13 @@ def track_frame_to_frame(seq: Sequence) -> list[Pose]:
                 short.append(TrackingLostError(j, f"only {len(shared)} shared landmarks"))
                 return
             a, b = np.array(shared).T
-            yield backproject(prev.point_pixels[a], prev.point_depths[a], intr), \
-                frame.point_pixels[b], None
+            try:
+                P_prev = backproject(prev.point_pixels[a], prev.point_depths[a], intr)
+            except GeometryError as exc:
+                short.append(TrackingLostError(j - 1, str(exc)))
+                short[-1].__cause__ = exc
+                return
+            yield P_prev, frame.point_pixels[b], None
 
     try:
         results = solve_pnp_batch(problems(), intr)
@@ -703,35 +712,36 @@ def track_map_to_frame(seq: Sequence) -> tuple[list[Pose], SparseMap]:
     is solved against the mapped points seen in it, then its measurements
     are back-projected and fused with ``SparseMap``'s gates
     (co-visible ones update landmarks inside the gates, new ids are
-    inserted). A PnP failure becomes ``TrackingLostError`` naming the
-    frame, raised from the original.
+    inserted). A PnP failure, or a point or line row whose depth cannot be
+    back-projected, becomes ``TrackingLostError`` naming the frame, raised
+    from the original.
     """
     intr = seq.intrinsics
     sparse_map = SparseMap()
     traj: list[Pose] = []
     for j, frame in enumerate(seq.frames):
         u = frame.point_pixels
-        if j == 0:
-            T = seq.gt_trajectory[0]
-        else:
-            rows, known = sparse_map.points.find(frame.point_ids)
-            if known.sum() < 4:
-                raise TrackingLostError(j, f"only {known.sum()} mapped landmarks visible")
-            try:
+        try:
+            if j == 0:
+                T = seq.gt_trajectory[0]
+            else:
+                rows, known = sparse_map.points.find(frame.point_ids)
+                if known.sum() < 4:
+                    raise TrackingLostError(j, f"only {known.sum()} mapped landmarks visible")
                 T = solve_pnp(sparse_map.points.position[rows[known]], u[known], intr,
                               initial=traj[j - 1]).pose
-            except PnPError as exc:
-                raise TrackingLostError(j, str(exc)) from exc
+            P_c = backproject(u, frame.point_depths, intr)
+            ends_c = backproject(frame.line_pixels.reshape(-1, 2), frame.line_depths.reshape(-1),
+                                 intr).reshape(-1, 2, 3)
+        except (PnPError, GeometryError) as exc:
+            raise TrackingLostError(j, str(exc)) from exc
         traj.append(T)
 
-        # fuse the frame: every point and every line endpoint back-projected
-        # and moved to the world in one batch each; each point is a block of
-        # one, so that it gets the bits of transforming it alone
+        # fuse the frame: the back-projected points and line endpoints moved
+        # to the world in one batch each; each point is a block of one, so
+        # that it gets the bits of transforming it alone
         T_inv = T.inverse()
-        P_c = backproject(u, frame.point_depths, intr)
         sparse_map.fuse_points(T_inv.transform(P_c[:, None, :])[:, 0, :], frame.point_ids)
-        ends_c = backproject(frame.line_pixels.reshape(-1, 2), frame.line_depths.reshape(-1),
-                             intr).reshape(-1, 2, 3)
         sparse_map.fuse_lines(T_inv.transform(ends_c), frame.line_ids)
 
     return traj, sparse_map

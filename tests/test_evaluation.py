@@ -1,8 +1,13 @@
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 
-from plbench.geometry import Pose, so3_exp
+from plbench.geometry import Pose, rigid_fit, so3_exp
 from plbench.evaluation import ErrorStats, align_se3, ate, ate_per_frame, rpe
+from plbench.simulator import build_scene, build_trajectory, generate_sequence, load_preset
+from plbench.tracking import track_frame_to_frame, track_map_to_frame
 
 
 def pose_with_center(center, R=None) -> Pose:
@@ -205,3 +210,82 @@ def test_ate_frozen_fixture():
 
 
 FROZEN_FIXTURE_STATS = (0.091637496284, 0.086299922328, 0.086644221692, 0.029836380017)
+
+
+# ---------------------------------------------------------------------------
+# the stacked metrics against the per-pose path: one Pose per frame, and one
+# Pose composition and one matrix logarithm per frame pair
+
+
+def oracle_rotation_angle(R):
+    """The norm of the principal rotation vector of one matrix R, as the
+    per-matrix logarithm gave it: the axial vector below 1e-8 rad, the
+    arccos angle within 1e-6 of pi, else the arccos angle over its sine
+    times the axial vector."""
+    angle = float(np.arccos(np.clip(0.5 * (np.trace(R) - 1.0), -1.0, 1.0)))
+    axial = 0.5 * np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
+    if angle < 1e-8:
+        return float(np.linalg.norm(axial))
+    if np.pi - angle < 1e-6:
+        return angle
+    return float(np.linalg.norm((angle / np.sin(angle)) * axial))
+
+
+def oracle_rpe(est, gt, delta):
+    """(translation, rotation in degrees) errors of each frame pair."""
+    trans_err, rot_err = [], []
+    for i in range(len(est) - delta):
+        rel_est = est[i].compose(est[i + delta].inverse())
+        rel_gt = gt[i].compose(gt[i + delta].inverse())
+        E = rel_gt.inverse().compose(rel_est)
+        trans_err.append(np.linalg.norm(E.t))
+        rot_err.append(np.degrees(oracle_rotation_angle(E.rotation())))
+    return np.array(trans_err), np.array(rot_err)
+
+
+@functools.cache
+def tracked(preset, offset, tracker):
+    """(estimate, ground truth) of one tracker on the preset's sequence at
+    its shipped scene seed plus ``offset``."""
+    cfg = load_preset(preset)
+    scene = dataclasses.replace(cfg.scene, seed=cfg.scene.seed + offset)
+    seq = generate_sequence(build_scene(scene), build_trajectory(cfg.trajectory),
+                            cfg.noise, cfg.intrinsics, cfg.render)
+    est = track_map_to_frame(seq)[0] if tracker == "map-to-frame" else track_frame_to_frame(seq)
+    return est, seq.gt_trajectory
+
+
+TRACKED = [pytest.param(preset, offset, tracker, id=f"{preset}-{offset}-{tracker}")
+           for preset in ("sphere", "box", "corridor") for offset in (0, 1000)
+           for tracker in ("map-to-frame", "frame-to-frame")]
+
+
+@pytest.mark.parametrize("preset, offset, tracker", TRACKED)
+def test_stacked_ate_equals_the_per_pose_path(preset, offset, tracker):
+    est, gt = tracked(preset, offset, tracker)
+    P = np.array([T.center() for T in est])
+    Q = np.array([T.center() for T in gt])
+    G = Pose.from_rt(*rigid_fit(P, Q))
+    aligned = align_se3(est, gt)
+    assert (aligned.q.tobytes(), aligned.t.tobytes()) == (G.q.tobytes(), G.t.tobytes())
+    per_frame = np.linalg.norm(P @ G.rotation().T + G.t - Q, axis=1)
+    assert ate_per_frame(est, gt).tobytes() == per_frame.tobytes()
+
+
+@pytest.mark.parametrize("delta", [1, 5])
+@pytest.mark.parametrize("preset, offset, tracker", TRACKED)
+def test_stacked_rpe_matches_the_per_pair_path(preset, offset, tracker, delta):
+    est, gt = tracked(preset, offset, tracker)
+    m = rpe(est, gt, delta)
+    for got, errors in zip((m.translation, m.rotation), oracle_rpe(est, gt, delta)):
+        want = ErrorStats.from_errors(errors)
+        for name in ("rmse", "median", "mean", "std"):
+            assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12)
+
+
+@pytest.mark.parametrize("preset, offset, tracker", TRACKED)
+def test_rpe_of_a_trajectory_against_itself_is_exactly_zero(preset, offset, tracker):
+    est, _ = tracked(preset, offset, tracker)
+    for delta in (1, 5):
+        m = rpe(est, est, delta)
+        assert m.translation == m.rotation == ErrorStats(0.0, 0.0, 0.0, 0.0)

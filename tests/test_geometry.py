@@ -28,10 +28,11 @@ from plbench.geometry import (
     pose_quat_batch,
     quat_to_matrix,
     rot2,
+    rotation_angles,
+    row_norms,
     se3_exp_update,
     skew,
     so3_exp,
-    so3_log,
 )
 from plbench.simulator import Box, FrameData, Sequence
 from plbench.tracking import MapPoints, MapSegments, SparseMap
@@ -185,8 +186,9 @@ def test_project_rejects_nonpositive_depth():
 def test_backproject_hand_values():
     np.testing.assert_allclose(backproject(np.array([320.0, 240.0]), 2.0, K_VGA), [0, 0, 2])
     np.testing.assert_allclose(backproject(np.array([370.0, 340.0]), 2.0, K_VGA), [1, 2, 2])
-    with pytest.raises(GeometryError):
-        backproject(np.array([10.0, 10.0]), 0.0, K_VGA)
+    for depth in (0.0, -1.0, np.nan):
+        with pytest.raises(GeometryError, match="requires positive depth"):
+            backproject(np.array([[10.0, 10.0], [20.0, 20.0]]), [2.0, depth], K_VGA)
 
 
 @given(
@@ -391,15 +393,16 @@ def test_pose_quat_batch_renormalizes_as_pose_does():
     assert changed == [False, False, True, True]
 
 
-def test_so3_log_inverts_exp():
+def test_rotation_angles_recover_the_angle_from_zero_to_pi():
     rng = np.random.default_rng(6)
-    for scale in (1e-7, 0.1, 1.0, 3.0):
-        w = rng.normal(size=3)
-        w = w / np.linalg.norm(w) * scale
-        np.testing.assert_allclose(so3_log(so3_exp(w)), w, atol=1e-9)
-    # near-pi branch
-    w = np.array([0.0, 0.0, np.pi - 1e-9])
-    np.testing.assert_allclose(so3_log(so3_exp(w)), w, atol=1e-7)
+    norms = np.array([1e-12, 1e-7, 0.1, 1.0, 3.0, np.pi - 1e-9, np.pi])
+    axes = rng.normal(size=(len(norms), 3))
+    w = axes / row_norms(axes)[:, None] * norms[:, None]
+    R = so3_exp(w)
+    angles = rotation_angles(R)
+    np.testing.assert_allclose(angles, norms, rtol=4 * np.finfo(float).eps, atol=1e-15)
+    for one, row in zip(R, angles):
+        assert rotation_angles(one).tobytes() == row.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from plbench.factor_graph import (
 )
 from plbench.geometry import (
     CameraIntrinsics,
+    GeometryError,
     Pose,
     backproject,
     line_angles,
@@ -293,7 +294,9 @@ def planar_points(rng, n=12):
     "make_points, control_points", [(general_points, 4), (planar_points, 3)],
     ids=["general", "planar"],
 )
-def test_epnp_is_exact_on_noiseless_input(make_points, control_points):
+def test_epnp_is_exact_on_noiseless_input(make_points, control_points, monkeypatch):
+    # no Gauss-Newton: the closed-form EPnP step alone must be exact
+    monkeypatch.setattr(tracking, "_ITERATIONS", 0)
     rng = np.random.default_rng(0)
     for _ in range(20):
         T = random_pose(rng)
@@ -301,8 +304,7 @@ def test_epnp_is_exact_on_noiseless_input(make_points, control_points):
         _, planar, degenerate = _epnp_control_points(P_w, [len(P_w)])
         assert 4 - int(planar[0]) == len(reference_control_points(P_w)) == control_points
         assert not degenerate[0]
-        # no Gauss-Newton: the closed-form EPnP step alone must be exact
-        (result,) = _solve_batch([(P_w, observe(T, P_w), None)], K, 0, iterations=0)
+        (result,) = _solve_batch([(P_w, observe(T, P_w), None)], K, 0)
         assert_same_pose(result.pose, T, atol=1e-7)
         assert result.mean_error <= 1e-6
 
@@ -470,7 +472,8 @@ def test_solve_pnp_batch_equals_the_one_problem_solver(budget, monkeypatch):
     for result, (P, x, prior) in zip(results, problems):
         assert result_bytes(result) == result_bytes(reference_solve_pnp(P, x, K, 10, prior))
     # EPnP alone, every problem in one batch
-    for result, (P, x, prior) in zip(_solve_batch(problems, K, 0, iterations=0), problems):
+    monkeypatch.setattr(tracking, "_ITERATIONS", 0)
+    for result, (P, x, prior) in zip(_solve_batch(problems, K, 0), problems):
         assert result_bytes(result) == result_bytes(reference_solve_pnp(P, x, K, 0, prior))
 
 
@@ -608,9 +611,9 @@ def refine_problems(preset):
     cfg, seq = preset_sequence(preset)
     problems = []
 
-    def record(R, t, P_w, u, counts, intr, iterations=10):
+    def record(R, t, P_w, u, counts, intr):
         problems.append((tracker, R, t, P_w, u, counts, intr))
-        return _refine_poses(R, t, P_w, u, counts, intr, iterations)
+        return _refine_poses(R, t, P_w, u, counts, intr)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tracking, "_refine_poses", record)
@@ -757,6 +760,55 @@ def test_frame_to_frame_loses_tracking_at_the_earliest_failure(coincident, short
         outcomes.append((info.value.frame_id, str(info.value), type(info.value.__cause__)))
     assert outcomes[0] == outcomes[1] == \
         (frame_id, f"tracking lost at frame {frame_id}: {message}", cause)
+
+
+def box_with_depth(kind, depth):
+    """The box sequence at its shipped seed with the depth of row 3 of
+    frame 5's ``kind`` ("point" or "line", both ends) set to ``depth``, in
+    a copy of its frame list."""
+    seq = preset_sequence("box")[1]
+    frame = seq.frames[5]
+    depths = getattr(frame, f"{kind}_depths").copy()
+    depths[3] = depth
+    frames = list(seq.frames)
+    frames[5] = dataclasses.replace(frame, **{f"{kind}_depths": depths})
+    return dataclasses.replace(seq, frames=frames)
+
+
+DEPTH_LOST = "tracking lost at frame 5: backprojection requires positive depth"
+
+
+@pytest.mark.parametrize("depth", [-1.0, np.nan])
+@pytest.mark.parametrize("kind", ["point", "line"])
+def test_map_to_frame_names_the_frame_of_a_row_it_cannot_back_project(kind, depth):
+    with pytest.raises(TrackingLostError) as info:
+        track_map_to_frame(box_with_depth(kind, depth))
+    assert (info.value.frame_id, str(info.value)) == (5, DEPTH_LOST)
+    assert type(info.value.__cause__) is GeometryError
+
+
+@pytest.mark.parametrize("depth", [-1.0, np.nan])
+def test_frame_to_frame_names_the_frame_of_a_point_it_cannot_back_project(depth):
+    # frame 5's points are back-projected for the problem of frame 6
+    with pytest.raises(TrackingLostError) as info:
+        track_frame_to_frame(box_with_depth("point", depth))
+    assert (info.value.frame_id, str(info.value)) == (5, DEPTH_LOST)
+    assert type(info.value.__cause__) is GeometryError
+    # lines never enter the pose solver, so a line row's depth leaves the
+    # track as it is
+    assert poses_sha256(track_frame_to_frame(box_with_depth("line", depth))) == \
+        poses_sha256(track_frame_to_frame(preset_sequence("box")[1]))
+
+
+def test_frame_to_frame_reports_an_earlier_pnp_failure_before_a_depth():
+    seq = noiseless_sequence(7)
+    with_coincident_points(seq, 2)
+    frame = seq.frames[5]
+    seq.frames[5] = dataclasses.replace(frame, point_depths=-frame.point_depths)
+    with pytest.raises(TrackingLostError) as info:
+        track_frame_to_frame(seq)
+    assert str(info.value) == "tracking lost at frame 3: points are collinear or coincident"
+    assert isinstance(info.value.__cause__, DegenerateGeometryError)
 
 
 def test_frame_to_frame_batches_bound_their_memory():
