@@ -29,8 +29,9 @@ Each piece of math has one kernel. The rotation kernels (``skew``,
 ``rigid_fit``, ``plucker_from_orthonormal`` and ``Pose.transform`` take
 one item or a stack of them along leading axes, and one item's result
 equals its row of a stack bit for bit, so a caller may batch any set of
-them without changing a single output bit. ``se3_exp_update``, ``pose_quat_batch`` and
-``orthonormal_from_plucker`` take a stack; one item is a stack of one.
+them without changing a single output bit. ``se3_exp_update``,
+``pose_quat_batch`` and ``orthonormal_from_plucker`` take a stack; one
+item is a stack of one.
 The orthonormal line state is the pair of arrays (U, W).
 """
 from __future__ import annotations
