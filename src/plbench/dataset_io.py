@@ -21,11 +21,10 @@ one formatter, ``_records`` (``%d`` for ids and image sizes, ``%r`` for
 values): ``calib.txt`` and ``groundtruth.txt`` as untagged lines, and the
 frame, landmark and graph columns as tagged ones.
 Frame files map row for row onto the arrays of ``simulator.FrameData``.
-``read_sequence`` is where a read frame row is checked, once: its parse
-refuses unknown and repeated landmark ids, and its checks on the values
+``read_sequence`` is where a read frame row is checked, once: its checks
 are ``simulator._row_faults``, the checks and texts of
-``Sequence.validate``. The ``FrameData`` built from the checked rows only
-casts them.
+``Sequence.validate``, grouped by file where ``validate`` groups them by
+frame. The ``FrameData`` built from the checked rows only casts them.
 ``landmarks.txt`` maps row for row onto the columns of the ground-truth
 records, ``MP`` lines onto ``geometry.Points`` (id, position) and ``ML``
 lines onto ``geometry.Segments`` (id, endpoints, start then end), in
@@ -34,12 +33,16 @@ ascending id as the records hold them.
 Readers are total: malformed input of any kind raises ParseError naming
 the file and line, never an unhandled exception. The tagged record files
 (frame files, ``landmarks.txt`` and graph files) share one error
-contract: the error names the first bad file, in frame order for a
-sequence's frame files, then the first bad line in it, then the first
-failing check on that line, as a record-by-record parse would. numpy's C
-reader (``np.loadtxt``) parses the clean ones; every other file, and the
-text of every error, goes through the record-by-record parse, so which
-of the two read a file never shows in the result.
+contract, and are read in two phases (``_read_records``). The first
+parses each file for syntax only: the tag, the field count, int64 ids
+>= 0 and finite values. numpy's C reader (``np.loadtxt``) parses the
+clean files; every other file, and the text of every syntax error, goes
+through the record-by-record parse, so which of the two read a file
+never shows in the result. The second checks every row read once, as
+columns: repeated and unknown ids and the values. The error names the
+first bad file, in frame order for a sequence's frame files, then the
+first bad line in it, then on that line a syntax fault before the first
+failing check.
 """
 from __future__ import annotations
 
@@ -47,7 +50,6 @@ import itertools
 import math
 import os
 import warnings
-from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -64,7 +66,7 @@ from .geometry import (
     pose_quat_batch,
     row_norms,
 )
-from .simulator import FrameData, Sequence, _first_fault, _row_faults
+from .simulator import FrameData, Sequence, _first_fault, _repeats, _row_faults
 
 
 class ParseError(ValueError):
@@ -134,87 +136,88 @@ def _expect(tokens, n, path, lineno):
         raise ParseError(path, lineno, f"expected {n} fields, got {len(tokens)}")
 
 
-def _parse_record(tokens, path, lineno, spec, seen) -> tuple[list[int], list[float]]:
-    """Parse one record of a known tag and field count into its ids and
-    values, record by record: raise the ParseError of the first id that is
-    not an int64 >= 0, an unknown first id or one in ``seen``, or the
-    first value that is not a finite float (see ``_read_records`` for
-    ``spec``)."""
-    names, _, what, known, repeat, _ = spec
-    ids = [_parse_int(tok, path, lineno, name) for tok, name in zip(tokens[1:], names)]
-    if known is not None and ids[0] not in known:
-        raise ParseError(path, lineno, f"dangling landmark_id {ids[0]}")
-    if ids[0] in seen:
-        raise ParseError(path, lineno, repeat.format(ids[0]))
-    return ids, [_parse_float(tok, path, lineno, what) for tok in tokens[1 + len(names):]]
-
-
-def _read_records(paths, table) -> Iterator[dict[str, tuple[np.ndarray, np.ndarray]]]:
-    """Parse tagged record files in the order of ``paths``, and yield each
-    file's {tag: (ids (n, len(names)) int64, values (n, k))} once it
-    passes every check.
+def _read_records(paths, table) -> list[dict[str, tuple[np.ndarray, np.ndarray]]]:
+    """Each of the tagged record files ``paths`` as {tag: (ids (n,
+    len(names)) int64, values (n, k))}, once every row of every file passes
+    the table's checks.
 
     ``table`` maps each tag to (names of its ids, value count k, name of a
-    value in errors, the known first ids or None, the message for a first
-    id repeated in one file or None, and None or the checks on its values
-    (n, k) as (failing rows, message) pairs in the order they apply).
+    value in errors, None or the checks on the rows of every file: a
+    function of (file index (n,), ids, values) that gives (failing rows,
+    message or row -> message) pairs in the order they apply to a row).
 
-    numpy's C reader parses a clean file (``_load_columns``). Every other
-    file goes through the record-by-record parse (``_parse_records``),
-    which alone raises a ParseError for a line: an unknown tag, a wrong
-    field count, a bad id, an unknown or repeated first id, or a bad or
-    nonfinite value. The rows read are then checked as columns, a batch
-    of consecutive files at a time (``_check_columns``): ids >= 0, finite
-    values, then the table's checks. The first fault in file order is
-    raised, with the text of a record-by-record parse: ``_parse_record``
-    runs over the faulty row's line, found again in its file, before the
-    check's message is raised. A batch's files are yielded once it passes,
-    so a caller that keeps only what it builds from each file holds the
-    arrays of one batch at a time.
+    The files are read in two phases, and the first fault in (file, line)
+    order is raised as a ParseError naming them.
+    - Syntax: numpy's C reader parses a clean file (``_load_columns``),
+      and every other file goes through the record-by-record parse
+      (``_parse_records``), which alone raises a ParseError for a line:
+      an unknown tag, a wrong field count, an id that is not an int64
+      >= 0, or a value that is not a finite float. No file after the
+      first such line is read.
+    - Checks: the rows read are checked once, as the columns of all files
+      joined, tag by tag. Every row read comes before the syntax fault, so
+      the first failing row wins over it, and its line is found again in
+      its file.
     """
-    known = {tag: frozenset(spec[3]) for tag, spec in table.items() if spec[3] is not None}
-    batch, rows = [], 0  # the files read since the last check, and their rows
-    for i, path in enumerate(paths):
-        stop = None
-        columns = _load_columns(path, table, known)
+    files, stop = [], None
+    for path in paths:
+        columns = _load_columns(path, table)
         if columns is None:
             columns, stop = _parse_records(path, table)
-        batch.append((path, columns))
-        rows += sum(len(ids) for ids, _ in columns.values())
-        if stop is not None or rows >= _CHECK_ROWS or i == len(paths) - 1:
-            _check_columns(batch, table)
-            if stop is not None:
-                raise stop
-            for _, columns in batch:
-                yield columns
-            batch, rows = [], 0
+        files.append(columns)
+        if stop is not None:
+            break
+    faults = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for tag, (_, _, _, checks) in table.items():
+            if checks is None:
+                continue
+            counts = [len(columns[tag][0]) for columns in files]
+            file = np.repeat(np.arange(len(files)), counts)
+            ids, values = (np.concatenate([columns[tag][j] for columns in files]) for j in (0, 1))
+            fault = _first_fault(checks(file, ids, values))
+            if fault is not None:
+                row, message = fault
+                i = int(file[row])
+                row -= sum(counts[:i])
+                lineno = [n for n, tokens in _iter_records(paths[i]) if tokens[0] == tag][row]
+                faults.append((i, lineno, message))
+    if faults:
+        i, lineno, message = min(faults)
+        raise ParseError(paths[i], lineno, message)
+    if stop is not None:
+        raise stop
+    return files
 
 
-# rows of consecutive files checked as one batch: few numpy calls per row,
-# and a sequence's frame arrays are freed batch by batch as frames are built
-_CHECK_ROWS = 4096
+def _distinct(what: str, file, ids):
+    """The check, for a table of ``_read_records``, that no record's
+    first id repeats in its file, as a (failing rows, message) pair."""
+    return _repeats(file, ids[:, 0]), lambda r: f"duplicate {what} {ids[r, 0]}"
 
 
 _PRINTABLE = bytes(range(0x20, 0x7F)) + b"\n"
 
 
-def _load_columns(path, table, known):
+def _load_columns(path, table):
     """The columns of a clean file, parsed by numpy's C reader, or None
     for any other file.
 
     A clean file holds printable ASCII lines only, each a comment or a
-    record of a tag in ``table`` whose first ids are all in ``known`` and,
-    where the table gives a repeat message, distinct. Its lines are grouped
-    by their exact text before the first space, each tag's in file order,
-    and each tag's fields go through one ``np.loadtxt`` call whose
-    structured dtype takes exactly the record's fields, split at single
-    spaces. A call that raises or warns refuses the file: numpy below 2
-    reads ``5.0`` as an int with a DeprecationWarning. The values it
-    accepts are those ``float`` gives: both go through Python's own
-    string-to-double conversion.
+    record of a tag in ``table`` whose ids are all >= 0 and whose values
+    are all finite. Its lines are grouped by their exact text before the
+    first space, each tag's in file order, and each tag's fields go
+    through one ``np.loadtxt`` call whose structured dtype takes exactly
+    the record's fields, split at single spaces. A call that raises or
+    warns refuses the file: numpy below 2 reads ``5.0`` as an int with a
+    DeprecationWarning. The values it accepts are those ``float`` gives:
+    both go through Python's own string-to-double conversion. So a file
+    read here is one the record-by-record parse reads to the same
+    columns, and its rows are checked alike.
     """
     try:
-        data = Path(path).read_bytes()
+        with open(path, "rb") as f:  # a Path's read_bytes costs twice as much
+            data = f.read()
     except OSError:
         return None  # the record-by-record parse raises its ParseError
     if data.translate(None, _PRINTABLE):
@@ -233,7 +236,7 @@ def _load_columns(path, table, known):
     columns = {}
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a block of blank fields warns too
-        for tag, (names, k, _, _, repeat, _) in table.items():
+        for tag, (names, k, _, _) in table.items():
             block = blocks.pop(tag, [])
             dtype = [("ids", np.int64, (len(names),)), ("values", float, (k,))]
             try:
@@ -244,10 +247,7 @@ def _load_columns(path, table, known):
             if len(rows) != len(block):  # a tag alone on its line reads as no row
                 return None
             ids, values = rows["ids"].copy(), rows["values"].copy()
-            first = ids[:, 0].tolist()
-            if tag in known and not known[tag].issuperset(first):
-                return None
-            if repeat is not None and len(set(first)) < len(first):
+            if (ids < 0).any() or not np.isfinite(values).all():
                 return None
             columns[tag] = ids, values
     return columns
@@ -255,56 +255,28 @@ def _load_columns(path, table, known):
 
 def _parse_records(path, table):
     """The record-by-record parse of one file: its rows up to the first
-    bad line as columns (see ``_read_records``), and that line's
-    ParseError or None."""
-    rows = {tag: ([], [], set()) for tag in table}  # ids, values, first ids seen
+    line with a syntax fault as columns (see ``_read_records``), and that
+    line's ParseError or None."""
+    rows = {tag: ([], []) for tag in table}  # ids, values
     stop = None
     try:
         for lineno, tokens in _iter_records(path):
             if tokens[0] not in table:
                 raise ParseError(path, lineno, f"unknown record tag {tokens[0]!r}")
-            names, k, _, _, repeat, _ = spec = table[tokens[0]]
+            names, k, what, _ = table[tokens[0]]
             _expect(tokens, 1 + len(names) + k, path, lineno)
-            ids, values, seen = rows[tokens[0]]
-            record_ids, record_values = _parse_record(tokens, path, lineno, spec, seen)
-            if repeat is not None:
-                seen.add(record_ids[0])
-            ids.append(record_ids)
-            values.append(record_values)
+            ids = [_parse_int(tok, path, lineno, name) for tok, name in zip(tokens[1:], names)]
+            values = [_parse_float(tok, path, lineno, what) for tok in tokens[1 + len(names):]]
+            rows[tokens[0]][0].append(ids)
+            rows[tokens[0]][1].append(values)
     except ParseError as exc:
         stop = exc
     columns = {}
-    for tag, (ids, values, _) in rows.items():
+    for tag, (ids, values) in rows.items():
         names, k = table[tag][:2]
         columns[tag] = (np.array(ids, dtype=np.int64).reshape(len(ids), len(names)),
                         np.array(values, dtype=float).reshape(len(values), k))
     return columns, stop
-
-
-def _check_columns(batch, table) -> None:
-    """Raise the first fault among the rows of a batch of (path, columns)
-    of consecutive files, in file order: ids >= 0, finite values, then the
-    table's checks (see ``_read_records``)."""
-    faults = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for tag, spec in table.items():
-            ids = np.concatenate([c[tag][0] for _, c in batch])
-            values = np.concatenate([c[tag][1] for _, c in batch])
-            checks = spec[5](values) if spec[5] else []
-            fault = _first_fault([((ids < 0).any(axis=1), None),
-                                  (~np.isfinite(values).all(axis=1), None)] + checks)
-            if fault is not None:
-                row, message = fault
-                i = 0
-                while row >= len(batch[i][1][tag][0]):
-                    row -= len(batch[i][1][tag][0])
-                    i += 1
-                lineno, tokens = [r for r in _iter_records(batch[i][0]) if r[1][0] == tag][row]
-                faults.append((i, lineno, tokens, spec, message))
-    if faults:
-        i, lineno, tokens, spec, message = min(faults, key=lambda fault: fault[:2])
-        _parse_record(tokens, batch[i][0], lineno, spec, ())
-        raise ParseError(batch[i][0], lineno, message)
 
 
 # ---------------------------------------------------------------------------
@@ -398,22 +370,29 @@ def _read_calib(path) -> CameraIntrinsics:
         raise ParseError(path, lineno, str(exc)) from exc
 
 
+# frame files read and checked in one ``_read_records`` call: a read holds
+# one group's columns beside the frames built so far, about 0.2 MB above
+# the sequence on box, where one call over every file holds 1.1 MB more
+_FRAME_FILES = 16
+
+
 def read_sequence(directory, min_line_len: float = 0.0) -> Sequence:
     """Read a sequence directory, making each check of ``validate`` once,
     with the same default ``min_line_len``, so that a written valid
-    sequence reads back whatever length its lines were rendered at. Each
-    frame row is checked as it is read; the frames are then built from the
-    checked rows."""
+    sequence reads back whatever length its lines were rendered at. The
+    frame files are read ``_FRAME_FILES`` at a time, and each group's frames
+    are built from its checked rows."""
     directory = Path(directory)
     intr = _read_calib(directory / "calib.txt")
     traj = read_trajectory(directory / "groundtruth.txt")
 
     (landmarks,) = _read_records([directory / "landmarks.txt"], {
-        "MP": (("landmark id",), 3, "coordinate", None, "duplicate point landmark id {}", None),
-        "ML": (("landmark id",), 6, "coordinate", None, "duplicate line landmark id {}",
-               lambda v: [((v[:, :3] == v[:, 3:]).all(axis=1), "line endpoints coincide"),
-                          (~normalizable(v[:, 3:] - v[:, :3]),
-                           "line direction cannot be normalized")]),
+        "MP": (("landmark id",), 3, "coordinate",
+               lambda file, ids, v: [_distinct("point landmark id", file, ids)]),
+        "ML": (("landmark id",), 6, "coordinate", lambda file, ids, v: [
+            _distinct("line landmark id", file, ids),
+            ((v[:, :3] == v[:, 3:]).all(axis=1), "line endpoints coincide"),
+            (~normalizable(v[:, 3:] - v[:, :3]), "line direction cannot be normalized")]),
     })
     (point_ids, positions), (line_ids, endpoints) = landmarks["MP"], landmarks["ML"]
     gt_points = Points(point_ids[:, 0], positions)
@@ -448,19 +427,19 @@ def read_sequence(directory, min_line_len: float = 0.0) -> Sequence:
     def lines(v):
         return v[:, [0, 1, 3, 4]].reshape(-1, 2, 2), v[:, [2, 5]]
 
-    records = _read_records(present, {
-        "P": (("landmark id",), 3, "measurement value", gt_points.id.tolist(),
-              "point landmark_id {} repeats in the frame",
-              lambda v: _row_faults(*points(v), intr, min_line_len)),
-        "L": (("landmark id",), 6, "measurement value", gt_lines.id.tolist(),
-              "line landmark_id {} repeats in the frame",
-              lambda v: _row_faults(*lines(v), intr, min_line_len)),
-    })
-    # the reader yields the files of one checked batch at a time, and each
-    # file's arrays are freed once its frame is built
-    frames = [FrameData(frame_id, f["P"][0][:, 0], *points(f["P"][1]),
-                        f["L"][0][:, 0], *lines(f["L"][1]))
-              for frame_id, f in enumerate(records)]
+    table = {
+        "P": (("landmark id",), 3, "measurement value", lambda file, ids, v: _row_faults(
+            file, ids[:, 0], *points(v), gt_points.id, intr, min_line_len)),
+        "L": (("landmark id",), 6, "measurement value", lambda file, ids, v: _row_faults(
+            file, ids[:, 0], *lines(v), gt_lines.id, intr, min_line_len)),
+    }
+    frames = []
+    for start in range(0, len(present), _FRAME_FILES):
+        files = _read_records(present[start:start + _FRAME_FILES], table)
+        for frame_id, f in enumerate(files, start):
+            frames.append(FrameData(frame_id, f["P"][0][:, 0], *points(f["P"][1]),
+                                    f["L"][0][:, 0], *lines(f["L"][1])))
+        del files  # freed before the next group is read
     if len(present) < len(paths):
         raise ParseError(paths[len(present)], None,
                          f"missing frame file for frame {len(present)}")
@@ -562,15 +541,18 @@ def _records(tag: str | None, *columns) -> str:
 
 # graph record tag -> the entry of _read_records' table
 _GRAPH_RECORDS = {
-    "VERTEX_POSE": (("pose id",), 7, "pose component", None, "duplicate pose id {}", lambda v: [
+    "VERTEX_POSE": (("pose id",), 7, "pose component", lambda file, ids, v: [
+        _distinct("pose id", file, ids),
         (np.abs(row_norms(v[:, 3:]) - 1.0) > 1e-6, "quaternion is not unit norm")]),
-    "VERTEX_POINT": (("point id",), 3, "coordinate", None, "duplicate point id {}", None),
-    "VERTEX_LINE": (("line id",), 6, "coordinate", None, "duplicate line id {}", lambda v: [
+    "VERTEX_POINT": (("point id",), 3, "coordinate",
+                     lambda file, ids, v: [_distinct("point id", file, ids)]),
+    "VERTEX_LINE": (("line id",), 6, "coordinate", lambda file, ids, v: [
+        _distinct("line id", file, ids),
         (row_norms(v[:, 3:]) == 0.0, "line direction must be nonzero"),
         (_plucker_violations(v[:, :3], v[:, 3:]), "Plucker constraint violated")]),
-    "FIX": (("pose id",), 0, None, None, None, None),
-    "EDGE_POINT": (("frame id", "point id"), 2, "pixel", None, None, None),
-    "EDGE_LINE": (("frame id", "line id"), 4, "pixel", None, None, None),
+    "FIX": (("pose id",), 0, None, None),
+    "EDGE_POINT": (("frame id", "point id"), 2, "pixel", None),
+    "EDGE_LINE": (("frame id", "line id"), 4, "pixel", None),
 }
 
 

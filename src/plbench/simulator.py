@@ -143,7 +143,8 @@ class SceneSpec:
 @dataclass(frozen=True)
 class TrajectorySpec:
     """Camera path description; fields beyond the chosen kind are ignored,
-    but every number must be finite.
+    but ``target``, ``start`` and ``end`` must be three numbers and every
+    number must be finite.
 
     kinds:
       wave      sinusoidal lateral offset along the straight start->end path
@@ -181,6 +182,8 @@ class TrajectorySpec:
             raise ConfigError(f"corridor legs must be positive, got {self.leg_x} x {self.leg_y}")
         if self.kind == "corridor" and self.turn_rate_deg < 0:
             raise ConfigError(f"turn_rate_deg must be >= 0, got {self.turn_rate_deg}")
+        for name in ("target", "start", "end"):
+            _column(getattr(self, name), float, (3,), name, ConfigError, copy=False)
         for f in fields(self):
             v = getattr(self, f.name)
             if not isinstance(v, str) and not np.isfinite(v).all():
@@ -699,23 +702,47 @@ def perturb_depth(d_hat: float, sigma_d: float, m_const: float, rng) -> float | 
 # sequences
 
 
-def _row_faults(pixels, depths, intr: CameraIntrinsics, min_line_len: float):
-    """The checks on point rows (pixels (n, 2), depths (n,)) or line rows
-    (pixels (m, 2, 2), depths (m, 2)), in the order they apply to a row, as
-    (failing rows, message) pairs: finite values, positive depths, for
-    lines distinct endpoints, inside the image of ``intr`` and, for lines,
-    at least ``min_line_len`` long."""
+def _all_rows(b) -> np.ndarray:
+    """Whether each row of the bool array b (n, ...) is all True. numpy
+    reduces short rows one at a time, about ten times slower than it
+    reduces their columns, so the rows are reduced as columns."""
+    return np.logical_and.reduce(b.reshape(len(b), math.prod(b.shape[1:])).T.copy())
+
+
+def _repeats(group, ids) -> np.ndarray:
+    """Which rows (n,) hold an id that an earlier row of their group
+    holds, for ascending group labels (n,) and ids (n,)."""
+    if ((group[1:] != group[:-1]) | (ids[1:] > ids[:-1])).all():
+        return np.zeros(len(ids), dtype=bool)  # each group's ids ascend, as written
+    order = np.lexsort((ids, group))
+    group, ids = group[order], ids[order]
+    repeat = np.zeros(len(ids), dtype=bool)
+    repeat[order[1:]] = (group[1:] == group[:-1]) & (ids[1:] == ids[:-1])
+    return repeat
+
+
+def _row_faults(group, ids, pixels, depths, known, intr: CameraIntrinsics,
+                min_line_len: float):
+    """The checks on point rows (ids (n,), pixels (n, 2), depths (n,)) or
+    line rows (ids (m,), pixels (m, 2, 2), depths (m, 2)), each row in the
+    group that labels it in ``group`` (a frame, or a file), in the order
+    they apply to a row, as (failing rows, message) pairs: an id in
+    ``known``, no id twice in its group, finite values, positive depths,
+    for lines distinct endpoints, inside the image of ``intr`` and, for
+    lines, at least ``min_line_len`` long."""
     lines = pixels.ndim == 3
     kind = "line" if lines else "point"
     ends, depths = (pixels, depths) if lines else (pixels[:, None], depths[:, None])
     faults = [
-        (~np.isfinite(ends).all(axis=(1, 2)) | ~np.isfinite(depths).all(axis=1),
+        (~np.isin(ids, known), lambda r: f"dangling {kind} landmark id {ids[r]}"),
+        (_repeats(group, ids), lambda r: f"{kind} landmark id {ids[r]} repeats"),
+        (~_all_rows(np.isfinite(ends)) | ~_all_rows(np.isfinite(depths)),
          "measurement must be finite"),
-        (~(depths > 0).all(axis=1), "nonpositive depth"),
-        (~intr.contains(ends).all(axis=1), f"{kind} measurement outside the image"),
+        (~_all_rows(depths > 0), "nonpositive depth"),
+        (~_all_rows(intr.contains(ends)), f"{kind} measurement outside the image"),
     ]
     if lines:
-        faults.insert(2, ((pixels[:, 0] == pixels[:, 1]).all(axis=1),
+        faults.insert(4, (_all_rows(pixels[:, 0] == pixels[:, 1]),
                           "line measurement endpoints coincide"))
         faults.append((row_norms(pixels[:, 1] - pixels[:, 0]) < min_line_len,
                        "line measurement shorter than min_line_len"))
@@ -829,24 +856,19 @@ class Sequence:
         """Check every frame row against the calibration and the landmark
         records, and the parallel groups, in one pass over all frames.
 
-        A row's checks apply in the reader's order: a known landmark id,
-        no id twice in its frame, then the full ``_row_faults`` list with
-        the calibration and ``min_line_len``. The first faulty row of the
-        earliest frame is reported, a frame's points before its lines,
-        with the first check it fails, in a ValueError naming the frame."""
+        A row's checks are ``_row_faults`` grouped by frame, with the
+        calibration and ``min_line_len``, the checks the reader makes
+        grouped by file. The first faulty row of the earliest frame is
+        reported, a frame's points before its lines, with the first check
+        it fails, in a ValueError naming the frame."""
         if len(self.frames) != len(self.gt_trajectory):
             raise ValueError("frame count does not match trajectory length")
         self.check_frame_ids()
         faults = []
         for kind, known in (("point", self.gt_points.id), ("line", self.gt_lines.id)):
             frame, ids, pixels, depths = _frame_rows(self.frames, kind)
-            order = np.lexsort((ids, frame))
-            repeat = np.zeros(len(ids), dtype=bool)
-            repeat[order[1:]] = (np.diff(frame[order]) == 0) & (np.diff(ids[order]) == 0)
             fault = _first_fault(
-                [(~np.isin(ids, known), lambda r: f"dangling {kind} landmark id {ids[r]}"),
-                 (repeat, lambda r: f"{kind} landmark id {ids[r]} repeats")]
-                + _row_faults(pixels, depths, self.intrinsics, min_line_len))
+                _row_faults(frame, ids, pixels, depths, known, self.intrinsics, min_line_len))
             if fault is not None:
                 faults.append((frame[fault[0]], kind == "line", fault[1]))
         if faults:

@@ -699,7 +699,7 @@ def track_frame_to_frame(seq: Sequence) -> list[Pose]:
         raise TrackingLostError(exc.problem + 1, str(exc)) from exc
     if short:
         raise short[0]
-    traj = [seq.gt_trajectory[0]]
+    traj = [seq.gt_trajectory[0]] if seq.frames else []
     for result in results:
         traj.append(result.pose.compose(traj[-1]))
     return traj

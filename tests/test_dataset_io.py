@@ -190,7 +190,8 @@ def test_parse_error_dangling_landmark(tmp_path):
 )
 def test_parse_error_landmark_repeated_in_frame(tmp_path, rows):
     d = write_toy_sequence_dir(tmp_path, rows)
-    with pytest.raises(ParseError, match="000000.txt:2: .* repeats in the frame") as info:
+    with pytest.raises(ParseError, match="000000.txt:2: (point landmark id 7|line landmark id 3) "
+                                         "repeats$") as info:
         read_sequence(d)
     assert info.value.line == 2
 
@@ -231,21 +232,28 @@ def test_parse_error_short_line(tmp_path):
 
 
 @pytest.mark.parametrize("kind, fault", [("point", "outside"), ("line", "outside"),
-                                         ("line", "short")],
-                         ids=["point-outside", "line-outside", "line-short"])
+                                         ("line", "short"), ("point", "dangling"),
+                                         ("line", "dangling"), ("point", "repeat"),
+                                         ("line", "repeat")],
+                         ids=["point-outside", "line-outside", "line-short", "point-dangling",
+                              "line-dangling", "point-repeat", "line-repeat"])
 def test_frame_file_fault_reads_as_validate_words_it(small_sequence, tmp_path, kind, fault):
     # the reader and Sequence.validate share one list of frame-row checks:
     # a frame file's fault reads ``file:line: <text>`` where validate says
     # ``<text> in frame N`` for the same row
     f = small_sequence.frames[1]
-    pixels = getattr(f, f"{kind}_pixels").copy()
-    end = pixels[0] if kind == "point" else pixels[0, 1]
+    columns = {c: getattr(f, f"{kind}_{c}").copy() for c in ("ids", "pixels", "depths")}
+    end = columns["pixels"][0] if kind == "point" else columns["pixels"][0, 1]
     if fault == "outside":
         end[0] = -1.0
-    else:
-        end[:] = pixels[0, 0] + 1.0
+    elif fault == "short":
+        end[:] = columns["pixels"][0, 0] + 1.0
+    elif fault == "dangling":
+        columns["ids"][0] = 999999
+    else:  # the first row twice: the second one repeats
+        columns = {c: np.concatenate([a[:1], a]) for c, a in columns.items()}
     frames = list(small_sequence.frames)
-    frames[1] = dataclasses.replace(f, **{f"{kind}_pixels": pixels})
+    frames[1] = dataclasses.replace(f, **{f"{kind}_{c}": a for c, a in columns.items()})
     seq = dataclasses.replace(small_sequence, frames=frames)
     with pytest.raises(ValueError, match=" in frame 1$") as validated:
         seq.validate(min_line_len=15.0)
@@ -253,7 +261,8 @@ def test_frame_file_fault_reads_as_validate_words_it(small_sequence, tmp_path, k
     write_sequence(seq, tmp_path / "seq")
     with pytest.raises(ParseError) as read:
         read_sequence(tmp_path / "seq", min_line_len=15.0)
-    lineno = 2 if kind == "point" else 2 + len(f.point_ids)  # after the header and the P lines
+    # after the header and the P lines, and for a repeat its second line
+    lineno = (2 if kind == "point" else 2 + len(f.point_ids)) + (fault == "repeat")
     assert str(read.value) == f"{tmp_path / 'seq' / 'frames' / '000001.txt'}:{lineno}: {text}"
 
 
@@ -263,12 +272,12 @@ POSE_RECORD = " 0.0 0.0 0.0 0.0 0.0 0.0 1.0\n"
 @pytest.mark.parametrize(
     "files, message",
     [
-        # the first bad line of the first bad file in frame order, and the
-        # first failing check on that line
+        # the first bad line of the first bad file in frame order, and on
+        # that line a syntax fault before the first failing check
         pytest.param({"frames/000000.txt": "P 99 10.0 x 1.0\n"},
-                     "000000.txt:1: dangling landmark_id 99", id="dangling-before-bad-value"),
+                     "000000.txt:1: bad measurement value: 'x'", id="dangling-before-bad-value"),
         pytest.param({"frames/000000.txt": "P 7 10.0 20.0 1.0\nP 7 10.0 nan 1.0\n"},
-                     "000000.txt:2: point landmark_id 7 repeats in the frame",
+                     "000000.txt:2: nonfinite measurement value: 'nan'",
                      id="repeat-before-nonfinite"),
         pytest.param({"frames/000000.txt": "P -1 10.0 20.0 1.0\n"},
                      "000000.txt:1: landmark id must be >= 0: -1", id="negative-before-dangling"),
@@ -277,7 +286,7 @@ POSE_RECORD = " 0.0 0.0 0.0 0.0 0.0 0.0 1.0\n"
         pytest.param({"frames/000000.txt": "L 3 10.0 20.0 1.0 10.0 20.0 1.0\n"},
                      "000000.txt:1: line measurement endpoints coincide", id="coincident-ends"),
         pytest.param({"landmarks.txt": "MP 7 1.0 2.0 3.0\nMP 7 x 0.0 0.0\n"},
-                     "landmarks.txt:2: duplicate point landmark id 7",
+                     "landmarks.txt:2: bad coordinate: 'x'",
                      id="landmark-duplicate-before-bad-value"),
         pytest.param({"landmarks.txt": "ML 3 0.0 0.0 2.0 0.0 0.0 2.0\nMP 7 1.0 x 3.0\n"},
                      "landmarks.txt:1: line endpoints coincide",
@@ -462,9 +471,10 @@ def test_graph_edge_errors_name_file_and_line(tmp_path, edge, match):
                      "g.txt:4: nonfinite coordinate: 'inf'", id="nonfinite-coordinate"),
         pytest.param("VERTEX_POSE 3 nan 0.0 0.0 0.0 0.0 0.0 1.0",
                      "g.txt:4: nonfinite pose component: 'nan'", id="nonfinite-pose"),
-        # the first bad line in the file, and the first failing check on it
+        # the first bad line in the file, and on it a syntax fault before
+        # the first failing check
         pytest.param("VERTEX_POINT 2 0.0 0.0 1.0\nVERTEX_POINT 2 x 0.0 1.0",
-                     "g.txt:5: duplicate point id 2", id="duplicate-before-bad-value"),
+                     "g.txt:5: bad coordinate: 'x'", id="duplicate-before-bad-value"),
         pytest.param("VERTEX_POSE 0 0.0 0.0 0.0 0.0 0.0 0.0 1.1",
                      "g.txt:4: duplicate pose id 0", id="duplicate-before-quaternion"),
         pytest.param("VERTEX_POSE -3 0.0 0.0 0.0 0.0 0.0 0.0 1.1",
@@ -855,6 +865,38 @@ def test_fuzz_readers_never_crash(small_sequence, tmp_path, monkeypatch):
     assert len(loaded) >= 100
     # pristine input still reads fine afterwards
     read_sequence(tmp_path / "seq")
+
+
+FRAME_RECORDS = {"P": (("landmark id",), 3, "measurement value", None),
+                 "L": (("landmark id",), 6, "measurement value", None)}
+
+
+@pytest.mark.parametrize(
+    "rows, ids, message",
+    [
+        pytest.param("P 99 10.0 20.0 1.0\n", [99], "000000.txt:1: dangling point landmark id 99",
+                     id="dangling-point"),
+        pytest.param("P 7 10.0 20.0 1.0\nP 7 30.0 20.0 1.0\n", [7, 7],
+                     "000000.txt:2: point landmark id 7 repeats", id="repeated-point"),
+        pytest.param("P 7 10.0 20.0 1.0\nL 5 10.0 20.0 1.0 40.0 20.0 1.0\n", [7],
+                     "000000.txt:2: dangling line landmark id 5", id="dangling-line"),
+    ],
+)
+def test_c_reader_takes_a_frame_file_whose_ids_fail_their_checks(tmp_path, monkeypatch, rows,
+                                                                  ids, message):
+    # the parse checks syntax only: numpy's C reader reads the file's ids,
+    # and the checks after it raise the same error as after the
+    # record-by-record parse
+    d = write_toy_sequence_dir(tmp_path, rows)
+    columns = dataset_io._load_columns(d / "frames" / "000000.txt", FRAME_RECORDS)
+    assert columns is not None and columns["P"][0][:, 0].tolist() == ids
+    with pytest.raises(ParseError, match=re.escape(message) + "$") as by_loadtxt:
+        read_sequence(d)
+    with monkeypatch.context() as m:
+        m.setattr(dataset_io, "_load_columns", lambda *args: None)
+        with pytest.raises(ParseError) as by_record:
+            read_sequence(d)
+    assert str(by_record.value) == str(by_loadtxt.value)
 
 
 @pytest.mark.parametrize(

@@ -1109,6 +1109,18 @@ def corridor_with(line):
                      "turn_rate_deg must be finite, got nan", id="spec-nan-turn-rate"),
         pytest.param(lambda: TrajectorySpec("corridor", 60, turn_rate_deg=-18.0),
                      "^turn_rate_deg must be >= 0, got -18.0$", id="spec-negative-turn-rate"),
+        pytest.param(lambda: TrajectorySpec("orbit", 5, target=(0.0, 0.0)),
+                     r"^target must be float64 of shape \(3,\), got float64 of shape \(2,\)$",
+                     id="spec-two-number-target"),
+        pytest.param(lambda: TrajectorySpec("wave", 5, start=(0.0, 0.0, 1.0, 2.0)),
+                     r"^start must be float64 of shape \(3,\), got float64 of shape \(4,\)$",
+                     id="spec-four-number-start"),
+        pytest.param(lambda: TrajectorySpec("wave", 5, end="5 -4 1.3"),
+                     r"^end must be float64 of shape \(3,\), got <U8 of shape \(\)$",
+                     id="spec-string-end"),
+        pytest.param(lambda: TrajectorySpec("orbit", 5, target=("0", "0", "1")),
+                     r"^target must be float64 of shape \(3,\), got <U1 of shape \(3,\)$",
+                     id="spec-string-target"),
         pytest.param(corridor_with("trajectory.turn_rate = -18"),
                      "^turn_rate_deg must be >= 0, got -18.0$", id="corridor-negative-turn-rate"),
         pytest.param(lambda: NoiseParams(enabled="off"),

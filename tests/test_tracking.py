@@ -20,7 +20,9 @@ from plbench.factor_graph import (
 from plbench.geometry import (
     CameraIntrinsics,
     GeometryError,
+    Points,
     Pose,
+    Segments,
     backproject,
     line_angles,
     rigid_fit,
@@ -28,7 +30,14 @@ from plbench.geometry import (
     se3_exp_update,
     so3_exp,
 )
-from plbench.simulator import NoiseParams, build_scene, build_trajectory, generate_sequence, load_preset
+from plbench.simulator import (
+    NoiseParams,
+    Sequence,
+    build_scene,
+    build_trajectory,
+    generate_sequence,
+    load_preset,
+)
 from plbench.tracking import (
     DegenerateGeometryError,
     InsufficientDataError,
@@ -809,6 +818,15 @@ def test_frame_to_frame_reports_an_earlier_pnp_failure_before_a_depth():
         track_frame_to_frame(seq)
     assert str(info.value) == "tracking lost at frame 3: points are collinear or coincident"
     assert isinstance(info.value.__cause__, DegenerateGeometryError)
+
+
+def test_trackers_give_no_poses_for_a_sequence_without_frames():
+    seq = Sequence(K, [], [], Points([], np.empty((0, 3))),
+                   Segments([], np.empty((0, 2, 3))), {})
+    seq.validate()
+    assert track_frame_to_frame(seq) == []
+    traj, smap = track_map_to_frame(seq)
+    assert traj == [] and len(smap.points) == 0 and len(smap.lines) == 0
 
 
 def test_frame_to_frame_batches_bound_their_memory():
