@@ -368,14 +368,21 @@ def _column(a, dtype, shape: tuple, name: str, error=ValueError, copy: bool = Tr
     any length and an empty ``a`` any shape: a read-only copy, or with
     ``copy=False`` a plain cast that may share ``a``'s memory. Raises
     ``error``, naming the column ``name``, for a wrong shape or for values
-    that ``dtype`` does not hold exactly (a float or a string as an int)."""
-    a = np.asarray(a)
+    that ``dtype`` does not hold exactly (a float or a string as an int),
+    and for a ragged sequence, which no array holds."""
+    def refusal(got):
+        return error(f"{name} must be {np.dtype(dtype)} of shape {shape}, "
+                     f"got {got}".replace("None", "n"))
+
+    try:
+        a = np.asarray(a)
+    except ValueError:
+        raise refusal("a ragged sequence") from None
     if a.size == 0:
         a = a.reshape((0,) + shape[1:])
     if (a.ndim != len(shape) or a.shape[1:] != shape[1:] or shape[0] not in (None, len(a))
             or a.size and a.dtype != dtype and not np.can_cast(a.dtype, dtype)):
-        raise error(f"{name} must be {np.dtype(dtype)} of shape {shape}, "
-                    f"got {a.dtype} of shape {a.shape}".replace("None", "n"))
+        raise refusal(f"{a.dtype} of shape {a.shape}")
     if not copy:
         return a.astype(dtype, copy=False)
     a = a.astype(dtype)

@@ -148,10 +148,15 @@ class TrajectorySpec:
 
     kinds:
       wave      sinusoidal lateral offset along the straight start->end path
-      orbit     circle of ``radius`` around ``target`` at absolute ``height``
+      orbit     circle of ``radius`` around ``target`` at absolute ``height``;
+                an orbit always looks at its target, so ``lookat`` must be
+                "center"
       corridor  rectangular circuit (legs ``leg_x`` x ``leg_y``), pure
                 translation on legs, in-place corner turns at
                 ``turn_rate_deg`` >= 0 degrees per frame (0: instantaneous)
+
+    ``lookat``: "center" points every camera at ``target``, "forward" along
+    the direction of travel.
     """
 
     kind: str
@@ -174,6 +179,9 @@ class TrajectorySpec:
         check_integers(self, ConfigError, 2)
         if self.lookat not in ("center", "forward"):
             raise ConfigError(f"unknown look-at policy {self.lookat!r}")
+        if self.kind == "orbit" and self.lookat != "center":
+            raise ConfigError(f"an orbit looks at its target: lookat must be 'center', "
+                              f"got {self.lookat!r}")
         if self.kind == "wave" and not self.wavelength > 0:
             raise ConfigError(f"wave wavelength must be positive, got {self.wavelength}")
         if self.kind == "orbit" and not self.radius > 0:
@@ -330,130 +338,96 @@ def build_scene(spec: SceneSpec) -> Scene:
 # trajectories
 
 
-def _lookat(position, target, up=(0.0, 0.0, 1.0)):
-    """World-to-camera rotation R_cw and translation t with the optical
-    axis through ``target``.
+def _lookat(P, T):
+    """World-to-camera rotations R_cw (n, 3, 3) and translations t (n, 3)
+    of the cameras at P (n, 3) whose optical axes pass through T (n, 3) or
+    one target (3,), with the world z axis up. A camera that looks straight
+    up or down takes its x axis from the world y axis instead.
 
     Camera axes: x right, y down, z forward.
     """
-    position = np.asarray(position, dtype=float)
-    f = np.asarray(target, dtype=float) - position
-    nf = np.linalg.norm(f)
-    if nf < 1e-12:
-        raise ConfigError("look-at target coincides with the camera position")
-    f = f / nf
-    up = np.asarray(up, dtype=float)
-    x = np.cross(f, up)
-    if np.linalg.norm(x) < 1e-9:  # looking straight up/down
-        x = np.cross(f, np.array([0.0, 1.0, 0.0]))
-    x = x / np.linalg.norm(x)
-    y = np.cross(f, x)
-    R_wc = np.column_stack([x, y, f])
-    R_cw = R_wc.T
-    return R_cw, -R_cw @ position
+    f = T - P
+    nf = row_norms(f)
+    coincide = nf < 1e-12
+    if coincide.any():
+        raise ConfigError("look-at target coincides with the camera position at frame "
+                          f"{np.argmax(coincide)}")
+    f = f / nf[:, None]
+    x = np.cross(f, (0.0, 0.0, 1.0))
+    vertical = row_norms(x) < 1e-9
+    x[vertical] = np.cross(f[vertical], (0.0, 1.0, 0.0))
+    x = x / row_norms(x)[:, None]
+    R_wc = np.stack([x, np.cross(f, x), f], axis=2)
+    # one product per camera, on the transposed view: a stacked product
+    # rounds the last bit of t differently
+    t = np.array([-R.T @ p for R, p in zip(R_wc, P)])
+    return np.ascontiguousarray(R_wc.transpose(0, 2, 1)), t
 
 
 def _corridor_waypoints(spec: TrajectorySpec):
-    """(position, heading) per frame for the rectangular circuit."""
-    hx, hy = spec.leg_x / 2.0, spec.leg_y / 2.0
-    z = spec.height
-    corners = [
-        np.array([-hx, -hy, z]),
-        np.array([hx, -hy, z]),
-        np.array([hx, hy, z]),
-        np.array([-hx, hy, z]),
-    ]
-    headings = [
-        np.array([1.0, 0.0, 0.0]),
-        np.array([0.0, 1.0, 0.0]),
-        np.array([-1.0, 0.0, 0.0]),
-        np.array([0.0, -1.0, 0.0]),
-    ]
-    if spec.turn_rate_deg > 0:
-        corner_frames = int(math.ceil(90.0 / spec.turn_rate_deg))
-    else:
-        corner_frames = 0  # instantaneous turns
+    """Camera positions (n, 3) and headings (n, 3) of the rectangular
+    circuit: the frames of each leg, then its in-place turn at the far
+    corner, whose last frame takes the next leg's heading."""
+    hx, hy, z = spec.leg_x / 2.0, spec.leg_y / 2.0, spec.height
+    corners = np.array([[-hx, -hy, z], [hx, -hy, z], [hx, hy, z], [-hx, hy, z]])
+    headings = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
+    # 0 turns instantaneously
+    corner_frames = math.ceil(90.0 / spec.turn_rate_deg) if spec.turn_rate_deg > 0 else 0
     leg_budget = spec.frame_count - 4 * corner_frames
     if leg_budget < 4:
         raise ConfigError("frame_count too small for the corner turn rate")
     lengths = [spec.leg_x, spec.leg_y, spec.leg_x, spec.leg_y]
-    total = sum(lengths)
-    leg_frames = [max(1, int(round(leg_budget * L / total))) for L in lengths]
+    leg_frames = [max(1, int(round(leg_budget * L / sum(lengths)))) for L in lengths]
     leg_frames[3] += leg_budget - sum(leg_frames)
     if leg_frames[3] < 1:
         raise ConfigError("frame_count too small for the corridor circuit")
 
-    frames = []
-    for leg in range(4):
-        a = corners[leg]
-        bpt = corners[(leg + 1) % 4]
+    angles = [math.radians(min(k * spec.turn_rate_deg, 90.0)) for k in range(1, corner_frames + 1)]
+    c, s = np.array([[math.cos(a), math.sin(a)] for a in angles]).reshape(-1, 2).T
+    positions, forward = [], []
+    for leg, n in enumerate(leg_frames):
+        a, b = corners[leg], corners[(leg + 1) % 4]
         h = headings[leg]
-        n = leg_frames[leg]
-        for k in range(n):
-            frames.append((a + (bpt - a) * (k / n), h))
-        # in-place turn at the far corner
-        h_next = headings[(leg + 1) % 4]
-        for k in range(1, corner_frames + 1):
-            ang = math.radians(min(k * spec.turn_rate_deg, 90.0))
-            c, s = math.cos(ang), math.sin(ang)
-            heading = np.array(
-                [c * h[0] - s * h[1], s * h[0] + c * h[1], 0.0]
-            )
-            if k == corner_frames:
-                heading = h_next
-            frames.append((bpt.copy(), heading))
-    return frames[: spec.frame_count]
+        turn = np.column_stack([c * h[0] - s * h[1], s * h[0] + c * h[1], np.zeros(corner_frames)])
+        turn[-1:] = headings[(leg + 1) % 4]
+        positions += [a + (b - a) * (np.arange(n) / n)[:, None], np.tile(b, (corner_frames, 1))]
+        forward += [np.tile(h, (n, 1)), turn]
+    return np.concatenate(positions), np.concatenate(forward)
 
 
 def build_trajectory(spec: TrajectorySpec) -> list[Pose]:
+    """The poses of the cameras of ``spec``: their positions and, for the
+    forward look-at, their directions of travel, through one stacked
+    look-at."""
     n = spec.frame_count
     target = np.asarray(spec.target, dtype=float)
-    views = []  # (R_cw, t) per frame
 
     if spec.kind == "wave":
         start = np.asarray(spec.start, dtype=float)
-        end = np.asarray(spec.end, dtype=float)
-        path = end - start
+        path = np.asarray(spec.end, dtype=float) - start
         length = float(np.linalg.norm(path))
         if length < 1e-9:
             raise ConfigError("wave path start and end coincide")
-        direction = path / length
-        lateral = np.cross(np.array([0.0, 0.0, 1.0]), direction)
+        forward = path / length
+        lateral = np.cross(np.array([0.0, 0.0, 1.0]), forward)
         if np.linalg.norm(lateral) < 1e-9:
             raise ConfigError("wave path must not be vertical")
         lateral = lateral / np.linalg.norm(lateral)
-        for i in range(n):
-            f = i / (n - 1)
-            arc = f * length
-            p = start + f * path + spec.amplitude * math.sin(
-                2.0 * math.pi * arc / spec.wavelength
-            ) * lateral
-            if spec.lookat == "forward":
-                views.append(_lookat(p, p + direction))
-            else:
-                views.append(_lookat(p, target))
+        f = np.arange(n) / (n - 1)
+        offset = np.array([spec.amplitude * math.sin(2.0 * math.pi * (fi * length) / spec.wavelength)
+                           for fi in f.tolist()])
+        P = start + f[:, None] * path + offset[:, None] * lateral
 
     elif spec.kind == "orbit":
-        for i in range(n):
-            theta = 2.0 * math.pi * i / n
-            p = np.array(
-                [
-                    target[0] + spec.radius * math.cos(theta),
-                    target[1] + spec.radius * math.sin(theta),
-                    spec.height,
-                ]
-            )
-            views.append(_lookat(p, target))
+        theta = (2.0 * math.pi * np.arange(n) / n).tolist()
+        circle = np.array([[math.cos(a), math.sin(a)] for a in theta])
+        P = np.column_stack([target[:2] + spec.radius * circle, np.full(n, spec.height)])
 
-    else:  # corridor
-        for p, heading in _corridor_waypoints(spec):
-            if spec.lookat == "center":
-                views.append(_lookat(p, target))
-            else:
-                views.append(_lookat(p, p + heading))
+    else:
+        P, forward = _corridor_waypoints(spec)
 
-    R, t = zip(*views)
-    return [Pose(q, t_i) for q, t_i in zip(matrix_to_quat(np.array(R)), t)]
+    R, t = _lookat(P, target if spec.lookat == "center" else P + forward)
+    return [Pose(q, t_i) for q, t_i in zip(matrix_to_quat(R), t)]
 
 
 # ---------------------------------------------------------------------------

@@ -731,6 +731,24 @@ def test_columns_refuse_inexact_values_and_wrong_row_shapes(site):
 
 
 @pytest.mark.parametrize(
+    "build, error, match",
+    [
+        pytest.param(lambda: Points([0, 1], [[0, 0, 1], [1, 2]]), GeometryError,
+                     r"^point position must be float64 of shape \(n, 3\), got a ragged sequence$",
+                     id="points"),
+        pytest.param(lambda: FrameData(0, [4, 5], [[1.0, 2.0], [3.0]], [1.0, 2.0], [], [], []),
+                     ValueError,
+                     r"^point_pixels must be float64 of shape \(2, 2\), got a ragged sequence$",
+                     id="frame"),
+    ],
+)
+def test_columns_name_themselves_for_ragged_rows(build, error, match):
+    # numpy holds ragged rows in no array; the cast says which column
+    with pytest.raises(error, match=match):
+        build()
+
+
+@pytest.mark.parametrize(
     "call, match",
     [
         pytest.param(lambda: Points([4.5, 7.9], np.zeros((2, 3))), "point id", id="points-float"),

@@ -1,5 +1,7 @@
 import dataclasses
 import hashlib
+import math
+import re
 from importlib import resources
 
 import numpy as np
@@ -177,6 +179,160 @@ def test_wave_respects_amplitude():
                           start=(-5.0, -4.0, 1.0), end=(5.0, -4.0, 1.0))
     centers = np.array([T.center() for T in build_trajectory(spec)])
     assert np.max(np.abs(centers[:, 1] + 4.0)) == pytest.approx(0.7, abs=0.01)
+
+
+def reference_lookat(position, target, up=(0.0, 0.0, 1.0)):
+    """The per-camera look-at the stacked ``_lookat`` replaced."""
+    position = np.asarray(position, dtype=float)
+    f = np.asarray(target, dtype=float) - position
+    nf = np.linalg.norm(f)
+    if nf < 1e-12:
+        raise ConfigError("look-at target coincides with the camera position")
+    f = f / nf
+    up = np.asarray(up, dtype=float)
+    x = np.cross(f, up)
+    if np.linalg.norm(x) < 1e-9:  # looking straight up/down
+        x = np.cross(f, np.array([0.0, 1.0, 0.0]))
+    x = x / np.linalg.norm(x)
+    y = np.cross(f, x)
+    R_cw = np.column_stack([x, y, f]).T
+    return R_cw, -R_cw @ position
+
+
+def reference_corridor_waypoints(spec):
+    """(position, heading) per frame of the circuit, frame by frame."""
+    hx, hy, z = spec.leg_x / 2.0, spec.leg_y / 2.0, spec.height
+    corners = [np.array([-hx, -hy, z]), np.array([hx, -hy, z]),
+               np.array([hx, hy, z]), np.array([-hx, hy, z])]
+    headings = [np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]),
+                np.array([-1.0, 0.0, 0.0]), np.array([0.0, -1.0, 0.0])]
+    corner_frames = math.ceil(90.0 / spec.turn_rate_deg) if spec.turn_rate_deg > 0 else 0
+    leg_budget = spec.frame_count - 4 * corner_frames
+    if leg_budget < 4:
+        raise ConfigError("frame_count too small for the corner turn rate")
+    lengths = [spec.leg_x, spec.leg_y, spec.leg_x, spec.leg_y]
+    leg_frames = [max(1, int(round(leg_budget * L / sum(lengths)))) for L in lengths]
+    leg_frames[3] += leg_budget - sum(leg_frames)
+    if leg_frames[3] < 1:
+        raise ConfigError("frame_count too small for the corridor circuit")
+    frames = []
+    for leg in range(4):
+        a, b, h = corners[leg], corners[(leg + 1) % 4], headings[leg]
+        n = leg_frames[leg]
+        frames += [(a + (b - a) * (k / n), h) for k in range(n)]
+        for k in range(1, corner_frames + 1):
+            ang = math.radians(min(k * spec.turn_rate_deg, 90.0))
+            c, s = math.cos(ang), math.sin(ang)
+            heading = np.array([c * h[0] - s * h[1], s * h[0] + c * h[1], 0.0])
+            frames.append((b.copy(), headings[(leg + 1) % 4] if k == corner_frames else heading))
+    return frames[: spec.frame_count]
+
+
+def reference_build_trajectory(spec):
+    """The per-frame trajectory builder the stacked one replaced: one
+    look-at per camera."""
+    n = spec.frame_count
+    target = np.asarray(spec.target, dtype=float)
+    views = []
+    if spec.kind == "wave":
+        start, end = np.asarray(spec.start, dtype=float), np.asarray(spec.end, dtype=float)
+        path = end - start
+        length = float(np.linalg.norm(path))
+        if length < 1e-9:
+            raise ConfigError("wave path start and end coincide")
+        direction = path / length
+        lateral = np.cross(np.array([0.0, 0.0, 1.0]), direction)
+        if np.linalg.norm(lateral) < 1e-9:
+            raise ConfigError("wave path must not be vertical")
+        lateral = lateral / np.linalg.norm(lateral)
+        for i in range(n):
+            f = i / (n - 1)
+            p = start + f * path + spec.amplitude * math.sin(
+                2.0 * math.pi * (f * length) / spec.wavelength) * lateral
+            views.append(reference_lookat(p, p + direction if spec.lookat == "forward" else target))
+    elif spec.kind == "orbit":
+        for i in range(n):
+            theta = 2.0 * math.pi * i / n
+            p = np.array([target[0] + spec.radius * math.cos(theta),
+                          target[1] + spec.radius * math.sin(theta), spec.height])
+            views.append(reference_lookat(p, target))
+    else:
+        for p, heading in reference_corridor_waypoints(spec):
+            views.append(reference_lookat(p, target if spec.lookat == "center" else p + heading))
+    R, t = zip(*views)
+    return [Pose(q, t_i) for q, t_i in zip(simulator.matrix_to_quat(np.array(R)), t)]
+
+
+# odd shapes of each kind: a slanted and a vertical-fallback wave, an
+# off-center orbit, square, long-thin and short-wide circuits with
+# instantaneous, exact, 90-degree and overshooting turn rates
+TRAJECTORY_VARIANTS = {
+    "wave": [dict(amplitude=0.8, wavelength=2.5, target=(0.4, 0.2, 0.7)),
+             dict(amplitude=0.37, wavelength=0.7, start=(-3.1, 2.2, 0.4), end=(4.3, -1.9, 2.6),
+                  target=(0.3, -0.1, 1.1)),
+             dict(start=(0.0, 0.0, 0.0), end=(1.0, 0.0, 0.0), target=(0.0, 0.0, 5.0))],
+    "orbit": [dict(), dict(radius=2.3, height=-0.7, target=(0.9, -1.3, 0.25))],
+    "corridor": [dict(leg_x=lx, leg_y=ly, height=1.2, turn_rate_deg=r, target=(0.3, 0.2, 0.9))
+                 for lx, ly in ((8.0, 6.0), (1.0, 13.0), (3.3, 0.7))
+                 for r in (0.0, 18.0, 90.0, 7.0, 35.0, 120.0)],
+}
+
+
+@pytest.mark.parametrize("kind, lookat", [("wave", "center"), ("wave", "forward"),
+                                          ("orbit", "center"), ("corridor", "center"),
+                                          ("corridor", "forward")])
+def test_stacked_trajectory_equals_per_frame_reference(kind, lookat):
+    for frames in (2, 7, 24, 100, 333):
+        for variant in TRAJECTORY_VARIANTS[kind]:
+            spec = TrajectorySpec(kind, frames, lookat=lookat, **variant)
+            try:
+                expected = reference_build_trajectory(spec)
+            except ConfigError as e:
+                with pytest.raises(ConfigError, match=f"^{re.escape(str(e))}"):
+                    build_trajectory(spec)
+                continue
+            got = build_trajectory(spec)
+            assert len(got) == len(expected) == frames, spec
+            for field in ("q", "t"):
+                assert (np.array([getattr(T, field) for T in got]).tobytes()
+                        == np.array([getattr(T, field) for T in expected]).tobytes()), spec
+
+
+@pytest.mark.parametrize(
+    "spec, match",
+    [
+        pytest.param(TrajectorySpec("wave", 11, start=(-5.0, 0.0, 1.0), end=(5.0, 0.0, 1.0),
+                                    target=(0.0, 0.0, 1.0)),
+                     "^look-at target coincides with the camera position at frame 5$",
+                     id="wave-through-target"),
+        pytest.param(TrajectorySpec("corridor", 60, leg_x=8.0, leg_y=6.0, height=1.2,
+                                    turn_rate_deg=30.0, target=(4.0, -3.0, 1.2)),
+                     "^look-at target coincides with the camera position at frame 14$",
+                     id="corridor-corner-on-target"),
+        pytest.param(TrajectorySpec("wave", 10, start=(1.0, 2.0, 3.0), end=(1.0, 2.0, 3.0)),
+                     "^wave path start and end coincide$", id="wave-start-is-end"),
+        pytest.param(TrajectorySpec("wave", 10, start=(1.0, 2.0, 0.0), end=(1.0, 2.0, 3.0)),
+                     "^wave path must not be vertical$", id="wave-vertical"),
+        pytest.param(TrajectorySpec("corridor", 7, leg_x=1.0, leg_y=13.0, turn_rate_deg=90.0),
+                     "^frame_count too small for the corner turn rate$",
+                     id="corridor-turn-rate"),
+        pytest.param(TrajectorySpec("corridor", 8, leg_x=1.0, leg_y=13.0, turn_rate_deg=90.0),
+                     "^frame_count too small for the corridor circuit$", id="corridor-circuit"),
+    ],
+)
+def test_trajectory_refusals_give_their_exact_text(spec, match):
+    with pytest.raises(ConfigError, match=match):
+        build_trajectory(spec)
+
+
+def test_camera_looking_straight_up_takes_its_x_axis_from_world_y():
+    spec = TrajectorySpec("wave", 5, start=(0.0, 0.0, 0.0), end=(1.0, 0.0, 0.0),
+                          target=(0.0, 0.0, 5.0))
+    R = build_trajectory(spec)[0].rotation()
+    np.testing.assert_allclose(R @ R.T, np.eye(3), atol=1e-12)
+    assert np.linalg.det(R) == pytest.approx(1.0, abs=1e-12)
+    # the optical axis (camera z in world coordinates) points at the target
+    np.testing.assert_allclose(R.T @ [0.0, 0.0, 1.0], [0.0, 0.0, 1.0], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -1121,6 +1277,12 @@ def corridor_with(line):
         pytest.param(lambda: TrajectorySpec("orbit", 5, target=("0", "0", "1")),
                      r"^target must be float64 of shape \(3,\), got <U1 of shape \(3,\)$",
                      id="spec-string-target"),
+        pytest.param(lambda: TrajectorySpec("orbit", 5, target=((1, 2), 3, 4)),
+                     r"^target must be float64 of shape \(3,\), got a ragged sequence$",
+                     id="spec-ragged-target"),
+        pytest.param(lambda: TrajectorySpec("orbit", 5, lookat="forward"),
+                     "^an orbit looks at its target: lookat must be 'center', got 'forward'$",
+                     id="spec-orbit-forward"),
         pytest.param(corridor_with("trajectory.turn_rate = -18"),
                      "^turn_rate_deg must be >= 0, got -18.0$", id="corridor-negative-turn-rate"),
         pytest.param(lambda: NoiseParams(enabled="off"),
