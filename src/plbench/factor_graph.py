@@ -193,7 +193,8 @@ def _project_points(R, t, P_w, intr: CameraIntrinsics):
     behind the camera are invalid; their depth in ``zs`` is replaced by 1
     so that ``proj`` stays finite.
     """
-    P_c = np.einsum("fij,fj->fi", R, np.asarray(P_w, dtype=float)) + t
+    P_c = np.einsum("fij,fj->fi", R, np.asarray(P_w, dtype=float))
+    P_c += t  # in place: one (F, 3) array less at the peak
     z = P_c[:, 2]
     valid = z > _DEPTH_EPS
     zs = np.where(valid, z, 1.0)
@@ -237,9 +238,12 @@ def _pose_jacobian(P_c, zs, valid, intr: CameraIntrinsics):
     A[:, 1, 1] = intr.fy / zs
     A[:, 1, 2] = -intr.fy * P_c[:, 1] / zs**2
 
+    # the product first, so that skew(P_c) is freed before J_pose is made
+    rot = np.einsum("fij,fjk->fik", A, skew(P_c))  # -A @ (-[P_c]x)
     J_pose = np.empty((F, 2, 6))
-    J_pose[:, :, :3] = np.einsum("fij,fjk->fik", A, skew(P_c))  # -A @ (-[P_c]x)
-    J_pose[:, :, 3:] = -A
+    J_pose[:, :, :3] = rot
+    del rot
+    np.negative(A, out=J_pose[:, :, 3:])
     J_pose[~valid] = 0.0
     return J_pose, A
 

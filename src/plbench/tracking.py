@@ -82,26 +82,42 @@ _DAMP_2 = 1e-12 * np.eye(2)
 # the control-point pairs (i, j), i < j, for 4 and 3 control points
 _PAIRS = {m: np.triu_indices(m, 1) for m in (3, 4)}
 
-# correspondences per batch of ``solve_pnp_batch``, and projected rows per
-# span of line-search tries: a whole sequence in one batch with all its
-# tries at once holds some 40 MB of per-row arrays. These bounds keep a
-# batch within about 1 MB and keep most of the saving in call overhead.
-_BATCH_ROWS = 1024
-_TRY_ROWS = 4096
+# correspondences per batch of ``solve_pnp_batch``, and rows per span of
+# the stages that would otherwise hold per-row arrays of a whole batch
+# (``_by_spans``): EPnP's design matrix, the rigid fits, the pose Jacobians
+# and every projection. Each batch pays about 1 ms of fixed cost; the spans
+# hold its memory instead. The corridor sequence, one batch, peaks 1.5 MB
+# above solving it frame by frame with the spans and 14 MB without.
+_BATCH_ROWS = 8192
+_SPAN_ROWS = 4096
 
 
-def _segment_rows(offsets, counts) -> np.ndarray:
+def _segment_rows(offsets, counts):
     """Row indices of the segments [offsets[s], offsets[s] + counts[s]),
-    concatenated in order."""
-    counts = np.asarray(counts)
+    concatenated in order: a slice where each segment starts at the end of
+    the one before, else an index array."""
+    offsets, counts = np.asarray(offsets), np.asarray(counts)
+    ends = offsets + counts
+    if len(offsets) and (offsets[1:] == ends[:-1]).all():
+        return slice(int(offsets[0]), int(ends[-1]))
     begin = np.cumsum(counts) - counts
-    return np.arange(counts.sum()) + np.repeat(np.asarray(offsets) - begin, counts)
+    return np.arange(counts.sum()) + np.repeat(offsets - begin, counts)
 
 
 def _take(x, rows):
-    """The rows ``rows`` of x, all of x for None. ``np.take`` copies rows
-    several times faster than indexing with an index array."""
-    return x if rows is None else np.take(x, rows, axis=0)
+    """The rows ``rows`` of x: a view for a slice, else a copy. ``np.take``
+    copies rows several times faster than indexing with an index array."""
+    return x[rows] if isinstance(rows, slice) else np.take(x, rows, axis=0)
+
+
+def _join(outs):
+    """One array, or one tuple of arrays, from the per-part results
+    ``outs``, concatenated in order."""
+    if len(outs) == 1:
+        return outs[0]
+    if isinstance(outs[0], tuple):
+        return tuple(np.concatenate(parts) for parts in zip(*outs))
+    return np.concatenate(outs)
 
 
 def _by_runs(f, counts, rows, segments=()):
@@ -128,11 +144,25 @@ def _by_runs(f, counts, rows, segments=()):
         outs.append(f(*(x[lo:hi].reshape(c, n, *x.shape[1:]) for x in rows),
                       *(x[a:a + c] for x in segments)))
         a, lo = a + c, hi
-    if len(outs) == 1:
-        return outs[0]
-    if isinstance(outs[0], tuple):
-        return tuple(np.concatenate(parts) for parts in zip(*outs))
-    return np.concatenate(outs)
+    return _join(outs)
+
+
+def _by_spans(f, counts):
+    """Apply f to each span of consecutive segments, given as a slice of
+    segment indices: a span holds as many whole segments as fit in
+    ``_SPAN_ROWS`` rows, and at least one. The results are joined as in
+    ``_by_runs``. A span splits a run of equal-length segments where it
+    must; since each kernel works row by row or on each segment's own
+    stack entry, every segment's result stays that of the segment alone."""
+    ends = np.cumsum(counts)
+    if ends[-1] <= _SPAN_ROWS:
+        return f(slice(0, len(ends)))
+    outs, lo = [], 0
+    while lo < len(ends):
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - counts[lo] + _SPAN_ROWS, "right")))
+        outs.append(f(slice(lo, hi)))
+        lo = hi
+    return _join(outs)
 
 
 def _solve_each(A, b):
@@ -150,15 +180,6 @@ def _solve_each(A, b):
             except np.linalg.LinAlgError:
                 pass
         return x, ok
-
-
-def _mean_errors(proj, valid, u, counts):
-    """Mean pixel distance of the projections proj (N, 2) to u (N, 2) over
-    each segment of counts[s] rows; a point behind the camera counts 1e9."""
-    d = proj - u
-    err = np.sqrt(np.add.reduce(d * d, axis=1))  # np.linalg.norm(d, axis=1)
-    err[~valid] = 1e9
-    return _by_runs(lambda e: e.mean(axis=1), counts, (err,))
 
 
 def _refine_poses(R, t, P_w, u, counts, intr):
@@ -180,16 +201,15 @@ def _refine_poses(R, t, P_w, u, counts, intr):
     shipped presets almost every start returns unmoved (1, 4 and 4 of 495
     refinements move on sphere, box and corridor).
 
-    The starts still in the batch share one ``_pose_jacobian`` call over
-    their rows, one stacked solve of the 6×6 normal equations and one
-    ``se3_exp_update`` call; their tries are projected in spans of
-    about ``_TRY_ROWS`` rows (``_try_errors``), and a start that accepts a
-    try is projected once more at its new pose. Only the segment reductions
-    (the normal equations and the mean errors) run once per run of
-    equal-length segments. Every kernel works row by row or sees the same
-    arrays as a refinement of its start alone, so each start's result
-    equals refining that start alone, bit for bit, whatever else the
-    batch holds.
+    No per-row array is held for the whole batch. The per-row stages run
+    span by span over whole starts or tries (``_by_spans``): each
+    iteration projects the starts still in the batch at their poses and
+    sums the normal equations of their pose Jacobians, then projects the
+    tries. The 6×6 solves and the ``se3_exp_update`` of the tries run once
+    over the batch. Every kernel works row by row or sees the same arrays as
+    a refinement of its start alone, so each start's result equals refining
+    that start alone, bit for bit, whatever else the batch holds and
+    wherever a span ends.
     """
     counts = np.asarray(counts)
     offsets = np.cumsum(counts) - counts
@@ -197,32 +217,45 @@ def _refine_poses(R, t, P_w, u, counts, intr):
     q = pose_quat_batch(matrix_to_quat(R))
     R = quat_to_matrix(q)
     t = np.array(t, dtype=float)
-    P_c, valid, zs, proj = _project_points(np.repeat(R, counts, axis=0),
-                                           np.repeat(t, counts, axis=0), P_w, intr)
-    err = _mean_errors(proj, valid, u, counts)
-    active = np.arange(len(R))
+
+    def linearize(span):
+        """For the starts ``active[span]`` at their poses: their points in
+        front of the camera, their mean errors while ``err`` is unset (none
+        after), and JᵀJ and Jᵀr."""
+        s = active[span]
+        n = counts[s]
+        rows = _segment_rows(offsets[s], n)
+        P_c, valid, zs, proj = _project_points(np.repeat(R[s], n, axis=0),
+                                               np.repeat(t[s], n, axis=0), _take(P_w, rows), intr)
+        res = _take(u, rows) - proj
+        del proj  # not held beside the Jacobians
+        errs = _mean_errors(res, valid, n) if err is None else np.empty(0)
+        res[~valid] = 0.0
+        J_pose, _ = _pose_jacobian(P_c, zs, valid, intr)
+        n_valid = np.add.reduceat(valid.astype(np.intp), np.cumsum(n) - n)
+        return (n_valid, errs) + _by_runs(_normal_equations, n, (J_pose, res))
+
+    active, err = np.arange(len(R)), None
     for _ in range(_ITERATIONS):
-        n_valid = np.add.reduceat(valid.astype(np.intp), offsets)
-        active = active[n_valid[active] >= 4]
         if not len(active):
             break
-        rows = None if len(active) == len(R) else _segment_rows(offsets[active], counts[active])
-        valid_a = _take(valid, rows)
-        res = _take(u, rows) - _take(proj, rows)
-        res[~valid_a] = 0.0
-        J_pose, _ = _pose_jacobian(_take(P_c, rows), _take(zs, rows), valid_a, intr)
-        JtJ, Jtr = _by_runs(_normal_equations, counts[active], (J_pose, res))
-        deltas, ok = _solve_each(JtJ + _DAMP_6, Jtr)
+        n_valid, errs, JtJ, Jtr = _by_spans(linearize, counts[active])
+        if err is None:  # the mean errors at the starting poses
+            err = errs
+        enough = n_valid >= 4
+        active = active[enough]
+        deltas, ok = _solve_each(JtJ[enough] + _DAMP_6, Jtr[enough])
+        del JtJ, Jtr  # not held through the tries
         deltas = deltas[:, :, 0]
         ok &= np.all(np.isfinite(deltas), axis=1)
         moving, deltas = active[ok], deltas[ok]
         if not len(moving):
             break
-        steps = (_STEPS[:, None] * deltas[:, None, :]).reshape(-1, 6)
         q_k, R_k, t_k = se3_exp_update(np.repeat(R[moving], m, axis=0),
-                                       np.repeat(t[moving], m, axis=0), steps)
-        errs = _try_errors(R_k, t_k, np.repeat(offsets[moving], m), np.repeat(counts[moving], m),
-                           P_w, u, intr)
+                                       np.repeat(t[moving], m, axis=0),
+                                       (_STEPS[:, None] * deltas[:, None, :]).reshape(-1, 6))
+        errs = _errors(R_k, t_k, np.repeat(offsets[moving], m), np.repeat(counts[moving], m),
+                       P_w, u, intr)
         accepted = errs.reshape(-1, m) <= err[moving, None]
         took = accepted.any(axis=1)
         if not took.any():
@@ -230,29 +263,34 @@ def _refine_poses(R, t, P_w, u, counts, intr):
         j = np.flatnonzero(took) * m + accepted[took].argmax(axis=1)
         s = moving[took]
         q[s], R[s], t[s], err[s] = q_k[j], R_k[j], t_k[j], errs[j]
-        rows = _segment_rows(offsets[s], counts[s])
-        P_c[rows], valid[rows], zs[rows], proj[rows] = _project_points(
-            np.repeat(R[s], counts[s], axis=0), np.repeat(t[s], counts[s], axis=0),
-            _take(P_w, rows), intr)
-        active = s[row_norms(steps[j]) >= 1e-14]
+        # the accepted steps, 0.5**i · delta, as the tries were made
+        active = s[row_norms(_STEPS[j % m, None] * deltas[j // m]) >= 1e-14]
+    if err is None:  # _ITERATIONS = 0, as when EPnP's starts are checked alone
+        err = _errors(R, t, offsets, counts, P_w, u, intr)
     return q, t, err
 
 
-def _try_errors(R, t, offsets, counts, P_w, u, intr):
+def _errors(R, t, offsets, counts, P_w, u, intr):
     """Mean errors of the poses R (T, 3, 3), t (T, 3), pose i against the
-    rows [offsets[i], offsets[i] + counts[i]) of P_w and u. The tries are
-    projected in spans of about ``_TRY_ROWS`` rows, so that the per-row
-    arrays of a batch's six tries per start do not all live at once."""
-    errs, lo, ends = [], 0, np.cumsum(counts)
-    while lo < len(counts):
-        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - counts[lo] + _TRY_ROWS, "right")))
-        rows = _segment_rows(offsets[lo:hi], counts[lo:hi])
-        _, valid, _, proj = _project_points(np.repeat(R[lo:hi], counts[lo:hi], axis=0),
-                                            np.repeat(t[lo:hi], counts[lo:hi], axis=0),
+    rows [offsets[i], offsets[i] + counts[i]) of P_w and u, projected span
+    by span (``_by_spans``)."""
+    def span(s):
+        rows = _segment_rows(offsets[s], counts[s])
+        _, valid, _, proj = _project_points(np.repeat(R[s], counts[s], axis=0),
+                                            np.repeat(t[s], counts[s], axis=0),
                                             _take(P_w, rows), intr)
-        errs.append(_mean_errors(proj, valid, _take(u, rows), counts[lo:hi]))
-        lo = hi
-    return errs[0] if len(errs) == 1 else np.concatenate(errs)
+        return _mean_errors(_take(u, rows) - proj, valid, counts[s])
+
+    return _by_spans(span, counts)
+
+
+def _mean_errors(res, valid, counts):
+    """Mean pixel length of the residuals res (N, 2) over each segment of
+    counts[s] rows; a point behind the camera counts 1e9."""
+    err = np.sqrt(np.add.reduce(res * res, axis=1))  # np.linalg.norm(res, axis=1)
+    err[~valid] = 1e9
+    # e.mean(axis=1), without np.mean's per-call set-up
+    return _by_runs(lambda e: np.add.reduce(e, axis=1) / e.shape[1], counts, (err,))
 
 
 def _normal_equations(J, r):
@@ -291,7 +329,8 @@ def _epnp_candidates(ctrl, P_w, u, counts, intr):
     first candidate matches the inter-control-point distances along a
     one-dimensional null space, the second solves the two-dimensional case
     and polishes it by 5 Gauss-Newton steps; each is negated if its mean
-    depth is negative.
+    depth is negative. The design matrix M (2N, 3m) and its MᵀM are formed
+    span by span (``_by_spans``), so no M of the whole batch is held.
     """
     k, m = ctrl.shape[:2]
     counts = np.asarray(counts)
@@ -308,13 +347,21 @@ def _epnp_candidates(ctrl, P_w, u, counts, intr):
             np.linalg.lstsq(B[i], rel[end - n:end].T, rcond=None)[0].T
             for i, (end, n) in enumerate(zip(ends, counts))])
     alphas[:, 0] = 1.0 - alphas[:, 1:].sum(axis=1)
+    offsets = np.cumsum(counts) - counts
 
-    M = np.zeros((2 * len(P_w), 3 * m))
-    M[0::2, 0::3] = alphas * intr.fx
-    M[0::2, 2::3] = alphas * (intr.cx - u[:, :1])
-    M[1::2, 1::3] = alphas * intr.fy
-    M[1::2, 2::3] = alphas * (intr.cy - u[:, 1:])
-    _, vecs = np.linalg.eigh(_by_runs(lambda X: X.transpose(0, 2, 1) @ X, 2 * counts, (M,)))
+    def gram(s):
+        """MᵀM of the problems s, M being the design matrix of their rows,
+        two rows of 3m per correspondence."""
+        rows = _segment_rows(offsets[s], counts[s])
+        a, x = alphas[rows], u[rows]
+        M = np.zeros((2 * len(a), 3 * m))
+        M[0::2, 0::3] = a * intr.fx
+        M[0::2, 2::3] = a * (intr.cx - x[:, :1])
+        M[1::2, 1::3] = a * intr.fy
+        M[1::2, 2::3] = a * (intr.cy - x[:, 1:])
+        return _by_runs(lambda X: X.transpose(0, 2, 1) @ X, 2 * counts[s], (M,))
+
+    _, vecs = np.linalg.eigh(_by_spans(gram, counts))
     v1 = vecs[:, :, 0].reshape(k, m, 3)
     v2 = vecs[:, :, 1].reshape(k, m, 3)
 
@@ -396,7 +443,12 @@ def solve_pnp_batch(problems, intr: CameraIntrinsics) -> list[PnPResult]:
     problems are read from ``problems``, which may be a generator, and
     solved batch by batch, in order: a batch holds at most
     ``_BATCH_ROWS`` correspondences, and is sorted by problem size so that
-    equal-size problems share their reductions (see ``_by_runs``).
+    equal-size problems share their reductions (see ``_by_runs``). Each
+    stage that makes per-row arrays (EPnP's design matrix, the rigid fits,
+    the pose Jacobians, the projections) runs in spans of at most
+    ``_SPAN_ROWS`` rows of whole problems, starts or tries
+    (``_by_spans``), so a batch pays its fixed cost once while its memory
+    stays near that of one span.
     """
     results: list[PnPResult] = []
     batch, rows = [], 0
@@ -410,6 +462,37 @@ def solve_pnp_batch(problems, intr: CameraIntrinsics) -> list[PnPResult]:
     if batch:
         results += _solve_batch(batch, intr, len(results))
     return results
+
+
+def _epnp_fits(P, U, counts, intr):
+    """The EPnP candidates of k problems stacked as in
+    ``_epnp_control_points``, each fitted rigidly: (R (k, 2, 3, 3),
+    t (k, 2, 3), exists (k, 2), degenerate (k,)). General problems use 4
+    control points, planar ones 3, degenerate ones none."""
+    k = len(counts)
+    offsets = np.cumsum(counts) - counts
+    ctrl, planar, degenerate = _epnp_control_points(P, counts)
+    fit_R, fit_t = np.zeros((k, 2, 3, 3)), np.zeros((k, 2, 3))
+    exists = np.zeros((k, 2), dtype=bool)
+    for m, group in ((4, ~planar & ~degenerate), (3, planar & ~degenerate)):
+        if not group.any():
+            continue
+        idx = np.flatnonzero(group)
+        rows, n = _segment_rows(offsets[idx], counts[idx]), counts[idx]
+        P_g = _take(P, rows)
+        alphas, candidates, exists[idx] = _epnp_candidates(ctrl[idx, :m], P_g, _take(U, rows), n,
+                                                           intr)
+        begin = np.cumsum(n) - n
+
+        def fit(s):
+            """Each candidate's camera-frame points, alphas @ candidate, and
+            the rigid fit of its problem's world points onto them."""
+            r = _segment_rows(begin[s], n[s])
+            return _by_runs(lambda A, X, C: rigid_fit(X[:, None], A[:, None] @ C),
+                            n[s], (alphas[r], P_g[r]), (candidates[s],))
+
+        fit_R[idx], fit_t[idx] = _by_spans(fit, n)
+    return fit_R, fit_t, exists, degenerate
 
 
 def _solve_batch(problems, intr, first) -> list[PnPResult]:
@@ -437,24 +520,7 @@ def _solve_batch(problems, intr, first) -> list[PnPResult]:
     P = np.concatenate([problems[i][0] for i in order])
     U = np.concatenate([problems[i][1] for i in order])
 
-    ctrl, planar, degenerate = _epnp_control_points(P, counts)
-    fit_R, fit_t = np.zeros((k, 2, 3, 3)), np.zeros((k, 2, 3))
-    exists = np.zeros((k, 2), dtype=bool)
-    for m, group in ((4, ~planar & ~degenerate), (3, planar & ~degenerate)):
-        if group.all():
-            idx, rows = slice(None), None
-        elif group.any():
-            idx = np.flatnonzero(group)
-            rows = _segment_rows(offsets[idx], counts[idx])
-        else:
-            continue
-        alphas, candidates, exists[idx] = _epnp_candidates(
-            ctrl[idx, :m], _take(P, rows), _take(U, rows), counts[idx], intr)
-        # each candidate's camera-frame points, alphas @ candidate, then the
-        # rigid fit of the problem's world points onto them
-        fit_R[idx], fit_t[idx] = _by_runs(
-            lambda A, X, C: rigid_fit(X[:, None], A[:, None] @ C),
-            counts[idx], (alphas, _take(P, rows)), (candidates,))
+    fit_R, fit_t, exists, degenerate = _epnp_fits(P, U, counts, intr)
 
     # the starts of each problem in order: its candidates, each stored as a
     # Pose, then its motion prior
@@ -478,8 +544,10 @@ def _solve_batch(problems, intr, first) -> list[PnPResult]:
     n_starts = has.sum(axis=1)
     start_counts = np.repeat(counts, n_starts)
     rows = _segment_rows(np.repeat(offsets, n_starts), start_counts)
-    q, t, err = _refine_poses(quat_to_matrix(start_q[has]), start_t[has], _take(P, rows),
-                              _take(U, rows), start_counts, intr)
+    # each problem's rows once per start; the per-problem arrays are freed
+    P, U = _take(P, rows), _take(U, rows)
+    del rows
+    q, t, err = _refine_poses(quat_to_matrix(start_q[has]), start_t[has], P, U, start_counts, intr)
     results: list[PnPResult] = [None] * k  # type: ignore[list-item]
     ends = np.cumsum(n_starts)
     for p, end, n in zip(order, ends.tolist(), n_starts.tolist()):
@@ -593,18 +661,19 @@ class SparseMap:
         merged = known.copy()
         merged[known] = inside
         count[rows[merged]] += 1
-        stacks = []
-        for lid, sample in zip(ids[merged].tolist(), endpoints[merged]):
-            stacks.append(np.concatenate([self.line_samples[lid], sample]))
-            self.line_samples[lid] = stacks[-1]
+        stacks = [np.concatenate([self.line_samples[lid], sample])
+                  for lid, sample in zip(ids[merged].tolist(), endpoints[merged])]
         if stacks:
             sizes = np.array([len(stack) for stack in stacks])
             ends[rows[merged]] = _refit_lines(np.concatenate(stacks), sizes, ends[rows[merged]])
         new = ~known
-        self.line_samples.update(zip(ids[new].tolist(), endpoints[new]))
         self.lines = MapSegments(np.concatenate([self.lines.id, ids[new]]),
                                  np.concatenate([ends, endpoints[new]]),
                                  np.concatenate([count, np.ones_like(ids[new])]))
+        # the samples change only once the record that holds their fit is
+        # built, so that a refused fusion leaves the map as it was
+        self.line_samples.update(zip(ids[merged].tolist(), stacks))
+        self.line_samples.update(zip(ids[new].tolist(), endpoints[new]))
 
 
 def _batch_ids(landmark_ids, n: int, what: str) -> np.ndarray:
@@ -678,13 +747,18 @@ def track_frame_to_frame(seq: Sequence) -> list[Pose]:
     def problems():
         for j in range(1, len(seq.frames)):
             prev, frame = seq.frames[j - 1], seq.frames[j]
-            index = {lid: i for i, lid in enumerate(prev.point_ids.tolist())}
-            shared = [(index[lid], i) for i, lid in enumerate(frame.point_ids.tolist())
-                      if lid in index]
-            if len(shared) < 4:
-                short.append(TrackingLostError(j, f"only {len(shared)} shared landmarks"))
+            # the previous frame's row a of each shared id, in the order of
+            # this frame's rows b, by one search in its sorted ids
+            order = np.argsort(prev.point_ids)
+            prev_ids = prev.point_ids[order]
+            at = np.searchsorted(prev_ids, frame.point_ids)
+            hit = at < len(prev_ids)
+            hit[hit] = prev_ids[at[hit]] == frame.point_ids[hit]
+            b = np.flatnonzero(hit)
+            a = order[at[b]]
+            if len(b) < 4:
+                short.append(TrackingLostError(j, f"only {len(b)} shared landmarks"))
                 return
-            a, b = np.array(shared).T
             try:
                 P_prev = backproject(prev.point_pixels[a], prev.point_depths[a], intr)
             except GeometryError as exc:

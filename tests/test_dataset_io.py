@@ -90,6 +90,24 @@ def test_sequence_roundtrip_field_identical(small_sequence, tmp_path):
     assert_sequences_identical(small_sequence, back)
 
 
+@pytest.mark.parametrize("spacing", [" ", "  "], ids=["c-reader", "record-parse"])
+def test_unsorted_landmark_file_reads_back_sorted_by_id(small_sequence, tmp_path, spacing):
+    # a hand-written landmarks.txt may list its records in any order; double
+    # spaces send the file to the record-by-record parse
+    write_sequence(small_sequence, tmp_path / "seq")
+    path = tmp_path / "seq" / "landmarks.txt"
+    lines = path.read_text().splitlines()
+    records = [line.replace(" ", spacing) for line in lines if not line.startswith("#")]
+    path.write_text("\n".join([line for line in lines if line.startswith("#")]
+                              + records[::-1]) + "\n")
+    back = read_sequence(tmp_path / "seq")
+    assert_sequences_identical(small_sequence, back)
+    for column in (back.gt_points.id, back.gt_points.position, back.gt_lines.id,
+                   back.gt_lines.endpoints):
+        assert not column.flags.writeable
+    assert back.gt_points.id.dtype == back.gt_lines.id.dtype == np.int64
+
+
 def written_with_short_lines(directory):
     """The box preset rendered with ``min_line_len = 5`` px, written to
     ``directory``; it holds lines shorter than 15 px."""

@@ -19,6 +19,7 @@ from plbench.factor_graph import (
 )
 from plbench.geometry import (
     CameraIntrinsics,
+    DegenerateLineError,
     GeometryError,
     Points,
     Pose,
@@ -415,18 +416,25 @@ def test_solve_pnp_keeps_the_first_of_tied_starts(monkeypatch):
         (["inf-point"], InsufficientDataError, 0),
         (["good", "good", "nan-pixel", "collinear"], InsufficientDataError, 2),
         (["good", "collinear", "inf-point"], DegenerateGeometryError, 1),
+        # a later failing problem smaller than the first, which the batch
+        # sorts after it
+        (["good", "long-collinear", "collinear"], DegenerateGeometryError, 1),
+        (["good", "long-nan-pixel", "three"], InsufficientDataError, 1),
+        (["good", "long-collinear", "three"], DegenerateGeometryError, 1),
+        (["long-nan-pixel", "collinear"], InsufficientDataError, 0),
     ],
 )
 def test_solve_pnp_batch_raises_the_error_of_its_first_failing_problem(kinds, error, problem):
     rng = np.random.default_rng(9)
     problems = []
     for kind in kinds:
-        if kind == "collinear":
-            P_w = np.outer(np.linspace(-1.0, 1.0, 6), [1.0, 0.5, 0.2]) + np.array([0.0, 0.0, 5.0])
+        if kind.endswith("collinear"):
+            n = 20 if kind.startswith("long") else 6
+            P_w = np.outer(np.linspace(-1.0, 1.0, n), [1.0, 0.5, 0.2]) + np.array([0.0, 0.0, 5.0])
         else:
-            P_w = general_points(rng, 3 if kind == "three" else 8)
+            P_w = general_points(rng, 3 if kind == "three" else 20 if kind.startswith("long") else 8)
         u = observe(IDENTITY, P_w)
-        if kind == "nan-pixel":
+        if kind.endswith("nan-pixel"):
             u[5, 1] = np.nan
         elif kind in ("nan-point", "inf-point"):
             P_w[2, 0] = np.nan if kind == "nan-point" else np.inf
@@ -440,6 +448,13 @@ def test_solve_pnp_batch_raises_the_error_of_its_first_failing_problem(kinds, er
     if len(problems) == 1:
         with pytest.raises(error, match=f"^{alone.value}$"):
             solve_pnp(*problems[0][:2], K)
+    # the same error when batches and spans hold a problem or two
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tracking, "_BATCH_ROWS", 24)
+        mp.setattr(tracking, "_SPAN_ROWS", 8)
+        with pytest.raises(error) as small:
+            solve_pnp_batch(problems, K)
+    assert (small.value.problem, str(small.value)) == (problem, str(alone.value))
 
 
 def test_solve_each_solves_the_others_when_one_system_is_singular():
@@ -486,7 +501,41 @@ def test_solve_pnp_batch_equals_the_one_problem_solver(budget, monkeypatch):
         assert result_bytes(result) == result_bytes(reference_solve_pnp(P, x, K, 0, prior))
 
 
+def test_solve_pnp_batch_in_small_spans_equals_the_one_problem_solver(monkeypatch):
+    # budgets of a few rows: batches of a few problems, and spans that end
+    # inside runs of equal-length problems, starts and tries in every
+    # staged kernel; the problems in shuffled order
+    monkeypatch.setattr(tracking, "_BATCH_ROWS", 120)
+    monkeypatch.setattr(tracking, "_SPAN_ROWS", 20)
+    by_spans, split = tracking._by_spans, set()
+
+    def recording(f, counts):
+        spans = []
+
+        def f_span(span):
+            spans.append(span)
+            return f(span)
+
+        out = by_spans(f_span, counts)
+        if any(counts[span.stop - 1] == counts[span.stop] for span in spans[:-1]):
+            split.add(f.__qualname__)
+        return out
+
+    monkeypatch.setattr(tracking, "_by_spans", recording)
+    problems = mixed_problems(np.random.default_rng(8))
+    problems = [problems[i] for i in np.random.default_rng(3).permutation(len(problems))]
+    results = solve_pnp_batch(iter(problems), K)
+    assert len(results) == len(problems)
+    for result, (P, x, prior) in zip(results, problems):
+        assert result_bytes(result) == result_bytes(reference_solve_pnp(P, x, K, 10, prior))
+    assert split >= {"_epnp_candidates.<locals>.gram", "_epnp_fits.<locals>.fit",
+                     "_refine_poses.<locals>.linearize", "_errors.<locals>.span"}
+
+
+@functools.cache
 def shifted_sequence(preset, offset):
+    """The preset's sequence with its scene seed moved by ``offset``;
+    shared, do not mutate."""
     cfg = load_preset(preset)
     scene = dataclasses.replace(cfg.scene, seed=cfg.scene.seed + offset)
     return generate_sequence(build_scene(scene), build_trajectory(cfg.trajectory),
@@ -506,6 +555,74 @@ def test_frame_to_frame_batches_equal_the_per_frame_tracker(preset, offset):
         assert result_bytes(result) == result_bytes(reference)
         traj.append(reference.pose.compose(traj[-1]))
     assert poses_sha256(track_frame_to_frame(seq)) == poses_sha256(traj)
+
+
+def matched_problems(seq):
+    """The (P_prev, u) problems ``track_frame_to_frame`` builds from its
+    landmark-id matches, and the message of the ``TrackingLostError`` it
+    raises, or None."""
+    built = []
+
+    def capture(problems, intr):
+        problems = list(problems)
+        built.extend((P, u) for P, u, _ in problems)
+        return solve_pnp_batch(problems, intr)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tracking, "solve_pnp_batch", capture)
+        try:
+            track_frame_to_frame(seq)
+        except TrackingLostError as exc:
+            return built, str(exc)
+    return built, None
+
+
+def assert_matched_as_the_oracle(seq):
+    """Assert that ``matched_problems`` gives the oracle's problems and
+    loss, and return those problems."""
+    built, lost = matched_problems(seq)
+    problems, oracle_lost = frame_to_frame_problems(seq)
+    assert lost == (None if oracle_lost is None else str(oracle_lost))
+    assert len(built) == len(problems)
+    for (P, u), (P_ref, u_ref) in zip(built, problems):
+        assert (P.tobytes(), u.tobytes()) == (P_ref.tobytes(), u_ref.tobytes())
+    return problems
+
+
+@pytest.mark.parametrize("offset", [0, 1000])
+@pytest.mark.parametrize("preset", ["sphere", "box", "corridor"])
+def test_frame_to_frame_matches_shared_landmarks_as_the_oracle(preset, offset):
+    assert_matched_as_the_oracle(preset_sequence(preset)[1] if offset == 0
+                                 else shifted_sequence(preset, offset))
+
+
+def with_point_rows(seq, j, rows):
+    """``seq`` with only the point rows ``rows`` of frame j, in that order,
+    in a copy of its frame list."""
+    frame = seq.frames[j]
+    frames = list(seq.frames)
+    frames[j] = dataclasses.replace(frame, point_ids=frame.point_ids[rows],
+                                    point_pixels=frame.point_pixels[rows],
+                                    point_depths=frame.point_depths[rows])
+    return dataclasses.replace(seq, frames=frames)
+
+
+@pytest.mark.parametrize("shared", [None, 0, 4], ids=["unsorted", "none-shared", "four-shared"])
+def test_frame_to_frame_matches_edited_frames_as_the_oracle(shared):
+    seq = preset_sequence("box")[1]
+    rng = np.random.default_rng(4)
+    for j in range(len(seq.frames)):  # every frame's rows in shuffled order
+        seq = with_point_rows(seq, j, rng.permutation(len(seq.frames[j].point_ids)))
+    if shared is not None:  # frame 3 shares `shared` landmarks with frame 2
+        in_prev = np.isin(seq.frames[3].point_ids, seq.frames[2].point_ids)
+        rows = np.concatenate([np.flatnonzero(~in_prev), np.flatnonzero(in_prev)[:shared]])
+        seq = with_point_rows(seq, 3, np.sort(rows))
+    assert np.any(np.diff(seq.frames[0].point_ids) < 0)
+    problems = assert_matched_as_the_oracle(seq)
+    if shared == 0:
+        assert len(problems) == 2  # lost at frame 3
+    elif shared == 4:
+        assert len(problems[2][0]) == 4 and len(problems) == len(seq.frames) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -830,7 +947,7 @@ def test_trackers_give_no_poses_for_a_sequence_without_frames():
 
 
 def test_frame_to_frame_batches_bound_their_memory():
-    # the whole corridor sequence in one batch peaks at about 5 MB (17 MB
+    # the whole corridor sequence in one batch peaks at about 1.9 MB (14 MB
     # with all line-search tries projected at once); the row budgets keep
     # the batches within 2 MB of solving frame by frame
     seq = preset_sequence("corridor")[1]
@@ -1149,3 +1266,50 @@ def test_fuse_lines_rejects_an_id_repeated_in_the_batch():
     with pytest.raises(ValueError, match="repeat"):
         m.fuse_lines([SEGMENT, SEGMENT + [0.0, 0.01, 0.0]], [4, 4])
     assert not m.lines
+
+
+def test_map_records_insert_new_ids_in_order_as_their_constructors_do():
+    m = SparseMap()
+    m.fuse_points([[0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [2.0, 0.0, 1.0]], [5, 1, 3])
+    m.fuse_points([[4.0, 0.0, 1.0], [1.1, 0.0, 1.0], [0.0, 0.0, 1.0]], [4, 1, 0])
+    m.fuse_lines([SEGMENT, SEGMENT + 1.0], [7, 2])
+    m.fuse_lines([SEGMENT + 2.0, SEGMENT + [0.0, 0.01, 0.0]], [4, 7])
+    built = (tracking.MapPoints(m.points.id, m.points.position, m.points.count),
+             tracking.MapSegments(m.lines.id, m.lines.endpoints, m.lines.count))
+    assert m.points.id.tolist() == [0, 1, 3, 4, 5] and m.lines.id.tolist() == [2, 4, 7]
+    for record, constructed in zip((m.points, m.lines), built):
+        assert type(record) is type(constructed)
+        for name in ("id", "count", "position" if record.kind == "point" else "endpoints"):
+            column = getattr(record, name)
+            assert column.tobytes() == getattr(constructed, name).tobytes()
+            assert column.dtype == getattr(constructed, name).dtype
+            assert not column.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "kind, candidate, error",
+    [
+        ("point", [np.nan, 0.0, 1.0], GeometryError),
+        ("line", [[0.0, 0.0, 2.0], [0.0, np.nan, 2.0]], GeometryError),
+        ("line", [[0.0, 1.0, 2.0], [0.0, 1.0, 2.0]], DegenerateLineError),
+    ],
+    ids=["nan-point", "nan-line", "coincident-line"],
+)
+def test_map_records_refuse_a_new_row_as_their_constructors_do(kind, candidate, error):
+    # a mapped landmark of the same kind, then a new one that no record holds
+    m = SparseMap()
+    fuse = m.fuse_points if kind == "point" else m.fuse_lines
+    fuse([[0.0, 0.0, 1.0]] if kind == "point" else [SEGMENT], [1])
+    record, samples = (m.points, m.lines), dict(m.line_samples)
+    with pytest.raises(error) as constructed:
+        if kind == "point":
+            tracking.MapPoints([2], [candidate], [1])
+        else:
+            tracking.MapSegments([2], [candidate], [1])
+    with pytest.raises(error) as fused:
+        fuse([candidate], [2])
+    assert type(fused.value) is type(constructed.value)
+    assert str(fused.value) == str(constructed.value)
+    # the map is left as it was
+    assert m.points is record[0] and m.lines is record[1]
+    assert m.line_samples.keys() == samples.keys()
