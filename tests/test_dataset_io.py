@@ -362,6 +362,46 @@ def test_trajectory_non_unit_quaternion(tmp_path):
         read_trajectory(tmp_path / "t.txt")
 
 
+GOOD_POSE = "0.0 0.0 0.0 0.0 0.0 0.0 1.0"
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        pytest.param(f"0 {GOOD_POSE}\n1 0.0 0.0 0.0 0.0 0.0 1.0\n",
+                     "groundtruth.txt:3: expected 8 fields, got 7", id="field-count"),
+        pytest.param(f"0 {GOOD_POSE}\n1 0.0 x 0.0 0.0 0.0 0.0 1.0\n",
+                     "groundtruth.txt:3: bad pose component: 'x'", id="bad-float"),
+        pytest.param(f"0 {GOOD_POSE}\n1 0.0 0.0 inf 0.0 0.0 0.0 1.0\n",
+                     "groundtruth.txt:3: nonfinite pose component: 'inf'", id="nonfinite-float"),
+        pytest.param(f"-1 {GOOD_POSE}\n", "groundtruth.txt:2: frame_id must be >= 0: -1",
+                     id="negative-id"),
+        pytest.param(f"0.0 {GOOD_POSE}\n", "groundtruth.txt:2: bad frame_id: '0.0'",
+                     id="float-id"),
+        pytest.param(f"9223372036854775808 {GOOD_POSE}\n",
+                     "groundtruth.txt:2: frame_id does not fit in int64: 9223372036854775808",
+                     id="id-past-int64"),
+        pytest.param(f"0 {GOOD_POSE}\n# a comment\n1 {GOOD_POSE}\n3 {GOOD_POSE}\n",
+                     "groundtruth.txt:5: non-monotonic frame_id: 3", id="non-monotonic"),
+        pytest.param(f"0 {GOOD_POSE}\n1 0.0 0.0 0.0 0.0 0.0 0.0 1.1\n",
+                     "groundtruth.txt:3: quaternion is not unit norm", id="non-unit"),
+        pytest.param(f"0 {GOOD_POSE}\n1 {GOOD_POSE}\n2 0.0 0.0 0.0 0.0 0.0 0.0 0.0\n",
+                     "groundtruth.txt:4: quaternion is not unit norm", id="zero-quaternion"),
+        pytest.param(f"0 {GOOD_POSE}\n1 0.0 0.0 0.0 0.0 0.0 0.0 1.1\n2 0.0 x\n",
+                     "groundtruth.txt:3: quaternion is not unit norm",
+                     id="non-unit-before-field-count"),
+        pytest.param("", "groundtruth.txt: empty trajectory", id="empty"),
+        pytest.param("# only a comment\n\n", "groundtruth.txt: empty trajectory",
+                     id="comments-only"),
+    ],
+)
+def test_trajectory_errors_name_file_and_line(tmp_path, rows, message):
+    # line 1 is the header comment the writer puts first
+    (tmp_path / "groundtruth.txt").write_text("# frame_id tx ty tz qx qy qz qw\n" + rows)
+    with pytest.raises(ParseError, match=re.escape(message) + "$"):
+        read_trajectory(tmp_path / "groundtruth.txt")
+
+
 # ---------------------------------------------------------------------------
 # graphs
 
