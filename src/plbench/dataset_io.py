@@ -28,21 +28,22 @@ frame. The ``FrameData`` built from the checked rows only casts them.
 ``landmarks.txt`` maps row for row onto the columns of the ground-truth
 records, ``MP`` lines onto ``geometry.Points`` (id, position) and ``ML``
 lines onto ``geometry.Segments`` (id, endpoints, start then end), in
-ascending id as the records hold them.
+ascending id as the records hold them. ``groundtruth.txt`` maps row for
+row onto a ``geometry.Trajectory``, frame i in its record i.
 
 Readers are total: malformed input of any kind raises ParseError naming
-the file and line, never an unhandled exception. The tagged record files
-(frame files, ``landmarks.txt`` and graph files) share one error
-contract, and are read in two phases (``_read_records``). The first
-parses each file for syntax only: the tag, the field count, int64 ids
->= 0 and finite values. numpy's C reader (``np.loadtxt``) parses the
-clean files; every other file, and the text of every syntax error, goes
-through the record-by-record parse, so which of the two read a file
-never shows in the result. The second checks every row read once, as
-columns: repeated and unknown ids and the values. The error names the
-first bad file, in frame order for a sequence's frame files, then the
-first bad line in it, then on that line a syntax fault before the first
-failing check.
+the file and line, never an unhandled exception. The record files (the
+tagged frame files, ``landmarks.txt`` and graph files, and the untagged
+``groundtruth.txt``) share one error contract, and are read in two phases
+(``_read_records``). The first parses each file for syntax only: the tag,
+the field count, int64 ids >= 0 and finite values. numpy's C reader
+(``np.loadtxt``) parses the clean files; every other file, and the text
+of every syntax error, goes through the record-by-record parse, so which
+of the two read a file never shows in the result. The second checks every
+row read once, as columns: repeated, unknown and, for poses, out-of-order
+ids and the values. The error names the first bad file, in frame order
+for a sequence's frame files, then the first bad line in it, then on that
+line a syntax fault before the first failing check.
 """
 from __future__ import annotations
 
@@ -60,8 +61,8 @@ from .geometry import (
     CameraIntrinsics,
     GeometryError,
     Points,
-    Pose,
     Segments,
+    Trajectory,
     normalizable,
     pose_quat_batch,
     row_norms,
@@ -137,7 +138,7 @@ def _expect(tokens, n, path, lineno):
 
 
 def _read_records(paths, table) -> list[dict[str, tuple[np.ndarray, np.ndarray]]]:
-    """Each of the tagged record files ``paths`` as {tag: (ids (n,
+    """Each of the record files ``paths`` as {tag: (ids (n,
     len(names)) int64, values (n, k))}, once every row of every file passes
     the table's checks.
 
@@ -145,6 +146,8 @@ def _read_records(paths, table) -> list[dict[str, tuple[np.ndarray, np.ndarray]]
     value in errors, None or the checks on the rows of every file: a
     function of (file index (n,), ids, values) that gives (failing rows,
     message or row -> message) pairs in the order they apply to a row).
+    A table whose one tag is None reads untagged files, in which every
+    line that is not a comment is a record.
 
     The files are read in two phases, and the first fault in (file, line)
     order is raised as a ParseError naming them.
@@ -180,7 +183,7 @@ def _read_records(paths, table) -> list[dict[str, tuple[np.ndarray, np.ndarray]]
                 row, message = fault
                 i = int(file[row])
                 row -= sum(counts[:i])
-                lineno = [n for n, tokens in _iter_records(paths[i]) if tokens[0] == tag][row]
+                lineno = [n for n, tok in _iter_records(paths[i]) if tag in (None, tok[0])][row]
                 faults.append((i, lineno, message))
     if faults:
         i, lineno, message = min(faults)
@@ -206,7 +209,8 @@ def _load_columns(path, table):
     A clean file holds printable ASCII lines only, each a comment or a
     record of a tag in ``table`` whose ids are all >= 0 and whose values
     are all finite. Its lines are grouped by their exact text before the
-    first space, each tag's in file order, and each tag's fields go
+    first space (in an untagged file, every line but a comment is one
+    group), each tag's in file order, and each tag's fields go
     through one ``np.loadtxt`` call whose structured dtype takes exactly
     the record's fields, split at single spaces. A call that raises or
     warns refuses the file: numpy below 2 reads ``5.0`` as an int with a
@@ -229,6 +233,8 @@ def _load_columns(path, table):
     blocks = {}  # tag -> the fields after it on each of its lines
     for line in lines:
         tag, _, fields = line.partition(" ")
+        if None in table and not tag.startswith("#"):
+            tag, fields = None, line
         blocks.setdefault(tag, []).append(fields)
     del lines
     if any(tag not in table and not tag.startswith("#") for tag in blocks):
@@ -261,14 +267,16 @@ def _parse_records(path, table):
     stop = None
     try:
         for lineno, tokens in _iter_records(path):
-            if tokens[0] not in table:
-                raise ParseError(path, lineno, f"unknown record tag {tokens[0]!r}")
-            names, k, what, _ = table[tokens[0]]
-            _expect(tokens, 1 + len(names) + k, path, lineno)
-            ids = [_parse_int(tok, path, lineno, name) for tok, name in zip(tokens[1:], names)]
-            values = [_parse_float(tok, path, lineno, what) for tok in tokens[1 + len(names):]]
-            rows[tokens[0]][0].append(ids)
-            rows[tokens[0]][1].append(values)
+            tag = None if None in table else tokens[0]
+            if tag not in table:
+                raise ParseError(path, lineno, f"unknown record tag {tag!r}")
+            names, k, what, _ = table[tag]
+            first = int(tag is not None)  # the field after the tag
+            _expect(tokens, first + len(names) + k, path, lineno)
+            ids = [_parse_int(tok, path, lineno, name) for tok, name in zip(tokens[first:], names)]
+            values = [_parse_float(tok, path, lineno, what) for tok in tokens[first + len(names):]]
+            rows[tag][0].append(ids)
+            rows[tag][1].append(values)
     except ParseError as exc:
         stop = exc
     columns = {}
@@ -283,34 +291,27 @@ def _parse_records(path, table):
 # trajectories
 
 
-def write_trajectory(traj: list[Pose], path) -> None:
+def write_trajectory(traj: Trajectory, path) -> None:
     """One line per frame: ``frame_id tx ty tz qx qy qz qw`` (T_cw)."""
     _atomic_write(path, "# frame_id tx ty tz qx qy qz qw (world-to-camera)\n" + _records(
-        None, np.arange(len(traj)), np.array([T.t for T in traj]), np.array([T.q for T in traj])))
+        None, np.arange(len(traj)), traj.t, traj.q))
 
 
-def read_trajectory(path) -> list[Pose]:
-    traj: list[Pose] = []
-    expected = 0
-    for lineno, tokens in _iter_records(path):
-        _expect(tokens, 8, path, lineno)
-        frame_id = _parse_int(tokens[0], path, lineno, "frame_id")
-        if frame_id != expected:
-            raise ParseError(path, lineno, f"non-monotonic frame_id: {frame_id}")
-        expected += 1
-        vals = [_parse_float(t, path, lineno, "pose component") for t in tokens[1:]]
-        q = np.array(vals[3:])
-        with np.errstate(over="ignore"):
-            norm = np.linalg.norm(q)
-        if abs(norm - 1.0) > 1e-6:
-            raise ParseError(path, lineno, "quaternion is not unit norm")
-        try:
-            traj.append(Pose(q, np.array(vals[:3])))
-        except GeometryError as exc:
-            raise ParseError(path, lineno, str(exc)) from exc
-    if not traj:
+# the untagged groundtruth.txt line as the one entry of _read_records' table
+_POSE_RECORDS = {None: (("frame_id",), 7, "pose component", lambda file, ids, v: [
+    (ids[:, 0] != np.arange(len(ids)), lambda r: f"non-monotonic frame_id: {ids[r, 0]}"),
+    (np.abs(row_norms(v[:, 3:]) - 1.0) > 1e-6, "quaternion is not unit norm")])}
+
+
+def read_trajectory(path) -> Trajectory:
+    """The poses of a file ``write_trajectory`` writes, whose frame ids
+    count up from 0 and whose quaternions lie within 1e-6 of unit norm,
+    read in ``_read_records``' two phases."""
+    (columns,) = _read_records([path], _POSE_RECORDS)
+    ids, values = columns[None]
+    if not len(ids):
         raise ParseError(path, None, "empty trajectory")
-    return traj
+    return Trajectory(values[:, 3:], values[:, :3])
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +382,9 @@ def read_sequence(directory, min_line_len: float = 0.0) -> Sequence:
     with the same default ``min_line_len``, so that a written valid
     sequence reads back whatever length its lines were rendered at. The
     frame files are read ``_FRAME_FILES`` at a time, and each group's frames
-    are built from its checked rows."""
+    are built from its checked rows. There must be one frame file per
+    ground-truth pose: a missing one, or one numbered past the last pose,
+    raises a ParseError naming it."""
     directory = Path(directory)
     intr = _read_calib(directory / "calib.txt")
     traj = read_trajectory(directory / "groundtruth.txt")
@@ -443,6 +446,11 @@ def read_sequence(directory, min_line_len: float = 0.0) -> Sequence:
     if len(present) < len(paths):
         raise ParseError(paths[len(present)], None,
                          f"missing frame file for frame {len(present)}")
+    beyond = sorted((int(p.stem), p) for p in frames_dir.glob("*.txt")
+                    if p.stem.isascii() and p.stem.isdigit() and int(p.stem) >= len(traj))
+    for frame_id, path in beyond[:1]:
+        raise ParseError(path, None, f"no ground-truth pose for frame {frame_id}: "
+                                     f"groundtruth.txt holds {len(traj)} poses")
 
     seq = Sequence(
         intrinsics=intr,

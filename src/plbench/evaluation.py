@@ -1,11 +1,11 @@
 """Trajectory metrics: ATE and RPE with closed-form SE(3) alignment.
 
-Trajectories are lists of world-to-camera poses (T_cw). Each is read once
-as a stack, rotations R (n, 3, 3) from one ``quat_to_matrix`` call and
-translations t (n, 3), and every error is one stacked product over all
-frames or frame pairs: ATE on the camera centers -R^T t, RPE on the
-relative motions. Translation statistics are in meters, rotation
-statistics in degrees.
+Trajectories are ``geometry.Trajectory`` records of world-to-camera poses
+(T_cw). Each is read once as its stacks, rotations R (n, 3, 3) from one
+``quat_to_matrix`` call on its ``q`` and translations ``t`` (n, 3), and
+every error is one stacked product over all frames or frame pairs: ATE on
+the camera centers -R^T t, RPE on the relative motions. Translation
+statistics are in meters, rotation statistics in degrees.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Pose, quat_to_matrix, rigid_fit, rotation_angles, row_norms
+from .geometry import Pose, Trajectory, quat_to_matrix, rigid_fit, rotation_angles, row_norms
 
 
 @dataclass(frozen=True)
@@ -49,25 +49,19 @@ def _check_matched(est, gt, minimum=2):
         raise ValueError(f"need at least {minimum} matched poses")
 
 
-def _stack(traj: list[Pose]) -> tuple[np.ndarray, np.ndarray]:
-    """R (n, 3, 3) and t (n, 3) of a trajectory."""
-    return quat_to_matrix(np.array([p.q for p in traj])), np.array([p.t for p in traj])
-
-
-def _centers(traj: list[Pose]) -> np.ndarray:
+def _centers(traj: Trajectory) -> np.ndarray:
     """Camera centers (n, 3), each equal to ``Pose.center()`` bit for bit."""
-    R, t = _stack(traj)
-    return -(R.transpose(0, 2, 1) @ t[..., None])[..., 0]
+    return -(quat_to_matrix(traj.q).transpose(0, 2, 1) @ traj.t[..., None])[..., 0]
 
 
-def _aligned(est: list[Pose], gt: list[Pose]) -> tuple[np.ndarray, np.ndarray, Pose]:
+def _aligned(est: Trajectory, gt: Trajectory) -> tuple[np.ndarray, np.ndarray, Pose]:
     """The camera centers of est and of gt, and ``align_se3(est, gt)``."""
     _check_matched(est, gt)
     P, Q = _centers(est), _centers(gt)
     return P, Q, Pose.from_rt(*rigid_fit(P, Q))
 
 
-def align_se3(est: list[Pose], gt: list[Pose]) -> Pose:
+def align_se3(est: Trajectory, gt: Trajectory) -> Pose:
     """Least-squares rigid alignment of estimated camera centers onto
     ground truth (Umeyama without scale; metric depth makes scale observable).
 
@@ -76,18 +70,18 @@ def align_se3(est: list[Pose], gt: list[Pose]) -> Pose:
     return _aligned(est, gt)[2]
 
 
-def ate(est: list[Pose], gt: list[Pose]) -> MetricSummary:
+def ate(est: Trajectory, gt: Trajectory) -> MetricSummary:
     """Absolute trajectory error: statistics of ``ate_per_frame``."""
     return MetricSummary(translation=ErrorStats.from_errors(ate_per_frame(est, gt)))
 
 
-def ate_per_frame(est: list[Pose], gt: list[Pose]) -> np.ndarray:
+def ate_per_frame(est: Trajectory, gt: Trajectory) -> np.ndarray:
     """Per-frame camera-center distance after SE(3) alignment, in meters."""
     P, Q, G = _aligned(est, gt)
     return np.linalg.norm(P @ G.rotation().T + G.t - Q, axis=1)
 
 
-def rpe(est: list[Pose], gt: list[Pose], delta: int = 1) -> MetricSummary:
+def rpe(est: Trajectory, gt: Trajectory, delta: int = 1) -> MetricSummary:
     """Relative pose error over frame gap ``delta``.
 
     For each i the error motion is E = rel_gt^-1 o rel_est with
@@ -105,7 +99,7 @@ def rpe(est: list[Pose], gt: list[Pose], delta: int = 1) -> MetricSummary:
         R_rel = R[:-delta] @ R[delta:].transpose(0, 2, 1)
         return R_rel, t[:-delta] - (R_rel @ t[delta:, :, None])[..., 0]
 
-    (R_e, t_e), (R_g, t_g) = relative(*_stack(est)), relative(*_stack(gt))
+    (R_e, t_e), (R_g, t_g) = (relative(quat_to_matrix(T.q), T.t) for T in (est, gt))
     R_gT = R_g.transpose(0, 2, 1)
     return MetricSummary(
         translation=ErrorStats.from_errors(row_norms((R_gT @ (t_e - t_g)[..., None])[..., 0])),

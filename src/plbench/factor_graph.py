@@ -31,6 +31,7 @@ from .geometry import (
     GeometryError,
     Points,
     Pose,
+    Trajectory,
     _column,
     _Vertices,
     orthonormal_from_plucker,
@@ -386,12 +387,13 @@ def _factor_weight(sigma_s: float) -> float:
 
 def build_covisibility_graph(
     seq: Sequence,
-    trajectory: list[Pose],
+    trajectory: Trajectory,
     initial_map,
     sigma_s: float = 1.0,
 ) -> FactorGraph:
-    """One pose vertex per frame (first fixed), one vertex per landmark
-    observed at least twice, one factor per measurement of those landmarks.
+    """One pose vertex per frame (first fixed), with the columns of
+    ``trajectory``, one vertex per landmark observed at least twice, one
+    factor per measurement of those landmarks.
 
     ``initial_map`` provides the initial values as two records:
     ``initial_map.points``, a ``geometry.Points``, and
@@ -419,8 +421,7 @@ def build_covisibility_graph(
     s = np.sqrt(row_dots(n, n) + row_dots(d, d))[:, None]
     graph = FactorGraph(
         intrinsics=seq.intrinsics,
-        poses=Poses(np.arange(len(trajectory)), [T.t for T in trajectory],
-                    [T.q for T in trajectory]),
+        poses=Poses(np.arange(len(trajectory)), trajectory.t, trajectory.q),
         fixed=[0], points=Points(point_ids, initial_map.points.position[rows[0]]),
         lines=Lines(line_ids, n / s, d / s),
         point_factors=point_factors, line_factors=line_factors,

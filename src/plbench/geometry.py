@@ -2,6 +2,10 @@
 
 Conventions:
   * ``Pose`` stores the world-to-camera transform T_cw: X_c = R @ X_w + t.
+  * A trajectory is one ``Trajectory`` record, the poses of frames 0..n-1
+    as (q (n, 4), t (n, 3)) stacks, from ``simulator.build_trajectory``
+    through the trackers and the sequence files to the metrics. ``Pose``
+    serves where one pose's math runs.
   * Quaternions are (qx, qy, qz, qw), unit norm.
   * Pixels: u right, v down, origin at the top-left image corner.
   * A 3D line in Plucker form is the pair (n, d) with moment n = Ps x Pe and
@@ -17,12 +21,12 @@ id, from the scene through the sequence files and the fused map to the
 factor graph, whose vertex records share their base, ``_Vertices``.
 
 Every id and value column of a record (the landmark and vertex records,
-``simulator.FrameData``, ``factor_graph.Factors`` and the graph's gauge
-ids), and every array that a lookup or a map fusion takes, goes through
-one cast, ``_column``. It refuses a wrong row shape and a value that the
-column's dtype does not hold exactly, such as a float or a string as an
-id, with a ValueError that names the column. It truncates nothing, and
-reshapes only an empty column.
+``Trajectory``, ``simulator.FrameData``, ``factor_graph.Factors`` and the
+graph's gauge ids), and every array that a lookup or a map fusion takes,
+goes through one cast, ``_column``. It refuses a wrong row shape and a
+value that the column's dtype does not hold exactly, such as a float or a
+string as an id, with a ValueError that names the column. It truncates
+nothing, and reshapes only an empty column.
 
 Each piece of math has one kernel. The rotation kernels (``skew``,
 ``so3_exp``, ``quat_to_matrix``, ``matrix_to_quat``, ``rotation_angles``),
@@ -273,6 +277,11 @@ def backproject(u, d, intr: CameraIntrinsics) -> np.ndarray:
 # poses
 
 
+# the refusals of ``Pose``, in the order it checks a pose; ``Trajectory``
+# makes the same checks on each row
+_POSE_FAULTS = ("quaternion must be nonzero and finite", "pose t must be finite")
+
+
 @dataclass(frozen=True)
 class Pose:
     """Rigid transform T_cw as unit quaternion (qx, qy, qz, qw) + translation."""
@@ -285,9 +294,9 @@ class Pose:
         t = _column(self.t, float, (3,), "pose t", GeometryError)
         norm = float(np.linalg.norm(q))
         if norm == 0.0 or not np.isfinite(norm):
-            raise GeometryError("quaternion must be nonzero and finite")
+            raise GeometryError(_POSE_FAULTS[0])
         if not all(map(math.isfinite, t.tolist())):  # cheaper than np.isfinite on 3 values
-            raise GeometryError("pose t must be finite")
+            raise GeometryError(_POSE_FAULTS[1])
         # only touch the stored values when actually off the manifold, so
         # that already-unit quaternions survive round-trips bit-exactly; the
         # bound is a few ulps, since quat_to_matrix is only orthogonal to
@@ -337,6 +346,43 @@ def pose_quat_batch(q) -> np.ndarray:
     norm = row_norms(q)
     off = np.abs(norm - 1.0) > 4 * np.finfo(float).eps
     return np.where(off[:, None], q / norm[:, None], q)
+
+
+@dataclass(frozen=True, eq=False)
+class Trajectory:
+    """The poses T_cw of frames 0..n-1 as read-only columns: quaternions
+    ``q`` (n, 4) and translations ``t`` (n, 3).
+
+    Each column goes through ``_column``; then ``pose_quat_batch`` gives
+    every row of ``q`` the bits ``Pose`` stores. A zero or non-finite
+    quaternion, or a non-finite translation, raises ``Pose``'s
+    GeometryError with the index of the first bad pose.
+
+    ``len`` counts the poses; ``trajectory[i]`` is pose i as a ``Pose``
+    and a slice is a ``Trajectory``. Iterating, which goes through the int
+    index, gives the ``Pose`` rows.
+    """
+
+    q: np.ndarray
+    t: np.ndarray
+
+    def __post_init__(self):
+        q = _column(self.q, float, (None, 4), "pose q", GeometryError, copy=False)
+        t = _column(self.t, float, (len(q), 3), "pose t", GeometryError)
+        with np.errstate(over="ignore", invalid="ignore"):
+            faults = np.column_stack([~normalizable(q), ~np.isfinite(t).all(axis=1)])
+        for i, check in np.argwhere(faults)[:1].tolist():  # the first bad pose's first fault
+            raise GeometryError(f"{_POSE_FAULTS[check]} at pose {i}")
+        q = pose_quat_batch(q)
+        q.flags.writeable = False
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "t", t)
+
+    def __len__(self) -> int:
+        return len(self.q)
+
+    def __getitem__(self, key):
+        return (Trajectory if isinstance(key, slice) else Pose)(self.q[key], self.t[key])
 
 
 def se3_exp_update(R, t, deltas):

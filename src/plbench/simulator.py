@@ -58,12 +58,14 @@ from .geometry import (
     Points,
     Pose,
     Segments,
+    Trajectory,
     _column,
     check_integers,
     line_angles,
     matrix_to_quat,
     normalizable,
     project,
+    quat_to_matrix,
     row_norms,
 )
 
@@ -395,7 +397,7 @@ def _corridor_waypoints(spec: TrajectorySpec):
     return np.concatenate(positions), np.concatenate(forward)
 
 
-def build_trajectory(spec: TrajectorySpec) -> list[Pose]:
+def build_trajectory(spec: TrajectorySpec) -> Trajectory:
     """The poses of the cameras of ``spec``: their positions and, for the
     forward look-at, their directions of travel, through one stacked
     look-at."""
@@ -427,7 +429,7 @@ def build_trajectory(spec: TrajectorySpec) -> list[Pose]:
         P, forward = _corridor_waypoints(spec)
 
     R, t = _lookat(P, target if spec.lookat == "center" else P + forward)
-    return [Pose(q, t_i) for q, t_i in zip(matrix_to_quat(R), t)]
+    return Trajectory(matrix_to_quat(R), t)
 
 
 # ---------------------------------------------------------------------------
@@ -546,8 +548,8 @@ def _clip_lines(A_c, B_c, intr: CameraIntrinsics, cfg: RenderConfig):
     return ok, np.stack(pixels, 1), np.stack(depths, 1), np.stack(ends, 1)
 
 
-def _render(scene: Scene, poses, intr: CameraIntrinsics, cfg: RenderConfig):
-    """Exact observations of the scene from each of ``poses``, as flat
+def _render(scene: Scene, poses: Trajectory, intr: CameraIntrinsics, cfg: RenderConfig):
+    """Exact observations of the scene from each pose of ``poses``, as flat
     frame-major rows: for the points (frame (n,), landmark id (n,), pixels
     (n, 2), depths (n,)), for the lines (frame (m,), landmark id (m,),
     pixels (m, 2, 2), depths (m, 2)) with start and end. A row's frame is
@@ -558,14 +560,14 @@ def _render(scene: Scene, poses, intr: CameraIntrinsics, cfg: RenderConfig):
     Line segments are clipped against the z_near plane and the image
     rectangle (depths recomputed at clip points); both clipped endpoints
     must pass the point test and the clipped 2D length must reach
-    min_line_len. Every test runs on all (pose, landmark) rows at once,
-    with one ``occluded`` call for the points and one for the line
+    min_line_len. The rotations come from one ``quat_to_matrix`` of the
+    poses' quaternions. Every test runs on all (pose, landmark) rows at
+    once, with one ``occluded`` call for the points and one for the line
     endpoints. Each step is elementwise, per row or, for the projection,
     one matrix product per pose, so a row's values do not depend on the
     other poses rendered with it.
     """
-    R = np.array([pose.rotation() for pose in poses])  # (k, 3, 3)
-    t = np.array([pose.t for pose in poses])
+    R, t = quat_to_matrix(poses.q), poses.t  # (k, 3, 3), (k, 3)
     centers = -_stacked_matvec(R.transpose(0, 2, 1), t)
     points, lines = scene.points, scene.lines
 
@@ -625,7 +627,8 @@ def render_frame(
 ) -> FrameData:
     """Exact observations of the scene from one pose, as frame ``frame_id``
     with its rows in ascending landmark id: ``_render`` of that one pose."""
-    return _frames([frame_id], *_render(scene, [pose], intr, cfg))[0]
+    poses = Trajectory(pose.q[None], pose.t[None])
+    return _frames([frame_id], *_render(scene, poses, intr, cfg))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -813,13 +816,15 @@ class GenerationReport:
 @dataclass(eq=False)
 class Sequence:
     """A generated benchmark sequence: calibration, ground truth and
-    per-frame measurements. The ground-truth landmarks are the records
-    ``gt_points`` (``Points``) and ``gt_lines`` (``Segments``), which
-    ``generate_sequence`` shares with its scene. ``report`` is generation
+    per-frame measurements. The ground-truth poses are one ``Trajectory``
+    record, ``gt_trajectory``, with pose i the pose of ``frames[i]``; the
+    ground-truth landmarks are the records ``gt_points`` (``Points``) and
+    ``gt_lines`` (``Segments``). ``generate_sequence`` shares its
+    trajectory and its scene's landmark records. ``report`` is generation
     metadata and is not serialized."""
 
     intrinsics: CameraIntrinsics
-    gt_trajectory: list[Pose]
+    gt_trajectory: Trajectory
     frames: list[FrameData]
     gt_points: Points
     gt_lines: Segments
@@ -918,7 +923,7 @@ def _add_noise(points, lines, noise: NoiseParams, intr, cfg: RenderConfig, rng, 
 
 def generate_sequence(
     scene: Scene,
-    trajectory: list[Pose],
+    trajectory: Trajectory,
     noise: NoiseParams,
     intr: CameraIntrinsics,
     cfg: RenderConfig = RenderConfig(),
@@ -937,7 +942,6 @@ def generate_sequence(
     seed_seq = np.random.SeedSequence(entropy=scene.seed, spawn_key=(1,))
     rng = np.random.Generator(np.random.Philox(seed_seq))
 
-    trajectory = list(trajectory)
     step = max(1, _CHUNK_ROWS // max(1, len(scene.points) + len(scene.lines)))
     report = GenerationReport()
     frames: list[FrameData] = []

@@ -25,6 +25,7 @@ from .geometry import (
     Points,
     Pose,
     Segments,
+    Trajectory,
     _column,
     backproject,
     line_angles,
@@ -726,7 +727,7 @@ def _refit_lines(samples, sizes, stored) -> np.ndarray:
 # trackers
 
 
-def track_frame_to_frame(seq: Sequence) -> list[Pose]:
+def track_frame_to_frame(seq: Sequence) -> Trajectory:
     """Chain relative poses: back-project the previous frame's measured
     depths, match by landmark id, solve PnP in the previous camera frame.
 
@@ -734,7 +735,8 @@ def track_frame_to_frame(seq: Sequence) -> list[Pose]:
     relative pose depends only on its two frames, so the problems of the
     frames up to the first one that shares fewer than 4 landmarks with its
     predecessor go to one ``solve_pnp_batch`` call, which builds them as
-    its batches need them; the chain is composed afterwards. The tracks
+    its batches need them; the chain is composed afterwards, one ``Pose``
+    at a time, into the rows of the returned record. The tracks
     equal those of solving frame by frame bit for bit, and tracking is lost
     at the same frame with the same message: at the first failing problem,
     else at the frame that shares too few landmarks or whose shared points
@@ -773,13 +775,15 @@ def track_frame_to_frame(seq: Sequence) -> list[Pose]:
         raise TrackingLostError(exc.problem + 1, str(exc)) from exc
     if short:
         raise short[0]
-    traj = [seq.gt_trajectory[0]] if seq.frames else []
-    for result in results:
-        traj.append(result.pose.compose(traj[-1]))
-    return traj
+    q, t = np.empty((len(seq.frames), 4)), np.empty((len(seq.frames), 3))
+    q[:1], t[:1] = seq.gt_trajectory.q[:1], seq.gt_trajectory.t[:1]
+    for j, result in enumerate(results, 1):  # a Pose of a stored row keeps its bits
+        T = result.pose.compose(Pose(q[j - 1], t[j - 1]))
+        q[j], t[j] = T.q, T.t
+    return Trajectory(q, t)
 
 
-def track_map_to_frame(seq: Sequence) -> tuple[list[Pose], SparseMap]:
+def track_map_to_frame(seq: Sequence) -> tuple[Trajectory, SparseMap]:
     """Track against an incrementally fused map.
 
     The map starts from frame 0 at the ground-truth pose; each new frame
@@ -788,11 +792,12 @@ def track_map_to_frame(seq: Sequence) -> tuple[list[Pose], SparseMap]:
     (co-visible ones update landmarks inside the gates, new ids are
     inserted). A PnP failure, or a point or line row whose depth cannot be
     back-projected, becomes ``TrackingLostError`` naming the frame, raised
-    from the original.
+    from the original. Each frame's ``Pose`` is the next one's motion prior;
+    the track's record is built once, at the end.
     """
     intr = seq.intrinsics
     sparse_map = SparseMap()
-    traj: list[Pose] = []
+    q, t = np.empty((len(seq.frames), 4)), np.empty((len(seq.frames), 3))
     for j, frame in enumerate(seq.frames):
         u = frame.point_pixels
         try:
@@ -803,13 +808,13 @@ def track_map_to_frame(seq: Sequence) -> tuple[list[Pose], SparseMap]:
                 if known.sum() < 4:
                     raise TrackingLostError(j, f"only {known.sum()} mapped landmarks visible")
                 T = solve_pnp(sparse_map.points.position[rows[known]], u[known], intr,
-                              initial=traj[j - 1]).pose
+                              initial=T).pose
             P_c = backproject(u, frame.point_depths, intr)
             ends_c = backproject(frame.line_pixels.reshape(-1, 2), frame.line_depths.reshape(-1),
                                  intr).reshape(-1, 2, 3)
         except (PnPError, GeometryError) as exc:
             raise TrackingLostError(j, str(exc)) from exc
-        traj.append(T)
+        q[j], t[j] = T.q, T.t
 
         # fuse the frame: the back-projected points and line endpoints moved
         # to the world in one batch each; each point is a block of one, so
@@ -818,4 +823,4 @@ def track_map_to_frame(seq: Sequence) -> tuple[list[Pose], SparseMap]:
         sparse_map.fuse_points(T_inv.transform(P_c[:, None, :])[:, 0, :], frame.point_ids)
         sparse_map.fuse_lines(T_inv.transform(ends_c), frame.line_ids)
 
-    return traj, sparse_map
+    return Trajectory(q, t), sparse_map

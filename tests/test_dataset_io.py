@@ -32,6 +32,7 @@ from plbench.geometry import (
     CameraIntrinsics,
     Pose,
     Segments,
+    Trajectory,
     so3_exp,
 )
 from plbench.simulator import (
@@ -47,6 +48,11 @@ from plbench.tracking import track_frame_to_frame, track_map_to_frame
 
 K = CameraIntrinsics(460.0, 460.0, 320.0, 240.0, 640, 480)
 IDENTITY = Pose(np.array([0.0, 0.0, 0.0, 1.0]), np.zeros(3))
+
+
+def identities(n):
+    """The trajectory record of n identity poses."""
+    return Trajectory(np.tile(IDENTITY.q, (n, 1)), np.zeros((n, 3)))
 
 
 @pytest.fixture(scope="module")
@@ -322,27 +328,77 @@ def test_frame_and_landmark_errors_name_file_and_line(tmp_path, files, message):
         read_sequence(d)
 
 
+@pytest.fixture(scope="module")
+def box_sequence():
+    cfg = load_preset("box")
+    return generate_sequence(build_scene(cfg.scene), build_trajectory(cfg.trajectory),
+                             cfg.noise, cfg.intrinsics, cfg.render)
+
+
+@pytest.mark.parametrize(
+    "poses, extra, named",
+    [
+        pytest.param(50, (), "000050.txt", id="half"),
+        pytest.param(1, (), "000001.txt", id="one"),
+        pytest.param(99, (), "000099.txt", id="all-but-one"),
+        pytest.param(100, ("000107.txt",), "000107.txt", id="past-the-end"),
+        pytest.param(100, ("000130.txt", "0000101.txt"), "0000101.txt", id="lowest-number"),
+    ],
+)
+def test_frame_files_past_a_cut_ground_truth_are_refused(box_sequence, tmp_path, poses, extra,
+                                                          named):
+    # groundtruth.txt cut to its first poses: the error names the frame file
+    # with the lowest number past them, however many files follow it
+    write_sequence(box_sequence, tmp_path / "seq")
+    path = tmp_path / "seq" / "groundtruth.txt"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:1 + poses]))  # the header, then the first poses
+    frames = tmp_path / "seq" / "frames"
+    for name in extra:
+        (frames / name).write_text((frames / "000000.txt").read_text())
+    (frames / "notes.txt").write_text("not a frame file\n")
+    assert len(list(frames.glob("0*.txt"))) == 100 + len(extra)
+    message = (f"{frames / named}: no ground-truth pose for frame {int(named[:-4])}: "
+               f"groundtruth.txt holds {poses} poses")
+    with pytest.raises(ParseError, match=re.escape(message) + "$"):
+        read_sequence(tmp_path / "seq")
+    path.write_text("".join(lines))
+    for name in extra:
+        (frames / name).unlink()
+    assert_sequences_identical(box_sequence, read_sequence(tmp_path / "seq"))
+
+
 # ---------------------------------------------------------------------------
 # trajectories
 
 
 def test_trajectory_roundtrip_exact(tmp_path):
     rng = np.random.default_rng(0)
-    traj = []
+    poses = []
     for i in range(25):
-        traj.append(
+        poses.append(
             Pose.from_rt(so3_exp(rng.normal(scale=0.8, size=3)), rng.normal(size=3) * 4)
         )
+    traj = Trajectory([T.q for T in poses], [T.t for T in poses])
     write_trajectory(traj, tmp_path / "traj.txt")
     back = read_trajectory(tmp_path / "traj.txt")
     assert len(back) == len(traj)
     for Ta, Tb in zip(traj, back):
         assert np.array_equal(Ta.q, Tb.q)
         assert np.array_equal(Ta.t, Tb.t)
+    assert back.q.tobytes() == traj.q.tobytes() and back.t.tobytes() == traj.t.tobytes()
+    # numpy's C reader takes the written file; with double spaces it goes to
+    # the record-by-record parse, which reads the same columns
+    path = tmp_path / "traj.txt"
+    assert dataset_io._load_columns(path, dataset_io._POSE_RECORDS) is not None
+    path.write_text(path.read_text().replace(" ", "  "))
+    assert dataset_io._load_columns(path, dataset_io._POSE_RECORDS) is None
+    again = read_trajectory(path)
+    assert again.q.tobytes() == traj.q.tobytes() and again.t.tobytes() == traj.t.tobytes()
 
 
 def test_trajectory_identity_record(tmp_path):
-    write_trajectory([IDENTITY], tmp_path / "t.txt")
+    write_trajectory(identities(1), tmp_path / "t.txt")
     back = read_trajectory(tmp_path / "t.txt")
     np.testing.assert_array_equal(back[0].t, np.zeros(3))
     np.testing.assert_array_equal(back[0].q, [0.0, 0.0, 0.0, 1.0])
@@ -399,6 +455,14 @@ def test_trajectory_errors_name_file_and_line(tmp_path, rows, message):
     # line 1 is the header comment the writer puts first
     (tmp_path / "groundtruth.txt").write_text("# frame_id tx ty tz qx qy qz qw\n" + rows)
     with pytest.raises(ParseError, match=re.escape(message) + "$"):
+        read_trajectory(tmp_path / "groundtruth.txt")
+
+
+def test_trajectory_line_gives_its_syntax_fault_before_a_failing_check(tmp_path):
+    # as in every record file: the out-of-order id on line 2 is a check, the
+    # bad value on the same line a syntax fault
+    (tmp_path / "groundtruth.txt").write_text(f"0 {GOOD_POSE}\n5 0.0 x 0.0 0.0 0.0 0.0 1.0\n")
+    with pytest.raises(ParseError, match=re.escape("groundtruth.txt:2: bad pose component: 'x'")):
         read_trajectory(tmp_path / "groundtruth.txt")
 
 
@@ -676,7 +740,7 @@ def test_graph_roundtrip_from_pipeline(small_sequence, tmp_path):
 def frame_sequence(frames):
     return Sequence(
         intrinsics=K,
-        gt_trajectory=[IDENTITY] * len(frames),
+        gt_trajectory=identities(len(frames)),
         frames=frames,
         gt_points=Points([], []),
         gt_lines=Segments([], []),

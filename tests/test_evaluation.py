@@ -4,7 +4,7 @@ import functools
 import numpy as np
 import pytest
 
-from plbench.geometry import Pose, rigid_fit, so3_exp
+from plbench.geometry import Pose, Trajectory, rigid_fit, so3_exp
 from plbench.evaluation import ErrorStats, align_se3, ate, ate_per_frame, rpe
 from plbench.simulator import build_scene, build_trajectory, generate_sequence, load_preset
 from plbench.tracking import track_frame_to_frame, track_map_to_frame
@@ -15,8 +15,13 @@ def pose_with_center(center, R=None) -> Pose:
     return Pose.from_rt(R, -R @ np.asarray(center, dtype=float))
 
 
+def record(poses) -> Trajectory:
+    """The trajectory record of a list of poses."""
+    return Trajectory([T.q for T in poses], [T.t for T in poses])
+
+
 def straight_trajectory(n, step=0.1):
-    return [pose_with_center([i * step, 0.0, 0.0]) for i in range(n)]
+    return record([pose_with_center([i * step, 0.0, 0.0]) for i in range(n)])
 
 
 def random_trajectory(rng, n):
@@ -25,13 +30,13 @@ def random_trajectory(rng, n):
         w = rng.normal(scale=0.3, size=3)
         c = np.array([i * 0.2, 0.0, 1.0]) + rng.normal(scale=0.05, size=3)
         traj.append(pose_with_center(c, so3_exp(w)))
-    return traj
+    return record(traj)
 
 
 def rigidly_moved(traj, G: Pose):
     # right-composing with G^-1 moves every camera center by G
     Ginv = G.inverse()
-    return [T.compose(Ginv) for T in traj]
+    return record([T.compose(Ginv) for T in traj])
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +78,7 @@ def test_align_identity_for_equal_trajectories():
 
 def test_align_removes_rigid_offset():
     gt = random_trajectory(np.random.default_rng(0), 20)
-    est = [pose_with_center(T.center() + [0.1, 0, 0], T.rotation()) for T in gt]
+    est = record([pose_with_center(T.center() + [0.1, 0, 0], T.rotation()) for T in gt])
     G = align_se3(est, gt)
     np.testing.assert_allclose(G.t, [-0.1, 0, 0], atol=1e-12)
     assert ate(est, gt).translation.rmse <= 1e-12
@@ -107,7 +112,8 @@ def test_ate_alternating_offsets():
     # alternating +-1 cm along the path: alignment cannot remove them
     n = 40
     gt = straight_trajectory(n)
-    est = [pose_with_center([i * 0.1 + (0.01 if i % 2 == 0 else -0.01), 0, 0]) for i in range(n)]
+    est = record([pose_with_center([i * 0.1 + (0.01 if i % 2 == 0 else -0.01), 0, 0])
+                  for i in range(n)])
     m = ate(est, gt)
     assert m.translation.rmse == pytest.approx(0.01, abs=1e-10)
     assert m.translation.median == pytest.approx(0.01, abs=1e-10)
@@ -172,9 +178,9 @@ def test_rpe_invariant_to_single_global_offset():
 def test_rpe_single_corrupted_step():
     n = 26  # 25 relative steps
     gt = straight_trajectory(n)
-    est = [
+    est = record([
         pose_with_center([i * 0.1 + (0.02 if i > 12 else 0.0), 0, 0]) for i in range(n)
-    ]
+    ])
     m = rpe(est, gt, delta=1)
     n_steps = n - 1
     assert m.translation.rmse == pytest.approx(0.02 / np.sqrt(n_steps), abs=1e-12)

@@ -10,6 +10,7 @@ from plbench.geometry import (
     GeometryError,
     Pose,
     Segments,
+    Trajectory,
     orthonormal_from_plucker,
     orthonormal_update,
     plucker_from_endpoints,
@@ -397,9 +398,8 @@ def toy_sequence(n_frames=2):
     from plbench.simulator import FrameData, Sequence
 
     P = np.array([0.2, -0.1, 3.0])
-    traj = [IDENTITY]
-    for i in range(1, n_frames):
-        traj.append(Pose(np.array([0.0, 0, 0, 1]), np.array([0.05 * i, 0.0, 0.0])))
+    traj = Trajectory(np.tile([0.0, 0, 0, 1], (n_frames, 1)),
+                      np.outer(np.arange(n_frames), [0.05, 0.0, 0.0]))
     frames = []
     for i, T in enumerate(traj):
         P_c = T.transform(P)

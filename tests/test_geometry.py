@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -18,6 +20,7 @@ from plbench.geometry import (
     Points,
     Pose,
     Segments,
+    Trajectory,
     backproject,
     line_angles,
     matrix_to_quat,
@@ -393,6 +396,109 @@ def test_pose_quat_batch_renormalizes_as_pose_does():
     assert changed == [False, False, True, True]
 
 
+def pose_rows():
+    """Quaternion and translation rows of each kind the cast meets: unit,
+    within 4 ulps of unit norm (kept) and beyond it (normalized)."""
+    unit = matrix_to_quat(so3_exp([0.3, -0.2, 0.1]))
+    q = np.array([
+        unit,
+        unit * (1.0 + 2 * np.finfo(float).eps),
+        unit * (1.0 - 3 * np.finfo(float).eps),
+        unit * (1.0 + 8 * np.finfo(float).eps),
+        [0.0, 1.0, 0.0, 1e-6],
+        [0.5, -1.0, 2.0, 0.25],
+        [-1e-3, 2e-3, 0.0, 5e-3],
+    ])
+    t = np.random.default_rng(12).normal(scale=3.0, size=(len(q), 3))
+    return q, t
+
+
+def test_trajectory_cast_equals_pose_row_by_row():
+    q, t = pose_rows()
+    old = [Pose(q_i, t_i) for q_i, t_i in zip(q, t)]  # the list a trajectory was
+    traj = Trajectory(q, t)
+    changed = [a.tobytes() != b.tobytes() for a, b in zip(q, traj.q)]
+    assert changed == [False, False, False, True, True, True, True]
+    assert traj.q.tobytes() == np.array([T.q for T in old]).tobytes()
+    assert traj.t.tobytes() == np.array([T.t for T in old]).tobytes() == t.tobytes()
+    assert not traj.q.flags.writeable and not traj.t.flags.writeable
+    assert len(traj) == len(old) == 7
+    # int index, slice and iteration give the old list's bits
+    for i in [*range(len(old)), -1, -7]:
+        assert isinstance(traj[i], Pose)
+        assert (traj[i].q.tobytes(), traj[i].t.tobytes()) == (old[i].q.tobytes(), old[i].t.tobytes())
+    for key in (slice(1, 4), slice(None, None, 3), slice(5, None), slice(2, 2)):
+        part = traj[key]
+        assert isinstance(part, Trajectory)
+        assert part.q.tobytes() == np.array([T.q for T in old[key]]).reshape(-1, 4).tobytes()
+        assert part.t.tobytes() == np.array([T.t for T in old[key]]).reshape(-1, 3).tobytes()
+    rows = list(traj)
+    assert len(rows) == len(old) and all(isinstance(T, Pose) for T in rows)
+    for T, T_old in zip(rows, old):
+        assert (T.q.tobytes(), T.t.tobytes()) == (T_old.q.tobytes(), T_old.t.tobytes())
+    # a record of the record's own columns keeps every bit
+    again = Trajectory(traj.q, traj.t)
+    assert again.q.tobytes() == traj.q.tobytes() and again.t.tobytes() == traj.t.tobytes()
+
+
+def test_trajectory_copies_its_input():
+    q, t = pose_rows()
+    traj = Trajectory(q, t)
+    q[0, 3], t[0, 0] = 0.5, 99.0
+    assert traj.q[0, 3] != 0.5 and traj.t[0, 0] != 99.0
+    empty = Trajectory([], [])
+    assert len(empty) == 0 and empty.q.shape == (0, 4) and empty.t.shape == (0, 3)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        pytest.param({("q", 2): [0.0, 0.0, 0.0, 0.0]},
+                     "quaternion must be nonzero and finite at pose 2", id="zero-q"),
+        pytest.param({("q", 4): [np.nan, 0.0, 0.0, 1.0]},
+                     "quaternion must be nonzero and finite at pose 4", id="nan-q"),
+        pytest.param({("q", 1): [1e200, 0.0, 0.0, 1.0]},
+                     "quaternion must be nonzero and finite at pose 1", id="overflowing-q"),
+        pytest.param({("q", 6): [1e-200, 0.0, 0.0, 0.0]},
+                     "quaternion must be nonzero and finite at pose 6", id="underflowing-q"),
+        pytest.param({("t", 3): [0.0, np.inf, 0.0]}, "pose t must be finite at pose 3",
+                     id="inf-t"),
+        pytest.param({("t", 0): [np.nan, 0.0, 0.0]}, "pose t must be finite at pose 0",
+                     id="nan-t"),
+        pytest.param({("q", 5): [0.0, 0.0, 0.0, 0.0], ("t", 2): [0.0, 0.0, -np.inf]},
+                     "pose t must be finite at pose 2", id="first-bad-pose-wins"),
+        pytest.param({("q", 3): [0.0, 0.0, 0.0, 0.0], ("t", 3): [np.nan, 0.0, 0.0]},
+                     "quaternion must be nonzero and finite at pose 3", id="q-before-t"),
+    ],
+)
+def test_trajectory_refusal_names_the_first_bad_pose(bad, message):
+    q, t = pose_rows()
+    for (column, i), row in bad.items():
+        (q if column == "q" else t)[i] = row
+    with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
+        Trajectory(q, t)
+    # each row alone is refused by Pose with the same text, less the index
+    text, i = message.rsplit(" at pose ", 1)
+    with pytest.raises(GeometryError, match=f"^{re.escape(text)}$"), np.errstate(over="ignore"):
+        Pose(q[int(i)], t[int(i)])
+
+
+@pytest.mark.parametrize(
+    "q, t, match",
+    [
+        pytest.param(np.zeros((2, 3)), np.zeros((2, 3)), "^pose q must be float64 of shape \\(n, 4\\)",
+                     id="q-row-shape"),
+        pytest.param([[0.0, 0.0, 0.0, 1.0]] * 2, np.zeros((3, 3)),
+                     "^pose t must be float64 of shape \\(2, 3\\)", id="t-length"),
+        pytest.param([[0.0, 0.0, 0.0, 1.0]], [["1", "2", "3"]], "^pose t must be float64",
+                     id="t-strings"),
+    ],
+)
+def test_trajectory_refuses_a_wrong_column(q, t, match):
+    with pytest.raises(GeometryError, match=match):
+        Trajectory(q, t)
+
+
 def test_rotation_angles_recover_the_angle_from_zero_to_pi():
     rng = np.random.default_rng(6)
     norms = np.array([1e-12, 1e-7, 0.1, 1.0, 3.0, np.pi - 1e-9, np.pi])
@@ -616,7 +722,8 @@ def test_orthonormal_update_stays_orthonormal():
 def validate_frame(frame):
     """``Sequence.validate`` of ``frame`` as the one frame of a sequence
     whose landmark records hold the ids 0-4."""
-    Sequence(K_VGA, [IDENTITY], [frame], Points(range(5), np.ones((5, 3))),
+    Sequence(K_VGA, Trajectory([IDENTITY.q], [IDENTITY.t]), [frame],
+             Points(range(5), np.ones((5, 3))),
              Segments(range(5), [SEGMENT_ROW] * 5), {}).validate()
 
 

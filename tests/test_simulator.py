@@ -15,6 +15,7 @@ from plbench.geometry import (
     Points,
     Pose,
     Segments,
+    Trajectory,
     row_norms,
 )
 from plbench.simulator import (
@@ -294,8 +295,9 @@ def test_stacked_trajectory_equals_per_frame_reference(kind, lookat):
             got = build_trajectory(spec)
             assert len(got) == len(expected) == frames, spec
             for field in ("q", "t"):
-                assert (np.array([getattr(T, field) for T in got]).tobytes()
-                        == np.array([getattr(T, field) for T in expected]).tobytes()), spec
+                want = np.array([getattr(T, field) for T in expected]).tobytes()
+                assert getattr(got, field).tobytes() == want, spec
+                assert np.array([getattr(T, field) for T in got]).tobytes() == want, spec
 
 
 @pytest.mark.parametrize(
@@ -501,7 +503,7 @@ def test_batched_lines_equal_per_line_reference_bit_for_bit(z_near):
     render = RenderConfig(z_near=z_near, z_far=cfg.render.z_far, min_line_len=5.0)
     scene = build_scene(cfg.scene)
     rng = new_rng(4)
-    poses = build_trajectory(cfg.trajectory)[::25]
+    poses = list(build_trajectory(cfg.trajectory)[::25])
     for _ in range(30):
         q = rng.normal(size=4)
         T = Pose(q / np.linalg.norm(q), np.zeros(3))
@@ -740,7 +742,8 @@ def good_frame(frame_id):
 def hand_built(*frames):
     """A sequence of ``frames`` on the camera ``K`` whose landmark
     records hold the ids 0-9."""
-    return simulator.Sequence(K, [IDENTITY] * len(frames), list(frames),
+    identities = Trajectory(np.tile(IDENTITY.q, (len(frames), 1)), np.zeros((len(frames), 3)))
+    return simulator.Sequence(K, identities, list(frames),
                               Points(range(10), np.ones((10, 3))),
                               Segments(range(10), [[[0.0, 0.0, 1.0], [1.0, 0.0, 1.0]]] * 10), {})
 
@@ -1109,8 +1112,8 @@ def test_empty_frame_recorded_as_warning():
     looking_at_scene = build_trajectory(cfg.trajectory)[0]
     # second pose looks straight away from every landmark
     away = Pose.from_rt(np.eye(3), -np.array([0.0, -40.0, 1.0]))
-    seq = generate_sequence(scene, [looking_at_scene, away], cfg.noise,
-                            cfg.intrinsics, cfg.render)
+    traj = Trajectory([looking_at_scene.q, away.q], [looking_at_scene.t, away.t])
+    seq = generate_sequence(scene, traj, cfg.noise, cfg.intrinsics, cfg.render)
     assert seq.report.empty_frames == [1]
     assert len(seq.frames) == 2
 

@@ -24,6 +24,7 @@ from plbench.geometry import (
     Points,
     Pose,
     Segments,
+    Trajectory,
     backproject,
     line_angles,
     rigid_fit,
@@ -938,12 +939,13 @@ def test_frame_to_frame_reports_an_earlier_pnp_failure_before_a_depth():
 
 
 def test_trackers_give_no_poses_for_a_sequence_without_frames():
-    seq = Sequence(K, [], [], Points([], np.empty((0, 3))),
+    seq = Sequence(K, Trajectory([], []), [], Points([], np.empty((0, 3))),
                    Segments([], np.empty((0, 2, 3))), {})
     seq.validate()
-    assert track_frame_to_frame(seq) == []
+    f2f = track_frame_to_frame(seq)
+    assert len(f2f) == 0 and f2f.q.shape == (0, 4) and f2f.t.shape == (0, 3)
     traj, smap = track_map_to_frame(seq)
-    assert traj == [] and len(smap.points) == 0 and len(smap.lines) == 0
+    assert len(traj) == 0 and len(smap.points) == 0 and len(smap.lines) == 0
 
 
 def test_frame_to_frame_batches_bound_their_memory():
