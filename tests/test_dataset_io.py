@@ -446,6 +446,11 @@ GOOD_POSE = "0.0 0.0 0.0 0.0 0.0 0.0 1.0"
         pytest.param(f"0 {GOOD_POSE}\n1 0.0 0.0 0.0 0.0 0.0 0.0 1.1\n2 0.0 x\n",
                      "groundtruth.txt:3: quaternion is not unit norm",
                      id="non-unit-before-field-count"),
+        # as in every record file, a line's syntax fault comes before its
+        # failing checks: here the out-of-order id
+        pytest.param(f"0 {GOOD_POSE}\n5 0.0 x 0.0 0.0 0.0 0.0 1.0\n",
+                     "groundtruth.txt:3: bad pose component: 'x'",
+                     id="syntax-fault-before-check-on-one-line"),
         pytest.param("", "groundtruth.txt: empty trajectory", id="empty"),
         pytest.param("# only a comment\n\n", "groundtruth.txt: empty trajectory",
                      id="comments-only"),
@@ -457,13 +462,6 @@ def test_trajectory_errors_name_file_and_line(tmp_path, rows, message):
     with pytest.raises(ParseError, match=re.escape(message) + "$"):
         read_trajectory(tmp_path / "groundtruth.txt")
 
-
-def test_trajectory_line_gives_its_syntax_fault_before_a_failing_check(tmp_path):
-    # as in every record file: the out-of-order id on line 2 is a check, the
-    # bad value on the same line a syntax fault
-    (tmp_path / "groundtruth.txt").write_text(f"0 {GOOD_POSE}\n5 0.0 x 0.0 0.0 0.0 0.0 1.0\n")
-    with pytest.raises(ParseError, match=re.escape("groundtruth.txt:2: bad pose component: 'x'")):
-        read_trajectory(tmp_path / "groundtruth.txt")
 
 
 # ---------------------------------------------------------------------------
