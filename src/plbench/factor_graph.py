@@ -234,10 +234,11 @@ def _pose_jacobian(P_c, zs, valid, intr: CameraIntrinsics):
     J_pose zeroed; A = d proj / d P_c is what ``J_point`` is built from."""
     F = len(P_c)
     A = np.zeros((F, 2, 3))
+    zs2 = zs**2
     A[:, 0, 0] = intr.fx / zs
-    A[:, 0, 2] = -intr.fx * P_c[:, 0] / zs**2
+    A[:, 0, 2] = -intr.fx * P_c[:, 0] / zs2
     A[:, 1, 1] = intr.fy / zs
-    A[:, 1, 2] = -intr.fy * P_c[:, 1] / zs**2
+    A[:, 1, 2] = -intr.fy * P_c[:, 1] / zs2
 
     # the product first, so that skew(P_c) is freed before J_pose is made
     rot = np.einsum("fij,fjk->fik", A, skew(P_c))  # -A @ (-[P_c]x)

@@ -94,10 +94,14 @@ def normalizable(v) -> np.ndarray:
     return np.isfinite(norms) & (norms > 0)
 
 
+_EYE3 = np.eye(3)
+
+
 def _so3_exp_and_jacobian(omega):
     """Rodrigues exponential and SO(3) left Jacobian of each row of omega
     (m, 3), as two (m, 3, 3) stacks; a row below 1e-8 rad takes the
-    second-order series of both."""
+    second-order series of both, which is formed only when a row needs
+    it."""
     angle = row_norms(omega)
     small = angle < 1e-8
     a = np.where(small, 1.0, angle)  # keeps the series rows' unused branch finite
@@ -106,11 +110,12 @@ def _so3_exp_and_jacobian(omega):
     c1 = ((1.0 - cos) / a2)[:, None, None]
     K = skew(omega)
     KK = K @ K
-    eye = np.eye(3)
-    small = small[:, None, None]
-    R = np.where(small, eye + K + 0.5 * KK, eye + (sin / a)[:, None, None] * K + c1 * KK)
-    J = np.where(small, eye + 0.5 * K + KK / 6.0,
-                 eye + c1 * K + ((a - sin) / (a2 * a))[:, None, None] * KK)
+    R = _EYE3 + (sin / a)[:, None, None] * K + c1 * KK
+    J = _EYE3 + c1 * K + ((a - sin) / (a2 * a))[:, None, None] * KK
+    if small.any():
+        small = small[:, None, None]
+        R = np.where(small, _EYE3 + K + 0.5 * KK, R)
+        J = np.where(small, _EYE3 + 0.5 * K + KK / 6.0, J)
     return R, J
 
 
@@ -139,51 +144,69 @@ def rotation_angles(R) -> np.ndarray:
     return np.arctan2(row_norms(axial), cos).reshape(R.shape[:-2])
 
 
+# quat_to_matrix's entries of R.flat, each 2 (a + sign b), and 1 minus
+# that on the diagonal, where a and b are products q_i q_j of quaternion
+# components at flat index 4 i + j of their outer product: (yy + zz),
+# (xy - zw), (xz + yw), (xy + zw), (xx + zz), (yz - xw), (xz - yw),
+# (yz + xw), (xx + yy)
+_Q2M_A = np.array([5, 1, 2, 1, 0, 6, 2, 6, 0])
+_Q2M_B = np.array([10, 11, 7, 11, 10, 3, 7, 3, 5])
+_Q2M_SIGN = np.array([1.0, -1.0, 1.0, 1.0, 1.0, -1.0, -1.0, 1.0, 1.0])
+
+
 def quat_to_matrix(q) -> np.ndarray:
     """Rotation matrix of the unit quaternion q (4,), or of each row of q
-    (..., 4). Each product of two components is formed once."""
+    (..., 4). The products of two components come from one outer product
+    of q with itself, and each entry from two of them."""
     q = np.asarray(q, dtype=float)
-    x, y, z, w = q.T
-    xx, yy, zz = x * x, y * y, z * z
-    xy, xz, yz = x * y, x * z, y * z
-    xw, yw, zw = x * w, y * w, z * w
-    R = np.array([
-        1 - 2 * (yy + zz), 2 * (xy - zw), 2 * (xz + yw),
-        2 * (xy + zw), 1 - 2 * (xx + zz), 2 * (yz - xw),
-        2 * (xz - yw), 2 * (yz + xw), 1 - 2 * (xx + yy),
-    ])
+    c = np.ascontiguousarray(q.reshape(-1, 4).T)  # one row per component
+    p = (c[:, None] * c[None, :]).reshape(16, -1)
+    R = p[_Q2M_B]
+    R *= _Q2M_SIGN[:, None]
+    R += p[_Q2M_A]
+    R *= 2.0
+    R[::4] = 1.0 - R[::4]
     return np.ascontiguousarray(R.T).reshape(q.shape[:-1] + (3, 3))
 
 
 # Shepperd's method, per branch k: k = 3 (qw) if the trace is positive,
 # else the axis of the largest diagonal entry. With s = 4 |q_k|, each other
 # component c is (a_c + b_c) / s for the entries a_c, b_c of R whose flat
-# indices row k lists, where index 9 + i stands for -R.flat[i]; for k < 3
-# the last three entries sum to 4 q_k^2 - 1 = R_kk - R_ii - R_jj, where i
-# and j are the axes after k. Slot k and the trace row's sum are unused.
+# indices row k lists, where index 9 + i stands for -R.flat[i], 18 for the
+# trace and 19 for 0; the last three entries sum to 4 q_k^2 - 1: for k < 3
+# that is R_kk - R_ii - R_jj, where i and j are the axes after k, and for
+# k = 3 the trace, plus two zeros that leave it as it is. Slot k is unused.
 _SHEPPERD = np.array([
     #  a_0..a_3      b_0..b_3     diagonal
     [0, 1, 2, 7, 0, 3, 6, 14, 0, 13, 17],
     [1, 0, 5, 2, 3, 0, 7, 15, 4, 17, 9],
     [2, 5, 0, 3, 6, 7, 0, 10, 8, 9, 13],
-    [7, 2, 3, 0, 14, 15, 10, 0, 0, 4, 8],
+    [7, 2, 3, 0, 14, 15, 10, 0, 18, 19, 19],
 ])
 
 
 def matrix_to_quat(R) -> np.ndarray:
     """(qx, qy, qz, qw) with qw >= 0 of the rotation matrix R (3, 3), or of
-    each matrix of R (..., 3, 3), by Shepperd's branch selection."""
+    each matrix of R (..., 3, 3), by Shepperd's branch selection.
+
+    Each quaternion is divided by its computed norm n, so its own norm is
+    within 4 u of 1 (u = eps / 2: u from each division, 3 u from n) and
+    the norm that ``Pose`` computes of it within 7 u, below the 8 u
+    (4 eps) past which ``Pose`` and ``pose_quat_batch`` would normalize
+    it again: both store every result as it is."""
     R = np.asarray(R, dtype=float)
     r = R.reshape(-1, 9)
     rows = np.arange(len(r))
-    tr = np.trace(R.reshape(-1, 3, 3), axis1=1, axis2=2)
-    k = np.where(tr > 0, 3, np.argmax(r[:, ::4], axis=1))
-    g = np.concatenate([r, -r], axis=1)[rows[:, None], _SHEPPERD[k]]
-    s = np.sqrt(np.where(k == 3, tr, (g[:, 8] + g[:, 9]) + g[:, 10]) + 1.0) * 2.0
+    diagonal = r[:, ::4]
+    tr = np.add.reduce(diagonal, axis=1)  # np.trace's sum
+    k = np.where(tr > 0, 3, diagonal.argmax(axis=1))
+    g = np.concatenate([r, -r, tr[:, None], np.zeros((len(r), 1))], axis=1)[rows[:, None],
+                                                                          _SHEPPERD[k]]
+    s = np.sqrt(((g[:, 8] + g[:, 9]) + g[:, 10]) + 1.0) * 2.0
     q = (g[:, :4] + g[:, 4:8]) / s[:, None]
     q[rows, k] = 0.25 * s
-    q = np.where(q[:, 3:] < 0, -q, q)
-    return (q / row_norms(q)[:, None]).reshape(R.shape[:-2] + (4,))
+    norm = row_norms(q)[:, None]  # that of q and of -q
+    return (q / np.where(q[:, 3:] < 0, -norm, norm)).reshape(R.shape[:-2] + (4,))
 
 
 def quat_multiply(q1, q2) -> np.ndarray:
@@ -257,8 +280,12 @@ class CameraIntrinsics:
 def project(P_c, z, intr: CameraIntrinsics) -> np.ndarray:
     """Pixels (n, 2) of camera points P_c (n, 3) at depths z (n,):
     fx x / z + cx, fy y / z + cy, with no depth check."""
-    return np.stack([intr.fx * P_c[:, 0] / z + intr.cx, intr.fy * P_c[:, 1] / z + intr.cy],
-                    axis=1)
+    u = np.empty((len(z), 2))  # filled in place: np.stack costs more on few points
+    np.divide(intr.fx * P_c[:, 0], z, out=u[:, 0])
+    np.divide(intr.fy * P_c[:, 1], z, out=u[:, 1])
+    u[:, 0] += intr.cx
+    u[:, 1] += intr.cy
+    return u
 
 
 def backproject(u, d, intr: CameraIntrinsics) -> np.ndarray:
@@ -280,6 +307,8 @@ def backproject(u, d, intr: CameraIntrinsics) -> np.ndarray:
 # the refusals of ``Pose``, in the order it checks a pose; ``Trajectory``
 # makes the same checks on each row
 _POSE_FAULTS = ("quaternion must be nonzero and finite", "pose t must be finite")
+# how far from 1 the norm of a quaternion ``Pose`` stores as it is may be
+_UNIT_TOLERANCE = 4 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -292,8 +321,9 @@ class Pose:
     def __post_init__(self):
         q = _column(self.q, float, (4,), "pose q", GeometryError)
         t = _column(self.t, float, (3,), "pose t", GeometryError)
-        norm = float(np.linalg.norm(q))
-        if norm == 0.0 or not np.isfinite(norm):
+        with np.errstate(over="ignore"):  # a component past ~1e154 overflows its square
+            norm = math.sqrt(q @ q)  # np.linalg.norm(q), without its per-call set-up
+        if norm == 0.0 or not math.isfinite(norm):
             raise GeometryError(_POSE_FAULTS[0])
         if not all(map(math.isfinite, t.tolist())):  # cheaper than np.isfinite on 3 values
             raise GeometryError(_POSE_FAULTS[1])
@@ -301,7 +331,7 @@ class Pose:
         # that already-unit quaternions survive round-trips bit-exactly; the
         # bound is a few ulps, since quat_to_matrix is only orthogonal to
         # about |q|^2 - 1 and that error scales every composed translation
-        if abs(norm - 1.0) > 4 * np.finfo(float).eps:
+        if abs(norm - 1.0) > _UNIT_TOLERANCE:
             q = q / norm
             q.flags.writeable = False
         object.__setattr__(self, "q", q)
@@ -344,7 +374,7 @@ def pose_quat_batch(q) -> np.ndarray:
     does not reject a zero or non-finite norm."""
     q = np.asarray(q, dtype=float)
     norm = row_norms(q)
-    off = np.abs(norm - 1.0) > 4 * np.finfo(float).eps
+    off = np.abs(norm - 1.0) > _UNIT_TOLERANCE
     return np.where(off[:, None], q / norm[:, None], q)
 
 
@@ -401,7 +431,7 @@ def se3_exp_update(R, t, deltas):
     R_inc, J = _so3_exp_and_jacobian(deltas[:, :3])
     t = np.asarray(t, dtype=float)[..., None]
     t_new = (R_inc @ t)[:, :, 0] + (J @ deltas[:, 3:, None])[:, :, 0]
-    q = pose_quat_batch(matrix_to_quat(R_inc @ R))
+    q = matrix_to_quat(R_inc @ R)  # as Pose stores it
     return q, quat_to_matrix(q), t_new
 
 
@@ -573,6 +603,9 @@ def orthonormal_update(U, W, delta) -> tuple[np.ndarray, np.ndarray]:
     return U @ so3_exp(delta[:3]), W @ rot2(delta[3])
 
 
+_REFLECT = np.diag([1.0, 1.0, -1.0])
+
+
 def rigid_fit(src, dst) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares rotation/translation with dst ~ R @ src + t (no scale)
     of one pair of point sets (n, 3), or of each pair src[i], dst[i]
@@ -585,13 +618,12 @@ def rigid_fit(src, dst) -> tuple[np.ndarray, np.ndarray]:
     """
     src = np.asarray(src, dtype=float)
     dst = np.asarray(dst, dtype=float)
-    mu_s = src.mean(axis=-2)
-    mu_d = dst.mean(axis=-2)
+    # the means down the rows as np.mean forms them, without its set-up
+    mu_s = np.add.reduce(src, axis=-2) / src.shape[-2]
+    mu_d = np.add.reduce(dst, axis=-2) / dst.shape[-2]
     H = (dst - mu_d[..., None, :]).swapaxes(-1, -2) @ (src - mu_s[..., None, :])
     U, _, Vt = np.linalg.svd(H)
-    S = np.zeros(H.shape)
-    S[..., 0, 0] = S[..., 1, 1] = 1.0
-    S[..., 2, 2] = np.where(np.linalg.det(U @ Vt) < 0, -1.0, 1.0)
+    S = np.where((np.linalg.det(U @ Vt) < 0)[..., None, None], _REFLECT, _EYE3)
     R = U @ S @ Vt
     return R, mu_d - (R @ mu_s[..., None])[..., 0]
 

@@ -30,7 +30,6 @@ from .geometry import (
     backproject,
     line_angles,
     matrix_to_quat,
-    pose_quat_batch,
     quat_to_matrix,
     rigid_fit,
     row_dots,
@@ -97,12 +96,11 @@ def _segment_rows(offsets, counts):
     """Row indices of the segments [offsets[s], offsets[s] + counts[s]),
     concatenated in order: a slice where each segment starts at the end of
     the one before, else an index array."""
-    offsets, counts = np.asarray(offsets), np.asarray(counts)
     ends = offsets + counts
     if len(offsets) and (offsets[1:] == ends[:-1]).all():
         return slice(int(offsets[0]), int(ends[-1]))
-    begin = np.cumsum(counts) - counts
-    return np.arange(counts.sum()) + np.repeat(offsets - begin, counts)
+    begin = counts.cumsum() - counts
+    return np.arange(counts.sum()) + (offsets - begin).repeat(counts)
 
 
 def _take(x, rows):
@@ -142,8 +140,8 @@ def _by_runs(f, counts, rows, segments=()):
     outs, a, lo = [], 0, 0
     for c, n in runs:
         hi = lo + c * n
-        outs.append(f(*(x[lo:hi].reshape(c, n, *x.shape[1:]) for x in rows),
-                      *(x[a:a + c] for x in segments)))
+        outs.append(f(*[x[lo:hi].reshape(c, n, *x.shape[1:]) for x in rows],
+                      *[x[a:a + c] for x in segments]))
         a, lo = a + c, hi
     return _join(outs)
 
@@ -155,7 +153,7 @@ def _by_spans(f, counts):
     ``_by_runs``. A span splits a run of equal-length segments where it
     must; since each kernel works row by row or on each segment's own
     stack entry, every segment's result stays that of the segment alone."""
-    ends = np.cumsum(counts)
+    ends = counts.cumsum()
     if ends[-1] <= _SPAN_ROWS:
         return f(slice(0, len(ends)))
     outs, lo = [], 0
@@ -168,10 +166,11 @@ def _by_spans(f, counts):
 
 def _solve_each(A, b):
     """``np.linalg.solve`` of each system A (k, d, d), b (k, d, 1), and
-    whether it was solvable. One singular system makes the stacked call
-    raise; then each is solved alone and an unsolvable one gets NaN."""
+    whether it was solvable: None if every system was, else a (k,) mask.
+    One singular system makes the stacked call raise; then each is solved
+    alone and an unsolvable one gets NaN."""
     try:
-        return np.linalg.solve(A, b), np.ones(len(A), dtype=bool)
+        return np.linalg.solve(A, b), None
     except np.linalg.LinAlgError:
         x, ok = np.full(b.shape, np.nan), np.zeros(len(A), dtype=bool)
         for i in range(len(A)):
@@ -213,9 +212,10 @@ def _refine_poses(R, t, P_w, u, counts, intr):
     wherever a span ends.
     """
     counts = np.asarray(counts)
-    offsets = np.cumsum(counts) - counts
+    ends = counts.cumsum()
+    offsets = ends - counts
     m = len(_STEPS)
-    q = pose_quat_batch(matrix_to_quat(R))
+    q = matrix_to_quat(R)  # as Pose stores it, see matrix_to_quat
     R = quat_to_matrix(q)
     t = np.array(t, dtype=float)
 
@@ -223,45 +223,55 @@ def _refine_poses(R, t, P_w, u, counts, intr):
         """For the starts ``active[span]`` at their poses: their points in
         front of the camera, their mean errors while ``err`` is unset (none
         after), and JᵀJ and Jᵀr."""
-        s = active[span]
+        if isinstance(each, slice):  # every start: the span's starts and rows are one block each
+            s, rows = span, slice(offsets[span.start], ends[span.stop - 1])
+        else:
+            s = active[span]
+            rows = _segment_rows(offsets[s], counts[s])
         n = counts[s]
-        rows = _segment_rows(offsets[s], n)
-        P_c, valid, zs, proj = _project_points(np.repeat(R[s], n, axis=0),
-                                               np.repeat(t[s], n, axis=0), _take(P_w, rows), intr)
+        P_c, valid, zs, proj = _project_points(R[s].repeat(n, axis=0), t[s].repeat(n, axis=0),
+                                               _take(P_w, rows), intr)
         res = _take(u, rows) - proj
         del proj  # not held beside the Jacobians
         errs = _mean_errors(res, valid, n) if err is None else np.empty(0)
         res[~valid] = 0.0
         J_pose, _ = _pose_jacobian(P_c, zs, valid, intr)
-        n_valid = np.add.reduceat(valid.astype(np.intp), np.cumsum(n) - n)
+        n_valid = np.add.reduceat(valid.astype(np.intp), n.cumsum() - n)
         return (n_valid, errs) + _by_runs(_normal_equations, n, (J_pose, res))
 
     active, err = np.arange(len(R)), None
     for _ in range(_ITERATIONS):
         if not len(active):
             break
-        n_valid, errs, JtJ, Jtr = _by_spans(linearize, counts[active])
+        # the starts' rows are taken by ``each``: a slice, which gives views,
+        # while every start is in the batch, else the index array ``active``
+        each = slice(None) if len(active) == len(R) else active
+        n_valid, errs, JtJ, Jtr = _by_spans(linearize, counts[each])
         if err is None:  # the mean errors at the starting poses
             err = errs
         enough = n_valid >= 4
-        active = active[enough]
-        deltas, ok = _solve_each(JtJ[enough] + _DAMP_6, Jtr[enough])
+        if not enough.all():
+            active = each = active[enough]
+            JtJ, Jtr = JtJ[enough], Jtr[enough]
+        deltas, ok = _solve_each(JtJ + _DAMP_6, Jtr)
         del JtJ, Jtr  # not held through the tries
         deltas = deltas[:, :, 0]
-        ok &= np.all(np.isfinite(deltas), axis=1)
-        moving, deltas = active[ok], deltas[ok]
+        finite = np.logical_and.reduce(np.isfinite(deltas), axis=1)
+        ok = finite if ok is None else ok & finite
+        moving = active
+        if not ok.all():
+            moving = each = active[ok]
+            deltas = deltas[ok]
         if not len(moving):
             break
-        q_k, R_k, t_k = se3_exp_update(np.repeat(R[moving], m, axis=0),
-                                       np.repeat(t[moving], m, axis=0),
+        q_k, R_k, t_k = se3_exp_update(R[each].repeat(m, axis=0), t[each].repeat(m, axis=0),
                                        (_STEPS[:, None] * deltas[:, None, :]).reshape(-1, 6))
-        errs = _errors(R_k, t_k, np.repeat(offsets[moving], m), np.repeat(counts[moving], m),
-                       P_w, u, intr)
-        accepted = errs.reshape(-1, m) <= err[moving, None]
-        took = accepted.any(axis=1)
-        if not took.any():
+        errs = _errors(R_k, t_k, offsets[each].repeat(m), counts[each].repeat(m), P_w, u, intr)
+        accepted = errs.reshape(-1, m) <= err[each, None]
+        if not accepted.any():
             break
-        j = np.flatnonzero(took) * m + accepted[took].argmax(axis=1)
+        took = np.logical_or.reduce(accepted, axis=1)
+        j = took.nonzero()[0] * m + accepted[took].argmax(axis=1)
         s = moving[took]
         q[s], R[s], t[s], err[s] = q_k[j], R_k[j], t_k[j], errs[j]
         # the accepted steps, 0.5**i · delta, as the tries were made
@@ -276,11 +286,11 @@ def _errors(R, t, offsets, counts, P_w, u, intr):
     rows [offsets[i], offsets[i] + counts[i]) of P_w and u, projected span
     by span (``_by_spans``)."""
     def span(s):
-        rows = _segment_rows(offsets[s], counts[s])
-        _, valid, _, proj = _project_points(np.repeat(R[s], counts[s], axis=0),
-                                            np.repeat(t[s], counts[s], axis=0),
+        n = counts[s]
+        rows = _segment_rows(offsets[s], n)
+        _, valid, _, proj = _project_points(R[s].repeat(n, axis=0), t[s].repeat(n, axis=0),
                                             _take(P_w, rows), intr)
-        return _mean_errors(_take(u, rows) - proj, valid, counts[s])
+        return _mean_errors(_take(u, rows) - proj, valid, n)
 
     return _by_spans(span, counts)
 
@@ -310,15 +320,27 @@ def _epnp_control_points(P_w, counts):
     its first 3 control points, a degenerate one (collinear or coincident
     points) none."""
     counts = np.asarray(counts)
-    c0 = _by_runs(lambda X: X.mean(axis=1), counts, (P_w,))
-    centered = P_w - np.repeat(c0, counts, axis=0)
-    cov = _by_runs(lambda X: X.transpose(0, 2, 1) @ X, counts, (centered,))
+
+    def moments(X):
+        """Centroids (X.mean(axis=1), without np.mean's per-call set-up)
+        and scatter matrices of a stack of problems."""
+        c0 = np.add.reduce(X, axis=1) / X.shape[1]
+        X = X - c0[:, None]
+        return c0, X.transpose(0, 2, 1) @ X
+
+    c0, cov = _by_runs(moments, counts, (P_w,))
     evals, evecs = np.linalg.eigh(cov / counts[:, None, None])
     evals, evecs = evals[:, ::-1], evecs[:, :, ::-1]
     degenerate = (evals[:, 0] <= 0) | (evals[:, 1] < 1e-12 * evals[:, 0])
     planar = evals[:, 2] < 1e-8 * evals[:, 0]
     axes = np.sqrt(np.maximum(evals, 0.0))[:, :, None] * evecs.transpose(0, 2, 1)
     return np.concatenate([c0[:, None], c0[:, None] + axes], axis=1), planar, degenerate
+
+
+# the products dv_a * dv_b, (a, b) = (1, 1), (1, 2), (2, 2), of the EPnP
+# beta system, and their weights in its rows (b1^2, b1 b2, b2^2)
+_BETA_A, _BETA_B = [0, 0, 1], [0, 1, 1]
+_BETA_WEIGHTS = np.array([1.0, 2.0, 1.0])[:, None]
 
 
 def _epnp_candidates(ctrl, P_w, u, counts, intr):
@@ -332,28 +354,32 @@ def _epnp_candidates(ctrl, P_w, u, counts, intr):
     and polishes it by 5 Gauss-Newton steps; each is negated if its mean
     depth is negative. The design matrix M (2N, 3m) and its MᵀM are formed
     span by span (``_by_spans``), so no M of the whole batch is held.
+
+    The planar alphas and the betas of the two-dimensional case take one
+    ``lstsq`` per problem: numpy has no stacked ``lstsq``, and solving the
+    normal equations instead, or a stacked ``pinv``, rounds differently.
     """
     k, m = ctrl.shape[:2]
     counts = np.asarray(counts)
     B = (ctrl[:, 1:] - ctrl[:, :1]).transpose(0, 2, 1)  # (k, 3, m-1)
-    rel = P_w - np.repeat(ctrl[:, 0], counts, axis=0)
     alphas = np.empty((len(P_w), m))
     if m == 4:
         alphas[:, 1:] = _by_runs(
-            lambda X, B_run: np.linalg.solve(B_run, X.transpose(0, 2, 1)).transpose(0, 2, 1)
-            .reshape(-1, 3), counts, (rel,), (B,))
+            lambda X, c, B_run: np.linalg.solve(B_run, (X - c[:, None]).transpose(0, 2, 1))
+            .transpose(0, 2, 1).reshape(-1, 3), counts, (P_w,), (ctrl[:, 0], B))
     else:
-        ends = np.cumsum(counts)
+        rel = P_w - ctrl[:, 0].repeat(counts, axis=0)
+        ends = counts.cumsum()
         alphas[:, 1:] = np.concatenate([
             np.linalg.lstsq(B[i], rel[end - n:end].T, rcond=None)[0].T
             for i, (end, n) in enumerate(zip(ends, counts))])
-    alphas[:, 0] = 1.0 - alphas[:, 1:].sum(axis=1)
-    offsets = np.cumsum(counts) - counts
+    alphas[:, 0] = 1.0 - np.add.reduce(alphas[:, 1:], axis=1)
+    ends = counts.cumsum()
 
     def gram(s):
         """MᵀM of the problems s, M being the design matrix of their rows,
         two rows of 3m per correspondence."""
-        rows = _segment_rows(offsets[s], counts[s])
+        rows = slice(ends[s.start] - counts[s.start], ends[s.stop - 1])
         a, x = alphas[rows], u[rows]
         M = np.zeros((2 * len(a), 3 * m))
         M[0::2, 0::3] = a * intr.fx
@@ -363,54 +389,61 @@ def _epnp_candidates(ctrl, P_w, u, counts, intr):
         return _by_runs(lambda X: X.transpose(0, 2, 1) @ X, 2 * counts[s], (M,))
 
     _, vecs = np.linalg.eigh(_by_spans(gram, counts))
-    v1 = vecs[:, :, 0].reshape(k, m, 3)
-    v2 = vecs[:, :, 1].reshape(k, m, 3)
-
+    # the two null-space vectors v1, v2 as (k, 2, m, 3), and their
+    # differences over the control-point pairs, (k, 2, pairs, 3); the
+    # stacks are gathered by np.take, whose result is C-ordered, since an
+    # index array on a later axis may order it otherwise, and the products
+    # below must see the layouts a problem alone gives them
+    V = vecs[:, :, :2].transpose(0, 2, 1).reshape(k, 2, m, 3)
     i, j = _PAIRS[m]
+    dV = np.take(V, i, axis=2) - np.take(V, j, axis=2)
     dc = row_norms((ctrl[:, i] - ctrl[:, j]).reshape(-1, 3)).reshape(k, -1)
-    dv1 = np.ascontiguousarray(v1[:, i] - v1[:, j])
-    dv2 = np.ascontiguousarray(v2[:, i] - v2[:, j])
+    # dv1·dv1, dv1·dv2 and dv2·dv2 of each pair, (k, 3, pairs)
+    dots = np.add.reduce(np.take(dV, _BETA_A, axis=1) * np.take(dV, _BETA_B, axis=1), axis=3)
     candidates = np.zeros((k, 2, m, 3))
     exists = np.zeros((k, 2), dtype=bool)
 
     # one-dimensional null space: match inter-control-point distances
-    norm1 = np.sqrt(np.add.reduce(dv1 * dv1, axis=2))  # np.linalg.norm(dv1, axis=2)
+    norm1 = np.sqrt(dots[:, 0])  # np.linalg.norm(dv1, axis=2)
     denom = row_dots(norm1, norm1)
     exists[:, 0] = denom > 1e-18
     beta = row_dots(norm1, dc) / np.where(exists[:, 0], denom, 1.0)
-    candidates[:, 0] = beta[:, None, None] * v1
+    candidates[:, 0] = beta[:, None, None] * V[:, 0]
 
     # two-dimensional case: solve for (b1^2, b1 b2, b2^2) then polish
-    A = np.stack([np.add.reduce(dv1 * dv1, axis=2), 2.0 * np.add.reduce(dv1 * dv2, axis=2),
-                  np.add.reduce(dv2 * dv2, axis=2)], axis=2)
+    A = np.ascontiguousarray((dots * _BETA_WEIGHTS).transpose(0, 2, 1))
     dc2 = dc**2
     b11, b12, b22 = np.array([np.linalg.lstsq(A_p, dc2_p, rcond=None)[0]
                               for A_p, dc2_p in zip(A, dc2)]).T
-    b1 = np.sqrt(np.maximum(b11, 0.0))
-    b2 = np.sqrt(np.maximum(b22, 0.0)) * np.where(b12 >= 0, 1.0, -1.0)
-    exists[:, 1] = b1 > 1e-12
-    polish = np.flatnonzero(exists[:, 1])
-    betas = np.stack([b1, b2], axis=1)[polish]
+    betas = np.empty((k, 2))
+    betas[:, 0] = np.sqrt(np.maximum(b11, 0.0))
+    betas[:, 1] = np.sqrt(np.maximum(b22, 0.0)) * np.where(b12 >= 0, 1.0, -1.0)
+    exists[:, 1] = betas[:, 0] > 1e-12
+    polish = exists[:, 1].nonzero()[0]
+    if len(polish) == k:  # every problem: views, not copies
+        polish = slice(None)
+    betas = betas[polish]
     # Gauss-Newton on the distance residuals; a problem whose solve fails
-    # keeps its betas and takes no further step
-    live, b, d1, d2, c2 = np.arange(len(polish)), betas, dv1[polish], dv2[polish], dc2[polish]
+    # keeps its betas and takes no further step. D holds (dv1, dv2) of each
+    # pair, (k, pairs, 2, 3)
+    D = np.ascontiguousarray(dV.transpose(0, 2, 1, 3)[polish])
+    live, b, c2 = np.arange(len(betas)), betas, dc2[polish]
     for _ in range(5):
-        dvc = b[:, :1, None] * d1 + b[:, 1:, None] * d2
+        dvc = b[:, :1, None] * D[:, :, 0] + b[:, 1:, None] * D[:, :, 1]
         r = np.add.reduce(dvc * dvc, axis=2) - c2
-        J = np.empty(r.shape + (2,))
-        J[:, :, 0] = 2 * np.add.reduce(dvc * d1, axis=2)
-        J[:, :, 1] = 2 * np.add.reduce(dvc * d2, axis=2)
+        J = 2 * np.add.reduce(dvc[:, :, None] * D, axis=3)
         Jt = J.transpose(0, 2, 1)
         step, ok = _solve_each(Jt @ J + _DAMP_2, Jt @ r[:, :, None])
-        if not ok.all():
+        if ok is not None:
             betas[live] = b
-            live, b, d1, d2, c2, step = live[ok], b[ok], d1[ok], d2[ok], c2[ok], step[ok]
+            live, b, D, c2, step = live[ok], b[ok], D[ok], c2[ok], step[ok]
         b = b - step[:, :, 0]
     betas[live] = b
-    candidates[polish, 1] = betas[:, :1, None] * v1[polish] + betas[:, 1:, None] * v2[polish]
+    candidates[polish, 1] = betas[:, :1, None] * V[polish, 0] + betas[:, 1:, None] * V[polish, 1]
 
-    # positive-depth disambiguation: each candidate or its negation
-    flip = candidates[:, :, :, 2].mean(axis=2) < 0
+    # positive-depth disambiguation: each candidate or its negation; the
+    # mean depth as np.mean forms it
+    flip = np.add.reduce(candidates[:, :, :, 2], axis=2) / m < 0
     return alphas, np.where(flip[:, :, None, None], -candidates, candidates), exists
 
 
@@ -471,24 +504,28 @@ def _epnp_fits(P, U, counts, intr):
     t (k, 2, 3), exists (k, 2), degenerate (k,)). General problems use 4
     control points, planar ones 3, degenerate ones none."""
     k = len(counts)
-    offsets = np.cumsum(counts) - counts
+    offsets = counts.cumsum() - counts
     ctrl, planar, degenerate = _epnp_control_points(P, counts)
     fit_R, fit_t = np.zeros((k, 2, 3, 3)), np.zeros((k, 2, 3))
     exists = np.zeros((k, 2), dtype=bool)
-    for m, group in ((4, ~planar & ~degenerate), (3, planar & ~degenerate)):
-        if not group.any():
+    for m, group in ((4, ~(planar | degenerate)), (3, planar & ~degenerate)):
+        idx = group.nonzero()[0]
+        if not len(idx):
             continue
-        idx = np.flatnonzero(group)
-        rows, n = _segment_rows(offsets[idx], counts[idx]), counts[idx]
+        if len(idx) == k:  # the whole batch, whose rows are one block
+            idx = rows = slice(None)
+        else:
+            rows = _segment_rows(offsets[idx], counts[idx])
+        n = counts[idx]
         P_g = _take(P, rows)
         alphas, candidates, exists[idx] = _epnp_candidates(ctrl[idx, :m], P_g, _take(U, rows), n,
                                                            intr)
-        begin = np.cumsum(n) - n
+        ends = n.cumsum()
 
         def fit(s):
             """Each candidate's camera-frame points, alphas @ candidate, and
             the rigid fit of its problem's world points onto them."""
-            r = _segment_rows(begin[s], n[s])
+            r = slice(ends[s.start] - n[s.start], ends[s.stop - 1])  # the group's rows are one block
             return _by_runs(lambda A, X, C: rigid_fit(X[:, None], A[:, None] @ C),
                             n[s], (alphas[r], P_g[r]), (candidates[s],))
 
@@ -516,8 +553,8 @@ def _solve_batch(problems, intr, first) -> list[PnPResult]:
 
     # problems sorted by size; `order[i]` is the input index of sorted problem i
     order = sorted(range(k), key=lambda i: len(problems[i][0]))
-    counts = np.array([len(problems[i][0]) for i in order])
-    offsets = np.cumsum(counts) - counts
+    sizes = [len(problems[i][0]) for i in order]
+    counts = np.array(sizes)
     P = np.concatenate([problems[i][0] for i in order])
     U = np.concatenate([problems[i][1] for i in order])
 
@@ -528,32 +565,37 @@ def _solve_batch(problems, intr, first) -> list[PnPResult]:
     has = np.empty((k, 3), dtype=bool)
     has[:, :2] = exists
     start_q, start_t = np.empty((k, 3, 4)), np.empty((k, 3, 3))
-    start_q[:, :2] = pose_quat_batch(matrix_to_quat(fit_R.reshape(-1, 3, 3))).reshape(k, 2, 4)
+    start_q[:, :2] = matrix_to_quat(fit_R)  # as Pose stores it, see matrix_to_quat
     start_t[:, :2] = fit_t
     for i, p in enumerate(order):
         prior = problems[p][2]
         has[i, 2] = prior is not None
         if prior is not None:
             start_q[i, 2], start_t[i, 2] = prior.q, prior.t
-    for i in np.flatnonzero(degenerate | ~has.any(axis=1)).tolist():
+    for i in (degenerate | ~np.logical_or.reduce(has, axis=1)).nonzero()[0].tolist():
         failures[order[i]] = DegenerateGeometryError(
             "points are collinear or coincident" if degenerate[i] else "EPnP found no candidate pose",
             first + order[i])
     if failures:
         raise failures[min(failures)]
 
-    n_starts = has.sum(axis=1)
-    start_counts = np.repeat(counts, n_starts)
-    rows = _segment_rows(np.repeat(offsets, n_starts), start_counts)
+    n_starts = np.add.reduce(has, axis=1)
+    start_counts = counts.repeat(n_starts)
     # each problem's rows once per start; the per-problem arrays are freed
-    P, U = _take(P, rows), _take(U, rows)
-    del rows
+    if sizes[0] == sizes[-1]:  # one size: no index array
+        P = P.reshape(k, -1, 3).repeat(n_starts, axis=0).reshape(-1, 3)
+        U = U.reshape(k, -1, 2).repeat(n_starts, axis=0).reshape(-1, 2)
+    else:
+        rows = _segment_rows((counts.cumsum() - counts).repeat(n_starts), start_counts)
+        P, U = _take(P, rows), _take(U, rows)
+        del rows
     q, t, err = _refine_poses(quat_to_matrix(start_q[has]), start_t[has], P, U, start_counts, intr)
     results: list[PnPResult] = [None] * k  # type: ignore[list-item]
-    ends = np.cumsum(n_starts)
-    for p, end, n in zip(order, ends.tolist(), n_starts.tolist()):
-        best = min(range(end - n, end), key=err.__getitem__)
-        results[p] = PnPResult(pose=Pose(q[best], t[best]), mean_error=float(err[best]))
+    errs, end = err.tolist(), 0
+    for p, n in zip(order, n_starts.tolist()):
+        best = min(range(end, end + n), key=errs.__getitem__)
+        end += n
+        results[p] = PnPResult(pose=Pose(q[best], t[best]), mean_error=errs[best])
     return results
 
 
