@@ -104,7 +104,9 @@ def _so3_exp_and_jacobian(omega):
     it."""
     angle = row_norms(omega)
     small = angle < 1e-8
-    a = np.where(small, 1.0, angle)  # keeps the series rows' unused branch finite
+    series = small.any()
+    # 1 on the series rows keeps their unused branch finite
+    a = np.where(small, 1.0, angle) if series else angle
     sin, cos = np.sin(a), np.cos(a)
     a2 = a * a
     c1 = ((1.0 - cos) / a2)[:, None, None]
@@ -112,7 +114,7 @@ def _so3_exp_and_jacobian(omega):
     KK = K @ K
     R = _EYE3 + (sin / a)[:, None, None] * K + c1 * KK
     J = _EYE3 + c1 * K + ((a - sin) / (a2 * a))[:, None, None] * KK
-    if small.any():
+    if series:
         small = small[:, None, None]
         R = np.where(small, _EYE3 + K + 0.5 * KK, R)
         J = np.where(small, _EYE3 + 0.5 * K + KK / 6.0, J)
@@ -199,14 +201,14 @@ def matrix_to_quat(R) -> np.ndarray:
     rows = np.arange(len(r))
     diagonal = r[:, ::4]
     tr = np.add.reduce(diagonal, axis=1)  # np.trace's sum
-    k = np.where(tr > 0, 3, diagonal.argmax(axis=1))
+    k = np.where(tr > 0.0, 3, diagonal.argmax(axis=1))
     g = np.concatenate([r, -r, tr[:, None], np.zeros((len(r), 1))], axis=1)[rows[:, None],
                                                                           _SHEPPERD[k]]
     s = np.sqrt(((g[:, 8] + g[:, 9]) + g[:, 10]) + 1.0) * 2.0
     q = (g[:, :4] + g[:, 4:8]) / s[:, None]
     q[rows, k] = 0.25 * s
     norm = row_norms(q)[:, None]  # that of q and of -q
-    return (q / np.where(q[:, 3:] < 0, -norm, norm)).reshape(R.shape[:-2] + (4,))
+    return (q / np.where(q[:, 3:] < 0.0, -norm, norm)).reshape(R.shape[:-2] + (4,))
 
 
 def quat_multiply(q1, q2) -> np.ndarray:
@@ -616,12 +618,25 @@ def rigid_fit(src, dst) -> tuple[np.ndarray, np.ndarray]:
     reflections. Every step is a mean down the rows or one BLAS or LAPACK
     call per pair, so each fit equals a fit of its pair alone bit for bit.
     """
+    return _rigid_from_moments(*_rigid_moments(src, dst))
+
+
+def _rigid_moments(src, dst):
+    """The part of ``rigid_fit`` that reads the points: the centroids
+    mu_s (..., 3), mu_d (..., 3) and the cross-covariance H (..., 3, 3)."""
     src = np.asarray(src, dtype=float)
     dst = np.asarray(dst, dtype=float)
     # the means down the rows as np.mean forms them, without its set-up
     mu_s = np.add.reduce(src, axis=-2) / src.shape[-2]
     mu_d = np.add.reduce(dst, axis=-2) / dst.shape[-2]
     H = (dst - mu_d[..., None, :]).swapaxes(-1, -2) @ (src - mu_s[..., None, :])
+    return mu_s, mu_d, H
+
+
+def _rigid_from_moments(mu_s, mu_d, H):
+    """``rigid_fit``'s R and t from ``_rigid_moments``. The stacks may join
+    the moments of point sets of different sizes: each pair's fit is one
+    LAPACK or BLAS call on its own moments."""
     U, _, Vt = np.linalg.svd(H)
     S = np.where((np.linalg.det(U @ Vt) < 0)[..., None, None], _REFLECT, _EYE3)
     R = U @ S @ Vt

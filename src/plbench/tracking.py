@@ -15,6 +15,7 @@ keep their order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -27,11 +28,12 @@ from .geometry import (
     Segments,
     Trajectory,
     _column,
+    _rigid_from_moments,
+    _rigid_moments,
     backproject,
     line_angles,
     matrix_to_quat,
     quat_to_matrix,
-    rigid_fit,
     row_dots,
     row_norms,
     se3_exp_update,
@@ -95,10 +97,15 @@ _SPAN_ROWS = 4096
 def _segment_rows(offsets, counts):
     """Row indices of the segments [offsets[s], offsets[s] + counts[s]),
     concatenated in order: a slice where each segment starts at the end of
-    the one before, else an index array."""
+    the one before, else ``_segment_index``."""
     ends = offsets + counts
     if len(offsets) and (offsets[1:] == ends[:-1]).all():
         return slice(int(offsets[0]), int(ends[-1]))
+    return _segment_index(offsets, counts)
+
+
+def _segment_index(offsets, counts):
+    """``_segment_rows`` as an index array, for segments that overlap."""
     begin = counts.cumsum() - counts
     return np.arange(counts.sum()) + (offsets - begin).repeat(counts)
 
@@ -131,12 +138,11 @@ def _by_runs(f, counts, rows, segments=()):
     result equals that of the segment alone bit for bit. Zero-padding
     ragged segments to one shape would not, nor would ``np.add.reduceat``.
     """
-    runs: list[list[int]] = []  # [segments, length] of each run
-    for n in np.asarray(counts).tolist():
-        if runs and runs[-1][1] == n:
-            runs[-1][0] += 1
-        else:
-            runs.append([1, n])
+    # (segments, length) of each run
+    runs = [(len(list(run)), n) for n, run in groupby(np.asarray(counts).tolist())]
+    if len(runs) == 1:
+        c, n = runs[0]
+        return f(*[x.reshape(c, n, *x.shape[1:]) for x in rows], *segments)
     outs, a, lo = [], 0, 0
     for c, n in runs:
         hi = lo + c * n
@@ -234,7 +240,7 @@ def _refine_poses(R, t, P_w, u, counts, intr):
         res = _take(u, rows) - proj
         del proj  # not held beside the Jacobians
         errs = _mean_errors(res, valid, n) if err is None else np.empty(0)
-        res[~valid] = 0.0
+        res = np.where(valid[:, None], res, 0.0)
         J_pose, _ = _pose_jacobian(P_c, zs, valid, intr)
         n_valid = np.add.reduceat(valid.astype(np.intp), n.cumsum() - n)
         return (n_valid, errs) + _by_runs(_normal_equations, n, (J_pose, res))
@@ -284,10 +290,11 @@ def _refine_poses(R, t, P_w, u, counts, intr):
 def _errors(R, t, offsets, counts, P_w, u, intr):
     """Mean errors of the poses R (T, 3, 3), t (T, 3), pose i against the
     rows [offsets[i], offsets[i] + counts[i]) of P_w and u, projected span
-    by span (``_by_spans``)."""
+    by span (``_by_spans``). The rows are gathered by an index array, as
+    the tries of one start share their rows."""
     def span(s):
         n = counts[s]
-        rows = _segment_rows(offsets[s], n)
+        rows = _segment_index(offsets[s], n)
         _, valid, _, proj = _project_points(R[s].repeat(n, axis=0), t[s].repeat(n, axis=0),
                                             _take(P_w, rows), intr)
         return _mean_errors(_take(u, rows) - proj, valid, n)
@@ -298,8 +305,8 @@ def _errors(R, t, offsets, counts, P_w, u, intr):
 def _mean_errors(res, valid, counts):
     """Mean pixel length of the residuals res (N, 2) over each segment of
     counts[s] rows; a point behind the camera counts 1e9."""
-    err = np.sqrt(np.add.reduce(res * res, axis=1))  # np.linalg.norm(res, axis=1)
-    err[~valid] = 1e9
+    # each row's np.linalg.norm, or 1e9
+    err = np.where(valid, np.sqrt(np.add.reduce(res * res, axis=1)), 1e9)
     # e.mean(axis=1), without np.mean's per-call set-up
     return _by_runs(lambda e: np.add.reduce(e, axis=1) / e.shape[1], counts, (err,))
 
@@ -331,7 +338,7 @@ def _epnp_control_points(P_w, counts):
     c0, cov = _by_runs(moments, counts, (P_w,))
     evals, evecs = np.linalg.eigh(cov / counts[:, None, None])
     evals, evecs = evals[:, ::-1], evecs[:, :, ::-1]
-    degenerate = (evals[:, 0] <= 0) | (evals[:, 1] < 1e-12 * evals[:, 0])
+    degenerate = (evals[:, 0] <= 0.0) | (evals[:, 1] < 1e-12 * evals[:, 0])
     planar = evals[:, 2] < 1e-8 * evals[:, 0]
     axes = np.sqrt(np.maximum(evals, 0.0))[:, :, None] * evecs.transpose(0, 2, 1)
     return np.concatenate([c0[:, None], c0[:, None] + axes], axis=1), planar, degenerate
@@ -411,13 +418,11 @@ def _epnp_candidates(ctrl, P_w, u, counts, intr):
     candidates[:, 0] = beta[:, None, None] * V[:, 0]
 
     # two-dimensional case: solve for (b1^2, b1 b2, b2^2) then polish
-    A = np.ascontiguousarray((dots * _BETA_WEIGHTS).transpose(0, 2, 1))
+    A = (dots * _BETA_WEIGHTS).transpose(0, 2, 1)  # lstsq copies each matrix to its own layout
     dc2 = dc**2
-    b11, b12, b22 = np.array([np.linalg.lstsq(A_p, dc2_p, rcond=None)[0]
-                              for A_p, dc2_p in zip(A, dc2)]).T
-    betas = np.empty((k, 2))
-    betas[:, 0] = np.sqrt(np.maximum(b11, 0.0))
-    betas[:, 1] = np.sqrt(np.maximum(b22, 0.0)) * np.where(b12 >= 0, 1.0, -1.0)
+    sol = np.array([np.linalg.lstsq(A_p, dc2_p, rcond=None)[0] for A_p, dc2_p in zip(A, dc2)])
+    betas = np.sqrt(np.maximum(sol[:, ::2], 0.0))  # b1 and |b2|
+    betas[:, 1] *= np.where(sol[:, 1] >= 0.0, 1.0, -1.0)
     exists[:, 1] = betas[:, 0] > 1e-12
     polish = exists[:, 1].nonzero()[0]
     if len(polish) == k:  # every problem: views, not copies
@@ -429,9 +434,10 @@ def _epnp_candidates(ctrl, P_w, u, counts, intr):
     D = np.ascontiguousarray(dV.transpose(0, 2, 1, 3)[polish])
     live, b, c2 = np.arange(len(betas)), betas, dc2[polish]
     for _ in range(5):
-        dvc = b[:, :1, None] * D[:, :, 0] + b[:, 1:, None] * D[:, :, 1]
+        terms = b[:, None, :, None] * D
+        dvc = terms[:, :, 0] + terms[:, :, 1]  # b1 dv1 + b2 dv2
         r = np.add.reduce(dvc * dvc, axis=2) - c2
-        J = 2 * np.add.reduce(dvc[:, :, None] * D, axis=3)
+        J = 2.0 * np.add.reduce(dvc[:, :, None] * D, axis=3)
         Jt = J.transpose(0, 2, 1)
         step, ok = _solve_each(Jt @ J + _DAMP_2, Jt @ r[:, :, None])
         if ok is not None:
@@ -443,7 +449,7 @@ def _epnp_candidates(ctrl, P_w, u, counts, intr):
 
     # positive-depth disambiguation: each candidate or its negation; the
     # mean depth as np.mean forms it
-    flip = np.add.reduce(candidates[:, :, :, 2], axis=2) / m < 0
+    flip = np.add.reduce(candidates[:, :, :, 2], axis=2) / m < 0.0
     return alphas, np.where(flip[:, :, None, None], -candidates, candidates), exists
 
 
@@ -524,10 +530,12 @@ def _epnp_fits(P, U, counts, intr):
 
         def fit(s):
             """Each candidate's camera-frame points, alphas @ candidate, and
-            the rigid fit of its problem's world points onto them."""
-            r = slice(ends[s.start] - n[s.start], ends[s.stop - 1])  # the group's rows are one block
-            return _by_runs(lambda A, X, C: rigid_fit(X[:, None], A[:, None] @ C),
-                            n[s], (alphas[r], P_g[r]), (candidates[s],))
+            the rigid fit of its problem's world points onto them: the
+            moments run by run, the SVDs of the span at once."""
+            r = slice(ends[s.start] - n[s.start], ends[s.stop - 1])  # the group's rows: one block
+            return _rigid_from_moments(*_by_runs(
+                lambda A, X, C: _rigid_moments(X[:, None], A[:, None] @ C),
+                n[s], (alphas[r], P_g[r]), (candidates[s],)))
 
         fit_R[idx], fit_t[idx] = _by_spans(fit, n)
     return fit_R, fit_t, exists, degenerate

@@ -395,6 +395,20 @@ def test_pose_quat_batch_renormalizes_as_pose_does():
     changed = [a.tobytes() != b.tobytes() for a, b in zip(q, out)]
     assert changed == [False, False, True, True]
 
+    # matrix_to_quat's rows lie within 4 ulps of unit norm, so they are
+    # stored as they are (the trackers rely on this and skip the cast):
+    # rotations of every angle up to a half turn, of every Shepperd branch
+    rng = np.random.default_rng(13)
+    axes = rng.normal(size=(20000, 3))
+    axes /= row_norms(axes)[:, None]
+    angles = np.concatenate([rng.uniform(0.0, np.pi, 18000),
+                             np.pi - 10 ** rng.uniform(-12, -1, 2000)])
+    mats = so3_exp(axes * angles[:, None])
+    assert {quat_branch(R) for R in mats[::50]} | {quat_branch(R) for R in mats[-2000:]} == \
+        {"trace", 0, 1, 2}
+    quats = matrix_to_quat(mats)
+    assert pose_quat_batch(quats).tobytes() == quats.tobytes()
+
 
 def pose_rows():
     """Quaternion and translation rows of each kind the cast meets: unit,
@@ -479,7 +493,7 @@ def test_trajectory_refusal_names_the_first_bad_pose(bad, message):
         Trajectory(q, t)
     # each row alone is refused by Pose with the same text, less the index
     text, i = message.rsplit(" at pose ", 1)
-    with pytest.raises(GeometryError, match=f"^{re.escape(text)}$"), np.errstate(over="ignore"):
+    with pytest.raises(GeometryError, match=f"^{re.escape(text)}$"):
         Pose(q[int(i)], t[int(i)])
 
 

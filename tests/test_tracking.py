@@ -558,6 +558,28 @@ def test_frame_to_frame_batches_equal_the_per_frame_tracker(preset, offset):
     assert poses_sha256(track_frame_to_frame(seq)) == poses_sha256(traj)
 
 
+@pytest.mark.parametrize("offset", [0, 1000])
+@pytest.mark.parametrize("preset", ["sphere", "box", "corridor"])
+def test_map_to_frame_solves_equal_the_one_problem_solver(preset, offset):
+    # every frame's problem as the tracker poses it: the mapped points seen
+    # in the frame, their pixels and the previous pose as the motion prior
+    seq = preset_sequence(preset)[1] if offset == 0 else shifted_sequence(preset, offset)
+    solves = []
+
+    def recording(world_points, pixels, intr, initial=None):
+        result = solve_pnp(world_points, pixels, intr, initial=initial)
+        solves.append((world_points, pixels, intr, initial, result))
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tracking, "solve_pnp", recording)
+        track_map_to_frame(seq)
+    assert len(solves) == len(seq.frames) - 1
+    for P, u, intr, prior, result in solves:
+        assert prior is not None
+        assert result_bytes(result) == result_bytes(reference_solve_pnp(P, u, intr, 10, prior))
+
+
 def matched_problems(seq):
     """The (P_prev, u) problems ``track_frame_to_frame`` builds from its
     landmark-id matches, and the message of the ``TrackingLostError`` it
