@@ -113,7 +113,7 @@ def _segment_index(offsets, counts):
 def _take(x, rows):
     """The rows ``rows`` of x: a view for a slice, else a copy. ``np.take``
     copies rows several times faster than indexing with an index array."""
-    return x[rows] if isinstance(rows, slice) else np.take(x, rows, axis=0)
+    return x[rows] if isinstance(rows, slice) else x.take(rows, axis=0)
 
 
 def _join(outs):
@@ -139,7 +139,7 @@ def _by_runs(f, counts, rows, segments=()):
     ragged segments to one shape would not, nor would ``np.add.reduceat``.
     """
     # (segments, length) of each run
-    runs = [(len(list(run)), n) for n, run in groupby(np.asarray(counts).tolist())]
+    runs = [(len(list(run)), n) for n, run in groupby(counts.tolist())]
     if len(runs) == 1:
         c, n = runs[0]
         return f(*[x.reshape(c, n, *x.shape[1:]) for x in rows], *segments)
@@ -403,10 +403,10 @@ def _epnp_candidates(ctrl, P_w, u, counts, intr):
     # below must see the layouts a problem alone gives them
     V = vecs[:, :, :2].transpose(0, 2, 1).reshape(k, 2, m, 3)
     i, j = _PAIRS[m]
-    dV = np.take(V, i, axis=2) - np.take(V, j, axis=2)
+    dV = V.take(i, axis=2) - V.take(j, axis=2)
     dc = row_norms((ctrl[:, i] - ctrl[:, j]).reshape(-1, 3)).reshape(k, -1)
     # dv1·dv1, dv1·dv2 and dv2·dv2 of each pair, (k, 3, pairs)
-    dots = np.add.reduce(np.take(dV, _BETA_A, axis=1) * np.take(dV, _BETA_B, axis=1), axis=3)
+    dots = np.add.reduce(dV.take(_BETA_A, axis=1) * dV.take(_BETA_B, axis=1), axis=3)
     candidates = np.zeros((k, 2, m, 3))
     exists = np.zeros((k, 2), dtype=bool)
 
@@ -510,7 +510,6 @@ def _epnp_fits(P, U, counts, intr):
     t (k, 2, 3), exists (k, 2), degenerate (k,)). General problems use 4
     control points, planar ones 3, degenerate ones none."""
     k = len(counts)
-    offsets = counts.cumsum() - counts
     ctrl, planar, degenerate = _epnp_control_points(P, counts)
     fit_R, fit_t = np.zeros((k, 2, 3, 3)), np.zeros((k, 2, 3))
     exists = np.zeros((k, 2), dtype=bool)
@@ -521,7 +520,7 @@ def _epnp_fits(P, U, counts, intr):
         if len(idx) == k:  # the whole batch, whose rows are one block
             idx = rows = slice(None)
         else:
-            rows = _segment_rows(offsets[idx], counts[idx])
+            rows = _segment_rows((counts.cumsum() - counts)[idx], counts[idx])
         n = counts[idx]
         P_g = _take(P, rows)
         alphas, candidates, exists[idx] = _epnp_candidates(ctrl[idx, :m], P_g, _take(U, rows), n,
