@@ -395,9 +395,10 @@ def test_pose_quat_batch_renormalizes_as_pose_does():
     changed = [a.tobytes() != b.tobytes() for a, b in zip(q, out)]
     assert changed == [False, False, True, True]
 
-    # matrix_to_quat's rows lie within 4 ulps of unit norm, so they are
-    # stored as they are (the trackers rely on this and skip the cast):
-    # rotations of every angle up to a half turn, of every Shepperd branch
+    # matrix_to_quat's rows lie within the 4 eps of unit norm that Pose
+    # keeps, so they are stored as they are (the trackers rely on this and
+    # skip the cast): rotations of every angle up to a half turn, of every
+    # Shepperd branch
     rng = np.random.default_rng(13)
     axes = rng.normal(size=(20000, 3))
     axes /= row_norms(axes)[:, None]

@@ -468,6 +468,11 @@ def test_solve_each_solves_the_others_when_one_system_is_singular():
     assert np.isnan(x[2]).all()
     for i in (0, 1, 3):
         assert x[i].tobytes() == np.linalg.solve(A[i], b[i, :, 0]).tobytes()
+    # with every system solvable there is no mask, and the one stacked solve
+    keep = [0, 1, 3]
+    x, ok = tracking._solve_each(A[keep], b[keep])
+    assert ok is None
+    assert x.tobytes() == np.linalg.solve(A[keep], b[keep]).tobytes()
 
 
 def mixed_problems(rng):
