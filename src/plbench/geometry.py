@@ -146,28 +146,19 @@ def rotation_angles(R) -> np.ndarray:
     return np.arctan2(row_norms(axial), cos).reshape(R.shape[:-2])
 
 
-# quat_to_matrix's entries of R.flat, each 2 (a + sign b), and 1 minus
-# that on the diagonal, where a and b are products q_i q_j of quaternion
-# components at flat index 4 i + j of their outer product: (yy + zz),
-# (xy - zw), (xz + yw), (xy + zw), (xx + zz), (yz - xw), (xz - yw),
-# (yz + xw), (xx + yy)
-_Q2M_A = np.array([5, 1, 2, 1, 0, 6, 2, 6, 0])
-_Q2M_B = np.array([10, 11, 7, 11, 10, 3, 7, 3, 5])
-_Q2M_SIGN = np.array([1.0, -1.0, 1.0, 1.0, 1.0, -1.0, -1.0, 1.0, 1.0])
-
-
 def quat_to_matrix(q) -> np.ndarray:
     """Rotation matrix of the unit quaternion q (4,), or of each row of q
-    (..., 4). The products of two components come from one outer product
-    of q with itself, and each entry from two of them."""
+    (..., 4). Each product of two components is formed once."""
     q = np.asarray(q, dtype=float)
-    c = np.ascontiguousarray(q.reshape(-1, 4).T)  # one row per component
-    p = (c[:, None] * c[None, :]).reshape(16, -1)
-    R = p[_Q2M_B]
-    R *= _Q2M_SIGN[:, None]
-    R += p[_Q2M_A]
-    R *= 2.0
-    R[::4] = 1.0 - R[::4]
+    x, y, z, w = q.T
+    xx, yy, zz = x * x, y * y, z * z
+    xy, xz, yz = x * y, x * z, y * z
+    xw, yw, zw = x * w, y * w, z * w
+    R = np.array([
+        1 - 2 * (yy + zz), 2 * (xy - zw), 2 * (xz + yw),
+        2 * (xy + zw), 1 - 2 * (xx + zz), 2 * (yz - xw),
+        2 * (xz - yw), 2 * (yz + xw), 1 - 2 * (xx + yy),
+    ])
     return np.ascontiguousarray(R.T).reshape(q.shape[:-1] + (3, 3))
 
 

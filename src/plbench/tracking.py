@@ -142,9 +142,6 @@ def _by_runs(f, counts, rows, segments=()):
     """
     # (segments, length) of each run
     runs = [(len(list(run)), n) for n, run in groupby(counts.tolist())]
-    if len(runs) == 1:
-        c, n = runs[0]
-        return f(*[x.reshape(c, n, *x.shape[1:]) for x in rows], *segments)
     outs, a, lo = [], 0, 0
     for c, n in runs:
         hi = lo + c * n
@@ -231,7 +228,7 @@ def _refine_poses(R, t, P_w, u, counts, intr):
         """For the starts ``active[span]`` at their poses: their points in
         front of the camera, their mean errors while ``err`` is unset (none
         after), and JᵀJ and Jᵀr."""
-        if isinstance(each, slice):  # every start: the span's starts and rows are one block each
+        if len(active) == len(R):  # every start: the span's starts and rows are one block each
             s, rows = span, slice(offsets[span.start], ends[span.stop - 1])
         else:
             s = active[span]
@@ -591,13 +588,9 @@ def _solve_batch(problems, intr, first) -> list[PnPResult]:
     n_starts = np.add.reduce(has, axis=1)
     start_counts = counts.repeat(n_starts)
     # each problem's rows once per start; the per-problem arrays are freed
-    if sizes[0] == sizes[-1]:  # one size: no index array
-        P = P.reshape(k, -1, 3).repeat(n_starts, axis=0).reshape(-1, 3)
-        U = U.reshape(k, -1, 2).repeat(n_starts, axis=0).reshape(-1, 2)
-    else:
-        rows = _segment_rows((counts.cumsum() - counts).repeat(n_starts), start_counts)
-        P, U = _take(P, rows), _take(U, rows)
-        del rows
+    rows = _segment_rows((counts.cumsum() - counts).repeat(n_starts), start_counts)
+    P, U = _take(P, rows), _take(U, rows)
+    del rows
     q, t, err = _refine_poses(quat_to_matrix(start_q[has]), start_t[has], P, U, start_counts, intr)
     results: list[PnPResult] = [None] * k  # type: ignore[list-item]
     errs, end = err.tolist(), 0

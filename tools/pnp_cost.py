@@ -8,9 +8,8 @@ function calls per solve that cProfile counts in one full-size replay.
 The cut problems show the fixed cost a solve pays whatever its size.
 Uses the standard library and numpy only; BLAS runs on one thread.
 
-Usage: python tools/pnp_cost.py [PRESET ...] [--repeat K] [--seed N]
-       (default: sphere box corridor, K = 5, N = 0; N is added to each
-       preset's scene seed)
+Usage: python tools/pnp_cost.py [PRESET ...] [--repeat K]
+       (default: sphere box corridor, K = 5)
 """
 import os
 import sys
@@ -21,7 +20,6 @@ if __name__ == "__main__":
 
 import argparse  # noqa: E402
 import cProfile  # noqa: E402
-import dataclasses  # noqa: E402
 import pstats  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -40,13 +38,12 @@ from plbench.simulator import (  # noqa: E402
 _CUT = 12  # correspondences per problem in the fixed-cost replay
 
 
-def map_to_frame_solves(preset: str, seed_offset: int):
+def map_to_frame_solves(preset: str):
     """The (points, pixels, initial) of each ``solve_pnp`` call that
     ``track_map_to_frame`` makes on the preset's sequence, and its
     intrinsics."""
     cfg = load_preset(preset)
-    scene = dataclasses.replace(cfg.scene, seed=cfg.scene.seed + seed_offset)
-    seq = generate_sequence(build_scene(scene), build_trajectory(cfg.trajectory),
+    seq = generate_sequence(build_scene(cfg.scene), build_trajectory(cfg.trajectory),
                             cfg.noise, cfg.intrinsics, cfg.render)
     calls, solve = [], tracking.solve_pnp
 
@@ -90,7 +87,6 @@ def main(argv=None) -> None:
     parser.add_argument("presets", nargs="*", metavar="PRESET",
                         help=f"one of {', '.join(PRESET_NAMES)} (default: all)")
     parser.add_argument("--repeat", type=int, default=5, help="replays per timing; the best counts")
-    parser.add_argument("--seed", type=int, default=0, help="offset added to each scene seed")
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
@@ -100,7 +96,7 @@ def main(argv=None) -> None:
     print(f"{'preset':<10}{'solves':>7}{'points':>8}{'ms/solve':>10}"
           f"{f'ms/solve <={_CUT}':>15}{'calls/solve':>13}")
     for preset in args.presets or PRESET_NAMES:
-        calls, intr = map_to_frame_solves(preset, args.seed)
+        calls, intr = map_to_frame_solves(preset)
         cut = [(P[:_CUT], u[:_CUT], initial) for P, u, initial in calls]
         replay(calls, intr)  # warm-up
         full, small = ms_per_solve(calls, intr, args.repeat), ms_per_solve(cut, intr, args.repeat)
