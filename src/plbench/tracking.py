@@ -87,7 +87,7 @@ _PAIRS = {m: np.triu_indices(m, 1) for m in (3, 4)}
 # correspondences per batch of ``solve_pnp_batch``, and rows per span of
 # the stages that would otherwise hold per-row arrays of a whole batch
 # (``_by_spans``): EPnP's design matrix, the rigid fits, the pose Jacobians
-# and every projection. Each batch pays about 1.0 ms of fixed cost (a
+# and every projection. Each batch pays about 1.1 ms of fixed cost (a
 # map-to-frame solve cut to 12 points, ``tools/pnp_cost.py``, one core of
 # a 2-vCPU host); the spans hold its memory instead. The corridor sequence,
 # one batch, peaks 1.5 MB above solving it frame by frame with the spans
