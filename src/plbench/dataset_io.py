@@ -15,6 +15,9 @@ Directory layout of a sequence:
     parallel_groups.txt  PG gid id...
     stats.csv            (optional, via write_stats_csv)
     graph.txt            (optional, via write_graph)
+                         VERTEX_POSE id tx ty tz qx qy qz qw | FIX id
+                         VERTEX_POINT id X Y Z | VERTEX_LINE id nx ny nz dx dy dz
+                         EDGE_POINT frame point px py | EDGE_LINE frame line sx sy ex ey
 
 Every file but ``parallel_groups.txt`` and ``stats.csv`` is written by
 one formatter, ``_records`` (``%d`` for ids and image sizes, ``%r`` for
@@ -28,8 +31,10 @@ frame. The ``FrameData`` built from the checked rows only casts them.
 ``landmarks.txt`` maps row for row onto the columns of the ground-truth
 records, ``MP`` lines onto ``geometry.Points`` (id, position) and ``ML``
 lines onto ``geometry.Segments`` (id, endpoints, start then end), in
-ascending id as the records hold them. ``groundtruth.txt`` maps row for
-row onto a ``geometry.Trajectory``, frame i in its record i.
+ascending id as the records hold them. ``groundtruth.txt`` and the
+``VERTEX_POSE`` lines of a graph file each map row for row onto a
+``geometry.Trajectory``, frame i in its record i: in both, pose ids count
+up from 0 in file order.
 
 Readers are total: malformed input of any kind raises ParseError naming
 the file and line, never an unhandled exception. The record files (the
@@ -56,7 +61,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .factor_graph import FactorGraph, Factors, Lines, Poses, _factor_weight, _plucker_violations
+from .factor_graph import FactorGraph, Factors, Lines, _factor_weight, _plucker_violations
 from .geometry import (
     CameraIntrinsics,
     GeometryError,
@@ -64,7 +69,6 @@ from .geometry import (
     Segments,
     Trajectory,
     normalizable,
-    pose_quat_batch,
     row_norms,
 )
 from .simulator import FrameData, Sequence, _first_fault, _repeats, _row_faults
@@ -517,15 +521,16 @@ def write_stats_csv(stats: list[FrameStats], path) -> None:
 
 
 def write_graph(graph: FactorGraph, path) -> None:
-    """Write vertices, the gauge and factor measurements. Factor weights
-    are not stored; ``read_graph`` rebuilds them from ``sigma_s``."""
+    """Write vertices, pose i with id i, the gauge and factor
+    measurements. Factor weights are not stored; ``read_graph`` rebuilds
+    them from ``sigma_s``."""
     poses, points, lines = graph.poses, graph.points, graph.lines
     pf, lf = graph.point_factors, graph.line_factors
     _atomic_write(path, "".join([
         "# VERTEX_POSE id tx ty tz qx qy qz qw (world-to-camera)\n"
         "# VERTEX_POINT id X Y Z | VERTEX_LINE id nx ny nz dx dy dz\n"
         "# EDGE_POINT frame point px py | EDGE_LINE frame line sx sy ex ey | FIX id\n",
-        _records("VERTEX_POSE", poses.id, poses.t, poses.q),
+        _records("VERTEX_POSE", np.arange(len(poses)), poses.t, poses.q),
         _records("VERTEX_POINT", points.id, points.position),
         _records("VERTEX_LINE", lines.id, lines.n, lines.d),
         _records("FIX", graph.fixed),
@@ -549,9 +554,7 @@ def _records(tag: str | None, *columns) -> str:
 
 # graph record tag -> the entry of _read_records' table
 _GRAPH_RECORDS = {
-    "VERTEX_POSE": (("pose id",), 7, "pose component", lambda file, ids, v: [
-        _distinct("pose id", file, ids),
-        (np.abs(row_norms(v[:, 3:]) - 1.0) > 1e-6, "quaternion is not unit norm")]),
+    "VERTEX_POSE": _POSE_RECORDS[None],
     "VERTEX_POINT": (("point id",), 3, "coordinate",
                      lambda file, ids, v: [_distinct("point id", file, ids)]),
     "VERTEX_LINE": (("line id",), 6, "coordinate", lambda file, ids, v: [
@@ -568,17 +571,19 @@ def read_graph(path, intrinsics: CameraIntrinsics, sigma_s: float = 1.0) -> Fact
     """Graph files carry no calibration and no factor weights; the caller
     supplies the calibration, and every factor gets the weight
     1/sigma_s^2, whatever weights the written graph had; ``sigma_s`` must
-    be finite and > 0."""
+    be finite and > 0. The ``VERTEX_POSE`` lines are checked as
+    ``read_trajectory`` checks its lines: ids count up from 0, and each
+    quaternion lies within 1e-6 of unit norm."""
     weight = _factor_weight(sigma_s)
     (columns,) = _read_records([path], _GRAPH_RECORDS)
-    pose_ids, pose = columns["VERTEX_POSE"]
+    _, pose = columns["VERTEX_POSE"]
     point_ids, point = columns["VERTEX_POINT"]
     line_ids, line = columns["VERTEX_LINE"]
     point_edges, point_u = columns["EDGE_POINT"]
     line_edges, line_u = columns["EDGE_LINE"]
     graph = FactorGraph(
         intrinsics=intrinsics,
-        poses=Poses(pose_ids[:, 0], pose[:, :3], pose_quat_batch(pose[:, 3:])),
+        poses=Trajectory(pose[:, 3:], pose[:, :3]),
         fixed=columns["FIX"][0][:, 0],
         points=Points(point_ids[:, 0], point),
         lines=Lines(line_ids[:, 0], line[:, :3], line[:, 3:]),

@@ -5,7 +5,8 @@ the re-projected landmark; a line factor stacks the signed distances of
 the two measured endpoints from the re-projected infinite line. Measured
 depths never appear here; they only seed initial landmark values.
 
-Vertices and factors are columns. ``Poses``, ``Points`` (the landmark
+Vertices and factors are columns. ``poses`` is a ``geometry.Trajectory``:
+pose vertex i is its row i, the pose of frame i. ``Points`` (the landmark
 record of ``geometry``) and ``Lines`` hold one row per vertex, sorted by
 int64 ``id``; ``fixed`` is the sorted array of gauge pose ids.
 ``point_factors`` and ``line_factors`` each hold one ``Factors`` record,
@@ -85,17 +86,6 @@ class Factors:
 
 
 @dataclass(frozen=True)
-class Poses(_Vertices):
-    """Pose vertices T_cw: translation ``t`` (N, 3), quaternion ``q`` (N, 4)."""
-
-    id: np.ndarray
-    t: np.ndarray
-    q: np.ndarray
-    kind, _COLUMNS = "pose", (("t", float, (3,)), ("q", float, (4,)))
-    _error = GraphConstructionError
-
-
-@dataclass(frozen=True)
 class Lines(_Vertices):
     """Line landmark vertices: Plucker moment ``n`` and direction ``d`` (N, 3)."""
 
@@ -118,7 +108,7 @@ def _plucker_violations(n, d) -> np.ndarray:
 @dataclass(frozen=True)
 class FactorGraph:
     intrinsics: CameraIntrinsics
-    poses: Poses = field(default_factory=lambda: Poses([], [], []))
+    poses: Trajectory = field(default_factory=lambda: Trajectory([], []))
     fixed: np.ndarray = ()
     points: Points = field(default_factory=lambda: Points([], []))
     lines: Lines = field(default_factory=lambda: Lines([], [], []))
@@ -134,13 +124,13 @@ class FactorGraph:
     def check(self) -> None:
         if not len(self.fixed):
             raise GraphConstructionError("graph needs at least one fixed pose (gauge)")
-        if not np.isin(self.fixed, self.poses.id).all():
+        if self.fixed[0] < 0 or self.fixed[-1] >= len(self.poses):
             raise GraphConstructionError("fixed flag on unknown pose vertex")
         if _plucker_violations(self.lines.n, self.lines.d).any():
             raise GraphConstructionError("line vertex violates the Plucker constraint")
         for factors, landmarks in ((self.point_factors, self.points),
                                    (self.line_factors, self.lines)):
-            _rows(factors.frame, self.poses)
+            _pose_rows(factors.frame, self.poses)
             _rows(factors.landmark, landmarks)
 
     def total_cost(self) -> float:
@@ -155,20 +145,30 @@ class FactorGraph:
         cost = 0.0
         fs = self.point_factors
         if len(fs):
-            k = _rows(fs.frame, self.poses)
+            k = _pose_rows(fs.frame, self.poses)
             P = self.points.position[_rows(fs.landmark, self.points)]
             res, _, _ = _point_residuals(R[k], t[k], P, fs.u, self.intrinsics)
             cost += float(fs.weight @ np.sum(res * res, axis=1))
         fs = self.line_factors
         if len(fs):
             U, W, _ = orthonormal_from_plucker(self.lines.n, self.lines.d)
-            k = _rows(fs.frame, self.poses)
+            k = _pose_rows(fs.frame, self.poses)
             m = _rows(fs.landmark, self.lines)
             res, _, _ = _line_residuals(
                 R[k], t[k], U[m], W[m], fs.u[:, 0], fs.u[:, 1], self.intrinsics
             )
             cost += float(fs.weight @ np.sum(res * res, axis=1))
         return cost
+
+
+def _pose_rows(ids: np.ndarray, poses: Trajectory) -> np.ndarray:
+    """``ids``, the rows of ``poses`` they name; raises
+    GraphConstructionError for an id outside 0..n-1, where numpy would
+    read -1 as the last row."""
+    outside = (ids < 0) | (ids >= len(poses))
+    if outside.any():
+        raise GraphConstructionError(f"dangling factor reference to pose {ids[outside][0]}")
+    return ids
 
 
 def _rows(ids: np.ndarray, vertices: _Vertices) -> np.ndarray:
@@ -392,9 +392,10 @@ def build_covisibility_graph(
     initial_map,
     sigma_s: float = 1.0,
 ) -> FactorGraph:
-    """One pose vertex per frame (first fixed), with the columns of
-    ``trajectory``, one vertex per landmark observed at least twice, one
-    factor per measurement of those landmarks.
+    """One pose vertex per frame (first fixed): ``trajectory`` itself, as
+    the graph's ``poses``; one vertex per landmark observed at least twice;
+    one factor per measurement of those landmarks, on the pose of its
+    frame. A frame whose ``frame_id`` is not its index is refused.
 
     ``initial_map`` provides the initial values as two records:
     ``initial_map.points``, a ``geometry.Points``, and
@@ -407,6 +408,10 @@ def build_covisibility_graph(
         raise GraphConstructionError("trajectory length does not match frame count")
     if not seq.frames:
         raise GraphConstructionError("sequence has no frames")
+    try:  # the factors' frame ids are pose rows
+        seq.check_frame_ids()
+    except ValueError as exc:
+        raise GraphConstructionError(str(exc)) from None
     weight = _factor_weight(sigma_s)
     point_ids, point_factors = _covisible(seq.frames, "point", weight)
     line_ids, line_factors = _covisible(seq.frames, "line", weight)
@@ -422,8 +427,7 @@ def build_covisibility_graph(
     s = np.sqrt(row_dots(n, n) + row_dots(d, d))[:, None]
     graph = FactorGraph(
         intrinsics=seq.intrinsics,
-        poses=Poses(np.arange(len(trajectory)), trajectory.t, trajectory.q),
-        fixed=[0], points=Points(point_ids, initial_map.points.position[rows[0]]),
+        poses=trajectory, fixed=[0], points=Points(point_ids, initial_map.points.position[rows[0]]),
         lines=Lines(line_ids, n / s, d / s),
         point_factors=point_factors, line_factors=line_factors,
     )

@@ -4,8 +4,9 @@ Conventions:
   * ``Pose`` stores the world-to-camera transform T_cw: X_c = R @ X_w + t.
   * A trajectory is one ``Trajectory`` record, the poses of frames 0..n-1
     as (q (n, 4), t (n, 3)) stacks, from ``simulator.build_trajectory``
-    through the trackers and the sequence files to the metrics. ``Pose``
-    serves where one pose's math runs.
+    through the trackers, the sequence files and the factor graph, whose
+    pose vertex i is its row i, to the metrics. ``Pose`` serves where one
+    pose's math runs.
   * Quaternions are (qx, qy, qz, qw), unit norm.
   * Pixels: u right, v down, origin at the top-left image corner.
   * A 3D line in Plucker form is the pair (n, d) with moment n = Ps x Pe and
@@ -18,7 +19,7 @@ All values are immutable after construction and every function is pure.
 Landmarks are records of columns: ``Points`` (id, position) and
 ``Segments`` (id, endpoints) hold one row per landmark, sorted by int64
 id, from the scene through the sequence files and the fused map to the
-factor graph, whose vertex records share their base, ``_Vertices``.
+factor graph, whose line vertex record shares their base, ``_Vertices``.
 
 Every id and value column of a record (the landmark and vertex records,
 ``Trajectory``, ``simulator.FrameData``, ``factor_graph.Factors`` and the
@@ -33,9 +34,8 @@ Each piece of math has one kernel. The rotation kernels (``skew``,
 ``rigid_fit``, ``plucker_from_orthonormal`` and ``Pose.transform`` take
 one item or a stack of them along leading axes, and one item's result
 equals its row of a stack bit for bit, so a caller may batch any set of
-them without changing a single output bit. ``se3_exp_update``,
-``pose_quat_batch`` and ``orthonormal_from_plucker`` take a stack; one
-item is a stack of one.
+them without changing a single output bit. ``se3_exp_update`` and
+``orthonormal_from_plucker`` take a stack; one item is a stack of one.
 The orthonormal line state is the pair of arrays (U, W).
 """
 from __future__ import annotations
@@ -185,8 +185,8 @@ def matrix_to_quat(R) -> np.ndarray:
     Each quaternion is divided by its computed norm n, so its own norm is
     within 4 u of 1 (u = eps / 2: u from each division, 3 u from n) and
     the norm that ``Pose`` computes of it within 7 u, below the 8 u
-    (4 eps) past which ``Pose`` and ``pose_quat_batch`` would normalize
-    it again: both store every result as it is."""
+    (4 eps) past which ``Pose`` and ``Trajectory`` would normalize it
+    again: both store every result as it is."""
     R = np.asarray(R, dtype=float)
     r = R.reshape(-1, 9)
     rows = np.arange(len(r))
@@ -361,25 +361,16 @@ class Pose:
         return -(self.rotation().T @ self.t)
 
 
-def pose_quat_batch(q) -> np.ndarray:
-    """The quaternion ``Pose`` stores for each row of q (m, 4), bit for bit:
-    rows more than 4 ulps off unit norm are normalized. Unlike ``Pose`` it
-    does not reject a zero or non-finite norm."""
-    q = np.asarray(q, dtype=float)
-    norm = row_norms(q)
-    off = np.abs(norm - 1.0) > _UNIT_TOLERANCE
-    return np.where(off[:, None], q / norm[:, None], q)
-
-
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """The poses T_cw of frames 0..n-1 as read-only columns: quaternions
     ``q`` (n, 4) and translations ``t`` (n, 3).
 
-    Each column goes through ``_column``; then ``pose_quat_batch`` gives
-    every row of ``q`` the bits ``Pose`` stores. A zero or non-finite
-    quaternion, or a non-finite translation, raises ``Pose``'s
-    GeometryError with the index of the first bad pose.
+    Each column goes through ``_column``; then every row of ``q`` more
+    than 4 ulps off unit norm is normalized, so that each row holds the
+    bits ``Pose`` stores. A zero or non-finite quaternion, or a non-finite
+    translation, raises ``Pose``'s GeometryError with the index of the
+    first bad pose.
 
     ``len`` counts the poses; ``trajectory[i]`` is pose i as a ``Pose``
     and a slice is a ``Trajectory``. Iterating, which goes through the int
@@ -396,7 +387,8 @@ class Trajectory:
             faults = np.column_stack([~normalizable(q), ~np.isfinite(t).all(axis=1)])
         for i, check in np.argwhere(faults)[:1].tolist():  # the first bad pose's first fault
             raise GeometryError(f"{_POSE_FAULTS[check]} at pose {i}")
-        q = pose_quat_batch(q)
+        norm = row_norms(q)
+        q = np.where((np.abs(norm - 1.0) > _UNIT_TOLERANCE)[:, None], q / norm[:, None], q)
         q.flags.writeable = False
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "t", t)

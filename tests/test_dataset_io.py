@@ -25,7 +25,6 @@ from plbench.factor_graph import (
     Factors,
     Lines,
     Points,
-    Poses,
     build_covisibility_graph,
 )
 from plbench.geometry import (
@@ -480,7 +479,7 @@ def test_toy_graph_roundtrip(tmp_path):
     T = [IDENTITY, Pose.from_rt(so3_exp([0.01, 0.02, -0.01]), np.array([0.1, 0.0, 0.02]))]
     g = FactorGraph(
         intrinsics=K,
-        poses=Poses([0, 1], [T_i.t for T_i in T], [T_i.q for T_i in T]),
+        poses=Trajectory([T_i.q for T_i in T], [T_i.t for T_i in T]),
         fixed=[0],
         points=Points([5], [[0.3, -0.2, 4.0]]),
         lines=Lines([2], [[0.0, 0.0, 0.5]], [[0.0, 0.5, 0.0]]),
@@ -573,49 +572,55 @@ def test_graph_edge_errors_name_file_and_line(tmp_path, edge, match):
 @pytest.mark.parametrize(
     "vertices, match",
     [
-        pytest.param("VERTEX_POSE 0 0.0 0.0 0.0 0.0 0.0 0.0 1.0",
-                     "g.txt:4: duplicate pose id 0", id="duplicate-pose"),
-        pytest.param("VERTEX_POINT 2 0.0 0.0 1.0\nVERTEX_POINT 2 0.0 0.0 1.0",
+        pytest.param(GRAPH_HEAD + "VERTEX_POSE 0 0.0 0.0 0.0 0.0 0.0 0.0 1.0",
+                     "g.txt:4: non-monotonic frame_id: 0", id="duplicate-pose"),
+        # pose ids count up from 0 in file order, as in groundtruth.txt
+        pytest.param(GRAPH_HEAD + "VERTEX_POSE 2 0.0 0.0 0.0 0.0 0.0 0.0 1.0",
+                     "g.txt:4: non-monotonic frame_id: 2", id="pose-id-skips"),
+        pytest.param("VERTEX_POSE 1 0.0 0.0 0.0 0.0 0.0 0.0 1.0\nFIX 1",
+                     "g.txt:1: non-monotonic frame_id: 1", id="pose-ids-start-at-1"),
+        pytest.param(GRAPH_HEAD + "VERTEX_POINT 2 0.0 0.0 1.0\nVERTEX_POINT 2 0.0 0.0 1.0",
                      "g.txt:5: duplicate point id 2", id="duplicate-point"),
-        pytest.param("VERTEX_LINE 1 0.0 0.0 0.5 0.0 0.5 0.0",
+        pytest.param(GRAPH_HEAD + "VERTEX_LINE 1 0.0 0.0 0.5 0.0 0.5 0.0",
                      "g.txt:4: duplicate line id 1", id="duplicate-line"),
-        pytest.param("VERTEX_POSE 3 0.0 0.0 0.0 0.0 0.0 0.0 1.1",
+        pytest.param(GRAPH_HEAD + "VERTEX_POSE 1 0.0 0.0 0.0 0.0 0.0 0.0 1.1",
                      "g.txt:4: quaternion is not unit norm", id="non-unit-quaternion"),
-        pytest.param("VERTEX_LINE 2 0.0 0.0 0.5 0.0 0.0 0.0",
+        pytest.param(GRAPH_HEAD + "VERTEX_LINE 2 0.0 0.0 0.5 0.0 0.0 0.0",
                      "g.txt:4: line direction must be nonzero", id="zero-direction"),
-        pytest.param("VERTEX_LINE 2 1.0 0.0 0.0 0.5 0.0 0.0",
+        pytest.param(GRAPH_HEAD + "VERTEX_LINE 2 1.0 0.0 0.0 0.5 0.0 0.0",
                      "g.txt:4: Plucker constraint violated", id="plucker-violation"),
-        pytest.param("VERTEX_LINE 2 1e160 1e160 0.0 1e160 0.0 0.0",
+        pytest.param(GRAPH_HEAD + "VERTEX_LINE 2 1e160 1e160 0.0 1e160 0.0 0.0",
                      "g.txt:4: Plucker constraint violated", id="plucker-bound-overflows"),
-        pytest.param("VERTEX_POINT 2 0.0 inf 1.0",
+        pytest.param(GRAPH_HEAD + "VERTEX_POINT 2 0.0 inf 1.0",
                      "g.txt:4: nonfinite coordinate: 'inf'", id="nonfinite-coordinate"),
-        pytest.param("VERTEX_POSE 3 nan 0.0 0.0 0.0 0.0 0.0 1.0",
+        pytest.param(GRAPH_HEAD + "VERTEX_POSE 3 nan 0.0 0.0 0.0 0.0 0.0 1.0",
                      "g.txt:4: nonfinite pose component: 'nan'", id="nonfinite-pose"),
         # the first bad line in the file, and on it a syntax fault before
         # the first failing check
-        pytest.param("VERTEX_POINT 2 0.0 0.0 1.0\nVERTEX_POINT 2 x 0.0 1.0",
+        pytest.param(GRAPH_HEAD + "VERTEX_POINT 2 0.0 0.0 1.0\nVERTEX_POINT 2 x 0.0 1.0",
                      "g.txt:5: bad coordinate: 'x'", id="duplicate-before-bad-value"),
-        pytest.param("VERTEX_POSE 0 0.0 0.0 0.0 0.0 0.0 0.0 1.1",
-                     "g.txt:4: duplicate pose id 0", id="duplicate-before-quaternion"),
-        pytest.param("VERTEX_POSE -3 0.0 0.0 0.0 0.0 0.0 0.0 1.1",
-                     "g.txt:4: pose id must be >= 0: -3", id="id-before-quaternion"),
-        pytest.param("FIX 9223372036854775808\nVERTEX_POINT 2 0.0 0.0 1.0\n"
+        pytest.param(GRAPH_HEAD + "VERTEX_POSE 0 0.0 0.0 0.0 0.0 0.0 0.0 1.1",
+                     "g.txt:4: non-monotonic frame_id: 0", id="duplicate-before-quaternion"),
+        pytest.param(GRAPH_HEAD + "VERTEX_POSE -3 0.0 0.0 0.0 0.0 0.0 0.0 1.1",
+                     "g.txt:4: frame_id must be >= 0: -3", id="id-before-quaternion"),
+        pytest.param(GRAPH_HEAD + "FIX 9223372036854775808\nVERTEX_POINT 2 0.0 0.0 1.0\n"
                      "VERTEX_POINT 2 0.0 0.0 1.0",
                      "g.txt:4: pose id does not fit in int64", id="fix-id-before-duplicate"),
-        pytest.param("VERTEX_POSE 3 0.0 0.0 0.0 0.0 0.0 0.0 1.1\nEDGE_POINT 0 x 1.0 2.0",
+        pytest.param(GRAPH_HEAD + "VERTEX_POSE 1 0.0 0.0 0.0 0.0 0.0 0.0 1.1\n"
+                     "EDGE_POINT 0 x 1.0 2.0",
                      "g.txt:4: quaternion is not unit norm", id="vertex-before-malformed-edge"),
-        pytest.param("EDGE_POINT 0 2 1.0 nan\nVERTEX_LINE 1 0.0 0.0 0.5 0.0 0.5 0.0",
+        pytest.param(GRAPH_HEAD + "EDGE_POINT 0 2 1.0 nan\nVERTEX_LINE 1 0.0 0.0 0.5 0.0 0.5 0.0",
                      "g.txt:4: nonfinite pixel: 'nan'", id="malformed-edge-before-vertex"),
-        pytest.param("VERTEX_LINE 2 1.0 0.0 0.0 0.5 0.0 0.0\n"
+        pytest.param(GRAPH_HEAD + "VERTEX_LINE 2 1.0 0.0 0.0 0.5 0.0 0.0\n"
                      "VERTEX_POSE 0 0.0 0.0 0.0 0.0 0.0 0.0 1.0",
                      "g.txt:4: Plucker constraint violated", id="line-before-pose"),
-        pytest.param("VERTEX_POSE 0 0.0 0.0 0.0 0.0 0.0 0.0 1.0\n"
+        pytest.param(GRAPH_HEAD + "VERTEX_POSE 0 0.0 0.0 0.0 0.0 0.0 0.0 1.0\n"
                      "VERTEX_LINE 2 1.0 0.0 0.0 0.5 0.0 0.0",
-                     "g.txt:4: duplicate pose id 0", id="pose-before-line"),
+                     "g.txt:4: non-monotonic frame_id: 0", id="pose-before-line"),
     ],
 )
 def test_graph_vertex_errors_name_file_and_line(tmp_path, vertices, match):
-    (tmp_path / "g.txt").write_text(GRAPH_HEAD + vertices + "\n")
+    (tmp_path / "g.txt").write_text(vertices + "\n")
     with pytest.raises(ParseError, match=match):
         read_graph(tmp_path / "g.txt", K)
 
@@ -721,7 +726,8 @@ def test_graph_roundtrip_from_pipeline(small_sequence, tmp_path):
     g = build_covisibility_graph(small_sequence, small_sequence.gt_trajectory, gt_map)
     write_graph(g, tmp_path / "g.txt")
     back = read_graph(tmp_path / "g.txt", small_sequence.intrinsics)
-    assert np.array_equal(back.poses.id, g.poses.id)
+    assert back.poses.q.tobytes() == g.poses.q.tobytes()
+    assert back.poses.t.tobytes() == g.poses.t.tobytes()
     assert np.array_equal(back.points.id, g.points.id)
     assert np.array_equal(back.lines.id, g.lines.id)
     assert len(back.point_factors) == len(g.point_factors)

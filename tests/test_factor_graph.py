@@ -24,7 +24,6 @@ from plbench.factor_graph import (
     GraphConstructionError,
     Lines,
     Points,
-    Poses,
     _line_residuals,
     _lines_to_camera,
     _point_residuals,
@@ -418,6 +417,7 @@ def toy_sequence(n_frames=2):
 def test_build_graph_minimal_counts():
     seq = toy_sequence(2)
     graph = build_covisibility_graph(seq, seq.gt_trajectory, toy_map([0], [[0.2, -0.1, 3.0]]))
+    assert graph.poses is seq.gt_trajectory
     assert len(graph.poses) == 2
     assert graph.fixed.tolist() == [0]
     assert len(graph.points) == 1
@@ -463,6 +463,21 @@ def test_build_graph_missing_map_entry_raises():
         build_covisibility_graph(seq, traj, initial)
 
 
+def test_build_graph_refuses_frames_out_of_order():
+    # frames 1 and 2 of a box sequence trade ids: each frame's factors would
+    # sit on the other's pose, and the graph would cost 20,870.5 px^2 at
+    # ground truth where the true one costs 2,896.4
+    cfg = load_preset("box")
+    scene = build_scene(cfg.scene)
+    traj = build_trajectory(cfg.trajectory)[:6]
+    seq = generate_sequence(scene, traj, cfg.noise, cfg.intrinsics, cfg.render)
+    build_covisibility_graph(seq, traj, scene)
+    one, two = seq.frames[1:3]
+    seq.frames[1:3] = dataclasses.replace(one, frame_id=2), dataclasses.replace(two, frame_id=1)
+    with pytest.raises(GraphConstructionError, match="^frame 1 has frame_id 2$"):
+        build_covisibility_graph(seq, traj, scene)
+
+
 def test_build_graph_trajectory_length_mismatch():
     seq = toy_sequence(3)
     with pytest.raises(GraphConstructionError):
@@ -487,7 +502,7 @@ def test_factors_refuse_a_weight_not_positive(weight):
     # one pose, one point, one factor 10 px off: with weight -1 the graph
     # would cost -100
     def graph(w):
-        return FactorGraph(K, Poses([0], [[0.0, 0.0, 0.0]], [[0.0, 0.0, 0.0, 1.0]]), [0],
+        return FactorGraph(K, Trajectory([[0.0, 0.0, 0.0, 1.0]], [[0.0, 0.0, 0.0]]), [0],
                            Points([0], [[0.0, 0.0, 1.0]]),
                            point_factors=Factors([0], [0], [[330.0, 240.0]], [w]))
 
@@ -509,7 +524,7 @@ def preset_graph(preset, frames, noise=None):
 
 def residuals(g: FactorGraph):
     """Every factor's residual through the single-factor operations."""
-    poses = {i: Pose(q, t) for i, t, q in zip(g.poses.id.tolist(), g.poses.t, g.poses.q)}
+    poses = list(g.poses)
     points = dict(zip(g.points.id.tolist(), g.points.position))
     lines = {i: (n, d) for i, n, d in zip(g.lines.id.tolist(), g.lines.n, g.lines.d)}
     out = []
@@ -521,8 +536,8 @@ def residuals(g: FactorGraph):
     return np.array(out)
 
 
-def poses_of(ids, poses):
-    return Poses(ids, [T.t for T in poses], [T.q for T in poses])
+def trajectory_of(poses):
+    return Trajectory([T.q for T in poses], [T.t for T in poses])
 
 
 def lines_of(ids, pluckers):
@@ -554,7 +569,7 @@ def test_total_cost_adds_zero_for_point_behind_its_camera():
     T1 = Pose(np.array([0.0, 0.0, 0.0, 1.0]), np.array([0.0, 0.0, -4.0]))
     graph = FactorGraph(
         intrinsics=K,
-        poses=poses_of([0, 1], [IDENTITY, T1]),
+        poses=trajectory_of([IDENTITY, T1]),
         fixed=[0],
         points=Points([0, 1], [[0.2, -0.1, 8.0], [0.1, 0.3, 2.0]]),
         lines=lines_of([0], [plucker_from_endpoints([0.0, 0.0, 6.0], [1.0, 0.0, 6.0])]),
@@ -586,8 +601,7 @@ def test_graph_gauge_invariance():
     base = residuals(graph)
     moved = FactorGraph(
         intrinsics=graph.intrinsics,
-        poses=poses_of(graph.poses.id,
-                       [Pose(q, t).compose(G) for t, q in zip(graph.poses.t, graph.poses.q)]),
+        poses=trajectory_of([T.compose(G) for T in graph.poses]),
         fixed=graph.fixed,
         points=Points(graph.points.id, Ginv.transform(graph.points.position)),
         lines=Lines(graph.lines.id, n_c, d_c),
@@ -601,7 +615,7 @@ def test_graph_gauge_invariance():
 def test_line_vertex_rejects_plucker_violation():
     # also at a scale where the bound of the test overflows
     for scale in (1.0, 1e160):
-        g = FactorGraph(intrinsics=K, poses=poses_of([0], [IDENTITY]), fixed=[0],
+        g = FactorGraph(intrinsics=K, poses=trajectory_of([IDENTITY]), fixed=[0],
                         lines=Lines([0, 1], [[0.0, 0.0, 0.5], [scale, scale, 0.0]],
                                     [[0.0, 0.5, 0.0], [scale, 0.0, 0.0]]))
         with pytest.raises(GraphConstructionError, match="Plucker"):
@@ -614,8 +628,6 @@ def test_vertex_records_sort_by_id_and_reject_repeats():
     assert points.position[:, 0].tolist() == [2.0, 5.0, 7.0]
     with pytest.raises(GraphConstructionError, match="duplicate line id 3"):
         Lines([3, 1, 3], np.ones((3, 3)), np.ones((3, 3)))
-    with pytest.raises(GraphConstructionError, match="pose vertex columns differ in length"):
-        Poses([0, 1], np.zeros((2, 3)), [[0.0, 0.0, 0.0, 1.0]])
 
 
 def test_graph_is_frozen_and_holds_fixed_as_sorted_ids():
@@ -626,24 +638,30 @@ def test_graph_is_frozen_and_holds_fixed_as_sorted_ids():
 
 
 def test_graph_check_requires_gauge():
-    g = FactorGraph(intrinsics=K, poses=poses_of([0], [IDENTITY]))
+    g = FactorGraph(intrinsics=K, poses=trajectory_of([IDENTITY]))
     with pytest.raises(GraphConstructionError):
         g.check()
 
 
-def dangling_graph(kind, unknown):
-    """Two vertices of each kind and one factor of ``kind`` whose pose id
-    (``unknown="pose"``) or landmark id is unknown."""
-    frame, landmark = (7, 0) if unknown == "pose" else (0, 99)
+def dangling_graph(kind, frame=0, landmark=0, fixed=(0,)):
+    """Two poses, the rows 0 and 1 of the graph's Trajectory, two landmark
+    vertices of each kind with the ids 0 and 100, and one factor of
+    ``kind`` on pose ``frame`` and landmark ``landmark``."""
     line = plucker_from_endpoints([0.0, 0.0, 6.0], [1.0, 0.0, 6.0])
     if kind == "point":
         factors = {"point_factors": Factors([frame], [landmark], [[322.0, 239.0]], [1.0])}
     else:
         factors = {"line_factors": Factors([frame], [landmark],
                                            [[[100.0, 240.0], [500.0, 240.0]]], [1.0])}
-    return FactorGraph(intrinsics=K, poses=poses_of([10, 0], [IDENTITY] * 2), fixed=[0],
+    return FactorGraph(intrinsics=K, poses=trajectory_of([IDENTITY] * 2), fixed=fixed,
                        points=Points([100, 0], [[0.1, 0.3, 2.0], [0.2, -0.1, 3.0]]),
                        lines=lines_of([100, 0], [line, line]), **factors)
+
+
+# a factor whose pose id is past the last pose, or whose landmark id sorts
+# between the vertex ids 0 and 100, where the search position is a
+# neighbouring vertex's row
+DANGLING = {"pose": {"frame": 7}, "landmark": {"landmark": 99}}
 
 
 @pytest.mark.parametrize("unknown", ["pose", "landmark"])
@@ -651,17 +669,34 @@ def dangling_graph(kind, unknown):
 def test_graph_check_dangling_factor(kind, unknown):
     what = "pose 7" if unknown == "pose" else f"{kind} 99"
     with pytest.raises(GraphConstructionError, match=f"dangling factor reference to {what}"):
-        dangling_graph(kind, unknown).check()
+        dangling_graph(kind, **DANGLING[unknown]).check()
 
 
 @pytest.mark.parametrize("unknown", ["pose", "landmark"])
 @pytest.mark.parametrize("kind", ["point", "line"])
 def test_total_cost_of_unchecked_graph_rejects_dangling_id(kind, unknown):
-    # the unknown ids 7 and 99 sort between the vertex ids 0 and 10 or 100,
-    # where the search position is a neighbouring vertex's row
     what = "pose 7" if unknown == "pose" else f"{kind} 99"
     with pytest.raises(GraphConstructionError, match=f"dangling factor reference to {what}"):
-        dangling_graph(kind, unknown).total_cost()
+        dangling_graph(kind, **DANGLING[unknown]).total_cost()
+
+
+@pytest.mark.parametrize("pose", [-1, 2])
+@pytest.mark.parametrize("kind", ["point", "line", "fix"])
+def test_graph_refuses_a_pose_id_outside_its_rows(kind, pose):
+    # pose ids index the Trajectory's two rows, where numpy would read -1
+    # as row 1; the gauge is checked by check() alone, since total_cost
+    # reads no gauge
+    if kind == "fix":
+        dangling_graph("point", fixed=(0, 1)).check()
+        graph, calls = dangling_graph("point", fixed=(0, pose)), ("check",)
+        match = "fixed flag on unknown pose vertex"
+    else:
+        dangling_graph(kind, frame=1).check()
+        graph, calls = dangling_graph(kind, frame=pose), ("check", "total_cost")
+        match = f"dangling factor reference to pose {pose}"
+    for call in calls:
+        with pytest.raises(GraphConstructionError, match=f"^{match}$"):
+            getattr(graph, call)()
 
 
 def test_factors_rejects_columns_of_different_length():

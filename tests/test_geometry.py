@@ -9,7 +9,6 @@ from plbench.factor_graph import (
     FactorGraph,
     Factors,
     Lines,
-    Poses,
     _lines_to_camera,
     _project_points,
 )
@@ -28,7 +27,6 @@ from plbench.geometry import (
     orthonormal_update,
     plucker_from_endpoints,
     plucker_from_orthonormal,
-    pose_quat_batch,
     quat_to_matrix,
     rot2,
     rotation_angles,
@@ -381,7 +379,7 @@ def test_se3_exp_update_of_a_stack_equals_the_scalar_update():
     assert_rows_match(matrix_to_quat, reference_matrix_to_quat, mats)
 
 
-def test_pose_quat_batch_renormalizes_as_pose_does():
+def test_trajectory_renormalizes_as_pose_does():
     unit = matrix_to_quat(so3_exp([0.3, -0.2, 0.1]))
     q = np.array([
         unit,
@@ -389,7 +387,7 @@ def test_pose_quat_batch_renormalizes_as_pose_does():
         [0.0, 1.0, 0.0, 1e-6],  # norm 1 + 5e-13: normalized
         [0.5, -1.0, 2.0, 0.25],
     ])
-    out = pose_quat_batch(q)
+    out = Trajectory(q, np.zeros((len(q), 3))).q
     for row, got in zip(q, out):
         assert got.tobytes() == Pose(row, np.zeros(3)).q.tobytes()
     changed = [a.tobytes() != b.tobytes() for a, b in zip(q, out)]
@@ -408,7 +406,7 @@ def test_pose_quat_batch_renormalizes_as_pose_does():
     assert {quat_branch(R) for R in mats[::50]} | {quat_branch(R) for R in mats[-2000:]} == \
         {"trace", 0, 1, 2}
     quats = matrix_to_quat(mats)
-    assert pose_quat_batch(quats).tobytes() == quats.tobytes()
+    assert Trajectory(quats, np.zeros((len(quats), 3))).q.tobytes() == quats.tobytes()
 
 
 def pose_rows():
@@ -815,8 +813,10 @@ CAST_SITES = {
                "point id", "point position"),
     "segments": (lambda ids, bad: Segments(ids, [SEGMENT_ROW[:1] if bad else SEGMENT_ROW]),
                  "line id", "line endpoints"),
-    "poses": (lambda ids, bad: Poses(ids, np.zeros((1, 3)), np.ones((1, 3 if bad else 4))),
-              "pose id", "pose q"),
+    # a graph's pose ids are the rows of its Trajectory: the gauge names them
+    "poses": (lambda ids, bad: FactorGraph(K_VGA, Trajectory(np.ones((1, 3 if bad else 4)),
+                                                             np.zeros((1, 3))), ids).poses,
+              "fixed", "pose q"),
     "lines": (lambda ids, bad: Lines(ids, np.ones((1, 3)), np.ones((1, 2 if bad else 3))),
               "line id", "line d"),
     "map-points": (lambda ids, bad: MapPoints(ids, np.ones((1, 3)), [[1]] if bad else [1]),

@@ -1,9 +1,11 @@
-"""Count the code lines and physical lines of Python modules.
+"""Count the code lines, physical lines and public names of Python modules.
 
 A code line is a line that holds part of a token other than a comment,
 once blank lines and docstrings (the leading string of a module, class
 or function) are left out. Physical lines are all lines of the file.
-Uses only the standard library.
+Public names are the module-level ``def`` and ``class`` names and
+assignment targets that do not start with ``_``; imported names are not
+counted. Uses only the standard library.
 
 Usage: python tools/code_lines.py [DIRECTORY_OR_FILE ...]   (default src/plbench)
 """
@@ -31,29 +33,42 @@ def docstring_lines(tree: ast.AST) -> set[int]:
     return lines
 
 
-def count(path: Path) -> tuple[int, int]:
-    """(code lines, physical lines) of one Python file."""
+def public_names(tree: ast.Module) -> set[str]:
+    """The public names a parsed module defines at its top level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                names.update(n.id for n in ast.walk(target)
+                             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store))
+    return {name for name in names if not name.startswith("_")}
+
+
+def count(path: Path) -> tuple[int, int, int]:
+    """(code lines, physical lines, public names) of one Python file."""
     source = path.read_text(encoding="utf-8")
-    docstrings = docstring_lines(ast.parse(source, str(path)))
+    tree = ast.parse(source, str(path))
+    docstrings = docstring_lines(tree)
     code = set()
     with path.open("rb") as f:
         for tok in tokenize.tokenize(f.readline):
             if tok.type not in _NOT_CODE:
                 code.update(range(tok.start[0], tok.end[0] + 1))
-    return len(code - docstrings), len(source.splitlines())
+    return len(code - docstrings), len(source.splitlines()), len(public_names(tree))
 
 
 def main(argv: list[str]) -> None:
     roots = [Path(a) for a in argv] or [Path(__file__).resolve().parent.parent / "src" / "plbench"]
     files = sorted(f for r in roots for f in ([r] if r.is_file() else r.rglob("*.py")))
-    total_code = total_physical = 0
-    print(f"{'code':>6} {'physical':>8}  module")
+    totals = [0, 0, 0]
+    print(f"{'code':>6} {'physical':>8} {'public':>6}  module")
     for f in files:
-        code, physical = count(f)
-        total_code += code
-        total_physical += physical
-        print(f"{code:>6} {physical:>8}  {os.path.relpath(f)}")
-    print(f"{total_code:>6} {total_physical:>8}  total")
+        counts = count(f)
+        totals = [a + b for a, b in zip(totals, counts)]
+        print("{:>6} {:>8} {:>6}  ".format(*counts) + os.path.relpath(f))
+    print("{:>6} {:>8} {:>6}  total".format(*totals))
 
 
 if __name__ == "__main__":
