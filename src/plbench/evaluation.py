@@ -92,8 +92,10 @@ def rpe(est: Trajectory, gt: Trajectory, delta: int = 1) -> MetricSummary:
     rel_gt = (R_g, t_g), each one product over all pairs.
     """
     _check_matched(est, gt)
-    if delta < 1 or delta >= len(est):
-        raise ValueError(f"delta must be in [1, {len(est) - 1}]")
+    # a bool or a float is not an integer, as ``geometry.check_integers`` rules
+    if isinstance(delta, bool) or not isinstance(delta, (int, np.integer)) \
+            or not 1 <= delta < len(est):
+        raise ValueError(f"delta must be an integer in [1, {len(est) - 1}], got {delta!r}")
 
     def relative(R, t):
         R_rel = R[:-delta] @ R[delta:].transpose(0, 2, 1)

@@ -87,35 +87,25 @@ _PAIRS = {m: np.triu_indices(m, 1) for m in (3, 4)}
 # correspondences per batch of ``solve_pnp_batch``, and rows per span of
 # the stages that would otherwise hold per-row arrays of a whole batch
 # (``_by_spans``): EPnP's design matrix, the rigid fits, the pose Jacobians
-# and every projection. Each batch pays about 1.1 ms of fixed cost (a
-# map-to-frame solve cut to 12 points, ``tools/pnp_cost.py``, one core of
-# a 2-vCPU host); the spans hold its memory instead. The corridor sequence,
-# one batch, peaks 1.5 MB above solving it frame by frame with the spans
-# and 14 MB without.
+# and every projection. A batch holds each problem's rows once: every pose
+# hypothesis, an EPnP candidate, the motion prior or a line-search try,
+# reads its problem's rows by (offset, count), gathered span by span. Each
+# batch pays about 1.0 ms of fixed cost (a map-to-frame solve cut to 12
+# points, ``tools/pnp_cost.py``, one core of a 2-vCPU host); the spans
+# hold its memory instead. The corridor sequence, one batch, peaks 1.4 MB
+# above solving it frame by frame with the spans and 13 MB without.
 _BATCH_ROWS = 8192
 _SPAN_ROWS = 4096
 
 
-def _segment_rows(offsets, counts):
-    """Row indices of the segments [offsets[s], offsets[s] + counts[s]),
-    concatenated in order: a slice where each segment starts at the end of
-    the one before, else ``_segment_index``."""
-    ends = offsets + counts
-    if len(offsets) and (offsets[1:] == ends[:-1]).all():
-        return slice(int(offsets[0]), int(ends[-1]))
-    return _segment_index(offsets, counts)
-
-
 def _segment_index(offsets, counts):
-    """``_segment_rows`` as an index array, for segments that overlap."""
+    """Row indices of the segments [offsets[s], offsets[s] + counts[s]),
+    concatenated in order; segments may overlap or repeat. This is how
+    every pose hypothesis, a start or a try, gathers its problem's rows
+    from the batch's one copy of them, by ``ndarray.take``, which copies
+    rows several times faster than indexing with an index array."""
     begin = counts.cumsum() - counts
     return np.arange(counts.sum()) + (offsets - begin).repeat(counts)
-
-
-def _take(x, rows):
-    """The rows ``rows`` of x: a view for a slice, else a copy. ``np.take``
-    copies rows several times faster than indexing with an index array."""
-    return x[rows] if isinstance(rows, slice) else x.take(rows, axis=0)
 
 
 def _join(outs):
@@ -187,13 +177,14 @@ def _solve_each(A, b):
         return x, ok
 
 
-def _refine_poses(R, t, P_w, u, counts, intr):
+def _refine_poses(R, t, P_w, u, offsets, counts, intr):
     """Reprojection-error refinement of k starting poses, R (k, 3, 3) and
-    t (k, 3). Start s is refined against its own segment of counts[s]
-    consecutive rows of P_w (N, 3) and u (N, 2); segments of equal length
-    should be consecutive, so that their reductions stack (see
-    ``_by_runs``). Returns the refined poses as the q (k, 4) and t (k, 3)
-    that ``Pose`` stores, and their mean errors (k,), px.
+    t (k, 3). Start s is refined against the rows [offsets[s], offsets[s] +
+    counts[s]) of P_w (N, 3) and u (N, 2), which starts of one problem
+    share; starts of equal counts should be consecutive, so that their
+    reductions stack (see ``_by_runs``). Returns the refined poses as the
+    q (k, 4) and t (k, 3) that ``Pose`` stores, and their mean errors (k,),
+    px.
 
     Each start is first stored as ``Pose.from_rt(R[s], t[s])``. Each
     iteration solves, per start, (JᵀJ) delta = Jᵀr with r = u - proj and
@@ -206,19 +197,18 @@ def _refine_poses(R, t, P_w, u, counts, intr):
     shipped presets almost every start returns unmoved (1, 4 and 4 of 495
     refinements move on sphere, box and corridor).
 
-    No per-row array is held for the whole batch. The per-row stages run
-    span by span over whole starts or tries (``_by_spans``): each
-    iteration projects the starts still in the batch at their poses and
-    sums the normal equations of their pose Jacobians, then projects the
-    tries. The 6×6 solves and the ``se3_exp_update`` of the tries run once
-    over the batch. Every kernel works row by row or sees the same arrays as
-    a refinement of its start alone, so each start's result equals refining
-    that start alone, bit for bit, whatever else the batch holds and
-    wherever a span ends.
+    Starts and tries alike read their rows by (offset, count), gathered
+    span by span by ``_segment_index``, so no per-row array is held for
+    the whole batch (``_by_spans``): each iteration projects the starts
+    still in the batch at their poses and sums the normal equations of
+    their pose Jacobians, then projects the tries (``_errors``). The 6×6
+    solves and the ``se3_exp_update`` of the tries run once over the batch.
+    Every kernel works row by row or sees the same arrays as a refinement
+    of its start alone, so each start's result equals refining that start
+    alone, bit for bit, whatever else the batch holds and wherever a span
+    ends.
     """
-    counts = np.asarray(counts)
-    ends = counts.cumsum()
-    offsets = ends - counts
+    offsets, counts = np.asarray(offsets), np.asarray(counts)
     m = len(_STEPS)
     q = matrix_to_quat(R)  # as Pose stores it, see matrix_to_quat
     R = quat_to_matrix(q)
@@ -228,16 +218,13 @@ def _refine_poses(R, t, P_w, u, counts, intr):
         """For the starts ``active[span]`` at their poses: their points in
         front of the camera, their mean errors while ``err`` is unset (none
         after), and JᵀJ and Jᵀr."""
-        if len(active) == len(R):  # every start: the span's starts and rows are one block each
-            s, rows = span, slice(offsets[span.start], ends[span.stop - 1])
-        else:
-            s = active[span]
-            rows = _segment_rows(offsets[s], counts[s])
+        s = active[span]
         n = counts[s]
+        rows = _segment_index(offsets[s], n)
         P_c, valid, zs, proj = _project_points(R[s].repeat(n, axis=0), t[s].repeat(n, axis=0),
-                                               _take(P_w, rows), intr)
-        res = _take(u, rows) - proj
-        del proj  # not held beside the Jacobians
+                                               P_w.take(rows, axis=0), intr)
+        res = u.take(rows, axis=0) - proj
+        del rows, proj  # not held beside the Jacobians
         errs = _mean_errors(res, valid, n) if err is None else np.empty(0)
         res = np.where(valid[:, None], res, 0.0)
         J_pose, _ = _pose_jacobian(P_c, zs, valid, intr)
@@ -248,15 +235,12 @@ def _refine_poses(R, t, P_w, u, counts, intr):
     for _ in range(_ITERATIONS):
         if not len(active):
             break
-        # the starts' rows are taken by ``each``: a slice, which gives views,
-        # while every start is in the batch, else the index array ``active``
-        each = slice(None) if len(active) == len(R) else active
-        n_valid, errs, JtJ, Jtr = _by_spans(linearize, counts[each])
+        n_valid, errs, JtJ, Jtr = _by_spans(linearize, counts[active])
         if err is None:  # the mean errors at the starting poses
             err = errs
         enough = n_valid >= 4
         if not enough.all():
-            active = each = active[enough]
+            active = active[enough]
             JtJ, Jtr = JtJ[enough], Jtr[enough]
         deltas, ok = _solve_each(JtJ + _DAMP_6, Jtr)
         del JtJ, Jtr  # not held through the tries
@@ -265,14 +249,14 @@ def _refine_poses(R, t, P_w, u, counts, intr):
         ok = finite if ok is None else ok & finite
         moving = active
         if not ok.all():
-            moving = each = active[ok]
+            moving = active[ok]
             deltas = deltas[ok]
         if not len(moving):
             break
-        q_k, R_k, t_k = se3_exp_update(R[each].repeat(m, axis=0), t[each].repeat(m, axis=0),
+        q_k, R_k, t_k = se3_exp_update(R[moving].repeat(m, axis=0), t[moving].repeat(m, axis=0),
                                        (_STEPS[:, None] * deltas[:, None, :]).reshape(-1, 6))
-        errs = _errors(R_k, t_k, offsets[each].repeat(m), counts[each].repeat(m), P_w, u, intr)
-        accepted = errs.reshape(-1, m) <= err[each, None]
+        errs = _errors(R_k, t_k, offsets[moving].repeat(m), counts[moving].repeat(m), P_w, u, intr)
+        accepted = errs.reshape(-1, m) <= err[moving, None]
         if not accepted.any():
             break
         took = np.logical_or.reduce(accepted, axis=1)
@@ -287,16 +271,16 @@ def _refine_poses(R, t, P_w, u, counts, intr):
 
 
 def _errors(R, t, offsets, counts, P_w, u, intr):
-    """Mean errors of the poses R (T, 3, 3), t (T, 3), pose i against the
-    rows [offsets[i], offsets[i] + counts[i]) of P_w and u, projected span
-    by span (``_by_spans``). The rows are gathered by an index array, as
-    the tries of one start share their rows."""
+    """Mean errors of the pose hypotheses R (T, 3, 3), t (T, 3), pose i
+    against the rows [offsets[i], offsets[i] + counts[i]) of P_w and u,
+    gathered (``_segment_index``) and projected span by span
+    (``_by_spans``)."""
     def span(s):
         n = counts[s]
         rows = _segment_index(offsets[s], n)
         _, valid, _, proj = _project_points(R[s].repeat(n, axis=0), t[s].repeat(n, axis=0),
-                                            _take(P_w, rows), intr)
-        return _mean_errors(_take(u, rows) - proj, valid, n)
+                                            P_w.take(rows, axis=0), intr)
+        return _mean_errors(u.take(rows, axis=0) - proj, valid, n)
 
     return _by_spans(span, counts)
 
@@ -473,16 +457,18 @@ def solve_pnp_batch(problems, intr: CameraIntrinsics) -> list[PnPResult]:
     pose with the lowest mean reprojection error wins, the earlier start on
     a tie. A problem raises ``InsufficientDataError`` when its points and
     pixels differ in length, number fewer than 4 or hold a value that is
-    not finite, and
-    ``DegenerateGeometryError`` when its points are collinear or coincident
-    or EPnP yields no start; the call raises the error of the first failing
-    problem, with that problem's index as ``problem``.
+    not finite, and ``DegenerateGeometryError`` when its points are
+    collinear or coincident or EPnP yields no start; the call raises the
+    error of the first failing problem, with that problem's index as
+    ``problem``.
 
     Each result equals that of solving its problem alone bit for bit. The
     problems are read from ``problems``, which may be a generator, and
     solved batch by batch, in order: a batch holds at most
     ``_BATCH_ROWS`` correspondences, and is sorted by problem size so that
-    equal-size problems share their reductions (see ``_by_runs``). Each
+    equal-size problems share their reductions (see ``_by_runs``). A batch
+    holds each problem's rows once; every pose hypothesis, a start or a
+    line-search try, reads its problem's rows by (offset, count). Each
     stage that makes per-row arrays (EPnP's design matrix, the rigid fits,
     the pose Jacobians, the projections) runs in spans of at most
     ``_SPAN_ROWS`` rows of whole problems, starts or tries
@@ -507,7 +493,8 @@ def _epnp_fits(P, U, counts, intr):
     """The EPnP candidates of k problems stacked as in
     ``_epnp_control_points``, each fitted rigidly: (R (k, 2, 3, 3),
     t (k, 2, 3), exists (k, 2), degenerate (k,)). General problems use 4
-    control points, planar ones 3, degenerate ones none."""
+    control points, planar ones 3, degenerate ones none; a group that is not
+    the whole batch gathers its problems' rows by ``_segment_index``."""
     k = len(counts)
     ctrl, planar, degenerate = _epnp_control_points(P, counts)
     fit_R, fit_t = np.zeros((k, 2, 3, 3)), np.zeros((k, 2, 3))
@@ -516,14 +503,13 @@ def _epnp_fits(P, U, counts, intr):
         idx = group.nonzero()[0]
         if not len(idx):
             continue
-        if len(idx) == k:  # the whole batch, whose rows are one block
-            idx = rows = slice(None)
-        else:
-            rows = _segment_rows((counts.cumsum() - counts)[idx], counts[idx])
+        if len(idx) == k:  # the whole batch, as it is
+            idx, P_g, U_g = slice(None), P, U
+        else:  # the group's rows, one block
+            rows = _segment_index((counts.cumsum() - counts)[idx], counts[idx])
+            P_g, U_g = P.take(rows, axis=0), U.take(rows, axis=0)
         n = counts[idx]
-        P_g = _take(P, rows)
-        alphas, candidates, exists[idx] = _epnp_candidates(ctrl[idx, :m], P_g, _take(U, rows), n,
-                                                           intr)
+        alphas, candidates, exists[idx] = _epnp_candidates(ctrl[idx, :m], P_g, U_g, n, intr)
         ends = n.cumsum()
 
         def fit(s):
@@ -541,7 +527,10 @@ def _epnp_fits(P, U, counts, intr):
 
 def _solve_batch(problems, intr, first) -> list[PnPResult]:
     """``solve_pnp_batch`` of one batch of (P_w, u, initial) triples, whose
-    first problem has index ``first`` in the whole call."""
+    first problem has index ``first`` in the whole call. The problems'
+    rows, sorted by size, are concatenated once into P and U; each start
+    reads its problem's rows there by (offset, count), with no copy of its
+    own."""
     failures: dict[int, PnPError] = {}
     for i, (P, x, _) in enumerate(problems):
         if len(P) != len(x):
@@ -586,12 +575,9 @@ def _solve_batch(problems, intr, first) -> list[PnPResult]:
         raise failures[min(failures)]
 
     n_starts = np.add.reduce(has, axis=1)
-    start_counts = counts.repeat(n_starts)
-    # each problem's rows once per start; the per-problem arrays are freed
-    rows = _segment_rows((counts.cumsum() - counts).repeat(n_starts), start_counts)
-    P, U = _take(P, rows), _take(U, rows)
-    del rows
-    q, t, err = _refine_poses(quat_to_matrix(start_q[has]), start_t[has], P, U, start_counts, intr)
+    q, t, err = _refine_poses(quat_to_matrix(start_q[has]), start_t[has], P, U,
+                              (counts.cumsum() - counts).repeat(n_starts),
+                              counts.repeat(n_starts), intr)
     results: list[PnPResult] = [None] * k  # type: ignore[list-item]
     errs, end = err.tolist(), 0
     for p, n in zip(order, n_starts.tolist()):
@@ -779,13 +765,13 @@ def track_frame_to_frame(seq: Sequence) -> Trajectory:
     relative pose depends only on its two frames, so the problems of the
     frames up to the first one that shares fewer than 4 landmarks with its
     predecessor go to one ``solve_pnp_batch`` call, which builds them as
-    its batches need them; the chain is composed afterwards, one ``Pose``
-    at a time, into the rows of the returned record. The tracks
-    equal those of solving frame by frame bit for bit, and tracking is lost
-    at the same frame with the same message: at the first failing problem,
-    else at the frame that shares too few landmarks or whose shared points
-    cannot be back-projected (a ``GeometryError``, the cause of the
-    ``TrackingLostError`` naming that frame).
+    its batches need them; the chain is composed afterwards, each frame's
+    ``Pose`` onto the one before, into the rows of the returned record. The
+    tracks equal those of solving frame by frame bit for bit, and tracking
+    is lost at the same frame with the same message: at the first failing
+    problem, else at the frame that shares too few landmarks or whose
+    shared points cannot be back-projected (a ``GeometryError``, the cause
+    of the ``TrackingLostError`` naming that frame).
     """
     intr = seq.intrinsics
     short: list[TrackingLostError] = []
@@ -820,9 +806,11 @@ def track_frame_to_frame(seq: Sequence) -> Trajectory:
     if short:
         raise short[0]
     q, t = np.empty((len(seq.frames), 4)), np.empty((len(seq.frames), 3))
-    q[:1], t[:1] = seq.gt_trajectory.q[:1], seq.gt_trajectory.t[:1]
-    for j, result in enumerate(results, 1):  # a Pose of a stored row keeps its bits
-        T = result.pose.compose(Pose(q[j - 1], t[j - 1]))
+    if seq.frames:  # the anchor
+        T = seq.gt_trajectory[0]
+        q[0], t[0] = T.q, T.t
+    for j, result in enumerate(results, 1):
+        T = result.pose.compose(T)
         q[j], t[j] = T.q, T.t
     return Trajectory(q, t)
 

@@ -195,6 +195,19 @@ def test_rpe_rejects_bad_delta():
         rpe(gt, gt, delta=0)
 
 
+@pytest.mark.parametrize("delta", [1.5, True, 0, 5], ids=["float", "bool", "zero", "n"])
+def test_rpe_refuses_a_delta_that_is_not_an_integer_in_range(delta):
+    gt = straight_trajectory(5)
+    with pytest.raises(ValueError, match=r"^delta must be an integer in \[1, 4\], got "):
+        rpe(gt, gt, delta)
+
+
+def test_rpe_takes_a_numpy_integer_delta():
+    rng = np.random.default_rng(9)
+    gt, est = random_trajectory(rng, 8), random_trajectory(rng, 8)
+    assert rpe(est, gt, np.int64(2)) == rpe(est, gt, 2)
+
+
 def test_ate_per_frame_matches_summary():
     rng = np.random.default_rng(8)
     gt = random_trajectory(rng, 12)

@@ -758,16 +758,16 @@ def test_tracks_map_and_cost_match_golden(preset):
 
 
 def refine_problems(preset):
-    """(tracker, R (k, 3, 3), t (k, 3), P_w, u, counts, intrinsics) of every
-    batch of starts both trackers refine on the preset at its shipped seed,
-    then the true pose with exact pixels, as a batch of one, for every tenth
-    frame."""
+    """(tracker, R (k, 3, 3), t (k, 3), P_w, u, offsets, counts, intrinsics)
+    of every batch of starts both trackers refine on the preset at its
+    shipped seed, then the true pose with exact pixels, as a batch of one,
+    for every tenth frame. The starts of one problem share its rows."""
     cfg, seq = preset_sequence(preset)
     problems = []
 
-    def record(R, t, P_w, u, counts, intr):
-        problems.append((tracker, R, t, P_w, u, counts, intr))
-        return _refine_poses(R, t, P_w, u, counts, intr)
+    def record(R, t, P_w, u, offsets, counts, intr):
+        problems.append((tracker, R, t, P_w, u, offsets, counts, intr))
+        return _refine_poses(R, t, P_w, u, offsets, counts, intr)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tracking, "_refine_poses", record)
@@ -778,7 +778,8 @@ def refine_problems(preset):
     for frame, T in zip(seq.frames[::10], seq.gt_trajectory[::10]):
         P_w = np.array([seq.gt_points[pm.landmark_id].position for pm in frame.points])
         problems.append(("exact", T.rotation()[None], T.t[None], P_w,
-                         project(T.transform(P_w), cfg.intrinsics), [len(P_w)], cfg.intrinsics))
+                         project(T.transform(P_w), cfg.intrinsics), [0], [len(P_w)],
+                         cfg.intrinsics))
     return problems
 
 
@@ -794,18 +795,22 @@ def test_refine_pose_equals_the_per_try_loop():
     # exact-pixel problems, which move the pose by a few ulps
     accepted, widths = [], {}
     for preset in ("sphere", "box", "corridor"):
-        for tracker, R, t, P_w, u, counts, intr in refine_problems(preset):
-            q, t_ref, errs = _refine_poses(R, t, P_w, u, counts, intr)
+        for tracker, R, t, P_w, u, offsets, counts, intr in refine_problems(preset):
+            q, t_ref, errs = _refine_poses(R, t, P_w, u, offsets, counts, intr)
             assert len(q) == len(t_ref) == len(errs) == len(R) == len(counts)
-            for s, rows in enumerate(segments(counts)):
+            for s, (o, n) in enumerate(zip(offsets, counts)):
+                rows = slice(o, o + n)
                 T_ref, err_ref, tries = refine_pose_per_try(R[s], t[s], P_w[rows], u[rows], intr)
                 assert (q[s].tobytes(), t_ref[s].tobytes(), errs[s]) == \
                     (T_ref.q.tobytes(), T_ref.t.tobytes(), err_ref)
                 if tries:
                     accepted.append((tries, np.abs(t_ref[s] - Pose.from_rt(R[s], t[s]).t).max()))
             widths.setdefault(tracker, set()).add(len(R))
+            if tracker != "exact":
+                assert len(np.unique(offsets)) < len(offsets)
     # map-to-frame refines both EPnP candidates and the motion prior at once;
-    # frame-to-frame refines the starts of many frames at once
+    # frame-to-frame refines the starts of many frames at once; the starts of
+    # a problem read its rows through one offset
     assert max(widths["map-to-frame"]) == 3
     assert min(widths["frame-to-frame"]) > 3
     assert max(tries for tries, _ in accepted) >= 2
@@ -816,7 +821,9 @@ def test_refine_poses_gives_each_start_its_result_alone():
     # one batch: a start with every point behind the camera (it leaves at
     # once), the true pose with exact pixels (it accepts a step), an offset
     # start (it accepts none) and a duplicate of the true pose, each against
-    # the same points, then the true pose against a shorter segment
+    # the same points, then the true pose against a shorter segment; each
+    # start reads its own copy of the rows, then every start reads the one
+    # copy of them through offset 0
     rng = np.random.default_rng(1)
     T = random_pose(rng)
     P_w = T.inverse().transform(general_points(rng, 20))
@@ -825,21 +832,27 @@ def test_refine_poses_gives_each_start_its_result_alone():
     starts = [Pose.from_rt(flip @ T.rotation(), flip @ T.t), T,
               updated(T, rng.normal(scale=0.05, size=6)), T, T]
     R, t = np.array([S.rotation() for S in starts]), np.array([S.t for S in starts])
-    counts = [20, 20, 20, 20, 12]
-    P_rows = np.concatenate([P_w[:n] for n in counts])
-    u_rows = np.concatenate([u[:n] for n in counts])
-    q, t_out, errs = _refine_poses(R, t, P_rows, u_rows, counts, K)
-    accepted = []
-    for s, rows in enumerate(segments(counts)):
-        got = (q[s].tobytes(), t_out[s].tobytes(), errs[s])
-        alone = _refine_poses(R[s:s + 1], t[s:s + 1], P_rows[rows], u_rows[rows], [counts[s]], K)
-        assert got == (alone[0][0].tobytes(), alone[1][0].tobytes(), alone[2][0])
-        T_ref, err_ref, tries = refine_pose_per_try(R[s], t[s], P_rows[rows], u_rows[rows], K)
-        assert got == (T_ref.q.tobytes(), T_ref.t.tobytes(), err_ref)
-        accepted.append(tries)
-    assert errs[0] == 1e9
-    assert q[0].tobytes() == starts[0].q.tobytes()
-    assert accepted[:4] == [0, 1, 0, 1]
+    counts = np.array([20, 20, 20, 20, 12])
+    layouts = [(np.concatenate([P_w[:n] for n in counts]), np.concatenate([u[:n] for n in counts]),
+                counts.cumsum() - counts),
+               (P_w, u, np.zeros(len(counts), dtype=int))]
+    outputs = []
+    for P_rows, u_rows, offsets in layouts:
+        q, t_out, errs = _refine_poses(R, t, P_rows, u_rows, offsets, counts, K)
+        accepted = []
+        for s, (o, n) in enumerate(zip(offsets.tolist(), counts.tolist())):
+            rows = slice(o, o + n)
+            got = (q[s].tobytes(), t_out[s].tobytes(), errs[s])
+            alone = _refine_poses(R[s:s + 1], t[s:s + 1], P_rows[rows], u_rows[rows], [0], [n], K)
+            assert got == (alone[0][0].tobytes(), alone[1][0].tobytes(), alone[2][0])
+            T_ref, err_ref, tries = refine_pose_per_try(R[s], t[s], P_rows[rows], u_rows[rows], K)
+            assert got == (T_ref.q.tobytes(), T_ref.t.tobytes(), err_ref)
+            accepted.append(tries)
+        assert errs[0] == 1e9
+        assert q[0].tobytes() == starts[0].q.tobytes()
+        assert accepted[:4] == [0, 1, 0, 1]
+        outputs.append((q.tobytes(), t_out.tobytes(), errs.tobytes()))
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("tracker", [track_frame_to_frame, track_map_to_frame])
@@ -975,11 +988,13 @@ def test_trackers_give_no_poses_for_a_sequence_without_frames():
     assert len(traj) == 0 and len(smap.points) == 0 and len(smap.lines) == 0
 
 
-def test_frame_to_frame_batches_bound_their_memory():
-    # the whole corridor sequence in one batch peaks at about 1.9 MB (14 MB
-    # with all line-search tries projected at once); the row budgets keep
-    # the batches within 2 MB of solving frame by frame
-    seq = preset_sequence("corridor")[1]
+@pytest.mark.parametrize("preset", ["sphere", "box", "corridor"])
+def test_frame_to_frame_batches_bound_their_memory(preset):
+    # the row budgets keep the batches within 2 MB of solving frame by frame:
+    # sphere and box fill two 8192-row batches and peak 1.30 and 1.26 MB
+    # above it, the corridor sequence, one batch, 1.40 MB (13 MB with all
+    # line-search tries projected at once)
+    seq = preset_sequence(preset)[1]
     peaks = []
     for tracker in (reference_track_frame_to_frame, track_frame_to_frame):
         tracemalloc.start()

@@ -1,4 +1,5 @@
-"""Per-solve cost of the PnP solver on the map-to-frame problems of presets.
+"""Per-solve cost of the PnP solver on the map-to-frame problems of presets,
+and the cost of frame-to-frame tracking.
 
 Records every ``solve_pnp`` call that ``track_map_to_frame`` makes on a
 preset's sequence (its points, pixels and motion prior), then replays the
@@ -6,6 +7,9 @@ calls: the mean time per solve at full size and with every problem cut to
 its first 12 correspondences, each the best of k replays, and the
 function calls per solve that cProfile counts in one full-size replay.
 The cut problems show the fixed cost a solve pays whatever its size.
+Beside them: the time of one ``track_frame_to_frame`` of the sequence,
+which solves its problems in batches, best of k runs, and the peak of
+the memory it allocates, which tracemalloc traces in one more run.
 Uses the standard library and numpy only; BLAS runs on one thread.
 
 Usage: python tools/pnp_cost.py [PRESET ...] [--repeat K]
@@ -22,6 +26,7 @@ import argparse  # noqa: E402
 import cProfile  # noqa: E402
 import pstats  # noqa: E402
 import time  # noqa: E402
+import tracemalloc  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -38,13 +43,16 @@ from plbench.simulator import (  # noqa: E402
 _CUT = 12  # correspondences per problem in the fixed-cost replay
 
 
-def map_to_frame_solves(preset: str):
-    """The (points, pixels, initial) of each ``solve_pnp`` call that
-    ``track_map_to_frame`` makes on the preset's sequence, and its
-    intrinsics."""
+def preset_sequence(preset: str):
+    """The preset's sequence at its shipped seed."""
     cfg = load_preset(preset)
-    seq = generate_sequence(build_scene(cfg.scene), build_trajectory(cfg.trajectory),
-                            cfg.noise, cfg.intrinsics, cfg.render)
+    return generate_sequence(build_scene(cfg.scene), build_trajectory(cfg.trajectory),
+                             cfg.noise, cfg.intrinsics, cfg.render)
+
+
+def map_to_frame_solves(seq):
+    """The (points, pixels, initial) of each ``solve_pnp`` call that
+    ``track_map_to_frame`` makes on ``seq``."""
     calls, solve = [], tracking.solve_pnp
 
     def recording(world_points, pixels, intr, initial=None):
@@ -56,7 +64,7 @@ def map_to_frame_solves(preset: str):
         tracking.track_map_to_frame(seq)
     finally:
         tracking.solve_pnp = solve
-    return calls, seq.intrinsics
+    return calls
 
 
 def replay(calls, intr) -> None:
@@ -73,6 +81,23 @@ def ms_per_solve(calls, intr, repeat: int) -> float:
         replay(calls, intr)
         best = min(best, time.perf_counter() - start)
     return 1e3 * best / len(calls)
+
+
+def frame_to_frame_cost(seq, repeat: int) -> tuple[float, float]:
+    """Wall time of one ``track_frame_to_frame`` of ``seq``, best of
+    ``repeat`` runs, ms, and the peak of the memory traced in one run, MB."""
+    best = float("inf")
+    for _ in range(repeat):
+        start = time.perf_counter()
+        tracking.track_frame_to_frame(seq)
+        best = min(best, time.perf_counter() - start)
+    tracemalloc.start()
+    try:
+        tracking.track_frame_to_frame(seq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return 1e3 * best, peak / 1e6
 
 
 def calls_per_solve(calls, intr) -> float:
@@ -94,15 +119,17 @@ def main(argv=None) -> None:
         if preset not in PRESET_NAMES:
             parser.error(f"unknown preset {preset!r}; choose from {', '.join(PRESET_NAMES)}")
     print(f"{'preset':<10}{'solves':>7}{'points':>8}{'ms/solve':>10}"
-          f"{f'ms/solve <={_CUT}':>15}{'calls/solve':>13}")
+          f"{f'ms/solve <={_CUT}':>15}{'calls/solve':>13}{'f2f ms':>9}{'f2f peak MB':>13}")
     for preset in args.presets or PRESET_NAMES:
-        calls, intr = map_to_frame_solves(preset)
+        seq = preset_sequence(preset)
+        calls, intr = map_to_frame_solves(seq), seq.intrinsics
         cut = [(P[:_CUT], u[:_CUT], initial) for P, u, initial in calls]
         replay(calls, intr)  # warm-up
         full, small = ms_per_solve(calls, intr, args.repeat), ms_per_solve(cut, intr, args.repeat)
         points = sum(len(P) for P, _, _ in calls) / len(calls)
+        f2f_ms, f2f_peak = frame_to_frame_cost(seq, args.repeat)
         print(f"{preset:<10}{len(calls):>7}{points:>8.1f}{full:>10.3f}{small:>15.3f}"
-              f"{calls_per_solve(calls, intr):>13.1f}")
+              f"{calls_per_solve(calls, intr):>13.1f}{f2f_ms:>9.1f}{f2f_peak:>13.2f}")
 
 
 if __name__ == "__main__":
