@@ -322,9 +322,21 @@ def read_trajectory(path) -> Trajectory:
 # sequences
 
 
+def _frame_files_from(frames_dir: Path, first: int) -> list[tuple[int, Path]]:
+    """(number, path) of each frame file in ``frames_dir`` numbered
+    ``first`` or more, lowest number first: a ``*.txt`` whose stem is ASCII
+    digits. With ``first`` the number of poses, these are the files that
+    ``read_sequence`` refuses and ``write_sequence`` removes."""
+    return sorted((int(p.stem), p) for p in frames_dir.glob("*.txt")
+                  if p.stem.isascii() and p.stem.isdigit() and int(p.stem) >= first)
+
+
 def write_sequence(seq: Sequence, directory) -> None:
     """Write a sequence directory; a frame whose ``frame_id`` is not its
-    index is refused before any file is written."""
+    index is refused before any file is written. Frame files that an
+    earlier, longer sequence left past the last frame are removed, so
+    that ``read_sequence`` reads the directory back; any other file is
+    left alone."""
     seq.check_frame_ids()
     directory = Path(directory)
     (directory / "frames").mkdir(parents=True, exist_ok=True)
@@ -355,6 +367,8 @@ def write_sequence(seq: Sequence, directory) -> None:
             _records("P", f.point_ids, f.point_pixels, f.point_depths),
             _records("L", f.line_ids, ends[:, 0], ends_d[:, 0], ends[:, 1], ends_d[:, 1]),
         ]))
+    for _, path in _frame_files_from(directory / "frames", len(seq.frames)):
+        path.unlink()
 
 
 def _read_calib(path) -> CameraIntrinsics:
@@ -450,9 +464,7 @@ def read_sequence(directory, min_line_len: float = 0.0) -> Sequence:
     if len(present) < len(paths):
         raise ParseError(paths[len(present)], None,
                          f"missing frame file for frame {len(present)}")
-    beyond = sorted((int(p.stem), p) for p in frames_dir.glob("*.txt")
-                    if p.stem.isascii() and p.stem.isdigit() and int(p.stem) >= len(traj))
-    for frame_id, path in beyond[:1]:
+    for frame_id, path in _frame_files_from(frames_dir, len(traj))[:1]:
         raise ParseError(path, None, f"no ground-truth pose for frame {frame_id}: "
                                      f"groundtruth.txt holds {len(traj)} poses")
 

@@ -14,6 +14,7 @@ keep their order.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -84,17 +85,16 @@ _DAMP_2 = 1e-12 * np.eye(2)
 # the control-point pairs (i, j), i < j, for 4 and 3 control points
 _PAIRS = {m: np.triu_indices(m, 1) for m in (3, 4)}
 
-# correspondences per batch of ``solve_pnp_batch``, and rows per span of
-# the stages that would otherwise hold per-row arrays of a whole batch
-# (``_by_spans``): EPnP's design matrix, the rigid fits, the pose Jacobians
-# and every projection. A batch holds each problem's rows once: every pose
-# hypothesis, an EPnP candidate, the motion prior or a line-search try,
-# reads its problem's rows by (offset, count), gathered span by span. Each
-# batch pays about 1.0 ms of fixed cost (a map-to-frame solve cut to 12
-# points, ``tools/pnp_cost.py``, one core of a 2-vCPU host); the spans
-# hold its memory instead. The corridor sequence, one batch, peaks 1.4 MB
-# above solving it frame by frame with the spans and 13 MB without.
-_BATCH_ROWS = 8192
+# rows per span of the stages that would otherwise hold per-row arrays of
+# a whole ``solve_pnp_batch`` call, which is one batch (``_by_spans``):
+# EPnP's design matrix, the rigid fits, the pose Jacobians and every
+# projection. The batch holds each problem's rows once, joined, and frees
+# each problem's own arrays before EPnP runs: every pose hypothesis, an
+# EPnP candidate, the motion prior or a line-search try, reads its
+# problem's rows by (offset, count), gathered span by span. A call pays
+# its fixed cost once; the spans bound its memory instead: frame-to-frame
+# tracking, one call, peaks 1.42, 1.48 and 1.12 MB of traced memory above
+# solving frame by frame on sphere, box and corridor.
 _SPAN_ROWS = 4096
 
 
@@ -350,7 +350,6 @@ def _epnp_candidates(ctrl, P_w, u, counts, intr):
     normal equations instead, or a stacked ``pinv``, rounds differently.
     """
     k, m = ctrl.shape[:2]
-    counts = np.asarray(counts)
     B = (ctrl[:, 1:] - ctrl[:, :1]).transpose(0, 2, 1)  # (k, 3, m-1)
     alphas = np.empty((len(P_w), m))
     if m == 4:
@@ -455,38 +454,51 @@ def solve_pnp_batch(problems, intr: CameraIntrinsics) -> list[PnPResult]:
     fitted rigidly and stored as a ``Pose``, then ``initial``, are the
     starts; all starts are refined by ``_refine_poses``, and the refined
     pose with the lowest mean reprojection error wins, the earlier start on
-    a tie. A problem raises ``InsufficientDataError`` when its points and
-    pixels differ in length, number fewer than 4 or hold a value that is
-    not finite, and ``DegenerateGeometryError`` when its points are
-    collinear or coincident or EPnP yields no start; the call raises the
-    error of the first failing problem, with that problem's index as
-    ``problem``.
+    a tie. A problem raises ``InsufficientDataError`` when its points are
+    not of shape (n, 3) or its pixels not of shape (n, 2), when they differ
+    in length, number fewer than 4 or hold a value that is not finite, and
+    ``DegenerateGeometryError`` when its points are collinear or coincident
+    or EPnP yields no start; the call raises the error of the first failing
+    problem, with that problem's index as ``problem``.
 
     Each result equals that of solving its problem alone bit for bit. The
-    problems are read from ``problems``, which may be a generator, and
-    solved batch by batch, in order: a batch holds at most
-    ``_BATCH_ROWS`` correspondences, and is sorted by problem size so that
-    equal-size problems share their reductions (see ``_by_runs``). A batch
-    holds each problem's rows once; every pose hypothesis, a start or a
-    line-search try, reads its problem's rows by (offset, count). Each
-    stage that makes per-row arrays (EPnP's design matrix, the rigid fits,
-    the pose Jacobians, the projections) runs in spans of at most
-    ``_SPAN_ROWS`` rows of whole problems, starts or tries
-    (``_by_spans``), so a batch pays its fixed cost once while its memory
-    stays near that of one span.
+    problems are read from ``problems``, which may be a generator, in one
+    pass: each is cast and checked as it is read. A call is one batch:
+    once every problem is read, ``_solve_batch`` solves them all at once,
+    and at the first problem that fails its check it solves those read
+    before it, so that an earlier degenerate problem fails first. The
+    batch holds each problem's rows once, joined, and frees each problem's
+    own arrays before EPnP runs; ``problems`` itself is left as it is.
+    Each stage that makes per-row arrays (EPnP's design matrix, the rigid
+    fits, the pose Jacobians, the projections) runs in spans of at most
+    ``_SPAN_ROWS`` rows of whole problems, starts or tries (``_by_spans``),
+    so the call pays its fixed cost once while its memory stays near that
+    of one span.
     """
-    results: list[PnPResult] = []
-    batch, rows = [], 0
-    for P_w, u, initial in problems:
-        P_w = np.asarray(P_w, dtype=float).reshape(-1, 3)
-        if batch and rows + len(P_w) > _BATCH_ROWS:
-            results += _solve_batch(batch, intr, len(results))
-            batch, rows = [], 0
-        batch.append((P_w, np.asarray(u, dtype=float).reshape(-1, 2), initial))
-        rows += len(P_w)
-    if batch:
-        results += _solve_batch(batch, intr, len(results))
-    return results
+    read = []
+    for i, (P_w, u, initial) in enumerate(problems):
+        try:
+            read.append(_checked(i, P_w, u) + (initial,))
+        except InsufficientDataError:
+            if read:  # a degenerate problem read before it fails first
+                _solve_batch(read, intr)
+            raise
+    return _solve_batch(read, intr) if read else []
+
+
+def _checked(i, P_w, u):
+    """The points and pixels of problem i cast to float (n, 3) and (n, 2);
+    raises the problem's ``InsufficientDataError``."""
+    error = functools.partial(InsufficientDataError, problem=i)
+    P_w = _column(P_w, float, (None, 3), "world points", error, copy=False)
+    u = _column(u, float, (None, 2), "pixels", error, copy=False)
+    if len(P_w) != len(u):
+        raise error("points and pixels differ in length")
+    if len(P_w) < 4:
+        raise error(f"need at least 4 correspondences, got {len(P_w)}")
+    if not (np.isfinite(P_w).all() and np.isfinite(u).all()):
+        raise error("points and pixels must be finite")
+    return P_w, u
 
 
 def _epnp_fits(P, U, counts, intr):
@@ -525,54 +537,40 @@ def _epnp_fits(P, U, counts, intr):
     return fit_R, fit_t, exists, degenerate
 
 
-def _solve_batch(problems, intr, first) -> list[PnPResult]:
-    """``solve_pnp_batch`` of one batch of (P_w, u, initial) triples, whose
-    first problem has index ``first`` in the whole call. The problems'
-    rows, sorted by size, are concatenated once into P and U; each start
-    reads its problem's rows there by (offset, count), with no copy of its
+def _solve_batch(problems, intr) -> list[PnPResult]:
+    """``solve_pnp_batch`` of a non-empty list of checked (P_w, u,
+    initial) triples, P_w float (n, 3) and u float (n, 2) with n >= 4 and
+    finite, all in one batch; raises the ``DegenerateGeometryError`` of the
+    first degenerate problem in input order. The problems' rows, sorted by
+    size so that equal-size problems share their reductions (``_by_runs``),
+    are joined once into P and U, and then ``problems`` is emptied, so that
+    each problem's own arrays are freed before EPnP runs; each start reads
+    its problem's rows in P and U by (offset, count), with no copy of its
     own."""
-    failures: dict[int, PnPError] = {}
-    for i, (P, x, _) in enumerate(problems):
-        if len(P) != len(x):
-            failures[i] = InsufficientDataError("points and pixels differ in length", first + i)
-        elif len(P) < 4:
-            failures[i] = InsufficientDataError(
-                f"need at least 4 correspondences, got {len(P)}", first + i)
-        elif not (np.isfinite(P).all() and np.isfinite(x).all()):
-            failures[i] = InsufficientDataError("points and pixels must be finite", first + i)
-        if failures:  # the problems after it cannot fail before it
-            break
-    k = min(failures, default=len(problems))
-    if k == 0:
-        raise failures[0]
-
+    k = len(problems)
     # problems sorted by size; `order[i]` is the input index of sorted problem i
     order = sorted(range(k), key=lambda i: len(problems[i][0]))
-    sizes = [len(problems[i][0]) for i in order]
-    counts = np.array(sizes)
+    counts = np.array([len(problems[i][0]) for i in order])
     P = np.concatenate([problems[i][0] for i in order])
     U = np.concatenate([problems[i][1] for i in order])
-
-    fit_R, fit_t, exists, degenerate = _epnp_fits(P, U, counts, intr)
+    priors = [problems[i][2] for i in order]
+    problems.clear()
 
     # the starts of each problem in order: its candidates, each stored as a
     # Pose, then its motion prior
     has = np.empty((k, 3), dtype=bool)
-    has[:, :2] = exists
+    fit_R, fit_t, has[:, :2], degenerate = _epnp_fits(P, U, counts, intr)
     start_q, start_t = np.empty((k, 3, 4)), np.empty((k, 3, 3))
     start_q[:, :2] = matrix_to_quat(fit_R)  # as Pose stores it, see matrix_to_quat
     start_t[:, :2] = fit_t
-    for i, p in enumerate(order):
-        prior = problems[p][2]
-        has[i, 2] = prior is not None
-        if prior is not None:
-            start_q[i, 2], start_t[i, 2] = prior.q, prior.t
-    for i in (degenerate | ~np.logical_or.reduce(has, axis=1)).nonzero()[0].tolist():
-        failures[order[i]] = DegenerateGeometryError(
-            "points are collinear or coincident" if degenerate[i] else "EPnP found no candidate pose",
-            first + order[i])
-    if failures:
-        raise failures[min(failures)]
+    has[:, 2] = [prior is not None for prior in priors]
+    for i in has[:, 2].nonzero()[0].tolist():
+        start_q[i, 2], start_t[i, 2] = priors[i].q, priors[i].t
+    failed = (degenerate | ~np.logical_or.reduce(has, axis=1)).nonzero()[0].tolist()
+    if failed:  # the first in input order
+        i = min(failed, key=order.__getitem__)
+        raise DegenerateGeometryError("points are collinear or coincident" if degenerate[i]
+                                      else "EPnP found no candidate pose", order[i])
 
     n_starts = np.add.reduce(has, axis=1)
     q, t, err = _refine_poses(quat_to_matrix(start_q[has]), start_t[has], P, U,
@@ -764,8 +762,10 @@ def track_frame_to_frame(seq: Sequence) -> Trajectory:
     The first pose is anchored to ground truth (gauge fixing). Each
     relative pose depends only on its two frames, so the problems of the
     frames up to the first one that shares fewer than 4 landmarks with its
-    predecessor go to one ``solve_pnp_batch`` call, which builds them as
-    its batches need them; the chain is composed afterwards, each frame's
+    predecessor go to one ``solve_pnp_batch`` call, one batch, as a
+    generator: the call frees each problem's arrays once it has joined
+    their rows, which a list of the problems held here would keep through
+    the solve. The chain is composed afterwards, each frame's
     ``Pose`` onto the one before, into the rows of the returned record. The
     tracks equal those of solving frame by frame bit for bit, and tracking
     is lost at the same frame with the same message: at the first failing

@@ -367,6 +367,27 @@ def test_frame_files_past_a_cut_ground_truth_are_refused(box_sequence, tmp_path,
     assert_sequences_identical(box_sequence, read_sequence(tmp_path / "seq"))
 
 
+def test_shorter_sequence_written_over_a_longer_one_reads_back(tmp_path):
+    # the 20-frame sequence's frame files 10 to 19 go, and no other file
+    cfg = load_preset("box")
+    scene, traj = build_scene(cfg.scene), build_trajectory(cfg.trajectory)
+    long, short = (generate_sequence(scene, traj[:n], cfg.noise, cfg.intrinsics, cfg.render)
+                   for n in (20, 10))
+    write_sequence(long, tmp_path)
+    (tmp_path / "frames" / "notes.txt").write_text("not a frame file\n")
+    write_sequence(short, tmp_path)
+    back = read_sequence(tmp_path)
+    assert_sequences_identical(short, back)
+    assert (back.gt_trajectory.q.tobytes(), back.gt_trajectory.t.tobytes()) == \
+        (short.gt_trajectory.q.tobytes(), short.gt_trajectory.t.tobytes())
+    fields = [f.name for f in dataclasses.fields(FrameData) if f.name != "frame_id"]
+    for a, b in zip(short.frames, back.frames, strict=True):
+        assert [getattr(a, name).tobytes() for name in fields] == \
+            [getattr(b, name).tobytes() for name in fields]
+    assert sorted(p.name for p in (tmp_path / "frames").iterdir()) == \
+        [f"{i:06d}.txt" for i in range(10)] + ["notes.txt"]
+
+
 # ---------------------------------------------------------------------------
 # trajectories
 

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -315,7 +316,7 @@ def test_epnp_is_exact_on_noiseless_input(make_points, control_points, monkeypat
         _, planar, degenerate = _epnp_control_points(P_w, [len(P_w)])
         assert 4 - int(planar[0]) == len(reference_control_points(P_w)) == control_points
         assert not degenerate[0]
-        (result,) = _solve_batch([(P_w, observe(T, P_w), None)], K, 0)
+        (result,) = _solve_batch([(P_w, observe(T, P_w), None)], K)
         assert_same_pose(result.pose, T, atol=1e-7)
         assert result.mean_error <= 1e-6
 
@@ -365,6 +366,52 @@ def test_mismatched_lengths_raise():
     P_w = general_points(np.random.default_rng(3), 6)
     with pytest.raises(InsufficientDataError):
         solve_pnp(P_w, observe(IDENTITY, P_w)[:5], K)
+
+
+@pytest.mark.parametrize(
+    "points, pixels, message",
+    [
+        ((4, 6), (8, 2), "world points must be float64 of shape (n, 3), got float64 of shape (4, 6)"),
+        ((8, 3), (4, 4), "pixels must be float64 of shape (n, 2), got float64 of shape (4, 4)"),
+        ((14,), (8, 2), "world points must be float64 of shape (n, 3), got float64 of shape (14,)"),
+    ],
+    ids=["points-4x6", "pixels-4x4", "points-14-values"],
+)
+def test_malformed_shapes_raise(points, pixels, message):
+    # the values of 8 good correspondences in the wrong shape: refused as
+    # they are, not reshaped into some other number of rows
+    rng = np.random.default_rng(3)
+    P_w = general_points(rng, 8)
+    u = observe(IDENTITY, P_w)
+    bad = (P_w.ravel()[:np.prod(points)].reshape(points),
+           u.ravel()[:np.prod(pixels)].reshape(pixels), None)
+    good = (P_w, u, None)
+    collinear = np.outer(np.linspace(-1.0, 1.0, 6), [1.0, 0.5, 0.2]) + np.array([0.0, 0.0, 5.0])
+    with pytest.raises(InsufficientDataError, match=f"^{re.escape(message)}$") as info:
+        solve_pnp(*bad[:2], K)
+    assert info.value.problem == 0
+    with pytest.raises(InsufficientDataError, match=f"^{re.escape(message)}$") as info:
+        solve_pnp_batch([good, good, bad], K)
+    assert info.value.problem == 2
+    # behind a collinear problem, which fails first
+    with pytest.raises(DegenerateGeometryError) as info:
+        solve_pnp_batch([good, (collinear, observe(IDENTITY, collinear), None), bad], K)
+    assert info.value.problem == 1
+
+
+def test_solve_pnp_batch_leaves_its_problems_as_they_are():
+    # the call frees the arrays it joins, but not from a list it was given
+    problems = mixed_problems(np.random.default_rng(8))
+    saved = [(P.copy(), u.copy()) for P, u, _ in problems]
+    given = list(problems)
+    assert len(solve_pnp_batch(given, K)) == len(given)
+    given.append((problems[0][0], problems[0][1][:-1], None))  # fails its check
+    with pytest.raises(InsufficientDataError):
+        solve_pnp_batch(given, K)
+    assert len(given) == len(problems) + 1
+    for (P, u, prior), kept, (P0, u0) in zip(given, problems, saved):
+        assert P is kept[0] and u is kept[1] and prior is kept[2]
+        assert (P.tobytes(), u.tobytes()) == (P0.tobytes(), u0.tobytes())
 
 
 def test_solve_pnp_without_a_start_raises_degenerate_geometry(monkeypatch):
@@ -449,9 +496,8 @@ def test_solve_pnp_batch_raises_the_error_of_its_first_failing_problem(kinds, er
     if len(problems) == 1:
         with pytest.raises(error, match=f"^{alone.value}$"):
             solve_pnp(*problems[0][:2], K)
-    # the same error when batches and spans hold a problem or two
+    # the same error when spans hold a problem or two
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tracking, "_BATCH_ROWS", 24)
         mp.setattr(tracking, "_SPAN_ROWS", 8)
         with pytest.raises(error) as small:
             solve_pnp_batch(problems, K)
@@ -489,10 +535,7 @@ def mixed_problems(rng):
     return problems
 
 
-@pytest.mark.parametrize("budget", [None, 40], ids=["one-batch", "split"])
-def test_solve_pnp_batch_equals_the_one_problem_solver(budget, monkeypatch):
-    if budget is not None:
-        monkeypatch.setattr(tracking, "_BATCH_ROWS", budget)
+def test_solve_pnp_batch_equals_the_one_problem_solver(monkeypatch):
     problems = mixed_problems(np.random.default_rng(8))
     P_w = [P for P, _, _ in problems]
     _, planar, _ = _epnp_control_points(np.concatenate(P_w), [len(P) for P in P_w])
@@ -501,17 +544,17 @@ def test_solve_pnp_batch_equals_the_one_problem_solver(budget, monkeypatch):
     assert len(results) == len(problems)
     for result, (P, x, prior) in zip(results, problems):
         assert result_bytes(result) == result_bytes(reference_solve_pnp(P, x, K, 10, prior))
-    # EPnP alone, every problem in one batch
+    # EPnP alone, every problem in one batch; _solve_batch empties the
+    # list it is given
     monkeypatch.setattr(tracking, "_ITERATIONS", 0)
-    for result, (P, x, prior) in zip(_solve_batch(problems, K, 0), problems):
+    for result, (P, x, prior) in zip(_solve_batch(list(problems), K), problems, strict=True):
         assert result_bytes(result) == result_bytes(reference_solve_pnp(P, x, K, 0, prior))
 
 
 def test_solve_pnp_batch_in_small_spans_equals_the_one_problem_solver(monkeypatch):
-    # budgets of a few rows: batches of a few problems, and spans that end
-    # inside runs of equal-length problems, starts and tries in every
-    # staged kernel; the problems in shuffled order
-    monkeypatch.setattr(tracking, "_BATCH_ROWS", 120)
+    # a span budget of a few rows: spans that end inside runs of
+    # equal-length problems, starts and tries in every staged kernel; the
+    # problems in shuffled order
     monkeypatch.setattr(tracking, "_SPAN_ROWS", 20)
     by_spans, split = tracking._by_spans, set()
 
@@ -990,10 +1033,11 @@ def test_trackers_give_no_poses_for_a_sequence_without_frames():
 
 @pytest.mark.parametrize("preset", ["sphere", "box", "corridor"])
 def test_frame_to_frame_batches_bound_their_memory(preset):
-    # the row budgets keep the batches within 2 MB of solving frame by frame:
-    # sphere and box fill two 8192-row batches and peak 1.30 and 1.26 MB
-    # above it, the corridor sequence, one batch, 1.40 MB (13 MB with all
-    # line-search tries projected at once)
+    # one batch per call, its per-row stages in spans of _SPAN_ROWS rows and
+    # each problem's arrays freed once joined, stays within 2 MB of solving
+    # frame by frame: sphere, box and corridor peak 1.42, 1.48 and 1.12 MB
+    # above it (2.00 and 2.12 MB on sphere and box with the problems'
+    # arrays held beside their joined rows)
     seq = preset_sequence(preset)[1]
     peaks = []
     for tracker in (reference_track_frame_to_frame, track_frame_to_frame):

@@ -4,12 +4,14 @@ and the cost of frame-to-frame tracking.
 Records every ``solve_pnp`` call that ``track_map_to_frame`` makes on a
 preset's sequence (its points, pixels and motion prior), then replays the
 calls: the mean time per solve at full size and with every problem cut to
-its first 12 correspondences, each the best of k replays, and the
-function calls per solve that cProfile counts in one full-size replay.
-The cut problems show the fixed cost a solve pays whatever its size.
-Beside them: the time of one ``track_frame_to_frame`` of the sequence,
-which solves its problems in batches, best of k runs, and the peak of
-the memory it allocates, which tracemalloc traces in one more run.
+its first 12 correspondences, and the function calls per solve that
+cProfile counts in one full-size replay. Each solve is timed once in
+each of k replays and its minimum kept: a disturbance spoils only the
+timings of the solves it overlaps in one replay, and the other replays
+time those solves again. The cut problems show the fixed cost a solve
+pays whatever its size. Beside them: the time of one
+``track_frame_to_frame`` of the sequence, best of k runs, and the peak
+of the memory it allocates, which tracemalloc traces in one more run.
 Uses the standard library and numpy only; BLAS runs on one thread.
 
 Usage: python tools/pnp_cost.py [PRESET ...] [--repeat K]
@@ -73,14 +75,15 @@ def replay(calls, intr) -> None:
 
 
 def ms_per_solve(calls, intr, repeat: int) -> float:
-    """Mean wall time of one solve over a replay of ``calls``, best of
-    ``repeat`` replays, ms."""
-    best = float("inf")
+    """Mean over ``calls`` of each solve's wall time, ms: the minimum of
+    ``repeat`` timings of that solve, one in each of ``repeat`` replays."""
+    best = [float("inf")] * len(calls)
     for _ in range(repeat):
-        start = time.perf_counter()
-        replay(calls, intr)
-        best = min(best, time.perf_counter() - start)
-    return 1e3 * best / len(calls)
+        for i, (P, u, initial) in enumerate(calls):
+            start = time.perf_counter()
+            tracking.solve_pnp(P, u, intr, initial=initial)
+            best[i] = min(best[i], time.perf_counter() - start)
+    return 1e3 * sum(best) / len(calls)
 
 
 def frame_to_frame_cost(seq, repeat: int) -> tuple[float, float]:
@@ -111,7 +114,9 @@ def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("presets", nargs="*", metavar="PRESET",
                         help=f"one of {', '.join(PRESET_NAMES)} (default: all)")
-    parser.add_argument("--repeat", type=int, default=5, help="replays per timing; the best counts")
+    parser.add_argument("--repeat", type=int, default=5,
+                        help="timings of each solve, and runs of frame-to-frame tracking; "
+                             "the minimum counts")
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
