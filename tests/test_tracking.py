@@ -535,12 +535,20 @@ def mixed_problems(rng):
     return problems
 
 
-def test_solve_pnp_batch_equals_the_one_problem_solver(monkeypatch):
+@pytest.mark.parametrize("split", [None, 7], ids=["one-batch", "split"])
+def test_solve_pnp_batch_equals_the_one_problem_solver(split, monkeypatch):
+    # "split": the problems over two calls, cut inside a run of one size;
+    # a result does not depend on the other problems of its call
     problems = mixed_problems(np.random.default_rng(8))
     P_w = [P for P, _, _ in problems]
     _, planar, _ = _epnp_control_points(np.concatenate(P_w), [len(P) for P in P_w])
     assert planar.any() and not planar.all()
-    results = solve_pnp_batch(iter(problems), K)
+    if split is None:
+        results = solve_pnp_batch(iter(problems), K)
+    else:
+        assert len(problems[split - 1][0]) == len(problems[split][0])
+        results = (solve_pnp_batch(iter(problems[:split]), K)
+                   + solve_pnp_batch(iter(problems[split:]), K))
     assert len(results) == len(problems)
     for result, (P, x, prior) in zip(results, problems):
         assert result_bytes(result) == result_bytes(reference_solve_pnp(P, x, K, 10, prior))
