@@ -296,7 +296,11 @@ def _parse_records(path, table):
 
 
 def write_trajectory(traj: Trajectory, path) -> None:
-    """One line per frame: ``frame_id tx ty tz qx qy qz qw`` (T_cw)."""
+    """One line per frame: ``frame_id tx ty tz qx qy qz qw`` (T_cw). An
+    empty trajectory, which ``read_trajectory`` refuses, is refused before
+    anything is written."""
+    if not len(traj):
+        raise ValueError("cannot write an empty trajectory")
     _atomic_write(path, "# frame_id tx ty tz qx qy qz qw (world-to-camera)\n" + _records(
         None, np.arange(len(traj)), traj.t, traj.q))
 
@@ -332,11 +336,13 @@ def _frame_files_from(frames_dir: Path, first: int) -> list[tuple[int, Path]]:
 
 
 def write_sequence(seq: Sequence, directory) -> None:
-    """Write a sequence directory; a frame whose ``frame_id`` is not its
-    index is refused before any file is written. Frame files that an
-    earlier, longer sequence left past the last frame are removed, so
-    that ``read_sequence`` reads the directory back; any other file is
-    left alone."""
+    """Write a sequence directory; a sequence without poses, or a frame
+    whose ``frame_id`` is not its index, is refused before any file is
+    written. Frame files that an earlier, longer sequence left past the
+    last frame are removed, so that ``read_sequence`` reads the directory
+    back; any other file is left alone."""
+    if not len(seq.gt_trajectory):
+        raise ValueError("cannot write a sequence without poses")
     seq.check_frame_ids()
     directory = Path(directory)
     (directory / "frames").mkdir(parents=True, exist_ok=True)
@@ -535,7 +541,9 @@ def write_stats_csv(stats: list[FrameStats], path) -> None:
 def write_graph(graph: FactorGraph, path) -> None:
     """Write vertices, pose i with id i, the gauge and factor
     measurements. Factor weights are not stored; ``read_graph`` rebuilds
-    them from ``sigma_s``."""
+    them from ``sigma_s``. A graph that ``FactorGraph.check`` refuses, and
+    so ``read_graph`` would, is refused before anything is written."""
+    graph.check()
     poses, points, lines = graph.poses, graph.points, graph.lines
     pf, lf = graph.point_factors, graph.line_factors
     _atomic_write(path, "".join([
@@ -603,9 +611,8 @@ def read_graph(path, intrinsics: CameraIntrinsics, sigma_s: float = 1.0) -> Fact
         line_factors=Factors(*line_edges.T, line_u.reshape(-1, 2, 2),
                              np.full(len(line_u), weight)),
     )
-    if len(graph.poses) or len(graph.fixed) or len(point_u) or len(line_u):
-        try:
-            graph.check()
-        except ValueError as exc:
-            raise ParseError(path, None, str(exc)) from exc
+    try:
+        graph.check()
+    except ValueError as exc:
+        raise ParseError(path, None, str(exc)) from exc
     return graph

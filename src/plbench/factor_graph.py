@@ -122,9 +122,13 @@ class FactorGraph:
         object.__setattr__(self, "fixed", fixed)
 
     def check(self) -> None:
+        """Refuse a graph with a pose or a factor but no fixed pose (the
+        gauge), a fixed id that is not a pose row, a line vertex off the
+        Plucker constraint, or a factor on an unknown vertex."""
         if not len(self.fixed):
-            raise GraphConstructionError("graph needs at least one fixed pose (gauge)")
-        if self.fixed[0] < 0 or self.fixed[-1] >= len(self.poses):
+            if len(self.poses) or len(self.point_factors) or len(self.line_factors):
+                raise GraphConstructionError("graph needs at least one fixed pose (gauge)")
+        elif self.fixed[0] < 0 or self.fixed[-1] >= len(self.poses):
             raise GraphConstructionError("fixed flag on unknown pose vertex")
         if _plucker_violations(self.lines.n, self.lines.d).any():
             raise GraphConstructionError("line vertex violates the Plucker constraint")

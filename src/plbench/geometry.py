@@ -282,12 +282,15 @@ def project(P_c, z, intr: CameraIntrinsics) -> np.ndarray:
 
 
 def backproject(u, d, intr: CameraIntrinsics) -> np.ndarray:
-    """Pixel (..., 2) plus depth (...) -> camera-frame point (..., 3); a
-    depth that is not positive, NaN included, raises GeometryError."""
+    """Pixel (..., 2) plus depth (...) -> camera-frame point (..., 3). A
+    depth that is not positive, NaN included, raises GeometryError, and so
+    does, after it, an infinite depth or a pixel that is not finite."""
     u = np.asarray(u, dtype=float)
     d = np.asarray(d, dtype=float)
     if not np.all(d > 0):
         raise GeometryError("backprojection requires positive depth")
+    if not (np.all(d < np.inf) and np.isfinite(u).all()):
+        raise GeometryError("backprojection requires finite pixels and depths")
     x = (u[..., 0] - intr.cx) / intr.fx * d
     y = (u[..., 1] - intr.cy) / intr.fy * d
     return np.stack([x, y, np.broadcast_to(d, x.shape)], axis=-1)

@@ -197,16 +197,16 @@ def _refine_poses(R, t, P_w, u, offsets, counts, intr):
     shipped presets almost every start returns unmoved (1, 4 and 4 of 495
     refinements move on sphere, box and corridor).
 
-    Starts and tries alike read their rows by (offset, count), gathered
-    span by span by ``_segment_index``, so no per-row array is held for
-    the whole batch (``_by_spans``): each iteration projects the starts
-    still in the batch at their poses and sums the normal equations of
-    their pose Jacobians, then projects the tries (``_errors``). The 6×6
-    solves and the ``se3_exp_update`` of the tries run once over the batch.
-    Every kernel works row by row or sees the same arrays as a refinement
-    of its start alone, so each start's result equals refining that start
-    alone, bit for bit, whatever else the batch holds and wherever a span
-    ends.
+    Starts and tries alike get their residuals from ``_residuals``, which
+    gathers their rows by (offset, count), span by span, so no per-row
+    array is held for the whole batch (``_by_spans``): each iteration
+    projects the starts still in the batch at their poses and sums the
+    normal equations of their pose Jacobians, then projects the tries
+    (``_errors``). The 6×6 solves and the ``se3_exp_update`` of the tries
+    run once over the batch. Every kernel works row by row or sees the
+    same arrays as a refinement of its start alone, so each start's result
+    equals refining that start alone, bit for bit, whatever else the batch
+    holds and wherever a span ends.
     """
     offsets, counts = np.asarray(offsets), np.asarray(counts)
     m = len(_STEPS)
@@ -220,11 +220,7 @@ def _refine_poses(R, t, P_w, u, offsets, counts, intr):
         after), and JᵀJ and Jᵀr."""
         s = active[span]
         n = counts[s]
-        rows = _segment_index(offsets[s], n)
-        P_c, valid, zs, proj = _project_points(R[s].repeat(n, axis=0), t[s].repeat(n, axis=0),
-                                               P_w.take(rows, axis=0), intr)
-        res = u.take(rows, axis=0) - proj
-        del rows, proj  # not held beside the Jacobians
+        P_c, valid, zs, res = _residuals(R[s], t[s], offsets[s], n, P_w, u, intr)
         errs = _mean_errors(res, valid, n) if err is None else np.empty(0)
         res = np.where(valid[:, None], res, 0.0)
         J_pose, _ = _pose_jacobian(P_c, zs, valid, intr)
@@ -270,17 +266,24 @@ def _refine_poses(R, t, P_w, u, offsets, counts, intr):
     return q, t, err
 
 
+def _residuals(R, t, offsets, counts, P_w, u, intr):
+    """The residuals of the pose hypotheses R (T, 3, 3), t (T, 3), pose i
+    against the rows [offsets[i], offsets[i] + counts[i]) of P_w and u,
+    gathered by ``_segment_index``: ``_project_points``' P_c, valid and
+    zs, and u - proj, one row per gathered row."""
+    rows = _segment_index(offsets, counts)
+    P_c, valid, zs, proj = _project_points(R.repeat(counts, axis=0), t.repeat(counts, axis=0),
+                                           P_w.take(rows, axis=0), intr)
+    return P_c, valid, zs, u.take(rows, axis=0) - proj
+
+
 def _errors(R, t, offsets, counts, P_w, u, intr):
     """Mean errors of the pose hypotheses R (T, 3, 3), t (T, 3), pose i
     against the rows [offsets[i], offsets[i] + counts[i]) of P_w and u,
-    gathered (``_segment_index``) and projected span by span
-    (``_by_spans``)."""
+    span by span (``_by_spans``)."""
     def span(s):
-        n = counts[s]
-        rows = _segment_index(offsets[s], n)
-        _, valid, _, proj = _project_points(R[s].repeat(n, axis=0), t[s].repeat(n, axis=0),
-                                            P_w.take(rows, axis=0), intr)
-        return _mean_errors(u.take(rows, axis=0) - proj, valid, n)
+        _, valid, _, res = _residuals(R[s], t[s], offsets[s], counts[s], P_w, u, intr)
+        return _mean_errors(res, valid, counts[s])
 
     return _by_spans(span, counts)
 
@@ -464,25 +467,26 @@ def solve_pnp_batch(problems, intr: CameraIntrinsics) -> list[PnPResult]:
     Each result equals that of solving its problem alone bit for bit. The
     problems are read from ``problems``, which may be a generator, in one
     pass: each is cast and checked as it is read. A call is one batch:
-    once every problem is read, ``_solve_batch`` solves them all at once,
-    and at the first problem that fails its check it solves those read
-    before it, so that an earlier degenerate problem fails first. The
-    batch holds each problem's rows once, joined, and frees each problem's
-    own arrays before EPnP runs; ``problems`` itself is left as it is.
-    Each stage that makes per-row arrays (EPnP's design matrix, the rigid
-    fits, the pose Jacobians, the projections) runs in spans of at most
-    ``_SPAN_ROWS`` rows of whole problems, starts or tries (``_by_spans``),
-    so the call pays its fixed cost once while its memory stays near that
-    of one span.
+    once every problem is read, ``_solve_batch`` solves them all at once.
+    A read that fails, a problem failing its check or ``problems`` itself
+    raising, first solves the problems read before it, so that an earlier
+    degenerate problem fails first, and else raises its own exception
+    unchanged. The batch holds each problem's rows once, joined, and frees
+    each problem's own arrays before EPnP runs; ``problems`` itself is left
+    as it is. Each stage that makes per-row arrays (EPnP's design matrix,
+    the rigid fits, the pose Jacobians, the projections) runs in spans of
+    at most ``_SPAN_ROWS`` rows of whole problems, starts or tries
+    (``_by_spans``), so the call pays its fixed cost once while its memory
+    stays near that of one span.
     """
     read = []
-    for i, (P_w, u, initial) in enumerate(problems):
-        try:
+    try:
+        for i, (P_w, u, initial) in enumerate(problems):
             read.append(_checked(i, P_w, u) + (initial,))
-        except InsufficientDataError:
-            if read:  # a degenerate problem read before it fails first
-                _solve_batch(read, intr)
-            raise
+    except Exception:
+        if read:  # a degenerate problem read before it fails first
+            _solve_batch(read, intr)
+        raise
     return _solve_batch(read, intr) if read else []
 
 
@@ -768,13 +772,15 @@ def track_frame_to_frame(seq: Sequence) -> Trajectory:
     the solve. The chain is composed afterwards, each frame's
     ``Pose`` onto the one before, into the rows of the returned record. The
     tracks equal those of solving frame by frame bit for bit, and tracking
-    is lost at the same frame with the same message: at the first failing
-    problem, else at the frame that shares too few landmarks or whose
-    shared points cannot be back-projected (a ``GeometryError``, the cause
-    of the ``TrackingLostError`` naming that frame).
+    is lost at the same frame with the same message. The problems'
+    generator raises ``TrackingLostError`` where it finds a loss: at a
+    frame that shares fewer than 4 landmarks with its predecessor, or at a
+    predecessor whose shared points cannot be back-projected, raised from
+    the ``GeometryError``; ``solve_pnp_batch`` solves the problems read
+    before it first, so that an earlier ``PnPError`` wins, and that becomes
+    the ``TrackingLostError`` of its problem's frame, raised from it.
     """
     intr = seq.intrinsics
-    short: list[TrackingLostError] = []
 
     def problems():
         for j in range(1, len(seq.frames)):
@@ -789,22 +795,17 @@ def track_frame_to_frame(seq: Sequence) -> Trajectory:
             b = np.flatnonzero(hit)
             a = order[at[b]]
             if len(b) < 4:
-                short.append(TrackingLostError(j, f"only {len(b)} shared landmarks"))
-                return
+                raise TrackingLostError(j, f"only {len(b)} shared landmarks")
             try:
                 P_prev = backproject(prev.point_pixels[a], prev.point_depths[a], intr)
             except GeometryError as exc:
-                short.append(TrackingLostError(j - 1, str(exc)))
-                short[-1].__cause__ = exc
-                return
+                raise TrackingLostError(j - 1, str(exc)) from exc
             yield P_prev, frame.point_pixels[b], None
 
     try:
         results = solve_pnp_batch(problems(), intr)
     except PnPError as exc:
         raise TrackingLostError(exc.problem + 1, str(exc)) from exc
-    if short:
-        raise short[0]
     q, t = np.empty((len(seq.frames), 4)), np.empty((len(seq.frames), 3))
     if seq.frames:  # the anchor
         T = seq.gt_trajectory[0]
@@ -822,10 +823,13 @@ def track_map_to_frame(seq: Sequence) -> tuple[Trajectory, SparseMap]:
     is solved against the mapped points seen in it, then its measurements
     are back-projected and fused with ``SparseMap``'s gates
     (co-visible ones update landmarks inside the gates, new ids are
-    inserted). A PnP failure, or a point or line row whose depth cannot be
-    back-projected, becomes ``TrackingLostError`` naming the frame, raised
-    from the original. Each frame's ``Pose`` is the next one's motion prior;
-    the track's record is built once, at the end.
+    inserted). A frame that sees fewer than 4 mapped points, and any
+    ``ValueError`` of its PnP solve, back-projection or fusion (a
+    ``PnPError``, a ``GeometryError`` of a pixel or depth, a refused
+    fusion batch such as one whose landmark ids repeat), becomes a
+    ``TrackingLostError`` naming the frame, raised from the original. Each
+    frame's ``Pose`` is the next one's motion prior; the track's record is
+    built once, at the end.
     """
     intr = seq.intrinsics
     sparse_map = SparseMap()
@@ -844,15 +848,14 @@ def track_map_to_frame(seq: Sequence) -> tuple[Trajectory, SparseMap]:
             P_c = backproject(u, frame.point_depths, intr)
             ends_c = backproject(frame.line_pixels.reshape(-1, 2), frame.line_depths.reshape(-1),
                                  intr).reshape(-1, 2, 3)
-        except (PnPError, GeometryError) as exc:
+            # fuse the frame: the back-projected points and line endpoints
+            # moved to the world in one batch each; each point is a block of
+            # one, so that it gets the bits of transforming it alone
+            T_inv = T.inverse()
+            sparse_map.fuse_points(T_inv.transform(P_c[:, None, :])[:, 0, :], frame.point_ids)
+            sparse_map.fuse_lines(T_inv.transform(ends_c), frame.line_ids)
+        except ValueError as exc:
             raise TrackingLostError(j, str(exc)) from exc
         q[j], t[j] = T.q, T.t
-
-        # fuse the frame: the back-projected points and line endpoints moved
-        # to the world in one batch each; each point is a block of one, so
-        # that it gets the bits of transforming it alone
-        T_inv = T.inverse()
-        sparse_map.fuse_points(T_inv.transform(P_c[:, None, :])[:, 0, :], frame.point_ids)
-        sparse_map.fuse_lines(T_inv.transform(ends_c), frame.line_ids)
 
     return Trajectory(q, t), sparse_map

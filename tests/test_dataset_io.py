@@ -23,6 +23,7 @@ from plbench.dataset_io import (
 from plbench.factor_graph import (
     FactorGraph,
     Factors,
+    GraphConstructionError,
     Lines,
     Points,
     build_covisibility_graph,
@@ -424,6 +425,18 @@ def test_trajectory_identity_record(tmp_path):
     np.testing.assert_array_equal(back[0].q, [0.0, 0.0, 0.0, 1.0])
 
 
+def test_writers_refuse_a_trajectory_or_sequence_without_poses(tmp_path):
+    # read_trajectory refuses an empty groundtruth.txt, so neither is written
+    with pytest.raises(ValueError, match="^cannot write an empty trajectory$"):
+        write_trajectory(identities(0), tmp_path / "t.txt")
+    seq = Sequence(K, identities(0), [], Points([], np.empty((0, 3))),
+                   Segments([], np.empty((0, 2, 3))), {})
+    seq.validate()
+    with pytest.raises(ValueError, match="^cannot write a sequence without poses$"):
+        write_sequence(seq, tmp_path / "seq")
+    assert not any(tmp_path.iterdir())
+
+
 def test_trajectory_non_monotonic_frame_ids(tmp_path):
     (tmp_path / "t.txt").write_text(
         "1 0.0 0.0 0.0 0.0 0.0 0.0 1.0\n0 0.0 0.0 0.0 0.0 0.0 0.0 1.0\n"
@@ -494,6 +507,18 @@ def test_empty_graph_roundtrip(tmp_path):
     back = read_graph(tmp_path / "g.txt", K)
     assert not back.poses and not back.points and not back.lines
     assert not back.point_factors and not back.line_factors
+
+
+@pytest.mark.parametrize("graph, message", [
+    (FactorGraph(intrinsics=K, poses=identities(3)), "graph needs at least one fixed pose"),
+    (FactorGraph(intrinsics=K, poses=identities(2), fixed=[0],
+                 point_factors=Factors([1], [5], [[312.5, 248.25]], [1.0])),
+     "dangling factor reference to point 5"),
+], ids=["no-gauge", "dangling-factor"])
+def test_write_graph_refuses_a_graph_that_read_graph_refuses(graph, message, tmp_path):
+    with pytest.raises(GraphConstructionError, match=message):
+        write_graph(graph, tmp_path / "g.txt")
+    assert not any(tmp_path.iterdir())
 
 
 def test_toy_graph_roundtrip(tmp_path):

@@ -192,6 +192,17 @@ def test_backproject_hand_values():
             backproject(np.array([[10.0, 10.0], [20.0, 20.0]]), [2.0, depth], K_VGA)
 
 
+@pytest.mark.parametrize("pixel, depth", [([20.0, np.nan], 2.0), ([np.inf, 20.0], 2.0),
+                                          ([20.0, -np.inf], 2.0), ([20.0, 20.0], np.inf)],
+                         ids=["nan-v", "inf-u", "minus-inf-v", "inf-depth"])
+def test_backproject_refuses_a_pixel_or_depth_that_is_not_finite(pixel, depth):
+    with pytest.raises(GeometryError, match="requires finite pixels and depths"):
+        backproject(np.array([[10.0, 10.0], pixel]), [2.0, depth], K_VGA)
+    # a depth that is not positive is named first
+    with pytest.raises(GeometryError, match="requires positive depth"):
+        backproject(np.array([[10.0, 10.0], pixel]), [-2.0, depth], K_VGA)
+
+
 @given(
     u=st.tuples(
         st.floats(min_value=0, max_value=639.99), st.floats(min_value=0, max_value=479.99)

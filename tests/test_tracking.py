@@ -414,6 +414,37 @@ def test_solve_pnp_batch_leaves_its_problems_as_they_are():
         assert (P.tobytes(), u.tobytes()) == (P0.tobytes(), u0.tobytes())
 
 
+class SourceError(Exception):
+    pass
+
+
+@pytest.mark.parametrize("kinds, error, problem", [
+    (["good", "collinear", "good"], DegenerateGeometryError, 1),
+    (["good", "good"], SourceError, None),
+    ([], SourceError, None),
+], ids=["degenerate-first", "after-good-problems", "before-any-problem"])
+def test_solve_pnp_batch_solves_what_it_read_before_its_problems_raise(kinds, error, problem):
+    # the problems read before the iterable raises are solved first: a
+    # degenerate one among them fails first, else the iterable's own
+    # exception is raised as it is
+    rng = np.random.default_rng(11)
+    collinear = np.outer(np.linspace(-1.0, 1.0, 6), [1.0, 0.5, 0.2]) + np.array([0.0, 0.0, 5.0])
+    raised = SourceError("source failed")
+
+    def problems():
+        for kind in kinds:
+            P_w = collinear if kind == "collinear" else general_points(rng)
+            yield P_w, observe(IDENTITY, P_w), None
+        raise raised
+
+    with pytest.raises(error) as info:
+        solve_pnp_batch(problems(), K)
+    if problem is None:
+        assert info.value is raised
+    else:
+        assert info.value.problem == problem
+
+
 def test_solve_pnp_without_a_start_raises_degenerate_geometry(monkeypatch):
     P_w = general_points(np.random.default_rng(4))
     u = observe(IDENTITY, P_w)
@@ -643,9 +674,12 @@ def matched_problems(seq):
     built = []
 
     def capture(problems, intr):
-        problems = list(problems)
-        built.extend((P, u) for P, u, _ in problems)
-        return solve_pnp_batch(problems, intr)
+        def recorded():  # each problem as solve_pnp_batch reads it
+            for P, u, initial in problems:
+                built.append((P, u))
+                yield P, u, initial
+
+        return solve_pnp_batch(recorded(), intr)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tracking, "solve_pnp_batch", capture)
@@ -921,6 +955,7 @@ def test_tracking_lost_names_the_failing_frame(tracker):
     # a PnP failure of the third problem (frame 3) names frame 3 as well;
     # map-to-frame solves one problem per batch, frame-to-frame all of
     # frames 1 to 3 in one
+    solve_batch = tracking._solve_batch
     for error in (DegenerateGeometryError, InsufficientDataError):
         solved = []
 
@@ -930,10 +965,10 @@ def test_tracking_lost_names_the_failing_frame(tracker):
             solved.extend(problems)
             if before < 3 <= len(solved):
                 raise error("injected", problem=2 - before)
-            return solve_pnp_batch(problems, *args, **kwargs)
+            return solve_batch(problems, *args, **kwargs)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(tracking, "solve_pnp_batch", failing)
+            mp.setattr(tracking, "_solve_batch", failing)
             with pytest.raises(TrackingLostError) as info:
                 tracker(seq)
         assert info.value.frame_id == 3
@@ -1027,6 +1062,40 @@ def test_frame_to_frame_reports_an_earlier_pnp_failure_before_a_depth():
         track_frame_to_frame(seq)
     assert str(info.value) == "tracking lost at frame 3: points are collinear or coincident"
     assert isinstance(info.value.__cause__, DegenerateGeometryError)
+
+
+def test_trackers_name_the_frame_of_a_pixel_they_cannot_back_project():
+    # the first point row of box frame 2 that frame 1 lacks and frame 3
+    # has: frame-to-frame back-projects it for the problem of frame 3, and
+    # map-to-frame for frame 2's fusion, as it is not mapped before
+    seq = preset_sequence("box")[1]
+    frame = seq.frames[2]
+    row = next(r for r, i in enumerate(frame.point_ids.tolist())
+               if i not in seq.frames[1].point_ids and i in seq.frames[3].point_ids)
+    pixels = frame.point_pixels.copy()
+    pixels[row, 1] = np.nan
+    frames = list(seq.frames)
+    frames[2] = dataclasses.replace(frame, point_pixels=pixels)
+    seq = dataclasses.replace(seq, frames=frames)
+    for tracker in (track_frame_to_frame, track_map_to_frame):
+        with pytest.raises(TrackingLostError) as info:
+            tracker(seq)
+        assert str(info.value) == \
+            "tracking lost at frame 2: backprojection requires finite pixels and depths"
+        assert type(info.value.__cause__) is GeometryError
+
+
+def test_map_to_frame_names_a_frame_whose_fusion_is_refused():
+    seq = preset_sequence("box")[1]
+    frame = seq.frames[3]
+    ids = frame.point_ids.copy()
+    ids[1] = ids[0]
+    frames = list(seq.frames)
+    frames[3] = dataclasses.replace(frame, point_ids=ids)
+    with pytest.raises(TrackingLostError) as info:
+        track_map_to_frame(dataclasses.replace(seq, frames=frames))
+    assert str(info.value) == "tracking lost at frame 3: landmark ids repeat within one batch"
+    assert type(info.value.__cause__) is ValueError
 
 
 def test_trackers_give_no_poses_for_a_sequence_without_frames():

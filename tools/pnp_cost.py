@@ -12,7 +12,10 @@ time those solves again. The cut problems show the fixed cost a solve
 pays whatever its size. Beside them: the time of one
 ``track_frame_to_frame`` of the sequence, best of k runs, and the peak
 of the memory it allocates, which tracemalloc traces in one more run.
-Uses the standard library and numpy only; BLAS runs on one thread.
+Every time is the CPU time of this process (``time.process_time``), not
+wall time, so that the time other processes on a shared host take from
+it does not count. Uses the standard library and numpy only; BLAS runs
+on one thread.
 
 Usage: python tools/pnp_cost.py [PRESET ...] [--repeat K]
        (default: sphere box corridor, K = 5)
@@ -75,25 +78,25 @@ def replay(calls, intr) -> None:
 
 
 def ms_per_solve(calls, intr, repeat: int) -> float:
-    """Mean over ``calls`` of each solve's wall time, ms: the minimum of
+    """Mean over ``calls`` of each solve's CPU time, ms: the minimum of
     ``repeat`` timings of that solve, one in each of ``repeat`` replays."""
     best = [float("inf")] * len(calls)
     for _ in range(repeat):
         for i, (P, u, initial) in enumerate(calls):
-            start = time.perf_counter()
+            start = time.process_time()
             tracking.solve_pnp(P, u, intr, initial=initial)
-            best[i] = min(best[i], time.perf_counter() - start)
+            best[i] = min(best[i], time.process_time() - start)
     return 1e3 * sum(best) / len(calls)
 
 
 def frame_to_frame_cost(seq, repeat: int) -> tuple[float, float]:
-    """Wall time of one ``track_frame_to_frame`` of ``seq``, best of
+    """CPU time of one ``track_frame_to_frame`` of ``seq``, best of
     ``repeat`` runs, ms, and the peak of the memory traced in one run, MB."""
     best = float("inf")
     for _ in range(repeat):
-        start = time.perf_counter()
+        start = time.process_time()
         tracking.track_frame_to_frame(seq)
-        best = min(best, time.perf_counter() - start)
+        best = min(best, time.process_time() - start)
     tracemalloc.start()
     try:
         tracking.track_frame_to_frame(seq)
