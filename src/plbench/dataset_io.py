@@ -336,14 +336,16 @@ def _frame_files_from(frames_dir: Path, first: int) -> list[tuple[int, Path]]:
 
 
 def write_sequence(seq: Sequence, directory) -> None:
-    """Write a sequence directory; a sequence without poses, or a frame
-    whose ``frame_id`` is not its index, is refused before any file is
-    written. Frame files that an earlier, longer sequence left past the
-    last frame are removed, so that ``read_sequence`` reads the directory
-    back; any other file is left alone."""
+    """Write a sequence directory; a sequence without poses, or one that
+    ``Sequence.check_frames`` refuses (a frame count other than its pose
+    count, or a frame whose ``frame_id`` is not its index), is refused
+    before any file is written. Frame files that an earlier, longer
+    sequence left past the last frame are removed, so that
+    ``read_sequence`` reads the directory back; any other file is left
+    alone."""
     if not len(seq.gt_trajectory):
         raise ValueError("cannot write a sequence without poses")
-    seq.check_frame_ids()
+    seq.check_frames()
     directory = Path(directory)
     (directory / "frames").mkdir(parents=True, exist_ok=True)
 
@@ -541,9 +543,8 @@ def write_stats_csv(stats: list[FrameStats], path) -> None:
 def write_graph(graph: FactorGraph, path) -> None:
     """Write vertices, pose i with id i, the gauge and factor
     measurements. Factor weights are not stored; ``read_graph`` rebuilds
-    them from ``sigma_s``. A graph that ``FactorGraph.check`` refuses, and
-    so ``read_graph`` would, is refused before anything is written."""
-    graph.check()
+    them from ``sigma_s``. A ``FactorGraph`` is checked when it is built,
+    so every graph written is one that ``read_graph`` reads back."""
     poses, points, lines = graph.poses, graph.points, graph.lines
     pf, lf = graph.point_factors, graph.line_factors
     _atomic_write(path, "".join([
@@ -593,7 +594,10 @@ def read_graph(path, intrinsics: CameraIntrinsics, sigma_s: float = 1.0) -> Fact
     1/sigma_s^2, whatever weights the written graph had; ``sigma_s`` must
     be finite and > 0. The ``VERTEX_POSE`` lines are checked as
     ``read_trajectory`` checks its lines: ids count up from 0, and each
-    quaternion lies within 1e-6 of unit norm."""
+    quaternion lies within 1e-6 of unit norm. The records that pass their
+    checks are built into a ``FactorGraph``, and any refusal of its
+    construction (the gauge, a dangling reference) is raised as a
+    ParseError naming the file."""
     weight = _factor_weight(sigma_s)
     (columns,) = _read_records([path], _GRAPH_RECORDS)
     _, pose = columns["VERTEX_POSE"]
@@ -601,18 +605,16 @@ def read_graph(path, intrinsics: CameraIntrinsics, sigma_s: float = 1.0) -> Fact
     line_ids, line = columns["VERTEX_LINE"]
     point_edges, point_u = columns["EDGE_POINT"]
     line_edges, line_u = columns["EDGE_LINE"]
-    graph = FactorGraph(
-        intrinsics=intrinsics,
-        poses=Trajectory(pose[:, 3:], pose[:, :3]),
-        fixed=columns["FIX"][0][:, 0],
-        points=Points(point_ids[:, 0], point),
-        lines=Lines(line_ids[:, 0], line[:, :3], line[:, 3:]),
-        point_factors=Factors(*point_edges.T, point_u, np.full(len(point_u), weight)),
-        line_factors=Factors(*line_edges.T, line_u.reshape(-1, 2, 2),
-                             np.full(len(line_u), weight)),
-    )
     try:
-        graph.check()
+        return FactorGraph(
+            intrinsics=intrinsics,
+            poses=Trajectory(pose[:, 3:], pose[:, :3]),
+            fixed=columns["FIX"][0][:, 0],
+            points=Points(point_ids[:, 0], point),
+            lines=Lines(line_ids[:, 0], line[:, :3], line[:, 3:]),
+            point_factors=Factors(*point_edges.T, point_u, np.full(len(point_u), weight)),
+            line_factors=Factors(*line_edges.T, line_u.reshape(-1, 2, 2),
+                                 np.full(len(line_u), weight)),
+        )
     except ValueError as exc:
         raise ParseError(path, None, str(exc)) from exc
-    return graph

@@ -18,6 +18,11 @@ copies cast by ``geometry._column``, and their pixels and weights are
 finite. ``fixed`` goes through the same cast, and a graph is built or
 read only with a ``sigma_s`` that is finite and > 0.
 
+A graph is checked when it is built, and refuses there every graph that
+``dataset_io.read_graph`` refuses: each record checks its own rows, and
+``FactorGraph`` checks how they fit together. So every ``FactorGraph``
+is valid, and no caller checks one again.
+
 Pose increments are left-multiplicative with delta = (rotation 3-vector,
 translation 3-vector). Line increments are the 4-DOF orthonormal update.
 """
@@ -85,17 +90,6 @@ class Factors:
         return len(self.frame)
 
 
-@dataclass(frozen=True)
-class Lines(_Vertices):
-    """Line landmark vertices: Plucker moment ``n`` and direction ``d`` (N, 3)."""
-
-    id: np.ndarray
-    n: np.ndarray
-    d: np.ndarray
-    kind, _COLUMNS = "line", (("n", float, (3,)), ("d", float, (3,)))
-    _error = GraphConstructionError
-
-
 def _plucker_violations(n, d) -> np.ndarray:
     """Rows of Plucker pairs n, d (m, 3) whose |n . d| exceeds
     1e-10 (|n| |d| + 1), or where either side overflows."""
@@ -106,7 +100,36 @@ def _plucker_violations(n, d) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class Lines(_Vertices):
+    """Line landmark vertices: Plucker moment ``n`` and direction ``d`` (N, 3).
+    Construction also refuses, as ``read_graph`` does, a zero direction and
+    a pair off the Plucker constraint (``_plucker_violations``)."""
+
+    id: np.ndarray
+    n: np.ndarray
+    d: np.ndarray
+    kind, _COLUMNS = "line", (("n", float, (3,)), ("d", float, (3,)))
+    _error = GraphConstructionError
+
+    def __post_init__(self):
+        super().__post_init__()
+        with np.errstate(over="ignore"):
+            if (row_norms(self.d) == 0.0).any():
+                raise GraphConstructionError("line direction must be nonzero")
+        if _plucker_violations(self.n, self.d).any():
+            raise GraphConstructionError("line vertex violates the Plucker constraint")
+
+
+@dataclass(frozen=True)
 class FactorGraph:
+    """A co-visibility factor graph, checked when it is built (see the
+    module docstring for its columns). Construction raises
+    GraphConstructionError for a graph with a pose or a factor but no
+    fixed pose (the gauge), a fixed id that is not a pose row, point
+    factors whose pixels are not (F, 2) or line factors whose pixels are
+    not (F, 2, 2), and a factor on a pose row or landmark id the graph does
+    not hold; ``Lines`` refuses its own bad rows."""
+
     intrinsics: CameraIntrinsics
     poses: Trajectory = field(default_factory=lambda: Trajectory([], []))
     fixed: np.ndarray = ()
@@ -120,22 +143,25 @@ class FactorGraph:
                                   GraphConstructionError, copy=False))
         fixed.flags.writeable = False
         object.__setattr__(self, "fixed", fixed)
-
-    def check(self) -> None:
-        """Refuse a graph with a pose or a factor but no fixed pose (the
-        gauge), a fixed id that is not a pose row, a line vertex off the
-        Plucker constraint, or a factor on an unknown vertex."""
-        if not len(self.fixed):
+        if not len(fixed):
             if len(self.poses) or len(self.point_factors) or len(self.line_factors):
                 raise GraphConstructionError("graph needs at least one fixed pose (gauge)")
-        elif self.fixed[0] < 0 or self.fixed[-1] >= len(self.poses):
+        elif fixed[0] < 0 or fixed[-1] >= len(self.poses):
             raise GraphConstructionError("fixed flag on unknown pose vertex")
-        if _plucker_violations(self.lines.n, self.lines.d).any():
-            raise GraphConstructionError("line vertex violates the Plucker constraint")
-        for factors, landmarks in ((self.point_factors, self.points),
-                                   (self.line_factors, self.lines)):
-            _pose_rows(factors.frame, self.poses)
-            _rows(factors.landmark, landmarks)
+        for factors, landmarks, pixel in ((self.point_factors, self.points, (2,)),
+                                          (self.line_factors, self.lines, (2, 2))):
+            # Factors takes its pixel shape from its pixels; the slot fixes it
+            _column(factors.u, float, (None, *pixel), f"{landmarks.kind} factor u",
+                    GraphConstructionError, copy=False)
+            # pose ids index the rows, where numpy would read -1 as the last
+            outside = (factors.frame < 0) | (factors.frame >= len(self.poses))
+            if outside.any():
+                raise GraphConstructionError(
+                    f"dangling factor reference to pose {factors.frame[outside][0]}")
+            _, found = landmarks.find(factors.landmark)
+            if not found.all():
+                raise GraphConstructionError(
+                    f"dangling factor reference to {landmarks.kind} {factors.landmark[~found][0]}")
 
     def total_cost(self) -> float:
         """Weighted squared residual sum over all valid factors.
@@ -149,41 +175,18 @@ class FactorGraph:
         cost = 0.0
         fs = self.point_factors
         if len(fs):
-            k = _pose_rows(fs.frame, self.poses)
-            P = self.points.position[_rows(fs.landmark, self.points)]
-            res, _, _ = _point_residuals(R[k], t[k], P, fs.u, self.intrinsics)
+            P = self.points.position[self.points.find(fs.landmark)[0]]
+            res, _, _ = _point_residuals(R[fs.frame], t[fs.frame], P, fs.u, self.intrinsics)
             cost += float(fs.weight @ np.sum(res * res, axis=1))
         fs = self.line_factors
         if len(fs):
             U, W, _ = orthonormal_from_plucker(self.lines.n, self.lines.d)
-            k = _pose_rows(fs.frame, self.poses)
-            m = _rows(fs.landmark, self.lines)
+            m, _ = self.lines.find(fs.landmark)
             res, _, _ = _line_residuals(
-                R[k], t[k], U[m], W[m], fs.u[:, 0], fs.u[:, 1], self.intrinsics
+                R[fs.frame], t[fs.frame], U[m], W[m], fs.u[:, 0], fs.u[:, 1], self.intrinsics
             )
             cost += float(fs.weight @ np.sum(res * res, axis=1))
         return cost
-
-
-def _pose_rows(ids: np.ndarray, poses: Trajectory) -> np.ndarray:
-    """``ids``, the rows of ``poses`` they name; raises
-    GraphConstructionError for an id outside 0..n-1, where numpy would
-    read -1 as the last row."""
-    outside = (ids < 0) | (ids >= len(poses))
-    if outside.any():
-        raise GraphConstructionError(f"dangling factor reference to pose {ids[outside][0]}")
-    return ids
-
-
-def _rows(ids: np.ndarray, vertices: _Vertices) -> np.ndarray:
-    """Row of each id in ``vertices``; raises GraphConstructionError for an
-    id with no vertex."""
-    rows, found = vertices.find(ids)
-    if not found.all():
-        raise GraphConstructionError(
-            f"dangling factor reference to {vertices.kind} {ids[~found][0]}"
-        )
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +402,9 @@ def build_covisibility_graph(
     """One pose vertex per frame (first fixed): ``trajectory`` itself, as
     the graph's ``poses``; one vertex per landmark observed at least twice;
     one factor per measurement of those landmarks, on the pose of its
-    frame. A frame whose ``frame_id`` is not its index is refused.
+    frame. A sequence that ``Sequence.check_frames`` refuses (a frame count
+    other than its pose count, or a frame whose ``frame_id`` is not its
+    index) is refused. The graph is checked as ``FactorGraph`` builds it.
 
     ``initial_map`` provides the initial values as two records:
     ``initial_map.points``, a ``geometry.Points``, and
@@ -413,7 +418,7 @@ def build_covisibility_graph(
     if not seq.frames:
         raise GraphConstructionError("sequence has no frames")
     try:  # the factors' frame ids are pose rows
-        seq.check_frame_ids()
+        seq.check_frames()
     except ValueError as exc:
         raise GraphConstructionError(str(exc)) from None
     weight = _factor_weight(sigma_s)
@@ -429,14 +434,12 @@ def build_covisibility_graph(
         rows.append(r)
     n, d = plucker_from_endpoints(*initial_map.lines.endpoints[rows[1]].swapaxes(0, 1))
     s = np.sqrt(row_dots(n, n) + row_dots(d, d))[:, None]
-    graph = FactorGraph(
+    return FactorGraph(
         intrinsics=seq.intrinsics,
         poses=trajectory, fixed=[0], points=Points(point_ids, initial_map.points.position[rows[0]]),
         lines=Lines(line_ids, n / s, d / s),
         point_factors=point_factors, line_factors=line_factors,
     )
-    graph.check()
-    return graph
 
 
 def _covisible(frames, kind: str, weight: float):

@@ -840,9 +840,7 @@ class Sequence:
         grouped by file. The first faulty row of the earliest frame is
         reported, a frame's points before its lines, with the first check
         it fails, in a ValueError naming the frame."""
-        if len(self.frames) != len(self.gt_trajectory):
-            raise ValueError("frame count does not match trajectory length")
-        self.check_frame_ids()
+        self.check_frames()
         faults = []
         for kind, known in (("point", self.gt_points.id), ("line", self.gt_lines.id)):
             frame, ids, pixels, depths = _frame_rows(self.frames, kind)
@@ -855,9 +853,11 @@ class Sequence:
             raise ValueError(f"{message} in frame {frame_id}")
         self.check_parallel_groups()
 
-    def check_frame_ids(self) -> None:
-        """Every frame's ``frame_id`` is its index in ``frames``, which
-        names its file."""
+    def check_frames(self) -> None:
+        """There is one frame per ground-truth pose, and every frame's
+        ``frame_id`` is its index in ``frames``, which names its file."""
+        if len(self.frames) != len(self.gt_trajectory):
+            raise ValueError("frame count does not match trajectory length")
         for i, f in enumerate(self.frames):
             if f.frame_id != i:
                 raise ValueError(f"frame {i} has frame_id {f.frame_id}")

@@ -20,7 +20,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .factor_graph import _pose_jacobian, _project_points
+from .factor_graph import _point_residuals, _pose_jacobian
 from .geometry import (
     CameraIntrinsics,
     GeometryError,
@@ -220,9 +220,8 @@ def _refine_poses(R, t, P_w, u, offsets, counts, intr):
         after), and JᵀJ and Jᵀr."""
         s = active[span]
         n = counts[s]
-        P_c, valid, zs, res = _residuals(R[s], t[s], offsets[s], n, P_w, u, intr)
+        res, valid, (P_c, zs) = _residuals(R[s], t[s], offsets[s], n, P_w, u, intr)
         errs = _mean_errors(res, valid, n) if err is None else np.empty(0)
-        res = np.where(valid[:, None], res, 0.0)
         J_pose, _ = _pose_jacobian(P_c, zs, valid, intr)
         n_valid = np.add.reduceat(valid.astype(np.intp), n.cumsum() - n)
         return (n_valid, errs) + _by_runs(_normal_equations, n, (J_pose, res))
@@ -269,12 +268,12 @@ def _refine_poses(R, t, P_w, u, offsets, counts, intr):
 def _residuals(R, t, offsets, counts, P_w, u, intr):
     """The residuals of the pose hypotheses R (T, 3, 3), t (T, 3), pose i
     against the rows [offsets[i], offsets[i] + counts[i]) of P_w and u,
-    gathered by ``_segment_index``: ``_project_points``' P_c, valid and
-    zs, and u - proj, one row per gathered row."""
+    gathered by ``_segment_index``: ``factor_graph._point_residuals`` of
+    the gathered rows, (res, valid, (P_c, zs)) with one row per gathered
+    row and the rows behind the camera zeroed."""
     rows = _segment_index(offsets, counts)
-    P_c, valid, zs, proj = _project_points(R.repeat(counts, axis=0), t.repeat(counts, axis=0),
-                                           P_w.take(rows, axis=0), intr)
-    return P_c, valid, zs, u.take(rows, axis=0) - proj
+    return _point_residuals(R.repeat(counts, axis=0), t.repeat(counts, axis=0),
+                            P_w.take(rows, axis=0), u.take(rows, axis=0), intr)
 
 
 def _errors(R, t, offsets, counts, P_w, u, intr):
@@ -282,7 +281,7 @@ def _errors(R, t, offsets, counts, P_w, u, intr):
     against the rows [offsets[i], offsets[i] + counts[i]) of P_w and u,
     span by span (``_by_spans``)."""
     def span(s):
-        _, valid, _, res = _residuals(R[s], t[s], offsets[s], counts[s], P_w, u, intr)
+        res, valid, _ = _residuals(R[s], t[s], offsets[s], counts[s], P_w, u, intr)
         return _mean_errors(res, valid, counts[s])
 
     return _by_spans(span, counts)

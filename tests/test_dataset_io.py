@@ -162,6 +162,21 @@ def test_frame_whose_id_is_not_its_index_is_refused(small_sequence, tmp_path):
     assert not (tmp_path / "seq").exists()
 
 
+@pytest.mark.parametrize("frames, poses", [(3, 4), (4, 3)])
+def test_frame_count_other_than_pose_count_is_refused(frames, poses, tmp_path):
+    # read_sequence would refuse either directory: a missing frame file,
+    # or a frame file with no ground-truth pose
+    cfg = load_preset("corridor")
+    scene, traj = build_scene(cfg.scene), build_trajectory(cfg.trajectory)[:4]
+    seq = generate_sequence(scene, traj, cfg.noise, cfg.intrinsics, cfg.render)
+    seq = dataclasses.replace(seq, gt_trajectory=traj[:poses], frames=seq.frames[:frames])
+    for call in (seq.validate, lambda: write_sequence(seq, tmp_path / "seq"),
+                 lambda: build_covisibility_graph(seq, traj[:frames], scene)):
+        with pytest.raises(ValueError, match="^frame count does not match trajectory length$"):
+            call()
+    assert not any(tmp_path.iterdir())
+
+
 def write_toy_sequence_dir(tmp_path, frame_rows):
     d = tmp_path / "seq"
     (d / "frames").mkdir(parents=True)
@@ -510,20 +525,24 @@ def test_empty_graph_roundtrip(tmp_path):
 
 
 @pytest.mark.parametrize("graph, message", [
-    (FactorGraph(intrinsics=K, poses=identities(3)), "graph needs at least one fixed pose"),
-    (FactorGraph(intrinsics=K, poses=identities(2), fixed=[0],
-                 point_factors=Factors([1], [5], [[312.5, 248.25]], [1.0])),
+    (lambda: FactorGraph(intrinsics=K, poses=identities(3)),
+     "graph needs at least one fixed pose"),
+    (lambda: FactorGraph(intrinsics=K, poses=identities(2), fixed=[0],
+                         point_factors=Factors([1], [5], [[312.5, 248.25]], [1.0])),
      "dangling factor reference to point 5"),
 ], ids=["no-gauge", "dangling-factor"])
 def test_write_graph_refuses_a_graph_that_read_graph_refuses(graph, message, tmp_path):
+    # such a graph is refused when it is built, so it never reaches the writer
     with pytest.raises(GraphConstructionError, match=message):
-        write_graph(graph, tmp_path / "g.txt")
+        write_graph(graph(), tmp_path / "g.txt")
     assert not any(tmp_path.iterdir())
 
 
-def test_toy_graph_roundtrip(tmp_path):
+def toy_graph():
+    """Two poses with pose 0 fixed, one point and one line vertex, two
+    point factors and one line factor."""
     T = [IDENTITY, Pose.from_rt(so3_exp([0.01, 0.02, -0.01]), np.array([0.1, 0.0, 0.02]))]
-    g = FactorGraph(
+    return FactorGraph(
         intrinsics=K,
         poses=Trajectory([T_i.q for T_i in T], [T_i.t for T_i in T]),
         fixed=[0],
@@ -532,6 +551,10 @@ def test_toy_graph_roundtrip(tmp_path):
         point_factors=Factors([0, 1], [5, 5], [[312.5, 248.25], [300.0, 251.0]], [1.0, 1.0]),
         line_factors=Factors([0], [2], [[[10.0, 20.0], [90.0, 20.0]]], [1.0]),
     )
+
+
+def test_toy_graph_roundtrip(tmp_path):
+    g = toy_graph()
     write_graph(g, tmp_path / "g.txt")
     back = read_graph(tmp_path / "g.txt", K)
 
@@ -574,6 +597,47 @@ def test_graph_dangling_edge(tmp_path):
 def test_graph_without_pose_vertex_is_checked(tmp_path, text, match):
     (tmp_path / "g.txt").write_text(text)
     with pytest.raises(ParseError, match=match):
+        read_graph(tmp_path / "g.txt", K)
+
+
+# a valid graph file: two poses, point 0, line 0 and one factor of each kind
+FAULT_BASE = ("VERTEX_POSE 0 0.0 0.0 0.0 0.0 0.0 0.0 1.0\n"
+              "VERTEX_POSE 1 0.0 0.0 0.0 0.0 0.0 0.0 1.0\n"
+              "VERTEX_POINT 0 0.0 0.0 5.0\nVERTEX_LINE 0 -5.0 0.0 0.0 0.0 1.0 0.0\nFIX 0\n"
+              "EDGE_POINT 0 0 322.0 239.0\nEDGE_LINE 0 0 321.0 100.0 323.0 300.0\n")
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        pytest.param("FIX 0\n", "", "g.txt: graph needs at least one fixed pose (gauge)",
+                     id="no-gauge"),
+        pytest.param("FIX 0", "FIX -1", "g.txt:5: pose id must be >= 0: -1", id="fixed--1"),
+        pytest.param("FIX 0", "FIX 2", "g.txt: fixed flag on unknown pose vertex", id="fixed-n"),
+        pytest.param("EDGE_POINT 0", "EDGE_POINT -1", "g.txt:6: frame id must be >= 0: -1",
+                     id="dangling-pose--1"),
+        pytest.param("EDGE_LINE 0", "EDGE_LINE 2", "g.txt: dangling factor reference to pose 2",
+                     id="dangling-pose-n"),
+        pytest.param("EDGE_POINT 0 0", "EDGE_POINT 0 99",
+                     "g.txt: dangling factor reference to point 99", id="dangling-point"),
+        pytest.param("EDGE_LINE 0 0", "EDGE_LINE 0 99",
+                     "g.txt: dangling factor reference to line 99", id="dangling-line"),
+        pytest.param("-5.0 0.0 0.0 0.0 1.0 0.0", "1.0 0.0 0.0 0.5 0.0 0.0",
+                     "g.txt:4: Plucker constraint violated", id="plucker-violation"),
+        pytest.param("-5.0 0.0 0.0 0.0 1.0 0.0", "0.0 0.0 0.5 0.0 0.0 0.0",
+                     "g.txt:4: line direction must be nonzero", id="zero-direction"),
+        pytest.param("322.0 239.0", "320.0 320.0 320.0 320.0", "g.txt:6: expected 5 fields, got 7",
+                     id="point-pixels-of-a-line"),
+        pytest.param("321.0 100.0 323.0 300.0", "320.0 240.0", "g.txt:7: expected 7 fields, got 5",
+                     id="line-pixels-of-a-point"),
+    ],
+)
+def test_read_graph_refuses_each_fault_a_graph_refuses(tmp_path, old, new, message):
+    # each fault of test_graph_refuses_at_construction as a file can hold it
+    (tmp_path / "g.txt").write_text(FAULT_BASE)
+    assert 0.0 < read_graph(tmp_path / "g.txt", K).total_cost() < np.inf
+    (tmp_path / "g.txt").write_text(FAULT_BASE.replace(old, new, 1))
+    with pytest.raises(ParseError, match=re.escape(message) + "$"):
         read_graph(tmp_path / "g.txt", K)
 
 
@@ -765,6 +829,24 @@ def test_graph_file_matches_golden_and_rewrites_byte_identical(preset, tmp_path)
     assert (tmp_path / "b.txt").read_bytes() == data
     assert graph.total_cost() == GOLDEN_GRAPH_COST[preset]
     assert back.total_cost() == GOLDEN_GRAPH_COST[preset]
+
+
+@pytest.mark.parametrize("source", ["sphere", "box", "corridor", "toy"])
+def test_written_graph_reads_back_at_the_same_cost(source, tmp_path):
+    # each preset's map-to-frame graph at its shipped seed, and the toy graph
+    if source == "toy":
+        graph, sigma_s = toy_graph(), 1.0
+    else:
+        cfg = load_preset(source)
+        seq = generate_sequence(build_scene(cfg.scene), build_trajectory(cfg.trajectory),
+                                cfg.noise, cfg.intrinsics, cfg.render)
+        m2f, smap = track_map_to_frame(seq)
+        sigma_s = cfg.noise.sigma_s
+        graph = build_covisibility_graph(seq, m2f, smap, sigma_s)
+    cost = graph.total_cost()
+    assert 0.0 < cost < np.inf
+    write_graph(graph, tmp_path / "g.txt")
+    assert read_graph(tmp_path / "g.txt", graph.intrinsics, sigma_s).total_cost() == cost
 
 
 def test_graph_roundtrip_from_pipeline(small_sequence, tmp_path):

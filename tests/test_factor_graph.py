@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -585,7 +586,6 @@ def test_total_cost_adds_zero_for_point_behind_its_camera():
     pf = graph.point_factors
     graph = dataclasses.replace(graph, point_factors=Factors(
         [*pf.frame, 1], [*pf.landmark, 1], [*pf.u, behind], [*pf.weight, 0.5]))
-    graph.check()
     np.testing.assert_allclose(graph.total_cost(), expected, rtol=1e-12)
 
 
@@ -608,18 +608,16 @@ def test_graph_gauge_invariance():
         point_factors=graph.point_factors,
         line_factors=graph.line_factors,
     )
-    moved.check()
     np.testing.assert_allclose(residuals(moved), base, atol=1e-9)
 
 
 def test_line_vertex_rejects_plucker_violation():
     # also at a scale where the bound of the test overflows
     for scale in (1.0, 1e160):
-        g = FactorGraph(intrinsics=K, poses=trajectory_of([IDENTITY]), fixed=[0],
+        with pytest.raises(GraphConstructionError, match="Plucker"):
+            FactorGraph(intrinsics=K, poses=trajectory_of([IDENTITY]), fixed=[0],
                         lines=Lines([0, 1], [[0.0, 0.0, 0.5], [scale, scale, 0.0]],
                                     [[0.0, 0.5, 0.0], [scale, 0.0, 0.0]]))
-        with pytest.raises(GraphConstructionError, match="Plucker"):
-            g.check()
 
 
 def test_vertex_records_sort_by_id_and_reject_repeats():
@@ -631,16 +629,15 @@ def test_vertex_records_sort_by_id_and_reject_repeats():
 
 
 def test_graph_is_frozen_and_holds_fixed_as_sorted_ids():
-    g = FactorGraph(intrinsics=K, fixed={3, 0, 3})
+    g = FactorGraph(intrinsics=K, poses=trajectory_of([IDENTITY] * 4), fixed={3, 0, 3})
     assert g.fixed.dtype == np.int64 and g.fixed.tolist() == [0, 3]
     with pytest.raises(dataclasses.FrozenInstanceError):
         g.fixed = {1}
 
 
 def test_graph_check_requires_gauge():
-    g = FactorGraph(intrinsics=K, poses=trajectory_of([IDENTITY]))
     with pytest.raises(GraphConstructionError):
-        g.check()
+        FactorGraph(intrinsics=K, poses=trajectory_of([IDENTITY]))
 
 
 def dangling_graph(kind, frame=0, landmark=0, fixed=(0,)):
@@ -669,34 +666,73 @@ DANGLING = {"pose": {"frame": 7}, "landmark": {"landmark": 99}}
 def test_graph_check_dangling_factor(kind, unknown):
     what = "pose 7" if unknown == "pose" else f"{kind} 99"
     with pytest.raises(GraphConstructionError, match=f"dangling factor reference to {what}"):
-        dangling_graph(kind, **DANGLING[unknown]).check()
-
-
-@pytest.mark.parametrize("unknown", ["pose", "landmark"])
-@pytest.mark.parametrize("kind", ["point", "line"])
-def test_total_cost_of_unchecked_graph_rejects_dangling_id(kind, unknown):
-    what = "pose 7" if unknown == "pose" else f"{kind} 99"
-    with pytest.raises(GraphConstructionError, match=f"dangling factor reference to {what}"):
-        dangling_graph(kind, **DANGLING[unknown]).total_cost()
+        dangling_graph(kind, **DANGLING[unknown])
 
 
 @pytest.mark.parametrize("pose", [-1, 2])
 @pytest.mark.parametrize("kind", ["point", "line", "fix"])
 def test_graph_refuses_a_pose_id_outside_its_rows(kind, pose):
     # pose ids index the Trajectory's two rows, where numpy would read -1
-    # as row 1; the gauge is checked by check() alone, since total_cost
-    # reads no gauge
+    # as row 1
     if kind == "fix":
-        dangling_graph("point", fixed=(0, 1)).check()
-        graph, calls = dangling_graph("point", fixed=(0, pose)), ("check",)
-        match = "fixed flag on unknown pose vertex"
+        dangling_graph("point", fixed=(0, 1))
+        changes, match = {"fixed": (0, pose)}, "fixed flag on unknown pose vertex"
     else:
-        dangling_graph(kind, frame=1).check()
-        graph, calls = dangling_graph(kind, frame=pose), ("check", "total_cost")
-        match = f"dangling factor reference to pose {pose}"
-    for call in calls:
-        with pytest.raises(GraphConstructionError, match=f"^{match}$"):
-            getattr(graph, call)()
+        dangling_graph(kind, frame=1)
+        changes, match = {"frame": pose}, f"dangling factor reference to pose {pose}"
+    with pytest.raises(GraphConstructionError, match=f"^{match}$"):
+        dangling_graph("point" if kind == "fix" else kind, **changes)
+
+
+def two_pose_graph(**changes):
+    """Two identity poses with pose 0 fixed, point 0 on the optical axis at
+    z = 5, line 0 through it along y, and one factor of each kind on pose
+    0, a few pixels off; ``changes`` replaces any of these fields."""
+    fields = dict(intrinsics=K, poses=trajectory_of([IDENTITY] * 2), fixed=[0],
+                  points=Points([0], [[0.0, 0.0, 5.0]]),
+                  lines=Lines([0], [[-5.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]]),
+                  point_factors=Factors([0], [0], POINT_PIXELS, [1.0]),
+                  line_factors=Factors([0], [0], LINE_PIXELS, [1.0]))
+    return FactorGraph(**{**fields, **changes})
+
+
+POINT_PIXELS, LINE_PIXELS = [[322.0, 239.0]], [[[321.0, 100.0], [323.0, 300.0]]]
+
+# every fault a graph refuses when it is built: the changed fields of
+# two_pose_graph, made when the case runs, and the refusal's text
+GRAPH_FAULTS = {
+    "no-gauge": (lambda: {"fixed": ()}, "graph needs at least one fixed pose (gauge)"),
+    "fixed--1": (lambda: {"fixed": (0, -1)}, "fixed flag on unknown pose vertex"),
+    "fixed-n": (lambda: {"fixed": (0, 2)}, "fixed flag on unknown pose vertex"),
+    "dangling-pose--1": (lambda: {"point_factors": Factors([-1], [0], POINT_PIXELS, [1.0])},
+                         "dangling factor reference to pose -1"),
+    "dangling-pose-n": (lambda: {"line_factors": Factors([2], [0], LINE_PIXELS, [1.0])},
+                        "dangling factor reference to pose 2"),
+    "dangling-point": (lambda: {"point_factors": Factors([0], [99], POINT_PIXELS, [1.0])},
+                       "dangling factor reference to point 99"),
+    "dangling-line": (lambda: {"line_factors": Factors([0], [99], LINE_PIXELS, [1.0])},
+                      "dangling factor reference to line 99"),
+    "plucker-violation": (lambda: {"lines": Lines([0], [[1.0, 0.0, 0.0]], [[0.5, 0.0, 0.0]])},
+                          "line vertex violates the Plucker constraint"),
+    "zero-direction": (lambda: {"lines": Lines([0], [[0.0, 0.0, 0.5]], [[0.0, 0.0, 0.0]])},
+                       "line direction must be nonzero"),
+    # Factors takes its pixel shape from its pixels, so either kind fits
+    # the other's slot until the graph is built
+    "point-pixels-of-a-line": (
+        lambda: {"point_factors": Factors([0], [0], np.full((1, 2, 2), 320.0), [1.0])},
+        "point factor u must be float64 of shape (n, 2), got float64 of shape (1, 2, 2)"),
+    "line-pixels-of-a-point": (
+        lambda: {"line_factors": Factors([0], [0], POINT_PIXELS, [1.0])},
+        "line factor u must be float64 of shape (n, 2, 2), got float64 of shape (1, 2)"),
+}
+
+
+@pytest.mark.parametrize("fault", GRAPH_FAULTS)
+def test_graph_refuses_at_construction(fault):
+    changes, message = GRAPH_FAULTS[fault]
+    assert 0.0 < two_pose_graph().total_cost() < np.inf
+    with pytest.raises(GraphConstructionError, match=f"^{re.escape(message)}$"):
+        two_pose_graph(**changes())
 
 
 def test_factors_rejects_columns_of_different_length():

@@ -825,10 +825,10 @@ CAST_SITES = {
     "segments": (lambda ids, bad: Segments(ids, [SEGMENT_ROW[:1] if bad else SEGMENT_ROW]),
                  "line id", "line endpoints"),
     # a graph's pose ids are the rows of its Trajectory: the gauge names them
-    "poses": (lambda ids, bad: FactorGraph(K_VGA, Trajectory(np.ones((1, 3 if bad else 4)),
-                                                             np.zeros((1, 3))), ids).poses,
+    "poses": (lambda ids, bad: FactorGraph(K_VGA, Trajectory(np.ones((2, 3 if bad else 4)),
+                                                             np.zeros((2, 3))), ids).poses,
               "fixed", "pose q"),
-    "lines": (lambda ids, bad: Lines(ids, np.ones((1, 3)), np.ones((1, 2 if bad else 3))),
+    "lines": (lambda ids, bad: Lines(ids, [[1.0, -1.0, 0.0]], np.ones((1, 2 if bad else 3))),
               "line id", "line d"),
     "map-points": (lambda ids, bad: MapPoints(ids, np.ones((1, 3)), [[1]] if bad else [1]),
                    "point id", "point count"),
@@ -838,7 +838,8 @@ CAST_SITES = {
               "point_ids", "point_pixels"),
     "factors": (lambda ids, bad: Factors(ids, [0], np.ones((1, 3 if bad else 2)), [1.0]),
                 "factor frame", "factor u"),
-    "fixed": (lambda ids, bad: FactorGraph(K_VGA, fixed=[ids] if bad else ids), "fixed", "fixed"),
+    "fixed": (lambda ids, bad: FactorGraph(K_VGA, Trajectory(np.ones((2, 4)), np.zeros((2, 3))),
+                                           [ids] if bad else ids), "fixed", "fixed"),
     "find": (lambda ids, bad: Points([1], np.ones((1, 3))).find([ids] if bad else ids),
              "point id", "point id"),
     "fuse-points": (lambda ids, bad: SparseMap().fuse_points(np.ones((1, 2 if bad else 3)), ids),

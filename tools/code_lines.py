@@ -1,11 +1,14 @@
-"""Count the code lines, physical lines and public names of Python modules.
+"""Count the code lines, physical lines, public names and public methods of
+Python modules.
 
 A code line is a line that holds part of a token other than a comment,
 once blank lines and docstrings (the leading string of a module, class
 or function) are left out. Physical lines are all lines of the file.
 Public names are the module-level ``def`` and ``class`` names and
 assignment targets that do not start with ``_``; imported names are not
-counted. Uses only the standard library.
+counted. Public methods are the ``def`` names that do not start with
+``_`` in the body of a module-level public class, so that a method cut
+from the API shows. Uses only the standard library.
 
 Usage: python tools/code_lines.py [DIRECTORY_OR_FILE ...]   (default src/plbench)
 """
@@ -46,8 +49,18 @@ def public_names(tree: ast.Module) -> set[str]:
     return {name for name in names if not name.startswith("_")}
 
 
-def count(path: Path) -> tuple[int, int, int]:
-    """(code lines, physical lines, public names) of one Python file."""
+def public_methods(tree: ast.Module) -> int:
+    """The number of public methods of the public classes a parsed module
+    defines at its top level."""
+    classes = [node for node in tree.body
+               if isinstance(node, ast.ClassDef) and not node.name.startswith("_")]
+    return sum(isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and not node.name.startswith("_") for cls in classes for node in cls.body)
+
+
+def count(path: Path) -> tuple[int, int, int, int]:
+    """(code lines, physical lines, public names, public methods) of one
+    Python file."""
     source = path.read_text(encoding="utf-8")
     tree = ast.parse(source, str(path))
     docstrings = docstring_lines(tree)
@@ -56,19 +69,20 @@ def count(path: Path) -> tuple[int, int, int]:
         for tok in tokenize.tokenize(f.readline):
             if tok.type not in _NOT_CODE:
                 code.update(range(tok.start[0], tok.end[0] + 1))
-    return len(code - docstrings), len(source.splitlines()), len(public_names(tree))
+    return (len(code - docstrings), len(source.splitlines()), len(public_names(tree)),
+            public_methods(tree))
 
 
 def main(argv: list[str]) -> None:
     roots = [Path(a) for a in argv] or [Path(__file__).resolve().parent.parent / "src" / "plbench"]
     files = sorted(f for r in roots for f in ([r] if r.is_file() else r.rglob("*.py")))
-    totals = [0, 0, 0]
-    print(f"{'code':>6} {'physical':>8} {'public':>6}  module")
+    totals = [0, 0, 0, 0]
+    print(f"{'code':>6} {'physical':>8} {'public':>6} {'methods':>7}  module")
     for f in files:
         counts = count(f)
         totals = [a + b for a, b in zip(totals, counts)]
-        print("{:>6} {:>8} {:>6}  ".format(*counts) + os.path.relpath(f))
-    print("{:>6} {:>8} {:>6}  total".format(*totals))
+        print("{:>6} {:>8} {:>6} {:>7}  ".format(*counts) + os.path.relpath(f))
+    print("{:>6} {:>8} {:>6} {:>7}  total".format(*totals))
 
 
 if __name__ == "__main__":
