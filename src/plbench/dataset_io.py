@@ -31,7 +31,8 @@ frame. The ``FrameData`` built from the checked rows only casts them.
 ``landmarks.txt`` maps row for row onto the columns of the ground-truth
 records, ``MP`` lines onto ``geometry.Points`` (id, position) and ``ML``
 lines onto ``geometry.Segments`` (id, endpoints, start then end), in
-ascending id as the records hold them. ``groundtruth.txt`` and the
+ascending id as the records hold them; the reader builds each record once,
+and the record is the one check of its rows. ``groundtruth.txt`` and the
 ``VERTEX_POSE`` lines of a graph file each map row for row onto a
 ``geometry.Trajectory``, frame i in its record i: in both, pose ids count
 up from 0 in file order.
@@ -45,10 +46,17 @@ the field count, int64 ids >= 0 and finite values. numpy's C reader
 (``np.loadtxt``) parses the clean files; every other file, and the text
 of every syntax error, goes through the record-by-record parse, so which
 of the two read a file never shows in the result. The second checks every
-row read once, as columns: repeated, unknown and, for poses, out-of-order
-ids and the values. The error names the first bad file, in frame order
-for a sequence's frame files, then the first bad line in it, then on that
-line a syntax fault before the first failing check.
+row read once, as columns, each kind of row where its rule lives:
+- a landmark row (``MP``, ``ML``) or a graph vertex row (``VERTEX_POINT``,
+  ``VERTEX_LINE``) by the record it is built into, a ``geometry._Vertices``
+  (repeated ids, then the kind's own faults), whose refusal names the
+  first bad row;
+- a frame row by ``simulator._row_faults``;
+- a pose row by the pose format's rules: ids that count up from 0 in file
+  order, and quaternions within 1e-6 of unit norm.
+The error names the first bad file, in frame order for a sequence's frame
+files, then the first bad line in it, then on that line a syntax fault
+before the first failing check.
 """
 from __future__ import annotations
 
@@ -61,17 +69,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .factor_graph import FactorGraph, Factors, Lines, _factor_weight, _plucker_violations
+from .factor_graph import FactorGraph, Factors, GraphConstructionError, Lines, _factor_weight
 from .geometry import (
     CameraIntrinsics,
     GeometryError,
     Points,
     Segments,
     Trajectory,
-    normalizable,
+    _first_fault,
+    _Vertices,
     row_norms,
 )
-from .simulator import FrameData, Sequence, _first_fault, _repeats, _row_faults
+from .simulator import FrameData, Sequence, _row_faults
 
 
 class ParseError(ValueError):
@@ -141,15 +150,19 @@ def _expect(tokens, n, path, lineno):
         raise ParseError(path, lineno, f"expected {n} fields, got {len(tokens)}")
 
 
-def _read_records(paths, table) -> list[dict[str, tuple[np.ndarray, np.ndarray]]]:
+def _read_records(paths, table) -> list[dict]:
     """Each of the record files ``paths`` as {tag: (ids (n,
-    len(names)) int64, values (n, k))}, once every row of every file passes
-    the table's checks.
+    len(names)) int64, values (n, k)) or the tag's record}, once every row
+    of every file passes the table's checks.
 
     ``table`` maps each tag to (names of its ids, value count k, name of a
-    value in errors, None or the checks on the rows of every file: a
-    function of (file index (n,), ids, values) that gives (failing rows,
-    message or row -> message) pairs in the order they apply to a row).
+    value in errors, None or the checks on the rows of every file). The
+    checks are a function of (file index (n,), ids, values) that gives
+    (failing rows, message or row -> message) pairs in the order they
+    apply to a row, or, in a one-file read, that builds the tag's record
+    (a ``geometry._Vertices``) from its rows. The record then stands in
+    the result in place of the tag's columns, and a refusal of it is a
+    fault of the row that the refusal names.
     A table whose one tag is None reads untagged files, in which every
     line that is not a comment is a record.
 
@@ -162,9 +175,9 @@ def _read_records(paths, table) -> list[dict[str, tuple[np.ndarray, np.ndarray]]
       >= 0, or a value that is not a finite float. No file after the
       first such line is read.
     - Checks: the rows read are checked once, as the columns of all files
-      joined, tag by tag. Every row read comes before the syntax fault, so
-      the first failing row wins over it, and its line is found again in
-      its file.
+      joined, tag by tag, or built into their record. Every row read comes
+      before the syntax fault, so the first failing row wins over it, and
+      its line is found again in its file.
     """
     files, stop = [], None
     for path in paths:
@@ -182,9 +195,16 @@ def _read_records(paths, table) -> list[dict[str, tuple[np.ndarray, np.ndarray]]
             counts = [len(columns[tag][0]) for columns in files]
             file = np.repeat(np.arange(len(files)), counts)
             ids, values = (np.concatenate([columns[tag][j] for columns in files]) for j in (0, 1))
-            fault = _first_fault(checks(file, ids, values))
+            try:
+                found = checks(file, ids, values)
+            except (GeometryError, GraphConstructionError) as exc:  # a record's refusal
+                found = [(np.arange(len(ids)) == exc.row, str(exc))]  # at the row it names
+            if isinstance(found, _Vertices):
+                files[0][tag] = found
+                continue
+            fault = _first_fault(found)
             if fault is not None:
-                row, message = fault
+                row, _, message = fault
                 i = int(file[row])
                 row -= sum(counts[:i])
                 lineno = [n for n, tok in _iter_records(paths[i]) if tag in (None, tok[0])][row]
@@ -195,12 +215,6 @@ def _read_records(paths, table) -> list[dict[str, tuple[np.ndarray, np.ndarray]]
     if stop is not None:
         raise stop
     return files
-
-
-def _distinct(what: str, file, ids):
-    """The check, for a table of ``_read_records``, that no record's
-    first id repeats in its file, as a (failing rows, message) pair."""
-    return _repeats(file, ids[:, 0]), lambda r: f"duplicate {what} {ids[r, 0]}"
 
 
 _PRINTABLE = bytes(range(0x20, 0x7F)) + b"\n"
@@ -408,7 +422,9 @@ def read_sequence(directory, min_line_len: float = 0.0) -> Sequence:
     with the same default ``min_line_len``, so that a written valid
     sequence reads back whatever length its lines were rendered at. The
     frame files are read ``_FRAME_FILES`` at a time, and each group's frames
-    are built from its checked rows. There must be one frame file per
+    are built from its checked rows. The ``Points`` and ``Segments`` records
+    built from ``landmarks.txt`` check its rows, and a refusal names the
+    line of the row at fault. There must be one frame file per
     ground-truth pose: a missing one, or one numbered past the last pose,
     raises a ParseError naming it."""
     directory = Path(directory)
@@ -416,16 +432,11 @@ def read_sequence(directory, min_line_len: float = 0.0) -> Sequence:
     traj = read_trajectory(directory / "groundtruth.txt")
 
     (landmarks,) = _read_records([directory / "landmarks.txt"], {
-        "MP": (("landmark id",), 3, "coordinate",
-               lambda file, ids, v: [_distinct("point landmark id", file, ids)]),
-        "ML": (("landmark id",), 6, "coordinate", lambda file, ids, v: [
-            _distinct("line landmark id", file, ids),
-            ((v[:, :3] == v[:, 3:]).all(axis=1), "line endpoints coincide"),
-            (~normalizable(v[:, 3:] - v[:, :3]), "line direction cannot be normalized")]),
+        "MP": (("landmark id",), 3, "coordinate", lambda file, ids, v: Points(ids[:, 0], v)),
+        "ML": (("landmark id",), 6, "coordinate",
+               lambda file, ids, v: Segments(ids[:, 0], v.reshape(-1, 2, 3))),
     })
-    (point_ids, positions), (line_ids, endpoints) = landmarks["MP"], landmarks["ML"]
-    gt_points = Points(point_ids[:, 0], positions)
-    gt_lines = Segments(line_ids[:, 0], endpoints.reshape(-1, 2, 3))
+    gt_points, gt_lines = landmarks["MP"], landmarks["ML"]
 
     pg_path = directory / "parallel_groups.txt"
     parallel_groups: dict[int, list[int]] = {}
@@ -576,12 +587,9 @@ def _records(tag: str | None, *columns) -> str:
 # graph record tag -> the entry of _read_records' table
 _GRAPH_RECORDS = {
     "VERTEX_POSE": _POSE_RECORDS[None],
-    "VERTEX_POINT": (("point id",), 3, "coordinate",
-                     lambda file, ids, v: [_distinct("point id", file, ids)]),
-    "VERTEX_LINE": (("line id",), 6, "coordinate", lambda file, ids, v: [
-        _distinct("line id", file, ids),
-        (row_norms(v[:, 3:]) == 0.0, "line direction must be nonzero"),
-        (_plucker_violations(v[:, :3], v[:, 3:]), "Plucker constraint violated")]),
+    "VERTEX_POINT": (("point id",), 3, "coordinate", lambda file, ids, v: Points(ids[:, 0], v)),
+    "VERTEX_LINE": (("line id",), 6, "coordinate",
+                    lambda file, ids, v: Lines(ids[:, 0], v[:, :3], v[:, 3:])),
     "FIX": (("pose id",), 0, None, None),
     "EDGE_POINT": (("frame id", "point id"), 2, "pixel", None),
     "EDGE_LINE": (("frame id", "line id"), 4, "pixel", None),
@@ -594,15 +602,15 @@ def read_graph(path, intrinsics: CameraIntrinsics, sigma_s: float = 1.0) -> Fact
     1/sigma_s^2, whatever weights the written graph had; ``sigma_s`` must
     be finite and > 0. The ``VERTEX_POSE`` lines are checked as
     ``read_trajectory`` checks its lines: ids count up from 0, and each
-    quaternion lies within 1e-6 of unit norm. The records that pass their
-    checks are built into a ``FactorGraph``, and any refusal of its
-    construction (the gauge, a dangling reference) is raised as a
+    quaternion lies within 1e-6 of unit norm. The ``VERTEX_POINT`` and
+    ``VERTEX_LINE`` lines are checked by the ``Points`` and ``Lines``
+    records built from them, whose refusal names the line of the row at
+    fault. The records are built into a ``FactorGraph``, and any refusal of
+    its construction (the gauge, a dangling reference) is raised as a
     ParseError naming the file."""
     weight = _factor_weight(sigma_s)
     (columns,) = _read_records([path], _GRAPH_RECORDS)
     _, pose = columns["VERTEX_POSE"]
-    point_ids, point = columns["VERTEX_POINT"]
-    line_ids, line = columns["VERTEX_LINE"]
     point_edges, point_u = columns["EDGE_POINT"]
     line_edges, line_u = columns["EDGE_LINE"]
     try:
@@ -610,8 +618,8 @@ def read_graph(path, intrinsics: CameraIntrinsics, sigma_s: float = 1.0) -> Fact
             intrinsics=intrinsics,
             poses=Trajectory(pose[:, 3:], pose[:, :3]),
             fixed=columns["FIX"][0][:, 0],
-            points=Points(point_ids[:, 0], point),
-            lines=Lines(line_ids[:, 0], line[:, :3], line[:, 3:]),
+            points=columns["VERTEX_POINT"],
+            lines=columns["VERTEX_LINE"],
             point_factors=Factors(*point_edges.T, point_u, np.full(len(point_u), weight)),
             line_factors=Factors(*line_edges.T, line_u.reshape(-1, 2, 2),
                                  np.full(len(line_u), weight)),

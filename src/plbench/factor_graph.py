@@ -90,34 +90,25 @@ class Factors:
         return len(self.frame)
 
 
-def _plucker_violations(n, d) -> np.ndarray:
-    """Rows of Plucker pairs n, d (m, 3) whose |n . d| exceeds
-    1e-10 (|n| |d| + 1), or where either side overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        dots = np.abs(row_dots(n, d))
-        bounds = 1e-10 * (row_norms(n) * row_norms(d) + 1.0)
-    return ~(dots <= bounds) | np.isinf(bounds)
-
-
 @dataclass(frozen=True)
 class Lines(_Vertices):
     """Line landmark vertices: Plucker moment ``n`` and direction ``d`` (N, 3).
-    Construction also refuses, as ``read_graph`` does, a zero direction and
-    a pair off the Plucker constraint (``_plucker_violations``)."""
+    Besides ``_Vertices``' faults, construction refuses a zero direction,
+    then a pair off the Plucker constraint: |n . d| above
+    1e-10 (|n| |d| + 1), or a bound that overflows."""
 
     id: np.ndarray
     n: np.ndarray
     d: np.ndarray
     kind, _COLUMNS = "line", (("n", float, (3,)), ("d", float, (3,)))
-    _error = GraphConstructionError
+    _error = _fault_error = GraphConstructionError
 
-    def __post_init__(self):
-        super().__post_init__()
-        with np.errstate(over="ignore"):
-            if (row_norms(self.d) == 0.0).any():
-                raise GraphConstructionError("line direction must be nonzero")
-        if _plucker_violations(self.n, self.d).any():
-            raise GraphConstructionError("line vertex violates the Plucker constraint")
+    def _faults(self, n, d) -> list:
+        norms = row_norms(d)
+        bounds = 1e-10 * (row_norms(n) * norms + 1.0)
+        return [(norms == 0.0, "line direction must be nonzero"),
+                (~(np.abs(row_dots(n, d)) <= bounds) | np.isinf(bounds),
+                 "Plucker constraint violated")]
 
 
 @dataclass(frozen=True)

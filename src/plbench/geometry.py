@@ -20,6 +20,10 @@ Landmarks are records of columns: ``Points`` (id, position) and
 ``Segments`` (id, endpoints) hold one row per landmark, sorted by int64
 id, from the scene through the sequence files and the fused map to the
 factor graph, whose line vertex record shares their base, ``_Vertices``.
+That base is the one check of a landmark or vertex row, and the reader
+of ``dataset_io`` builds a record rather than check its rows again. Its
+fault table, ``_first_fault`` over ``_repeats`` and ``_all_rows``, is the
+same one ``simulator`` checks frame rows with.
 
 Every id and value column of a record (the landmark and vertex records,
 ``Trajectory``, ``simulator.FrameData``, ``factor_graph.Factors`` and the
@@ -454,42 +458,87 @@ def _column(a, dtype, shape: tuple, name: str, error=ValueError, copy: bool = Tr
     return a
 
 
+def _all_rows(b) -> np.ndarray:
+    """Whether each row of the bool array b (n, ...) is all True. numpy
+    reduces short rows one at a time, about ten times slower than it
+    reduces their columns, so the rows are reduced as columns."""
+    return np.logical_and.reduce(b.reshape(len(b), math.prod(b.shape[1:])).T.copy())
+
+
+def _repeats(group, ids) -> np.ndarray:
+    """Which rows (n,) hold an id that an earlier row of their group
+    holds, for ascending group labels (n,) and ids (n,)."""
+    if ((group[1:] != group[:-1]) | (ids[1:] > ids[:-1])).all():
+        return np.zeros(len(ids), dtype=bool)  # each group's ids ascend, as written
+    order = np.lexsort((ids, group))
+    group, ids = group[order], ids[order]
+    repeat = np.zeros(len(ids), dtype=bool)
+    repeat[order[1:]] = (group[1:] == group[:-1]) & (ids[1:] == ids[:-1])
+    return repeat
+
+
+def _first_fault(faults) -> tuple[int, int, str] | None:
+    """(row, check, message) for the first row failing any of ``faults``,
+    a list of (failing rows (n,), message or row -> message) in the order
+    the checks apply to one row; ``check`` indexes the first check the row
+    fails and the message is that check's. None when every row passes."""
+    masks = np.array([mask for mask, _ in faults])
+    bad = masks.any(axis=0)
+    if not bad.any():
+        return None
+    row = int(np.argmax(bad))
+    check = int(np.argmax(masks[:, row]))
+    message = faults[check][1]
+    return row, check, message(row) if callable(message) else message
+
+
 class _Vertices(Mapping):
     """A frozen record of one kind of vertex: int64 ``id`` (N,) and the
     columns of ``_COLUMNS`` (name, dtype, row shape), one row per vertex,
-    sorted by id and read-only. Every column goes through ``_column``.
-    Construction raises ``_error`` for a column of the wrong type or row
-    shape, for a repeated id, for columns of different lengths and for a
-    non-finite value, and ``DegenerateLineError`` for a row of
-    ``endpoints`` whose two endpoints coincide.
+    sorted by id and read-only. It is the one check of a landmark or graph
+    vertex row, whether the row is generated, fused, read or built by hand.
+
+    Every column goes through ``_column``, and construction raises
+    ``_error`` for a column of the wrong type or row shape and for columns
+    of different lengths. Then the rows are checked as a fault table in
+    input order (``_first_fault``): an id that an earlier row holds, a
+    non-finite value (column by column), then the kind's own faults
+    (``_faults``), which raise ``_fault_error``. The refusal is the first
+    bad row's first fault, and carries that row's input index as ``row``.
 
     The record is also a read-only mapping: iterating it gives the ids, and
     ``record[i]`` gives the row of id i as a namespace of its columns.
     """
 
-    _error = GeometryError
+    _error = _fault_error = GeometryError
 
     def __post_init__(self):
         ids = _column(self.id, np.int64, (None,), f"{self.kind} id", self._error, copy=False)
+        columns = [_column(getattr(self, name), dtype, (None, *shape), f"{self.kind} {name}",
+                           self._error, copy=False) for name, dtype, shape in self._COLUMNS]
+        if any(len(column) != len(ids) for column in columns):
+            raise self._error(f"{self.kind} vertex columns differ in length")
+        shared = [(_repeats(np.zeros_like(ids), ids),
+                   lambda r: f"duplicate {self.kind} id {ids[r]}")]
+        shared += [(~_all_rows(np.isfinite(column)), f"{self.kind} {name} must be finite")
+                   for column, (name, _, _) in zip(columns, self._COLUMNS)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            fault = _first_fault(shared + self._faults(*columns))
+        if fault is not None:
+            row, check, message = fault
+            error = (self._error if check < len(shared) else self._fault_error)(message)
+            error.row = row
+            raise error
         order = np.argsort(ids, kind="stable")
-        ids = ids[order]
-        repeats = ids[1:][ids[1:] == ids[:-1]]
-        if len(repeats):
-            raise self._error(f"duplicate {self.kind} id {repeats[0]}")
-        ids.flags.writeable = False
-        object.__setattr__(self, "id", ids)
-        for name, dtype, shape in self._COLUMNS:
-            column = _column(getattr(self, name), dtype, (None, *shape), f"{self.kind} {name}",
-                             self._error, copy=False)
-            if len(column) != len(ids):
-                raise self._error(f"{self.kind} vertex columns differ in length")
-            if not np.isfinite(column).all():
-                raise self._error(f"{self.kind} {name} must be finite")
-            if name == "endpoints" and (column[:, 0] == column[:, 1]).all(axis=1).any():
-                raise DegenerateLineError(f"{self.kind} endpoints coincide")
+        for name, column in zip(["id"] + [name for name, _, _ in self._COLUMNS], [ids] + columns):
             column = column[order]
             column.flags.writeable = False
             object.__setattr__(self, name, column)
+
+    def _faults(self, *columns) -> list:
+        """The kind's own checks on its rows, given its cast columns in
+        input order, as (failing rows, message) pairs; none by default."""
+        return []
 
     def find(self, ids) -> tuple[np.ndarray, np.ndarray]:
         """The row of each of ``ids`` (n,) and whether the record holds that
@@ -527,11 +576,20 @@ class Points(_Vertices):
 @dataclass(frozen=True)
 class Segments(_Vertices):
     """Line landmarks: world-frame segments between two distinct
-    endpoints, ``endpoints`` (L, 2, 3) start and end."""
+    endpoints, ``endpoints`` (L, 2, 3) start and end. Construction raises
+    ``DegenerateLineError`` for a row whose endpoints coincide, and for
+    one whose direction, end minus start, cannot be normalized
+    (``normalizable``): its norm overflows or underflows."""
 
     id: np.ndarray
     endpoints: np.ndarray
     kind, _COLUMNS = "line", (("endpoints", float, (2, 3)),)
+    _fault_error = DegenerateLineError
+
+    def _faults(self, endpoints, *_) -> list:
+        return [(_all_rows(endpoints[:, 0] == endpoints[:, 1]), "line endpoints coincide"),
+                (~normalizable(endpoints[:, 1] - endpoints[:, 0]),
+                 "line direction cannot be normalized")]
 
 
 # ---------------------------------------------------------------------------

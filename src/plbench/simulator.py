@@ -59,11 +59,13 @@ from .geometry import (
     Pose,
     Segments,
     Trajectory,
+    _all_rows,
     _column,
+    _first_fault,
+    _repeats,
     check_integers,
     line_angles,
     matrix_to_quat,
-    normalizable,
     project,
     quat_to_matrix,
     row_norms,
@@ -679,25 +681,6 @@ def perturb_depth(d_hat: float, sigma_d: float, m_const: float, rng) -> float | 
 # sequences
 
 
-def _all_rows(b) -> np.ndarray:
-    """Whether each row of the bool array b (n, ...) is all True. numpy
-    reduces short rows one at a time, about ten times slower than it
-    reduces their columns, so the rows are reduced as columns."""
-    return np.logical_and.reduce(b.reshape(len(b), math.prod(b.shape[1:])).T.copy())
-
-
-def _repeats(group, ids) -> np.ndarray:
-    """Which rows (n,) hold an id that an earlier row of their group
-    holds, for ascending group labels (n,) and ids (n,)."""
-    if ((group[1:] != group[:-1]) | (ids[1:] > ids[:-1])).all():
-        return np.zeros(len(ids), dtype=bool)  # each group's ids ascend, as written
-    order = np.lexsort((ids, group))
-    group, ids = group[order], ids[order]
-    repeat = np.zeros(len(ids), dtype=bool)
-    repeat[order[1:]] = (group[1:] == group[:-1]) & (ids[1:] == ids[:-1])
-    return repeat
-
-
 def _row_faults(group, ids, pixels, depths, known, intr: CameraIntrinsics,
                 min_line_len: float):
     """The checks on point rows (ids (n,), pixels (n, 2), depths (n,)) or
@@ -724,20 +707,6 @@ def _row_faults(group, ids, pixels, depths, known, intr: CameraIntrinsics,
         faults.append((row_norms(pixels[:, 1] - pixels[:, 0]) < min_line_len,
                        "line measurement shorter than min_line_len"))
     return faults
-
-
-def _first_fault(faults) -> tuple[int, str] | None:
-    """(row, message) for the first row failing any of ``faults``, a list
-    of (failing rows (n,), message or row -> message) in the order the
-    checks apply to one row; the message is that of the first check the
-    row fails. None when every row passes."""
-    masks = np.array([mask for mask, _ in faults])
-    bad = masks.any(axis=0)
-    if not bad.any():
-        return None
-    row = int(np.argmax(bad))
-    message = faults[int(np.argmax(masks[:, row]))][1]
-    return row, message(row) if callable(message) else message
 
 
 @dataclass(frozen=True, eq=False)
@@ -847,7 +816,7 @@ class Sequence:
             fault = _first_fault(
                 _row_faults(frame, ids, pixels, depths, known, self.intrinsics, min_line_len))
             if fault is not None:
-                faults.append((frame[fault[0]], kind == "line", fault[1]))
+                faults.append((frame[fault[0]], kind == "line", fault[2]))
         if faults:
             frame_id, _, message = min(faults)
             raise ValueError(f"{message} in frame {frame_id}")
@@ -863,23 +832,19 @@ class Sequence:
                 raise ValueError(f"frame {i} has frame_id {f.frame_id}")
 
     def check_parallel_groups(self) -> None:
-        """Every parallel group names known lines of one direction, each
-        with a direction that can be normalized."""
+        """Every parallel group names known lines of one direction; each
+        line's direction can be normalized, since ``Segments`` refuses one
+        that cannot."""
         for gid, ids in self.parallel_groups.items():
             rows, found = self.gt_lines.find(ids)
             if not found.all():
                 raise ValueError(f"dangling line id {ids[int(np.argmin(found))]} "
                                  f"in parallel group {gid}")
-            with np.errstate(over="ignore", invalid="ignore"):
-                ends = self.gt_lines.endpoints[rows]
-                d = ends[:, 1] - ends[:, 0]
-                bad = ~normalizable(d)
-                if bad.any():
-                    raise ValueError(f"line {ids[int(np.argmax(bad))]} in parallel group {gid} "
-                                     "has no finite direction")
-                dirs = d / row_norms(d)[:, None]
-                if (line_angles(dirs[:1], dirs[1:]) > 1e-9).any():
-                    raise ValueError(f"parallel group {gid} members disagree in direction")
+            ends = self.gt_lines.endpoints[rows]
+            d = ends[:, 1] - ends[:, 0]
+            dirs = d / row_norms(d)[:, None]
+            if (line_angles(dirs[:1], dirs[1:]) > 1e-9).any():
+                raise ValueError(f"parallel group {gid} members disagree in direction")
 
 
 def _add_noise(points, lines, noise: NoiseParams, intr, cfg: RenderConfig, rng, report):

@@ -30,6 +30,8 @@ from plbench.factor_graph import (
 )
 from plbench.geometry import (
     CameraIntrinsics,
+    DegenerateLineError,
+    GeometryError,
     Pose,
     Segments,
     Trajectory,
@@ -330,6 +332,14 @@ POSE_RECORD = " 0.0 0.0 0.0 0.0 0.0 0.0 1.0\n"
         pytest.param({"landmarks.txt": "ML 3 0.0 0.0 2.0 0.0 0.0 2.0\nMP 7 1.0 x 3.0\n"},
                      "landmarks.txt:1: line endpoints coincide",
                      id="landmark-coincident-before-bad-value"),
+        # a record's fault on line k wins over a syntax fault on line k + 1,
+        # and a syntax fault on line k over a record's fault on line k + 1
+        pytest.param({"landmarks.txt": "MP 7 1.0 2.0 3.0\nML 3 0.0 0.0 2.0 1e200 0.0 2.0\n"
+                                       "MP 8 1.0 x 3.0\n"},
+                     "landmarks.txt:2: line direction cannot be normalized",
+                     id="landmark-record-before-syntax"),
+        pytest.param({"landmarks.txt": "MP 7 1.0 2.0 3.0\nMP 8 1.0 x 3.0\nMP 7 1.0 2.0 3.0\n"},
+                     "landmarks.txt:2: bad coordinate: 'x'", id="landmark-syntax-before-record"),
         pytest.param({"groundtruth.txt": "0" + POSE_RECORD + "1" + POSE_RECORD,
                       "frames/000000.txt": "P 7 10.0 20.0 -1.0\n"},
                      "000000.txt:1: nonpositive depth", id="frame-before-missing-frame"),
@@ -727,6 +737,13 @@ def test_graph_edge_errors_name_file_and_line(tmp_path, edge, match):
         pytest.param(GRAPH_HEAD + "VERTEX_POSE 0 0.0 0.0 0.0 0.0 0.0 0.0 1.0\n"
                      "VERTEX_LINE 2 1.0 0.0 0.0 0.5 0.0 0.0",
                      "g.txt:4: non-monotonic frame_id: 0", id="pose-before-line"),
+        # a record's fault on line k wins over a syntax fault on line k + 1,
+        # and a syntax fault on line k over a record's fault on line k + 1
+        pytest.param(GRAPH_HEAD + "VERTEX_POINT 2 0.0 0.0 1.0\nVERTEX_POINT 2 0.0 0.0 1.0\n"
+                     "EDGE_POINT 0 2 x 1.0",
+                     "g.txt:5: duplicate point id 2", id="vertex-record-before-syntax"),
+        pytest.param(GRAPH_HEAD + "EDGE_POINT 0 2 x 1.0\nVERTEX_LINE 2 1.0 0.0 0.0 0.5 0.0 0.0",
+                     "g.txt:4: bad pixel: 'x'", id="vertex-syntax-before-record"),
     ],
 )
 def test_graph_vertex_errors_name_file_and_line(tmp_path, vertices, match):
@@ -780,15 +797,35 @@ def test_parallel_group_of_huge_lines_raises_parse_error_not_overflow_warnings(t
 )
 def test_parallel_group_member_without_finite_direction_is_rejected(small_sequence, group, bad):
     # along x, along x to 1e200 (the norm overflows), along y, and along x
-    # by 1e-200 (the norm underflows to zero)
+    # by 1e-200 (the norm underflows to zero): the ground-truth record of a
+    # group's lines refuses the member whose direction cannot be normalized,
+    # so no sequence holds one
     ends = {9001: [[0.0, 0.0, 2.0], [1.0, 0.0, 2.0]], 9002: [[0.0, 0.0, 2.0], [1e200, 0.0, 2.0]],
             9003: [[0.0, 0.0, 2.0], [0.0, 1.0, 2.0]], 9004: [[0.0, 0.0, 2.0], [1e-200, 0.0, 2.0]]}
     lines = small_sequence.gt_lines
-    gt_lines = Segments(np.concatenate([lines.id, list(ends)]),
-                        np.concatenate([lines.endpoints, list(ends.values())]))
-    seq = dataclasses.replace(small_sequence, gt_lines=gt_lines, parallel_groups={0: group})
-    with pytest.raises(ValueError, match=f"^line {bad} in parallel group 0 has no finite direction$"):
-        seq.validate()
+    with pytest.raises(DegenerateLineError,
+                       match="^line direction cannot be normalized$") as refusal:
+        Segments(np.concatenate([lines.id, group]),
+                 np.concatenate([lines.endpoints, [ends[i] for i in group]]))
+    assert refusal.value.row == len(lines) + group.index(bad)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("length", [1e200, 1e-200], ids=["overflow", "underflow"])
+def test_line_landmark_is_refused_or_reads_back(small_sequence, tmp_path, length):
+    # a line along x whose direction norm overflows or underflows: either
+    # its record refuses it, or the sequence that holds it reads back
+    lines = small_sequence.gt_lines
+    try:
+        gt_lines = Segments(np.append(lines.id, 9000), np.concatenate(
+            [lines.endpoints, [[[0.0, 0.0, 2.0], [length, 0.0, 2.0]]]]))
+    except GeometryError as exc:
+        assert str(exc) == "line direction cannot be normalized" and exc.row == len(lines)
+        return
+    seq = dataclasses.replace(small_sequence, gt_lines=gt_lines)
+    seq.validate()
+    write_sequence(seq, tmp_path / "seq")
+    assert_sequences_identical(seq, read_sequence(tmp_path / "seq"))
 
 
 def test_graph_edge_pixels_whose_sum_overflows_are_read(tmp_path):

@@ -625,7 +625,7 @@ def test_vertex_records_sort_by_id_and_reject_repeats():
     assert points.id.dtype == np.int64 and points.id.tolist() == [2, 5, 7]
     assert points.position[:, 0].tolist() == [2.0, 5.0, 7.0]
     with pytest.raises(GraphConstructionError, match="duplicate line id 3"):
-        Lines([3, 1, 3], np.ones((3, 3)), np.ones((3, 3)))
+        Lines([3, 1, 3], np.tile([1.0, 0.0, 0.0], (3, 1)), np.tile([0.0, 1.0, 0.0], (3, 1)))
 
 
 def test_graph_is_frozen_and_holds_fixed_as_sorted_ids():
@@ -713,7 +713,7 @@ GRAPH_FAULTS = {
     "dangling-line": (lambda: {"line_factors": Factors([0], [99], LINE_PIXELS, [1.0])},
                       "dangling factor reference to line 99"),
     "plucker-violation": (lambda: {"lines": Lines([0], [[1.0, 0.0, 0.0]], [[0.5, 0.0, 0.0]])},
-                          "line vertex violates the Plucker constraint"),
+                          "Plucker constraint violated"),
     "zero-direction": (lambda: {"lines": Lines([0], [[0.0, 0.0, 0.5]], [[0.0, 0.0, 0.0]])},
                        "line direction must be nonzero"),
     # Factors takes its pixel shape from its pixels, so either kind fits

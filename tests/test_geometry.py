@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from plbench.factor_graph import (
     FactorGraph,
     Factors,
+    GraphConstructionError,
     Lines,
     _lines_to_camera,
     _project_points,
@@ -794,6 +795,36 @@ SEGMENT_ROW = [[0.0, 0.0, 1.0], [1.0, 0.0, 1.0]]
 def test_landmark_records_refuse_bad_rows(record, ids, rows, error, match):
     with pytest.raises(error, match=match):
         record(ids, rows)
+
+
+# ids out of sorted order; row 0 is clean, row 1 holds the fault named and
+# row 2 a fault of another kind, which a check made column by column, or
+# on the rows sorted by id, would name first
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        pytest.param(lambda: Points([9, 4, 9], [[0.0, 0.0, 1.0], [np.nan, 0.0, 1.0],
+                                                [1.0, 0.0, 1.0]]),
+                     GeometryError, "point position must be finite", id="points"),
+        pytest.param(lambda: Segments([8, 3, 8], [SEGMENT_ROW, [[0.0, 0.0, 1.0], [1e200, 0.0, 1.0]],
+                                                  np.add(SEGMENT_ROW, 1.0)]),
+                     DegenerateLineError, "line direction cannot be normalized", id="segments"),
+        pytest.param(lambda: Lines([6, 2, 6], [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]],
+                                   [[1.0, 0.0, 0.0], [0.5, 0.0, 0.0], [1.0, 0.0, 0.0]]),
+                     GraphConstructionError, "Plucker constraint violated", id="lines"),
+        pytest.param(lambda: MapPoints([5, 5, 1], [[0.0, 0.0, 1.0], [1.0, 0.0, 1.0],
+                                                   [np.inf, 0.0, 1.0]], [1, 2, 1]),
+                     GeometryError, "duplicate point id 5", id="map-points"),
+        pytest.param(lambda: MapSegments([4, 1, 0], [SEGMENT_ROW, [SEGMENT_ROW[0]] * 2,
+                                                     [[0.0, 0.0, 1.0], [np.nan, 0.0, 1.0]]],
+                                         [3, 1, 1]),
+                     DegenerateLineError, "line endpoints coincide", id="map-segments"),
+    ],
+)
+def test_vertex_record_names_its_first_bad_row(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as refusal:
+        build()
+    assert refusal.value.row == 1
 
 
 def test_landmark_record_is_id_sorted_read_only_mapping():
